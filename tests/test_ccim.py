@@ -1,7 +1,9 @@
 from __future__ import annotations
 
-import pytest
+from pathlib import Path
 
+import pytest
+from corpus import REPOS
 from oracles import (
     brute_force_callbacks,
     brute_force_footprints,
@@ -376,6 +378,16 @@ def test_serialization_stable_against_golden(models, tmp_path):
                         "trust", "admin", "scope"}
     assert doc["deps"]["rot"] == ["Vault.oracle"]
     assert doc["graph"]["edges"] == ["Vault.withdraw -> ChainOracle.latestPrice"]
+
+
+GOLDEN_CCIM = Path(__file__).parent / "golden" / "ccim"
+
+
+@pytest.mark.parametrize("repo", sorted(REPOS))
+def test_ccim_json_matches_golden(models, repo):
+    # byte-for-byte pin of the whole model; regenerate only for an intended change
+    golden = (GOLDEN_CCIM / f"{repo}.json").read_text(encoding="utf-8")
+    assert ccim_to_json(models[repo]) + "\n" == golden
 
 
 def test_edge_actionability(models):
