@@ -10,13 +10,13 @@ import re
 
 from ..ingest import AuditSource
 from .parse import (
+    ContractDecl,
     ancestors_of,
     extract_approval_recipients,
-    mask_noncode,
     match_paren,
     normalize_predicate,
     parse_function_records,
-    scan_contracts,
+    parse_source,
 )
 from .types import (
     CallGraph,
@@ -50,12 +50,10 @@ DEFAULT_ROLE_CATALOGUE = RoleCatalogue(
 )
 
 
-def build_resolution(records: list[FunctionRecord], source: AuditSource) -> ResolutionMap:
+def build_resolution(records: list[FunctionRecord], decls: tuple[ContractDecl, ...]) -> ResolutionMap:
     """Map each storage variable (qualified by its declaring contract) to the
     concrete contract implementing its declared type, or None when no unique
-    concrete implementer exists."""
-    masked = mask_noncode(source.text)
-    decls = scan_contracts(source.text, masked)
+    concrete implementer exists, from the audit's contract declarations."""
     by_name = {d.name: d for d in decls}
     kinds = {d.name: d.kind for d in decls}
 
@@ -170,10 +168,12 @@ def compute_state_dependencies(records: list[FunctionRecord], footprints: Footpr
         for v in footprints.reads.get(r.key, frozenset()):
             readers.setdefault(resolution.var_id(r.owner, v), set()).add(r.key)
 
+    visible: dict[str, set[str]] = {}
+    for owner, name in resolution.var_origin:
+        visible.setdefault(owner, set()).add(name)
     approvals: dict[FnKey, frozenset[str]] = {}
     for r in records:
-        visible = {name for (owner, name) in resolution.var_origin if owner == r.owner}
-        got = extract_approval_recipients(r, visible)
+        got = extract_approval_recipients(r, visible.get(r.owner, set()))
         if got:
             approvals[r.key] = frozenset(resolution.var_id(r.owner, v) for v in got)
 
@@ -226,7 +226,7 @@ _EMIT_RE = re.compile(r"\bemit\s+([A-Za-z_]\w*\s*\()")
 
 
 def _postconditions(record: FunctionRecord) -> frozenset[str]:
-    body = mask_noncode(record.body_inner())
+    body = record.masked_inner
     out: set[str] = set()
     for m in _RETURN_RE.finditer(body):
         expr = m.group(1).strip()
@@ -296,9 +296,10 @@ def compute_trust_model(graph: CallGraph, records: list[FunctionRecord]) -> Trus
 
 def assemble_ccim(source: AuditSource,
                   catalogue: RoleCatalogue = DEFAULT_ROLE_CATALOGUE) -> CcimModel:
-    """Run the full construction pipeline over an audit source."""
-    records = parse_function_records(source)
-    resolution = build_resolution(records, source)
+    """Run the full construction pipeline over an audit source, parsed once."""
+    parsed = parse_source(source.text)
+    records = parse_function_records(source, parsed)
+    resolution = build_resolution(records, parsed.decls)
     graph = build_call_graph(records, resolution)
     footprints = propagate_footprints(records)
     deps = compute_state_dependencies(records, footprints, resolution)
@@ -312,7 +313,7 @@ def assemble_ccim(source: AuditSource,
     return CcimModel(
         records=tuple(records), resolution=resolution, graph=graph,
         footprints=footprints, deps=deps, trust=trust, admin_set=admin_set,
-        scope=source.scope,
+        parsed=parsed, scope=source.scope,
     )
 
 

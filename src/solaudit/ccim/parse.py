@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from ..ingest import AuditSource, map_line, pragma_ge_08
-from .types import CallSite, FunctionRecord
+from .types import CallSite, FunctionRecord, inner_body
 
 log = logging.getLogger(__name__)
 
@@ -41,6 +41,7 @@ _NON_TYPE_KEYWORDS = {
 }
 _BUILTIN_TARGETS = {"msg", "abi", "block", "tx", "this", "super", "address", "type", "bytes", "string"}
 _ARRAY_METHODS = {"push", "pop"}
+_IDENT_RE = re.compile(r"(?<![\w.])[A-Za-z_]\w*")  # a whole identifier, not a member
 _ASSIGN_OP_RE = re.compile(r"(=(?!=)|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)")
 _COMPOUND_OP_RE = re.compile(r"(\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)")
 _ELEMENTARY_RE = re.compile(r"^(u?int\d*|bool|bytes\d*|byte|string)(\[\s*\w*\s*\])*$")
@@ -95,29 +96,18 @@ def mask_noncode(text: str) -> str:
     return "".join(out)
 
 
-def match_brace(text: str, open_pos: int) -> int:
-    """Index of the brace closing text[open_pos] == '{'; -1 if unbalanced."""
+def match_brace(text: str, open_pos: int, pair: str = "{}") -> int:
+    """Index of the bracket closing text[open_pos] == pair[0]; -1 if unbalanced."""
     depth = 0
-    for i in range(open_pos, len(text)):
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return i
+    for m in re.compile(f"[{re.escape(pair)}]").finditer(text, open_pos):
+        depth += 1 if m.group() == pair[0] else -1
+        if depth == 0:
+            return m.start()
     return -1
 
 
 def match_paren(text: str, open_pos: int) -> int:
-    depth = 0
-    for i in range(open_pos, len(text)):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return i
-    return -1
+    return match_brace(text, open_pos, "()")
 
 
 def split_top_level(text: str) -> list[str]:
@@ -133,17 +123,6 @@ def split_top_level(text: str) -> list[str]:
             start = i + 1
     parts.append(text[start:])
     return [p.strip() for p in parts if p.strip()]
-
-
-class _Lines:
-    def __init__(self, text: str):
-        self.starts = [0]
-        for i, c in enumerate(text):
-            if c == "\n":
-                self.starts.append(i + 1)
-
-    def line_of(self, pos: int) -> int:
-        return bisect_right(self.starts, pos)
 
 
 @dataclass
@@ -167,9 +146,32 @@ class ContractDecl:
     modifier_guards: dict[str, list[str]] = field(default_factory=dict)
 
 
-def scan_contracts(text: str, masked: str | None = None) -> list[ContractDecl]:
+@dataclass(frozen=True)
+class ParsedSource:
+    """One audit source parsed once: the comment- and string-masked text, the
+    line-start index, the raw lines and the contract declarations. Built per
+    audit by `parse_source` and shared by parsing, resolution and the engines."""
+    text: str
+    masked: str
+    line_starts: tuple[int, ...]
+    lines: tuple[str, ...]
+    decls: tuple[ContractDecl, ...]
+
+    def line_of(self, pos: int) -> int:
+        """1-based line of character offset `pos`."""
+        return bisect_right(self.line_starts, pos)
+
+
+def parse_source(text: str) -> ParsedSource:
+    masked = mask_noncode(text)
+    line_starts = (0, *(m.end() for m in re.finditer("\n", masked)))
+    return ParsedSource(text=text, masked=masked, line_starts=line_starts,
+                        lines=tuple(text.split("\n")),
+                        decls=tuple(scan_contracts(masked, line_starts)))
+
+
+def scan_contracts(masked: str, line_starts: tuple[int, ...]) -> list[ContractDecl]:
     """Locate every contract/interface/library declaration with its span."""
-    masked = masked if masked is not None else mask_noncode(text)
     decls: list[ContractDecl] = []
     for m in _CONTRACT_RE.finditer(masked):
         open_pos = m.end() - 1
@@ -189,7 +191,7 @@ def scan_contracts(text: str, masked: str | None = None) -> list[ContractDecl]:
             start=m.start(3), open_pos=open_pos, close_pos=close_pos,
         )
         inner = masked[open_pos + 1:close_pos]
-        decl.state_vars = _scan_state_vars(inner, _Lines(masked), open_pos + 1)
+        decl.state_vars = _scan_state_vars(inner, line_starts, open_pos + 1)
         decl.function_names = {fm.group(2) for fm in _FUNCTION_RE.finditer(inner) if fm.group(2)}
         decl.modifier_guards = _scan_modifier_guards(inner)
         decls.append(decl)
@@ -213,7 +215,7 @@ def _blank_nested_blocks(inner: str) -> str:
     return "".join(out)
 
 
-def _scan_state_vars(inner: str, lines: _Lines, base_offset: int) -> list[StateVarDecl]:
+def _scan_state_vars(inner: str, line_starts: tuple[int, ...], base_offset: int) -> list[StateVarDecl]:
     flat = _blank_nested_blocks(inner)
     out = []
     for m in _STATE_VAR_RE.finditer(flat):
@@ -224,7 +226,7 @@ def _scan_state_vars(inner: str, lines: _Lines, base_offset: int) -> list[StateV
             name=m.group(3),
             type_text=type_text,
             has_initializer=bool(m.group(4)) or "constant" in (m.group(2) or "") or "immutable" in (m.group(2) or ""),
-            line=lines.line_of(base_offset + m.start()),
+            line=bisect_right(line_starts, base_offset + m.start()),
         ))
     return out
 
@@ -263,21 +265,20 @@ def is_elementary_type(type_text: str) -> bool:
 # function records
 
 
-def parse_function_records(source: AuditSource) -> list[FunctionRecord]:
+def parse_function_records(source: AuditSource,
+                           parsed: ParsedSource | None = None) -> list[FunctionRecord]:
     """One record per function declaration of every contract in the audit
-    source, with guards, reads/writes, call sites and fund flag populated."""
-    text = source.text
-    if not text.strip():
+    source, with guards, reads/writes, call sites and fund flag populated.
+    `parsed` defaults to `parse_source(source.text)`."""
+    if not source.text.strip():
         return []
-    masked = mask_noncode(text)
-    lines = _Lines(masked)
-    decls = scan_contracts(text, masked)
-    by_name = {d.name: d for d in decls}
+    if parsed is None:
+        parsed = parse_source(source.text)
+    by_name = {d.name: d for d in parsed.decls}
     records: list[FunctionRecord] = []
-    for decl in decls:
+    for decl in parsed.decls:
         visible_vars = _visible_state_vars(decl, by_name)
-        for rec in _parse_contract_functions(decl, text, masked, lines, visible_vars, source):
-            records.append(rec)
+        records.extend(_parse_contract_functions(decl, parsed, visible_vars, source))
     return records
 
 
@@ -307,9 +308,9 @@ def _visible_state_vars(decl: ContractDecl, by_name: dict[str, ContractDecl]) ->
     return visible
 
 
-def _parse_contract_functions(decl, text, masked, lines, visible_vars, source):
+def _parse_contract_functions(decl, parsed, visible_vars, source):
     inner_start = decl.open_pos + 1
-    inner = masked[inner_start:decl.close_pos]
+    inner = parsed.masked[inner_start:decl.close_pos]
     default_vis = "external" if decl.kind == "interface" else "public"
     pos = 0
     while True:
@@ -342,7 +343,7 @@ def _parse_contract_functions(decl, text, masked, lines, visible_vars, source):
         abs_end = inner_start + decl_end
         try:
             yield _build_record(
-                decl, name, text, masked, lines, visible_vars, source,
+                decl, name, parsed, visible_vars, source,
                 abs_start=abs_start, abs_end=abs_end,
                 params_text=inner[params_open + 1:params_close],
                 header_text=inner[params_close + 1:header_end],
@@ -351,12 +352,12 @@ def _parse_contract_functions(decl, text, masked, lines, visible_vars, source):
             )
         except Exception as exc:  # per-component isolation: degrade, never abort
             log.warning("parse failure in %s.%s (%s); emitting degraded record", decl.name, name, exc)
-            line0 = lines.line_of(abs_start)
             yield FunctionRecord(
                 name=name, owner=decl.name, vis=default_vis, mut="nonpayable",
                 modifiers=(), guards=(), reads=frozenset(), writes=frozenset(),
-                call_sites=(), fund_flag=False, src=(line0, lines.line_of(abs_end)),
-                internal_calls=frozenset(), body=text[abs_start:abs_end + 1],
+                call_sites=(), fund_flag=False,
+                src=(parsed.line_of(abs_start), parsed.line_of(abs_end)),
+                internal_calls=frozenset(), **_bodies(parsed, abs_start, abs_end),
             )
 
 
@@ -404,8 +405,7 @@ def _param_names(params_text: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _natspec_above(text: str, header_line: int) -> str:
-    src_lines = text.split("\n")
+def _natspec_above(src_lines: tuple[str, ...], header_line: int) -> str:
     collected: list[str] = []
     i = header_line - 2  # index of the line above the header
     while i >= 0:
@@ -423,13 +423,27 @@ def _natspec_above(text: str, header_line: int) -> str:
     return "\n".join(reversed(collected))
 
 
-def _build_record(decl, name, text, masked, lines, visible_vars, source, *,
+def _bodies(parsed: ParsedSource, abs_start: int, abs_end: int) -> dict[str, str]:
+    """The raw declaration text and its masked forms. A declaration starts at
+    code, so a slice of the shared mask equals masking the slice; so does a cut
+    of the inner body at two code braces. Any other cut is masked on its own."""
+    body = parsed.text[abs_start:abs_end + 1]
+    masked = parsed.masked[abs_start:abs_end + 1]
+    i, j = body.find("{"), body.rfind("}")
+    if 0 <= i < j and masked[i] == "{" and masked[j] == "}":
+        masked_inner = masked[i + 1:j]
+    else:
+        masked_inner = mask_noncode(inner_body(body))
+    return {"body": body, "masked_body": masked, "masked_inner": masked_inner}
+
+
+def _build_record(decl, name, parsed, visible_vars, source, *,
                   abs_start, abs_end, params_text, header_text, body_span, default_vis):
+    text, masked = parsed.text, parsed.masked
     vis, mut, modifiers = _parse_header(header_text, default_vis)
     params = _param_names(params_text)
-    start_line = lines.line_of(abs_start)
-    end_line = lines.line_of(abs_end)
-    body_raw = text[abs_start:abs_end + 1]
+    start_line = parsed.line_of(abs_start)
+    end_line = parsed.line_of(abs_end)
     signature = " ".join(text[abs_start:abs_start + (body_span[0] - abs_start if body_span else abs_end - abs_start)].split())
 
     guards: list[str] = []
@@ -445,7 +459,7 @@ def _build_record(decl, name, text, masked, lines, visible_vars, source, *,
         guards = _extract_requires(inner_masked)
         shadowed = set(params) | _local_names(inner_masked)
         reads, writes = _reads_writes(inner_masked, visible_vars, shadowed)
-        call_sites = _call_sites(inner_masked, base, lines, visible_vars)
+        call_sites = _call_sites(inner_masked, base, parsed, visible_vars)
         internal = _internal_calls(inner_masked, decl.function_names, name, visible_vars)
         fund = any(r.search(inner_masked) for r in _FUND_RES)
 
@@ -461,8 +475,8 @@ def _build_record(decl, name, text, masked, lines, visible_vars, source, *,
         reads=frozenset(reads), writes=frozenset(writes),
         call_sites=tuple(call_sites), fund_flag=fund,
         src=(start_line, end_line), internal_calls=frozenset(internal),
-        body=body_raw, params=params, signature=signature,
-        natspec=_natspec_above(text, start_line),
+        **_bodies(parsed, abs_start, abs_end), params=params, signature=signature,
+        natspec=_natspec_above(parsed.lines, start_line),
         pragma_ge_08=pragma_ge_08(source.pragmas.get(path)),
     )
 
@@ -479,26 +493,26 @@ def _local_names(body: str) -> set[str]:
 def _reads_writes(body: str, visible_vars: dict[str, str], shadowed: set[str]) -> tuple[set[str], set[str]]:
     reads: set[str] = set()
     writes: set[str] = set()
-    for var in visible_vars:
-        if var in shadowed:
+    for m in _IDENT_RE.finditer(body):
+        var = m.group()
+        if var not in visible_vars or var in shadowed:
             continue
-        for m in re.finditer(rf"(?<![\w.]){re.escape(var)}\b", body):
-            before = body[max(0, m.start() - 8):m.start()]
-            if re.search(r"\bdelete\s+$", before):
-                writes.add(var)
-                continue
-            if re.search(r"(\+\+|--)\s*$", before):
-                writes.add(var)
-                reads.add(var)
-                continue
-            kind = _classify_suffix(body, m.end())
-            if kind == "write":
-                writes.add(var)
-            elif kind == "readwrite":
-                writes.add(var)
-                reads.add(var)
-            else:
-                reads.add(var)
+        before = body[max(0, m.start() - 8):m.start()]
+        if re.search(r"\bdelete\s+$", before):
+            writes.add(var)
+            continue
+        if re.search(r"(\+\+|--)\s*$", before):
+            writes.add(var)
+            reads.add(var)
+            continue
+        kind = _classify_suffix(body, m.end())
+        if kind == "write":
+            writes.add(var)
+        elif kind == "readwrite":
+            writes.add(var)
+            reads.add(var)
+        else:
+            reads.add(var)
     return reads, writes
 
 
@@ -510,16 +524,8 @@ def _classify_suffix(body: str, pos: int) -> str:
         while i < len(body) and body[i] in " \t":
             i += 1
         if i < len(body) and body[i] == "[":
-            depth = 0
-            while i < len(body):
-                if body[i] == "[":
-                    depth += 1
-                elif body[i] == "]":
-                    depth -= 1
-                    if depth == 0:
-                        i += 1
-                        break
-                i += 1
+            close = match_brace(body, i, "[]")
+            i = close + 1 if close >= 0 else len(body)
             last_member = ""
             continue
         if i < len(body) and body[i] == ".":
@@ -538,7 +544,7 @@ def _classify_suffix(body: str, pos: int) -> str:
     return "read"
 
 
-def _call_sites(body: str, base: int, lines: _Lines, visible_vars: dict[str, str]) -> list[CallSite]:
+def _call_sites(body: str, base: int, parsed: ParsedSource, visible_vars: dict[str, str]) -> list[CallSite]:
     sites: list[CallSite] = []
     for m in re.finditer(r"(?<![\w.])([A-Za-z_]\w*)\s*\.\s*([A-Za-z_]\w*)\s*[({]", body):
         target, method = m.group(1), m.group(2)
@@ -546,7 +552,7 @@ def _call_sites(body: str, base: int, lines: _Lines, visible_vars: dict[str, str
             continue
         if is_elementary_type(visible_vars[target]) and visible_vars[target] != "address":
             continue  # arrays, mappings and value types are not callees
-        sites.append(CallSite(target=target, method=method, line=lines.line_of(base + m.start(1))))
+        sites.append(CallSite(target=target, method=method, line=parsed.line_of(base + m.start(1))))
     return sites
 
 
@@ -562,7 +568,7 @@ def _internal_calls(body: str, fn_names: set[str], self_name: str, visible_vars:
 def extract_approval_recipients(record: FunctionRecord, state_vars: set[str]) -> frozenset[str]:
     """Storage variables passed as the recipient argument of approve/safeApprove
     call sites inside `record`."""
-    body = mask_noncode(record.body)
+    body = record.masked_body
     out: set[str] = set()
     for m in re.finditer(r"\.\s*(?:approve|safeApprove)\s*\(", body):
         open_paren = body.rfind("(", m.start(), m.end())

@@ -7,11 +7,24 @@ across concurrently running consumers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .parse import ParsedSource
 
 VISIBILITIES = ("public", "external", "internal", "private")
 MUTABILITIES = ("view", "pure", "payable", "nonpayable")
 
 FnKey = tuple[str, str]  # (owner contract, function name)
+
+
+def inner_body(body: str) -> str:
+    """`FunctionRecord.body_inner` of a raw declaration text."""
+    i = body.find("{")
+    if i < 0:
+        return ""
+    j = body.rfind("}")
+    return body[i + 1:j] if j > i else body[i + 1:]
 
 
 @dataclass(frozen=True)
@@ -36,6 +49,9 @@ class FunctionRecord:
     src: tuple[int, int]                  # (start, end) lines in concatenation space
     internal_calls: frozenset[str]        # same-contract callee names
     body: str                             # raw declaration text, header included
+    # mask_noncode(body) and mask_noncode(body_inner()), cut from the shared mask
+    masked_body: str = field(compare=False, repr=False)
+    masked_inner: str = field(compare=False, repr=False)
     # parser extras consumed by downstream stages (precondition inference,
     # pair selection, skeleton prompts, the >=0.8 overflow rule)
     params: tuple[str, ...] = ()
@@ -49,11 +65,11 @@ class FunctionRecord:
 
     def body_inner(self) -> str:
         """The brace-delimited body proper, without the header."""
-        i = self.body.find("{")
-        if i < 0:
-            return ""
-        j = self.body.rfind("}")
-        return self.body[i + 1:j] if j > i else self.body[i + 1:]
+        return inner_body(self.body)
+
+    def line_at(self, pos: int) -> int:
+        """Concatenation line of offset `pos` into `body`."""
+        return self.src[0] + self.body.count("\n", 0, pos)
 
 
 @dataclass(frozen=True)
@@ -71,9 +87,6 @@ class ResolutionMap:
 
     def resolve(self, var: str) -> str | None:
         return self.mapping.get(var)
-
-    def is_concrete(self, contract: str) -> bool:
-        return self.kinds.get(contract) == "contract"
 
 
 @dataclass(frozen=True)
@@ -131,6 +144,7 @@ class CcimModel:
     deps: StateDependencyMap
     trust: TrustModel
     admin_set: frozenset[FnKey]
+    parsed: ParsedSource = field(compare=False, repr=False)  # the audit source parsed once
     scope: tuple[str, ...] = ()
 
     def record(self, owner: str, name: str) -> FunctionRecord | None:

@@ -5,7 +5,7 @@ attention-residual analysis over the function inventory."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import prompts
 from .ccim import CcimModel, FnKey, FunctionRecord
@@ -218,9 +218,6 @@ class CoverageReport:
 class ResidualClassification:
     status: dict[FnKey, str]
     risk_score: dict[FnKey, float]
-
-    def by_status(self, status: str) -> list[FnKey]:
-        return sorted(k for k, s in self.status.items() if s == status)
 
     def ranked_residuals(self) -> list[FnKey]:
         residual = [k for k, s in self.status.items() if s != "discussed"]

@@ -12,7 +12,7 @@ from typing import Callable
 from ..ccim import CcimModel
 from ..ingest import AuditSource
 from .behavior import infer_preconditions, itpc_high_risk, run_bpm, run_cir, run_ira, run_itpc_lite
-from .bva import run_bva
+from .bva import COUNTER_STEMS, run_bva
 from .external import ingest_external
 from .patterns import run_pattern_detectors
 from .signal import (
@@ -61,6 +61,7 @@ def run_engines(
 
 
 __all__ = [
+    "COUNTER_STEMS",
     "DEFAULT_ENGINES",
     "DEFAULT_SIGNAL_CAP",
     "ENGINE_TAGS",

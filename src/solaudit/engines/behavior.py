@@ -7,7 +7,7 @@ from __future__ import annotations
 import logging
 import re
 
-from ..ccim import CcimModel, FunctionRecord, mask_noncode
+from ..ccim import CcimModel, FunctionRecord
 from .signal import Signal
 
 log = logging.getLogger(__name__)
@@ -94,7 +94,7 @@ def run_cir(ccim: CcimModel) -> list[Signal]:
             rec = ccim.record(*writer)
             if rec is None:
                 continue
-            if _APPROVE_ZERO_RE.search(mask_noncode(rec.body)):
+            if _APPROVE_ZERO_RE.search(rec.masked_body):
                 continue
             signals.append(Signal(
                 source_tag="CIR", id="cir-stale-approval",

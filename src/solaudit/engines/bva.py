@@ -7,8 +7,7 @@ from __future__ import annotations
 import logging
 import re
 
-from ..ccim import CcimModel, FunctionRecord, mask_noncode
-from ..ccim.parse import scan_contracts
+from ..ccim import CcimModel, FunctionRecord
 from ..ingest import AuditSource
 from .signal import Signal
 
@@ -31,9 +30,10 @@ _POW_RE = re.compile(r"\b(\d+)\s*\*\*\s*(\d+)\b")
 
 UINT256_MAX = 2 ** 256 - 1
 
-
-def _line_in(record: FunctionRecord, pos: int) -> int:
-    return record.src[0] + record.body.count("\n", 0, pos)
+# paired-function naming idioms, shared with interaction pair selection; the
+# first four pairs are the canonical protocol idioms, the rest are extensions
+COUNTER_STEMS = (("deposit", "withdraw"), ("mint", "burn"), ("lock", "unlock"),
+                 ("stake", "unstake"), ("open", "close"), ("pause", "unpause"))
 
 
 def _contract_records(ccim: CcimModel, contract: str) -> list[FunctionRecord]:
@@ -50,7 +50,7 @@ def run_bva(ccim: CcimModel, source: AuditSource) -> list[Signal]:
     sub_analyzers = (
         ("rationality", _sub_rationality),
         ("locked-ether", _sub_locked_ether),
-        ("read-before-write", lambda c, s: _sub_read_before_write(c, s)),
+        ("read-before-write", _sub_read_before_write),
         ("formula-mismatch", _sub_formula_mismatch),
         ("symbolic-eval", _sub_symbolic_eval),
         ("invariant-consistency", _sub_invariant_consistency),
@@ -67,7 +67,7 @@ def run_bva(ccim: CcimModel, source: AuditSource) -> list[Signal]:
 # consumed by rationality and formula checks rather than emitted directly.
 def _value_flows(record: FunctionRecord) -> list[tuple[int, str]]:
     flows = []
-    body = mask_noncode(record.body)
+    body = record.masked_body
     for m in re.finditer(r"[^;{}]+", body):
         stmt = m.group(0)
         if _VALUE_ID_RE.search(stmt) and re.search(r"[+\-*/]", stmt):
@@ -78,7 +78,7 @@ def _value_flows(record: FunctionRecord) -> list[tuple[int, str]]:
 # (ii) boundary finding from require/if numeric guards
 def _bounds(record: FunctionRecord) -> list[tuple[str, str, float, int]]:
     out = []
-    body = mask_noncode(record.body)
+    body = record.masked_body
     for m in _BOUND_RE.finditer(body):
         out.append((m.group(1), m.group(2), float(m.group(3)), m.start()))
     return out
@@ -108,7 +108,7 @@ def _sub_rationality(ccim: CcimModel, source: AuditSource) -> list[Signal]:
                         source_tag="BVA", id="bva-irrational-bound",
                         description=f"bounds on {var} admit no value ({lo_op} {lo:g} vs {hi_op} {hi:g})",
                         severity="MEDIUM", confidence=0.6,
-                        function=rec.key, line_hint=_line_in(rec, pos),
+                        function=rec.key, line_hint=rec.line_at(pos),
                     ))
     return signals
 
@@ -121,7 +121,7 @@ def _sub_locked_ether(ccim: CcimModel, source: AuditSource) -> list[Signal]:
         receivers = [r for r in records if r.mut == "payable"]
         if not receivers:
             continue
-        if any(any(rx.search(mask_noncode(r.body)) for rx in _NATIVE_OUT_RES) for r in records):
+        if any(any(rx.search(r.masked_body) for rx in _NATIVE_OUT_RES) for r in records):
             continue
         entry = min(receivers, key=lambda r: r.src[0])
         signals.append(Signal(
@@ -136,7 +136,7 @@ def _sub_locked_ether(ccim: CcimModel, source: AuditSource) -> list[Signal]:
 # (v) read-before-write: reads of state that nothing ever writes or initializes
 def _sub_read_before_write(ccim: CcimModel, source: AuditSource) -> list[Signal]:
     initialized = set()
-    for decl in scan_contracts(source.text):
+    for decl in ccim.parsed.decls:
         for sv in decl.state_vars:
             if sv.has_initializer:
                 initialized.add(f"{decl.name}.{sv.name}")
@@ -158,15 +158,11 @@ def _sub_read_before_write(ccim: CcimModel, source: AuditSource) -> list[Signal]
     return signals
 
 
-_COUNTER_STEMS = (("deposit", "withdraw"), ("mint", "burn"), ("lock", "unlock"),
-                  ("stake", "unstake"), ("open", "close"), ("pause", "unpause"))
-
-
 def _muldiv_shapes(record: FunctionRecord) -> list[tuple[str, frozenset[str]]]:
     """Per statement containing both * and /: the operator order plus the
     identifiers involved."""
     shapes = []
-    body = mask_noncode(record.body_inner())
+    body = record.masked_inner
     for m in _MULDIV_STMT_RE.finditer(body):
         stmt = m.group(0)
         ops = "".join(c for c in re.sub(r"\*\*", "", stmt) if c in "*/")
@@ -181,7 +177,7 @@ def _sub_formula_mismatch(ccim: CcimModel, source: AuditSource) -> list[Signal]:
     signals = []
     for contract in _scope_contracts(ccim):
         records = {r.name.lower(): r for r in _contract_records(ccim, contract)}
-        for a_stem, b_stem in _COUNTER_STEMS:
+        for a_stem, b_stem in COUNTER_STEMS:
             pairs = [(ra, rb) for na, ra in records.items() if na.startswith(a_stem)
                      for nb, rb in records.items() if nb.startswith(b_stem)]
             for ra, rb in pairs:
@@ -214,14 +210,14 @@ def _sub_symbolic_eval(ccim: CcimModel, source: AuditSource) -> list[Signal]:
     signals = []
     for contract in _scope_contracts(ccim):
         for rec in _contract_records(ccim, contract):
-            body = mask_noncode(rec.body_inner())
+            body = rec.masked_inner
             folded = _POW_RE.sub(lambda m: str(int(m.group(1)) ** int(m.group(2))), body)
             for m in re.finditer(r"/\s*(0)\b(?![.\w])", folded):
                 signals.append(Signal(
                     source_tag="BVA", id="bva-division-by-zero",
                     description="literal division by zero",
                     severity="HIGH", confidence=0.8,
-                    function=rec.key, line_hint=_line_in(rec, m.start()),
+                    function=rec.key, line_hint=rec.line_at(m.start()),
                 ))
             for m in re.finditer(r"\b(\d+(?:\.\d+)?e\d+|\d+)\s*(\*|-)\s*(\d+(?:\.\d+)?e\d+|\d+)", folded):
                 a, b = _literal_value(m.group(1)), _literal_value(m.group(3))
@@ -232,14 +228,14 @@ def _sub_symbolic_eval(ccim: CcimModel, source: AuditSource) -> list[Signal]:
                         source_tag="BVA", id="bva-literal-overflow",
                         description=f"literal product {m.group(0).strip()} exceeds uint256",
                         severity="MEDIUM", confidence=0.6,
-                        function=rec.key, line_hint=_line_in(rec, m.start()),
+                        function=rec.key, line_hint=rec.line_at(m.start()),
                     ))
                 elif m.group(2) == "-" and a < b:
                     signals.append(Signal(
                         source_tag="BVA", id="bva-literal-underflow",
                         description=f"literal difference {m.group(0).strip()} is negative",
                         severity="MEDIUM", confidence=0.6,
-                        function=rec.key, line_hint=_line_in(rec, m.start()),
+                        function=rec.key, line_hint=rec.line_at(m.start()),
                     ))
     return signals
 

@@ -7,7 +7,8 @@ from __future__ import annotations
 import logging
 import re
 
-from ..ccim import CcimModel, FunctionRecord, mask_noncode
+from ..ccim import CcimModel, FunctionRecord
+from ..ccim.parse import match_brace
 from ..ingest import AuditSource
 from .signal import Signal
 
@@ -16,23 +17,14 @@ log = logging.getLogger(__name__)
 _ASSEMBLY_RE = re.compile(r"\bassembly\s*(?:\([^)]*\)\s*)?\{")
 
 
-def _line_in(record: FunctionRecord, pos: int) -> int:
-    return record.src[0] + record.body.count("\n", 0, pos)
-
-
 def _assembly_blocks(body: str) -> list[tuple[int, str]]:
+    """(offset, text) of every balanced assembly block; an unbalanced one is skipped."""
     blocks = []
     for m in _ASSEMBLY_RE.finditer(body):
         open_pos = body.find("{", m.start())
-        depth = 0
-        for i in range(open_pos, len(body)):
-            if body[i] == "{":
-                depth += 1
-            elif body[i] == "}":
-                depth -= 1
-                if depth == 0:
-                    blocks.append((m.start(), body[open_pos:i + 1]))
-                    break
+        close_pos = match_brace(body, open_pos)
+        if close_pos >= 0:
+            blocks.append((m.start(), body[open_pos:close_pos + 1]))
     return blocks
 
 
@@ -72,15 +64,8 @@ def _rule_signature_replay(rec: FunctionRecord, body: str):
 def _rule_unchecked_arithmetic(rec: FunctionRecord, body: str):
     for m in re.finditer(r"\bunchecked\s*\{", body):
         open_pos = body.find("{", m.start())
-        depth, block = 0, ""
-        for i in range(open_pos, len(body)):
-            if body[i] == "{":
-                depth += 1
-            elif body[i] == "}":
-                depth -= 1
-                if depth == 0:
-                    block = body[open_pos:i + 1]
-                    break
+        close_pos = match_brace(body, open_pos)
+        block = body[open_pos:close_pos + 1] if close_pos >= 0 else ""  # unbalanced: empty
         if re.search(r"[\w\]]\s*(\+|-|\*)[^+\-=]", block):
             yield ("MATH", "math-unchecked-arithmetic", "MEDIUM", 0.5, m.start(),
                    "arithmetic inside an unchecked block wraps silently")
@@ -123,14 +108,14 @@ def run_pattern_detectors(ccim: CcimModel, source: AuditSource) -> list[Signal]:
     for rec in sorted(ccim.records, key=lambda r: r.src[0]):
         if rec.owner not in scope or "{" not in rec.body:
             continue
-        body = mask_noncode(rec.body)
+        body = rec.masked_body
         for rule in _RULES:
             try:
                 for tag, rule_id, severity, confidence, pos, desc in rule(rec, body):
                     signals.append(Signal(
                         source_tag=tag, id=rule_id, description=desc,
                         severity=severity, confidence=confidence,
-                        function=rec.key, line_hint=_line_in(rec, pos),
+                        function=rec.key, line_hint=rec.line_at(pos),
                     ))
             except Exception as exc:
                 log.warning("pattern rule %s failed on %s.%s (%s); continuing",

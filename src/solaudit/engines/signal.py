@@ -4,7 +4,7 @@ capped signal merger."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..findings import SEVERITY_RANK
 
@@ -46,9 +46,6 @@ class MergedSignals:
         for tag in sorted(self.per_engine):
             out.extend(self.per_engine[tag])
         return sorted(out, key=_sort_key)
-
-    def for_function(self, key: tuple[str, str]) -> list[Signal]:
-        return [s for s in self.retained if s.function == key]
 
 
 def _sort_key(s: Signal) -> tuple:

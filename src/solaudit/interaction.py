@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from . import prompts
 from .ccim import CcimModel, FnKey, FunctionRecord
-from .engines import MergedSignals, infer_preconditions, itpc_high_risk
+from .engines import COUNTER_STEMS, MergedSignals, infer_preconditions, itpc_high_risk
 from .findings import (
     SEVERITY_RANK,
     Finding,
@@ -34,10 +34,6 @@ SOURCE_CONFIDENCE = {
     "HOTSPOT": 0.6,
     "LLM_TRIAGE": 0.5,
 }
-
-# first four pairs are the canonical protocol idioms; the rest are extensions
-COUNTER_STEMS = (("deposit", "withdraw"), ("mint", "burn"), ("lock", "unlock"),
-                 ("stake", "unstake"), ("open", "close"), ("pause", "unpause"))
 
 ATTENTION_SHARED_WRITE_BONUS = 0.5
 ATTENTION_THRESHOLD = 1.0
@@ -98,16 +94,16 @@ def select_pairs(ccim: CcimModel, merged: MergedSignals,
         cand.source_confidence = max(cand.source_confidence, SOURCE_CONFIDENCE[source])
 
     # (iii) shared-state: both functions write the same storage variable
+    writes = [(r.key, ccim.writes_q(r.key)) for r in records]
     shared_writes: dict[tuple[FnKey, FnKey], int] = {}
-    for i, ra in enumerate(records):
-        wa = ccim.writes_q(ra.key)
+    for i, (a, wa) in enumerate(writes):
         if not wa:
             continue
-        for rb in records[i + 1:]:
-            shared = wa & ccim.writes_q(rb.key)
+        for b, wb in writes[i + 1:]:
+            shared = wa & wb
             if shared:
-                nominate(ra.key, rb.key, "SHARED_STATE")
-                shared_writes[_canonical(ra.key, rb.key)] = len(shared)
+                nominate(a, b, "SHARED_STATE")
+                shared_writes[_canonical(a, b)] = len(shared)
 
     # (ii) counter-pairs by naming idiom, same contract
     by_owner: dict[str, list[FunctionRecord]] = {}

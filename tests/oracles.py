@@ -69,6 +69,11 @@ def brute_force_trustgap(ccim: CcimModel) -> set[tuple[str, str]]:
     return out
 
 
+def brute_force_line_of(text: str, pos: int) -> int:
+    """1-based line of offset `pos`, by counting the newlines before it."""
+    return text.count("\n", 0, pos) + 1
+
+
 def brute_force_partition(findings, cards) -> set[frozenset[str]]:
     """O(n^2) pairwise card-equality grouping, independent of the dict-keyed
     implementation."""
