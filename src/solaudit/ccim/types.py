@@ -63,6 +63,10 @@ class FunctionRecord:
     def key(self) -> FnKey:
         return (self.owner, self.name)
 
+    @property
+    def nonreentrant(self) -> bool:
+        return "nonReentrant" in {m.split("(")[0] for m in self.modifiers}
+
     def body_inner(self) -> str:
         """The brace-delimited body proper, without the header."""
         return inner_body(self.body)
@@ -149,6 +153,10 @@ class CcimModel:
 
     def record(self, owner: str, name: str) -> FunctionRecord | None:
         return self._index().get((owner, name))
+
+    def records_of(self, keys) -> list[FunctionRecord]:
+        """The records of `keys` in order; names the model lacks are skipped."""
+        return [r for k in keys if (r := self.record(*k)) is not None]
 
     def function_named(self, name: str) -> list[FunctionRecord]:
         return [r for r in self.records if r.name == name]

@@ -4,11 +4,9 @@ merge, reduction funnel, coverage and report emission."""
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import logging
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +23,7 @@ from .coverage import (
 from .dossier import dd_run
 from .engines import DEFAULT_SIGNAL_CAP, Signal, ingest_external, run_engines
 from .findings import SEVERITY_RANK, Finding, finding_from_payload
-from .funnel import run_funnel, sve_layer1, stage1_verify, stage2_filter
+from .funnel import deterministically_refuted, run_funnel
 from .ingest import IngestError, build_audit_source, classify_files, resolve_remappings
 from .interaction import id_run
 from .merge import base_confidence, extract_card, merge
@@ -65,13 +63,12 @@ class RunConfig:
 def _load_external(config: RunConfig, offsets) -> list[Signal]:
     signals: list[Signal] = []
     for raw_path in config.external_signals:
-        tool = "SLI"
         try:
             data = json.loads(Path(raw_path).read_text(encoding="utf-8"))
-            name = str(data.get("tool", "slither")).lower()
-            tool = "MYT" if name.startswith("myt") else "SLI"
-        except (OSError, json.JSONDecodeError):
-            pass  # ingest_external reports the problem
+        except (OSError, ValueError):
+            data = None  # ingest_external reports the problem
+        name = str(data.get("tool", "slither")).lower() if isinstance(data, dict) else ""
+        tool = "MYT" if name.startswith("myt") else "SLI"
         signals.extend(ingest_external(raw_path, tool, offsets))
     return signals
 
@@ -98,13 +95,9 @@ def _extra_round_findings(prompt_list: list[str], stage: str, schema: str,
     admitted = []
     for i, f in enumerate(found, start=start_index):
         f.id = f"{flag[0].upper()}-{i:03d}"
-        if stage1_verify(f, ccim).verdict == "DISPROVED":
-            continue
-        if stage2_filter(f, ccim).verdict == "FILTERED":
+        if deterministically_refuted(f, ccim):
             continue
         f.card = extract_card(f, ccim)
-        if sve_layer1(f, ccim).verdict == "DISPROVED":
-            continue
         f.flags.add(flag)
         f.confidence = base_confidence(f, ccim, signals)
         admitted.append(f)
@@ -114,52 +107,30 @@ def _extra_round_findings(prompt_list: list[str], stage: str, schema: str,
 def run(config: RunConfig, reasoner: Reasoner | None = None) -> AuditReport:
     """Execute the three macro-phases: deterministic substrate, concurrent
     audit pipelines, merge + funnel + coverage + report."""
-    durations: dict[str, float] = {}
-    t0 = time.perf_counter()
-
     files = classify_files(config.path)
     remappings = resolve_remappings(config.path)
     source = build_audit_source(files, config.scope, remappings)
     ccim = assemble_ccim(source)
-    durations["substrate"] = time.perf_counter() - t0
 
     if reasoner is None:
         reasoner = MockReasoner.from_file(config.mock_script) if config.mock_script \
             else MockReasoner()
 
-    # long-running deterministic work is offloaded so it cannot starve
-    # concurrently progressing pipelines
-    t1 = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="engines") as pool:
-        external = _load_external(config, source.offsets)
-        merged_signals = pool.submit(
-            run_engines, ccim, source, None, external, config.signal_cap
-        ).result()
-    durations["engines"] = time.perf_counter() - t1
+    external = _load_external(config, source.offsets)
+    merged_signals = run_engines(ccim, source, None, external, config.signal_cap)
 
-    # the pipelines share the immutable substrate; each gets a private
-    # annotation store holding its own copy of the offset map
-    dd_notes: dict = {"offsets": copy.deepcopy(source.offsets)}
-    id_notes: dict = {"offsets": copy.deepcopy(source.offsets)}
-    t2 = time.perf_counter()
     with ThreadPoolExecutor(max_workers=2, thread_name_prefix="pipeline") as pool:
         dd_future = pool.submit(dd_run, ccim, source, merged_signals, reasoner,
-                                budget=config.char_budget, extra_phases=config.extra_phases,
-                                annotations=dd_notes)
+                                budget=config.char_budget, extra_phases=config.extra_phases)
         id_future = pool.submit(id_run, ccim, source, merged_signals, reasoner,
-                                budget=config.char_budget, max_pairs=config.max_pairs,
-                                annotations=id_notes)
+                                budget=config.char_budget, max_pairs=config.max_pairs)
         f_d = dd_future.result()
         f_i = id_future.result()
-    durations["pipelines"] = time.perf_counter() - t2
 
-    t3 = time.perf_counter()
     merged = merge(f_d, f_i, ccim, merged_signals)
     final, funnel_stats = run_funnel(merged, ccim, source, reasoner,
                                      merged_signals, config.char_budget)
-    durations["merge_funnel"] = time.perf_counter() - t3
 
-    t4 = time.perf_counter()
     features = detect_features(ccim)
     pipeline_findings = list(merged.findings)
     coverage = compute_gap_set(pipeline_findings, features)
@@ -190,9 +161,8 @@ def run(config: RunConfig, reasoner: Reasoner | None = None) -> AuditReport:
         residuals = attention_residual(
             ccim, discussed_names_from(pipeline_findings),
             " ".join(f.text() for f in pipeline_findings))
-    durations["coverage"] = time.perf_counter() - t4
 
-    report = AuditReport(
+    return AuditReport(
         findings=final,
         citations=build_citations(final, ccim, source),
         merged=merged,
@@ -201,13 +171,7 @@ def run(config: RunConfig, reasoner: Reasoner | None = None) -> AuditReport:
         residuals=residuals,
         ccim_summary=ccim_summary(ccim),
         scope=source.scope,
-        run_meta={
-            "durations": durations,
-            "dd_annotations": {k: v for k, v in dd_notes.items() if k != "offsets"},
-            "id_annotations": {k: v for k, v in id_notes.items() if k != "offsets"},
-        },
     )
-    return report
 
 
 def build_parser() -> argparse.ArgumentParser:

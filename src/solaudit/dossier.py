@@ -318,7 +318,7 @@ def phase_d_prefilter(finding: Finding, ccim: CcimModel,
     """Deterministic routing: exactly one of ADMIN_TRUST, VECTOR_CONFIRMED,
     GRAPH_SKIP or NEEDS_REASONER, in that precedence order."""
     catalogue = DEFAULT_VECTOR_CATALOGUE if catalogue is None else catalogue
-    records = [r for k in finding.affected_functions if (r := ccim.record(*k)) is not None]
+    records = ccim.records_of(finding.affected_functions)
 
     external = [r for r in records if r.vis in ("public", "external")]
     if external and all(ccim.is_admin(r.key) for r in external):
@@ -389,6 +389,26 @@ def phase_d_claim_first(finding: Finding, ccim: CcimModel, source: AuditSource,
     return verdict
 
 
+def phase_d_verify(finding: Finding, ccim: CcimModel, source: AuditSource,
+                   reasoner: Reasoner, signals: MergedSignals | None = None,
+                   budget: int = DEFAULT_CHAR_BUDGET) -> tuple[str, str | None]:
+    """Route one finding and apply the route's side effects. Only the
+    NEEDS_REASONER route is claim-checked: the verdict is recorded on the
+    finding and a later call reuses it instead of asking again. Returns the
+    route and the claim-first verdict, or None on a short-circuit route."""
+    route = phase_d_prefilter(finding, ccim, signals)
+    if route == ROUTE_ADMIN_TRUST:
+        finding.severity = "LOW"
+        finding.flags.add("admin-trust")
+    elif route == ROUTE_VECTOR_CONFIRMED:
+        finding.flags.add("vector-confirmed")
+    if route != ROUTE_NEEDS_REASONER:
+        return route, None
+    if finding.claim_verdict is None:
+        finding.claim_verdict = phase_d_claim_first(finding, ccim, source, reasoner, budget)
+    return route, finding.claim_verdict
+
+
 # --- phase E ---------------------------------------------------------------
 
 
@@ -396,10 +416,8 @@ def phase_e_package(finding: Finding, ccim: CcimModel) -> dict:
     """Recalibration evidence bundle: parsed access-control facts of every
     affected function plus the role hierarchy."""
     functions = []
-    for k in finding.affected_functions:
-        rec = ccim.record(*k)
-        if rec is None:
-            continue
+    for rec in ccim.records_of(finding.affected_functions):
+        k = rec.key
         functions.append({
             "function": f"{k[0]}.{k[1]}",
             "visibility": rec.vis,
@@ -467,25 +485,17 @@ def dd_run(ccim: CcimModel, source: AuditSource, merged: MergedSignals,
     survivors: list[Finding] = []
     routes: dict[str, int] = {}
     for f in findings:
-        route = phase_d_prefilter(f, ccim, merged)
+        route, verdict = phase_d_verify(f, ccim, source, reasoner, merged, budget)
         routes[route] = routes.get(route, 0) + 1
-        if route == ROUTE_ADMIN_TRUST:
-            f.severity = "LOW"
-            f.flags.add("admin-trust")
-            survivors.append(f)
-        elif route == ROUTE_VECTOR_CONFIRMED:
-            f.flags.add("vector-confirmed")
-            survivors.append(f)
-        elif route == ROUTE_GRAPH_SKIP:
+        if route == ROUTE_GRAPH_SKIP:
             log.info("finding %r disproved as unreachable (view/pure, no call-graph presence)", f.title)
-        else:
-            verdict = phase_d_claim_first(f, ccim, source, reasoner, budget)
-            if verdict == "DISPROVED":
-                log.info("finding %r disproved by claim-first verification", f.title)
-                continue
-            if verdict == "UNCLEAR":
-                f.flags.add("unverified")
-            survivors.append(f)
+            continue
+        if verdict == "DISPROVED":
+            log.info("finding %r disproved by claim-first verification", f.title)
+            continue
+        if verdict == "UNCLEAR":
+            f.flags.add("unverified")
+        survivors.append(f)
     notes["phase_d_routes"] = routes
 
     for f in survivors:

@@ -1,6 +1,6 @@
-"""Boundary/value analyzer: eight sub-analyzers over guards, value flows,
-ether paths, formulas and literal arithmetic. Each sub-analyzer is isolated;
-a failure inside one logs a warning and contributes nothing."""
+"""Boundary/value analyzer: six sub-analyzers over guards, ether paths,
+uninitialized state, formulas and literal arithmetic. Each sub-analyzer is
+isolated; a failure inside one logs a warning and contributes nothing."""
 
 from __future__ import annotations
 
@@ -13,9 +13,6 @@ from .signal import Signal
 
 log = logging.getLogger(__name__)
 
-_VALUE_ID_RE = re.compile(
-    r"\b\w*(amount|amt|value|balance|share|price|asset|fee|reward|debt|supply|wad)\w*\b", re.I
-)
 _BOUND_RE = re.compile(
     r"(?:require\s*\(|if\s*\()\s*([A-Za-z_]\w*)\s*(<=|>=|<|>)\s*(\d+(?:e\d+)?)"
 )
@@ -63,18 +60,6 @@ def run_bva(ccim: CcimModel, source: AuditSource) -> list[Signal]:
     return signals
 
 
-# (i) value-flow extraction: expressions carrying value-named identifiers,
-# consumed by rationality and formula checks rather than emitted directly.
-def _value_flows(record: FunctionRecord) -> list[tuple[int, str]]:
-    flows = []
-    body = record.masked_body
-    for m in re.finditer(r"[^;{}]+", body):
-        stmt = m.group(0)
-        if _VALUE_ID_RE.search(stmt) and re.search(r"[+\-*/]", stmt):
-            flows.append((m.start(), stmt.strip()))
-    return flows
-
-
 # (ii) boundary finding from require/if numeric guards
 def _bounds(record: FunctionRecord) -> list[tuple[str, str, float, int]]:
     out = []
@@ -89,8 +74,6 @@ def _sub_rationality(ccim: CcimModel, source: AuditSource) -> list[Signal]:
     signals = []
     for contract in _scope_contracts(ccim):
         for rec in _contract_records(ccim, contract):
-            if not _value_flows(rec) and not _bounds(rec):
-                continue
             by_var: dict[str, list[tuple[str, float, int]]] = {}
             for var, op, value, pos in _bounds(rec):
                 by_var.setdefault(var, []).append((op, value, pos))
@@ -210,14 +193,21 @@ def _sub_symbolic_eval(ccim: CcimModel, source: AuditSource) -> list[Signal]:
     signals = []
     for contract in _scope_contracts(ccim):
         for rec in _contract_records(ccim, contract):
-            body = rec.masked_inner
-            folded = _POW_RE.sub(lambda m: str(int(m.group(1)) ** int(m.group(2))), body)
+            # the fold keeps every newline, so a line count over `folded`
+            # plus the line of the opening brace locates a match
+            folded = _POW_RE.sub(lambda m: str(int(m.group(1)) ** int(m.group(2)))
+                                 + "\n" * m.group(0).count("\n"), rec.masked_inner)
+            first = rec.line_at(rec.body.find("{"))
+
+            def line_of(pos: int) -> int:
+                return first + folded.count("\n", 0, pos)
+
             for m in re.finditer(r"/\s*(0)\b(?![.\w])", folded):
                 signals.append(Signal(
                     source_tag="BVA", id="bva-division-by-zero",
                     description="literal division by zero",
                     severity="HIGH", confidence=0.8,
-                    function=rec.key, line_hint=rec.line_at(m.start()),
+                    function=rec.key, line_hint=line_of(m.start()),
                 ))
             for m in re.finditer(r"\b(\d+(?:\.\d+)?e\d+|\d+)\s*(\*|-)\s*(\d+(?:\.\d+)?e\d+|\d+)", folded):
                 a, b = _literal_value(m.group(1)), _literal_value(m.group(3))
@@ -228,14 +218,14 @@ def _sub_symbolic_eval(ccim: CcimModel, source: AuditSource) -> list[Signal]:
                         source_tag="BVA", id="bva-literal-overflow",
                         description=f"literal product {m.group(0).strip()} exceeds uint256",
                         severity="MEDIUM", confidence=0.6,
-                        function=rec.key, line_hint=rec.line_at(m.start()),
+                        function=rec.key, line_hint=line_of(m.start()),
                     ))
                 elif m.group(2) == "-" and a < b:
                     signals.append(Signal(
                         source_tag="BVA", id="bva-literal-underflow",
                         description=f"literal difference {m.group(0).strip()} is negative",
                         severity="MEDIUM", confidence=0.6,
-                        function=rec.key, line_hint=rec.line_at(m.start()),
+                        function=rec.key, line_hint=line_of(m.start()),
                     ))
     return signals
 

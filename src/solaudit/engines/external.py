@@ -72,10 +72,12 @@ def ingest_external(path: str | Path, tool: str,
         return []
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-        entries = data["findings"]
-        assert isinstance(entries, list)
-    except (json.JSONDecodeError, KeyError, AssertionError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         log.warning("malformed external report %s (%s); ignored", path, exc)
+        return []
+    entries = data.get("findings") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        log.warning("malformed external report %s (no findings list); ignored", path)
         return []
 
     signals: list[Signal] = []

@@ -80,6 +80,8 @@ class Finding:
     card: StructuralCard | None = None
     flags: set[str] = field(default_factory=set)
     matched_ids: list[str] = field(default_factory=list)
+    # phase D claim-first verdict, recorded once and reused by funnel stage 3
+    claim_verdict: str | None = None
 
     def text(self) -> str:
         return " ".join((self.title, self.description, self.attack_scenario))

@@ -15,10 +15,8 @@ from .ccim import CcimModel, FunctionRecord
 from .dossier import (
     ROUTE_ADMIN_TRUST,
     ROUTE_GRAPH_SKIP,
-    ROUTE_NEEDS_REASONER,
     ROUTE_VECTOR_CONFIRMED,
-    phase_d_claim_first,
-    phase_d_prefilter,
+    phase_d_verify,
     phase_e_package,
 )
 from .engines import MergedSignals
@@ -44,15 +42,30 @@ class VerdictRecord:
     reasoner_used: bool = False
 
 
-def _records(finding: Finding, ccim: CcimModel) -> list[FunctionRecord]:
-    return [r for k in finding.affected_functions if (r := ccim.record(*k)) is not None]
+# --- deterministic checks ----------------------------------------------------
+# Each predicate is defined once and shared: stage 1 and SVE layer 1 checks
+# 1, 4 and 5 refute the same three claim types, stage 2 and SVE check 6 drop
+# the same unresolvable citations. Each stage words its own evidence.
 
 
-def _name_resolvable(finding: Finding, ccim: CcimModel) -> bool:
-    for owner, name in finding.affected_functions:
-        if ccim.record(owner, name) is not None or ccim.function_named(name):
-            return True
-    return False
+def _cites_unknown_function(finding: Finding, ccim: CcimModel) -> bool:
+    return bool(finding.affected_functions) and not any(
+        ccim.record(owner, name) is not None or ccim.function_named(name)
+        for owner, name in finding.affected_functions)
+
+
+def _reentrancy_guarded(claim: str, recs: list[FunctionRecord]) -> bool:
+    return claim == "REENTRANCY" and bool(recs) and all(r.nonreentrant for r in recs)
+
+
+def _admin_guarded(claim: str, recs: list[FunctionRecord], ccim: CcimModel) -> bool:
+    return claim == "MISSING_ACCESS_CONTROL" and bool(recs) \
+        and all(ccim.is_admin(r.key) for r in recs)
+
+
+def _checked_arithmetic(claim: str, recs: list[FunctionRecord]) -> bool:
+    return claim == "INTEGER_OVERFLOW_GE08" and bool(recs) \
+        and all(r.pragma_ge_08 for r in recs) and not any("unchecked" in r.body for r in recs)
 
 
 def _guard_line(rec: FunctionRecord) -> int:
@@ -62,12 +75,8 @@ def _guard_line(rec: FunctionRecord) -> int:
     return rec.src[0]  # the modifier sits on the header line
 
 
-def _has_nonreentrant(rec: FunctionRecord) -> bool:
-    return "nonReentrant" in {m.split("(")[0] for m in rec.modifiers}
-
-
 def _cite_line(finding: Finding, ccim: CcimModel) -> int:
-    recs = _records(finding, ccim)
+    recs = ccim.records_of(finding.affected_functions)
     if recs:
         return recs[0].src[0]
     return finding.evidence_lines[0] if finding.evidence_lines else 1
@@ -77,22 +86,21 @@ def stage1_verify(finding: Finding, ccim: CcimModel) -> VerdictRecord:
     """Treat the finding as a testable proposition about parsed ground truth;
     no reasoner is consulted."""
     claim = classify_claim(finding)
-    recs = _records(finding, ccim)
+    recs = ccim.records_of(finding.affected_functions)
 
     if claim == "EVM_RACE":
         return VerdictRecord(finding.id, "stage1", "DISPROVED",
                              f"line {_cite_line(finding, ccim)}: transactions execute atomically; "
                              f"race conditions are structurally impossible")
-    if claim == "MISSING_ACCESS_CONTROL" and recs and all(ccim.is_admin(r.key) for r in recs):
+    if _admin_guarded(claim, recs, ccim):
         line = _guard_line(recs[0])
         return VerdictRecord(finding.id, "stage1", "DISPROVED",
                              f"line {line}: verified admin guard present "
                              f"({', '.join(recs[0].modifiers) or recs[0].guards[0]})")
-    if claim == "REENTRANCY" and recs and all(_has_nonreentrant(r) for r in recs):
+    if _reentrancy_guarded(claim, recs):
         return VerdictRecord(finding.id, "stage1", "DISPROVED",
                              f"line {recs[0].src[0]}: every affected function is nonReentrant-guarded")
-    if claim == "INTEGER_OVERFLOW_GE08" and recs and all(r.pragma_ge_08 for r in recs) \
-            and not any("unchecked" in r.body for r in recs):
+    if _checked_arithmetic(claim, recs):
         return VerdictRecord(finding.id, "stage1", "DISPROVED",
                              f"line {recs[0].src[0]}: solc >= 0.8 checked arithmetic and "
                              f"no unchecked block in the affected span")
@@ -109,7 +117,7 @@ def stage2_filter(finding: Finding, ccim: CcimModel) -> VerdictRecord:
     if any(p in text for p in SELF_DISPROVING_PHRASES):
         return VerdictRecord(finding.id, "stage2", "FILTERED",
                              "self-disproving evidence text")
-    if finding.affected_functions and not _name_resolvable(finding, ccim):
+    if _cites_unknown_function(finding, ccim):
         missing = ", ".join(f"{o}.{n}" for o, n in finding.affected_functions)
         return VerdictRecord(finding.id, "stage2", "FILTERED",
                              f"cited functions unresolvable against the interaction model: {missing}")
@@ -121,19 +129,15 @@ def stage3_route_and_verify(finding: Finding, ccim: CcimModel, source: AuditSour
                             budget: int = DEFAULT_CHAR_BUDGET) -> VerdictRecord:
     """The only reasoner-bearing stage; the three deterministic short-circuits
     bypass it whenever the verdict is structurally decidable."""
-    route = phase_d_prefilter(finding, ccim, signals)
+    route, verdict = phase_d_verify(finding, ccim, source, reasoner, signals, budget)
     if route == ROUTE_ADMIN_TRUST:
-        finding.severity = "LOW"
-        finding.flags.add("admin-trust")
         return VerdictRecord(finding.id, "stage3", "PASSED", "admin-trust short-circuit")
     if route == ROUTE_VECTOR_CONFIRMED:
-        finding.flags.add("vector-confirmed")
         return VerdictRecord(finding.id, "stage3", "CONFIRMED", "vector-confirmed short-circuit")
     if route == ROUTE_GRAPH_SKIP:
         return VerdictRecord(finding.id, "stage3", "DISPROVED",
                              f"line {_cite_line(finding, ccim)}: affected functions are view/pure "
                              f"and absent from the call graph; claim unreachable")
-    verdict = phase_d_claim_first(finding, ccim, source, reasoner, budget)
     mapped = {"DISPROVED": "DISPROVED", "CONFIRMED": "CONFIRMED"}.get(verdict, "UNCERTAIN")
     return VerdictRecord(finding.id, "stage3", mapped, "claim-first protocol", reasoner_used=True)
 
@@ -146,14 +150,14 @@ def sve_layer1(finding: Finding, ccim: CcimModel) -> VerdictRecord:
     the check name and a cited line."""
     claim = classify_claim(finding)
     impact = classify_impact(finding.text())
-    recs = _records(finding, ccim)
+    recs = ccim.records_of(finding.affected_functions)
 
     def disproved(check: str, line: int, note: str) -> VerdictRecord:
         return VerdictRecord(finding.id, "sve_layer1", "DISPROVED",
                              f"check {check}, line {line}: {note}")
 
     # (1) claimed reentrancy on guarded functions
-    if claim == "REENTRANCY" and recs and all(_has_nonreentrant(r) for r in recs):
+    if _reentrancy_guarded(claim, recs):
         return disproved("1:reentrancy-guard", recs[0].src[0], "nonReentrant on every affected function")
     # (2) claimed fund-theft on functions that move no funds
     if impact == "fund-theft" and recs and not any(ccim.footprints.fund.get(r.key, False) for r in recs):
@@ -162,14 +166,13 @@ def sve_layer1(finding: Finding, ccim: CcimModel) -> VerdictRecord:
     if impact == "state-corruption" and recs and all(r.mut in ("view", "pure") for r in recs):
         return disproved("3:view-pure", recs[0].src[0], "affected functions cannot write state")
     # (4) access-control claim against a present admin guard
-    if claim == "MISSING_ACCESS_CONTROL" and recs and all(ccim.is_admin(r.key) for r in recs):
+    if _admin_guarded(claim, recs, ccim):
         return disproved("4:admin-guard", _guard_line(recs[0]), "admin guard parsed on the function")
     # (5) overflow claim against checked arithmetic
-    if claim == "INTEGER_OVERFLOW_GE08" and recs and all(r.pragma_ge_08 for r in recs) \
-            and not any("unchecked" in r.body for r in recs):
+    if _checked_arithmetic(claim, recs):
         return disproved("5:checked-arithmetic", recs[0].src[0], "solc >= 0.8 and no unchecked block")
     # (6) cited functions must exist in the inventory
-    if finding.affected_functions and not _name_resolvable(finding, ccim):
+    if _cites_unknown_function(finding, ccim):
         return disproved("6:function-inventory", _cite_line(finding, ccim),
                          "no cited function exists in the parsed inventory")
     # (7) evidence lines must fall inside the claimed functions' spans
@@ -193,7 +196,7 @@ def sve_layer2(finding: Finding, ccim: CcimModel, source: AuditSource,
     degrade to UNCERTAIN, never to DISPROVED."""
     evidence = {
         "access_control": phase_e_package(finding, ccim),
-        "sources": [r.body for r in _records(finding, ccim)],
+        "sources": [r.body for r in ccim.records_of(finding.affected_functions)],
         "evidence_lines": finding.evidence_lines,
     }
     prompt = prompts.SVE_LAYER2.format(
@@ -222,6 +225,14 @@ def sve_layer2(finding: Finding, ccim: CcimModel, source: AuditSource,
 # --- the funnel --------------------------------------------------------------
 
 _STAGE_DROPS = {"DISPROVED", "FILTERED"}
+
+
+def deterministically_refuted(finding: Finding, ccim: CcimModel) -> bool:
+    """Whether stage 1, stage 2 or SVE layer 1 drops the finding: the
+    admission test for findings raised after the funnel ran (gap re-audit,
+    blind-spot review)."""
+    return any(check(finding, ccim).verdict in _STAGE_DROPS
+               for check in (stage1_verify, stage2_filter, sve_layer1))
 
 
 def run_funnel(merged: MergedFindingSet, ccim: CcimModel, source: AuditSource,

@@ -210,8 +210,9 @@ def build_spec_prompt(pair: tuple[FnKey, FnKey], ccim: CcimModel) -> str:
     )
     for rec in ccim.records:
         inner = rec.body_inner().strip()
-        assert not (len(inner) >= 20 and inner in prompt), \
-            f"implementation body of {rec.owner}.{rec.name} leaked into the spec prompt"
+        if len(inner) >= 20 and inner in prompt:
+            raise RuntimeError(
+                f"implementation body of {rec.owner}.{rec.name} leaked into the spec prompt")
     return prompt
 
 
@@ -241,13 +242,12 @@ def spec_verify(pair: tuple[FnKey, FnKey], spec: BehaviorSpec, ccim: CcimModel,
                 reasoner: Reasoner, budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
     """Seven-point checklist over the pair; VIOLATE items lacking both an
     evidence citation and a concrete trace are rejected."""
-    recs = [ccim.record(*k) for k in pair]
-    recs = [r for r in recs if r is not None]
+    recs = ccim.records_of(pair)
     if not recs:
         return []
     sources = "\n\n".join(
         f"// {r.owner}.{r.name} vis={r.vis} modifiers={list(r.modifiers)} "
-        f"reentrancy_guard={'nonReentrant' in {m.split('(')[0] for m in r.modifiers}}\n{r.body}"
+        f"reentrancy_guard={r.nonreentrant}\n{r.body}"
         for r in recs
     )
     preconditions = sorted(set().union(*(infer_preconditions(r) for r in recs)))
@@ -350,7 +350,7 @@ def _has_concrete_steps(scenario: str) -> bool:
 
 
 def _access_facts(finding: Finding, ccim: CcimModel) -> tuple[bool, bool, bool]:
-    records = [r for k in finding.affected_functions if (r := ccim.record(*k)) is not None]
+    records = ccim.records_of(finding.affected_functions)
     any_admin = any(ccim.is_admin(r.key) for r in records)
     admin_only = bool(records) and all(ccim.is_admin(r.key) for r in records)
     moves_funds = any(ccim.footprints.fund.get(r.key, False) for r in records)

@@ -129,20 +129,6 @@ class MockReasoner(Reasoner):
             return sum(self._counts.values())
 
 
-class CountingReasoner(Reasoner):
-    """Wrap another reasoner, merging its counters with local bookkeeping.
-    Useful for instrumenting delays or failures around a scripted mock."""
-
-    def __init__(self, inner: Reasoner):
-        self.inner = inner
-
-    def respond(self, request: ReasonerRequest) -> ReasonerResponse:
-        return self.inner.respond(request)
-
-    def call_count(self, stage: str) -> int:
-        return self.inner.call_count(stage)
-
-
 def parse_structured(raw: str) -> dict | None:
     """Best-effort JSON extraction from a raw model reply."""
     raw = raw.strip()

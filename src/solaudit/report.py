@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .ccim import CcimModel, ccim_to_dict
@@ -30,9 +30,6 @@ class AuditReport:
     residuals: ResidualClassification
     ccim_summary: dict
     scope: tuple[str, ...]
-    # wall-clock metadata stays in memory only: emitting it would break
-    # byte-stability of the report files across runs
-    run_meta: dict = field(default_factory=dict)
 
 
 def build_citations(findings: list[Finding], ccim: CcimModel,

@@ -1,0 +1,205 @@
+"""End-to-end tests of `cli.run` and `cli.main`: golden reports over corpus
+repos, exit codes against the severity gate, malformed external reports, and
+the one-claim-check-per-finding budget of phase D."""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from corpus import REPOS, write_repo
+
+from solaudit import cli
+from solaudit.reasoner import MockReasoner
+
+GOLDEN_REPORT = Path(__file__).parent / "golden" / "report"
+
+# Concatenation lines of the vault_oracle repo: ChainOracle.setPrice spans
+# 15-17, Vault.deposit 54-57, Vault.withdraw 59-65, Vault._burn 71-73.
+_ZERO_GUARD = 'require(amount > 0, "zero");'
+
+VAULT_SCRIPT = [
+    {"stage": "phase_a", "match": ["Vault.withdraw"],
+     "response": {"items": [{"item_id": "item-1", "verdict": "REAL", "evidence_line": 61,
+                             "title": "Oracle rotation reprices withdrawals",
+                             "description": "The owner-rotated oracle reprices every pending "
+                                            "withdrawal.",
+                             "severity": "HIGH"}]}},
+    {"stage": "phase_b", "match": [], "response": {"findings": [
+        {"title": "Price setter is open to anyone",
+         "description": "setPrice has no caller check, so anyone moves the oracle price "
+                        "that withdraw reads.",
+         "attack_scenario": "1. call setPrice with a huge value 2. call withdraw",
+         "severity": "CRITICAL", "confidence": 0.7,
+         "functions": ["ChainOracle.setPrice"], "evidence_lines": [16]},
+        {"title": "Race condition between deposit and withdraw",
+         "description": "Two transactions interleave.", "severity": "HIGH",
+         "functions": ["Vault.withdraw"]},
+        {"title": "Missing access control on sweep", "description": "anyone can call sweep",
+         "severity": "HIGH", "functions": ["Vault.sweep"]},
+        {"title": "Zero withdrawal burns supply",
+         "description": "withdraw accepts a zero amount.", "severity": "MEDIUM",
+         "functions": ["Vault.withdraw"]},
+        {"title": "Owner is too powerful",
+         "description": "The owner has full control over the oracle.", "severity": "MEDIUM",
+         "functions": ["Vault.setOracle"]},
+        {"title": "Stale latestPrice",
+         "description": "latestPrice can return an outdated value.",
+         "severity": "MEDIUM", "functions": ["ChainOracle.latestPrice"]},
+        {"title": "Deposit credits before minting",
+         "description": "deposit desyncs balances and supply.", "severity": "HIGH",
+         "functions": ["Vault.deposit"], "evidence_lines": [72]},
+    ]}},
+    {"stage": "phase_d", "match": ["Zero withdrawal burns supply"],
+     "response": {"verdict": "DISPROVED", "quote": _ZERO_GUARD}},
+    {"stage": "phase_d", "match": ["Price setter is open to anyone"],
+     "response": {"verdict": "CONFIRMED"}},
+    {"stage": "stage3_verify", "match": [],
+     "response": {"items": [{"index": 2, "status": "VIOLATE",
+                             "title": "Withdraw prices against a mutable oracle",
+                             "description": "The pair reads a price the other side can move.",
+                             "trace": "1. move the price 2. withdraw at the new price",
+                             "severity": "HIGH", "evidence_line": 61}]}},
+    {"stage": "sve_layer2", "match": ["Price setter is open to anyone"],
+     "response": {"verdict": "VERIFIED", "argument": "setPrice carries no guard"}},
+    {"stage": "sve_layer2", "match": ["Stale latestPrice"],
+     "response": {"verdict": "DISPROVED", "argument": "the price is read in the same call"}},
+    {"stage": "gap_reaudit", "match": [], "response": {"findings": [
+        {"title": "Sweep empties user deposits",
+         "description": "sweep transfers the whole balance, deposits included, so funds "
+                        "can be taken.",
+         "severity": "HIGH", "functions": ["Vault.sweep"], "evidence_lines": [76]},
+    ]}},
+    {"stage": "blindspot", "match": [], "response": {"findings": [
+        {"title": "Burn underflows supply", "description": "_burn can underflow totalSupply.",
+         "severity": "MEDIUM", "functions": ["Vault._burn"]},
+        {"title": "Treasury admin rotation is by design",
+         "description": "Rotating the admin is intended behavior.", "severity": "LOW",
+         "functions": ["Treasury.setAdmin"]},
+        {"title": "Burn skips the balance check",
+         "description": "_burn lowers supply without a balance check.", "severity": "MEDIUM",
+         "functions": ["Vault._burn"], "evidence_lines": [60]},
+        {"title": "Burn ordering", "description": "_burn runs after the balance write.",
+         "severity": "LOW", "functions": ["Vault._burn"], "evidence_lines": [72]},
+    ]}},
+]
+
+# cycle repo: phase C groups on PingPong.counter and PingPong.drained;
+# PingPong.idle is pure with no call edge
+CYCLE_SCRIPT = [
+    {"stage": "phase_b", "match": [], "response": {"findings": [
+        {"title": "idle returns a constant", "description": "idle ignores the state.",
+         "severity": "LOW", "functions": ["PingPong.idle"]},
+    ]}},
+    {"stage": "phase_c", "match": [],
+     "response": {"verdict": "VULNERABLE",
+                  "description": "Callers interleave updates of the shared state.",
+                  "attack_scenario": "1. call ping 2. re-enter through pong",
+                  "severity": "HIGH"}},
+    {"stage": "phase_d", "match": ["interference on PingPong.drained"],
+     "response": {"verdict": "DISPROVED", "quote": "drained = true;"}},
+    {"stage": "sve_layer2", "match": ["interference on PingPong.counter"],
+     "response": {"verdict": "VERIFIED", "argument": "ping and pong both write counter"}},
+]
+
+CASES = {
+    "vault_oracle": ("vault_oracle", VAULT_SCRIPT),
+    "cycle": ("cycle", CYCLE_SCRIPT),
+    "itpc_chain": ("itpc_chain", None),
+}
+
+
+def _repo(tmp_path: Path, name: str) -> Path:
+    return write_repo(REPOS[name], tmp_path / name)
+
+
+def _script_file(tmp_path: Path, script: list[dict]) -> Path:
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({"responses": script}), encoding="utf-8")
+    return path
+
+
+def _main(tmp_path: Path, case: str, *extra: str) -> tuple[int, Path]:
+    repo, script = CASES[case]
+    out = tmp_path / "out"
+    argv = ["--path", str(_repo(tmp_path, repo)), "--out", str(out), *extra]
+    if script is not None:
+        argv += ["--mock-script", str(_script_file(tmp_path, script))]
+    return cli.main(argv), out
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(tmp_path, case):
+    # byte-for-byte pin of both report files; regenerate only for an intended change
+    _, out = _main(tmp_path, case)
+    for name in ("report.json", "report.md"):
+        golden = (GOLDEN_REPORT / f"{case}.{name}").read_text(encoding="utf-8")
+        assert (out / name).read_text(encoding="utf-8") == golden, name
+
+
+def test_golden_vault_reaches_every_verification_path():
+    # the scripted vault case exercises what the goldens are meant to pin
+    doc = json.loads((GOLDEN_REPORT / "vault_oracle.report.json").read_text(encoding="utf-8"))
+    stage3 = {v["evidence"] for v in doc["funnel"]["verdicts"] if v["stage"] == "stage3"}
+    assert "claim-first protocol" in stage3
+    uncertain_d = [v for v in doc["funnel"]["verdicts"]
+                   if v["stage"] == "stage3" and v["verdict"] == "UNCERTAIN"
+                   and doc["merged"]["pi"][v["finding"]] == "D"]
+    assert uncertain_d
+    flags = set().union(*(f["flags"] for f in doc["findings"]))
+    assert {"gap-reaudit", "blindspot-review", "unverified"} <= flags
+
+
+def test_main_exit_codes(tmp_path):
+    code, out = _main(tmp_path / "gated", "vault_oracle")
+    severities = {f["severity"] for f in
+                  json.loads((out / "report.json").read_text(encoding="utf-8"))["findings"]}
+    assert code == cli.EXIT_FINDINGS
+    assert severities & {"HIGH", "CRITICAL"}
+    code, _ = _main(tmp_path / "clean", "itpc_chain")
+    assert code == cli.EXIT_CLEAN
+    code, _ = _main(tmp_path / "above", "vault_oracle", "--severity-gate", "CRITICAL")
+    assert code == cli.EXIT_CLEAN
+    assert cli.main(["--path", str(tmp_path / "absent"), "--out", str(tmp_path / "o")]) \
+        == cli.EXIT_ERROR
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path / "o")])
+    assert exc.value.code == cli.EXIT_ERROR
+
+
+@pytest.mark.parametrize("payload", [[{"detector": "x"}], {"findings": 5}],
+                         ids=["top-level-array", "findings-not-a-list"])
+def test_malformed_external_report_is_ignored(tmp_path, caplog, payload):
+    external = tmp_path / "external.json"
+    external.write_text(json.dumps(payload), encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        code, out = _main(tmp_path, "itpc_chain", "--external-signals", str(external))
+    assert code == cli.EXIT_CLEAN
+    assert "malformed" in caplog.text
+    golden = (GOLDEN_REPORT / "itpc_chain.report.json").read_text(encoding="utf-8")
+    assert (out / "report.json").read_text(encoding="utf-8") == golden
+
+
+class _PromptLog(MockReasoner):
+    """Scripted mock that keeps every phase D prompt it answers."""
+
+    def __init__(self, script):
+        super().__init__(MockReasoner.from_file(script).script)
+        self.phase_d: list[str] = []
+
+    def respond(self, request):
+        if request.stage == "phase_d":
+            self.phase_d.append(request.prompt)
+        return super().respond(request)
+
+
+def test_each_finding_claim_checked_at_most_once(tmp_path):
+    reasoner = _PromptLog(_script_file(tmp_path, VAULT_SCRIPT))
+    cli.run(cli.RunConfig(path=str(_repo(tmp_path, "vault_oracle")),
+                          out_dir=str(tmp_path / "out")), reasoner)
+    assert reasoner.phase_d
+    repeated = sorted({line for p in reasoner.phase_d if reasoner.phase_d.count(p) > 1
+                       for line in p.split("\n") if line.startswith("Finding: ")})
+    assert not repeated, f"claim-checked more than once: {repeated}"

@@ -17,6 +17,7 @@ from solaudit.dossier import (
     phase_a_verify,
     phase_d_claim_first,
     phase_d_prefilter,
+    phase_d_verify,
     phase_e_package,
     phase_e_recalibrate,
     run_phase_c,
@@ -289,6 +290,22 @@ def test_claim_first_confirmed(models, sources):
     }])
     assert phase_d_claim_first(f, models["vault_oracle"], sources["vault_oracle"],
                                confirming) == "CONFIRMED"
+
+
+def test_phase_d_verify_records_verdict_once(models, sources):
+    ccim, source = models["vault_oracle"], sources["vault_oracle"]
+    f = make_finding(functions=[("Vault", "withdraw")])
+    offline = ThrowingReasoner()
+    for _ in range(2):
+        assert phase_d_verify(f, ccim, source, offline) == (ROUTE_NEEDS_REASONER, "UNCLEAR")
+    assert offline.calls == 1
+    assert f.claim_verdict == "UNCLEAR"
+    assert "reasoner-failure" in f.flags
+
+    admin = make_finding(severity="CRITICAL", functions=[("Vault", "setOracle")])
+    assert phase_d_verify(admin, ccim, source, offline) == (ROUTE_ADMIN_TRUST, None)
+    assert admin.severity == "LOW" and "admin-trust" in admin.flags
+    assert admin.claim_verdict is None and offline.calls == 1
 
 
 # --- phase E -------------------------------------------------------------------

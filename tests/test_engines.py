@@ -87,6 +87,26 @@ def test_bva_literal_arithmetic(tmp_path):
     assert "bva-literal-underflow" in ids
 
 
+def test_bva_literal_line_hint_below_multiline_header(tmp_path):
+    # the hint counts lines of the body proper, not of the header before it
+    from solaudit.ccim import assemble_ccim
+    from solaudit.ingest import build_audit_source, classify_files
+    (tmp_path / "h.sol").write_text(
+        "pragma solidity ^0.8.0;\n"
+        "contract H { function f(\n"
+        "        uint256 x,\n"
+        "        uint256 y\n"
+        "    ) external pure returns (uint256) {\n"
+        "        y = 2 ** 8 * 3;\n"
+        "        return x / 0;\n"
+        "    }\n"
+        "}\n"
+    )
+    source = build_audit_source(classify_files(tmp_path))
+    hits = [s for s in run_bva(assemble_ccim(source), source) if s.id == "bva-division-by-zero"]
+    assert [s.line_hint for s in hits] == [7]
+
+
 def test_bva_sub_analyzer_isolation(models, sources, monkeypatch, caplog):
     import solaudit.engines.bva as bva_mod
 
@@ -223,10 +243,12 @@ def test_ingest_external_missing_file(tmp_path, caplog):
 
 def test_ingest_external_malformed(tmp_path, caplog):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with caplog.at_level("WARNING"):
-        assert ingest_external(path, "SLI") == []
-    assert "malformed" in caplog.text
+    for text in ("{not json", '[{"detector": "x"}]', '{"findings": 5}', "{}"):
+        path.write_text(text)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert ingest_external(path, "SLI") == [], text
+        assert "malformed" in caplog.text, text
 
 
 # --- merger ------------------------------------------------------------------------

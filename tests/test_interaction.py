@@ -81,6 +81,14 @@ def test_spec_prompt_is_skeleton_only(models):
     assert "@notice rotate the price oracle" in prompt  # natspec survives
 
 
+def test_spec_prompt_body_leak_raises(models, monkeypatch):
+    import solaudit.interaction as interaction_mod
+    monkeypatch.setattr(interaction_mod, "_skeleton", lambda ccim, contract: "\n".join(
+        r.body for r in ccim.records if r.owner == contract))
+    with pytest.raises(RuntimeError, match="leaked into the spec prompt"):
+        build_spec_prompt((("Vault", "deposit"), ("Vault", "withdraw")), models["vault_oracle"])
+
+
 def test_infer_spec_parses_payload(models):
     reasoner = scripted([{
         "stage": "stage2_spec", "match": ["deposit"],
