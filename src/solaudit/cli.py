@@ -22,15 +22,13 @@ from .coverage import (
 )
 from .dossier import dd_run
 from .engines import DEFAULT_SIGNAL_CAP, Signal, ingest_external, run_engines
-from .findings import SEVERITY_RANK, Finding, finding_from_payload
+from .findings import SEVERITY_RANK, Finding, findings_from
 from .funnel import deterministically_refuted, run_funnel
 from .ingest import IngestError, build_audit_source, classify_files, resolve_remappings
 from .interaction import id_run
 from .merge import base_confidence, extract_card, merge
-from .reasoner import DEFAULT_CHAR_BUDGET, MockReasoner, Reasoner, ReasonerError, ReasonerRequest
+from .reasoner import DEFAULT_CHAR_BUDGET, MockReasoner, Reasoner, ask
 from .report import AuditReport, build_citations, ccim_summary, emit
-
-log = logging.getLogger(__name__)
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -73,28 +71,30 @@ def _load_external(config: RunConfig, offsets) -> list[Signal]:
     return signals
 
 
-def _extra_round_findings(prompt_list: list[str], stage: str, schema: str,
-                          reasoner: Reasoner, ccim, signals, flag: str,
-                          budget: int, start_index: int) -> list[Finding]:
+def _identity(f: Finding) -> tuple:
+    return f.title, tuple(f.affected_functions), tuple(f.evidence_lines)
+
+
+def _extra_round_findings(prompt_list: list[str], stage: str, reasoner: Reasoner, ccim,
+                          signals, flag: str, budget: int,
+                          report: list[Finding]) -> list[Finding]:
     """Closed-loop follow-up passes (gap re-audit, blind-spot review): parsed
-    findings are admitted only after the deterministic funnel checks."""
-    found: list[Finding] = []
-    for prompt in prompt_list:
-        try:
-            response = reasoner.respond(ReasonerRequest(stage, prompt[:budget], schema, budget))
-        except ReasonerError as exc:
-            log.warning("%s pass failed (%s)", stage, exc)
-            continue
-        if not response.ok:
-            continue
-        for raw in response.payload.get("findings", []):
-            if isinstance(raw, dict):
-                f = finding_from_payload(raw, "I")
-                if f is not None:
-                    found.append(f)
+    findings are admitted only after the deterministic funnel checks. A
+    finding equal to one already in `report` or raised by an earlier prompt
+    (same title, affected functions and evidence lines) is skipped, and ids
+    are numbered after those of this flag already in `report`."""
+    prefix = f"{flag[0].upper()}-"
+    seen = {_identity(f) for f in report}
+    number = max((int(f.id[len(prefix):]) for f in report if f.id.startswith(prefix)), default=0)
+    found = [f for prompt in prompt_list
+             for f in findings_from(ask(reasoner, stage, prompt, budget) or {}, "I")]
     admitted = []
-    for i, f in enumerate(found, start=start_index):
-        f.id = f"{flag[0].upper()}-{i:03d}"
+    for f in found:
+        if _identity(f) in seen:
+            continue
+        seen.add(_identity(f))
+        number += 1
+        f.id = f"{prefix}{number:03d}"
         if deterministically_refuted(f, ccim):
             continue
         f.card = extract_card(f, ccim)
@@ -139,9 +139,9 @@ def run(config: RunConfig, reasoner: Reasoner | None = None) -> AuditReport:
         if not coverage.gap_set:
             break
         reaudit = _extra_round_findings(
-            gap_reaudit_prompts(coverage.gap_set, ccim, features),
-            "gap_reaudit", "gap_reaudit", reasoner, ccim, merged_signals,
-            "gap-reaudit", config.char_budget, start_index=1)
+            gap_reaudit_prompts(coverage.gap_set, ccim, features, config.char_budget),
+            "gap_reaudit", reasoner, ccim, merged_signals, "gap-reaudit",
+            config.char_budget, final)
         if not reaudit:
             break
         final.extend(reaudit)
@@ -152,9 +152,9 @@ def run(config: RunConfig, reasoner: Reasoner | None = None) -> AuditReport:
         ccim, discussed_names_from(pipeline_findings),
         " ".join(f.text() for f in pipeline_findings))
     blind = _extra_round_findings(
-        blindspot_prompts(residuals, ccim, config.blindspot_top),
-        "blindspot", "blindspot", reasoner, ccim, merged_signals,
-        "blindspot-review", config.char_budget, start_index=1)
+        blindspot_prompts(residuals, ccim, config.blindspot_top, config.char_budget),
+        "blindspot", reasoner, ccim, merged_signals, "blindspot-review",
+        config.char_budget, final)
     if blind:
         final.extend(blind)
         pipeline_findings.extend(blind)
@@ -185,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal-cap", type=int, default=DEFAULT_SIGNAL_CAP,
                    help="global cap on merged deterministic signals (default 50)")
     p.add_argument("--char-budget", type=int, default=DEFAULT_CHAR_BUDGET,
-                   help="character budget for reasoner source extracts (default 24000)")
+                   help="character budget of every reasoner prompt; only source and "
+                        "evidence blocks are cut to meet it (default 24000)")
     p.add_argument("--mock-script", default=None,
                    help="path to a mock reasoner script (JSON); default: unscripted mock")
     p.add_argument("--out", default="audit-out", help="output directory (default audit-out)")

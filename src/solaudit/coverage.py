@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from . import prompts
 from .ccim import CcimModel, FnKey, FunctionRecord
 from .findings import Finding
+from .reasoner import DEFAULT_CHAR_BUDGET
 
 # Twenty protocol-feature categories. The first eight are the canonical ones;
 # the remainder complete the catalogue and are marked as extensions.
@@ -268,7 +269,8 @@ def compute_gap_set(findings: list[Finding], detected_features: set[str],
 
 
 def gap_reaudit_prompts(gap_set: tuple[str, ...] | list[str], ccim: CcimModel,
-                        detected_features: set[str] | None = None) -> list[str]:
+                        detected_features: set[str] | None = None,
+                        budget: int = DEFAULT_CHAR_BUDGET) -> list[str]:
     """One targeted prompt per gap class, embedding the class heuristics and
     the structural evidence for the feature that made it relevant."""
     detected = detect_features(ccim) if detected_features is None else detected_features
@@ -288,9 +290,9 @@ def gap_reaudit_prompts(gap_set: tuple[str, ...] | list[str], ccim: CcimModel,
             f"{[(s.target, s.method, s.line) for s in r.call_sites]})"
             for r in evidence_fns
         ) or "(feature detected from state-variable patterns)"
-        prompts_out.append(prompts.GAP_REAUDIT.format(
-            version=prompts.PROMPT_VERSION, feature=feature, bug_class=bug_class,
-            heuristics=", ".join(CLASS_KEYWORDS.get(bug_class, ())), evidence=evidence,
+        prompts_out.append(prompts.render(
+            prompts.GAP_REAUDIT, budget, {"evidence": evidence}, feature=feature,
+            bug_class=bug_class, heuristics=", ".join(CLASS_KEYWORDS.get(bug_class, ())),
         ))
     return prompts_out
 
@@ -335,7 +337,7 @@ def attention_residual(ccim: CcimModel, discussed_names: set[str],
 
 
 def blindspot_prompts(residuals: ResidualClassification, ccim: CcimModel,
-                      top_n: int = 3) -> list[str]:
+                      top_n: int = 3, budget: int = DEFAULT_CHAR_BUDGET) -> list[str]:
     """Package the highest-risk residual functions for the targeted review
     pass: function source and classification only, no carry-over context."""
     out = []
@@ -343,11 +345,9 @@ def blindspot_prompts(residuals: ResidualClassification, ccim: CcimModel,
         rec = ccim.record(*key)
         if rec is None:
             continue
-        out.append(prompts.BLINDSPOT.format(
-            version=prompts.PROMPT_VERSION,
-            status=residuals.status[key],
-            source=f"// {key[0]}.{key[1]}\n{rec.body}",
-        ))
+        out.append(prompts.render(prompts.BLINDSPOT, budget,
+                                  {"source": f"// {key[0]}.{key[1]}\n{rec.body}"},
+                                  status=residuals.status[key]))
     return out
 
 

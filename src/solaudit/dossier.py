@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 from . import prompts
 from .ccim import CcimModel, FnKey, FunctionRecord
 from .engines import MergedSignals, render_markdown
-from .findings import SEVERITY_RANK, Finding, finding_from_payload, renumber
+from .findings import SEVERITY_RANK, Finding, finding_from_payload, findings_from, renumber
 from .ingest import AuditSource
-from .reasoner import DEFAULT_CHAR_BUDGET, Reasoner, ReasonerError, ReasonerRequest
+from .reasoner import DEFAULT_CHAR_BUDGET, Reasoner, ask
 
 log = logging.getLogger(__name__)
 
@@ -144,22 +144,16 @@ def phase_a_verify(dossier: Dossier, reasoner: Reasoner,
         + (f" (line {it.line_hint})" if it.line_hint else "")
         for i, it in enumerate(dossier.risk_items, start=1)
     )
-    prompt = prompts.PHASE_A.format(
-        version=prompts.PROMPT_VERSION, fp_rules=prompts.BUILTIN_FP_RULES,
-        owner=dossier.function[0], name=dossier.function[1],
-        facts=_facts_block(dossier.facts), items=items_text,
+    prompt = prompts.render(
+        prompts.PHASE_A, budget, {"facts": _facts_block(dossier.facts), "items": items_text},
+        fp_rules=prompts.BUILTIN_FP_RULES, owner=dossier.function[0], name=dossier.function[1],
     )
-    try:
-        response = reasoner.respond(ReasonerRequest("phase_a", prompt, "phase_a", budget))
-    except ReasonerError as exc:
-        log.warning("phase A reasoner failure on %s (%s); no findings", dossier.function, exc)
-        return []
-    if not response.ok:
-        log.warning("phase A output unparseable for %s; all items UNCLEAR", dossier.function)
+    reply = ask(reasoner, "phase_a", prompt, budget)
+    if reply is None:
         return []
 
     findings: list[Finding] = []
-    for raw in response.payload.get("items", []):
+    for raw in reply.get("items", []):
         if not isinstance(raw, dict):
             continue
         verdict = str(raw.get("verdict", "UNCLEAR")).upper()
@@ -214,24 +208,12 @@ def run_discovery_phase(tag: str, ccim: CcimModel, merged: MergedSignals,
     for contract, score in ranked:
         bodies = "\n".join(r.body for r in ccim.records if r.owner == contract)
         blocks.append(f"### {contract} (risk score {score:.2f})\n{bodies}")
-    prompt = prompts.PHASE_B.format(
-        version=prompts.PROMPT_VERSION, lens=lens,
-        contracts="\n\n".join(blocks), signals=render_markdown(merged),
-    )[:budget]
-    try:
-        response = reasoner.respond(ReasonerRequest(f"phase_{tag.lower()}", prompt, "phase_b", budget))
-    except ReasonerError as exc:
-        log.warning("discovery phase %s failed (%s); no findings", tag, exc)
-        return []
-    if not response.ok:
-        return []
-    out = []
-    for raw in response.payload.get("findings", []):
-        if isinstance(raw, dict):
-            f = finding_from_payload(raw, "D")
-            if f is not None:
-                out.append(f)
-    return out
+    prompt = prompts.render(
+        prompts.PHASE_B, budget,
+        {"contracts": "\n\n".join(blocks), "signals": render_markdown(merged)}, lens=lens,
+    )
+    reply = ask(reasoner, f"phase_{tag.lower()}", prompt, budget, schema="phase_b")
+    return [] if reply is None else findings_from(reply, "D")
 
 
 # --- phase C ---------------------------------------------------------------
@@ -272,20 +254,11 @@ def run_phase_c(ccim: CcimModel, reasoner: Reasoner,
             for k in group.members if (rec := ccim.record(*k)) is not None
         )
         subject = f"storage variable {group.subject}" if group.subject != "call" else "a call edge"
-        prompt = prompts.PHASE_C.format(
-            version=prompts.PROMPT_VERSION, subject=subject, members=members,
-        )[:budget]
-        try:
-            response = reasoner.respond(ReasonerRequest("phase_c", prompt, "phase_c", budget))
-        except ReasonerError as exc:
-            log.warning("phase C reasoner failure on %s (%s)", group, exc)
+        prompt = prompts.render(prompts.PHASE_C, budget, {"members": members}, subject=subject)
+        reply = ask(reasoner, "phase_c", prompt, budget)
+        if reply is None or str(reply.get("verdict", "UNCLEAR")).upper() != "VULNERABLE":
             continue
-        if not response.ok:
-            continue
-        verdict = str(response.payload.get("verdict", "UNCLEAR")).upper()
-        if verdict != "VULNERABLE":
-            continue
-        payload = dict(response.payload)
+        payload = dict(reply)
         payload.setdefault("title", f"interference on {group.subject}")
         payload.setdefault("functions", [list(k) for k in group.members])
         f = finding_from_payload(payload, "D", list(group.members))
@@ -337,9 +310,8 @@ def phase_d_prefilter(finding: Finding, ccim: CcimModel,
     return ROUTE_NEEDS_REASONER
 
 
-def expand_source_block(finding: Finding, ccim: CcimModel, budget: int) -> str:
-    """Every function the finding mentions plus their callers and callees,
-    truncated to the character budget."""
+def expand_source_block(finding: Finding, ccim: CcimModel) -> str:
+    """Every function the finding mentions plus their callers and callees."""
     keys: list[FnKey] = []
     for k in finding.affected_functions:
         if k not in keys and ccim.record(*k) is not None:
@@ -348,8 +320,7 @@ def expand_source_block(finding: Finding, ccim: CcimModel, budget: int) -> str:
         for neighbor in sorted(ccim.graph.callers(k) | ccim.graph.callees(k)):
             if neighbor not in keys and ccim.record(*neighbor) is not None:
                 keys.append(neighbor)
-    block = "\n\n".join(f"// {k[0]}.{k[1]}\n{ccim.record(*k).body}" for k in keys)
-    return block[:budget]
+    return "\n\n".join(f"// {k[0]}.{k[1]}\n{ccim.record(*k).body}" for k in keys)
 
 
 def _normalize_quote(text: str) -> str:
@@ -359,28 +330,19 @@ def _normalize_quote(text: str) -> str:
 def phase_d_claim_first(finding: Finding, ccim: CcimModel, source: AuditSource,
                         reasoner: Reasoner, budget: int = DEFAULT_CHAR_BUDGET) -> str:
     """Claim-first verification: DISPROVED is accepted only when the reply
-    quotes a concrete preventing line present in the supplied source block."""
-    shell = prompts.PHASE_D.format(
-        version=prompts.PROMPT_VERSION, title=finding.title,
-        description=finding.description, source_block="",
-    )
-    block = expand_source_block(finding, ccim, max(0, budget - len(shell)))
-    prompt = prompts.PHASE_D.format(
-        version=prompts.PROMPT_VERSION, title=finding.title,
-        description=finding.description, source_block=block,
-    )
-    try:
-        response = reasoner.respond(ReasonerRequest("phase_d", prompt, "phase_d", budget))
-    except ReasonerError as exc:
-        log.warning("phase D reasoner failure on %s (%s); UNCLEAR", finding.id, exc)
+    quotes a concrete preventing line present in the source block as sent,
+    after the budget cut."""
+    fields = prompts.fit(prompts.PHASE_D, budget,
+                         {"source_block": expand_source_block(finding, ccim)},
+                         title=finding.title, description=finding.description)
+    reply = ask(reasoner, "phase_d", prompts.PHASE_D.format(**fields), budget)
+    if reply is None:
         finding.flags.add("reasoner-failure")
         return "UNCLEAR"
-    if not response.ok:
-        return "UNCLEAR"
-    verdict = str(response.payload.get("verdict", "UNCLEAR")).upper()
+    verdict = str(reply.get("verdict", "UNCLEAR")).upper()
     if verdict == "DISPROVED":
-        quote = _normalize_quote(str(response.payload.get("quote", "")))
-        if not quote or quote not in _normalize_quote(block):
+        quote = _normalize_quote(str(reply.get("quote", "")))
+        if not quote or quote not in _normalize_quote(fields["source_block"]):
             finding.flags.add("protocol-violation")
             log.warning("phase D DISPROVED without verifiable quote on %s; downgraded", finding.id)
             return "UNCLEAR"
@@ -437,21 +399,16 @@ def phase_e_recalibrate(finding: Finding, ccim: CcimModel, reasoner: Reasoner,
                         budget: int = DEFAULT_CHAR_BUDGET) -> Finding:
     """Severity recalibration from access-control evidence. A scripted reply
     may set the severity directly; the deterministic default applies the
-    shared six-rule set."""
+    shared six-rule set. A failed round trip leaves the severity unchanged."""
     from .interaction import calibrate_one  # shared rule set with the pair pipeline
 
-    bundle = phase_e_package(finding, ccim)
-    prompt = prompts.PHASE_E.format(
-        version=prompts.PROMPT_VERSION, title=finding.title,
-        severity=finding.severity, description=finding.description,
-        bundle=json.dumps(bundle, indent=1, sort_keys=True),
-    )[:budget]
-    try:
-        response = reasoner.respond(ReasonerRequest("phase_e", prompt, "phase_e", budget))
-    except ReasonerError as exc:
-        log.warning("phase E reasoner failure on %s (%s); severity unchanged", finding.id, exc)
+    bundle = json.dumps(phase_e_package(finding, ccim), indent=1, sort_keys=True)
+    prompt = prompts.render(prompts.PHASE_E, budget, {"bundle": bundle}, title=finding.title,
+                            severity=finding.severity, description=finding.description)
+    reply = ask(reasoner, "phase_e", prompt, budget)
+    if reply is None:
         return finding
-    severity = response.payload.get("severity") if response.ok else None
+    severity = reply.get("severity")
     if isinstance(severity, str) and severity.upper() in SEVERITY_RANK:
         finding.severity = severity.upper()
         finding.flags.add("recalibrated")

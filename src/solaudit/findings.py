@@ -138,6 +138,18 @@ def finding_from_payload(payload: dict, pipeline: str,
     )
 
 
+def findings_from(payload: dict, pipeline: str,
+                  default_functions: list[tuple[str, str]] | None = None) -> list[Finding]:
+    """The findings of a reply's "findings" list; entries that are not
+    objects or that name no affected function are skipped."""
+    raw = payload.get("findings")
+    if not isinstance(raw, list):
+        return []
+    found = (finding_from_payload(item, pipeline, default_functions)
+             for item in raw if isinstance(item, dict))
+    return [f for f in found if f is not None]
+
+
 # claim-type classification shared by the reduction funnel and verdict engine
 
 CLAIM_TYPES = ("MISSING_ACCESS_CONTROL", "REENTRANCY", "INTEGER_OVERFLOW_GE08",

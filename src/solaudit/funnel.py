@@ -24,7 +24,7 @@ from .findings import Finding, classify_claim, classify_impact
 from .ingest import AuditSource
 from .interaction import SELF_DISPROVING_PHRASES
 from .merge import MergedFindingSet
-from .reasoner import DEFAULT_CHAR_BUDGET, Reasoner, ReasonerError, ReasonerRequest
+from .reasoner import DEFAULT_CHAR_BUDGET, Reasoner, ask
 
 log = logging.getLogger(__name__)
 
@@ -199,22 +199,16 @@ def sve_layer2(finding: Finding, ccim: CcimModel, source: AuditSource,
         "sources": [r.body for r in ccim.records_of(finding.affected_functions)],
         "evidence_lines": finding.evidence_lines,
     }
-    prompt = prompts.SVE_LAYER2.format(
-        version=prompts.PROMPT_VERSION, title=finding.title,
-        severity=finding.severity, description=finding.description,
-        evidence=json.dumps(evidence, indent=1, sort_keys=True),
-    )[:budget]
-    try:
-        response = reasoner.respond(ReasonerRequest("sve_layer2", prompt, "sve_layer2", budget))
-    except ReasonerError as exc:
-        log.warning("layer-2 verification failed on %s (%s); UNCERTAIN", finding.id, exc)
-        return VerdictRecord(finding.id, "sve_layer2", "UNCERTAIN", "backend failure",
-                             reasoner_used=True)
-    if not response.ok:
-        return VerdictRecord(finding.id, "sve_layer2", "UNCERTAIN", "unparseable reply",
-                             reasoner_used=True)
-    verdict = str(response.payload.get("verdict", "UNCERTAIN")).upper()
-    argument = str(response.payload.get("argument") or response.payload.get("quote") or "")
+    prompt = prompts.render(
+        prompts.SVE_LAYER2, budget, {"evidence": json.dumps(evidence, indent=1, sort_keys=True)},
+        title=finding.title, severity=finding.severity, description=finding.description,
+    )
+    reply = ask(reasoner, "sve_layer2", prompt, budget)
+    if reply is None:
+        return VerdictRecord(finding.id, "sve_layer2", "UNCERTAIN",
+                             "backend failure or unparseable reply", reasoner_used=True)
+    verdict = str(reply.get("verdict", "UNCERTAIN")).upper()
+    argument = str(reply.get("argument") or reply.get("quote") or "")
     if verdict == "VERIFIED":
         return VerdictRecord(finding.id, "sve_layer2", "CONFIRMED", argument, reasoner_used=True)
     if verdict == "DISPROVED" and argument.strip():

@@ -17,12 +17,13 @@ from .findings import (
     Finding,
     classify_claim,
     finding_from_payload,
+    findings_from,
     renumber,
     severity_cap,
     severity_down,
 )
 from .ingest import AuditSource
-from .reasoner import DEFAULT_CHAR_BUDGET, Reasoner, ReasonerError, ReasonerRequest
+from .reasoner import DEFAULT_CHAR_BUDGET, Reasoner, ask
 
 log = logging.getLogger(__name__)
 
@@ -169,19 +170,12 @@ def _reasoner_triage(ccim, contracts, reasoner, budget) -> list[tuple[FnKey, FnK
     skeletons = "\n".join(
         r.signature for r in ccim.records if r.owner in set(contracts) and r.signature
     )
-    prompt = prompts.STAGE1_TRIAGE.format(version=prompts.PROMPT_VERSION,
-                                          skeletons=skeletons)[:budget]
-    try:
-        response = reasoner.respond(ReasonerRequest("stage1_triage", prompt, "stage1_triage", budget))
-    except ReasonerError as exc:
-        log.warning("reasoner triage failed (%s); skipped", exc)
+    prompt = prompts.render(prompts.STAGE1_TRIAGE, budget, {"skeletons": skeletons})
+    reply = ask(reasoner, "stage1_triage", prompt, budget)
+    if reply is None:
         return []
-    pairs = []
-    if response.ok:
-        for raw in response.payload.get("pairs", []):
-            if isinstance(raw, (list, tuple)) and len(raw) == 4:
-                pairs.append(((str(raw[0]), str(raw[1])), (str(raw[2]), str(raw[3]))))
-    return pairs
+    return [((str(raw[0]), str(raw[1])), (str(raw[2]), str(raw[3])))
+            for raw in reply.get("pairs", []) if isinstance(raw, (list, tuple)) and len(raw) == 4]
 
 
 # --- stage 2: skeleton-only specification inference ------------------------
@@ -198,15 +192,15 @@ def _skeleton(ccim: CcimModel, contract: str) -> str:
     return "\n".join(lines)
 
 
-def build_spec_prompt(pair: tuple[FnKey, FnKey], ccim: CcimModel) -> str:
+def build_spec_prompt(pair: tuple[FnKey, FnKey], ccim: CcimModel,
+                      budget: int = DEFAULT_CHAR_BUDGET) -> str:
     """Skeleton-only prompt: signatures, doc comments, module documentation;
     implementation bodies must never leak in."""
     contracts = sorted({pair[0][0], pair[1][0]})
     skeleton = "\n\n".join(_skeleton(ccim, c) for c in contracts)
-    prompt = prompts.STAGE2_SPEC.format(
-        version=prompts.PROMPT_VERSION,
+    prompt = prompts.render(
+        prompts.STAGE2_SPEC, budget, {"skeleton": skeleton},
         pair=f"{pair[0][0]}.{pair[0][1]} / {pair[1][0]}.{pair[1][1]}",
-        skeleton=skeleton,
     )
     for rec in ccim.records:
         inner = rec.body_inner().strip()
@@ -218,20 +212,14 @@ def build_spec_prompt(pair: tuple[FnKey, FnKey], ccim: CcimModel) -> str:
 
 def infer_spec(pair: tuple[FnKey, FnKey], ccim: CcimModel, reasoner: Reasoner,
                budget: int = DEFAULT_CHAR_BUDGET) -> BehaviorSpec:
-    prompt = build_spec_prompt(pair, ccim)[:budget]
-    try:
-        response = reasoner.respond(ReasonerRequest("stage2_spec", prompt, "stage2_spec", budget))
-    except ReasonerError as exc:
-        log.warning("spec inference failed for %s (%s); empty spec", pair, exc)
+    reply = ask(reasoner, "stage2_spec", build_spec_prompt(pair, ccim, budget), budget)
+    if reply is None:
         return BehaviorSpec(pair=pair)
-    if not response.ok:
-        return BehaviorSpec(pair=pair)
-    p = response.payload
     return BehaviorSpec(
         pair=pair,
-        lifecycle=str(p.get("lifecycle", "")),
-        agreed_variables=[str(v) for v in p.get("agreed_variables", [])],
-        assumptions=[str(a) for a in p.get("assumptions", [])],
+        lifecycle=str(reply.get("lifecycle", "")),
+        agreed_variables=[str(v) for v in reply.get("agreed_variables", [])],
+        assumptions=[str(a) for a in reply.get("assumptions", [])],
     )
 
 
@@ -260,21 +248,17 @@ def spec_verify(pair: tuple[FnKey, FnKey], spec: BehaviorSpec, ccim: CcimModel,
     if spec.empty:
         # degraded path: checklist items (2)-(7) still run without assumptions
         spec_text += "\n(spec unavailable; items 2-7 only)"
-    prompt = prompts.STAGE3_VERIFY.format(
-        version=prompts.PROMPT_VERSION, spec=spec_text, sources=sources,
-        preconditions="\n".join(preconditions) or "(none)",
+    prompt = prompts.render(
+        prompts.STAGE3_VERIFY, budget,
+        {"spec": spec_text, "sources": sources,
+         "preconditions": "\n".join(preconditions) or "(none)"},
         checklist="\n".join(f"{i}. {c}" for i, c in enumerate(prompts.STAGE3_CHECKLIST, start=1)),
-    )[:budget]
-    try:
-        response = reasoner.respond(ReasonerRequest("stage3_verify", prompt, "stage3_verify", budget))
-    except ReasonerError as exc:
-        log.warning("spec-verify failed for %s (%s)", pair, exc)
-        return []
-    if not response.ok:
-        log.warning("spec-verify output unparseable for %s; zero findings", pair)
+    )
+    reply = ask(reasoner, "stage3_verify", prompt, budget)
+    if reply is None:
         return []
     findings = []
-    for raw in response.payload.get("items", []):
+    for raw in reply.get("items", []):
         if not isinstance(raw, dict):
             continue
         if str(raw.get("status", "")).upper() != "VIOLATE":
@@ -301,22 +285,11 @@ def audit_standalone(ccim: CcimModel, reasoner: Reasoner,
     for rec in _auditable(ccim):
         if not itpc_high_risk(rec, ccim.footprints.fund.get(rec.key, False)):
             continue
-        prompt = prompts.STANDALONE.format(
-            version=prompts.PROMPT_VERSION,
-            source=f"// {rec.owner}.{rec.name}\n{rec.body}",
-        )[:budget]
-        try:
-            response = reasoner.respond(ReasonerRequest("standalone", prompt, "standalone", budget))
-        except ReasonerError as exc:
-            log.warning("standalone audit failed for %s (%s)", rec.key, exc)
-            continue
-        if not response.ok:
-            continue
-        for raw in response.payload.get("findings", []):
-            if isinstance(raw, dict):
-                f = finding_from_payload(raw, "I", [rec.key])
-                if f is not None:
-                    findings.append(f)
+        prompt = prompts.render(prompts.STANDALONE, budget,
+                                {"source": f"// {rec.owner}.{rec.name}\n{rec.body}"})
+        reply = ask(reasoner, "standalone", prompt, budget)
+        if reply is not None:
+            findings.extend(findings_from(reply, "I", [rec.key]))
     return findings
 
 

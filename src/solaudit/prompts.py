@@ -1,4 +1,5 @@
-"""Versioned prompt templates for every reasoner-bearing stage.
+"""Versioned prompt templates for every reasoner-bearing stage, and the one
+rule that fits a filled template into the character budget.
 
 Templates are plain text resources; bump PROMPT_VERSION when wording changes
 so scripted mock responses can be pinned to the template they were written
@@ -190,3 +191,31 @@ no carry-over context. Audit it from scratch.
 
 Respond as JSON: {{"findings": [{{"title": ..., "description": ...,
 "attack_scenario": ..., "severity": ..., "evidence_lines": [..]}}]}}"""
+
+
+def fit(template: str, budget: int, payload: dict[str, str], **fields: str) -> dict[str, str]:
+    """Field values that fill `template` to at most `budget` characters.
+
+    `version` is filled in, and the template text and the fixed `fields` are
+    kept whole, so a prompt never loses its response-schema instruction. The
+    `payload` fields (source bodies, evidence, skeletons, signal records)
+    share the room that is left: a field shorter than an equal share keeps
+    whole and leaves the rest to the longer ones; ties keep the order of
+    `payload`. When the fixed text alone exceeds the budget, every payload
+    field is emptied and the backend refuses the request as over budget."""
+    fields["version"] = PROMPT_VERSION
+    room = budget - len(template.format(**fields, **dict.fromkeys(payload, "")))
+    pending = sorted(payload, key=lambda name: len(payload[name]))
+    for i, name in enumerate(pending):
+        fields[name] = payload[name][:max(0, room) // (len(pending) - i)]
+        room -= len(fields[name])
+    return fields
+
+
+def render(template: str, budget: int, payload: dict[str, str], **fields: str) -> str:
+    """`template` filled with `payload` and `fields`, budgeted by `fit`; a
+    prompt that already fits is formatted once."""
+    text = template.format(version=PROMPT_VERSION, **fields, **payload)
+    if len(text) <= budget:
+        return text
+    return template.format(**fit(template, budget, payload, **fields))

@@ -129,6 +129,21 @@ class MockReasoner(Reasoner):
             return sum(self._counts.values())
 
 
+def ask(reasoner: Reasoner, stage: str, prompt: str, budget: int,
+        schema: str | None = None) -> dict | None:
+    """One round trip: the reply payload, or None after logging a backend
+    failure or an unparseable reply. `schema` defaults to the stage name."""
+    try:
+        response = reasoner.respond(ReasonerRequest(stage, prompt, schema or stage, budget))
+    except ReasonerError as exc:
+        log.warning("%s reasoner failure (%s)", stage, exc)
+        return None
+    if not response.ok:
+        log.warning("%s reply unparseable", stage)
+        return None
+    return response.payload
+
+
 def parse_structured(raw: str) -> dict | None:
     """Best-effort JSON extraction from a raw model reply."""
     raw = raw.strip()

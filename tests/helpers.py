@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import threading
-import time
 
 from solaudit.findings import Finding
 from solaudit.reasoner import MockReasoner, Reasoner, ReasonerError, ReasonerRequest, ScriptEntry
@@ -41,37 +40,41 @@ class ThrowingReasoner(Reasoner):
         return self.calls
 
 
-class DelayedOnceReasoner(Reasoner):
-    """Sleeps once per pipeline family (dd/id) on the first call, simulating
-    per-pipeline latency for the concurrency assertion."""
+class RendezvousReasoner(Reasoner):
+    """Holds the first dossier-stage call and the first interaction-stage
+    call at one barrier; both get through only when the two pipelines run at
+    the same time. `passed` names the families that got through."""
 
-    _DD_PREFIXES = ("phase_",)
-    _ID_PREFIXES = ("stage1_", "stage2_", "stage3_", "standalone")
+    _FAMILIES = (("phase_", "dd"), ("stage1_", "id"), ("stage2_", "id"), ("stage3_", "id"),
+                 ("standalone", "id"))
 
-    def __init__(self, inner: Reasoner, dd_seconds: float, id_seconds: float):
+    def __init__(self, inner: Reasoner):
         self.inner = inner
-        self.delays = {"dd": dd_seconds, "id": id_seconds}
-        self._fired: set[str] = set()
+        self.barrier = threading.Barrier(2, timeout=5)
+        self.passed: set[str] = set()
+        self._arrived: set[str] = set()
         self._lock = threading.Lock()
 
-    def _family(self, stage: str) -> str | None:
-        if any(stage.startswith(p) for p in self._DD_PREFIXES):
-            return "dd"
-        if any(stage.startswith(p) for p in self._ID_PREFIXES):
-            return "id"
-        return None
-
     def respond(self, request: ReasonerRequest):
-        family = self._family(request.stage)
-        fire = False
-        if family is not None:
-            with self._lock:
-                if family not in self._fired:
-                    self._fired.add(family)
-                    fire = True
-        if fire:
-            time.sleep(self.delays[family])
+        family = next((f for prefix, f in self._FAMILIES if request.stage.startswith(prefix)), None)
+        with self._lock:
+            first = family is not None and family not in self._arrived
+            if first:
+                self._arrived.add(family)
+        if first:
+            try:
+                self.barrier.wait()
+            except threading.BrokenBarrierError:
+                pass
+            else:
+                with self._lock:
+                    self.passed.add(family)
         return self.inner.respond(request)
 
     def call_count(self, stage: str) -> int:
         return self.inner.call_count(stage)
+
+
+def json_instruction(template: str) -> str:
+    """The response-schema instruction that closes a prompt template."""
+    return template[template.rindex("\n\n") + 2:].format()

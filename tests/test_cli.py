@@ -1,6 +1,7 @@
 """End-to-end tests of `cli.run` and `cli.main`: golden reports over corpus
-repos, exit codes against the severity gate, malformed external reports, and
-the one-claim-check-per-finding budget of phase D."""
+repos, exit codes against the severity gate, malformed external reports, the
+one-claim-check-per-finding budget of phase D, whole prompts under a tight
+character budget, and the overlap of the two audit pipelines."""
 
 from __future__ import annotations
 
@@ -10,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from corpus import REPOS, write_repo
+from helpers import RendezvousReasoner, json_instruction, make_finding, scripted
 
-from solaudit import cli
+from solaudit import cli, prompts
 from solaudit.reasoner import MockReasoner
 
 GOLDEN_REPORT = Path(__file__).parent / "golden" / "report"
@@ -182,24 +184,65 @@ def test_malformed_external_report_is_ignored(tmp_path, caplog, payload):
     assert (out / "report.json").read_text(encoding="utf-8") == golden
 
 
-class _PromptLog(MockReasoner):
-    """Scripted mock that keeps every phase D prompt it answers."""
+class _RequestLog(MockReasoner):
+    """Scripted mock that keeps every request it answers."""
 
     def __init__(self, script):
         super().__init__(MockReasoner.from_file(script).script)
-        self.phase_d: list[str] = []
+        self.requests = []
 
     def respond(self, request):
-        if request.stage == "phase_d":
-            self.phase_d.append(request.prompt)
+        self.requests.append(request)
         return super().respond(request)
 
 
+def _run_vault(tmp_path: Path, reasoner, **config):
+    return cli.run(cli.RunConfig(path=str(_repo(tmp_path, "vault_oracle")),
+                                 out_dir=str(tmp_path / "out"), **config), reasoner)
+
+
 def test_each_finding_claim_checked_at_most_once(tmp_path):
-    reasoner = _PromptLog(_script_file(tmp_path, VAULT_SCRIPT))
-    cli.run(cli.RunConfig(path=str(_repo(tmp_path, "vault_oracle")),
-                          out_dir=str(tmp_path / "out")), reasoner)
-    assert reasoner.phase_d
-    repeated = sorted({line for p in reasoner.phase_d if reasoner.phase_d.count(p) > 1
+    reasoner = _RequestLog(_script_file(tmp_path, VAULT_SCRIPT))
+    _run_vault(tmp_path, reasoner)
+    phase_d = [r.prompt for r in reasoner.requests if r.stage == "phase_d"]
+    assert phase_d
+    repeated = sorted({line for p in phase_d if phase_d.count(p) > 1
                        for line in p.split("\n") if line.startswith("Finding: ")})
     assert not repeated, f"claim-checked more than once: {repeated}"
+
+
+def test_every_prompt_keeps_its_instruction_under_a_tight_budget(tmp_path):
+    budget = 1100
+    reasoner = _RequestLog(_script_file(tmp_path, VAULT_SCRIPT))
+    _run_vault(tmp_path, reasoner, char_budget=budget)
+    cut = {r.stage for r in reasoner.requests if len(r.prompt) == budget}
+    assert {"phase_a", "phase_b", "phase_d", "stage3_verify", "sve_layer2"} <= cut
+    for r in reasoner.requests:
+        assert len(r.prompt) <= budget, r.stage
+        assert r.prompt.endswith(json_instruction(getattr(prompts, r.schema.upper()))), r.stage
+
+
+def test_extra_rounds_admit_each_finding_once(tmp_path):
+    # two rounds of four gap prompts get the same scripted reply eight times
+    reasoner = _RequestLog(_script_file(tmp_path, VAULT_SCRIPT))
+    report = _run_vault(tmp_path, reasoner, reaudit_rounds=2)
+    assert sum(r.stage == "gap_reaudit" for r in reasoner.requests) == 8
+    assert [f.id for f in report.findings if "gap-reaudit" in f.flags] == ["G-001"]
+
+
+def test_extra_round_ids_follow_the_report(models, merged_signals):
+    gap_reply = next(e for e in VAULT_SCRIPT if e["stage"] == "gap_reaudit")
+    earlier = make_finding(fid="G-001", title="earlier gap finding",
+                           functions=[("Vault", "sweep")], flags=["gap-reaudit"])
+    admitted = cli._extra_round_findings(
+        ["first prompt", "second prompt"], "gap_reaudit", scripted([gap_reply]),
+        models["vault_oracle"], merged_signals["vault_oracle"], "gap-reaudit", 24_000, [earlier])
+    assert [(f.id, f.title) for f in admitted] == [("G-002", "Sweep empties user deposits")]
+
+
+def test_pipelines_run_concurrently(tmp_path):
+    # the first dossier and the first interaction reasoner call wait for each
+    # other at a barrier, which only two overlapping pipelines pass
+    reasoner = RendezvousReasoner(MockReasoner())
+    _run_vault(tmp_path, reasoner)
+    assert reasoner.passed == {"dd", "id"}

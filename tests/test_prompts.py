@@ -1,0 +1,117 @@
+"""Prompt budgeting: every template keeps its text, its fixed fields and its
+response-schema instruction whole under the character budget, and the budget
+cut and the reasoner request each have one home in the package."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+from helpers import json_instruction, make_finding, scripted
+
+import solaudit
+from solaudit import prompts
+from solaudit.dossier import expand_source_block, phase_d_claim_first
+
+BUDGET = 24_000
+
+# the fields each stage passes as cuttable payload; every other field is fixed
+PAYLOAD_FIELDS = {
+    "PHASE_A": ("facts", "items"),
+    "PHASE_B": ("contracts", "signals"),
+    "PHASE_C": ("members",),
+    "PHASE_D": ("source_block",),
+    "PHASE_E": ("bundle",),
+    "STAGE1_TRIAGE": ("skeletons",),
+    "STAGE2_SPEC": ("skeleton",),
+    "STAGE3_VERIFY": ("spec", "sources", "preconditions"),
+    "STANDALONE": ("source",),
+    "SVE_LAYER2": ("evidence",),
+    "GAP_REAUDIT": ("evidence",),
+    "BLINDSPOT": ("source",),
+}
+
+
+def _placeholders(template: str) -> list[str]:
+    return [name for name in re.findall(r"(?<!\{)\{(\w+)\}", template) if name != "version"]
+
+
+def test_payload_table_names_every_template():
+    templates = {name for name, value in vars(prompts).items()
+                 if isinstance(value, str) and "[template v{version}]" in value}
+    assert templates == set(PAYLOAD_FIELDS)
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOAD_FIELDS))
+def test_oversized_prompt_keeps_instruction_and_fixed_fields(name):
+    template = getattr(prompts, name)
+    first, *rest = PAYLOAD_FIELDS[name]
+    fixed = {f: f"<fixed {f}>" for f in _placeholders(template) if f not in PAYLOAD_FIELDS[name]}
+    # one oversized payload field; a short one beside it keeps whole
+    payload = {first: "x" * (2 * BUDGET), **{f: f"<short {f}>" for f in rest}}
+    prompt = prompts.render(template, BUDGET, payload, **fixed)
+    # a cut prompt fills the budget exactly, which is how a trace counts cuts
+    assert len(prompt) == BUDGET
+    assert prompt.endswith(json_instruction(template))
+    assert f"[template v{prompts.PROMPT_VERSION}]" in prompt
+    for value in [*fixed.values(), *(payload[f] for f in rest)]:
+        assert value in prompt
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOAD_FIELDS))
+def test_prompt_under_budget_is_filled_uncut(name):
+    template = getattr(prompts, name)
+    fields = {f: f"<{f}>" for f in _placeholders(template)}
+    payload = {f: fields.pop(f) for f in PAYLOAD_FIELDS[name]}
+    assert prompts.render(template, BUDGET, payload, **fields) == \
+        template.format(version=prompts.PROMPT_VERSION, **fields, **payload)
+
+
+def test_payload_fields_share_the_room():
+    fields = prompts.fit("{version}|{a}|{b}|{c}", 16, {"a": "a" * 9, "b": "b", "c": "c" * 9})
+    # 4 characters of fixed text leave 12: b keeps whole, a and c split the rest
+    assert (fields["a"], fields["b"], fields["c"]) == ("a" * 5, "b", "c" * 6)
+
+
+_ZERO_GUARD = 'require(amount > 0, "zero");'
+
+
+def test_phase_d_quote_past_the_cut_is_a_protocol_violation(models, sources):
+    # the quote check reads the source block as sent, not the uncut one
+    ccim, source = models["vault_oracle"], sources["vault_oracle"]
+    block = expand_source_block(make_finding(functions=[("Vault", "withdraw")]), ccim)
+    shell = len(prompts.PHASE_D.format(version=prompts.PROMPT_VERSION, title="finding",
+                                       description="", source_block=""))
+    cut_before_guard = shell + block.index(_ZERO_GUARD)
+    disproving = [{"stage": "phase_d", "match": [],
+                   "response": {"verdict": "DISPROVED", "quote": _ZERO_GUARD}}]
+
+    f = make_finding(functions=[("Vault", "withdraw")])
+    assert phase_d_claim_first(f, ccim, source, scripted(disproving), cut_before_guard) == "UNCLEAR"
+    assert "protocol-violation" in f.flags
+
+    f = make_finding(functions=[("Vault", "withdraw")])
+    assert phase_d_claim_first(f, ccim, source, scripted(disproving),
+                               cut_before_guard + len(_ZERO_GUARD)) == "DISPROVED"
+    assert not f.flags
+
+    # a quote of the finding's own title is in the prompt but not in the source
+    title = "withdraw lets anyone drain the vault"
+    quoting_title = [{"stage": "phase_d", "match": [],
+                      "response": {"verdict": "DISPROVED", "quote": title}}]
+    f = make_finding(title=title, functions=[("Vault", "withdraw")])
+    assert phase_d_claim_first(f, ccim, source, scripted(quoting_title)) == "UNCLEAR"
+    assert "protocol-violation" in f.flags
+
+
+def test_budget_cut_and_reasoner_request_have_one_home():
+    # a second copy of either rule is how prompts lost their instruction
+    homes = {r"\[:\s*budget\s*\]": "prompts.py", r"\bReasonerRequest\(": "reasoner.py"}
+    package = Path(solaudit.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for pattern, home in homes.items():
+            if path.relative_to(package).as_posix() != home:
+                assert not re.search(pattern, text), f"{pattern} in {path.name}"

@@ -4,12 +4,13 @@ forms on generated Solidity-like text."""
 
 from __future__ import annotations
 
+import logging
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_line_of
+from oracles import brute_force_footprints, brute_force_line_of
 
 from solaudit.ccim import assemble_ccim, parse, parse_function_records
 from solaudit.ccim.parse import mask_noncode, parse_source
@@ -19,6 +20,7 @@ from solaudit.ingest import AuditSource, OffsetMap, Segment
 _CODE = st.sampled_from([
     "x = 1;", "y += x;", "{ z = 2; }", "if (x > 0) { y = x; }", "emit E(x);",
     "return x;", "unchecked { x -= 1; }", "token.approve(a, 0);",
+    "f0(x);", "f1(a);", "x0 += a;",   # internal calls and a state write, for footprints
 ])
 # braces, quotes and escapes inside literals and comments
 _LITERAL = st.sampled_from(['"{"', "'}'", '"a\\"b{"', "'it\\'s }'", '"\\\\"', '""', '"//"', "'/*'"])
@@ -83,6 +85,33 @@ def test_stored_masks_equal_masking_the_record(generated):
     for rec in records:
         assert rec.masked_body == mask_noncode(rec.body)
         assert rec.masked_inner == mask_noncode(rec.body_inner())
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(level=logging.WARNING)
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_contract_source())
+def test_engines_never_fail_and_footprints_match_brute_force(generated):
+    source = _source(generated[0])
+    # the runner isolates engine, sub-analyzer and rule failures and only logs them
+    failures = _Records()
+    engines_log = logging.getLogger("solaudit.engines")
+    engines_log.addHandler(failures)
+    try:
+        ccim = assemble_ccim(source)
+        run_engines(ccim, source)
+    finally:
+        engines_log.removeHandler(failures)
+    assert [r.getMessage() for r in failures.records] == []
+    footprints = (ccim.footprints.reads, ccim.footprints.writes, ccim.footprints.fund)
+    assert footprints == brute_force_footprints(list(ccim.records))
 
 
 def test_audit_parses_the_source_once(sources, monkeypatch):
