@@ -2,7 +2,6 @@
 truth every downstream stage reads from and verifies claims against."""
 
 from .build import (
-    DEFAULT_ROLE_CATALOGUE,
     assemble_ccim,
     build_call_graph,
     build_resolution,
@@ -23,13 +22,11 @@ from .types import (
     Footprints,
     FunctionRecord,
     ResolutionMap,
-    RoleCatalogue,
     StateDependencyMap,
     TrustModel,
 )
 
 __all__ = [
-    "DEFAULT_ROLE_CATALOGUE",
     "CallGraph",
     "CallSite",
     "CcimModel",
@@ -37,7 +34,6 @@ __all__ = [
     "Footprints",
     "FunctionRecord",
     "ResolutionMap",
-    "RoleCatalogue",
     "StateDependencyMap",
     "TrustModel",
     "assemble_ccim",

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from dataclasses import replace
 
 from ..ingest import AuditSource
 from .parse import (
@@ -25,29 +26,28 @@ from .types import (
     FnKey,
     FunctionRecord,
     ResolutionMap,
-    RoleCatalogue,
     StateDependencyMap,
     TrustModel,
 )
 
 log = logging.getLogger(__name__)
 
-DEFAULT_ROLE_CATALOGUE = RoleCatalogue(
-    modifier_patterns=(
-        r"^onlyOwner$",
-        r"^onlyRole\(",
-        r"^onlyAdmin$",
-        r"^onlyGovernance$",
-        r"^onlyGovernor$",
-        r"^requiresAuth$",
-    ),
-    require_patterns=(
-        r"^msg\.sender==_?(owner|admin|governance|governor)(\(\))?$",
-        r"^_?(owner|admin|governance|governor)(\(\))?==msg\.sender$",
-        r"^hasRole\(",
-        r"^_checkRole\(",
-    ),
-)
+# recognized role checks: modifier shapes and require shapes
+ROLE_MODIFIER_PATTERNS = tuple(re.compile(p) for p in (
+    r"^onlyOwner$",
+    r"^onlyRole\(",
+    r"^onlyAdmin$",
+    r"^onlyGovernance$",
+    r"^onlyGovernor$",
+    r"^requiresAuth$",
+))
+ROLE_REQUIRE_PATTERNS = tuple(re.compile(p) for p in (
+    r"^msg\.sender==_?(owner|admin|governance|governor)(\(\))?$",
+    r"^_?(owner|admin|governance|governor)(\(\))?==msg\.sender$",
+    r"^hasRole\(",
+    r"^_checkRole\(",
+))
+_ROLE_PATTERNS = ROLE_MODIFIER_PATTERNS + ROLE_REQUIRE_PATTERNS
 
 
 def build_resolution(records: list[FunctionRecord], decls: tuple[ContractDecl, ...]) -> ResolutionMap:
@@ -193,19 +193,13 @@ def compute_state_dependencies(records: list[FunctionRecord], footprints: Footpr
     )
 
 
-def classify_admin(records: list[FunctionRecord],
-                   catalogue: RoleCatalogue = DEFAULT_ROLE_CATALOGUE) -> frozenset[FnKey]:
+def classify_admin(records: list[FunctionRecord]) -> frozenset[FnKey]:
     """Functions whose guards (modifier names folded in) match a role-check
-    pattern from the catalogue."""
-    mod_res = [re.compile(p) for p in catalogue.modifier_patterns]
-    req_res = [re.compile(p) for p in catalogue.require_patterns]
+    pattern."""
     admin: set[FnKey] = set()
     for r in records:
-        folded = list(r.guards) + [m for m in r.modifiers]
-        for g in folded:
-            if any(rx.search(g) for rx in mod_res) or any(rx.search(g) for rx in req_res):
-                admin.add(r.key)
-                break
+        if any(rx.search(g) for g in (*r.guards, *r.modifiers) for rx in _ROLE_PATTERNS):
+            admin.add(r.key)
     return frozenset(admin)
 
 
@@ -240,13 +234,11 @@ def _postconditions(record: FunctionRecord) -> frozenset[str]:
     return frozenset(out)
 
 
-def _caller_gating_guards(record: FunctionRecord,
-                          catalogue: RoleCatalogue = DEFAULT_ROLE_CATALOGUE) -> frozenset[str]:
-    # any msg.sender mention or role-catalogue modifier counts as caller-gating;
+def _caller_gating_guards(record: FunctionRecord) -> frozenset[str]:
+    # any msg.sender mention or role modifier counts as caller-gating;
     # per-caller-contract restriction is not recoverable from source
-    mod_res = [re.compile(p) for p in catalogue.modifier_patterns]
     out = {g for g in record.guards if "msg.sender" in g}
-    out |= {m for m in record.modifiers if any(rx.search(m) for rx in mod_res)}
+    out |= {m for m in record.modifiers if any(rx.search(m) for rx in ROLE_MODIFIER_PATTERNS)}
     return frozenset(out)
 
 
@@ -294,8 +286,7 @@ def compute_trust_model(graph: CallGraph, records: list[FunctionRecord]) -> Trus
     )
 
 
-def assemble_ccim(source: AuditSource,
-                  catalogue: RoleCatalogue = DEFAULT_ROLE_CATALOGUE) -> CcimModel:
+def assemble_ccim(source: AuditSource) -> CcimModel:
     """Run the full construction pipeline over an audit source, parsed once."""
     parsed = parse_source(source.text)
     records = parse_function_records(source, parsed)
@@ -303,12 +294,8 @@ def assemble_ccim(source: AuditSource,
     graph = build_call_graph(records, resolution)
     footprints = propagate_footprints(records)
     deps = compute_state_dependencies(records, footprints, resolution)
-    admin_set = classify_admin(records, catalogue)
-    rot = flag_rotation_risks(deps, admin_set)
-    deps = StateDependencyMap(
-        writers=deps.writers, readers=deps.readers, consumers=deps.consumers,
-        approvals=deps.approvals, rot=rot,
-    )
+    admin_set = classify_admin(records)
+    deps = replace(deps, rot=flag_rotation_risks(deps, admin_set))
     trust = compute_trust_model(graph, records)
     return CcimModel(
         records=tuple(records), resolution=resolution, graph=graph,

@@ -125,13 +125,6 @@ class StateDependencyMap:
 
 
 @dataclass(frozen=True)
-class RoleCatalogue:
-    """Recognized role-check patterns: modifier shapes and require shapes."""
-    modifier_patterns: tuple[str, ...]
-    require_patterns: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class TrustModel:
     assumes: dict[tuple[str, str], frozenset[str]]   # (caller, callee) -> post-condition strings
     enforces: dict[tuple[str, str], frozenset[str]]  # (callee, caller) -> caller-gating guards

@@ -81,8 +81,8 @@ def _extra_round_findings(prompt_list: list[str], stage: str, reasoner: Reasoner
     """Closed-loop follow-up passes (gap re-audit, blind-spot review): parsed
     findings are admitted only after the deterministic funnel checks. A
     finding equal to one already in `report` or raised by an earlier prompt
-    (same title, affected functions and evidence lines) is skipped, and ids
-    are numbered after those of this flag already in `report`."""
+    (same title, affected functions and evidence lines) is skipped, and the
+    admitted findings are numbered after those of this flag in `report`."""
     prefix = f"{flag[0].upper()}-"
     seen = {_identity(f) for f in report}
     number = max((int(f.id[len(prefix):]) for f in report if f.id.startswith(prefix)), default=0)
@@ -93,10 +93,10 @@ def _extra_round_findings(prompt_list: list[str], stage: str, reasoner: Reasoner
         if _identity(f) in seen:
             continue
         seen.add(_identity(f))
-        number += 1
-        f.id = f"{prefix}{number:03d}"
         if deterministically_refuted(f, ccim):
             continue
+        number += 1
+        f.id = f"{prefix}{number:03d}"
         f.card = extract_card(f, ccim)
         f.flags.add(flag)
         f.confidence = base_confidence(f, ccim, signals)

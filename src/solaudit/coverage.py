@@ -243,14 +243,12 @@ def detect_features(ccim: CcimModel) -> set[str]:
     return detected
 
 
-def compute_gap_set(findings: list[Finding], detected_features: set[str],
-                    catalogue: dict[str, dict] | None = None) -> CoverageReport:
+def compute_gap_set(findings: list[Finding], detected_features: set[str]) -> CoverageReport:
     """Match catalogue-relevant bug classes against finding text; unmatched
     classes form the gap set."""
-    catalogue = FEATURES if catalogue is None else catalogue
     relevant: set[str] = set()
     for feature in detected_features:
-        relevant.update(catalogue.get(feature, {}).get("bug_classes", ()))
+        relevant.update(FEATURES.get(feature, {}).get("bug_classes", ()))
     all_text = " ".join(f.text().lower() for f in findings)
     covered = {
         cls for cls in relevant
@@ -269,17 +267,14 @@ def compute_gap_set(findings: list[Finding], detected_features: set[str],
 
 
 def gap_reaudit_prompts(gap_set: tuple[str, ...] | list[str], ccim: CcimModel,
-                        detected_features: set[str] | None = None,
+                        detected_features: set[str],
                         budget: int = DEFAULT_CHAR_BUDGET) -> list[str]:
     """One targeted prompt per gap class, embedding the class heuristics and
-    the structural evidence for the feature that made it relevant."""
-    detected = detect_features(ccim) if detected_features is None else detected_features
+    the structural evidence for the detected feature that made it relevant."""
     prompts_out = []
     for bug_class in sorted(gap_set):
-        feature = next(
-            (f for f in sorted(detected) if bug_class in FEATURES.get(f, {}).get("bug_classes", ())),
-            "unknown",
-        )
+        feature = next((f for f in sorted(detected_features)
+                        if bug_class in FEATURES.get(f, {}).get("bug_classes", ())), "unknown")
         spec = FEATURES.get(feature, {})
         evidence_fns = [
             r for r in ccim.records

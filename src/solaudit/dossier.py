@@ -11,7 +11,14 @@ from dataclasses import dataclass, field
 from . import prompts
 from .ccim import CcimModel, FnKey, FunctionRecord
 from .engines import MergedSignals, render_markdown
-from .findings import SEVERITY_RANK, Finding, finding_from_payload, findings_from, renumber
+from .findings import (
+    SEVERITY_RANK,
+    Finding,
+    finding_from_payload,
+    findings_from,
+    renumber,
+    reply_list,
+)
 from .ingest import AuditSource
 from .reasoner import DEFAULT_CHAR_BUDGET, Reasoner, ask
 
@@ -153,7 +160,7 @@ def phase_a_verify(dossier: Dossier, reasoner: Reasoner,
         return []
 
     findings: list[Finding] = []
-    for raw in reply.get("items", []):
+    for raw in reply_list(reply, "items"):
         if not isinstance(raw, dict):
             continue
         verdict = str(raw.get("verdict", "UNCLEAR")).upper()
@@ -185,6 +192,7 @@ DISCOVERY_LENSES = {
     "B5": "state-machine lifecycle view with knowledge of earlier findings",
     "B6": "follow-up on uncovered bug classes from the coverage map",
 }
+DISCOVERY_CONTRACTS = 3     # highest-risk contracts packaged per discovery prompt
 
 
 def contract_priorities(ccim: CcimModel, merged: MergedSignals) -> list[tuple[str, float]]:
@@ -198,12 +206,11 @@ def contract_priorities(ccim: CcimModel, merged: MergedSignals) -> list[tuple[st
 
 
 def run_discovery_phase(tag: str, ccim: CcimModel, merged: MergedSignals,
-                        reasoner: Reasoner, budget: int = DEFAULT_CHAR_BUDGET,
-                        top_n: int = 3) -> list[Finding]:
+                        reasoner: Reasoner, budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
     """Prompt-packaged discovery pass: prioritized contract context plus the
     signal record, findings parsed from the structured reply."""
     lens = DISCOVERY_LENSES.get(tag, DISCOVERY_LENSES["B"])
-    ranked = contract_priorities(ccim, merged)[:top_n]
+    ranked = contract_priorities(ccim, merged)[:DISCOVERY_CONTRACTS]
     blocks = []
     for contract, score in ranked:
         bodies = "\n".join(r.body for r in ccim.records if r.owner == contract)
@@ -244,11 +251,9 @@ def build_phase_c_interactions(ccim: CcimModel) -> list[InteractionGroup]:
 
 
 def run_phase_c(ccim: CcimModel, reasoner: Reasoner,
-                groups: list[InteractionGroup] | None = None,
                 budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
-    groups = build_phase_c_interactions(ccim) if groups is None else groups
     findings = []
-    for group in groups:
+    for group in build_phase_c_interactions(ccim):
         members = "\n".join(
             f"// {k[0]}.{k[1]}\n{rec.body}"
             for k in group.members if (rec := ccim.record(*k)) is not None
@@ -270,8 +275,7 @@ def run_phase_c(ccim: CcimModel, reasoner: Reasoner,
 # --- phase D ---------------------------------------------------------------
 
 
-def _vector_match(finding: Finding, signals: MergedSignals | None,
-                  catalogue: dict[str, tuple[str, ...]]) -> bool:
+def _vector_match(finding: Finding, signals: MergedSignals | None) -> bool:
     if signals is None:
         return False
     text = finding.text().lower()
@@ -279,25 +283,23 @@ def _vector_match(finding: Finding, signals: MergedSignals | None,
     for s in signals.retained:
         if s.function not in affected:
             continue
-        for prefix, keywords in catalogue.items():
+        for prefix, keywords in DEFAULT_VECTOR_CATALOGUE.items():
             if s.id.startswith(prefix) and any(k in text for k in keywords):
                 return True
     return False
 
 
 def phase_d_prefilter(finding: Finding, ccim: CcimModel,
-                      signals: MergedSignals | None = None,
-                      catalogue: dict[str, tuple[str, ...]] | None = None) -> str:
+                      signals: MergedSignals | None = None) -> str:
     """Deterministic routing: exactly one of ADMIN_TRUST, VECTOR_CONFIRMED,
     GRAPH_SKIP or NEEDS_REASONER, in that precedence order."""
-    catalogue = DEFAULT_VECTOR_CATALOGUE if catalogue is None else catalogue
     records = ccim.records_of(finding.affected_functions)
 
     external = [r for r in records if r.vis in ("public", "external")]
     if external and all(ccim.is_admin(r.key) for r in external):
         return ROUTE_ADMIN_TRUST
 
-    if (_vector_match(finding, signals, catalogue)
+    if (_vector_match(finding, signals)
             and finding.confidence >= VECTOR_MIN_CONFIDENCE
             and finding.evidence_lines
             and len(finding.attack_scenario) >= VECTOR_MIN_TRACE_CHARS):

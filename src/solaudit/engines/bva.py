@@ -160,12 +160,13 @@ def _sub_formula_mismatch(ccim: CcimModel, source: AuditSource) -> list[Signal]:
     signals = []
     for contract in _scope_contracts(ccim):
         records = {r.name.lower(): r for r in _contract_records(ccim, contract)}
+        shapes = {r.key: _muldiv_shapes(r) for r in records.values()}
         for a_stem, b_stem in COUNTER_STEMS:
             pairs = [(ra, rb) for na, ra in records.items() if na.startswith(a_stem)
                      for nb, rb in records.items() if nb.startswith(b_stem)]
             for ra, rb in pairs:
-                for ops_a, ids_a in _muldiv_shapes(ra):
-                    for ops_b, ids_b in _muldiv_shapes(rb):
+                for ops_a, ids_a in shapes[ra.key]:
+                    for ops_b, ids_b in shapes[rb.key]:
                         if ops_a != ops_b and ids_a & ids_b:
                             signals.append(Signal(
                                 source_tag="BVA", id="bva-formula-mismatch",

@@ -38,14 +38,8 @@ class MergedSignals:
     per_engine: dict[str, tuple[Signal, ...]]
     stats: dict[str, dict[str, int]]     # tag -> {"before": n, "after": m}
     cap_applied: bool
+    retained: tuple[Signal, ...]         # every kept signal, highest rank first
     cap: int = DEFAULT_SIGNAL_CAP
-
-    @property
-    def retained(self) -> list[Signal]:
-        out: list[Signal] = []
-        for tag in sorted(self.per_engine):
-            out.extend(self.per_engine[tag])
-        return sorted(out, key=_sort_key)
 
 
 def _sort_key(s: Signal) -> tuple:
@@ -64,7 +58,7 @@ def merge_signals(engine_outputs: dict[str, list[Signal]],
             before[s.source_tag] = before.get(s.source_tag, 0) + 1
             pooled.append(s)
     pooled.sort(key=_sort_key)
-    retained = pooled[:cap]
+    retained = tuple(pooled[:cap])
     cap_applied = len(pooled) > cap
 
     per_engine: dict[str, tuple[Signal, ...]] = {
@@ -73,7 +67,8 @@ def merge_signals(engine_outputs: dict[str, list[Signal]],
     }
     stats = {tag: {"before": before[tag], "after": len(per_engine[tag])}
              for tag in per_engine}
-    return MergedSignals(per_engine=per_engine, stats=stats, cap_applied=cap_applied, cap=cap)
+    return MergedSignals(per_engine=per_engine, stats=stats, cap_applied=cap_applied,
+                         retained=retained, cap=cap)
 
 
 def render_markdown(merged: MergedSignals) -> str:

@@ -101,12 +101,18 @@ def renumber(findings: list[Finding], pipeline: str) -> list[Finding]:
     return findings
 
 
+def reply_list(payload: dict, key: str) -> list:
+    """The list a reply holds under `key`; any other shape reads as empty."""
+    value = payload.get(key)
+    return value if isinstance(value, list) else []
+
+
 def finding_from_payload(payload: dict, pipeline: str,
                          default_functions: list[tuple[str, str]] | None = None) -> Finding | None:
     """Build a Finding from a structured reasoner payload, tolerating missing
     fields; returns None when no affected function can be attributed."""
     functions: list[tuple[str, str]] = []
-    for item in payload.get("functions") or payload.get("affected_functions") or []:
+    for item in reply_list(payload, "functions") or reply_list(payload, "affected_functions"):
         if isinstance(item, (list, tuple)) and len(item) == 2:
             functions.append((str(item[0]), str(item[1])))
         elif isinstance(item, str) and "." in item:
@@ -119,7 +125,7 @@ def finding_from_payload(payload: dict, pipeline: str,
     severity = str(payload.get("severity", "MEDIUM")).upper()
     if severity not in SEVERITY_RANK:
         severity = "MEDIUM"
-    lines = [int(x) for x in payload.get("evidence_lines", []) if isinstance(x, (int, float))]
+    lines = [int(x) for x in reply_list(payload, "evidence_lines") if isinstance(x, (int, float))]
     single = payload.get("evidence_line")
     if isinstance(single, (int, float)):
         lines.append(int(single))
@@ -142,11 +148,8 @@ def findings_from(payload: dict, pipeline: str,
                   default_functions: list[tuple[str, str]] | None = None) -> list[Finding]:
     """The findings of a reply's "findings" list; entries that are not
     objects or that name no affected function are skipped."""
-    raw = payload.get("findings")
-    if not isinstance(raw, list):
-        return []
     found = (finding_from_payload(item, pipeline, default_functions)
-             for item in raw if isinstance(item, dict))
+             for item in reply_list(payload, "findings") if isinstance(item, dict))
     return [f for f in found if f is not None]
 
 

@@ -19,6 +19,7 @@ from .findings import (
     finding_from_payload,
     findings_from,
     renumber,
+    reply_list,
     severity_cap,
     severity_down,
 )
@@ -175,7 +176,8 @@ def _reasoner_triage(ccim, contracts, reasoner, budget) -> list[tuple[FnKey, FnK
     if reply is None:
         return []
     return [((str(raw[0]), str(raw[1])), (str(raw[2]), str(raw[3])))
-            for raw in reply.get("pairs", []) if isinstance(raw, (list, tuple)) and len(raw) == 4]
+            for raw in reply_list(reply, "pairs")
+            if isinstance(raw, (list, tuple)) and len(raw) == 4]
 
 
 # --- stage 2: skeleton-only specification inference ------------------------
@@ -218,8 +220,8 @@ def infer_spec(pair: tuple[FnKey, FnKey], ccim: CcimModel, reasoner: Reasoner,
     return BehaviorSpec(
         pair=pair,
         lifecycle=str(reply.get("lifecycle", "")),
-        agreed_variables=[str(v) for v in reply.get("agreed_variables", [])],
-        assumptions=[str(a) for a in reply.get("assumptions", [])],
+        agreed_variables=[str(v) for v in reply_list(reply, "agreed_variables")],
+        assumptions=[str(a) for a in reply_list(reply, "assumptions")],
     )
 
 
@@ -258,7 +260,7 @@ def spec_verify(pair: tuple[FnKey, FnKey], spec: BehaviorSpec, ccim: CcimModel,
     if reply is None:
         return []
     findings = []
-    for raw in reply.get("items", []):
+    for raw in reply_list(reply, "items"):
         if not isinstance(raw, dict):
             continue
         if str(raw.get("status", "")).upper() != "VIOLATE":

@@ -1,8 +1,10 @@
 """Abstract reasoning backend plus a deterministic, scriptable mock.
 
 Every stage that would consult a language model goes through this interface;
-the mock makes the whole system runnable and testable offline. A live adapter
-can subclass Reasoner, but nothing in the package requires one.
+the mock makes the whole system runnable and testable offline. The boundary
+carries only the structured reply: `Reasoner.respond` returns the reply
+payload as a dict or raises `ReasonerError`, an unparseable reply included.
+A live adapter can subclass Reasoner, but nothing in the package requires one.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import json
 import logging
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -20,7 +22,7 @@ DEFAULT_CHAR_BUDGET = 24_000
 
 
 class ReasonerError(Exception):
-    """Base class for backend failures (transport, timeout)."""
+    """Base class for backend failures (transport, timeout, unparseable reply)."""
 
 
 class BudgetExceededError(ReasonerError):
@@ -33,17 +35,6 @@ class ReasonerRequest:
     prompt: str
     schema: str                 # expected response schema id
     budget: int = DEFAULT_CHAR_BUDGET
-
-
-@dataclass(frozen=True)
-class ReasonerResponse:
-    raw: str
-    payload: dict | None = None
-    parse_failed: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.payload is not None and not self.parse_failed
 
 
 # schema-valid defaults returned by the mock for unscripted requests
@@ -67,7 +58,9 @@ class Reasoner:
     """Interface: respond to a structured request, and expose per-stage call
     counters so tests can assert which stages consulted the backend."""
 
-    def respond(self, request: ReasonerRequest) -> ReasonerResponse:
+    def respond(self, request: ReasonerRequest) -> dict:
+        """The reply payload. Raises `ReasonerError` on any failure, a reply
+        that does not parse to a JSON object included."""
         raise NotImplementedError
 
     def call_count(self, stage: str) -> int:
@@ -92,19 +85,30 @@ class MockReasoner(Reasoner):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockReasoner":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        entries = [
-            ScriptEntry(
+        """Load a JSON script: an object whose "responses" list holds entries
+        with a "stage", an optional "match" and a "response" object. A file
+        that cannot be read or has another shape raises ValueError."""
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"mock script {path}: {exc}") from exc
+        responses = data.get("responses", []) if isinstance(data, dict) else None
+        if not isinstance(responses, list):
+            raise ValueError(f'mock script {path}: expected an object with a "responses" list')
+        entries = []
+        for i, e in enumerate(responses):
+            if not (isinstance(e, dict) and "stage" in e and isinstance(e.get("response"), dict)):
+                raise ValueError(f'mock script {path}: entry {i} needs a "stage" and a '
+                                 f'"response" object')
+            match = e.get("match", [])
+            entries.append(ScriptEntry(
                 stage=str(e["stage"]),
-                match=tuple(e.get("match", [])) if isinstance(e.get("match", []), list)
-                else (str(e.get("match")),),
+                match=tuple(map(str, match)) if isinstance(match, list) else (str(match),),
                 response=dict(e["response"]),
-            )
-            for e in data.get("responses", [])
-        ]
+            ))
         return cls(entries)
 
-    def respond(self, request: ReasonerRequest) -> ReasonerResponse:
+    def respond(self, request: ReasonerRequest) -> dict:
         with self._lock:
             self._counts[request.stage] += 1
         if len(request.prompt) > request.budget:
@@ -115,10 +119,8 @@ class MockReasoner(Reasoner):
             if entry.stage != request.stage:
                 continue
             if all(s in request.prompt for s in entry.match):
-                return ReasonerResponse(raw=json.dumps(entry.response, sort_keys=True),
-                                        payload=dict(entry.response))
-        default = SCHEMA_DEFAULTS.get(request.schema, {})
-        return ReasonerResponse(raw=json.dumps(default, sort_keys=True), payload=dict(default))
+                return dict(entry.response)
+        return dict(SCHEMA_DEFAULTS.get(request.schema, {}))
 
     def call_count(self, stage: str) -> int:
         with self._lock:
@@ -131,31 +133,10 @@ class MockReasoner(Reasoner):
 
 def ask(reasoner: Reasoner, stage: str, prompt: str, budget: int,
         schema: str | None = None) -> dict | None:
-    """One round trip: the reply payload, or None after logging a backend
-    failure or an unparseable reply. `schema` defaults to the stage name."""
+    """One round trip: the reply payload, or None after logging the
+    `ReasonerError` of a failed one. `schema` defaults to the stage name."""
     try:
-        response = reasoner.respond(ReasonerRequest(stage, prompt, schema or stage, budget))
+        return reasoner.respond(ReasonerRequest(stage, prompt, schema or stage, budget))
     except ReasonerError as exc:
         log.warning("%s reasoner failure (%s)", stage, exc)
         return None
-    if not response.ok:
-        log.warning("%s reply unparseable", stage)
-        return None
-    return response.payload
-
-
-def parse_structured(raw: str) -> dict | None:
-    """Best-effort JSON extraction from a raw model reply."""
-    raw = raw.strip()
-    try:
-        value = json.loads(raw)
-        return value if isinstance(value, dict) else None
-    except json.JSONDecodeError:
-        start, end = raw.find("{"), raw.rfind("}")
-        if 0 <= start < end:
-            try:
-                value = json.loads(raw[start:end + 1])
-                return value if isinstance(value, dict) else None
-            except json.JSONDecodeError:
-                return None
-    return None

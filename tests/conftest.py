@@ -9,9 +9,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from corpus import REPOS, write_repo  # noqa: E402
 
+from solaudit import cli  # noqa: E402
 from solaudit.ccim import CcimModel, assemble_ccim  # noqa: E402
 from solaudit.engines import run_engines  # noqa: E402
 from solaudit.ingest import AuditSource, build_audit_source, classify_files, resolve_remappings  # noqa: E402
+from solaudit.reasoner import MockReasoner  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +41,17 @@ def models(sources) -> dict[str, CcimModel]:
 @pytest.fixture(scope="session")
 def merged_signals(models, sources):
     return {name: run_engines(models[name], sources[name]) for name in REPOS}
+
+
+@pytest.fixture
+def made_reasoners(monkeypatch) -> list[MockReasoner]:
+    """Every mock reasoner that `cli.main` constructs, to read its counters."""
+    made = []
+
+    class Kept(MockReasoner):
+        def __init__(self, script=None):
+            super().__init__(script)
+            made.append(self)
+
+    monkeypatch.setattr(cli, "MockReasoner", Kept)
+    return made

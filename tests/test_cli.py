@@ -1,7 +1,8 @@
 """End-to-end tests of `cli.run` and `cli.main`: golden reports over corpus
-repos, exit codes against the severity gate, malformed external reports, the
-one-claim-check-per-finding budget of phase D, whole prompts under a tight
-character budget, and the overlap of the two audit pipelines."""
+repos, exit codes against the severity gate, malformed external reports,
+malformed reasoner replies and mock scripts, the one-claim-check-per-finding
+budget of phase D, whole prompts under a tight character budget, and the
+overlap of the two audit pipelines."""
 
 from __future__ import annotations
 
@@ -152,6 +153,8 @@ def test_golden_vault_reaches_every_verification_path():
     assert uncertain_d
     flags = set().union(*(f["flags"] for f in doc["findings"]))
     assert {"gap-reaudit", "blindspot-review", "unverified"} <= flags
+    # three blind-spot findings are refuted before admission and use up no id
+    assert [f["id"] for f in doc["findings"] if "blindspot-review" in f["flags"]] == ["B-001"]
 
 
 def test_main_exit_codes(tmp_path):
@@ -182,6 +185,54 @@ def test_malformed_external_report_is_ignored(tmp_path, caplog, payload):
     assert "malformed" in caplog.text
     golden = (GOLDEN_REPORT / "itpc_chain.report.json").read_text(encoding="utf-8")
     assert (out / "report.json").read_text(encoding="utf-8") == golden
+
+
+# a reply whose list field holds another shape reads as an empty list
+MALFORMED_REPLIES = {
+    "phase_c-evidence_lines": ("cycle", "phase_c", {"verdict": "VULNERABLE", "evidence_lines": 7}),
+    "phase_c-functions": ("cycle", "phase_c", {"verdict": "VULNERABLE", "functions": 5}),
+    "phase_a-items": ("vault_oracle", "phase_a", {"items": 5}),
+    "stage3-items": ("vault_oracle", "stage3_verify", {"items": 5}),
+    "triage-pairs": ("vault_oracle", "stage1_triage", {"pairs": 5}),
+    "spec-agreed_variables": ("vault_oracle", "stage2_spec", {"agreed_variables": 5}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPLIES))
+def test_malformed_reply_degrades(tmp_path, made_reasoners, case):
+    repo, stage, reply = MALFORMED_REPLIES[case]
+    out = tmp_path / "out"
+    script = _script_file(tmp_path, [{"stage": stage, "match": [], "response": reply}])
+    code = cli.main(["--path", str(_repo(tmp_path, repo)), "--out", str(out),
+                     "--mock-script", str(script)])
+    assert made_reasoners[0].call_count(stage) > 0
+    assert code in (cli.EXIT_CLEAN, cli.EXIT_FINDINGS)
+    assert (out / "report.json").is_file() and (out / "report.md").is_file()
+
+
+# script file text -> the words the error must name besides the file
+BAD_SCRIPTS = {
+    "missing-file": (None, ()),
+    "top-level-array": ("[1, 2]", ()),
+    "entry-without-stage": ('{"responses": [{"stage": "phase_a", "response": {}}, '
+                            '{"response": {}}]}', ("entry 1",)),
+    "response-not-an-object": ('{"responses": [{"stage": "phase_a", "response": 5}]}',
+                               ("entry 0",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCRIPTS))
+def test_malformed_mock_script_exits_with_error(tmp_path, capsys, case):
+    text, words = BAD_SCRIPTS[case]
+    script = tmp_path / "script.json"
+    if text is not None:
+        script.write_text(text, encoding="utf-8")
+    code = cli.main(["--path", str(_repo(tmp_path, "cycle")), "--out", str(tmp_path / "out"),
+                     "--mock-script", str(script)])
+    assert code == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(script) in err
+    assert all(w in err for w in words), err
 
 
 class _RequestLog(MockReasoner):

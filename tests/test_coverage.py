@@ -102,7 +102,7 @@ def test_gap_reaudit_prompts(models):
 
 
 def test_gap_reaudit_empty(models):
-    assert gap_reaudit_prompts((), models["vault_oracle"]) == []
+    assert gap_reaudit_prompts((), models["vault_oracle"], set()) == []
 
 
 def test_risk_profile_dominance(models):

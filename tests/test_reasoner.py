@@ -11,7 +11,6 @@ from solaudit.reasoner import (
     ReasonerRequest,
     SCHEMA_DEFAULTS,
     ScriptEntry,
-    parse_structured,
 )
 
 
@@ -22,15 +21,12 @@ def _req(stage="phase_a", prompt="hello Vault.withdraw", schema="phase_a", budge
 def test_scripted_response_verbatim():
     mock = MockReasoner([ScriptEntry(stage="phase_a", match=("Vault.withdraw",),
                                      response={"items": [{"verdict": "REAL"}]})])
-    response = mock.respond(_req())
-    assert response.payload == {"items": [{"verdict": "REAL"}]}
+    assert mock.respond(_req()) == {"items": [{"verdict": "REAL"}]}
 
 
 def test_unscripted_returns_schema_default():
     mock = MockReasoner()
-    response = mock.respond(_req(schema="sve_layer2"))
-    assert response.payload == SCHEMA_DEFAULTS["sve_layer2"]
-    assert response.ok
+    assert mock.respond(_req(schema="sve_layer2")) == SCHEMA_DEFAULTS["sve_layer2"]
 
 
 def test_budget_exceeded():
@@ -42,13 +38,13 @@ def test_budget_exceeded():
 def test_match_requires_all_substrings():
     mock = MockReasoner([ScriptEntry(stage="phase_a", match=("alpha", "beta"),
                                      response={"items": [1]})])
-    assert mock.respond(_req(prompt="has alpha only")).payload == SCHEMA_DEFAULTS["phase_a"]
-    assert mock.respond(_req(prompt="alpha and beta")).payload == {"items": [1]}
+    assert mock.respond(_req(prompt="has alpha only")) == SCHEMA_DEFAULTS["phase_a"]
+    assert mock.respond(_req(prompt="alpha and beta")) == {"items": [1]}
 
 
 def test_stage_mismatch_falls_through():
     mock = MockReasoner([ScriptEntry(stage="phase_e", match=(), response={"severity": "LOW"})])
-    assert mock.respond(_req(stage="phase_a")).payload == SCHEMA_DEFAULTS["phase_a"]
+    assert mock.respond(_req(stage="phase_a")) == SCHEMA_DEFAULTS["phase_a"]
 
 
 def test_call_counters():
@@ -66,7 +62,7 @@ def test_determinism_identical_sequences():
     script = [ScriptEntry(stage="phase_a", match=("x",), response={"items": [{"v": 1}]})]
     a, b = MockReasoner(script), MockReasoner(script)
     reqs = [_req(prompt="x marks"), _req(prompt="no match"), _req(prompt="x again")]
-    assert [a.respond(r).raw for r in reqs] == [b.respond(r).raw for r in reqs]
+    assert [a.respond(r) for r in reqs] == [b.respond(r) for r in reqs]
 
 
 def test_concurrent_counting():
@@ -91,11 +87,24 @@ def test_from_file(tmp_path):
     path = tmp_path / "script.json"
     path.write_text(json.dumps(script))
     mock = MockReasoner.from_file(path)
-    assert mock.respond(_req(prompt="about withdraw")).payload["items"][0]["verdict"] == "REAL"
+    assert mock.respond(_req(prompt="about withdraw"))["items"][0]["verdict"] == "REAL"
 
 
-def test_parse_structured():
-    assert parse_structured('{"a": 1}') == {"a": 1}
-    assert parse_structured('prose before {"a": 1} prose after') == {"a": 1}
-    assert parse_structured("not json at all") is None
-    assert parse_structured("[1, 2]") is None
+
+def test_reply_is_a_copy():
+    # a caller that edits its reply must not change the script or the defaults
+    mock = MockReasoner([ScriptEntry(stage="phase_a", match=("x",), response={"items": []})])
+    mock.respond(_req(prompt="x"))["items"] = [1]
+    mock.respond(_req(prompt="y"))["items"] = [1]
+    assert mock.respond(_req(prompt="x")) == {"items": []}
+    assert mock.respond(_req(prompt="y")) == SCHEMA_DEFAULTS["phase_a"] == {"items": []}
+
+
+def test_from_file_reads_match_items_as_text(tmp_path):
+    # a number in "match" would make every prompt test raise TypeError
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({"responses": [
+        {"stage": "phase_a", "match": [42], "response": {"items": [1]}}]}))
+    mock = MockReasoner.from_file(path)
+    assert mock.respond(_req(prompt="line 42")) == {"items": [1]}
+    assert mock.respond(_req(prompt="line 7")) == SCHEMA_DEFAULTS["phase_a"]
