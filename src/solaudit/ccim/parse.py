@@ -45,14 +45,17 @@ _IDENT_RE = re.compile(r"(?<![\w.])[A-Za-z_]\w*")  # a whole identifier, not a m
 _ASSIGN_OP_RE = re.compile(r"(=(?!=)|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)")
 _COMPOUND_OP_RE = re.compile(r"(\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)")
 _ELEMENTARY_RE = re.compile(r"^(u?int\d*|bool|bytes\d*|byte|string)(\[\s*\w*\s*\])*$")
-_FUND_RES = [
+# native ether leaving the contract; token transfers also move funds
+NATIVE_OUT_RES = (
     re.compile(r"\.\s*transfer\s*\("),
     re.compile(r"\.\s*send\s*\("),
     re.compile(r"\.\s*call\s*\{\s*value\s*:"),
+)
+_FUND_RES = NATIVE_OUT_RES + (
     re.compile(r"\.\s*transferFrom\s*\("),
     re.compile(r"\.\s*safeTransfer\s*\("),
     re.compile(r"\.\s*safeTransferFrom\s*\("),
-]
+)
 
 
 def normalize_predicate(text: str) -> str:

@@ -4,12 +4,10 @@ merge, reduction funnel, coverage and report emission."""
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 from .ccim import assemble_ccim
 from .coverage import (
@@ -21,7 +19,7 @@ from .coverage import (
     gap_reaudit_prompts,
 )
 from .dossier import dd_run
-from .engines import DEFAULT_SIGNAL_CAP, Signal, ingest_external, run_engines
+from .engines import DEFAULT_SIGNAL_CAP, ingest_external, run_engines
 from .findings import SEVERITY_RANK, Finding, findings_from
 from .funnel import deterministically_refuted, run_funnel
 from .ingest import IngestError, build_audit_source, classify_files, resolve_remappings
@@ -56,19 +54,6 @@ class RunConfig:
             raise ValueError("at least one report format must be selected")
         if self.severity_gate not in SEVERITY_RANK:
             raise ValueError(f"unknown severity gate {self.severity_gate!r}")
-
-
-def _load_external(config: RunConfig, offsets) -> list[Signal]:
-    signals: list[Signal] = []
-    for raw_path in config.external_signals:
-        try:
-            data = json.loads(Path(raw_path).read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            data = None  # ingest_external reports the problem
-        name = str(data.get("tool", "slither")).lower() if isinstance(data, dict) else ""
-        tool = "MYT" if name.startswith("myt") else "SLI"
-        signals.extend(ingest_external(raw_path, tool, offsets))
-    return signals
 
 
 def _identity(f: Finding) -> tuple:
@@ -116,20 +101,20 @@ def run(config: RunConfig, reasoner: Reasoner | None = None) -> AuditReport:
         reasoner = MockReasoner.from_file(config.mock_script) if config.mock_script \
             else MockReasoner()
 
-    external = _load_external(config, source.offsets)
-    merged_signals = run_engines(ccim, source, None, external, config.signal_cap)
+    external = [s for path in config.external_signals
+                for s in ingest_external(path, source.offsets)]
+    merged_signals = run_engines(ccim, None, external, config.signal_cap)
 
     with ThreadPoolExecutor(max_workers=2, thread_name_prefix="pipeline") as pool:
-        dd_future = pool.submit(dd_run, ccim, source, merged_signals, reasoner,
+        dd_future = pool.submit(dd_run, ccim, merged_signals, reasoner,
                                 budget=config.char_budget, extra_phases=config.extra_phases)
-        id_future = pool.submit(id_run, ccim, source, merged_signals, reasoner,
+        id_future = pool.submit(id_run, ccim, merged_signals, reasoner,
                                 budget=config.char_budget, max_pairs=config.max_pairs)
         f_d = dd_future.result()
         f_i = id_future.result()
 
     merged = merge(f_d, f_i, ccim, merged_signals)
-    final, funnel_stats = run_funnel(merged, ccim, source, reasoner,
-                                     merged_signals, config.char_budget)
+    final, funnel_stats = run_funnel(merged, ccim, reasoner, merged_signals, config.char_budget)
 
     features = detect_features(ccim)
     pipeline_findings = list(merged.findings)

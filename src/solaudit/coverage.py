@@ -189,8 +189,6 @@ RISK_WEIGHTS = {
 _FINANCIAL_NAME_RE = re.compile(r"balance|amount|share|debt|reward|fee|price|supply|asset", re.I)
 _ARITH_OP_RE = re.compile(r"[+\-*/%]")
 
-RESIDUAL_STATUSES = ("discussed", "partial-attention", "unattended")
-
 # the structural aspects whose absence near a mention demotes it to
 # partial-attention (config-exposed)
 ASPECT_KEYWORDS = {

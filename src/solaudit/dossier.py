@@ -17,9 +17,9 @@ from .findings import (
     finding_from_payload,
     findings_from,
     renumber,
+    reply_line,
     reply_list,
 )
-from .ingest import AuditSource
 from .reasoner import DEFAULT_CHAR_BUDGET, Reasoner, ask
 
 log = logging.getLogger(__name__)
@@ -68,13 +68,6 @@ class Dossier:
     @property
     def flagged(self) -> bool:
         return bool(self.risk_items)
-
-
-@dataclass(frozen=True)
-class ChecklistVerdict:
-    item_id: str
-    verdict: str                  # REAL | FALSE_POSITIVE | UNCLEAR
-    evidence_line: int | None
 
 
 @dataclass(frozen=True)
@@ -164,8 +157,7 @@ def phase_a_verify(dossier: Dossier, reasoner: Reasoner,
         if not isinstance(raw, dict):
             continue
         verdict = str(raw.get("verdict", "UNCLEAR")).upper()
-        line = raw.get("evidence_line")
-        line = int(line) if isinstance(line, (int, float)) else None
+        line = reply_line(raw.get("evidence_line"))
         if verdict == "REAL" and line is None:
             log.warning("REAL verdict without evidence line on %s; demoted to UNCLEAR",
                         dossier.function)
@@ -230,23 +222,18 @@ def build_phase_c_interactions(ccim: CcimModel) -> list[InteractionGroup]:
     """Writer/reader and caller/callee pairs plus N-way interference groups
     (three or more functions touching one variable)."""
     groups: list[InteractionGroup] = []
-    seen: set[tuple] = set()
     for var in sorted(set(ccim.deps.writers) | set(ccim.deps.readers)):
         writers = ccim.deps.writers.get(var, frozenset())
         readers = ccim.deps.readers.get(var, frozenset())
         for w in sorted(writers):
             for r in sorted(readers):
-                if w != r and ("pair", w, r, var) not in seen:
-                    seen.add(("pair", w, r, var))
+                if w != r:
                     groups.append(InteractionGroup("pair", (w, r), var))
         touchers = sorted(writers | readers)
-        if len(touchers) >= 3 and ("nway", var) not in seen:
-            seen.add(("nway", var))
+        if len(touchers) >= 3:
             groups.append(InteractionGroup("nway", tuple(touchers), var))
     for f, g in sorted(ccim.graph.edges):
-        if ("pair", f, g, "call") not in seen:
-            seen.add(("pair", f, g, "call"))
-            groups.append(InteractionGroup("pair", (f, g), "call"))
+        groups.append(InteractionGroup("pair", (f, g), "call"))
     return groups
 
 
@@ -329,8 +316,8 @@ def _normalize_quote(text: str) -> str:
     return " ".join(text.split())
 
 
-def phase_d_claim_first(finding: Finding, ccim: CcimModel, source: AuditSource,
-                        reasoner: Reasoner, budget: int = DEFAULT_CHAR_BUDGET) -> str:
+def phase_d_claim_first(finding: Finding, ccim: CcimModel, reasoner: Reasoner,
+                        budget: int = DEFAULT_CHAR_BUDGET) -> str:
     """Claim-first verification: DISPROVED is accepted only when the reply
     quotes a concrete preventing line present in the source block as sent,
     after the budget cut."""
@@ -353,8 +340,8 @@ def phase_d_claim_first(finding: Finding, ccim: CcimModel, source: AuditSource,
     return verdict
 
 
-def phase_d_verify(finding: Finding, ccim: CcimModel, source: AuditSource,
-                   reasoner: Reasoner, signals: MergedSignals | None = None,
+def phase_d_verify(finding: Finding, ccim: CcimModel, reasoner: Reasoner,
+                   signals: MergedSignals | None = None,
                    budget: int = DEFAULT_CHAR_BUDGET) -> tuple[str, str | None]:
     """Route one finding and apply the route's side effects. Only the
     NEEDS_REASONER route is claim-checked: the verdict is recorded on the
@@ -369,7 +356,7 @@ def phase_d_verify(finding: Finding, ccim: CcimModel, source: AuditSource,
     if route != ROUTE_NEEDS_REASONER:
         return route, None
     if finding.claim_verdict is None:
-        finding.claim_verdict = phase_d_claim_first(finding, ccim, source, reasoner, budget)
+        finding.claim_verdict = phase_d_claim_first(finding, ccim, reasoner, budget)
     return route, finding.claim_verdict
 
 
@@ -422,17 +409,12 @@ def phase_e_recalibrate(finding: Finding, ccim: CcimModel, reasoner: Reasoner,
 # --- pipeline runner -------------------------------------------------------
 
 
-def dd_run(ccim: CcimModel, source: AuditSource, merged: MergedSignals,
-           reasoner: Reasoner, *, budget: int = DEFAULT_CHAR_BUDGET,
-           extra_phases: tuple[str, ...] = (),
-           annotations: dict | None = None) -> list[Finding]:
+def dd_run(ccim: CcimModel, merged: MergedSignals, reasoner: Reasoner, *,
+           budget: int = DEFAULT_CHAR_BUDGET,
+           extra_phases: tuple[str, ...] = ()) -> list[Finding]:
     """Full dossier-driven pipeline: dossiers -> A -> discovery (B..) -> C ->
     D routing/claim-first -> E recalibration -> renumbered finding set."""
-    notes = annotations if annotations is not None else {}
-    dossiers = compile_dossiers(ccim, merged)
-    flagged = [d for d in dossiers if d.flagged]
-    notes["dossiers"] = len(dossiers)
-    notes["flagged"] = len(flagged)
+    flagged = [d for d in compile_dossiers(ccim, merged) if d.flagged]
 
     findings: list[Finding] = []
     for d in flagged:
@@ -442,10 +424,8 @@ def dd_run(ccim: CcimModel, source: AuditSource, merged: MergedSignals,
     findings.extend(run_phase_c(ccim, reasoner, budget=budget))
 
     survivors: list[Finding] = []
-    routes: dict[str, int] = {}
     for f in findings:
-        route, verdict = phase_d_verify(f, ccim, source, reasoner, merged, budget)
-        routes[route] = routes.get(route, 0) + 1
+        route, verdict = phase_d_verify(f, ccim, reasoner, merged, budget)
         if route == ROUTE_GRAPH_SKIP:
             log.info("finding %r disproved as unreachable (view/pure, no call-graph presence)", f.title)
             continue
@@ -455,7 +435,6 @@ def dd_run(ccim: CcimModel, source: AuditSource, merged: MergedSignals,
         if verdict == "UNCLEAR":
             f.flags.add("unverified")
         survivors.append(f)
-    notes["phase_d_routes"] = routes
 
     for f in survivors:
         phase_e_recalibrate(f, ccim, reasoner, budget)

@@ -10,7 +10,6 @@ import logging
 from typing import Callable
 
 from ..ccim import CcimModel
-from ..ingest import AuditSource
 from .behavior import infer_preconditions, itpc_high_risk, run_bpm, run_cir, run_ira, run_itpc_lite
 from .bva import COUNTER_STEMS, run_bva
 from .external import ingest_external
@@ -26,22 +25,19 @@ from .signal import (
 
 log = logging.getLogger(__name__)
 
-EngineFn = Callable[[CcimModel, AuditSource], list]
-
-DEFAULT_ENGINES: tuple[tuple[str, EngineFn], ...] = (
+DEFAULT_ENGINES = (
     ("BVA", run_bva),
-    ("BPM", lambda ccim, source: run_bpm(ccim)),
-    ("CIR", lambda ccim, source: run_cir(ccim)),
-    ("IRA", lambda ccim, source: run_ira(ccim)),
-    ("ITPC", lambda ccim, source: run_itpc_lite(ccim)),
+    ("BPM", run_bpm),
+    ("CIR", run_cir),
+    ("IRA", run_ira),
+    ("ITPC", run_itpc_lite),
     ("PATTERNS", run_pattern_detectors),
 )
 
 
 def run_engines(
     ccim: CcimModel,
-    source: AuditSource,
-    engines: tuple[tuple[str, EngineFn], ...] | None = None,
+    engines: tuple[tuple[str, Callable[[CcimModel], list]], ...] | None = None,
     external: list[Signal] | None = None,
     cap: int = DEFAULT_SIGNAL_CAP,
 ) -> MergedSignals:
@@ -49,7 +45,7 @@ def run_engines(
     outputs: dict[str, list[Signal]] = {tag: [] for tag in ENGINE_TAGS}
     for label, fn in engines if engines is not None else DEFAULT_ENGINES:
         try:
-            produced = fn(ccim, source)
+            produced = fn(ccim)
         except Exception as exc:
             log.warning("engine %s failed (%s); empty fallback recorded", label, exc)
             produced = []

@@ -8,7 +8,7 @@ import logging
 import re
 
 from ..ccim import CcimModel, FunctionRecord
-from ..ingest import AuditSource
+from ..ccim.parse import NATIVE_OUT_RES
 from .signal import Signal
 
 log = logging.getLogger(__name__)
@@ -16,13 +16,7 @@ log = logging.getLogger(__name__)
 _BOUND_RE = re.compile(
     r"(?:require\s*\(|if\s*\()\s*([A-Za-z_]\w*)\s*(<=|>=|<|>)\s*(\d+(?:e\d+)?)"
 )
-_NATIVE_OUT_RES = [
-    re.compile(r"\.\s*transfer\s*\("),
-    re.compile(r"\.\s*send\s*\("),
-    re.compile(r"\.\s*call\s*\{\s*value\s*:"),
-]
 _MULDIV_STMT_RE = re.compile(r"[^;{}]+")
-_LIT_RE = re.compile(r"\b(\d+(?:\.\d+)?e\d+|\d+)\b")
 _POW_RE = re.compile(r"\b(\d+)\s*\*\*\s*(\d+)\b")
 
 UINT256_MAX = 2 ** 256 - 1
@@ -37,12 +31,13 @@ def _contract_records(ccim: CcimModel, contract: str) -> list[FunctionRecord]:
     return [r for r in ccim.records if r.owner == contract]
 
 
-def _scope_contracts(ccim: CcimModel) -> list[str]:
-    # in-scope, non-framework: concrete contracts from the scope list
+def scope_contracts(ccim: CcimModel) -> list[str]:
+    """In-scope concrete contracts, in scope order: the contracts whose
+    functions the BVA and pattern engines examine."""
     return [c for c in ccim.scope if ccim.resolution.kinds.get(c, "contract") == "contract"]
 
 
-def run_bva(ccim: CcimModel, source: AuditSource) -> list[Signal]:
+def run_bva(ccim: CcimModel) -> list[Signal]:
     signals: list[Signal] = []
     sub_analyzers = (
         ("rationality", _sub_rationality),
@@ -54,7 +49,7 @@ def run_bva(ccim: CcimModel, source: AuditSource) -> list[Signal]:
     )
     for name, fn in sub_analyzers:
         try:
-            signals.extend(fn(ccim, source))
+            signals.extend(fn(ccim))
         except Exception as exc:
             log.warning("BVA sub-analyzer %s failed (%s); continuing", name, exc)
     return signals
@@ -70,9 +65,9 @@ def _bounds(record: FunctionRecord) -> list[tuple[str, str, float, int]]:
 
 
 # (iii) rationality: bounds on the same variable must admit at least one value
-def _sub_rationality(ccim: CcimModel, source: AuditSource) -> list[Signal]:
+def _sub_rationality(ccim: CcimModel) -> list[Signal]:
     signals = []
-    for contract in _scope_contracts(ccim):
+    for contract in scope_contracts(ccim):
         for rec in _contract_records(ccim, contract):
             by_var: dict[str, list[tuple[str, float, int]]] = {}
             for var, op, value, pos in _bounds(rec):
@@ -97,14 +92,14 @@ def _sub_rationality(ccim: CcimModel, source: AuditSource) -> list[Signal]:
 
 
 # (iv) locked-ETH: a payable receive path with no native withdrawal path
-def _sub_locked_ether(ccim: CcimModel, source: AuditSource) -> list[Signal]:
+def _sub_locked_ether(ccim: CcimModel) -> list[Signal]:
     signals = []
-    for contract in _scope_contracts(ccim):
+    for contract in scope_contracts(ccim):
         records = _contract_records(ccim, contract)
         receivers = [r for r in records if r.mut == "payable"]
         if not receivers:
             continue
-        if any(any(rx.search(r.masked_body) for rx in _NATIVE_OUT_RES) for r in records):
+        if any(any(rx.search(r.masked_body) for rx in NATIVE_OUT_RES) for r in records):
             continue
         entry = min(receivers, key=lambda r: r.src[0])
         signals.append(Signal(
@@ -117,14 +112,14 @@ def _sub_locked_ether(ccim: CcimModel, source: AuditSource) -> list[Signal]:
 
 
 # (v) read-before-write: reads of state that nothing ever writes or initializes
-def _sub_read_before_write(ccim: CcimModel, source: AuditSource) -> list[Signal]:
+def _sub_read_before_write(ccim: CcimModel) -> list[Signal]:
     initialized = set()
     for decl in ccim.parsed.decls:
         for sv in decl.state_vars:
             if sv.has_initializer:
                 initialized.add(f"{decl.name}.{sv.name}")
     signals = []
-    scope = set(_scope_contracts(ccim))
+    scope = set(scope_contracts(ccim))
     for var in sorted(ccim.deps.readers):
         if var in initialized or ccim.deps.writers.get(var):
             continue
@@ -156,9 +151,9 @@ def _muldiv_shapes(record: FunctionRecord) -> list[tuple[str, frozenset[str]]]:
 
 
 # (vi) formula-mismatch across paired functions
-def _sub_formula_mismatch(ccim: CcimModel, source: AuditSource) -> list[Signal]:
+def _sub_formula_mismatch(ccim: CcimModel) -> list[Signal]:
     signals = []
-    for contract in _scope_contracts(ccim):
+    for contract in scope_contracts(ccim):
         records = {r.name.lower(): r for r in _contract_records(ccim, contract)}
         shapes = {r.key: _muldiv_shapes(r) for r in records.values()}
         for a_stem, b_stem in COUNTER_STEMS:
@@ -190,9 +185,9 @@ def _literal_value(token: str) -> int | None:
 
 
 # (vii) small-scale symbolic evaluation: constant folding of literal arithmetic
-def _sub_symbolic_eval(ccim: CcimModel, source: AuditSource) -> list[Signal]:
+def _sub_symbolic_eval(ccim: CcimModel) -> list[Signal]:
     signals = []
-    for contract in _scope_contracts(ccim):
+    for contract in scope_contracts(ccim):
         for rec in _contract_records(ccim, contract):
             # the fold keeps every newline, so a line count over `folded`
             # plus the line of the opening brace locates a match
@@ -232,9 +227,9 @@ def _sub_symbolic_eval(ccim: CcimModel, source: AuditSource) -> list[Signal]:
 
 
 # (viii) invariant consistency: writers of a bounded variable that skip the bound
-def _sub_invariant_consistency(ccim: CcimModel, source: AuditSource) -> list[Signal]:
+def _sub_invariant_consistency(ccim: CcimModel) -> list[Signal]:
     signals = []
-    scope = set(_scope_contracts(ccim))
+    scope = set(scope_contracts(ccim))
     for var in sorted(ccim.deps.writers):
         plain = var.split(".", 1)[-1]
         writers = [w for w in sorted(ccim.deps.writers[var]) if w[0] in scope]

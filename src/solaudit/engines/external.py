@@ -8,9 +8,11 @@ Expected JSON shape:
          "contract": "Vault", "function": "withdraw", "confidence": 0.8}
     ]}
 
-`file` + `line` are translated through the offset map into concatenation
-space; a bare `line` is taken to already be in concatenation space. Running
-the tools themselves is out of scope; only their normalized output is read.
+The signals are tagged MYT when `tool` starts with "myt" (Mythril) and SLI
+otherwise. `file` + `line` are translated through the offset map into
+concatenation space; a bare `line` is taken to already be in concatenation
+space. Running the tools themselves is out of scope; only their normalized
+output is read.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import logging
 from pathlib import Path
 
+from ..findings import reply_line
 from ..ingest import OffsetMap
 from .signal import Signal
 
@@ -40,10 +43,9 @@ def _map_severity(raw) -> str:
 
 
 def _translate_line(entry: dict, offsets: OffsetMap | None) -> int | None:
-    line = entry.get("line")
-    if not isinstance(line, (int, float)):
+    line = reply_line(entry.get("line"))
+    if line is None:
         return None
-    line = int(line)
     file = entry.get("file")
     if file and offsets is not None:
         for seg in offsets.segments:
@@ -60,12 +62,8 @@ def _translate_line(entry: dict, offsets: OffsetMap | None) -> int | None:
     return line
 
 
-def ingest_external(path: str | Path, tool: str,
-                    offsets: OffsetMap | None = None) -> list[Signal]:
+def ingest_external(path: str | Path, offsets: OffsetMap | None = None) -> list[Signal]:
     """Parse one normalized report into signals tagged SLI or MYT."""
-    tool = tool.upper()
-    if tool not in ("SLI", "MYT"):
-        raise ValueError(f"unknown external tool tag {tool!r}")
     path = Path(path)
     if not path.is_file():
         log.warning("external report not found: %s", path)
@@ -79,6 +77,7 @@ def ingest_external(path: str | Path, tool: str,
     if not isinstance(entries, list):
         log.warning("malformed external report %s (no findings list); ignored", path)
         return []
+    tool = "MYT" if str(data.get("tool", "slither")).lower().startswith("myt") else "SLI"
 
     signals: list[Signal] = []
     for i, entry in enumerate(entries):

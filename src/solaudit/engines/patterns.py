@@ -9,7 +9,7 @@ import re
 
 from ..ccim import CcimModel, FunctionRecord
 from ..ccim.parse import match_brace
-from ..ingest import AuditSource
+from .bva import scope_contracts
 from .signal import Signal
 
 log = logging.getLogger(__name__)
@@ -102,9 +102,9 @@ _RULES = (
 )
 
 
-def run_pattern_detectors(ccim: CcimModel, source: AuditSource) -> list[Signal]:
+def run_pattern_detectors(ccim: CcimModel) -> list[Signal]:
     signals: list[Signal] = []
-    scope = {c for c in ccim.scope if ccim.resolution.kinds.get(c, "contract") == "contract"}
+    scope = set(scope_contracts(ccim))
     for rec in sorted(ccim.records, key=lambda r: r.src[0]):
         if rec.owner not in scope or "{" not in rec.body:
             continue

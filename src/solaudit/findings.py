@@ -3,6 +3,7 @@ the structural card used for root-cause clustering."""
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -11,10 +12,6 @@ SEVERITY_RANK = {s: i for i, s in enumerate(SEVERITIES)}
 
 CONF_MIN = 0.05
 CONF_MAX = 0.95
-
-ATTACKER_ROLES = ("unauthenticated", "user", "admin", "contract")
-IMPACT_CLASSES = ("fund-theft", "fund-freeze", "state-corruption",
-                  "privilege-escalation", "dos", "info")
 
 # keyword table for impact classification; first matching class wins
 IMPACT_KEYWORDS: tuple[tuple[str, tuple[str, ...]], ...] = (
@@ -107,6 +104,14 @@ def reply_list(payload: dict, key: str) -> list:
     return value if isinstance(value, list) else []
 
 
+def reply_line(value) -> int | None:
+    """A line number read from a reply or report: an int for a finite
+    number, None for anything else (text, NaN, infinity)."""
+    if isinstance(value, int) or (isinstance(value, float) and math.isfinite(value)):
+        return int(value)
+    return None
+
+
 def finding_from_payload(payload: dict, pipeline: str,
                          default_functions: list[tuple[str, str]] | None = None) -> Finding | None:
     """Build a Finding from a structured reasoner payload, tolerating missing
@@ -125,10 +130,9 @@ def finding_from_payload(payload: dict, pipeline: str,
     severity = str(payload.get("severity", "MEDIUM")).upper()
     if severity not in SEVERITY_RANK:
         severity = "MEDIUM"
-    lines = [int(x) for x in reply_list(payload, "evidence_lines") if isinstance(x, (int, float))]
-    single = payload.get("evidence_line")
-    if isinstance(single, (int, float)):
-        lines.append(int(single))
+    lines = {reply_line(x) for x in reply_list(payload, "evidence_lines")}
+    lines.add(reply_line(payload.get("evidence_line")))
+    lines.discard(None)
     conf = payload.get("confidence")
     confidence = clamp_confidence(float(conf)) if isinstance(conf, (int, float)) else 0.4
     return Finding(
@@ -139,7 +143,7 @@ def finding_from_payload(payload: dict, pipeline: str,
         attack_scenario=str(payload.get("attack_scenario", "")),
         severity=severity,
         affected_functions=functions,
-        evidence_lines=sorted(set(lines)),
+        evidence_lines=sorted(lines),
         confidence=confidence,
     )
 
@@ -154,9 +158,6 @@ def findings_from(payload: dict, pipeline: str,
 
 
 # claim-type classification shared by the reduction funnel and verdict engine
-
-CLAIM_TYPES = ("MISSING_ACCESS_CONTROL", "REENTRANCY", "INTEGER_OVERFLOW_GE08",
-               "EVM_RACE", "OTHER")
 
 _CLAIM_RES: tuple[tuple[str, re.Pattern], ...] = (
     ("EVM_RACE", re.compile(r"\brace condition\b|\bevm race\b", re.I)),

@@ -21,7 +21,6 @@ from .dossier import (
 )
 from .engines import MergedSignals
 from .findings import Finding, classify_claim, classify_impact
-from .ingest import AuditSource
 from .interaction import SELF_DISPROVING_PHRASES
 from .merge import MergedFindingSet
 from .reasoner import DEFAULT_CHAR_BUDGET, Reasoner, ask
@@ -124,12 +123,12 @@ def stage2_filter(finding: Finding, ccim: CcimModel) -> VerdictRecord:
     return VerdictRecord(finding.id, "stage2", "PASSED", "")
 
 
-def stage3_route_and_verify(finding: Finding, ccim: CcimModel, source: AuditSource,
-                            reasoner: Reasoner, signals: MergedSignals | None = None,
+def stage3_route_and_verify(finding: Finding, ccim: CcimModel, reasoner: Reasoner,
+                            signals: MergedSignals | None = None,
                             budget: int = DEFAULT_CHAR_BUDGET) -> VerdictRecord:
     """The only reasoner-bearing stage; the three deterministic short-circuits
     bypass it whenever the verdict is structurally decidable."""
-    route, verdict = phase_d_verify(finding, ccim, source, reasoner, signals, budget)
+    route, verdict = phase_d_verify(finding, ccim, reasoner, signals, budget)
     if route == ROUTE_ADMIN_TRUST:
         return VerdictRecord(finding.id, "stage3", "PASSED", "admin-trust short-circuit")
     if route == ROUTE_VECTOR_CONFIRMED:
@@ -190,8 +189,8 @@ def sve_layer1(finding: Finding, ccim: CcimModel) -> VerdictRecord:
     return VerdictRecord(finding.id, "sve_layer1", "PASSED", "all eight checks passed")
 
 
-def sve_layer2(finding: Finding, ccim: CcimModel, source: AuditSource,
-               reasoner: Reasoner, budget: int = DEFAULT_CHAR_BUDGET) -> VerdictRecord:
+def sve_layer2(finding: Finding, ccim: CcimModel, reasoner: Reasoner,
+               budget: int = DEFAULT_CHAR_BUDGET) -> VerdictRecord:
     """Final evidence-packaged verdict; parse failures and backend failures
     degrade to UNCERTAIN, never to DISPROVED."""
     evidence = {
@@ -229,8 +228,8 @@ def deterministically_refuted(finding: Finding, ccim: CcimModel) -> bool:
                for check in (stage1_verify, stage2_filter, sve_layer1))
 
 
-def run_funnel(merged: MergedFindingSet, ccim: CcimModel, source: AuditSource,
-               reasoner: Reasoner, signals: MergedSignals | None = None,
+def run_funnel(merged: MergedFindingSet, ccim: CcimModel, reasoner: Reasoner,
+               signals: MergedSignals | None = None,
                budget: int = DEFAULT_CHAR_BUDGET) -> tuple[list[Finding], dict]:
     """Apply the stages in cost order over the merged set. Output of every
     stage is a subset of its input; stage failures degrade to pass-through."""
@@ -260,14 +259,13 @@ def run_funnel(merged: MergedFindingSet, ccim: CcimModel, source: AuditSource,
 
     apply_stage("stage1", lambda f: stage1_verify(f, ccim))
     apply_stage("stage2", lambda f: stage2_filter(f, ccim))
-    apply_stage("stage3", lambda f: stage3_route_and_verify(f, ccim, source, reasoner,
-                                                            signals, budget))
+    apply_stage("stage3", lambda f: stage3_route_and_verify(f, ccim, reasoner, signals, budget))
     # stage 4 (clustering and scoring) already ran inside the merge; the funnel
     # re-reads the post-merge confidence without touching membership
     stats["stages"].append({"stage": "stage4", "in": len(current), "out": len(current),
                             "verdicts": {"SCORED": len(current)}})
     apply_stage("sve_layer1", lambda f: sve_layer1(f, ccim))
-    apply_stage("sve_layer2", lambda f: sve_layer2(f, ccim, source, reasoner, budget))
+    apply_stage("sve_layer2", lambda f: sve_layer2(f, ccim, reasoner, budget))
 
     stats["final"] = len(current)
     return current, stats

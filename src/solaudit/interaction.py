@@ -19,11 +19,11 @@ from .findings import (
     finding_from_payload,
     findings_from,
     renumber,
+    reply_line,
     reply_list,
     severity_cap,
     severity_down,
 )
-from .ingest import AuditSource
 from .reasoner import DEFAULT_CHAR_BUDGET, Reasoner, ask
 
 log = logging.getLogger(__name__)
@@ -265,9 +265,8 @@ def spec_verify(pair: tuple[FnKey, FnKey], spec: BehaviorSpec, ccim: CcimModel,
             continue
         if str(raw.get("status", "")).upper() != "VIOLATE":
             continue
-        line = raw.get("evidence_line")
         trace = str(raw.get("trace") or "")
-        if not isinstance(line, (int, float)) and not trace.strip():
+        if reply_line(raw.get("evidence_line")) is None and not trace.strip():
             log.info("VIOLATE item without citation or trace rejected on %s", pair)
             continue
         payload = dict(raw)
@@ -411,14 +410,11 @@ def recalibrate_severity(findings: list[Finding], ccim: CcimModel) -> list[Findi
 # --- pipeline runner --------------------------------------------------------
 
 
-def id_run(ccim: CcimModel, source: AuditSource, merged: MergedSignals,
-           reasoner: Reasoner, *, budget: int = DEFAULT_CHAR_BUDGET,
-           max_pairs: int = 16, annotations: dict | None = None) -> list[Finding]:
+def id_run(ccim: CcimModel, merged: MergedSignals, reasoner: Reasoner, *,
+           budget: int = DEFAULT_CHAR_BUDGET, max_pairs: int = 16) -> list[Finding]:
     """Full interaction-driven pipeline: pair selection -> spec inference ->
     spec-then-verify (+ standalone slots) -> stage-5 cleanup."""
-    notes = annotations if annotations is not None else {}
     pairs = select_pairs(ccim, merged, reasoner, budget)[:max_pairs]
-    notes["pairs"] = [tuple(map(".".join, c.pair)) for c in pairs]
 
     findings: list[Finding] = []
     for cand in pairs:

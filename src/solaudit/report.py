@@ -8,7 +8,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ccim import CcimModel, ccim_to_dict
+from .ccim import CcimModel
 from .coverage import CoverageReport, ResidualClassification
 from .findings import Finding
 from .funnel import stats_to_dict

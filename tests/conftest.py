@@ -39,8 +39,8 @@ def models(sources) -> dict[str, CcimModel]:
 
 
 @pytest.fixture(scope="session")
-def merged_signals(models, sources):
-    return {name: run_engines(models[name], sources[name]) for name in REPOS}
+def merged_signals(models):
+    return {name: run_engines(models[name]) for name in REPOS}
 
 
 @pytest.fixture

@@ -1,8 +1,8 @@
 """End-to-end tests of `cli.run` and `cli.main`: golden reports over corpus
 repos, exit codes against the severity gate, malformed external reports,
-malformed reasoner replies and mock scripts, the one-claim-check-per-finding
-budget of phase D, whole prompts under a tight character budget, and the
-overlap of the two audit pipelines."""
+malformed reasoner replies and mock scripts, non-finite line numbers, the
+one-claim-check-per-finding budget of phase D, whole prompts under a tight
+character budget, and the overlap of the two audit pipelines."""
 
 from __future__ import annotations
 
@@ -187,7 +187,17 @@ def test_malformed_external_report_is_ignored(tmp_path, caplog, payload):
     assert (out / "report.json").read_text(encoding="utf-8") == golden
 
 
-# a reply whose list field holds another shape reads as an empty list
+def test_external_report_non_finite_line_degrades(tmp_path):
+    external = tmp_path / "external.json"
+    external.write_text('{"findings": [{"detector": "x", "line": 1e999}]}', encoding="utf-8")
+    code, out = _main(tmp_path, "itpc_chain", "--external-signals", str(external))
+    assert code in (cli.EXIT_CLEAN, cli.EXIT_FINDINGS)
+    assert (out / "report.json").is_file() and (out / "report.md").is_file()
+
+
+# a reply whose list field holds another shape reads as an empty list, and
+# a line number that is no finite number is dropped (the script file holds
+# it as Infinity or NaN, which JSON also reads from 1e999 or NaN)
 MALFORMED_REPLIES = {
     "phase_c-evidence_lines": ("cycle", "phase_c", {"verdict": "VULNERABLE", "evidence_lines": 7}),
     "phase_c-functions": ("cycle", "phase_c", {"verdict": "VULNERABLE", "functions": 5}),
@@ -195,6 +205,14 @@ MALFORMED_REPLIES = {
     "stage3-items": ("vault_oracle", "stage3_verify", {"items": 5}),
     "triage-pairs": ("vault_oracle", "stage1_triage", {"pairs": 5}),
     "spec-agreed_variables": ("vault_oracle", "stage2_spec", {"agreed_variables": 5}),
+    "phase_c-line-inf": ("cycle", "phase_c",
+                         {"verdict": "VULNERABLE", "evidence_lines": [float("inf")]}),
+    "phase_c-line-nan": ("cycle", "phase_c",
+                         {"verdict": "VULNERABLE", "evidence_lines": [float("nan")]}),
+    "phase_a-line-inf": ("vault_oracle", "phase_a",
+                         {"items": [{"verdict": "REAL", "evidence_line": float("inf")}]}),
+    "stage3-line-inf": ("vault_oracle", "stage3_verify",
+                        {"items": [{"status": "VIOLATE", "evidence_line": float("inf")}]}),
 }
 
 

@@ -266,21 +266,21 @@ def test_expand_source_block_includes_neighbors(models):
     assert "ChainOracle.latestPrice" in block  # callee pulled in
 
 
-def test_claim_first_disproved_needs_real_quote(models, sources):
+def test_claim_first_disproved_needs_real_quote(models):
     ccim = models["vault_oracle"]
     f = make_finding(functions=[("Vault", "withdraw")])
     quoting = scripted([{
         "stage": "phase_d", "match": [],
         "response": {"verdict": "DISPROVED", "quote": "require(amount > 0, \"zero\");"},
     }])
-    assert phase_d_claim_first(f, ccim, sources["vault_oracle"], quoting) == "DISPROVED"
+    assert phase_d_claim_first(f, ccim, quoting) == "DISPROVED"
 
     f2 = make_finding(functions=[("Vault", "withdraw")])
     asserting = scripted([{
         "stage": "phase_d", "match": [],
         "response": {"verdict": "DISPROVED", "quote": ""},
     }])
-    assert phase_d_claim_first(f2, ccim, sources["vault_oracle"], asserting) == "UNCLEAR"
+    assert phase_d_claim_first(f2, ccim, asserting) == "UNCLEAR"
     assert "protocol-violation" in f2.flags
 
     f3 = make_finding(functions=[("Vault", "withdraw")])
@@ -288,31 +288,30 @@ def test_claim_first_disproved_needs_real_quote(models, sources):
         "stage": "phase_d", "match": [],
         "response": {"verdict": "DISPROVED", "quote": "this line is not in the source"},
     }])
-    assert phase_d_claim_first(f3, ccim, sources["vault_oracle"], fabricated) == "UNCLEAR"
+    assert phase_d_claim_first(f3, ccim, fabricated) == "UNCLEAR"
 
 
-def test_claim_first_confirmed(models, sources):
+def test_claim_first_confirmed(models):
     f = make_finding(functions=[("Vault", "withdraw")])
     confirming = scripted([{
         "stage": "phase_d", "match": [],
         "response": {"verdict": "CONFIRMED", "quote": ""},
     }])
-    assert phase_d_claim_first(f, models["vault_oracle"], sources["vault_oracle"],
-                               confirming) == "CONFIRMED"
+    assert phase_d_claim_first(f, models["vault_oracle"], confirming) == "CONFIRMED"
 
 
-def test_phase_d_verify_records_verdict_once(models, sources):
-    ccim, source = models["vault_oracle"], sources["vault_oracle"]
+def test_phase_d_verify_records_verdict_once(models):
+    ccim = models["vault_oracle"]
     f = make_finding(functions=[("Vault", "withdraw")])
     offline = ThrowingReasoner()
     for _ in range(2):
-        assert phase_d_verify(f, ccim, source, offline) == (ROUTE_NEEDS_REASONER, "UNCLEAR")
+        assert phase_d_verify(f, ccim, offline) == (ROUTE_NEEDS_REASONER, "UNCLEAR")
     assert offline.calls == 1
     assert f.claim_verdict == "UNCLEAR"
     assert "reasoner-failure" in f.flags
 
     admin = make_finding(severity="CRITICAL", functions=[("Vault", "setOracle")])
-    assert phase_d_verify(admin, ccim, source, offline) == (ROUTE_ADMIN_TRUST, None)
+    assert phase_d_verify(admin, ccim, offline) == (ROUTE_ADMIN_TRUST, None)
     assert admin.severity == "LOW" and "admin-trust" in admin.flags
     assert admin.claim_verdict is None and offline.calls == 1
 
@@ -375,7 +374,7 @@ def test_phase_e_reasoner_failure_unchanged(models):
 # --- full pipeline -------------------------------------------------------------
 
 
-def test_dd_run_end_to_end(models, sources, merged_signals):
+def test_dd_run_end_to_end(models, merged_signals):
     ccim = models["vault_oracle"]
     rec = ccim.record("Vault", "withdraw")
     reasoner = scripted([{
@@ -386,23 +385,19 @@ def test_dd_run_end_to_end(models, sources, merged_signals):
                                 "description": "owner-rotated oracle reprices withdrawals",
                                 "severity": "HIGH"}]},
     }])
-    notes: dict = {}
-    findings = dd_run(ccim, sources["vault_oracle"], merged_signals["vault_oracle"],
-                      reasoner, annotations=notes)
+    findings = dd_run(ccim, merged_signals["vault_oracle"], reasoner)
     assert findings
     assert all(f.id.startswith("D-") for f in findings)
-    assert notes["flagged"] >= 1
-    assert sum(notes["phase_d_routes"].values()) >= len(findings)
 
 
-def test_dd_run_unflagged_dossiers_skip_reasoner(models, sources):
+def test_dd_run_unflagged_dossiers_skip_reasoner(models):
     ccim = models["guards_majority"]
     reasoner = MockReasoner()
-    dd_run(ccim, sources["guards_majority"], merge_signals({}), reasoner)
+    dd_run(ccim, merge_signals({}), reasoner)
     assert reasoner.call_count("phase_a") == 0
 
 
-def test_graph_skip_drops_finding(models, sources):
+def test_graph_skip_drops_finding(models):
     ccim = models["patterns"]
     reasoner = scripted([{
         "stage": "phase_b", "match": [],
@@ -411,5 +406,5 @@ def test_graph_skip_drops_finding(models, sources):
                                    "severity": "LOW",
                                    "functions": [["Risky", "ratio"]]}]},
     }])
-    findings = dd_run(ccim, sources["patterns"], merge_signals({}), reasoner)
+    findings = dd_run(ccim, merge_signals({}), reasoner)
     assert not [f for f in findings if ("Risky", "ratio") in f.affected_functions]

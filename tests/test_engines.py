@@ -28,22 +28,22 @@ def _ids(signals):
 # --- BVA ----------------------------------------------------------------------
 
 
-def test_bva_locked_ether(models, sources):
-    signals = run_bva(models["locked_ether"], sources["locked_ether"])
+def test_bva_locked_ether(models):
+    signals = run_bva(models["locked_ether"])
     locked = [s for s in signals if s.id == "bva-locked-ether"]
     assert len(locked) == 1
     assert locked[0].function == ("Locker", "receive")
 
 
-def test_bva_formula_mismatch(models, sources):
-    signals = run_bva(models["formula_pair"], sources["formula_pair"])
+def test_bva_formula_mismatch(models):
+    signals = run_bva(models["formula_pair"])
     mism = [s for s in signals if s.id == "bva-formula-mismatch"]
     assert len(mism) == 1
     assert mism[0].function[0] == "Pricer"  # ConsistentPricer stays clean
 
 
-def test_bva_quiet_on_clean_contract(models, sources):
-    signals = run_bva(models["bidirectional"], sources["bidirectional"])
+def test_bva_quiet_on_clean_contract(models):
+    signals = run_bva(models["bidirectional"])
     assert signals == []
 
 
@@ -62,7 +62,7 @@ def test_bva_irrational_bound(tmp_path):
         "}\n"
     )
     source = build_audit_source(classify_files(tmp_path))
-    signals = run_bva(assemble_ccim(source), source)
+    signals = run_bva(assemble_ccim(source))
     assert "bva-irrational-bound" in _ids(signals)
 
 
@@ -81,7 +81,7 @@ def test_bva_literal_arithmetic(tmp_path):
         "}\n"
     )
     source = build_audit_source(classify_files(tmp_path))
-    ids = _ids(run_bva(assemble_ccim(source), source))
+    ids = _ids(run_bva(assemble_ccim(source)))
     assert "bva-division-by-zero" in ids
     assert "bva-literal-overflow" in ids
     assert "bva-literal-underflow" in ids
@@ -103,19 +103,19 @@ def test_bva_literal_line_hint_below_multiline_header(tmp_path):
         "}\n"
     )
     source = build_audit_source(classify_files(tmp_path))
-    hits = [s for s in run_bva(assemble_ccim(source), source) if s.id == "bva-division-by-zero"]
+    hits = [s for s in run_bva(assemble_ccim(source)) if s.id == "bva-division-by-zero"]
     assert [s.line_hint for s in hits] == [7]
 
 
-def test_bva_sub_analyzer_isolation(models, sources, monkeypatch, caplog):
+def test_bva_sub_analyzer_isolation(models, monkeypatch, caplog):
     import solaudit.engines.bva as bva_mod
 
-    def boom(ccim, source):
+    def boom(ccim):
         raise RuntimeError("injected")
 
     monkeypatch.setattr(bva_mod, "_sub_locked_ether", boom)
     with caplog.at_level("WARNING"):
-        signals = bva_mod.run_bva(models["locked_ether"], sources["locked_ether"])
+        signals = bva_mod.run_bva(models["locked_ether"])
     assert "bva-locked-ether" not in _ids(signals)
     assert "locked-ether" in caplog.text  # logged, not raised
 
@@ -171,8 +171,8 @@ def test_ira_unresolved_target(models):
 # --- pattern detectors ----------------------------------------------------------
 
 
-def test_pattern_catalogue_hits(models, sources):
-    signals = run_pattern_detectors(models["patterns"], sources["patterns"])
+def test_pattern_catalogue_hits(models):
+    signals = run_pattern_detectors(models["patterns"])
     by_id = {}
     for s in signals:
         by_id.setdefault(s.id, []).append(s)
@@ -185,13 +185,13 @@ def test_pattern_catalogue_hits(models, sources):
     assert ("Risky", "timing") in [s.function for s in by_id["ccpti-unit-mismatch"]]
 
 
-def test_pattern_clean_token_quiet(models, sources):
-    signals = run_pattern_detectors(models["patterns"], sources["patterns"])
+def test_pattern_clean_token_quiet(models):
+    signals = run_pattern_detectors(models["patterns"])
     assert not [s for s in signals if s.function and s.function[0] == "CleanToken"]
 
 
 def test_pattern_line_hints_map(models, sources):
-    signals = run_pattern_detectors(models["patterns"], sources["patterns"])
+    signals = run_pattern_detectors(models["patterns"])
     for s in signals:
         assert s.line_hint is not None
         map_line(sources["patterns"].offsets, s.line_hint)  # must not raise
@@ -224,7 +224,7 @@ def test_ingest_external_normalized(tmp_path, sources):
     }
     path = tmp_path / "sli.json"
     path.write_text(json.dumps(report))
-    signals = ingest_external(path, "SLI", sources["vault_oracle"].offsets)
+    signals = ingest_external(path, sources["vault_oracle"].offsets)
     assert len(signals) == 3
     assert signals[0].severity == "HIGH"
     assert signals[0].source_tag == "SLI"
@@ -235,9 +235,20 @@ def test_ingest_external_normalized(tmp_path, sources):
     assert signals[2].severity == "INFO"  # unknown mapped to INFO
 
 
+@pytest.mark.parametrize("report, tag", [
+    ({"tool": "mythril", "findings": [{"detector": "integer"}]}, "MYT"),
+    ({"findings": [{"detector": "integer"}]}, "SLI"),
+])
+def test_ingest_external_tags_by_tool(tmp_path, report, tag):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    [signal] = ingest_external(path)
+    assert (signal.source_tag, signal.id) == (tag, f"{tag.lower()}-integer")
+
+
 def test_ingest_external_missing_file(tmp_path, caplog):
     with caplog.at_level("WARNING"):
-        assert ingest_external(tmp_path / "nope.json", "MYT") == []
+        assert ingest_external(tmp_path / "nope.json") == []
     assert "not found" in caplog.text
 
 
@@ -247,7 +258,7 @@ def test_ingest_external_malformed(tmp_path, caplog):
         path.write_text(text)
         caplog.clear()
         with caplog.at_level("WARNING"):
-            assert ingest_external(path, "SLI") == [], text
+            assert ingest_external(path) == [], text
         assert "malformed" in caplog.text, text
 
 
@@ -303,15 +314,12 @@ def test_merge_stats_and_markdown():
     assert render_markdown(merged) == text  # deterministic
 
 
-def test_run_engines_isolation(models, sources):
-    def throwing_engine(ccim, source):
+def test_run_engines_isolation(models):
+    def throwing_engine(ccim):
         raise RuntimeError("kaboom")
 
-    merged = run_engines(
-        models["vault_oracle"], sources["vault_oracle"],
-        engines=(("BROKEN", throwing_engine),
-                 ("IRA", lambda c, s: run_ira(c))),
-    )
+    merged = run_engines(models["vault_oracle"],
+                         engines=(("BROKEN", throwing_engine), ("IRA", run_ira)))
     assert merged.per_engine["IRA"]
     assert all(not v for k, v in merged.per_engine.items() if k != "IRA")
 

@@ -111,38 +111,37 @@ def test_stage2_ordinary_passes(models):
 # --- stage 3 -----------------------------------------------------------------------
 
 
-def test_stage3_admin_trust_no_reasoner(models, sources):
+def test_stage3_admin_trust_no_reasoner(models):
     f = make_finding(severity="CRITICAL", functions=[("Vault", "setOracle")])
     reasoner = MockReasoner()
-    record = stage3_route_and_verify(f, models["vault_oracle"], sources["vault_oracle"], reasoner)
+    record = stage3_route_and_verify(f, models["vault_oracle"], reasoner)
     assert record.verdict == "PASSED"
     assert f.severity == "LOW"
     assert reasoner.total_calls() == 0
 
 
-def test_stage3_graph_skip_disproved(models, sources):
+def test_stage3_graph_skip_disproved(models):
     f = make_finding(functions=[("Risky", "ratio")])
     reasoner = MockReasoner()
-    record = stage3_route_and_verify(f, models["patterns"], sources["patterns"], reasoner)
+    record = stage3_route_and_verify(f, models["patterns"], reasoner)
     assert record.verdict == "DISPROVED"
     assert reasoner.total_calls() == 0
 
 
-def test_stage3_quoted_guard_disproves(models, sources):
+def test_stage3_quoted_guard_disproves(models):
     f = make_finding(functions=[("Vault", "withdraw")])
     reasoner = scripted([{
         "stage": "phase_d", "match": [],
         "response": {"verdict": "DISPROVED", "quote": "require(amount > 0, \"zero\");"},
     }])
-    record = stage3_route_and_verify(f, models["vault_oracle"], sources["vault_oracle"], reasoner)
+    record = stage3_route_and_verify(f, models["vault_oracle"], reasoner)
     assert record.verdict == "DISPROVED"
     assert record.reasoner_used
 
 
-def test_stage3_reasoner_offline_uncertain(models, sources):
+def test_stage3_reasoner_offline_uncertain(models):
     f = make_finding(functions=[("Vault", "withdraw")])
-    record = stage3_route_and_verify(f, models["vault_oracle"], sources["vault_oracle"],
-                                     ThrowingReasoner())
+    record = stage3_route_and_verify(f, models["vault_oracle"], ThrowingReasoner())
     assert record.verdict == "UNCERTAIN"
 
 
@@ -202,30 +201,29 @@ def test_sve1_clean_finding_passes(models):
 # --- verdict engine layer 2 ------------------------------------------------------------
 
 
-def test_sve2_verified_maps_confirmed(models, sources):
+def test_sve2_verified_maps_confirmed(models):
     f = make_finding(functions=[("Vault", "withdraw")])
     reasoner = scripted([{"stage": "sve_layer2", "match": [],
                           "response": {"verdict": "VERIFIED", "argument": "evidence holds"}}])
-    assert sve_layer2(f, models["vault_oracle"], sources["vault_oracle"], reasoner).verdict \
+    assert sve_layer2(f, models["vault_oracle"], reasoner).verdict \
         == "CONFIRMED"
 
 
-def test_sve2_disproved_needs_argument(models, sources):
+def test_sve2_disproved_needs_argument(models):
     f = make_finding(functions=[("Vault", "withdraw")])
     with_arg = scripted([{"stage": "sve_layer2", "match": [],
                           "response": {"verdict": "DISPROVED", "quote": "require(amount > 0)"}}])
-    assert sve_layer2(f, models["vault_oracle"], sources["vault_oracle"], with_arg).verdict \
+    assert sve_layer2(f, models["vault_oracle"], with_arg).verdict \
         == "DISPROVED"
     without = scripted([{"stage": "sve_layer2", "match": [],
                          "response": {"verdict": "DISPROVED"}}])
-    assert sve_layer2(f, models["vault_oracle"], sources["vault_oracle"], without).verdict \
+    assert sve_layer2(f, models["vault_oracle"], without).verdict \
         == "UNCERTAIN"
 
 
-def test_sve2_failure_uncertain(models, sources):
+def test_sve2_failure_uncertain(models):
     f = make_finding(functions=[("Vault", "withdraw")])
-    assert sve_layer2(f, models["vault_oracle"], sources["vault_oracle"],
-                      ThrowingReasoner()).verdict == "UNCERTAIN"
+    assert sve_layer2(f, models["vault_oracle"], ThrowingReasoner()).verdict == "UNCERTAIN"
 
 
 # --- full funnel ---------------------------------------------------------------------------
@@ -283,7 +281,7 @@ def _guarded_model(tmp_path):
     return assemble_ccim(build_audit_source(classify_files(tmp_path)))
 
 
-def test_funnel_removes_hallucinations_keeps_genuine(models, sources, tmp_path):
+def test_funnel_removes_hallucinations_keeps_genuine(models, tmp_path):
     ccim = models["vault_oracle"]
     f_d, f_i = _adversarial_set(models)
     # D-002 targets the nonReentrant fixture; merge against the vault model
@@ -299,7 +297,7 @@ def test_funnel_removes_hallucinations_keeps_genuine(models, sources, tmp_path):
 
     reasoner = MockReasoner()
     merged = merge(f_d, f_i, ccim)
-    final, stats = run_funnel(merged, ccim, sources["vault_oracle"], reasoner)
+    final, stats = run_funnel(merged, ccim, reasoner)
 
     assert {f.id for f in final} == {"D-006", "I-001"}
     assert all("cross-pipeline" in f.flags for f in final)
@@ -315,29 +313,28 @@ def test_funnel_removes_hallucinations_keeps_genuine(models, sources, tmp_path):
             assert not record.reasoner_used
 
 
-def test_funnel_empty_input(models, sources):
+def test_funnel_empty_input(models):
     merged = merge([], [], models["vault_oracle"])
-    final, stats = run_funnel(merged, models["vault_oracle"], sources["vault_oracle"],
-                              MockReasoner())
+    final, stats = run_funnel(merged, models["vault_oracle"], MockReasoner())
     assert final == []
     assert stats["final"] == 0
 
 
-def test_funnel_idempotent(models, sources):
+def test_funnel_idempotent(models):
     ccim = models["vault_oracle"]
     f_d, f_i = _adversarial_set(models)
     f_d = [f for f in f_d if f.id != "D-002"]
     merged = merge(f_d, f_i, ccim)
-    final, _ = run_funnel(merged, ccim, sources["vault_oracle"], MockReasoner())
+    final, _ = run_funnel(merged, ccim, MockReasoner())
 
     snapshot = [(f.id, f.severity, sorted(f.flags)) for f in final]
     merged2 = merge([f for f in final if f.pipeline == "D"],
                     [f for f in final if f.pipeline == "I"], ccim)
-    final2, _ = run_funnel(merged2, ccim, sources["vault_oracle"], MockReasoner())
+    final2, _ = run_funnel(merged2, ccim, MockReasoner())
     assert [(f.id, f.severity, sorted(f.flags)) for f in final2] == snapshot
 
 
-def test_funnel_stage_failure_degrades_to_passthrough(models, sources, monkeypatch, caplog):
+def test_funnel_stage_failure_degrades_to_passthrough(models, monkeypatch, caplog):
     import solaudit.funnel as funnel_mod
     ccim = models["vault_oracle"]
     f = make_finding(fid="D-001", title="plain finding", functions=[("Vault", "withdraw")])
@@ -348,12 +345,12 @@ def test_funnel_stage_failure_degrades_to_passthrough(models, sources, monkeypat
 
     monkeypatch.setattr(funnel_mod, "stage2_filter", broken)
     with caplog.at_level("WARNING"):
-        final, stats = funnel_mod.run_funnel(merged, ccim, sources["vault_oracle"], MockReasoner())
+        final, stats = funnel_mod.run_funnel(merged, ccim, MockReasoner())
     assert [x.id for x in final] == ["D-001"]
     assert "passing through" in caplog.text
 
 
-def test_funnel_complementarity(models, sources):
+def test_funnel_complementarity(models):
     """Each stage removes a finding class no other stage decides."""
     ccim = models["vault_oracle"]
     rec = ccim.record("Vault", "withdraw")
@@ -392,6 +389,5 @@ def test_funnel_complementarity(models, sources):
     assert stage1_verify(copy.deepcopy(skip), patterns).verdict == "PASSED"
     assert stage2_filter(copy.deepcopy(skip), patterns).verdict == "PASSED"
     assert sve_layer1(copy.deepcopy(skip), patterns).verdict == "PASSED"
-    record = stage3_route_and_verify(copy.deepcopy(skip), patterns,
-                                     sources["patterns"], MockReasoner())
+    record = stage3_route_and_verify(copy.deepcopy(skip), patterns, MockReasoner())
     assert record.verdict == "DISPROVED"

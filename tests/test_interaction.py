@@ -336,7 +336,7 @@ def test_filters_never_add_or_raise(models):
 # --- full pipeline --------------------------------------------------------------
 
 
-def test_id_run_end_to_end(models, sources, merged_signals):
+def test_id_run_end_to_end(models, merged_signals):
     reasoner = scripted([
         {"stage": "stage2_spec", "match": ["deposit"],
          "response": {"lifecycle": "deposit then withdraw",
@@ -348,10 +348,7 @@ def test_id_run_end_to_end(models, sources, merged_signals):
                                  "description": "asymmetric accounting between the pair",
                                  "severity": "HIGH"}]}},
     ])
-    notes: dict = {}
-    findings = id_run(models["vault_oracle"], sources["vault_oracle"],
-                      merged_signals["vault_oracle"], reasoner, annotations=notes)
+    findings = id_run(models["vault_oracle"], merged_signals["vault_oracle"], reasoner)
     assert findings
     assert all(f.id.startswith("I-") for f in findings)
     assert all(f.pipeline == "I" for f in findings)
-    assert notes["pairs"]

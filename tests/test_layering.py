@@ -1,0 +1,47 @@
+"""Layering of the package: past the substrate, every stage reads only the
+cross-contract interaction model (CCIM), never the raw audit source."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import solaudit
+
+PACKAGE = Path(solaudit.__file__).parent
+
+# modules allowed to import solaudit.ingest: the entry point, the report's
+# citations, the CCIM build and the external-report line translation
+INGEST_IMPORTERS = {"solaudit.cli", "solaudit.report", "solaudit.engines.external"}
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Absolute names of the modules a file imports, relative imports resolved."""
+    package = _module_name(path).split(".")
+    if path.name != "__init__.py":
+        package = package[:-1]
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level else []
+            stem = ".".join(base + ([node.module] if node.module else []))
+            found.add(stem)
+            found.update(f"{stem}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_only_the_substrate_entry_and_report_import_ingest():
+    importers = {_module_name(p) for p in PACKAGE.rglob("*.py")
+                 if "solaudit.ingest" in _imported_modules(p)}
+    allowed = {m for m in importers
+               if m in INGEST_IMPORTERS or m.startswith("solaudit.ccim.")}
+    assert importers - allowed == set()
+    # the guard reads real imports: the modules known to need the source are found
+    assert {"solaudit.cli", "solaudit.ccim.build", "solaudit.ccim.parse"} <= importers

@@ -78,9 +78,9 @@ def test_payload_fields_share_the_room():
 _ZERO_GUARD = 'require(amount > 0, "zero");'
 
 
-def test_phase_d_quote_past_the_cut_is_a_protocol_violation(models, sources):
+def test_phase_d_quote_past_the_cut_is_a_protocol_violation(models):
     # the quote check reads the source block as sent, not the uncut one
-    ccim, source = models["vault_oracle"], sources["vault_oracle"]
+    ccim = models["vault_oracle"]
     block = expand_source_block(make_finding(functions=[("Vault", "withdraw")]), ccim)
     shell = len(prompts.PHASE_D.format(version=prompts.PROMPT_VERSION, title="finding",
                                        description="", source_block=""))
@@ -89,11 +89,11 @@ def test_phase_d_quote_past_the_cut_is_a_protocol_violation(models, sources):
                    "response": {"verdict": "DISPROVED", "quote": _ZERO_GUARD}}]
 
     f = make_finding(functions=[("Vault", "withdraw")])
-    assert phase_d_claim_first(f, ccim, source, scripted(disproving), cut_before_guard) == "UNCLEAR"
+    assert phase_d_claim_first(f, ccim, scripted(disproving), cut_before_guard) == "UNCLEAR"
     assert "protocol-violation" in f.flags
 
     f = make_finding(functions=[("Vault", "withdraw")])
-    assert phase_d_claim_first(f, ccim, source, scripted(disproving),
+    assert phase_d_claim_first(f, ccim, scripted(disproving),
                                cut_before_guard + len(_ZERO_GUARD)) == "DISPROVED"
     assert not f.flags
 
@@ -102,7 +102,7 @@ def test_phase_d_quote_past_the_cut_is_a_protocol_violation(models, sources):
     quoting_title = [{"stage": "phase_d", "match": [],
                       "response": {"verdict": "DISPROVED", "quote": title}}]
     f = make_finding(title=title, functions=[("Vault", "withdraw")])
-    assert phase_d_claim_first(f, ccim, source, scripted(quoting_title)) == "UNCLEAR"
+    assert phase_d_claim_first(f, ccim, scripted(quoting_title)) == "UNCLEAR"
     assert "protocol-violation" in f.flags
 
 

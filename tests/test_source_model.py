@@ -106,7 +106,7 @@ def test_engines_never_fail_and_footprints_match_brute_force(generated):
     engines_log.addHandler(failures)
     try:
         ccim = assemble_ccim(source)
-        run_engines(ccim, source)
+        run_engines(ccim)
     finally:
         engines_log.removeHandler(failures)
     assert [r.getMessage() for r in failures.records] == []
@@ -133,7 +133,7 @@ def test_audit_parses_the_source_once(sources, monkeypatch):
         for attr, (fn, kind) in originals.items():
             if getattr(module, attr, None) is fn:
                 monkeypatch.setattr(module, attr, counting(fn, kind))
-    run_engines(assemble_ccim(source), source)
+    run_engines(assemble_ccim(source))
     assert calls == {"mask": 1, "scan": 1}
 
 
