@@ -13,8 +13,8 @@ from ..ingest import AuditSource
 from .parse import (
     ContractDecl,
     ancestors_of,
+    balanced,
     extract_approval_recipients,
-    match_paren,
     normalize_predicate,
     parse_function_records,
     parse_source,
@@ -226,11 +226,8 @@ def _postconditions(record: FunctionRecord) -> frozenset[str]:
         expr = m.group(1).strip()
         if expr:
             out.add(normalize_predicate("return " + expr))
-    for m in _EMIT_RE.finditer(body):
-        open_paren = body.find("(", m.start())
-        close = match_paren(body, open_paren)
-        if close > 0:
-            out.add(normalize_predicate("emit " + body[m.start(1):close + 1]))
+    for m, _, close in balanced(body, _EMIT_RE, "()"):
+        out.add(normalize_predicate("emit " + body[m.start(1):close + 1]))
     return frozenset(out)
 
 
@@ -300,7 +297,9 @@ def assemble_ccim(source: AuditSource) -> CcimModel:
     return CcimModel(
         records=tuple(records), resolution=resolution, graph=graph,
         footprints=footprints, deps=deps, trust=trust, admin_set=admin_set,
-        parsed=parsed, scope=source.scope,
+        parsed=parsed,
+        # ingest reads declarations off the raw text, comments included
+        scope=tuple(c for c in source.scope if c in resolution.kinds),
     )
 
 

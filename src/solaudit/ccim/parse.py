@@ -56,6 +56,21 @@ _FUND_RES = NATIVE_OUT_RES + (
     re.compile(r"\.\s*safeTransfer\s*\("),
     re.compile(r"\.\s*safeTransferFrom\s*\("),
 )
+# a line comment, a block comment (`/*/` closes itself; an unterminated one
+# runs to the end), or a quoted literal: group 1 the opening quote, group 2
+# the contents (a backslash escapes the next character), group 3 the closing
+# quote, empty when the literal runs to the end
+_NONCODE_RE = re.compile(
+    r"""//[^\n]*|/(?=\*)[\s\S]*?\*/|/\*[\s\S]*|(["'])((?:\\[\s\S]?|(?!\1)[^\\])*)(\1?)"""
+)
+_NOT_NEWLINE_RE = re.compile(r"[^\n]")
+_BRACKET_RES = {pair: re.compile(f"[{re.escape(pair)}]") for pair in ("{}", "()", "[]")}
+_NESTING_RE = re.compile(r"[([{]|[)\]}]|,")
+_HEADER_END_RE = re.compile(r"[(){;]")
+# one step along an [index] / .member chain after an identifier
+_SUFFIX_STEP_RE = re.compile(r"[ \t]*(?:(\[)|\.\s*([A-Za-z_]\w*))?")
+_REQUIRE_RE = re.compile(r"\brequire\s*\(")
+_APPROVE_RE = re.compile(r"\.\s*(?:approve|safeApprove)\s*\(")
 
 
 def normalize_predicate(text: str) -> str:
@@ -64,66 +79,59 @@ def normalize_predicate(text: str) -> str:
     return re.sub(r"\s+", "", text)
 
 
+def _blank(text: str) -> str:
+    """`text` with every character but a newline turned into a space."""
+    return _NOT_NEWLINE_RE.sub(" ", text)
+
+
+def _blank_noncode(m: re.Match) -> str:
+    if m.group(1) is None:
+        return _blank(m.group())
+    return m.group(1) + _blank(m.group(2)) + m.group(3)
+
+
 def mask_noncode(text: str) -> str:
     """Blank comments and string-literal contents, preserving length and
     line structure so offsets computed on the mask apply to the original."""
-    out = list(text)
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                out[i] = " "
-                i += 1
-        elif c == "/" and i + 1 < n and text[i + 1] == "*":
-            while i < n and not (text[i] == "*" and i + 1 < n and text[i + 1] == "/"):
-                if text[i] != "\n":
-                    out[i] = " "
-                i += 1
-            if i + 1 < n:
-                out[i] = out[i + 1] = " "
-                i += 2
-        elif c in "\"'":
-            quote = c
-            i += 1
-            while i < n and text[i] != quote:
-                if text[i] == "\\":
-                    out[i] = " "
-                    i += 1
-                if i < n and text[i] != "\n":
-                    out[i] = " "
-                i += 1
-            i += 1
-        else:
-            i += 1
-    return "".join(out)
+    return _NONCODE_RE.sub(_blank_noncode, text)
 
 
 def match_brace(text: str, open_pos: int, pair: str = "{}") -> int:
-    """Index of the bracket closing text[open_pos] == pair[0]; -1 if unbalanced."""
+    """Index of the bracket closing text[open_pos] == pair[0]; -1 if unbalanced.
+    `pair` is one of "{}", "()" and "[]"."""
     depth = 0
-    for m in re.compile(f"[{re.escape(pair)}]").finditer(text, open_pos):
+    for m in _BRACKET_RES[pair].finditer(text, open_pos):
         depth += 1 if m.group() == pair[0] else -1
         if depth == 0:
             return m.start()
     return -1
 
 
-def match_paren(text: str, open_pos: int) -> int:
-    return match_brace(text, open_pos, "()")
+def balanced(text: str, opener: re.Pattern, pair: str = "{}"):
+    """(match, open, close) for every `opener` match in `text`: `open` is the
+    first pair[0] at or after the match start and `close` the bracket closing
+    it. A match whose bracket never closes is skipped."""
+    for m in opener.finditer(text):
+        open_pos = text.find(pair[0], m.start())
+        if open_pos < 0:
+            continue
+        close = match_brace(text, open_pos, pair)
+        if close >= 0:
+            yield m, open_pos, close
 
 
 def split_top_level(text: str) -> list[str]:
     """Split on commas at paren/bracket depth zero."""
     parts, depth, start = [], 0, 0
-    for i, c in enumerate(text):
+    for m in _NESTING_RE.finditer(text):
+        c = m.group()
         if c in "([{":
             depth += 1
         elif c in ")]}":
             depth -= 1
-        elif c == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
+        elif depth == 0:
+            parts.append(text[start:m.start()])
+            start = m.end()
     parts.append(text[start:])
     return [p.strip() for p in parts if p.strip()]
 
@@ -203,18 +211,16 @@ def scan_contracts(masked: str, line_starts: tuple[int, ...]) -> list[ContractDe
 
 def _blank_nested_blocks(inner: str) -> str:
     """Blank every brace-delimited block inside a contract body, leaving only
-    contract-level declarations for the state-variable scan."""
-    out = list(inner)
-    depth = 0
-    for i, c in enumerate(inner):
-        if c == "{":
-            depth += 1
-            out[i] = " "
-        elif c == "}":
-            depth -= 1
-            out[i] = " "
-        elif depth > 0 and c != "\n":
-            out[i] = " "
+    contract-level declarations for the state-variable scan. The body was cut
+    at its matching brace, so each block closes; one that did not would
+    blank the rest."""
+    out, pos = [], 0
+    while (open_pos := inner.find("{", pos)) >= 0:
+        close = match_brace(inner, open_pos)
+        out.append(inner[pos:open_pos])
+        pos = close + 1 if close >= 0 else len(inner)
+        out.append(_blank(inner[open_pos:pos]))
+    out.append(inner[pos:])
     return "".join(out)
 
 
@@ -235,25 +241,14 @@ def _scan_state_vars(inner: str, line_starts: tuple[int, ...], base_offset: int)
 
 
 def _scan_modifier_guards(inner: str) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
-    for m in _MODIFIER_DEF_RE.finditer(inner):
-        open_pos = inner.find("{", m.end())
-        if open_pos < 0:
-            continue
-        close_pos = match_brace(inner, open_pos)
-        if close_pos < 0:
-            continue
-        out[m.group(1)] = _extract_requires(inner[open_pos:close_pos])
-    return out
+    return {m.group(1): _extract_requires(inner[open_pos:close])
+            for m, open_pos, close in balanced(inner, _MODIFIER_DEF_RE)}
 
 
 def _extract_requires(body: str) -> list[str]:
     conds = []
-    for m in re.finditer(r"\brequire\s*\(", body):
-        close = match_paren(body, m.end() - 1)
-        if close < 0:
-            continue
-        args = split_top_level(body[m.end():close])
+    for _, open_pos, close in balanced(body, _REQUIRE_RE, "()"):
+        args = split_top_level(body[open_pos + 1:close])
         if args:
             conds.append(normalize_predicate(args[0]))
     return conds
@@ -322,7 +317,7 @@ def _parse_contract_functions(decl, parsed, visible_vars, source):
             return
         name = m.group(2) or m.group(1)  # constructor/receive/fallback keep keyword name
         params_open = m.end() - 1
-        params_close = match_paren(inner, params_open)
+        params_close = match_brace(inner, params_open, "()")
         if params_close < 0:
             log.warning("unbalanced parameter list in %s.%s; skipped", decl.name, name)
             pos = m.end()
@@ -367,17 +362,14 @@ def _parse_contract_functions(decl, parsed, visible_vars, source):
 def _find_header_end(inner: str, pos: int) -> tuple[int, bool]:
     """Scan past modifiers/returns to the body '{' or the terminating ';'."""
     depth = 0
-    for i in range(pos, len(inner)):
-        c = inner[i]
+    for m in _HEADER_END_RE.finditer(inner, pos):
+        c = m.group()
         if c == "(":
             depth += 1
         elif c == ")":
             depth -= 1
         elif depth == 0:
-            if c == "{":
-                return i, True
-            if c == ";":
-                return i, False
+            return m.start(), c == "{"
     return -1, False
 
 
@@ -521,25 +513,19 @@ def _reads_writes(body: str, visible_vars: dict[str, str], shadowed: set[str]) -
 
 def _classify_suffix(body: str, pos: int) -> str:
     """Look past [index]/.member chains to decide read vs write."""
-    i = pos
-    last_member = ""
-    while i < len(body):
-        while i < len(body) and body[i] in " \t":
-            i += 1
-        if i < len(body) and body[i] == "[":
-            close = match_brace(body, i, "[]")
+    i, last_member = pos, ""
+    while True:
+        step = _SUFFIX_STEP_RE.match(body, i)
+        i = step.end()
+        if step.group(1):
+            close = match_brace(body, i - 1, "[]")
             i = close + 1 if close >= 0 else len(body)
             last_member = ""
-            continue
-        if i < len(body) and body[i] == ".":
-            mm = re.match(r"\.\s*([A-Za-z_]\w*)", body[i:])
-            if mm:
-                last_member = mm.group(1)
-                i += mm.end()
-                continue
-        break
-    tail = body[i:i + 3]
-    if tail.startswith("("):
+        elif step.group(2):
+            last_member = step.group(2)
+        else:
+            break
+    if body.startswith("(", i):
         return "write" if last_member in _ARRAY_METHODS else "read"
     am = _ASSIGN_OP_RE.match(body[i:])
     if am:
@@ -573,11 +559,7 @@ def extract_approval_recipients(record: FunctionRecord, state_vars: set[str]) ->
     call sites inside `record`."""
     body = record.masked_body
     out: set[str] = set()
-    for m in re.finditer(r"\.\s*(?:approve|safeApprove)\s*\(", body):
-        open_paren = body.rfind("(", m.start(), m.end())
-        close = match_paren(body, open_paren)
-        if close < 0:
-            continue
+    for _, open_paren, close in balanced(body, _APPROVE_RE, "()"):
         args = split_top_level(body[open_paren + 1:close])
         if args and re.fullmatch(r"[A-Za-z_]\w*", args[0]) and args[0] in state_vars:
             out.add(args[0])

@@ -7,13 +7,11 @@ across concurrently running consumers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .parse import ParsedSource
-
-VISIBILITIES = ("public", "external", "internal", "private")
-MUTABILITIES = ("view", "pure", "payable", "nonpayable")
 
 FnKey = tuple[str, str]  # (owner contract, function name)
 
@@ -38,8 +36,8 @@ class CallSite:
 class FunctionRecord:
     name: str
     owner: str
-    vis: str                              # VISIBILITIES
-    mut: str                              # MUTABILITIES
+    vis: str                              # public | external | internal | private
+    mut: str                              # view | pure | payable | nonpayable
     modifiers: tuple[str, ...]            # raw modifier invocations, declaration order
     guards: tuple[str, ...]               # normalized require conditions
     reads: frozenset[str]
@@ -98,14 +96,24 @@ class CallGraph:
     edges: frozenset[tuple[FnKey, FnKey]]
     contract_edges: frozenset[tuple[str, str]]
 
+    @cached_property
+    def _adjacent(self) -> tuple[dict[FnKey, set[FnKey]], dict[FnKey, set[FnKey]]]:
+        """(callees, callers) of every function on an edge, built on first use."""
+        callees: dict[FnKey, set[FnKey]] = {}
+        callers: dict[FnKey, set[FnKey]] = {}
+        for f, g in self.edges:
+            callees.setdefault(f, set()).add(g)
+            callers.setdefault(g, set()).add(f)
+        return callees, callers
+
     def callees(self, fn: FnKey) -> set[FnKey]:
-        return {g for f, g in self.edges if f == fn}
+        return set(self._adjacent[0].get(fn, ()))
 
     def callers(self, fn: FnKey) -> set[FnKey]:
-        return {f for f, g in self.edges if g == fn}
+        return set(self._adjacent[1].get(fn, ()))
 
     def touches(self, fn: FnKey) -> bool:
-        return any(fn in edge for edge in self.edges)
+        return fn in self._adjacent[0] or fn in self._adjacent[1]
 
 
 @dataclass(frozen=True)
@@ -144,8 +152,25 @@ class CcimModel:
     parsed: ParsedSource = field(compare=False, repr=False)  # the audit source parsed once
     scope: tuple[str, ...] = ()
 
+    # record indexes, built on first use; a frozen dataclass still has an
+    # instance __dict__ for cached_property to fill
+    @cached_property
+    def _by_key(self) -> dict[FnKey, FunctionRecord]:
+        return {r.key: r for r in self.records}
+
+    @cached_property
+    def _by_owner(self) -> dict[str, tuple[FunctionRecord, ...]]:
+        out: dict[str, list[FunctionRecord]] = {}
+        for r in self.records:
+            out.setdefault(r.owner, []).append(r)
+        return {owner: tuple(recs) for owner, recs in out.items()}
+
     def record(self, owner: str, name: str) -> FunctionRecord | None:
-        return self._index().get((owner, name))
+        return self._by_key.get((owner, name))
+
+    def owned(self, contract: str) -> tuple[FunctionRecord, ...]:
+        """The records of `contract`, in record (source) order."""
+        return self._by_owner.get(contract, ())
 
     def records_of(self, keys) -> list[FunctionRecord]:
         """The records of `keys` in order; names the model lacks are skipped."""
@@ -159,14 +184,6 @@ class CcimModel:
             if r.src[0] <= line <= r.src[1]:
                 return r
         return None
-
-    def _index(self) -> dict[FnKey, FunctionRecord]:
-        # frozen dataclass: cache through object.__setattr__ on first use
-        cached = self.__dict__.get("_idx")
-        if cached is None:
-            cached = {r.key: r for r in self.records}
-            object.__setattr__(self, "_idx", cached)
-        return cached
 
     def is_admin(self, key: FnKey) -> bool:
         return key in self.admin_set

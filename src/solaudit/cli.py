@@ -155,7 +155,7 @@ def run(config: RunConfig, reasoner: Reasoner | None = None) -> AuditReport:
         coverage=coverage,
         residuals=residuals,
         ccim_summary=ccim_summary(ccim),
-        scope=source.scope,
+        scope=ccim.scope,
     )
 
 

@@ -190,7 +190,7 @@ _FINANCIAL_NAME_RE = re.compile(r"balance|amount|share|debt|reward|fee|price|sup
 _ARITH_OP_RE = re.compile(r"[+\-*/%]")
 
 # the structural aspects whose absence near a mention demotes it to
-# partial-attention (config-exposed)
+# partial-attention
 ASPECT_KEYWORDS = {
     "fund": ("fund", "transfer", "eth", "value", "token", "pay", "withdraw", "deposit"),
     "external_call": ("call", "external", "oracle", "callee", "reentran", "delegat"),

@@ -205,7 +205,7 @@ def run_discovery_phase(tag: str, ccim: CcimModel, merged: MergedSignals,
     ranked = contract_priorities(ccim, merged)[:DISCOVERY_CONTRACTS]
     blocks = []
     for contract, score in ranked:
-        bodies = "\n".join(r.body for r in ccim.records if r.owner == contract)
+        bodies = "\n".join(r.body for r in ccim.owned(contract))
         blocks.append(f"### {contract} (risk score {score:.2f})\n{bodies}")
     prompt = prompts.render(
         prompts.PHASE_B, budget,

@@ -168,14 +168,10 @@ def itpc_high_risk(record: FunctionRecord, fund_transitive: bool) -> bool:
 
 def run_itpc_lite(ccim: CcimModel) -> list[Signal]:
     signals = []
-    by_owner: dict[str, dict[str, FunctionRecord]] = {}
-    for r in ccim.records:
-        by_owner.setdefault(r.owner, {})[r.name] = r
-
     chains: list[tuple[FunctionRecord, FunctionRecord]] = []
     for r in sorted(ccim.records, key=lambda r: r.src[0]):
         for callee_name in sorted(r.internal_calls):
-            callee = by_owner.get(r.owner, {}).get(callee_name)
+            callee = ccim.record(r.owner, callee_name)
             if callee is not None and callee.key != r.key:
                 chains.append((r, callee))
     for f_key, g_key in sorted(ccim.graph.edges):

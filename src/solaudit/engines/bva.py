@@ -27,10 +27,6 @@ COUNTER_STEMS = (("deposit", "withdraw"), ("mint", "burn"), ("lock", "unlock"),
                  ("stake", "unstake"), ("open", "close"), ("pause", "unpause"))
 
 
-def _contract_records(ccim: CcimModel, contract: str) -> list[FunctionRecord]:
-    return [r for r in ccim.records if r.owner == contract]
-
-
 def scope_contracts(ccim: CcimModel) -> list[str]:
     """In-scope concrete contracts, in scope order: the contracts whose
     functions the BVA and pattern engines examine."""
@@ -68,7 +64,7 @@ def _bounds(record: FunctionRecord) -> list[tuple[str, str, float, int]]:
 def _sub_rationality(ccim: CcimModel) -> list[Signal]:
     signals = []
     for contract in scope_contracts(ccim):
-        for rec in _contract_records(ccim, contract):
+        for rec in ccim.owned(contract):
             by_var: dict[str, list[tuple[str, float, int]]] = {}
             for var, op, value, pos in _bounds(rec):
                 by_var.setdefault(var, []).append((op, value, pos))
@@ -95,7 +91,7 @@ def _sub_rationality(ccim: CcimModel) -> list[Signal]:
 def _sub_locked_ether(ccim: CcimModel) -> list[Signal]:
     signals = []
     for contract in scope_contracts(ccim):
-        records = _contract_records(ccim, contract)
+        records = ccim.owned(contract)
         receivers = [r for r in records if r.mut == "payable"]
         if not receivers:
             continue
@@ -154,7 +150,7 @@ def _muldiv_shapes(record: FunctionRecord) -> list[tuple[str, frozenset[str]]]:
 def _sub_formula_mismatch(ccim: CcimModel) -> list[Signal]:
     signals = []
     for contract in scope_contracts(ccim):
-        records = {r.name.lower(): r for r in _contract_records(ccim, contract)}
+        records = {r.name.lower(): r for r in ccim.owned(contract)}
         shapes = {r.key: _muldiv_shapes(r) for r in records.values()}
         for a_stem, b_stem in COUNTER_STEMS:
             pairs = [(ra, rb) for na, ra in records.items() if na.startswith(a_stem)
@@ -188,7 +184,7 @@ def _literal_value(token: str) -> int | None:
 def _sub_symbolic_eval(ccim: CcimModel) -> list[Signal]:
     signals = []
     for contract in scope_contracts(ccim):
-        for rec in _contract_records(ccim, contract):
+        for rec in ccim.owned(contract):
             # the fold keeps every newline, so a line count over `folded`
             # plus the line of the opening brace locates a match
             folded = _POW_RE.sub(lambda m: str(int(m.group(1)) ** int(m.group(2)))

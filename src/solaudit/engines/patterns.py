@@ -8,24 +8,14 @@ import logging
 import re
 
 from ..ccim import CcimModel, FunctionRecord
-from ..ccim.parse import match_brace
+from ..ccim.parse import balanced
 from .bva import scope_contracts
 from .signal import Signal
 
 log = logging.getLogger(__name__)
 
 _ASSEMBLY_RE = re.compile(r"\bassembly\s*(?:\([^)]*\)\s*)?\{")
-
-
-def _assembly_blocks(body: str) -> list[tuple[int, str]]:
-    """(offset, text) of every balanced assembly block; an unbalanced one is skipped."""
-    blocks = []
-    for m in _ASSEMBLY_RE.finditer(body):
-        open_pos = body.find("{", m.start())
-        close_pos = match_brace(body, open_pos)
-        if close_pos >= 0:
-            blocks.append((m.start(), body[open_pos:close_pos + 1]))
-    return blocks
+_UNCHECKED_RE = re.compile(r"\bunchecked\s*\{")
 
 
 def _rule_oracle_staleness(rec: FunctionRecord, body: str):
@@ -62,22 +52,21 @@ def _rule_signature_replay(rec: FunctionRecord, body: str):
 
 
 def _rule_unchecked_arithmetic(rec: FunctionRecord, body: str):
-    for m in re.finditer(r"\bunchecked\s*\{", body):
-        open_pos = body.find("{", m.start())
-        close_pos = match_brace(body, open_pos)
-        block = body[open_pos:close_pos + 1] if close_pos >= 0 else ""  # unbalanced: empty
+    for m, open_pos, close_pos in balanced(body, _UNCHECKED_RE):
+        block = body[open_pos:close_pos + 1]
         if re.search(r"[\w\]]\s*(\+|-|\*)[^+\-=]", block):
             yield ("MATH", "math-unchecked-arithmetic", "MEDIUM", 0.5, m.start(),
                    "arithmetic inside an unchecked block wraps silently")
 
 
 def _rule_assembly(rec: FunctionRecord, body: str):
-    for pos, block in _assembly_blocks(body):
+    for m, open_pos, close_pos in balanced(body, _ASSEMBLY_RE):
+        block = body[open_pos:close_pos + 1]
         if "delegatecall" in block:
-            yield ("ASM", "asm-delegatecall", "HIGH", 0.7, pos,
+            yield ("ASM", "asm-delegatecall", "HIGH", 0.7, m.start(),
                    "delegatecall inside assembly forwards full control over storage")
         if "returndatacopy" in block or "returndatasize" in block:
-            yield ("ASM", "asm-returndata", "INFO", 0.4, pos,
+            yield ("ASM", "asm-returndata", "INFO", 0.4, m.start(),
                    "raw returndata handling in assembly; verify size checks")
 
 

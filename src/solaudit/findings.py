@@ -30,8 +30,15 @@ IMPACT_KEYWORDS: tuple[tuple[str, tuple[str, ...]], ...] = (
 )
 
 
-def clamp_confidence(value: float) -> float:
-    return max(CONF_MIN, min(CONF_MAX, value))
+def reply_confidence(value) -> float:
+    """A confidence read from a reply: any number, an int of any size
+    included, clamped into [CONF_MIN, CONF_MAX]; NaN and anything that is not
+    a number read as the default 0.4."""
+    # an int is compared, never converted, so its size cannot overflow;
+    # NaN is the one number unequal to itself
+    if isinstance(value, (int, float)) and value == value:
+        return max(CONF_MIN, min(CONF_MAX, value))
+    return 0.4
 
 
 def severity_cap(severity: str, ceiling: str) -> str:
@@ -133,8 +140,6 @@ def finding_from_payload(payload: dict, pipeline: str,
     lines = {reply_line(x) for x in reply_list(payload, "evidence_lines")}
     lines.add(reply_line(payload.get("evidence_line")))
     lines.discard(None)
-    conf = payload.get("confidence")
-    confidence = clamp_confidence(float(conf)) if isinstance(conf, (int, float)) else 0.4
     return Finding(
         id="pending",
         pipeline=pipeline,
@@ -144,7 +149,7 @@ def finding_from_payload(payload: dict, pipeline: str,
         severity=severity,
         affected_functions=functions,
         evidence_lines=sorted(lines),
-        confidence=confidence,
+        confidence=reply_confidence(payload.get("confidence")),
     )
 
 

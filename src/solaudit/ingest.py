@@ -11,8 +11,6 @@ from pathlib import Path
 
 log = logging.getLogger(__name__)
 
-ROLES = ("source", "test", "script", "interface", "library")
-
 _PRAGMA_RE = re.compile(r"pragma\s+solidity\s+([^;]+);")
 _DECL_RE = re.compile(r"^\s*(abstract\s+)?(contract|interface|library)\s+([A-Za-z_]\w*)", re.M)
 
@@ -24,7 +22,7 @@ class IngestError(Exception):
 @dataclass(frozen=True)
 class SourceFile:
     path: str          # relative, posix-style
-    role: str          # one of ROLES
+    role: str          # source | test | script | interface | library
     text: str
 
 

@@ -28,7 +28,7 @@ from .reasoner import DEFAULT_CHAR_BUDGET, Reasoner, ask
 
 log = logging.getLogger(__name__)
 
-# pair-nomination source confidences; ordering motive only, values config-exposed
+# pair-nomination source confidences; ordering motive only
 SOURCE_CONFIDENCE = {
     "TRIAGE": 0.9,
     "SHARED_STATE": 0.8,
@@ -185,9 +185,7 @@ def _reasoner_triage(ccim, contracts, reasoner, budget) -> list[tuple[FnKey, FnK
 
 def _skeleton(ccim: CcimModel, contract: str) -> str:
     lines = [f"contract {contract}"]
-    for r in ccim.records:
-        if r.owner != contract:
-            continue
+    for r in ccim.owned(contract):
         if r.natspec:
             lines.append(r.natspec)
         lines.append(r.signature or f"function {r.name}(...)")

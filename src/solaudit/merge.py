@@ -5,7 +5,7 @@ clipped confidence boost."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ccim import CcimModel
 from .engines import MergedSignals
@@ -42,7 +42,6 @@ class MergedFindingSet:
     pi: dict[str, str]                         # finding id -> D | I
     partition: ClusterPartition
     conf_post: dict[str, float]
-    cards: dict[str, StructuralCard] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -180,4 +179,4 @@ def merge(f_d: list[Finding], f_i: list[Finding], ccim: CcimModel,
             f.flags.add("cross-pipeline")
             f.matched_ids.extend(sorted(m for m in members if pi[m] != pi[f.id]))
     return MergedFindingSet(findings=findings, pi=pi, partition=partition,
-                            conf_post=conf_post, cards=cards)
+                            conf_post=conf_post)

@@ -69,6 +69,41 @@ def brute_force_trustgap(ccim: CcimModel) -> set[tuple[str, str]]:
     return out
 
 
+def brute_force_mask(text: str) -> str:
+    """Blank comments and string-literal contents one character at a time:
+    the character loop that `mask_noncode`'s one regex substitution replaced."""
+    out = list(text)
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "/" and i + 1 < n and text[i + 1] == "/":
+            while i < n and text[i] != "\n":
+                out[i] = " "
+                i += 1
+        elif c == "/" and i + 1 < n and text[i + 1] == "*":
+            while i < n and not (text[i] == "*" and i + 1 < n and text[i + 1] == "/"):
+                if text[i] != "\n":
+                    out[i] = " "
+                i += 1
+            if i + 1 < n:
+                out[i] = out[i + 1] = " "
+                i += 2
+        elif c in "\"'":
+            quote = c
+            i += 1
+            while i < n and text[i] != quote:
+                if text[i] == "\\":
+                    out[i] = " "
+                    i += 1
+                if i < n and text[i] != "\n":
+                    out[i] = " "
+                i += 1
+            i += 1
+        else:
+            i += 1
+    return "".join(out)
+
+
 def brute_force_line_of(text: str, pos: int) -> int:
     """1-based line of offset `pos`, by counting the newlines before it."""
     return text.count("\n", 0, pos) + 1

@@ -1,0 +1,32 @@
+"""Smoke benchmark of the substrate: `assemble_ccim` plus `run_engines` on a
+generated 5-contract corpus, timed by pytest-benchmark for a fixed few
+rounds. The corpus generator is read from the benchmark's `auditbench/`."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+from corpus import write_repo
+
+from solaudit.ccim import assemble_ccim
+from solaudit.engines import run_engines
+from solaudit.ingest import build_audit_source, classify_files, resolve_remappings
+
+AUDITBENCH = Path(__file__).resolve().parent.parent / "auditbench"
+
+
+def test_substrate_benchmark(benchmark, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(AUDITBENCH))
+    import gen
+
+    corpus = gen.generate(gen.Shape(contracts=5, functions=16, pairs=12), seed=3)
+    root = write_repo(corpus.files, tmp_path / "corpus")
+    source = build_audit_source(classify_files(root), None, resolve_remappings(root))
+
+    def substrate():
+        ccim = assemble_ccim(source)
+        return ccim, run_engines(ccim)
+
+    ccim, _ = benchmark.pedantic(substrate, rounds=5, iterations=1)
+    for contract, names in corpus.functions.items():
+        assert set(names) <= {r.name for r in ccim.owned(contract)}, contract

@@ -214,6 +214,18 @@ def test_bidirectional_contract_edges(models):
     assert ("Spoke", "Hub") in ccim.graph.contract_edges
 
 
+@pytest.mark.parametrize("repo", sorted(REPOS))
+def test_indexes_match_linear_scans(models, repo):
+    ccim = models[repo]
+    for key in {r.key for r in ccim.records} | {k for edge in ccim.graph.edges for k in edge}:
+        assert ccim.graph.callees(key) == {g for f, g in ccim.graph.edges if f == key}
+        assert ccim.graph.callers(key) == {f for f, g in ccim.graph.edges if g == key}
+        assert ccim.graph.touches(key) == any(key in edge for edge in ccim.graph.edges)
+        assert ccim.record(*key) == next((r for r in reversed(ccim.records) if r.key == key), None)
+    for contract in {r.owner for r in ccim.records} | {"NoSuchContract"}:
+        assert list(ccim.owned(contract)) == [r for r in ccim.records if r.owner == contract]
+
+
 def test_resolution_miss_logged(caplog, tmp_path):
     (tmp_path / "m.sol").write_text(
         "pragma solidity ^0.8.0;\n"

@@ -1,6 +1,7 @@
 """End-to-end tests of `cli.run` and `cli.main`: golden reports over corpus
-repos, exit codes against the severity gate, malformed external reports,
-malformed reasoner replies and mock scripts, non-finite line numbers, the
+repos, the audit scope, exit codes against the severity gate, malformed
+external reports, malformed reasoner replies and mock scripts, non-finite
+line numbers and confidences, the
 one-claim-check-per-finding budget of phase D, whole prompts under a tight
 character budget, and the overlap of the two audit pipelines."""
 
@@ -15,6 +16,7 @@ from corpus import REPOS, write_repo
 from helpers import RendezvousReasoner, json_instruction, make_finding, scripted
 
 from solaudit import cli, prompts
+from solaudit.findings import finding_from_payload
 from solaudit.reasoner import MockReasoner
 
 GOLDEN_REPORT = Path(__file__).parent / "golden" / "report"
@@ -157,6 +159,18 @@ def test_golden_vault_reaches_every_verification_path():
     assert [f["id"] for f in doc["findings"] if "blindspot-review" in f["flags"]] == ["B-001"]
 
 
+def test_commented_out_contract_stays_out_of_scope(tmp_path):
+    repo = write_repo({"src/Vault.sol": (
+        "pragma solidity ^0.8.20;\n"
+        "/*\ncontract Legacy {}\n*/\n"
+        "contract Vault {\n    uint256 public total;\n"
+        "    function deposit(uint256 a) external { total += a; }\n}\n")}, tmp_path / "repo")
+    out = tmp_path / "out"
+    assert cli.main(["--path", str(repo), "--out", str(out)]) == cli.EXIT_CLEAN
+    doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert doc["scope"] == ["Vault"]
+
+
 def test_main_exit_codes(tmp_path):
     code, out = _main(tmp_path / "gated", "vault_oracle")
     severities = {f["severity"] for f in
@@ -213,6 +227,8 @@ MALFORMED_REPLIES = {
                          {"items": [{"verdict": "REAL", "evidence_line": float("inf")}]}),
     "stage3-line-inf": ("vault_oracle", "stage3_verify",
                         {"items": [{"status": "VIOLATE", "evidence_line": float("inf")}]}),
+    "phase_c-confidence-huge": ("cycle", "phase_c",
+                                {"verdict": "VULNERABLE", "confidence": 10 ** 400}),
 }
 
 
@@ -226,6 +242,15 @@ def test_malformed_reply_degrades(tmp_path, made_reasoners, case):
     assert made_reasoners[0].call_count(stage) > 0
     assert code in (cli.EXIT_CLEAN, cli.EXIT_FINDINGS)
     assert (out / "report.json").is_file() and (out / "report.md").is_file()
+
+
+@pytest.mark.parametrize("conf,expected", [
+    (0.7, 0.7), (10 ** 400, 0.95), (-10 ** 400, 0.05), (0, 0.05), (float("inf"), 0.95),
+    (float("nan"), 0.4), ("0.7", 0.4), (None, 0.4),
+], ids=["fraction", "huge", "huge-negative", "zero", "inf", "nan", "text", "missing"])
+def test_reply_confidence_clamps_numbers_only(conf, expected):
+    finding = finding_from_payload({"confidence": conf}, "D", [("C", "f")])
+    assert finding.confidence == expected
 
 
 # script file text -> the words the error must name besides the file

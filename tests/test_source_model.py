@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_footprints, brute_force_line_of
+from oracles import brute_force_footprints, brute_force_line_of, brute_force_mask
 
 from solaudit.ccim import assemble_ccim, parse, parse_function_records
 from solaudit.ccim.parse import mask_noncode, parse_source
@@ -65,6 +65,7 @@ def test_mask_preserves_length_and_newlines(text):
     masked = mask_noncode(text)
     assert len(masked) == len(text)
     assert _newlines(masked) == _newlines(text)
+    assert masked == brute_force_mask(text)
 
 
 @settings(max_examples=100, deadline=None)
@@ -142,7 +143,7 @@ def test_audit_parses_the_source_once(sources, monkeypatch):
     "assembly { { returndatasize() }",
 ])
 def test_unbalanced_assembly_yields_no_block(body):
-    assert patterns._assembly_blocks(body) == []
+    assert list(patterns._rule_assembly(None, body)) == []
 
 
 def test_unbalanced_unchecked_block_is_empty():
