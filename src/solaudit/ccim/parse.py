@@ -13,7 +13,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from ..ingest import AuditSource, map_line, pragma_ge_08
+from ..ingest import AuditSource, blank, map_line, mask_noncode, pragma_ge_08
 from .types import CallSite, FunctionRecord, inner_body
 
 log = logging.getLogger(__name__)
@@ -22,7 +22,8 @@ _CONTRACT_RE = re.compile(
     r"(?:^|[\s;}])((abstract)\s+)?(contract|interface|library)\s+([A-Za-z_]\w*)\s*(is\s+([^{]+?))?\s*\{"
 )
 _FUNCTION_RE = re.compile(r"\b(function\s+([A-Za-z_]\w*)|constructor|receive|fallback)\s*\(")
-_MODIFIER_DEF_RE = re.compile(r"\bmodifier\s+([A-Za-z_]\w*)")
+# a modifier with a body: a bodiless `modifier m() virtual;` ends at its `;`
+_MODIFIER_DEF_RE = re.compile(r"\bmodifier\s+([A-Za-z_]\w*)[^;{]*(?=\{)")
 _STATE_VAR_RE = re.compile(
     r"(?m)^[ \t]*"
     r"(mapping\s*\((?:[^()]|\([^()]*\))*\)|[A-Za-z_]\w*(?:\s+payable)?(?:\s*\[\s*\w*\s*\])*)"
@@ -41,7 +42,23 @@ _NON_TYPE_KEYWORDS = {
 }
 _BUILTIN_TARGETS = {"msg", "abi", "block", "tx", "this", "super", "address", "type", "bytes", "string"}
 _ARRAY_METHODS = {"push", "pop"}
+NAME_RE = re.compile(r"[A-Za-z_]\w*")               # an identifier token
 _IDENT_RE = re.compile(r"(?<![\w.])[A-Za-z_]\w*")  # a whole identifier, not a member
+_SPACE_RE = re.compile(r"\s+")
+_NEWLINE_RE = re.compile("\n")
+_VISIBILITY_RE = re.compile(r"\b(public|external|internal|private)\b")
+_MUTABILITY_RE = re.compile(r"\b(view|pure|payable)\b")
+_RETURNS_RE = re.compile(r"\breturns\s*\([^)]*\)")
+_OVERRIDE_RE = re.compile(r"\boverride\s*\([^)]*\)")
+# a header word with its optional (argument list): modifiers and keywords
+_HEADER_TOKEN_RE = re.compile(r"([A-Za-z_]\w*)(\s*\(((?:[^()]|\([^()]*\))*)\))?")
+_VALUE_LOCAL_RE = re.compile(r"\b(?:u?int\d*|bool|address|bytes\d*|byte|string)\s+([A-Za-z_]\w*)\s*=")
+_LOCATED_LOCAL_RE = re.compile(r"\b(?:memory|calldata|storage)\s+([A-Za-z_]\w*)\b")
+# what precedes a variable that a `delete` or a prefix ++/-- writes
+_DELETE_BEFORE_RE = re.compile(r"\bdelete\s+$")
+_INCDEC_BEFORE_RE = re.compile(r"(\+\+|--)\s*$")
+_MEMBER_CALL_RE = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\s*\.\s*([A-Za-z_]\w*)\s*[({]")
+_PLAIN_CALL_RE = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\s*\(")
 _ASSIGN_OP_RE = re.compile(r"(=(?!=)|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)")
 _COMPOUND_OP_RE = re.compile(r"(\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)")
 _ELEMENTARY_RE = re.compile(r"^(u?int\d*|bool|bytes\d*|byte|string)(\[\s*\w*\s*\])*$")
@@ -56,14 +73,6 @@ _FUND_RES = NATIVE_OUT_RES + (
     re.compile(r"\.\s*safeTransfer\s*\("),
     re.compile(r"\.\s*safeTransferFrom\s*\("),
 )
-# a line comment, a block comment (`/*/` closes itself; an unterminated one
-# runs to the end), or a quoted literal: group 1 the opening quote, group 2
-# the contents (a backslash escapes the next character), group 3 the closing
-# quote, empty when the literal runs to the end
-_NONCODE_RE = re.compile(
-    r"""//[^\n]*|/(?=\*)[\s\S]*?\*/|/\*[\s\S]*|(["'])((?:\\[\s\S]?|(?!\1)[^\\])*)(\1?)"""
-)
-_NOT_NEWLINE_RE = re.compile(r"[^\n]")
 _BRACKET_RES = {pair: re.compile(f"[{re.escape(pair)}]") for pair in ("{}", "()", "[]")}
 _NESTING_RE = re.compile(r"[([{]|[)\]}]|,")
 _HEADER_END_RE = re.compile(r"[(){;]")
@@ -76,24 +85,7 @@ _APPROVE_RE = re.compile(r"\.\s*(?:approve|safeApprove)\s*\(")
 def normalize_predicate(text: str) -> str:
     """Whitespace-free, identifier-preserving normal form for guard and
     post-condition strings; set operations compare these forms."""
-    return re.sub(r"\s+", "", text)
-
-
-def _blank(text: str) -> str:
-    """`text` with every character but a newline turned into a space."""
-    return _NOT_NEWLINE_RE.sub(" ", text)
-
-
-def _blank_noncode(m: re.Match) -> str:
-    if m.group(1) is None:
-        return _blank(m.group())
-    return m.group(1) + _blank(m.group(2)) + m.group(3)
-
-
-def mask_noncode(text: str) -> str:
-    """Blank comments and string-literal contents, preserving length and
-    line structure so offsets computed on the mask apply to the original."""
-    return _NONCODE_RE.sub(_blank_noncode, text)
+    return _SPACE_RE.sub("", text)
 
 
 def match_brace(text: str, open_pos: int, pair: str = "{}") -> int:
@@ -175,7 +167,7 @@ class ParsedSource:
 
 def parse_source(text: str) -> ParsedSource:
     masked = mask_noncode(text)
-    line_starts = (0, *(m.end() for m in re.finditer("\n", masked)))
+    line_starts = (0, *(m.end() for m in _NEWLINE_RE.finditer(masked)))
     return ParsedSource(text=text, masked=masked, line_starts=line_starts,
                         lines=tuple(text.split("\n")),
                         decls=tuple(scan_contracts(masked, line_starts)))
@@ -194,7 +186,7 @@ def scan_contracts(masked: str, line_starts: tuple[int, ...]) -> list[ContractDe
         bases = []
         if m.group(6):
             for part in split_top_level(m.group(6)):
-                ident = re.match(r"[A-Za-z_]\w*", part)
+                ident = NAME_RE.match(part)
                 if ident:
                     bases.append(ident.group(0))
         decl = ContractDecl(
@@ -219,7 +211,7 @@ def _blank_nested_blocks(inner: str) -> str:
         close = match_brace(inner, open_pos)
         out.append(inner[pos:open_pos])
         pos = close + 1 if close >= 0 else len(inner)
-        out.append(_blank(inner[open_pos:pos]))
+        out.append(blank(inner[open_pos:pos]))
     out.append(inner[pos:])
     return "".join(out)
 
@@ -374,12 +366,12 @@ def _find_header_end(inner: str, pos: int) -> tuple[int, bool]:
 
 
 def _parse_header(header: str, default_vis: str) -> tuple[str, str, tuple[str, ...]]:
-    vis_m = re.search(r"\b(public|external|internal|private)\b", header)
-    mut_m = re.search(r"\b(view|pure|payable)\b", header)
-    stripped = re.sub(r"\breturns\s*\([^)]*\)", " ", header)
-    stripped = re.sub(r"\boverride\s*\([^)]*\)", " ", stripped)
+    vis_m = _VISIBILITY_RE.search(header)
+    mut_m = _MUTABILITY_RE.search(header)
+    stripped = _RETURNS_RE.sub(" ", header)
+    stripped = _OVERRIDE_RE.sub(" ", stripped)
     modifiers = []
-    for mm in re.finditer(r"([A-Za-z_]\w*)(\s*\(((?:[^()]|\([^()]*\))*)\))?", stripped):
+    for mm in _HEADER_TOKEN_RE.finditer(stripped):
         if mm.group(1) in _HEADER_KEYWORDS:
             continue
         modifiers.append(f"{mm.group(1)}({mm.group(3).strip()})" if mm.group(2) else mm.group(1))
@@ -393,7 +385,7 @@ def _parse_header(header: str, default_vis: str) -> tuple[str, str, tuple[str, .
 def _param_names(params_text: str) -> tuple[str, ...]:
     names = []
     for part in split_top_level(params_text):
-        idents = [t for t in re.findall(r"[A-Za-z_]\w*", part)
+        idents = [t for t in NAME_RE.findall(part)
                   if t not in ("memory", "calldata", "storage", "payable")]
         if len(idents) >= 2:
             names.append(idents[-1])
@@ -478,9 +470,9 @@ def _build_record(decl, name, parsed, visible_vars, source, *,
 
 def _local_names(body: str) -> set[str]:
     locals_: set[str] = set()
-    for m in re.finditer(r"\b(?:u?int\d*|bool|address|bytes\d*|byte|string)\s+([A-Za-z_]\w*)\s*=", body):
+    for m in _VALUE_LOCAL_RE.finditer(body):
         locals_.add(m.group(1))
-    for m in re.finditer(r"\b(?:memory|calldata|storage)\s+([A-Za-z_]\w*)\b", body):
+    for m in _LOCATED_LOCAL_RE.finditer(body):
         locals_.add(m.group(1))
     return locals_
 
@@ -493,10 +485,10 @@ def _reads_writes(body: str, visible_vars: dict[str, str], shadowed: set[str]) -
         if var not in visible_vars or var in shadowed:
             continue
         before = body[max(0, m.start() - 8):m.start()]
-        if re.search(r"\bdelete\s+$", before):
+        if _DELETE_BEFORE_RE.search(before):
             writes.add(var)
             continue
-        if re.search(r"(\+\+|--)\s*$", before):
+        if _INCDEC_BEFORE_RE.search(before):
             writes.add(var)
             reads.add(var)
             continue
@@ -535,7 +527,7 @@ def _classify_suffix(body: str, pos: int) -> str:
 
 def _call_sites(body: str, base: int, parsed: ParsedSource, visible_vars: dict[str, str]) -> list[CallSite]:
     sites: list[CallSite] = []
-    for m in re.finditer(r"(?<![\w.])([A-Za-z_]\w*)\s*\.\s*([A-Za-z_]\w*)\s*[({]", body):
+    for m in _MEMBER_CALL_RE.finditer(body):
         target, method = m.group(1), m.group(2)
         if target in _BUILTIN_TARGETS or target not in visible_vars or method in _ARRAY_METHODS:
             continue
@@ -547,7 +539,7 @@ def _call_sites(body: str, base: int, parsed: ParsedSource, visible_vars: dict[s
 
 def _internal_calls(body: str, fn_names: set[str], self_name: str, visible_vars: dict[str, str]) -> set[str]:
     out: set[str] = set()
-    for m in re.finditer(r"(?<![\w.])([A-Za-z_]\w*)\s*\(", body):
+    for m in _PLAIN_CALL_RE.finditer(body):
         callee = m.group(1)
         if callee in fn_names and callee not in visible_vars and callee not in _NON_TYPE_KEYWORDS:
             out.add(callee)
@@ -561,6 +553,6 @@ def extract_approval_recipients(record: FunctionRecord, state_vars: set[str]) ->
     out: set[str] = set()
     for _, open_paren, close in balanced(body, _APPROVE_RE, "()"):
         args = split_top_level(body[open_paren + 1:close])
-        if args and re.fullmatch(r"[A-Za-z_]\w*", args[0]) and args[0] in state_vars:
+        if args and NAME_RE.fullmatch(args[0]) and args[0] in state_vars:
             out.add(args[0])
     return frozenset(out)

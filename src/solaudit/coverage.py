@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 from . import prompts
 from .ccim import CcimModel, FnKey, FunctionRecord
+from .ccim.parse import NAME_RE
 from .findings import Finding
 from .reasoner import DEFAULT_CHAR_BUDGET
 
@@ -350,6 +351,6 @@ def discussed_names_from(findings: list[Finding]) -> set[str]:
     for f in findings:
         for _, fn_name in f.affected_functions:
             names.add(fn_name)
-        for word in re.findall(r"[A-Za-z_]\w*", f.text()):
+        for word in NAME_RE.findall(f.text()):
             names.add(word)
     return names

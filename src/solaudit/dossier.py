@@ -70,7 +70,7 @@ class Dossier:
         return bool(self.risk_items)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InteractionGroup:
     kind: str                     # "pair" | "nway"
     members: tuple[FnKey, ...]
@@ -240,11 +240,11 @@ def build_phase_c_interactions(ccim: CcimModel) -> list[InteractionGroup]:
 def run_phase_c(ccim: CcimModel, reasoner: Reasoner,
                 budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
     findings = []
+    # one source block per function key; the last record of an overloaded
+    # name wins, as in ccim.record
+    blocks = {r.key: f"// {r.owner}.{r.name}\n{r.body}" for r in ccim.records}
     for group in build_phase_c_interactions(ccim):
-        members = "\n".join(
-            f"// {k[0]}.{k[1]}\n{rec.body}"
-            for k in group.members if (rec := ccim.record(*k)) is not None
-        )
+        members = "\n".join(blocks[k] for k in group.members if k in blocks)
         subject = f"storage variable {group.subject}" if group.subject != "call" else "a call edge"
         prompt = prompts.render(prompts.PHASE_C, budget, {"members": members}, subject=subject)
         reply = ask(reasoner, "phase_c", prompt, budget)

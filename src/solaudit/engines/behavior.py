@@ -8,6 +8,7 @@ import logging
 import re
 
 from ..ccim import CcimModel, FunctionRecord
+from ..ccim.parse import NAME_RE
 from .signal import Signal
 
 log = logging.getLogger(__name__)
@@ -154,7 +155,7 @@ def infer_preconditions(record: FunctionRecord) -> frozenset[str]:
     tokens = set(record.params) | set(record.reads) | set(record.writes)
     out = set()
     for g in record.guards:
-        idents = set(re.findall(r"[A-Za-z_]\w*", g))
+        idents = set(NAME_RE.findall(g))
         if idents & tokens:
             out.add(g)
     return frozenset(out)

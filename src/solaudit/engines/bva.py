@@ -8,7 +8,7 @@ import logging
 import re
 
 from ..ccim import CcimModel, FunctionRecord
-from ..ccim.parse import NATIVE_OUT_RES
+from ..ccim.parse import NAME_RE, NATIVE_OUT_RES
 from .signal import Signal
 
 log = logging.getLogger(__name__)
@@ -16,8 +16,10 @@ log = logging.getLogger(__name__)
 _BOUND_RE = re.compile(
     r"(?:require\s*\(|if\s*\()\s*([A-Za-z_]\w*)\s*(<=|>=|<|>)\s*(\d+(?:e\d+)?)"
 )
-_MULDIV_STMT_RE = re.compile(r"[^;{}]+")
+STATEMENT_RE = re.compile(r"[^;{}]+")  # the text of one statement
 _POW_RE = re.compile(r"\b(\d+)\s*\*\*\s*(\d+)\b")
+_DIV_ZERO_RE = re.compile(r"/\s*(0)\b(?![.\w])")
+_LITERAL_OP_RE = re.compile(r"\b(\d+(?:\.\d+)?e\d+|\d+)\s*(\*|-)\s*(\d+(?:\.\d+)?e\d+|\d+)")
 
 UINT256_MAX = 2 ** 256 - 1
 
@@ -137,11 +139,11 @@ def _muldiv_shapes(record: FunctionRecord) -> list[tuple[str, frozenset[str]]]:
     identifiers involved."""
     shapes = []
     body = record.masked_inner
-    for m in _MULDIV_STMT_RE.finditer(body):
+    for m in STATEMENT_RE.finditer(body):
         stmt = m.group(0)
-        ops = "".join(c for c in re.sub(r"\*\*", "", stmt) if c in "*/")
+        ops = "".join(c for c in stmt.replace("**", "") if c in "*/")
         if "*" in ops and "/" in ops:
-            idents = frozenset(re.findall(r"[A-Za-z_]\w*", stmt)) - {"require", "if", "return"}
+            idents = frozenset(NAME_RE.findall(stmt)) - {"require", "if", "return"}
             shapes.append((ops, idents))
     return shapes
 
@@ -194,14 +196,14 @@ def _sub_symbolic_eval(ccim: CcimModel) -> list[Signal]:
             def line_of(pos: int) -> int:
                 return first + folded.count("\n", 0, pos)
 
-            for m in re.finditer(r"/\s*(0)\b(?![.\w])", folded):
+            for m in _DIV_ZERO_RE.finditer(folded):
                 signals.append(Signal(
                     source_tag="BVA", id="bva-division-by-zero",
                     description="literal division by zero",
                     severity="HIGH", confidence=0.8,
                     function=rec.key, line_hint=line_of(m.start()),
                 ))
-            for m in re.finditer(r"\b(\d+(?:\.\d+)?e\d+|\d+)\s*(\*|-)\s*(\d+(?:\.\d+)?e\d+|\d+)", folded):
+            for m in _LITERAL_OP_RE.finditer(folded):
                 a, b = _literal_value(m.group(1)), _literal_value(m.group(3))
                 if a is None or b is None:
                     continue

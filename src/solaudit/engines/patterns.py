@@ -9,24 +9,32 @@ import re
 
 from ..ccim import CcimModel, FunctionRecord
 from ..ccim.parse import balanced
-from .bva import scope_contracts
+from .bva import STATEMENT_RE, scope_contracts
 from .signal import Signal
 
 log = logging.getLogger(__name__)
 
 _ASSEMBLY_RE = re.compile(r"\bassembly\s*(?:\([^)]*\)\s*)?\{")
 _UNCHECKED_RE = re.compile(r"\bunchecked\s*\{")
+_ORACLE_READ_RE = re.compile(r"\.\s*(latestAnswer|latestRoundData)\s*\(")
+_DIV_THEN_MUL_RE = re.compile(r"[\w\)\]]\s*/\s*[\w\(][\w\.\(\)\[\]]*\s*\*")
+_DOWNCAST_RE = re.compile(r"\b(u?int(?:8|16|32|64|96|128))\s*\(\s*[A-Za-z_]")
+_ECRECOVER_RE = re.compile(r"\becrecover\s*\(")
+_NONCE_RE = re.compile(r"nonce", re.I)
+_DEADLINE_RE = re.compile(r"deadline|expiry|expiration", re.I)
+_ARITHMETIC_RE = re.compile(r"[\w\]]\s*(\+|-|\*)[^+\-=]")
+_BLOCK_NUMBER_RE = re.compile(r"\b(block\.number|\w*[bB]lockNumber\w*|startBlock|endBlock|\w+Block)\b")
 
 
 def _rule_oracle_staleness(rec: FunctionRecord, body: str):
-    for m in re.finditer(r"\.\s*(latestAnswer|latestRoundData)\s*\(", body):
+    for m in _ORACLE_READ_RE.finditer(body):
         if "updatedAt" not in body and "staleness" not in body.lower():
             yield ("CUSTOM", "custom-oracle-staleness", "HIGH", 0.7, m.start(),
                    f"{m.group(1)} consumed without checking updatedAt for staleness")
 
 
 def _rule_div_before_mul(rec: FunctionRecord, body: str):
-    for m in re.finditer(r"[\w\)\]]\s*/\s*[\w\(][\w\.\(\)\[\]]*\s*\*", body):
+    for m in _DIV_THEN_MUL_RE.finditer(body):
         stmt_start = body.rfind(";", 0, m.start()) + 1
         if "/" in body[stmt_start:m.end()]:
             yield ("MATH", "math-div-before-mul", "MEDIUM", 0.6, m.start(),
@@ -34,19 +42,19 @@ def _rule_div_before_mul(rec: FunctionRecord, body: str):
 
 
 def _rule_unsafe_downcast(rec: FunctionRecord, body: str):
-    for m in re.finditer(r"\b(u?int(?:8|16|32|64|96|128))\s*\(\s*[A-Za-z_]", body):
+    for m in _DOWNCAST_RE.finditer(body):
         yield ("MATH", "math-unsafe-downcast", "MEDIUM", 0.55, m.start(),
                f"narrowing cast to {m.group(1)} can silently truncate")
 
 
 def _rule_signature_replay(rec: FunctionRecord, body: str):
-    m = re.search(r"\becrecover\s*\(", body)
+    m = _ECRECOVER_RE.search(body)
     if not m:
         return
-    if not re.search(r"nonce", body, re.I):
+    if not _NONCE_RE.search(body):
         yield ("SIG", "sig-missing-nonce", "HIGH", 0.65, m.start(),
                "ecrecover-verified payload consumes no nonce; signatures are replayable")
-    if not re.search(r"deadline|expiry|expiration", body, re.I):
+    if not _DEADLINE_RE.search(body):
         yield ("SIG", "sig-missing-deadline", "MEDIUM", 0.5, m.start(),
                "signature verification without a deadline bound")
 
@@ -54,7 +62,7 @@ def _rule_signature_replay(rec: FunctionRecord, body: str):
 def _rule_unchecked_arithmetic(rec: FunctionRecord, body: str):
     for m, open_pos, close_pos in balanced(body, _UNCHECKED_RE):
         block = body[open_pos:close_pos + 1]
-        if re.search(r"[\w\]]\s*(\+|-|\*)[^+\-=]", block):
+        if _ARITHMETIC_RE.search(block):
             yield ("MATH", "math-unchecked-arithmetic", "MEDIUM", 0.5, m.start(),
                    "arithmetic inside an unchecked block wraps silently")
 
@@ -73,9 +81,9 @@ def _rule_assembly(rec: FunctionRecord, body: str):
 def _rule_semantic_units(rec: FunctionRecord, body: str):
     # reduced-scope semantic-type check: timestamp values compared with or
     # assigned to block-number-named quantities
-    for stmt in re.finditer(r"[^;{}]+", body):
+    for stmt in STATEMENT_RE.finditer(body):
         text = stmt.group(0)
-        if "block.timestamp" in text and re.search(r"\b(block\.number|\w*[bB]lockNumber\w*|startBlock|endBlock|\w+Block)\b", text):
+        if "block.timestamp" in text and _BLOCK_NUMBER_RE.search(text):
             yield ("CCPTI", "ccpti-unit-mismatch", "MEDIUM", 0.5, stmt.start(),
                    "timestamp value mixed with a block-number quantity in one expression")
 

@@ -1,5 +1,6 @@
 """Repository ingestion: classify Solidity files, resolve remappings, and build
-a concatenated, line-attributable audit source."""
+a concatenated, line-attributable audit source. The comment and string mask
+lives here too, for the scope check and the parser."""
 
 from __future__ import annotations
 
@@ -13,6 +14,34 @@ log = logging.getLogger(__name__)
 
 _PRAGMA_RE = re.compile(r"pragma\s+solidity\s+([^;]+);")
 _DECL_RE = re.compile(r"^\s*(abstract\s+)?(contract|interface|library)\s+([A-Za-z_]\w*)", re.M)
+_VERSION_RE = re.compile(r"(\d+)\.(\d+)")
+_REMAPPINGS_ARRAY_RE = re.compile(r"remappings\s*=\s*\[(.*?)\]", re.S)
+_QUOTED_RE = re.compile(r"[\"']([^\"']+)[\"']")
+# a line comment, a block comment (`/*/` closes itself; an unterminated one
+# runs to the end), or a quoted literal: group 1 the opening quote, group 2
+# the contents (a backslash escapes the next character), group 3 the closing
+# quote, empty when the literal runs to the end
+_NONCODE_RE = re.compile(
+    r"""//[^\n]*|/(?=\*)[\s\S]*?\*/|/\*[\s\S]*|(["'])((?:\\[\s\S]?|(?!\1)[^\\])*)(\1?)"""
+)
+_NOT_NEWLINE_RE = re.compile(r"[^\n]")
+
+
+def blank(text: str) -> str:
+    """`text` with every character but a newline turned into a space."""
+    return _NOT_NEWLINE_RE.sub(" ", text)
+
+
+def _blank_noncode(m: re.Match) -> str:
+    if m.group(1) is None:
+        return blank(m.group())
+    return m.group(1) + blank(m.group(2)) + m.group(3)
+
+
+def mask_noncode(text: str) -> str:
+    """Blank comments and string-literal contents, preserving length and
+    line structure so offsets computed on the mask apply to the original."""
+    return _NONCODE_RE.sub(_blank_noncode, text)
 
 
 class IngestError(Exception):
@@ -160,9 +189,9 @@ def _foundry_remappings(path: Path) -> list[tuple[str, str]]:
         entries = _find_remapping_arrays(data)
     else:
         # minimal fallback: pull the remappings = [ ... ] array textually
-        m = re.search(r"remappings\s*=\s*\[(.*?)\]", text, re.S)
+        m = _REMAPPINGS_ARRAY_RE.search(text)
         if m:
-            entries = re.findall(r"[\"']([^\"']+)[\"']", m.group(1))
+            entries = _QUOTED_RE.findall(m.group(1))
     return _parse_remapping_lines(entries)
 
 
@@ -175,6 +204,10 @@ def _find_remapping_arrays(data) -> list[str]:
             else:
                 found.extend(_find_remapping_arrays(value))
     return found
+
+
+def _declared_contracts(text: str) -> list[str]:
+    return [m.group(3) for m in _DECL_RE.finditer(text) if m.group(2) == "contract"]
 
 
 def build_audit_source(
@@ -203,15 +236,15 @@ def build_audit_source(
             pragmas[f.path] = m.group(1).strip()
         cursor += len(lines)
     text = "\n".join(chunks)
-    declared = [m.group(3) for m in _DECL_RE.finditer(text)
-                if m.group(2) == "contract"]
     if scope_override:
+        # a contract declared only inside a comment or string is unknown
+        declared = _declared_contracts(mask_noncode(text))
         unknown = [n for n in scope_override if n not in declared]
         if unknown:
             raise IngestError(f"scope override names unknown contracts: {', '.join(sorted(unknown))}")
         scope = tuple(n for n in declared if n in set(scope_override))
     else:
-        scope = tuple(declared)
+        scope = tuple(_declared_contracts(text))
     return AuditSource(
         text=text,
         offsets=OffsetMap.build(segments),
@@ -234,7 +267,7 @@ def pragma_ge_08(expr: str | None) -> bool:
     """True when a pragma version expression pins solc at or above 0.8."""
     if not expr:
         return False
-    m = re.search(r"(\d+)\.(\d+)", expr)
+    m = _VERSION_RE.search(expr)
     if not m:
         return False
     return (int(m.group(1)), int(m.group(2))) >= (0, 8)

@@ -5,9 +5,12 @@ severity recalibration shared with the dossier pipeline's phase E)."""
 
 from __future__ import annotations
 
+import heapq
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 
 from . import prompts
 from .ccim import CcimModel, FnKey, FunctionRecord
@@ -45,12 +48,13 @@ SELF_DISPROVING_PHRASES = ("by design", "intended behavior", "not a vulnerabilit
 _HEDGE_RE = re.compile(r"\b(may|might|could|potentially|possibly)\b", re.I)
 _ENUM_RE = re.compile(r"(?m)^\s*(?:\d+[.)]|[-*])\s+(.*)$")
 _PRECON_WORD_RE = re.compile(r"\b(requires?|assum\w+|only if|must|precondition|when)\b", re.I)
+_STEP_RE = re.compile(r"\bstep\b", re.I)
 _CLAIMS_PROTECTED_RE = re.compile(
     r"\b(admin[- ]only|only the (owner|admin)|restricted to (the )?(owner|admin)|"
     r"protected by only\w+)\b", re.I)
 
 
-@dataclass
+@dataclass(slots=True)
 class PairCandidate:
     pair: tuple[FnKey, FnKey]
     sources: set[str] = field(default_factory=set)
@@ -69,96 +73,90 @@ class BehaviorSpec:
         return not (self.lifecycle or self.agreed_variables or self.assumptions)
 
 
-def _canonical(a: FnKey, b: FnKey) -> tuple[FnKey, FnKey]:
-    return (a, b) if a <= b else (b, a)
-
-
 def _auditable(ccim: CcimModel) -> list[FunctionRecord]:
     return [r for r in ccim.records
             if ccim.resolution.kinds.get(r.owner) != "interface" and "{" in r.body]
 
 
+def _pair_set(pairs) -> set[tuple[FnKey, FnKey]]:
+    """Canonical unordered pairs of two distinct functions."""
+    return {(a, b) if a < b else (b, a) for a, b in pairs if a != b}
+
+
 def select_pairs(ccim: CcimModel, merged: MergedSignals,
                  reasoner: Reasoner | None = None,
-                 budget: int = DEFAULT_CHAR_BUDGET) -> list[PairCandidate]:
+                 budget: int = DEFAULT_CHAR_BUDGET,
+                 max_pairs: int | None = None) -> list[PairCandidate]:
     """Union of the deterministic nomination heuristics (hotspot, counter,
     shared-state, triage) plus the optional reasoner triage source, deduplicated
-    on unordered pair identity and ordered by source confidence."""
+    on unordered pair identity and ordered by source confidence, then pair.
+
+    With `max_pairs` (a count, at least 0) the result is the first `max_pairs`
+    of that order, and with None the whole order. Each source nominates a set
+    of pairs; the ranking walks the confidence tiers down and stops once
+    `max_pairs` are taken, so a candidate is built only for a returned pair.
+    Its `sources` are every source that nominated it, and its
+    `source_confidence` the highest of theirs."""
     records = _auditable(ccim)
-    candidates: dict[tuple[FnKey, FnKey], PairCandidate] = {}
+    nominated = {}  # source -> the pairs it nominates
 
-    def nominate(a: FnKey, b: FnKey, source: str):
-        if a == b:
-            return
-        key = _canonical(a, b)
-        cand = candidates.setdefault(key, PairCandidate(pair=key))
-        cand.sources.add(source)
-        cand.source_confidence = max(cand.source_confidence, SOURCE_CONFIDENCE[source])
-
-    # (iii) shared-state: both functions write the same storage variable
-    writes = [(r.key, ccim.writes_q(r.key)) for r in records]
-    shared_writes: dict[tuple[FnKey, FnKey], int] = {}
-    for i, (a, wa) in enumerate(writes):
-        if not wa:
-            continue
-        for b, wb in writes[i + 1:]:
-            shared = wa & wb
-            if shared:
-                nominate(a, b, "SHARED_STATE")
-                shared_writes[_canonical(a, b)] = len(shared)
+    # (iii) shared-state: both functions write the same storage variable; the
+    # counter holds the number of variables each pair shares
+    keys = {r.key for r in records}
+    shared_writes = Counter(pair for writers in ccim.deps.writers.values()
+                            for pair in combinations(sorted(keys.intersection(writers)), 2))
+    nominated["SHARED_STATE"] = shared_writes
 
     # (ii) counter-pairs by naming idiom, same contract
     by_owner: dict[str, list[FunctionRecord]] = {}
     for r in records:
         by_owner.setdefault(r.owner, []).append(r)
-    for owner, recs in by_owner.items():
-        for a_stem, b_stem in COUNTER_STEMS:
-            a_side = [r for r in recs if r.name.lower().startswith(a_stem)]
-            b_side = [r for r in recs if r.name.lower().startswith(b_stem)]
-            for ra in a_side:
-                for rb in b_side:
-                    nominate(ra.key, rb.key, "COUNTER")
+    nominated["COUNTER"] = _pair_set(
+        (ra.key, rb.key) for recs in by_owner.values() for a_stem, b_stem in COUNTER_STEMS
+        for ra in recs if ra.name.lower().startswith(a_stem)
+        for rb in recs if rb.name.lower().startswith(b_stem))
 
     # (i) attention hotspots: signal mass plus shared-write coupling
     signal_conf: dict[FnKey, float] = {}
     for s in merged.retained:
         if s.function:
             signal_conf[s.function] = signal_conf.get(s.function, 0.0) + s.confidence
-    relations = set(shared_writes) | {_canonical(f, g) for f, g in ccim.graph.edges}
-    for a, b in sorted(relations):
-        score = (signal_conf.get(a, 0.0) + signal_conf.get(b, 0.0)
-                 + ATTENTION_SHARED_WRITE_BONUS * shared_writes.get((a, b), 0))
-        if score >= ATTENTION_THRESHOLD:
-            nominate(a, b, "HOTSPOT")
+    edges = _pair_set(ccim.graph.edges)
+    nominated["HOTSPOT"] = {
+        (a, b) for a, b in chain(shared_writes, edges)
+        if signal_conf.get(a, 0.0) + signal_conf.get(b, 0.0)
+        + ATTENTION_SHARED_WRITE_BONUS * shared_writes.get((a, b), 0) >= ATTENTION_THRESHOLD}
 
     # (iv) triage pairs: signal-bearing functions sharing a parameter, a state
     # read, or a trust boundary
-    flagged = sorted(signal_conf)
-    for i, a in enumerate(flagged):
-        ra = ccim.record(*a)
-        if ra is None:
-            continue
-        for b in flagged[i + 1:]:
-            rb = ccim.record(*b)
-            if rb is None:
-                continue
-            shares_param = bool(set(ra.params) & set(rb.params))
-            shares_read = bool(ccim.reads_q(a) & ccim.reads_q(b))
-            edge = (a, b) in ccim.graph.edges or (b, a) in ccim.graph.edges
-            gap = (ra.owner, rb.owner) in ccim.trust.trustgap or \
-                  (rb.owner, ra.owner) in ccim.trust.trustgap
-            if shares_param or shares_read or edge or gap:
-                nominate(a, b, "TRIAGE")
+    flagged = sorted(k for k in signal_conf if ccim.record(*k) is not None)
+    params = {k: frozenset(ccim.record(*k).params) for k in flagged}
+    reads = {k: ccim.reads_q(k) for k in flagged}
+    gap = ccim.trust.trustgap
+    nominated["TRIAGE"] = {
+        (a, b) for a, b in combinations(flagged, 2)
+        if params[a] & params[b] or reads[a] & reads[b] or (a, b) in edges
+        or (a[0], b[0]) in gap or (b[0], a[0]) in gap}
 
     # (v) optional reasoner triage for contracts with no high-severity signals
     if reasoner is not None:
         low_risk = _low_risk_contracts(ccim, merged)
         if low_risk:
-            for a, b in _reasoner_triage(ccim, low_risk, reasoner, budget):
-                nominate(a, b, "LLM_TRIAGE")
+            nominated["LLM_TRIAGE"] = _pair_set(_reasoner_triage(ccim, low_risk, reasoner, budget))
 
-    ordered = sorted(candidates.values(), key=lambda c: (-c.source_confidence, c.pair))
-    return ordered
+    # rank tier by tier, from the highest source confidence down
+    ranked: list[PairCandidate] = []
+    for conf in sorted(set(SOURCE_CONFIDENCE.values()), reverse=True):
+        higher = [pairs for source, pairs in nominated.items() if SOURCE_CONFIDENCE[source] > conf]
+        tier = {pair for source, pairs in nominated.items() if SOURCE_CONFIDENCE[source] == conf
+                for pair in pairs if not any(pair in h for h in higher)}
+        room = len(tier) if max_pairs is None else max_pairs - len(ranked)
+        ranked.extend(
+            PairCandidate(pair, {s for s, pairs in nominated.items() if pair in pairs}, conf)
+            for pair in heapq.nsmallest(room, tier))
+        if max_pairs is not None and len(ranked) >= max_pairs:
+            break
+    return ranked
 
 
 def _low_risk_contracts(ccim: CcimModel, merged: MergedSignals) -> list[str]:
@@ -318,7 +316,7 @@ def _unlikely_precondition_count(scenario: str) -> int:
 
 
 def _has_concrete_steps(scenario: str) -> bool:
-    return bool(_ENUM_RE.search(scenario)) or bool(re.search(r"\bstep\b", scenario, re.I))
+    return bool(_ENUM_RE.search(scenario)) or bool(_STEP_RE.search(scenario))
 
 
 def _access_facts(finding: Finding, ccim: CcimModel) -> tuple[bool, bool, bool]:
@@ -412,7 +410,7 @@ def id_run(ccim: CcimModel, merged: MergedSignals, reasoner: Reasoner, *,
            budget: int = DEFAULT_CHAR_BUDGET, max_pairs: int = 16) -> list[Finding]:
     """Full interaction-driven pipeline: pair selection -> spec inference ->
     spec-then-verify (+ standalone slots) -> stage-5 cleanup."""
-    pairs = select_pairs(ccim, merged, reasoner, budget)[:max_pairs]
+    pairs = select_pairs(ccim, merged, reasoner, budget, max_pairs)
 
     findings: list[Finding] = []
     for cand in pairs:

@@ -11,9 +11,11 @@ from corpus import REPOS, write_repo  # noqa: E402
 
 from solaudit import cli  # noqa: E402
 from solaudit.ccim import CcimModel, assemble_ccim  # noqa: E402
-from solaudit.engines import run_engines  # noqa: E402
+from solaudit.engines import MergedSignals, run_engines  # noqa: E402
 from solaudit.ingest import AuditSource, build_audit_source, classify_files, resolve_remappings  # noqa: E402
 from solaudit.reasoner import MockReasoner  # noqa: E402
+
+AUDITBENCH = Path(__file__).resolve().parent.parent / "auditbench"
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +43,27 @@ def models(sources) -> dict[str, CcimModel]:
 @pytest.fixture(scope="session")
 def merged_signals(models):
     return {name: run_engines(models[name]) for name in REPOS}
+
+
+@pytest.fixture(scope="session")
+def gen():
+    """The benchmark's corpus generator, `auditbench/gen.py`, imported read-only."""
+    sys.path.insert(0, str(AUDITBENCH))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(AUDITBENCH))
+    return gen
+
+
+@pytest.fixture(scope="session")
+def deep_model(gen, tmp_path_factory) -> tuple[CcimModel, MergedSignals]:
+    """(CCIM, merged signals) of the benchmark's `deep` shape, seed 3: two
+    contracts of 160 functions over 6 balance/total pairs."""
+    corpus = gen.generate(gen.Shape(contracts=2, functions=160, pairs=6), seed=3)
+    root = write_repo(corpus.files, tmp_path_factory.mktemp("deep"))
+    ccim = assemble_ccim(build_audit_source(classify_files(root), None, resolve_remappings(root)))
+    return ccim, run_engines(ccim)
 
 
 @pytest.fixture

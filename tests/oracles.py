@@ -1,10 +1,21 @@
-"""Independent brute-force oracles for the fixpoint, security-view and
-clustering checks. These deliberately use different algorithms than the
-implementations they verify and must stay that way."""
+"""Independent brute-force oracles for the fixpoint, security-view,
+clustering, mask and pair-selection checks. These deliberately use different
+algorithms than the implementations they verify and must stay that way."""
 
 from __future__ import annotations
 
-from solaudit.ccim import CcimModel, FunctionRecord
+from solaudit.ccim import CcimModel, FnKey, FunctionRecord
+from solaudit.engines import COUNTER_STEMS, MergedSignals
+from solaudit.interaction import (
+    ATTENTION_SHARED_WRITE_BONUS,
+    ATTENTION_THRESHOLD,
+    SOURCE_CONFIDENCE,
+    PairCandidate,
+    _auditable,
+    _low_risk_contracts,
+    _reasoner_triage,
+)
+from solaudit.reasoner import DEFAULT_CHAR_BUDGET, Reasoner
 
 
 def reachable_internal(record: FunctionRecord, by_owner: dict) -> set:
@@ -125,3 +136,91 @@ def brute_force_partition(findings, cards) -> set[frozenset[str]]:
         if not placed:
             clusters.append({fid})
     return {frozenset(c) for c in clusters}
+
+
+def _canonical(a: FnKey, b: FnKey) -> tuple[FnKey, FnKey]:
+    return (a, b) if a <= b else (b, a)
+
+
+def brute_force_select_pairs(ccim: CcimModel, merged: MergedSignals,
+                             reasoner: Reasoner | None = None,
+                             budget: int = DEFAULT_CHAR_BUDGET) -> list[PairCandidate]:
+    """`interaction.select_pairs` as it was before top-`max_pairs` selection:
+    a candidate for every nomination, every pair of records intersected for
+    shared writes, and the full candidate list sorted. Slice it to compare
+    with a limited selection."""
+    records = _auditable(ccim)
+    candidates: dict[tuple[FnKey, FnKey], PairCandidate] = {}
+
+    def nominate(a: FnKey, b: FnKey, source: str):
+        if a == b:
+            return
+        key = _canonical(a, b)
+        cand = candidates.setdefault(key, PairCandidate(pair=key))
+        cand.sources.add(source)
+        cand.source_confidence = max(cand.source_confidence, SOURCE_CONFIDENCE[source])
+
+    # (iii) shared-state: both functions write the same storage variable
+    writes = [(r.key, ccim.writes_q(r.key)) for r in records]
+    shared_writes: dict[tuple[FnKey, FnKey], int] = {}
+    for i, (a, wa) in enumerate(writes):
+        if not wa:
+            continue
+        for b, wb in writes[i + 1:]:
+            shared = wa & wb
+            if shared:
+                nominate(a, b, "SHARED_STATE")
+                shared_writes[_canonical(a, b)] = len(shared)
+
+    # (ii) counter-pairs by naming idiom, same contract
+    by_owner: dict[str, list[FunctionRecord]] = {}
+    for r in records:
+        by_owner.setdefault(r.owner, []).append(r)
+    for owner, recs in by_owner.items():
+        for a_stem, b_stem in COUNTER_STEMS:
+            a_side = [r for r in recs if r.name.lower().startswith(a_stem)]
+            b_side = [r for r in recs if r.name.lower().startswith(b_stem)]
+            for ra in a_side:
+                for rb in b_side:
+                    nominate(ra.key, rb.key, "COUNTER")
+
+    # (i) attention hotspots: signal mass plus shared-write coupling
+    signal_conf: dict[FnKey, float] = {}
+    for s in merged.retained:
+        if s.function:
+            signal_conf[s.function] = signal_conf.get(s.function, 0.0) + s.confidence
+    relations = set(shared_writes) | {_canonical(f, g) for f, g in ccim.graph.edges}
+    for a, b in sorted(relations):
+        score = (signal_conf.get(a, 0.0) + signal_conf.get(b, 0.0)
+                 + ATTENTION_SHARED_WRITE_BONUS * shared_writes.get((a, b), 0))
+        if score >= ATTENTION_THRESHOLD:
+            nominate(a, b, "HOTSPOT")
+
+    # (iv) triage pairs: signal-bearing functions sharing a parameter, a state
+    # read, or a trust boundary
+    flagged = sorted(signal_conf)
+    for i, a in enumerate(flagged):
+        ra = ccim.record(*a)
+        if ra is None:
+            continue
+        for b in flagged[i + 1:]:
+            rb = ccim.record(*b)
+            if rb is None:
+                continue
+            shares_param = bool(set(ra.params) & set(rb.params))
+            shares_read = bool(ccim.reads_q(a) & ccim.reads_q(b))
+            edge = (a, b) in ccim.graph.edges or (b, a) in ccim.graph.edges
+            gap = (ra.owner, rb.owner) in ccim.trust.trustgap or \
+                  (rb.owner, ra.owner) in ccim.trust.trustgap
+            if shares_param or shares_read or edge or gap:
+                nominate(a, b, "TRIAGE")
+
+    # (v) optional reasoner triage for contracts with no high-severity signals
+    if reasoner is not None:
+        low_risk = _low_risk_contracts(ccim, merged)
+        if low_risk:
+            for a, b in _reasoner_triage(ccim, low_risk, reasoner, budget):
+                nominate(a, b, "LLM_TRIAGE")
+
+    ordered = sorted(candidates.values(), key=lambda c: (-c.source_confidence, c.pair))
+    return ordered

@@ -1,6 +1,7 @@
-"""Smoke benchmark of the substrate: `assemble_ccim` plus `run_engines` on a
-generated 5-contract corpus, timed by pytest-benchmark for a fixed few
-rounds. The corpus generator is read from the benchmark's `auditbench/`."""
+"""Smoke benchmarks, timed by pytest-benchmark for a fixed few rounds: the
+substrate (`assemble_ccim` plus `run_engines`) on a generated 5-contract
+corpus, and top-16 pair selection on the `deep` shape. The corpus generator
+is read from the benchmark's `auditbench/`."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from corpus import write_repo
 from solaudit.ccim import assemble_ccim
 from solaudit.engines import run_engines
 from solaudit.ingest import build_audit_source, classify_files, resolve_remappings
+from solaudit.interaction import select_pairs
 
 AUDITBENCH = Path(__file__).resolve().parent.parent / "auditbench"
 
@@ -30,3 +32,10 @@ def test_substrate_benchmark(benchmark, tmp_path, monkeypatch):
     ccim, _ = benchmark.pedantic(substrate, rounds=5, iterations=1)
     for contract, names in corpus.functions.items():
         assert set(names) <= {r.name for r in ccim.owned(contract)}, contract
+
+
+def test_select_pairs_benchmark(benchmark, deep_model):
+    ccim, merged = deep_model
+    pairs = benchmark.pedantic(select_pairs, args=(ccim, merged), kwargs={"max_pairs": 16},
+                               rounds=5, iterations=1)
+    assert len(pairs) == 16

@@ -18,7 +18,7 @@ from solaudit.ccim import (
     normalize_predicate,
     parse_function_records,
 )
-from solaudit.ccim.parse import mask_noncode
+from solaudit.ccim.parse import mask_noncode, parse_source
 from solaudit.ingest import AuditSource, OffsetMap, Segment, build_audit_source, classify_files
 
 
@@ -67,6 +67,18 @@ def test_parse_modifier_guard_writes():
     assert not rec.fund_flag
     assert "msg.sender==owner" in rec.guards
     assert rec.pragma_ge_08
+
+
+def test_bodiless_modifier_takes_no_guards():
+    text = ("abstract contract A {\n"
+            "    modifier onlyOwner() virtual;\n"
+            "    function f(uint x) external { require(x > 10); }\n"
+            "    function g() external onlyOwner { }\n"
+            "    modifier bounded(uint y) { require(y < 5); _; }\n"
+            "}\n")
+    assert parse_source(text).decls[0].modifier_guards == {"bounded": ["y<5"]}
+    g = [r for r in parse_function_records(_source_from_text(text)) if r.name == "g"]
+    assert g[0].guards == ()
 
 
 def test_parse_sweep_fund_flag():

@@ -171,6 +171,21 @@ def test_commented_out_contract_stays_out_of_scope(tmp_path):
     assert doc["scope"] == ["Vault"]
 
 
+def test_scope_override_naming_a_commented_out_contract_is_rejected(tmp_path, capsys):
+    repo = write_repo({"src/Main.sol": (
+        "pragma solidity ^0.8.20;\n"
+        "/*\ncontract Legacy {}\n*/\n"
+        "contract Main {\n    uint256 public total;\n"
+        "    function add(uint256 a) external { total += a; }\n}\n")}, tmp_path / "repo")
+    out = tmp_path / "out"
+    assert cli.main(["--path", str(repo), "--out", str(out), "--scope", "Legacy"]) \
+        == cli.EXIT_ERROR
+    assert "scope override names unknown contracts: Legacy" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["--path", str(repo), "--out", str(out), "--scope", "Main"]) == cli.EXIT_CLEAN
+    assert json.loads((out / "report.json").read_text(encoding="utf-8"))["scope"] == ["Main"]
+
+
 def test_main_exit_codes(tmp_path):
     code, out = _main(tmp_path / "gated", "vault_oracle")
     severities = {f["severity"] for f in

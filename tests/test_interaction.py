@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import pytest
 
+from corpus import REPOS, write_repo
 from helpers import ThrowingReasoner, make_finding, scripted
+from oracles import brute_force_select_pairs
 
-from solaudit.engines import merge_signals
+from solaudit import interaction
+from solaudit.ccim import assemble_ccim
+from solaudit.engines import Signal, merge_signals, run_engines
+from solaudit.ingest import build_audit_source, classify_files, resolve_remappings
 from solaudit.interaction import (
     BehaviorSpec,
     audit_standalone,
@@ -64,6 +69,92 @@ def test_llm_triage_source(models):
     hit = [c for c in pairs if "LLM_TRIAGE" in c.sources]
     assert hit
     assert hit[0].pair == ((("Hub", "callSpoke")) , ("Spoke", "notify"))
+
+
+# top-`max_pairs` selection against the full ranking of the oracle
+LIMITS = (0, 1, 16, None)
+
+# overloads share a key; `Twin.deposit` has two records, one of them bodiless
+OVERLOADED = {"src/Twin.sol": (
+    "pragma solidity ^0.8.19;\n"
+    "abstract contract Twin {\n"
+    "    uint256 public total;\n"
+    "    mapping(address => uint256) public balance;\n"
+    "    function deposit(uint256 a) external { balance[msg.sender] += a; total += a; }\n"
+    "    function deposit(uint256 a, address to) external virtual;\n"
+    "    function deposit(address to) external { balance[to] += 1; total += 1; }\n"
+    "    function withdraw(uint256 a) external {\n"
+    "        balance[msg.sender] -= a; total -= a / 0;\n"
+    "        payable(msg.sender).transfer(a);\n"
+    "    }\n"
+    "    function mint(uint256 a) external { total += a; }\n"
+    "}\n"
+    "contract Pair is Twin {\n"
+    "    function deposit(uint256 a, address to) external override { total += a; }\n"
+    "    function burn(uint256 a) external { total -= a; }\n"
+    "}\n")}
+
+
+def _summary(candidates):
+    return [(c.pair, c.sources, c.source_confidence) for c in candidates]
+
+
+def _assert_matches_oracle(ccim, merged, make_reasoner=lambda: None):
+    full = brute_force_select_pairs(ccim, merged, make_reasoner())
+    for k in LIMITS:
+        got = select_pairs(ccim, merged, make_reasoner(), max_pairs=k)
+        assert _summary(got) == _summary(full[:k]), k
+
+
+@pytest.mark.parametrize("name", sorted(REPOS))
+def test_select_pairs_top_k_matches_oracle(models, merged_signals, name):
+    _assert_matches_oracle(models[name], merged_signals[name])
+
+
+def test_select_pairs_top_k_matches_oracle_with_reasoner_triage(models):
+    # reversed, self and unknown pairs from the reply too
+    script = [{"stage": "stage1_triage", "match": [], "response": {"pairs": [
+        ["Spoke", "notify", "Hub", "callSpoke"], ["Hub", "callSpoke", "Hub", "callSpoke"],
+        ["Hub", "callSpoke", "Spoke", "notify"], ["Nowhere", "f", "Hub", "callSpoke"]]}}]
+    made = []
+
+    def reasoner():
+        made.append(scripted(script))
+        return made[-1]
+
+    _assert_matches_oracle(models["bidirectional"], merge_signals({}), reasoner)
+    assert [r.call_count("stage1_triage") for r in made] == [1] * (1 + len(LIMITS))
+
+
+def test_select_pairs_top_k_matches_oracle_on_generated_corpus(deep_model):
+    _assert_matches_oracle(*deep_model)
+
+
+def test_select_pairs_top_k_matches_oracle_with_overloads(tmp_path):
+    root = write_repo(OVERLOADED, tmp_path / "repo")
+    ccim = assemble_ccim(build_audit_source(classify_files(root), None, resolve_remappings(root)))
+    assert len([r for r in ccim.records if r.key == ("Twin", "deposit")]) == 3
+    _assert_matches_oracle(ccim, run_engines(ccim))
+    # signals on the overloaded key and its neighbours reach the triage source
+    merged = merge_signals({"BVA": [
+        Signal("BVA", f"s{i}", "d", "MEDIUM", 0.6, key) for i, key in enumerate(
+            [("Twin", "deposit"), ("Twin", "withdraw"), ("Pair", "deposit"), ("Pair", "burn"),
+             ("Nowhere", "f")])]})
+    assert any("TRIAGE" in c.sources for c in select_pairs(ccim, merged))
+    _assert_matches_oracle(ccim, merged)
+
+
+def test_id_run_builds_only_the_audited_candidates(deep_model, monkeypatch):
+    built = []
+    real = interaction.PairCandidate
+
+    def counting(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(interaction, "PairCandidate", counting)
+    id_run(*deep_model, MockReasoner(), max_pairs=16)
+    assert len(built) == 16
 
 
 # --- stage 2: spec inference ------------------------------------------------------

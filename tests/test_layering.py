@@ -1,5 +1,6 @@
 """Layering of the package: past the substrate, every stage reads only the
-cross-contract interaction model (CCIM), never the raw audit source."""
+cross-contract interaction model (CCIM), never the raw audit source. Also
+read off the package's syntax tree: every constant regex is compiled once."""
 
 from __future__ import annotations
 
@@ -45,3 +46,32 @@ def test_only_the_substrate_entry_and_report_import_ingest():
     assert importers - allowed == set()
     # the guard reads real imports: the modules known to need the source are found
     assert {"solaudit.cli", "solaudit.ccim.build", "solaudit.ccim.parse"} <= importers
+
+
+# the `re` functions that take a pattern first
+PATTERN_FUNCTIONS = {"search", "match", "fullmatch", "split", "findall", "finditer", "sub", "subn"}
+
+
+def _string_pattern_calls(tree: ast.AST) -> list[int]:
+    """Lines of `re.<fn>(...)` calls whose pattern is a string literal."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+                and node.func.attr in PATTERN_FUNCTIONS):
+            continue
+        pattern = node.args[0] if node.args else \
+            next((k.value for k in node.keywords if k.arg == "pattern"), None)
+        if isinstance(pattern, ast.Constant) and isinstance(pattern.value, (str, bytes)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_constant_regexes_are_compiled_module_constants():
+    found = {_module_name(p): lines for p in PACKAGE.rglob("*.py")
+             if (lines := _string_pattern_calls(ast.parse(p.read_text(encoding="utf-8"))))}
+    assert found == {}
+    # the guard sees both call forms; an f-string pattern is not a literal
+    assert _string_pattern_calls(ast.parse(
+        're.search(r"x", t)\nre.sub(pattern="y", repl="", string=t)\nre.search(f"{a}", t)'
+    )) == [1, 2]
