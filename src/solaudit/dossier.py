@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 from . import prompts
 from .ccim import CcimModel, FnKey, FunctionRecord
+from .coverage import risk_profile
 from .engines import MergedSignals, render_markdown
 from .findings import (
     SEVERITY_RANK,
@@ -75,6 +76,8 @@ class InteractionGroup:
     kind: str                     # "pair" | "nway"
     members: tuple[FnKey, ...]
     subject: str                  # shared variable or "call"
+    part: int = 1                 # chunk `part` of `parts` of the variable's touchers
+    parts: int = 1
 
 
 def compile_dossiers(ccim: CcimModel, merged: MergedSignals) -> list[Dossier]:
@@ -218,20 +221,65 @@ def run_discovery_phase(tag: str, ccim: CcimModel, merged: MergedSignals,
 # --- phase C ---------------------------------------------------------------
 
 
-def build_phase_c_interactions(ccim: CcimModel) -> list[InteractionGroup]:
-    """Writer/reader and caller/callee pairs plus N-way interference groups
-    (three or more functions touching one variable)."""
+def _member_blocks(ccim: CcimModel) -> dict[FnKey, str]:
+    """One phase C source block per function key; the last record of an
+    overloaded name wins, as in ccim.record."""
+    return {r.key: f"// {r.owner}.{r.name}\n{r.body}" for r in ccim.records}
+
+
+def _phase_c_subject(subject: str, part: int, parts: int) -> str:
+    if subject == "call":
+        return "a call edge"
+    return f"storage variable {subject}" + (f" (part {part} of {parts})" if parts > 1 else "")
+
+
+def _chunks(ranked: list[FnKey], blocks: dict[FnKey, str], room: int) -> list[list[FnKey]]:
+    """`ranked` cut into consecutive chunks whose newline-joined blocks fit
+    in `room`. A chunk closes only once it has two members; a lone last
+    member takes the previous chunk's last one, and the two chunks merge if
+    that leaves a lone member behind."""
+    chunks: list[list[FnKey]] = [[]]
+    used = -1
+    for k in ranked:
+        if len(chunks[-1]) >= 2 and used + 1 + len(blocks[k]) > room:
+            chunks.append([])
+            used = -1
+        chunks[-1].append(k)
+        used += 1 + len(blocks[k])
+    if len(chunks) > 1 and len(chunks[-1]) == 1:
+        chunks[-1].insert(0, chunks[-2].pop())
+        if len(chunks[-2]) == 1:
+            chunks[-2:] = [chunks[-2] + chunks[-1]]
+    return chunks
+
+
+def build_phase_c_interactions(ccim: CcimModel,
+                               budget: int = DEFAULT_CHAR_BUDGET) -> list[InteractionGroup]:
+    """One interference review per shared variable, plus one caller/callee
+    pair per call edge.
+
+    A variable's touchers (writers and readers) are ranked by
+    `coverage.risk_profile`, highest first, ties by key. Two touchers make a
+    "pair" group; three or more make "nway" groups. The ranked members are
+    packed into consecutive chunks whose source blocks fit the room that
+    PHASE_C, rendered with the longest subject the variable can carry, leaves
+    under `budget`, so every prompt stays shorter than the budget. Every
+    toucher lands in exactly one chunk and no chunk has a single member; a
+    prompt is cut only when member blocks are too large to fit two to a
+    chunk. A variable split into k > 1 chunks numbers them 1..k."""
+    blocks = _member_blocks(ccim)
     groups: list[InteractionGroup] = []
     for var in sorted(set(ccim.deps.writers) | set(ccim.deps.readers)):
-        writers = ccim.deps.writers.get(var, frozenset())
-        readers = ccim.deps.readers.get(var, frozenset())
-        for w in sorted(writers):
-            for r in sorted(readers):
-                if w != r:
-                    groups.append(InteractionGroup("pair", (w, r), var))
-        touchers = sorted(writers | readers)
-        if len(touchers) >= 3:
-            groups.append(InteractionGroup("nway", tuple(touchers), var))
+        touchers = ccim.deps.writers.get(var, frozenset()) | ccim.deps.readers.get(var, frozenset())
+        n = len(touchers)
+        if n < 2:
+            continue
+        ranked = sorted(touchers, key=lambda k: (-risk_profile(ccim.record(*k)), k))
+        shell = prompts.render(prompts.PHASE_C, budget, {"members": ""},
+                               subject=_phase_c_subject(var, n, n))
+        chunks = _chunks(ranked, blocks, budget - 1 - len(shell))
+        groups.extend(InteractionGroup("pair" if n == 2 else "nway", tuple(c), var, i, len(chunks))
+                      for i, c in enumerate(chunks, start=1))
     for f, g in sorted(ccim.graph.edges):
         groups.append(InteractionGroup("pair", (f, g), "call"))
     return groups
@@ -240,12 +288,10 @@ def build_phase_c_interactions(ccim: CcimModel) -> list[InteractionGroup]:
 def run_phase_c(ccim: CcimModel, reasoner: Reasoner,
                 budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
     findings = []
-    # one source block per function key; the last record of an overloaded
-    # name wins, as in ccim.record
-    blocks = {r.key: f"// {r.owner}.{r.name}\n{r.body}" for r in ccim.records}
-    for group in build_phase_c_interactions(ccim):
-        members = "\n".join(blocks[k] for k in group.members if k in blocks)
-        subject = f"storage variable {group.subject}" if group.subject != "call" else "a call edge"
+    blocks = _member_blocks(ccim)
+    for group in build_phase_c_interactions(ccim, budget):
+        members = "\n".join(blocks[k] for k in group.members)
+        subject = _phase_c_subject(group.subject, group.part, group.parts)
         prompt = prompts.render(prompts.PHASE_C, budget, {"members": members}, subject=subject)
         reply = ask(reasoner, "phase_c", prompt, budget)
         if reply is None or str(reply.get("verdict", "UNCLEAR")).upper() != "VULNERABLE":

@@ -120,7 +120,7 @@ def _role_for(rel: str, text: str) -> str:
         return "script"
     if any(p in ("lib", "node_modules") for p in parts[:-1]):
         return "library"
-    kinds = {m.group(2) for m in _DECL_RE.finditer(text)}
+    kinds = {m.group(2) for m in _DECL_RE.finditer(mask_noncode(text))}
     if kinds == {"interface"}:
         return "interface"
     if kinds == {"library"}:

@@ -1,6 +1,6 @@
 """Smoke benchmarks, timed by pytest-benchmark for a fixed few rounds: the
 substrate (`assemble_ccim` plus `run_engines`) on a generated 5-contract
-corpus, and top-16 pair selection on the `deep` shape. The corpus generator
+corpus, and top-16 pair selection and phase C on the `deep` shape. The corpus generator
 is read from the benchmark's `auditbench/`."""
 
 from __future__ import annotations
@@ -10,9 +10,11 @@ from pathlib import Path
 from corpus import write_repo
 
 from solaudit.ccim import assemble_ccim
+from solaudit.dossier import build_phase_c_interactions, run_phase_c
 from solaudit.engines import run_engines
 from solaudit.ingest import build_audit_source, classify_files, resolve_remappings
 from solaudit.interaction import select_pairs
+from solaudit.reasoner import MockReasoner
 
 AUDITBENCH = Path(__file__).resolve().parent.parent / "auditbench"
 
@@ -39,3 +41,16 @@ def test_select_pairs_benchmark(benchmark, deep_model):
     pairs = benchmark.pedantic(select_pairs, args=(ccim, merged), kwargs={"max_pairs": 16},
                                rounds=5, iterations=1)
     assert len(pairs) == 16
+
+
+def test_phase_c_benchmark(benchmark, deep_model):
+    ccim, _ = deep_model
+    reasoners: list[MockReasoner] = []
+
+    def fresh_reasoner():
+        reasoners.append(MockReasoner())
+        return (ccim, reasoners[-1]), {}
+
+    benchmark.pedantic(run_phase_c, setup=fresh_reasoner, rounds=5, iterations=1)
+    groups = len(build_phase_c_interactions(ccim))
+    assert [r.call_count("phase_c") for r in reasoners] == [groups] * 5

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corpus import REPOS, write_repo
 from helpers import ThrowingReasoner, make_finding, scripted
 
+from solaudit.ccim import assemble_ccim
 from solaudit.dossier import (
     ROUTE_ADMIN_TRUST,
     ROUTE_GRAPH_SKIP,
     ROUTE_NEEDS_REASONER,
     ROUTE_VECTOR_CONFIRMED,
+    _chunks,
     build_phase_c_interactions,
     compile_dossiers,
     contract_priorities,
@@ -24,7 +29,15 @@ from solaudit.dossier import (
     run_phase_c,
 )
 from solaudit.engines import Signal, merge_signals
-from solaudit.reasoner import MockReasoner
+from solaudit.ingest import (
+    AuditSource,
+    OffsetMap,
+    Segment,
+    build_audit_source,
+    classify_files,
+    resolve_remappings,
+)
+from solaudit.reasoner import DEFAULT_CHAR_BUDGET, MockReasoner
 
 
 def _signals_for(ccim, entries):
@@ -179,8 +192,8 @@ def test_phase_c_groups(models):
     nway = [g for g in groups if g.kind == "nway" and g.subject == "Ledger.balances"]
     assert len(nway) == 1
     assert len(nway[0].members) >= 4
-    # pairs exist for writer/reader combinations
-    assert any(g.kind == "pair" and g.subject == "Ledger.balances" for g in groups)
+    # the one n-way review replaces the writer/reader pairs
+    assert not any(g.kind == "pair" and g.subject == "Ledger.balances" for g in groups)
 
 
 def test_phase_c_two_touchers_pairs_only(models):
@@ -190,8 +203,6 @@ def test_phase_c_two_touchers_pairs_only(models):
 
 def test_phase_c_empty(models):
     # interfaces only: build a tiny model with no shared state and no edges
-    from solaudit.ccim import assemble_ccim
-    from solaudit.ingest import AuditSource, OffsetMap, Segment
     src = AuditSource(text="contract Z { function f() external pure returns (uint256) { return 1; } }",
                       offsets=OffsetMap.build([Segment("z.sol", 1, 1, 1)]),
                       scope=("Z",), remappings=(), pragmas={})
@@ -207,6 +218,79 @@ def test_phase_c_vulnerable_verdict(models):
     findings = run_phase_c(models["guards_majority"], reasoner)
     assert findings
     assert all(f.pipeline == "D" for f in findings)
+
+
+class _RecordingReasoner(MockReasoner):
+    """The unscripted mock, keeping every prompt it is sent."""
+
+    def __init__(self):
+        super().__init__()
+        self.prompts: list[str] = []
+
+    def respond(self, request):
+        self.prompts.append(request.prompt)
+        return super().respond(request)
+
+
+def _generated_model(gen, tmp_path_factory, shape, seed):
+    corpus = gen.generate(shape, seed=seed)
+    root = write_repo(corpus.files, tmp_path_factory.mktemp("gen"))
+    return assemble_ccim(build_audit_source(classify_files(root), None, resolve_remappings(root)))
+
+
+def _check_phase_c_chunks(ccim, budget):
+    reasoner = _RecordingReasoner()
+    run_phase_c(ccim, reasoner, budget)
+    assert all(len(p) < budget for p in reasoner.prompts)
+
+    groups = build_phase_c_interactions(ccim, budget)
+    assert len(reasoner.prompts) == len(groups)
+    for var in set(ccim.deps.writers) | set(ccim.deps.readers):
+        touchers = ccim.deps.writers.get(var, frozenset()) | ccim.deps.readers.get(var, frozenset())
+        chunks = [g for g in groups if g.subject == var]
+        if len(touchers) < 2:
+            assert not chunks
+            continue
+        members = [k for g in chunks for k in g.members]
+        assert sorted(members) == sorted(touchers), var
+        assert all(len(g.members) >= 2 for g in chunks), var
+        assert [(g.part, g.parts) for g in chunks] == [(i, len(chunks))
+                                                       for i in range(1, len(chunks) + 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.tuples(st.integers(1, 3), st.integers(2, 40), st.integers(2, 6)),
+       seed=st.integers(0, 1_000), budget=st.integers(1_500, DEFAULT_CHAR_BUDGET))
+def test_phase_c_chunks_on_generated_corpora(gen, tmp_path_factory, shape, seed, budget):
+    _check_phase_c_chunks(_generated_model(gen, tmp_path_factory, gen.Shape(*shape), seed), budget)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(REPOS)), budget=st.integers(1_500, DEFAULT_CHAR_BUDGET))
+def test_phase_c_chunks_on_corpus_repos(models, name, budget):
+    _check_phase_c_chunks(models[name], budget)
+
+
+def test_phase_c_chunks_on_deep(deep_model):
+    _check_phase_c_chunks(deep_model[0], DEFAULT_CHAR_BUDGET)
+
+
+def test_phase_c_lone_last_member_never_stands_alone():
+    blocks = dict.fromkeys("abcd", "x" * 10)
+    # room for three blocks: d would be alone, so it takes c
+    assert _chunks(list("abcd"), blocks, 32) == [["a", "b"], ["c", "d"]]
+    # room for two blocks: taking b would leave a alone, so all three merge
+    assert _chunks(list("abc"), blocks, 21) == [["a", "b", "c"]]
+
+
+def test_phase_c_calls_grow_linearly(gen, tmp_path_factory):
+    calls = []
+    for functions in (160, 320):
+        shape = gen.Shape(contracts=2, functions=functions, pairs=6)
+        reasoner = MockReasoner()
+        run_phase_c(_generated_model(gen, tmp_path_factory, shape, seed=3), reasoner)
+        calls.append(reasoner.call_count("phase_c"))
+    assert calls[1] <= 2.2 * calls[0], calls
 
 
 # --- phase D -------------------------------------------------------------------

@@ -30,6 +30,17 @@ def test_classify_roles(multi_root):
     assert roles["src/LibOnly.sol"] == "library"
 
 
+def test_classify_ignores_commented_out_declarations(tmp_path):
+    root = write_repo({
+        "src/IOracle.sol": ("pragma solidity ^0.8.20;\n/*\ncontract Old {}\n*/\n"
+                            "interface IOracle {\n    function price() external view returns (uint256);\n}\n"),
+        "src/Main.sol": "pragma solidity ^0.8.20;\ncontract Main {\n    uint256 public total;\n}\n",
+    }, tmp_path / "repo")
+    files = classify_files(root)
+    assert {f.path: f.role for f in files}["src/IOracle.sol"] == "interface"
+    assert build_audit_source(files).scope == ("Main",)
+
+
 def test_classify_every_sol_file_once(multi_root):
     files = classify_files(multi_root)
     paths = [f.path for f in files]
