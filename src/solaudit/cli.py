@@ -45,7 +45,6 @@ class RunConfig:
     severity_gate: str = "HIGH"
     external_signals: tuple[str, ...] = ()
     max_pairs: int = 16
-    extra_phases: tuple[str, ...] = ()
     reaudit_rounds: int = 1
     blindspot_top: int = 3
 
@@ -106,8 +105,7 @@ def run(config: RunConfig, reasoner: Reasoner | None = None) -> AuditReport:
     merged_signals = run_engines(ccim, None, external, config.signal_cap)
 
     with ThreadPoolExecutor(max_workers=2, thread_name_prefix="pipeline") as pool:
-        dd_future = pool.submit(dd_run, ccim, merged_signals, reasoner,
-                                budget=config.char_budget, extra_phases=config.extra_phases)
+        dd_future = pool.submit(dd_run, ccim, merged_signals, reasoner, budget=config.char_budget)
         id_future = pool.submit(id_run, ccim, merged_signals, reasoner,
                                 budget=config.char_budget, max_pairs=config.max_pairs)
         f_d = dd_future.result()

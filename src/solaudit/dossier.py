@@ -73,10 +73,10 @@ class Dossier:
 
 @dataclass(frozen=True, slots=True)
 class InteractionGroup:
-    kind: str                     # "pair" | "nway"
+    kind: str                     # "pair" | "nway" | "call"
     members: tuple[FnKey, ...]
-    subject: str                  # shared variable or "call"
-    part: int = 1                 # chunk `part` of `parts` of the variable's touchers
+    subject: str                  # shared variable, or "Owner.name" of the callee
+    part: int = 1                 # chunk `part` of `parts` of the touchers or callers
     parts: int = 1
 
 
@@ -176,17 +176,10 @@ def phase_a_verify(dossier: Dossier, reasoner: Reasoner,
     return findings
 
 
-# --- discovery phases ------------------------------------------------------
+# --- discovery (phase B) ---------------------------------------------------
 
-DISCOVERY_LENSES = {
-    "B": "per-contract bottom-up semantic analysis: logic flaws, economic "
-         "inconsistencies, state-corruption paths, protocol-level attack scenarios",
-    "B2": "invariant extraction and violation search",
-    "B3": "systemic attack-path analysis across the whole protocol",
-    "B4": "adversarial red-team review of prior findings",
-    "B5": "state-machine lifecycle view with knowledge of earlier findings",
-    "B6": "follow-up on uncovered bug classes from the coverage map",
-}
+DISCOVERY_LENS = ("per-contract bottom-up semantic analysis: logic flaws, economic "
+                  "inconsistencies, state-corruption paths, protocol-level attack scenarios")
 DISCOVERY_CONTRACTS = 3     # highest-risk contracts packaged per discovery prompt
 
 
@@ -200,11 +193,10 @@ def contract_priorities(ccim: CcimModel, merged: MergedSignals) -> list[tuple[st
     return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def run_discovery_phase(tag: str, ccim: CcimModel, merged: MergedSignals,
-                        reasoner: Reasoner, budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
-    """Prompt-packaged discovery pass: prioritized contract context plus the
-    signal record, findings parsed from the structured reply."""
-    lens = DISCOVERY_LENSES.get(tag, DISCOVERY_LENSES["B"])
+def run_discovery_phase(ccim: CcimModel, merged: MergedSignals, reasoner: Reasoner,
+                        budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
+    """Prompt-packaged discovery pass (phase B): prioritized contract context
+    plus the signal record, findings parsed from the structured reply."""
     ranked = contract_priorities(ccim, merged)[:DISCOVERY_CONTRACTS]
     blocks = []
     for contract, score in ranked:
@@ -212,9 +204,10 @@ def run_discovery_phase(tag: str, ccim: CcimModel, merged: MergedSignals,
         blocks.append(f"### {contract} (risk score {score:.2f})\n{bodies}")
     prompt = prompts.render(
         prompts.PHASE_B, budget,
-        {"contracts": "\n\n".join(blocks), "signals": render_markdown(merged)}, lens=lens,
+        {"contracts": "\n\n".join(blocks), "signals": render_markdown(merged)},
+        lens=DISCOVERY_LENS,
     )
-    reply = ask(reasoner, f"phase_{tag.lower()}", prompt, budget, schema="phase_b")
+    reply = ask(reasoner, "phase_b", prompt, budget, schema="phase_b")
     return [] if reply is None else findings_from(reply, "D")
 
 
@@ -227,10 +220,9 @@ def _member_blocks(ccim: CcimModel) -> dict[FnKey, str]:
     return {r.key: f"// {r.owner}.{r.name}\n{r.body}" for r in ccim.records}
 
 
-def _phase_c_subject(subject: str, part: int, parts: int) -> str:
-    if subject == "call":
-        return "a call edge"
-    return f"storage variable {subject}" + (f" (part {part} of {parts})" if parts > 1 else "")
+def _phase_c_subject(kind: str, subject: str, part: int, parts: int) -> str:
+    what = f"calls into {subject}" if kind == "call" else f"storage variable {subject}"
+    return what + (f" (part {part} of {parts})" if parts > 1 else "")
 
 
 def _chunks(ranked: list[FnKey], blocks: dict[FnKey, str], room: int) -> list[list[FnKey]]:
@@ -255,8 +247,7 @@ def _chunks(ranked: list[FnKey], blocks: dict[FnKey, str], room: int) -> list[li
 
 def build_phase_c_interactions(ccim: CcimModel,
                                budget: int = DEFAULT_CHAR_BUDGET) -> list[InteractionGroup]:
-    """One interference review per shared variable, plus one caller/callee
-    pair per call edge.
+    """One interference review per shared variable and one per callee.
 
     A variable's touchers (writers and readers) are ranked by
     `coverage.risk_profile`, highest first, ties by key. Two touchers make a
@@ -266,22 +257,32 @@ def build_phase_c_interactions(ccim: CcimModel,
     under `budget`, so every prompt stays shorter than the budget. Every
     toucher lands in exactly one chunk and no chunk has a single member; a
     prompt is cut only when member blocks are too large to fit two to a
-    chunk. A variable split into k > 1 chunks numbers them 1..k."""
+    chunk. A variable split into k > 1 chunks numbers them 1..k.
+
+    A callee's callers are ranked and packed the same way into "call" groups
+    whose last member is the callee, its block counted in every chunk's
+    room. A callee is not its own caller unless it has no other, so a self
+    call keeps its (g, g) pair and no prompt otherwise holds a block twice."""
     blocks = _member_blocks(ccim)
+    risk = {r.key: risk_profile(r) for r in ccim.records}
     groups: list[InteractionGroup] = []
+
+    def pack(kind: str, members: frozenset[FnKey] | set[FnKey], subject: str,
+             tail: tuple[FnKey, ...] = ()):
+        ranked = sorted(members, key=lambda k: (-risk[k], k))
+        shell = prompts.render(prompts.PHASE_C, budget, {"members": ""},
+                               subject=_phase_c_subject(kind, subject, len(ranked), len(ranked)))
+        room = budget - 1 - len(shell) - sum(1 + len(blocks[k]) for k in tail)
+        chunks = _chunks(ranked, blocks, room)
+        groups.extend(InteractionGroup(kind, (*c, *tail), subject, i, len(chunks))
+                      for i, c in enumerate(chunks, start=1))
+
     for var in sorted(set(ccim.deps.writers) | set(ccim.deps.readers)):
         touchers = ccim.deps.writers.get(var, frozenset()) | ccim.deps.readers.get(var, frozenset())
-        n = len(touchers)
-        if n < 2:
-            continue
-        ranked = sorted(touchers, key=lambda k: (-risk_profile(ccim.record(*k)), k))
-        shell = prompts.render(prompts.PHASE_C, budget, {"members": ""},
-                               subject=_phase_c_subject(var, n, n))
-        chunks = _chunks(ranked, blocks, budget - 1 - len(shell))
-        groups.extend(InteractionGroup("pair" if n == 2 else "nway", tuple(c), var, i, len(chunks))
-                      for i, c in enumerate(chunks, start=1))
-    for f, g in sorted(ccim.graph.edges):
-        groups.append(InteractionGroup("pair", (f, g), "call"))
+        if len(touchers) >= 2:
+            pack("pair" if len(touchers) == 2 else "nway", touchers, var)
+    for g in sorted({g for _, g in ccim.graph.edges}):
+        pack("call", ccim.graph.callers(g) - {g} or {g}, f"{g[0]}.{g[1]}", (g,))
     return groups
 
 
@@ -291,7 +292,7 @@ def run_phase_c(ccim: CcimModel, reasoner: Reasoner,
     blocks = _member_blocks(ccim)
     for group in build_phase_c_interactions(ccim, budget):
         members = "\n".join(blocks[k] for k in group.members)
-        subject = _phase_c_subject(group.subject, group.part, group.parts)
+        subject = _phase_c_subject(group.kind, group.subject, group.part, group.parts)
         prompt = prompts.render(prompts.PHASE_C, budget, {"members": members}, subject=subject)
         reply = ask(reasoner, "phase_c", prompt, budget)
         if reply is None or str(reply.get("verdict", "UNCLEAR")).upper() != "VULNERABLE":
@@ -456,17 +457,15 @@ def phase_e_recalibrate(finding: Finding, ccim: CcimModel, reasoner: Reasoner,
 
 
 def dd_run(ccim: CcimModel, merged: MergedSignals, reasoner: Reasoner, *,
-           budget: int = DEFAULT_CHAR_BUDGET,
-           extra_phases: tuple[str, ...] = ()) -> list[Finding]:
-    """Full dossier-driven pipeline: dossiers -> A -> discovery (B..) -> C ->
+           budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
+    """Full dossier-driven pipeline: dossiers -> A -> discovery (B) -> C ->
     D routing/claim-first -> E recalibration -> renumbered finding set."""
     flagged = [d for d in compile_dossiers(ccim, merged) if d.flagged]
 
     findings: list[Finding] = []
     for d in flagged:
         findings.extend(phase_a_verify(d, reasoner, budget))
-    for tag in ("B",) + tuple(extra_phases):
-        findings.extend(run_discovery_phase(tag, ccim, merged, reasoner, budget))
+    findings.extend(run_discovery_phase(ccim, merged, reasoner, budget))
     findings.extend(run_phase_c(ccim, reasoner, budget=budget))
 
     survivors: list[Finding] = []

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from corpus import REPOS, write_repo
 from helpers import ThrowingReasoner, make_finding, scripted
 
+from solaudit import prompts
 from solaudit.ccim import assemble_ccim
 from solaudit.dossier import (
     ROUTE_ADMIN_TRUST,
@@ -14,6 +15,8 @@ from solaudit.dossier import (
     ROUTE_NEEDS_REASONER,
     ROUTE_VECTOR_CONFIRMED,
     _chunks,
+    _member_blocks,
+    _phase_c_subject,
     build_phase_c_interactions,
     compile_dossiers,
     contract_priorities,
@@ -182,8 +185,7 @@ def test_contract_priorities(models, merged_signals):
                                          {"title": "kept", "functions": ["Vault.withdraw"]}]])
 def test_discovery_skips_malformed_findings(models, merged_signals, findings):
     reasoner = scripted([{"stage": "phase_b", "match": [], "response": {"findings": findings}}])
-    found = run_discovery_phase("B", models["vault_oracle"], merged_signals["vault_oracle"],
-                                reasoner)
+    found = run_discovery_phase(models["vault_oracle"], merged_signals["vault_oracle"], reasoner)
     assert [f.title for f in found] == ([] if findings == 5 else ["kept"])
 
 
@@ -257,6 +259,21 @@ def _check_phase_c_chunks(ccim, budget):
         assert [(g.part, g.parts) for g in chunks] == [(i, len(chunks))
                                                        for i in range(1, len(chunks) + 1)]
 
+    blocks = _member_blocks(ccim)
+    for g in {g for _, g in ccim.graph.edges}:
+        subject = f"{g[0]}.{g[1]}"
+        chunks = [c for c in groups if c.kind == "call" and c.subject == subject]
+        callers = ccim.graph.callers(g) - {g} or {g}
+        assert sorted(k for c in chunks for k in c.members[:-1]) == sorted(callers), g
+        assert all(c.members[-1] == g for c in chunks), g
+        assert [(c.part, c.parts) for c in chunks] == [(i, len(chunks))
+                                                       for i in range(1, len(chunks) + 1)]
+        shell = prompts.render(prompts.PHASE_C, budget, {"members": ""},
+                               subject=_phase_c_subject("call", subject, len(callers), len(callers)))
+        whole = "\n".join(blocks[k] for k in (*callers, g))
+        if len(shell) + len(whole) < budget:
+            assert len(chunks) == 1, g
+
 
 @settings(max_examples=25, deadline=None)
 @given(shape=st.tuples(st.integers(1, 3), st.integers(2, 40), st.integers(2, 6)),
@@ -273,6 +290,42 @@ def test_phase_c_chunks_on_corpus_repos(models, name, budget):
 
 def test_phase_c_chunks_on_deep(deep_model):
     _check_phase_c_chunks(deep_model[0], DEFAULT_CHAR_BUDGET)
+
+
+def test_phase_c_one_review_per_callee_on_deep(deep_model):
+    reasoner = MockReasoner()
+    run_phase_c(deep_model[0], reasoner)
+    # 36 variable chunks and 6 callee chunks for 320 call edges
+    assert reasoner.call_count("phase_c") == 42
+
+
+_SELF_CALLS = """contract Z {
+    Z public peer;
+    function ping() external { peer.ping(); }
+    function pong() external { peer.ping(); }
+    function lone() external { peer.lone(); }
+}"""
+
+
+def test_phase_c_self_call_holds_callee_block_once():
+    lines = _SELF_CALLS.count("\n") + 1
+    ccim = assemble_ccim(AuditSource(text=_SELF_CALLS,
+                                     offsets=OffsetMap.build([Segment("z.sol", 1, lines, 1)]),
+                                     scope=("Z",), remappings=(), pragmas={}))
+    ping, pong, lone = ("Z", "ping"), ("Z", "pong"), ("Z", "lone")
+    assert {(ping, ping), (pong, ping), (lone, lone)} <= ccim.graph.edges
+    calls = [(g.subject, g.members) for g in build_phase_c_interactions(ccim) if g.kind == "call"]
+    # ping leaves its own caller list; lone, its only caller, keeps its (g, g) pair
+    assert calls == [("Z.lone", (lone, lone)), ("Z.ping", (pong, ping))]
+
+    reasoner = _RecordingReasoner()
+    run_phase_c(ccim, reasoner)
+    [prompt] = [p for p in reasoner.prompts if "calls into Z.ping" in p]
+    assert prompt.count("// Z.ping\n") == 1
+
+    found = run_phase_c(ccim, scripted([{"stage": "phase_c", "match": ["calls into Z.ping"],
+                                         "response": {"verdict": "VULNERABLE", "severity": "HIGH"}}]))
+    assert [f.title for f in found] == ["interference on Z.ping"]
 
 
 def test_phase_c_lone_last_member_never_stands_alone():
