@@ -215,8 +215,8 @@ def flag_rotation_risks(deps: StateDependencyMap, admin_set: frozenset[FnKey]) -
     return frozenset(rot)
 
 
-_RETURN_RE = re.compile(r"\breturn\b([^;]*);")
-_EMIT_RE = re.compile(r"\bemit\s+([A-Za-z_]\w*\s*\()")
+_RETURN_RE = re.compile(r"return(?<!\wreturn)\b([^;]*);")
+_EMIT_RE = re.compile(r"emit(?<!\wemit)\s+([A-Za-z_]\w*\s*\()")
 
 
 def _postconditions(record: FunctionRecord) -> frozenset[str]:
@@ -247,14 +247,11 @@ def compute_trust_model(graph: CallGraph, records: list[FunctionRecord]) -> Trus
     for r in records:
         by_owner.setdefault(r.owner, []).append(r)
 
+    # each callee's body is scanned once, however many edges reach it
+    post = {g: _postconditions(by_key[g]) for g in {g for _, g in graph.edges} if g in by_key}
     assumes: dict[tuple[str, str], set[str]] = {}
     for (f, g) in graph.edges:
-        pair = (f[0], g[0])
-        callee = by_key.get(g)
-        if callee is not None:
-            assumes.setdefault(pair, set()).update(_postconditions(callee))
-        else:
-            assumes.setdefault(pair, set())
+        assumes.setdefault((f[0], g[0]), set()).update(post.get(g, ()))
 
     enforces: dict[tuple[str, str], set[str]] = {}
     for (c1, c2) in graph.contract_edges:
@@ -285,7 +282,7 @@ def compute_trust_model(graph: CallGraph, records: list[FunctionRecord]) -> Trus
 
 def assemble_ccim(source: AuditSource) -> CcimModel:
     """Run the full construction pipeline over an audit source, parsed once."""
-    parsed = parse_source(source.text)
+    parsed = parse_source(source.text, source.masked)
     records = parse_function_records(source, parsed)
     resolution = build_resolution(records, parsed.decls)
     graph = build_call_graph(records, resolution)

@@ -1,9 +1,17 @@
-"""Pattern-based Solidity parser.
+r"""Pattern-based Solidity parser.
 
 No AST: contracts, functions and state variables are recovered with regexes
-plus balanced brace/paren scanning over a comment- and string-masked copy of
-the source. Unparseable constructs degrade to empty field values with a
-logged warning; they never abort the run. Assembly blocks are opaque text.
+over a comment- and string-masked copy of the source. Unparseable constructs
+degrade to empty field values with a logged warning; they never abort the
+run. Assembly blocks are opaque text. Each text is scanned once:
+- a pattern that scans a body or the whole text starts on a literal, as
+  `word(?<!\wword)`: `re` skips ahead only to a first literal or character
+  set, and tries one that starts with `\b`, a lookbehind or a multiline `^`
+  at every character;
+- one identifier pass per function body (`scan_body`) yields all its uses,
+  testing call and declaration shapes with anchored matches at a token's end;
+- one bracket index per audit (`bracket_pairs`) makes finding a closing
+  bracket a lookup bounded to the span being read (`match_brace`).
 """
 
 from __future__ import annotations
@@ -12,20 +20,28 @@ import logging
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from ..ingest import AuditSource, blank, map_line, mask_noncode, pragma_ge_08
+from ..ingest import AuditSource, map_line, mask_noncode, pragma_ge_08
 from .types import CallSite, FunctionRecord, inner_body
 
 log = logging.getLogger(__name__)
 
+# a declaration keyword after whitespace, `;`, `}` or the text's start
 _CONTRACT_RE = re.compile(
-    r"(?:^|[\s;}])((abstract)\s+)?(contract|interface|library)\s+([A-Za-z_]\w*)\s*(is\s+([^{]+?))?\s*\{"
+    r"(contract(?<![^\s;}]contract)|interface(?<![^\s;}]interface)|library(?<![^\s;}]library))"
+    r"\s+([A-Za-z_]\w*)\s*(is\s+([^{]+?))?\s*\{"
 )
-_FUNCTION_RE = re.compile(r"\b(function\s+([A-Za-z_]\w*)|constructor|receive|fallback)\s*\(")
+_ABSTRACT_RE = re.compile(r"abstract(?<![^\s;}]abstract)\s+(?=contract|interface|library)")
+_FUNCTION_RE = re.compile(
+    r"(function(?<!\wfunction)\s+([A-Za-z_]\w*)|constructor(?<!\wconstructor)"
+    r"|receive(?<!\wreceive)|fallback(?<!\wfallback))\s*\("
+)
 # a modifier with a body: a bodiless `modifier m() virtual;` ends at its `;`
-_MODIFIER_DEF_RE = re.compile(r"\bmodifier\s+([A-Za-z_]\w*)[^;{]*(?=\{)")
+_MODIFIER_DEF_RE = re.compile(r"modifier(?<!\wmodifier)\s+([A-Za-z_]\w*)[^;{]*(?=\{)")
+# a declaration at the start of a line, matched from the newline before it
 _STATE_VAR_RE = re.compile(
-    r"(?m)^[ \t]*"
+    r"\n[ \t]*"
     r"(mapping\s*\((?:[^()]|\([^()]*\))*\)|[A-Za-z_]\w*(?:\s+payable)?(?:\s*\[\s*\w*\s*\])*)"
     r"((?:\s+(?:public|private|internal|constant|immutable|override|transient))*)"
     r"\s+([A-Za-z_]\w*)\s*(=[^;]*)?;"
@@ -43,24 +59,25 @@ _NON_TYPE_KEYWORDS = {
 _BUILTIN_TARGETS = {"msg", "abi", "block", "tx", "this", "super", "address", "type", "bytes", "string"}
 _ARRAY_METHODS = {"push", "pop"}
 NAME_RE = re.compile(r"[A-Za-z_]\w*")               # an identifier token
-_IDENT_RE = re.compile(r"(?<![\w.])[A-Za-z_]\w*")  # a whole identifier, not a member
+# an identifier or member, not the tail of a number such as `1e18`; group 1 is
+# the name after it, as after a local's type, and group 2 an `=` after that
+_TOKEN_RE = re.compile(r"[A-Za-z_](?<!\w[A-Za-z_])\w*(?:(?=\s+([A-Za-z_]\w*)(\s*=)?))?")
 _SPACE_RE = re.compile(r"\s+")
-_NEWLINE_RE = re.compile("\n")
 _VISIBILITY_RE = re.compile(r"\b(public|external|internal|private)\b")
 _MUTABILITY_RE = re.compile(r"\b(view|pure|payable)\b")
-_RETURNS_RE = re.compile(r"\breturns\s*\([^)]*\)")
-_OVERRIDE_RE = re.compile(r"\boverride\s*\([^)]*\)")
+_RETURNS_RE = re.compile(r"returns(?<!\wreturns)\s*\([^)]*\)")
+_OVERRIDE_RE = re.compile(r"override(?<!\woverride)\s*\([^)]*\)")
 # a header word with its optional (argument list): modifiers and keywords
 _HEADER_TOKEN_RE = re.compile(r"([A-Za-z_]\w*)(\s*\(((?:[^()]|\([^()]*\))*)\))?")
-_VALUE_LOCAL_RE = re.compile(r"\b(?:u?int\d*|bool|address|bytes\d*|byte|string)\s+([A-Za-z_]\w*)\s*=")
-_LOCATED_LOCAL_RE = re.compile(r"\b(?:memory|calldata|storage)\s+([A-Za-z_]\w*)\b")
-# what precedes a variable that a `delete` or a prefix ++/-- writes
-_DELETE_BEFORE_RE = re.compile(r"\bdelete\s+$")
-_INCDEC_BEFORE_RE = re.compile(r"(\+\+|--)\s*$")
-_MEMBER_CALL_RE = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\s*\.\s*([A-Za-z_]\w*)\s*[({]")
-_PLAIN_CALL_RE = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\s*\(")
+# local declarations: `uint256 x =` and `memory x`
+_VALUE_TYPE_RE = re.compile(r"u?int\d*|bool|address|bytes\d*|byte|string")
+_LOCATIONS = frozenset({"memory", "calldata", "storage"})
+# what precedes a variable that a `delete` or (group 1) a prefix ++/-- writes
+_WRITE_BEFORE_RE = re.compile(r"(?:delete(?<!\wdelete)\s+|(\+\+|--)\s*)$")
+# call shapes, from the end of the callee's first identifier
+_MEMBER_CALL_RE = re.compile(r"\s*\.\s*([A-Za-z_]\w*)\s*[({]")
+_PLAIN_CALL_RE = re.compile(r"\s*\(")
 _ASSIGN_OP_RE = re.compile(r"(=(?!=)|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)")
-_COMPOUND_OP_RE = re.compile(r"(\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)")
 _ELEMENTARY_RE = re.compile(r"^(u?int\d*|bool|bytes\d*|byte|string)(\[\s*\w*\s*\])*$")
 # native ether leaving the contract; token transfers also move funds
 NATIVE_OUT_RES = (
@@ -73,12 +90,12 @@ _FUND_RES = NATIVE_OUT_RES + (
     re.compile(r"\.\s*safeTransfer\s*\("),
     re.compile(r"\.\s*safeTransferFrom\s*\("),
 )
-_BRACKET_RES = {pair: re.compile(f"[{re.escape(pair)}]") for pair in ("{}", "()", "[]")}
+_BRACKET_RE = re.compile(r"[(){}\[\]]")
 _NESTING_RE = re.compile(r"[([{]|[)\]}]|,")
 _HEADER_END_RE = re.compile(r"[(){;]")
 # one step along an [index] / .member chain after an identifier
 _SUFFIX_STEP_RE = re.compile(r"[ \t]*(?:(\[)|\.\s*([A-Za-z_]\w*))?")
-_REQUIRE_RE = re.compile(r"\brequire\s*\(")
+_REQUIRE_RE = re.compile(r"require(?<!\wrequire)\s*\(")
 _APPROVE_RE = re.compile(r"\.\s*(?:approve|safeApprove)\s*\(")
 
 
@@ -88,26 +105,43 @@ def normalize_predicate(text: str) -> str:
     return _SPACE_RE.sub("", text)
 
 
-def match_brace(text: str, open_pos: int, pair: str = "{}") -> int:
-    """Index of the bracket closing text[open_pos] == pair[0]; -1 if unbalanced.
-    `pair` is one of "{}", "()" and "[]"."""
-    depth = 0
-    for m in _BRACKET_RES[pair].finditer(text, open_pos):
-        depth += 1 if m.group() == pair[0] else -1
-        if depth == 0:
-            return m.start()
-    return -1
+def bracket_pairs(text: str) -> dict[int, int]:
+    """The bracket index of a masked text, in one pass: the offset of every
+    `{`, `(` and `[` that closes, mapped to that of its closing bracket. Each
+    kind nests on its own, as a depth count over that kind alone sees it."""
+    pairs: dict[int, int] = {}
+    parens, squares, braces = [], [], []
+    stack_of = {"(": parens, ")": parens, "[": squares, "]": squares, "{": braces, "}": braces}
+    for pos in map(re.Match.start, _BRACKET_RE.finditer(text)):
+        stack = stack_of[text[pos]]
+        if text[pos] in "([{":
+            stack.append(pos)
+        elif stack:
+            pairs[stack.pop()] = pos
+    return pairs
 
 
-def balanced(text: str, opener: re.Pattern, pair: str = "{}"):
-    """(match, open, close) for every `opener` match in `text`: `open` is the
-    first pair[0] at or after the match start and `close` the bracket closing
-    it. A match whose bracket never closes is skipped."""
-    for m in opener.finditer(text):
-        open_pos = text.find(pair[0], m.start())
+def match_brace(pairs: dict[int, int], open_pos: int, end: int) -> int:
+    """Offset of the bracket closing the one at `open_pos`, looked up in the
+    bracket index `pairs`; -1 when it does not close before `end`."""
+    close = pairs.get(open_pos, end)
+    return close if close < end else -1
+
+
+def balanced(text: str, opener: re.Pattern, pair: str = "{}",
+             pairs: dict[int, int] | None = None, start: int = 0, end: int | None = None):
+    """(match, open, close) for every `opener` match in text[start:end]:
+    `open` is the first pair[0] from the match start and `close` the bracket
+    closing it before `end`, else the match is skipped. `pairs` is the bracket
+    index of `text`, built on the first match when not given."""
+    end = len(text) if end is None else end
+    for m in opener.finditer(text, start, end):
+        open_pos = text.find(pair[0], m.start(), end)
         if open_pos < 0:
             continue
-        close = match_brace(text, open_pos, pair)
+        if pairs is None:
+            pairs = bracket_pairs(text)
+        close = match_brace(pairs, open_pos, end)
         if close >= 0:
             yield m, open_pos, close
 
@@ -152,12 +186,14 @@ class ContractDecl:
 @dataclass(frozen=True)
 class ParsedSource:
     """One audit source parsed once: the comment- and string-masked text, the
-    line-start index, the raw lines and the contract declarations. Built per
-    audit by `parse_source` and shared by parsing, resolution and the engines."""
+    line-start index, the raw lines, the bracket index of the mask and the
+    contract declarations. Built per audit by `parse_source` and shared by
+    parsing, resolution and the engines."""
     text: str
     masked: str
     line_starts: tuple[int, ...]
     lines: tuple[str, ...]
+    brackets: dict[int, int] = field(repr=False)   # bracket_pairs(masked)
     decls: tuple[ContractDecl, ...]
 
     def line_of(self, pos: int) -> int:
@@ -165,61 +201,70 @@ class ParsedSource:
         return bisect_right(self.line_starts, pos)
 
 
-def parse_source(text: str) -> ParsedSource:
-    masked = mask_noncode(text)
-    line_starts = (0, *(m.end() for m in _NEWLINE_RE.finditer(masked)))
-    return ParsedSource(text=text, masked=masked, line_starts=line_starts,
-                        lines=tuple(text.split("\n")),
-                        decls=tuple(scan_contracts(masked, line_starts)))
+def parse_source(text: str, masked: str | None = None) -> ParsedSource:
+    """Parse `text`; `masked` is its mask when ingest already made it."""
+    if masked is None:
+        masked = mask_noncode(text)
+    lines = tuple(text.split("\n"))
+    line_starts = (0, *accumulate(len(line) + 1 for line in lines[:-1]))
+    brackets = bracket_pairs(masked)
+    return ParsedSource(text=text, masked=masked, line_starts=line_starts, lines=lines,
+                        brackets=brackets, decls=tuple(scan_contracts(masked, line_starts, brackets)))
 
 
-def scan_contracts(masked: str, line_starts: tuple[int, ...]) -> list[ContractDecl]:
+def scan_contracts(masked: str, line_starts: tuple[int, ...],
+                   brackets: dict[int, int]) -> list[ContractDecl]:
     """Locate every contract/interface/library declaration with its span."""
     decls: list[ContractDecl] = []
+    abstract_at = {m.end() for m in _ABSTRACT_RE.finditer(masked)}
     for m in _CONTRACT_RE.finditer(masked):
         open_pos = m.end() - 1
-        close_pos = match_brace(masked, open_pos)
+        close_pos = match_brace(brackets, open_pos, len(masked))
         if close_pos < 0:
-            log.warning("unbalanced braces after contract %s; declaration skipped", m.group(4))
+            log.warning("unbalanced braces after contract %s; declaration skipped", m.group(2))
             continue
-        kind = "abstract" if m.group(2) else m.group(3)
         bases = []
-        if m.group(6):
-            for part in split_top_level(m.group(6)):
+        if m.group(4):
+            for part in split_top_level(m.group(4)):
                 ident = NAME_RE.match(part)
                 if ident:
                     bases.append(ident.group(0))
         decl = ContractDecl(
-            name=m.group(4), kind=kind, bases=tuple(bases),
-            start=m.start(3), open_pos=open_pos, close_pos=close_pos,
+            name=m.group(2), kind="abstract" if m.start() in abstract_at else m.group(1),
+            bases=tuple(bases), start=m.start(), open_pos=open_pos, close_pos=close_pos,
         )
-        inner = masked[open_pos + 1:close_pos]
-        decl.state_vars = _scan_state_vars(inner, line_starts, open_pos + 1)
-        decl.function_names = {fm.group(2) for fm in _FUNCTION_RE.finditer(inner) if fm.group(2)}
-        decl.modifier_guards = _scan_modifier_guards(inner)
+        start = open_pos + 1
+        decl.state_vars = _scan_state_vars(masked, start, close_pos, brackets, line_starts)
+        decl.function_names = {fm.group(2) for fm in _FUNCTION_RE.finditer(masked, start, close_pos)
+                               if fm.group(2)}
+        decl.modifier_guards = _scan_modifier_guards(masked, start, close_pos, brackets)
         decls.append(decl)
     return decls
 
 
-def _blank_nested_blocks(inner: str) -> str:
-    """Blank every brace-delimited block inside a contract body, leaving only
-    contract-level declarations for the state-variable scan. The body was cut
-    at its matching brace, so each block closes; one that did not would
-    blank the rest."""
-    out, pos = [], 0
-    while (open_pos := inner.find("{", pos)) >= 0:
-        close = match_brace(inner, open_pos)
-        out.append(inner[pos:open_pos])
-        pos = close + 1 if close >= 0 else len(inner)
-        out.append(blank(inner[open_pos:pos]))
-    out.append(inner[pos:])
+def _contract_level(masked: str, start: int, end: int, brackets: dict[int, int]) -> str:
+    """A newline and masked[start:end], a contract body, with each block in it
+    cut to its newlines, or to a space when it has none: the declarations line
+    for line, matched as with each block blanked, since the state-variable
+    scan reads whitespace only as a separator. An unclosed block cuts the rest."""
+    out, pos = ["\n"], start
+    while (open_pos := masked.find("{", pos, end)) >= 0:
+        close = match_brace(brackets, open_pos, end)
+        out.append(masked[pos:open_pos])
+        pos = close + 1 if close >= 0 else end
+        out.append("\n" * masked.count("\n", open_pos, pos) or " ")
+    out.append(masked[pos:end])
     return "".join(out)
 
 
-def _scan_state_vars(inner: str, line_starts: tuple[int, ...], base_offset: int) -> list[StateVarDecl]:
-    flat = _blank_nested_blocks(inner)
+def _scan_state_vars(masked: str, start: int, end: int, brackets: dict[int, int],
+                     line_starts: tuple[int, ...]) -> list[StateVarDecl]:
+    flat = _contract_level(masked, start, end, brackets)
     out = []
+    line, counted = bisect_right(line_starts, start), 1   # the line of flat[1]
     for m in _STATE_VAR_RE.finditer(flat):
+        line += flat.count("\n", counted, m.start() + 1)
+        counted = m.start() + 1
         type_text = " ".join(m.group(1).split())
         if type_text.split()[0] in _NON_TYPE_KEYWORDS:
             continue
@@ -227,20 +272,21 @@ def _scan_state_vars(inner: str, line_starts: tuple[int, ...], base_offset: int)
             name=m.group(3),
             type_text=type_text,
             has_initializer=bool(m.group(4)) or "constant" in (m.group(2) or "") or "immutable" in (m.group(2) or ""),
-            line=bisect_right(line_starts, base_offset + m.start()),
+            line=line,
         ))
     return out
 
 
-def _scan_modifier_guards(inner: str) -> dict[str, list[str]]:
-    return {m.group(1): _extract_requires(inner[open_pos:close])
-            for m, open_pos, close in balanced(inner, _MODIFIER_DEF_RE)}
+def _scan_modifier_guards(masked: str, start: int, end: int,
+                          brackets: dict[int, int]) -> dict[str, list[str]]:
+    return {m.group(1): _extract_requires(masked, open_pos, close, brackets)
+            for m, open_pos, close in balanced(masked, _MODIFIER_DEF_RE, "{}", brackets, start, end)}
 
 
-def _extract_requires(body: str) -> list[str]:
+def _extract_requires(masked: str, start: int, end: int, brackets: dict[int, int]) -> list[str]:
     conds = []
-    for _, open_pos, close in balanced(body, _REQUIRE_RE, "()"):
-        args = split_top_level(body[open_pos + 1:close])
+    for _, open_pos, close in balanced(masked, _REQUIRE_RE, "()", brackets, start, end):
+        args = split_top_level(masked[open_pos + 1:close])
         if args:
             conds.append(normalize_predicate(args[0]))
     return conds
@@ -259,11 +305,11 @@ def parse_function_records(source: AuditSource,
                            parsed: ParsedSource | None = None) -> list[FunctionRecord]:
     """One record per function declaration of every contract in the audit
     source, with guards, reads/writes, call sites and fund flag populated.
-    `parsed` defaults to `parse_source(source.text)`."""
+    `parsed` defaults to `parse_source(source.text, source.masked)`."""
     if not source.text.strip():
         return []
     if parsed is None:
-        parsed = parse_source(source.text)
+        parsed = parse_source(source.text, source.masked)
     by_name = {d.name: d for d in parsed.decls}
     records: list[FunctionRecord] = []
     for decl in parsed.decls:
@@ -299,28 +345,24 @@ def _visible_state_vars(decl: ContractDecl, by_name: dict[str, ContractDecl]) ->
 
 
 def _parse_contract_functions(decl, parsed, visible_vars, source):
-    inner_start = decl.open_pos + 1
-    inner = parsed.masked[inner_start:decl.close_pos]
+    masked, brackets, end = parsed.masked, parsed.brackets, decl.close_pos
     default_vis = "external" if decl.kind == "interface" else "public"
-    pos = 0
-    while True:
-        m = _FUNCTION_RE.search(inner, pos)
-        if not m:
-            return
+    pos = decl.open_pos + 1
+    while m := _FUNCTION_RE.search(masked, pos, end):
         name = m.group(2) or m.group(1)  # constructor/receive/fallback keep keyword name
         params_open = m.end() - 1
-        params_close = match_brace(inner, params_open, "()")
+        params_close = match_brace(brackets, params_open, end)
         if params_close < 0:
             log.warning("unbalanced parameter list in %s.%s; skipped", decl.name, name)
             pos = m.end()
             continue
-        header_end, has_body = _find_header_end(inner, params_close + 1)
+        header_end, has_body = _find_header_end(masked, params_close + 1, end, brackets)
         if header_end < 0:
             log.warning("unterminated declaration %s.%s; skipped", decl.name, name)
             pos = m.end()
             continue
         if has_body:
-            body_close = match_brace(inner, header_end)
+            body_close = match_brace(brackets, header_end, end)
             if body_close < 0:
                 log.warning("unbalanced braces in %s.%s; skipped to next declaration", decl.name, name)
                 pos = header_end + 1
@@ -329,15 +371,14 @@ def _parse_contract_functions(decl, parsed, visible_vars, source):
         else:
             decl_end = header_end
         pos = decl_end + 1
-        abs_start = inner_start + m.start()
-        abs_end = inner_start + decl_end
+        abs_start = m.start()
         try:
             yield _build_record(
                 decl, name, parsed, visible_vars, source,
-                abs_start=abs_start, abs_end=abs_end,
-                params_text=inner[params_open + 1:params_close],
-                header_text=inner[params_close + 1:header_end],
-                body_span=(inner_start + header_end, inner_start + decl_end) if has_body else None,
+                abs_start=abs_start, abs_end=decl_end,
+                params_text=masked[params_open + 1:params_close],
+                header_text=masked[params_close + 1:header_end],
+                body_span=(header_end, decl_end) if has_body else None,
                 default_vis=default_vis,
             )
         except Exception as exc:  # per-component isolation: degrade, never abort
@@ -346,20 +387,24 @@ def _parse_contract_functions(decl, parsed, visible_vars, source):
                 name=name, owner=decl.name, vis=default_vis, mut="nonpayable",
                 modifiers=(), guards=(), reads=frozenset(), writes=frozenset(),
                 call_sites=(), fund_flag=False,
-                src=(parsed.line_of(abs_start), parsed.line_of(abs_end)),
-                internal_calls=frozenset(), **_bodies(parsed, abs_start, abs_end),
+                src=(parsed.line_of(abs_start), parsed.line_of(decl_end)),
+                internal_calls=frozenset(), **_bodies(parsed, abs_start, decl_end),
             )
 
 
-def _find_header_end(inner: str, pos: int) -> tuple[int, bool]:
-    """Scan past modifiers/returns to the body '{' or the terminating ';'."""
+def _find_header_end(masked: str, pos: int, end: int, brackets: dict[int, int]) -> tuple[int, bool]:
+    """Scan past modifiers/returns to the body '{' or the terminating ';'. A
+    '(' is passed at its closing ')'; after a stray ')' parentheses are
+    counted until the depth is back at zero."""
     depth = 0
-    for m in _HEADER_END_RE.finditer(inner, pos):
-        c = m.group()
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
+    while m := _HEADER_END_RE.search(masked, pos, end):
+        c, pos = m.group(), m.end()
+        if c == "(" and depth == 0:
+            pos = match_brace(brackets, m.start(), end) + 1
+            if not pos:
+                break
+        elif c in "()":
+            depth += 1 if c == "(" else -1
         elif depth == 0:
             return m.start(), c == "{"
     return -1, False
@@ -433,22 +478,12 @@ def _build_record(decl, name, parsed, visible_vars, source, *,
     end_line = parsed.line_of(abs_end)
     signature = " ".join(text[abs_start:abs_start + (body_span[0] - abs_start if body_span else abs_end - abs_start)].split())
 
-    guards: list[str] = []
-    reads: set[str] = set()
-    writes: set[str] = set()
-    call_sites: list[CallSite] = []
-    internal: set[str] = set()
-    fund = False
-
-    if body_span:
-        inner_masked = masked[body_span[0] + 1:body_span[1]]
-        base = body_span[0] + 1
-        guards = _extract_requires(inner_masked)
-        shadowed = set(params) | _local_names(inner_masked)
-        reads, writes = _reads_writes(inner_masked, visible_vars, shadowed)
-        call_sites = _call_sites(inner_masked, base, parsed, visible_vars)
-        internal = _internal_calls(inner_masked, decl.function_names, name, visible_vars)
-        fund = any(r.search(inner_masked) for r in _FUND_RES)
+    # a bodiless declaration reads the empty span
+    start, end = (body_span[0] + 1, body_span[1]) if body_span else (abs_end, abs_end)
+    guards = _extract_requires(masked, start, end, parsed.brackets)
+    _, reads, writes, calls, internal = scan_body(
+        masked, start, end, parsed.brackets, visible_vars, decl.function_names, params)
+    fund = any(r.search(masked, start, end) for r in _FUND_RES)
 
     # modifier bodies contribute their require conditions to the guard set
     for mod in modifiers:
@@ -460,7 +495,8 @@ def _build_record(decl, name, parsed, visible_vars, source, *,
         name=name, owner=decl.name, vis=vis, mut=mut, modifiers=modifiers,
         guards=tuple(dict.fromkeys(guards)),
         reads=frozenset(reads), writes=frozenset(writes),
-        call_sites=tuple(call_sites), fund_flag=fund,
+        call_sites=tuple(CallSite(target=target, method=method, line=parsed.line_of(pos))
+                         for target, method, pos in calls), fund_flag=fund,
         src=(start_line, end_line), internal_calls=frozenset(internal),
         **_bodies(parsed, abs_start, abs_end), params=params, signature=signature,
         natspec=_natspec_above(parsed.lines, start_line),
@@ -468,82 +504,71 @@ def _build_record(decl, name, parsed, visible_vars, source, *,
     )
 
 
-def _local_names(body: str) -> set[str]:
-    locals_: set[str] = set()
-    for m in _VALUE_LOCAL_RE.finditer(body):
-        locals_.add(m.group(1))
-    for m in _LOCATED_LOCAL_RE.finditer(body):
-        locals_.add(m.group(1))
-    return locals_
-
-
-def _reads_writes(body: str, visible_vars: dict[str, str], shadowed: set[str]) -> tuple[set[str], set[str]]:
-    reads: set[str] = set()
-    writes: set[str] = set()
-    for m in _IDENT_RE.finditer(body):
-        var = m.group()
-        if var not in visible_vars or var in shadowed:
+def scan_body(masked: str, start: int, end: int, brackets: dict[int, int],
+              visible_vars: dict[str, str], fn_names: set[str], params: tuple[str, ...]):
+    """One pass over the identifiers of the body masked[start:end]: (locals,
+    reads, writes, calls, internal), the visible state it reads and writes as
+    a whole identifier no param or local shadows, its member calls on state
+    that can hold a contract as (target, method, target offset), and the
+    functions of `fn_names` it calls by plain name."""
+    declared: set[str] = set()
+    uses: list[tuple[str, str]] = []     # (state variable, _classify_suffix kind)
+    calls: list[tuple[str, str, int]] = []
+    internal: set[str] = set()
+    located_end = start                  # a `memory x` match is not rescanned from `x`
+    for m in _TOKEN_RE.finditer(masked, start, end):
+        word = m.group()
+        if m.lastindex:
+            if m.lastindex == 2 and _VALUE_TYPE_RE.fullmatch(word):
+                declared.add(m.group(1))     # `uint256 x =`
+            elif word in _LOCATIONS and m.start() >= located_end:
+                declared.add(m.group(1))     # `memory x`
+                located_end = m.end(1)
+        if word not in visible_vars and word not in fn_names:
             continue
-        before = body[max(0, m.start() - 8):m.start()]
-        if _DELETE_BEFORE_RE.search(before):
-            writes.add(var)
-            continue
-        if _INCDEC_BEFORE_RE.search(before):
-            writes.add(var)
-            reads.add(var)
-            continue
-        kind = _classify_suffix(body, m.end())
-        if kind == "write":
-            writes.add(var)
-        elif kind == "readwrite":
-            writes.add(var)
-            reads.add(var)
-        else:
-            reads.add(var)
-    return reads, writes
+        pos = m.start()
+        if pos > start and masked[pos - 1] == ".":
+            continue  # a member, not a whole identifier
+        if word in visible_vars:
+            if word not in params:
+                if written := _WRITE_BEFORE_RE.search(masked[max(start, pos - 8):pos]):
+                    uses.append((word, "readwrite" if written.group(1) else "write"))
+                else:
+                    uses.append((word, _classify_suffix(masked, m.end(), end, brackets)))
+            type_text = visible_vars[word]
+            # arrays, mappings and value types are not callees
+            if ((call := _MEMBER_CALL_RE.match(masked, m.end(), end))
+                    and call.group(1) not in _ARRAY_METHODS and word not in _BUILTIN_TARGETS
+                    and (type_text == "address" or not is_elementary_type(type_text))):
+                calls.append((word, call.group(1), pos))
+        elif word not in _NON_TYPE_KEYWORDS and _PLAIN_CALL_RE.match(masked, m.end(), end):
+            internal.add(word)
+    shadowed = declared.union(params)
+    reads = {var for var, kind in uses if kind != "write" and var not in shadowed}
+    writes = {var for var, kind in uses if kind != "read" and var not in shadowed}
+    return declared, reads, writes, calls, internal
 
 
-def _classify_suffix(body: str, pos: int) -> str:
+def _classify_suffix(masked: str, pos: int, end: int, brackets: dict[int, int]) -> str:
     """Look past [index]/.member chains to decide read vs write."""
     i, last_member = pos, ""
     while True:
-        step = _SUFFIX_STEP_RE.match(body, i)
+        step = _SUFFIX_STEP_RE.match(masked, i, end)
         i = step.end()
         if step.group(1):
-            close = match_brace(body, i - 1, "[]")
-            i = close + 1 if close >= 0 else len(body)
+            close = match_brace(brackets, i - 1, end)
+            i = close + 1 if close >= 0 else end
             last_member = ""
         elif step.group(2):
             last_member = step.group(2)
         else:
             break
-    if body.startswith("(", i):
+    if masked.startswith("(", i, end):
         return "write" if last_member in _ARRAY_METHODS else "read"
-    am = _ASSIGN_OP_RE.match(body[i:])
+    am = _ASSIGN_OP_RE.match(masked, i, end)
     if am:
-        return "readwrite" if _COMPOUND_OP_RE.match(am.group(1)) else "write"
+        return "write" if am.group(1) == "=" else "readwrite"
     return "read"
-
-
-def _call_sites(body: str, base: int, parsed: ParsedSource, visible_vars: dict[str, str]) -> list[CallSite]:
-    sites: list[CallSite] = []
-    for m in _MEMBER_CALL_RE.finditer(body):
-        target, method = m.group(1), m.group(2)
-        if target in _BUILTIN_TARGETS or target not in visible_vars or method in _ARRAY_METHODS:
-            continue
-        if is_elementary_type(visible_vars[target]) and visible_vars[target] != "address":
-            continue  # arrays, mappings and value types are not callees
-        sites.append(CallSite(target=target, method=method, line=parsed.line_of(base + m.start(1))))
-    return sites
-
-
-def _internal_calls(body: str, fn_names: set[str], self_name: str, visible_vars: dict[str, str]) -> set[str]:
-    out: set[str] = set()
-    for m in _PLAIN_CALL_RE.finditer(body):
-        callee = m.group(1)
-        if callee in fn_names and callee not in visible_vars and callee not in _NON_TYPE_KEYWORDS:
-            out.add(callee)
-    return out
 
 
 def extract_approval_recipients(record: FunctionRecord, state_vars: set[str]) -> frozenset[str]:

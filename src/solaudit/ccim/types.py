@@ -165,6 +165,11 @@ class CcimModel:
             out.setdefault(r.owner, []).append(r)
         return {owner: tuple(recs) for owner, recs in out.items()}
 
+    @cached_property
+    def leak_probes(self) -> tuple[tuple[FunctionRecord, str], ...]:
+        """(record, stripped body) per body of 20+ characters: what a skeleton prompt must not hold."""
+        return tuple((r, inner) for r in self.records if len(inner := r.body_inner().strip()) >= 20)
+
     def record(self, owner: str, name: str) -> FunctionRecord | None:
         return self._by_key.get((owner, name))
 

@@ -17,9 +17,10 @@ _BOUND_RE = re.compile(
     r"(?:require\s*\(|if\s*\()\s*([A-Za-z_]\w*)\s*(<=|>=|<|>)\s*(\d+(?:e\d+)?)"
 )
 STATEMENT_RE = re.compile(r"[^;{}]+")  # the text of one statement
-_POW_RE = re.compile(r"\b(\d+)\s*\*\*\s*(\d+)\b")
+_POW_RE = re.compile(r"(\d(?<!\w\d)\d*)\s*\*\*\s*(\d+)\b")
+_WORD_RE = re.compile(r"\w+")
 _DIV_ZERO_RE = re.compile(r"/\s*(0)\b(?![.\w])")
-_LITERAL_OP_RE = re.compile(r"\b(\d+(?:\.\d+)?e\d+|\d+)\s*(\*|-)\s*(\d+(?:\.\d+)?e\d+|\d+)")
+_LITERAL_OP_RE = re.compile(r"(\d(?<!\w\d)(?:\d*(?:\.\d+)?e\d+|\d*))\s*(\*|-)\s*(\d+(?:\.\d+)?e\d+|\d+)")
 
 UINT256_MAX = 2 ** 256 - 1
 
@@ -139,8 +140,12 @@ def _muldiv_shapes(record: FunctionRecord) -> list[tuple[str, frozenset[str]]]:
     identifiers involved."""
     shapes = []
     body = record.masked_inner
+    if "/" not in body or "*" not in body:
+        return shapes
     for m in STATEMENT_RE.finditer(body):
         stmt = m.group(0)
+        if "/" not in stmt or "*" not in stmt:
+            continue
         ops = "".join(c for c in stmt.replace("**", "") if c in "*/")
         if "*" in ops and "/" in ops:
             idents = frozenset(NAME_RE.findall(stmt)) - {"require", "if", "return"}
@@ -189,8 +194,10 @@ def _sub_symbolic_eval(ccim: CcimModel) -> list[Signal]:
         for rec in ccim.owned(contract):
             # the fold keeps every newline, so a line count over `folded`
             # plus the line of the opening brace locates a match
-            folded = _POW_RE.sub(lambda m: str(int(m.group(1)) ** int(m.group(2)))
-                                 + "\n" * m.group(0).count("\n"), rec.masked_inner)
+            folded = rec.masked_inner
+            if "**" in folded:
+                folded = _POW_RE.sub(lambda m: str(int(m.group(1)) ** int(m.group(2)))
+                                     + "\n" * m.group(0).count("\n"), folded)
             first = rec.line_at(rec.body.find("{"))
 
             def line_of(pos: int) -> int:
@@ -238,7 +245,7 @@ def _sub_invariant_consistency(ccim: CcimModel) -> list[Signal]:
             rec = ccim.record(*w)
             if rec is None or plain not in rec.writes:
                 continue  # transitive writers inherit the helper's checks
-            if any(re.search(rf"\b{re.escape(plain)}\b", g) for g in rec.guards):
+            if any(plain in _WORD_RE.findall(g) for g in rec.guards):
                 checking.append(rec)
             else:
                 unchecked.append(rec)

@@ -14,12 +14,14 @@ from .signal import Signal
 
 log = logging.getLogger(__name__)
 
-_ASSEMBLY_RE = re.compile(r"\bassembly\s*(?:\([^)]*\)\s*)?\{")
-_UNCHECKED_RE = re.compile(r"\bunchecked\s*\{")
+_ASSEMBLY_RE = re.compile(r"assembly(?<!\wassembly)\s*(?:\([^)]*\)\s*)?\{")
+_UNCHECKED_RE = re.compile(r"unchecked(?<!\wunchecked)\s*\{")
 _ORACLE_READ_RE = re.compile(r"\.\s*(latestAnswer|latestRoundData)\s*\(")
-_DIV_THEN_MUL_RE = re.compile(r"[\w\)\]]\s*/\s*[\w\(][\w\.\(\)\[\]]*\s*\*")
-_DOWNCAST_RE = re.compile(r"\b(u?int(?:8|16|32|64|96|128))\s*\(\s*[A-Za-z_]")
-_ECRECOVER_RE = re.compile(r"\becrecover\s*\(")
+# from the `/` of a division whose divisor a `*` follows; the dividend's last
+# character (a word character, `)` or `]`) is found by walking back
+_DIV_THEN_MUL_RE = re.compile(r"/\s*[\w\(][\w\.\(\)\[\]]*\s*\*")
+_DOWNCAST_RE = re.compile(r"((?:uint(?<!\wuint)|int(?<!\wint))(?:8|16|32|64|96|128))\s*\(\s*[A-Za-z_]")
+_ECRECOVER_RE = re.compile(r"ecrecover(?<!\wecrecover)\s*\(")
 _NONCE_RE = re.compile(r"nonce", re.I)
 _DEADLINE_RE = re.compile(r"deadline|expiry|expiration", re.I)
 _ARITHMETIC_RE = re.compile(r"[\w\]]\s*(\+|-|\*)[^+\-=]")
@@ -35,9 +37,11 @@ def _rule_oracle_staleness(rec: FunctionRecord, body: str):
 
 def _rule_div_before_mul(rec: FunctionRecord, body: str):
     for m in _DIV_THEN_MUL_RE.finditer(body):
-        stmt_start = body.rfind(";", 0, m.start()) + 1
-        if "/" in body[stmt_start:m.end()]:
-            yield ("MATH", "math-div-before-mul", "MEDIUM", 0.6, m.start(),
+        pos = m.start()
+        while pos and body[pos - 1].isspace():
+            pos -= 1
+        if pos and (body[pos - 1].isalnum() or body[pos - 1] in "_)]"):
+            yield ("MATH", "math-div-before-mul", "MEDIUM", 0.6, pos - 1,
                    "division before multiplication loses precision")
 
 
@@ -81,6 +85,8 @@ def _rule_assembly(rec: FunctionRecord, body: str):
 def _rule_semantic_units(rec: FunctionRecord, body: str):
     # reduced-scope semantic-type check: timestamp values compared with or
     # assigned to block-number-named quantities
+    if "block.timestamp" not in body:
+        return
     for stmt in STATEMENT_RE.finditer(body):
         text = stmt.group(0)
         if "block.timestamp" in text and _BLOCK_NUMBER_RE.search(text):

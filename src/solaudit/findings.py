@@ -165,9 +165,10 @@ def findings_from(payload: dict, pipeline: str,
 # claim-type classification shared by the reduction funnel and verdict engine
 
 _CLAIM_RES: tuple[tuple[str, re.Pattern], ...] = (
-    ("EVM_RACE", re.compile(r"\brace condition\b|\bevm race\b", re.I)),
-    ("REENTRANCY", re.compile(r"\breentran", re.I)),
-    ("INTEGER_OVERFLOW_GE08", re.compile(r"\boverflow\b|\bunderflow\b|\bwrap[- ]?around\b", re.I)),
+    ("EVM_RACE", re.compile(r"race condition(?<!\wrace condition)\b|evm race(?<!\wevm race)\b", re.I)),
+    ("REENTRANCY", re.compile(r"reentran(?<!\wreentran)", re.I)),
+    ("INTEGER_OVERFLOW_GE08", re.compile(
+        r"overflow(?<!\woverflow)\b|underflow(?<!\wunderflow)\b|wrap(?<!\wwrap)[- ]?around\b", re.I)),
     ("MISSING_ACCESS_CONTROL", re.compile(
         r"missing access control|lacks? access control|no access control|"
         r"without access control|anyone can call|unauthorized caller|"

@@ -29,7 +29,7 @@ log = logging.getLogger(__name__)
 
 _CENTRALIZATION_RE = re.compile(
     r"centraliz|too powerful|full control over|single point of failure|rug[- ]?pull", re.I)
-_EXTERNAL_CALL_CLAIM_RE = re.compile(r"\bexternal call\b|\bcalls? out\b", re.I)
+_EXTERNAL_CALL_CLAIM_RE = re.compile(r"external call(?<!\wexternal call)\b|call(?<!\wcall)s? out\b", re.I)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Repository ingestion: classify Solidity files, resolve remappings, and build
 a concatenated, line-attributable audit source. The comment and string mask
-lives here too, for the scope check and the parser."""
+lives here too: each file is masked once, for its role, the scope check and
+the parser."""
 
 from __future__ import annotations
 
@@ -13,35 +14,47 @@ from pathlib import Path
 log = logging.getLogger(__name__)
 
 _PRAGMA_RE = re.compile(r"pragma\s+solidity\s+([^;]+);")
-_DECL_RE = re.compile(r"^\s*(abstract\s+)?(contract|interface|library)\s+([A-Za-z_]\w*)", re.M)
+# a declaration keyword and its name; `_declarations` keeps those starting a line
+_DECL_RE = re.compile(r"(contract|interface|library)(?=\s+([A-Za-z_]\w*))")
 _VERSION_RE = re.compile(r"(\d+)\.(\d+)")
 _REMAPPINGS_ARRAY_RE = re.compile(r"remappings\s*=\s*\[(.*?)\]", re.S)
 _QUOTED_RE = re.compile(r"[\"']([^\"']+)[\"']")
 # a line comment, a block comment (`/*/` closes itself; an unterminated one
-# runs to the end), or a quoted literal: group 1 the opening quote, group 2
-# the contents (a backslash escapes the next character), group 3 the closing
-# quote, empty when the literal runs to the end
+# runs to the end), or a quoted literal: groups 1 and 3 the contents of a
+# double- and a single-quoted one (a backslash escapes the next character),
+# groups 2 and 4 its closing quote, empty when the literal runs to the end.
+# Every alternative starts on a literal, so `re` jumps from one `/`, `"` or
+# `'` to the next
 _NONCODE_RE = re.compile(
-    r"""//[^\n]*|/(?=\*)[\s\S]*?\*/|/\*[\s\S]*|(["'])((?:\\[\s\S]?|(?!\1)[^\\])*)(\1?)"""
+    r"""//[^\n]*|/(?=\*)[\s\S]*?\*/|/\*[\s\S]*|"""
+    r""""((?:\\[\s\S]?|[^"\\])*)("?)|'((?:\\[\s\S]?|[^'\\])*)('?)"""
 )
-_NOT_NEWLINE_RE = re.compile(r"[^\n]")
 
 
 def blank(text: str) -> str:
     """`text` with every character but a newline turned into a space."""
-    return _NOT_NEWLINE_RE.sub(" ", text)
+    return "\n".join([" " * len(line) for line in text.split("\n")])
 
 
 def _blank_noncode(m: re.Match) -> str:
-    if m.group(1) is None:
+    if m.lastindex is None:
         return blank(m.group())
-    return m.group(1) + blank(m.group(2)) + m.group(3)
+    return m.group()[0] + blank(m.group(m.lastindex - 1)) + m.group(m.lastindex)
 
 
 def mask_noncode(text: str) -> str:
     """Blank comments and string-literal contents, preserving length and
     line structure so offsets computed on the mask apply to the original."""
     return _NONCODE_RE.sub(_blank_noncode, text)
+
+
+def _left_open(text: str, masked: str) -> bool:
+    """Whether a comment or literal in `text` runs off its end. Its mask
+    `masked` keeps only a literal's quotes, so an open literal leaves an odd
+    count; an open comment is the last one after the last code."""
+    tail = [m.group() for m in _NONCODE_RE.finditer(text, len(masked.rstrip()))]
+    return (masked.count('"') + masked.count("'")) % 2 == 1 or (
+        bool(tail) and tail[-1].startswith("/*") and "*/" not in tail[-1][1:])
 
 
 class IngestError(Exception):
@@ -53,6 +66,8 @@ class SourceFile:
     path: str          # relative, posix-style
     role: str          # source | test | script | interface | library
     text: str
+    # mask_noncode(text), made when the role was read off the content
+    masked: str | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -84,6 +99,8 @@ class AuditSource:
     scope: tuple[str, ...]              # in-scope contract names
     remappings: tuple[tuple[str, str], ...]
     pragmas: dict[str, str] = field(default_factory=dict)  # path -> pragma version expr
+    # the files' masks joined like `text`; None masks `text` when it is parsed
+    masked: str | None = field(default=None, repr=False, compare=False)
 
 
 def classify_files(root: str | Path) -> list[SourceFile]:
@@ -107,25 +124,28 @@ def classify_files(root: str | Path) -> list[SourceFile]:
         except OSError as exc:
             log.warning("skipping unreadable file %s: %s", rel, exc)
             continue
-        out.append(SourceFile(path=rel, role=_role_for(rel, text), text=text))
+        role, masked = _role_for(rel, text)
+        out.append(SourceFile(path=rel, role=role, text=text, masked=masked))
     return out
 
 
-def _role_for(rel: str, text: str) -> str:
+def _role_for(rel: str, text: str) -> tuple[str, str | None]:
+    """The file's role, and its mask when the role was read off the content."""
     parts = rel.lower().split("/")
     name = parts[-1]
     if any(p in ("test", "tests", "mocks", "mock") for p in parts[:-1]) or name.endswith(".t.sol"):
-        return "test"
+        return "test", None
     if any(p in ("script", "scripts") for p in parts[:-1]) or name.endswith(".s.sol"):
-        return "script"
+        return "script", None
     if any(p in ("lib", "node_modules") for p in parts[:-1]):
-        return "library"
-    kinds = {m.group(2) for m in _DECL_RE.finditer(mask_noncode(text))}
+        return "library", None
+    masked = mask_noncode(text)
+    kinds = {kind for kind, _ in _declarations(masked)}
     if kinds == {"interface"}:
-        return "interface"
+        return "interface", masked
     if kinds == {"library"}:
-        return "library"
-    return "source"
+        return "library", masked
+    return "source", masked
 
 
 def resolve_remappings(root: str | Path) -> list[tuple[str, str]]:
@@ -206,8 +226,21 @@ def _find_remapping_arrays(data) -> list[str]:
     return found
 
 
+def _declarations(text: str) -> list[tuple[str, str]]:
+    r"""(kind, name) of each match of `^\s*(abstract\s+)?(contract|interface|
+    library)\s+([A-Za-z_]\w*)` under re.M, found from the keyword."""
+    found, end = [], 0           # a declaration's name is not a keyword
+    for m in _DECL_RE.finditer(text):
+        head = text[text.rfind("\n", 0, m.start()) + 1:m.start()]
+        if m.start() >= end and head.split() in ([], ["abstract"]) \
+                and (not head or head[-1].isspace()):
+            found.append(m.group(1, 2))
+            end = m.end(2)
+    return found
+
+
 def _declared_contracts(text: str) -> list[str]:
-    return [m.group(3) for m in _DECL_RE.finditer(text) if m.group(2) == "contract"]
+    return [name for kind, name in _declarations(text) if kind == "contract"]
 
 
 def build_audit_source(
@@ -216,10 +249,12 @@ def build_audit_source(
     remappings: list[tuple[str, str]] | None = None,
 ) -> AuditSource:
     """Concatenate role=source files (lexicographic by path) into one audit
-    source with a line-accurate offset map and the in-scope contract list."""
+    source with a line-accurate offset map and the in-scope contract list.
+    Each file is masked on its own: one left open hides nothing of the next."""
     selected = sorted((f for f in files if f.role == "source"), key=lambda f: f.path)
     segments: list[Segment] = []
     chunks: list[str] = []
+    masks: list[str] = []
     pragmas: dict[str, str] = {}
     cursor = 1
     for f in selected:
@@ -231,14 +266,19 @@ def build_audit_source(
             continue
         segments.append(Segment(path=f.path, start=cursor, end=cursor + len(lines) - 1, orig_start=1))
         chunks.append("\n".join(lines))
+        masked = mask_noncode(f.text) if f.masked is None else f.masked
+        if _left_open(f.text, masked):
+            log.warning("%s ends inside a comment or string literal; masked on its own", f.path)
+        masks.append(masked[:len(chunks[-1])])
         m = _PRAGMA_RE.search(f.text)
         if m:
             pragmas[f.path] = m.group(1).strip()
         cursor += len(lines)
     text = "\n".join(chunks)
+    masked = "\n".join(masks)
     if scope_override:
         # a contract declared only inside a comment or string is unknown
-        declared = _declared_contracts(mask_noncode(text))
+        declared = _declared_contracts(masked)
         unknown = [n for n in scope_override if n not in declared]
         if unknown:
             raise IngestError(f"scope override names unknown contracts: {', '.join(sorted(unknown))}")
@@ -251,6 +291,7 @@ def build_audit_source(
         scope=scope,
         remappings=tuple(remappings or ()),
         pragmas=pragmas,
+        masked=masked,
     )
 
 

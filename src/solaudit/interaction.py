@@ -48,7 +48,7 @@ SELF_DISPROVING_PHRASES = ("by design", "intended behavior", "not a vulnerabilit
 _HEDGE_RE = re.compile(r"\b(may|might|could|potentially|possibly)\b", re.I)
 _ENUM_RE = re.compile(r"(?m)^\s*(?:\d+[.)]|[-*])\s+(.*)$")
 _PRECON_WORD_RE = re.compile(r"\b(requires?|assum\w+|only if|must|precondition|when)\b", re.I)
-_STEP_RE = re.compile(r"\bstep\b", re.I)
+_STEP_RE = re.compile(r"step(?<!\wstep)\b", re.I)
 _CLAIMS_PROTECTED_RE = re.compile(
     r"\b(admin[- ]only|only the (owner|admin)|restricted to (the )?(owner|admin)|"
     r"protected by only\w+)\b", re.I)
@@ -200,9 +200,8 @@ def build_spec_prompt(pair: tuple[FnKey, FnKey], ccim: CcimModel,
         prompts.STAGE2_SPEC, budget, {"skeleton": skeleton},
         pair=f"{pair[0][0]}.{pair[0][1]} / {pair[1][0]}.{pair[1][1]}",
     )
-    for rec in ccim.records:
-        inner = rec.body_inner().strip()
-        if len(inner) >= 20 and inner in prompt:
+    for rec, inner in ccim.leak_probes:
+        if inner in prompt:
             raise RuntimeError(
                 f"implementation body of {rec.owner}.{rec.name} leaked into the spec prompt")
     return prompt

@@ -1,10 +1,14 @@
 """Independent brute-force oracles for the fixpoint, security-view,
-clustering, mask and pair-selection checks. These deliberately use different
-algorithms than the implementations they verify and must stay that way."""
+clustering, mask, bracket, scan and pair-selection checks. These deliberately
+use different algorithms than the implementations they verify and must stay
+that way."""
 
 from __future__ import annotations
 
-from solaudit.ccim import CcimModel, FnKey, FunctionRecord
+import re
+from bisect import bisect_right
+
+from solaudit.ccim import CcimModel, FnKey, FunctionRecord, parse
 from solaudit.engines import COUNTER_STEMS, MergedSignals
 from solaudit.interaction import (
     ATTENTION_SHARED_WRITE_BONUS,
@@ -224,3 +228,152 @@ def brute_force_select_pairs(ccim: CcimModel, merged: MergedSignals,
 
     ordered = sorted(candidates.values(), key=lambda c: (-c.source_confidence, c.pair))
     return ordered
+
+
+def brute_force_close(text: str, open_pos: int, end: int) -> int:
+    """Offset of the bracket closing text[open_pos] before `end`, or -1: a
+    depth count over that bracket kind, one character at a time from
+    `open_pos`, as every brace match walked before the bracket index."""
+    opener = text[open_pos]
+    closer = {"(": ")", "[": "]", "{": "}"}[opener]
+    depth = 0
+    for i in range(open_pos, end):
+        if text[i] == opener:
+            depth += 1
+        elif text[i] == closer:
+            depth -= 1
+            if depth == 0:
+                return i
+    return -1
+
+
+# The substrate's scans in their unanchored forms: a pattern that starts with
+# `\b`, a lookbehind or a multiline `^`, tried at every character. Each is
+# the reference for the keyword-anchored pattern that replaced it, keyed by
+# module and name.
+UNANCHORED = {
+    ("ccim.parse", "_CONTRACT_RE"):
+        r"(?:^|[\s;}])((abstract)\s+)?(contract|interface|library)\s+([A-Za-z_]\w*)\s*(is\s+([^{]+?))?\s*\{",
+    ("ccim.parse", "_FUNCTION_RE"): r"\b(function\s+([A-Za-z_]\w*)|constructor|receive|fallback)\s*\(",
+    ("ccim.parse", "_MODIFIER_DEF_RE"): r"\bmodifier\s+([A-Za-z_]\w*)[^;{]*(?=\{)",
+    ("ccim.parse", "_STATE_VAR_RE"):
+        r"(?m)^[ \t]*"
+        r"(mapping\s*\((?:[^()]|\([^()]*\))*\)|[A-Za-z_]\w*(?:\s+payable)?(?:\s*\[\s*\w*\s*\])*)"
+        r"((?:\s+(?:public|private|internal|constant|immutable|override|transient))*)"
+        r"\s+([A-Za-z_]\w*)\s*(=[^;]*)?;",
+    ("ccim.parse", "_REQUIRE_RE"): r"\brequire\s*\(",
+    ("ccim.parse", "_RETURNS_RE"): r"\breturns\s*\([^)]*\)",
+    ("ccim.parse", "_OVERRIDE_RE"): r"\boverride\s*\([^)]*\)",
+    ("ccim.build", "_RETURN_RE"): r"\breturn\b([^;]*);",
+    ("ccim.build", "_EMIT_RE"): r"\bemit\s+([A-Za-z_]\w*\s*\()",
+    ("engines.bva", "_POW_RE"): r"\b(\d+)\s*\*\*\s*(\d+)\b",
+    ("engines.bva", "_LITERAL_OP_RE"): r"\b(\d+(?:\.\d+)?e\d+|\d+)\s*(\*|-)\s*(\d+(?:\.\d+)?e\d+|\d+)",
+    ("engines.patterns", "_ASSEMBLY_RE"): r"\bassembly\s*(?:\([^)]*\)\s*)?\{",
+    ("engines.patterns", "_UNCHECKED_RE"): r"\bunchecked\s*\{",
+    ("engines.patterns", "_ECRECOVER_RE"): r"\becrecover\s*\(",
+    ("engines.patterns", "_DOWNCAST_RE"): r"\b(u?int(?:8|16|32|64|96|128))\s*\(\s*[A-Za-z_]",
+    ("engines.patterns", "_DIV_THEN_MUL_RE"): r"[\w\)\]]\s*/\s*[\w\(][\w\.\(\)\[\]]*\s*\*",
+    ("ingest", "_DECL_RE"): r"^\s*(abstract\s+)?(contract|interface|library)\s+([A-Za-z_]\w*)",
+    ("interaction", "_STEP_RE"): r"\bstep\b",
+    ("funnel", "_EXTERNAL_CALL_CLAIM_RE"): r"\bexternal call\b|\bcalls? out\b",
+}
+UNANCHORED_CLAIMS = {   # findings._CLAIM_RES, by claim type
+    "EVM_RACE": r"\brace condition\b|\bevm race\b",
+    "REENTRANCY": r"\breentran",
+    "INTEGER_OVERFLOW_GE08": r"\boverflow\b|\bunderflow\b|\bwrap[- ]?around\b",
+}
+
+# the function-body helpers that one identifier pass replaced
+_IDENT_RE = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
+_VALUE_LOCAL_RE = re.compile(r"\b(?:u?int\d*|bool|address|bytes\d*|byte|string)\s+([A-Za-z_]\w*)\s*=")
+_LOCATED_LOCAL_RE = re.compile(r"\b(?:memory|calldata|storage)\s+([A-Za-z_]\w*)\b")
+_DELETE_BEFORE_RE = re.compile(r"\bdelete\s+$")
+_INCDEC_BEFORE_RE = re.compile(r"(\+\+|--)\s*$")
+_MEMBER_CALL_RE = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\s*\.\s*([A-Za-z_]\w*)\s*[({]")
+_PLAIN_CALL_RE = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\s*\(")
+_SUFFIX_STEP_RE = re.compile(r"[ \t]*(?:(\[)|\.\s*([A-Za-z_]\w*))?")
+_ASSIGN_OP_RE = re.compile(r"(=(?!=)|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)")
+_COMPOUND_OP_RE = re.compile(r"(\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)")
+
+
+def separate_scans(body: str, visible_vars: dict[str, str], fn_names: set[str],
+                   params: tuple[str, ...]):
+    """`ccim.parse.scan_body`'s (locals, reads, writes, calls, internal) for a
+    whole body, from one scan per result as the parser made them before."""
+    locals_ = {m.group(1) for rx in (_VALUE_LOCAL_RE, _LOCATED_LOCAL_RE) for m in rx.finditer(body)}
+    shadowed = set(params) | locals_
+    reads, writes = set(), set()
+    for m in _IDENT_RE.finditer(body):
+        var = m.group()
+        if var not in visible_vars or var in shadowed:
+            continue
+        before = body[max(0, m.start() - 8):m.start()]
+        if _DELETE_BEFORE_RE.search(before):
+            kind = "write"
+        elif _INCDEC_BEFORE_RE.search(before):
+            kind = "readwrite"
+        else:
+            kind = _suffix_kind(body, m.end())
+        if kind != "read":
+            writes.add(var)
+        if kind != "write":
+            reads.add(var)
+    calls = []
+    for m in _MEMBER_CALL_RE.finditer(body):
+        target, method = m.group(1), m.group(2)
+        if target in parse._BUILTIN_TARGETS or target not in visible_vars or method in parse._ARRAY_METHODS:
+            continue
+        if parse.is_elementary_type(visible_vars[target]) and visible_vars[target] != "address":
+            continue
+        calls.append((target, method, m.start(1)))
+    internal = {m.group(1) for m in _PLAIN_CALL_RE.finditer(body)
+                if m.group(1) in fn_names and m.group(1) not in visible_vars
+                and m.group(1) not in parse._NON_TYPE_KEYWORDS}
+    return locals_, reads, writes, calls, internal
+
+
+def _suffix_kind(body: str, pos: int) -> str:
+    i, last_member = pos, ""
+    while True:
+        step = _SUFFIX_STEP_RE.match(body, i)
+        i = step.end()
+        if step.group(1):
+            close = brute_force_close(body, i - 1, len(body))
+            i = close + 1 if close >= 0 else len(body)
+            last_member = ""
+        elif step.group(2):
+            last_member = step.group(2)
+        else:
+            break
+    if body.startswith("(", i):
+        return "write" if last_member in parse._ARRAY_METHODS else "read"
+    am = _ASSIGN_OP_RE.match(body[i:])
+    if am:
+        return "readwrite" if _COMPOUND_OP_RE.match(am.group(1)) else "write"
+    return "read"
+
+
+def state_vars_blanked_in_place(masked: str, open_pos: int, close_pos: int,
+                                line_starts: tuple[int, ...]) -> list[tuple[str, str, bool, int]]:
+    """(name, type, initialized, line) of each state variable of the contract
+    body masked[open_pos + 1:close_pos], scanned as the parser did before it
+    cut nested blocks down to their newlines: every block blanked in place,
+    the unanchored pattern, the line looked up by offset."""
+    inner = masked[open_pos + 1:close_pos]
+    out, pos = [], 0
+    while (start := inner.find("{", pos)) >= 0:
+        close = brute_force_close(inner, start, len(inner))
+        out.append(inner[pos:start])
+        pos = close + 1 if close >= 0 else len(inner)
+        out.append("".join(c if c == "\n" else " " for c in inner[start:pos]))
+    flat = "".join(out) + inner[pos:]
+    found = []
+    for m in re.finditer(UNANCHORED["ccim.parse", "_STATE_VAR_RE"], flat):
+        type_text = " ".join(m.group(1).split())
+        if type_text.split()[0] in parse._NON_TYPE_KEYWORDS:
+            continue
+        modifiers = m.group(2) or ""
+        found.append((m.group(3), type_text,
+                      bool(m.group(4)) or "constant" in modifiers or "immutable" in modifiers,
+                      bisect_right(line_starts, open_pos + 1 + m.start())))
+    return found

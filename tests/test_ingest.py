@@ -4,6 +4,7 @@ import pytest
 
 from corpus import MULTI_FILE, write_repo
 
+from solaudit.ccim import assemble_ccim
 from solaudit.ingest import (
     IngestError,
     build_audit_source,
@@ -149,3 +150,18 @@ def test_pragma_version_flag():
     assert not pragma_ge_08("^0.7.6")
     assert not pragma_ge_08(None)
     assert not pragma_ge_08("unparseable")
+
+
+@pytest.mark.parametrize("tail", ["/* unterminated", '"unterminated'])
+def test_file_ending_inside_a_comment_or_literal_hides_no_later_file(tmp_path, caplog, tail):
+    root = write_repo({
+        "src/A.sol": f"pragma solidity ^0.8.20;\ncontract A {{\n    uint256 public a;\n}}\n{tail}",
+        "src/B.sol": ("pragma solidity ^0.8.20;\ncontract B {\n    uint256 public b;\n"
+                      "    function g() external { b = 1; }\n}\n"),
+    }, tmp_path / "repo")
+    with caplog.at_level("WARNING"):
+        ccim = assemble_ccim(build_audit_source(classify_files(root)))
+    assert ccim.scope == ("A", "B")
+    assert ccim.record("B", "g").writes == {"b"}
+    assert "src/A.sol ends inside a comment or string literal" in caplog.text
+    assert "src/B.sol" not in caplog.text

@@ -1,10 +1,12 @@
 """Layering of the package: past the substrate, every stage reads only the
 cross-contract interaction model (CCIM), never the raw audit source. Also
-read off the package's syntax tree: every constant regex is compiled once."""
+read off the package's syntax tree: every constant regex is compiled once,
+and none starts with a `\b` keyword the regex engine cannot jump to."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import solaudit
@@ -75,3 +77,27 @@ def test_constant_regexes_are_compiled_module_constants():
     assert _string_pattern_calls(ast.parse(
         're.search(r"x", t)\nre.sub(pattern="y", repl="", string=t)\nre.search(f"{a}", t)'
     )) == [1, 2]
+
+
+def _word_boundary_starts(tree: ast.AST) -> list[int]:
+    """Lines of `re.compile` calls whose literal pattern begins with `\\b` and
+    a letter."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+            and node.func.attr == "compile" and node.args
+            and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
+            and re.match(r"\\b[A-Za-z]", node.args[0].value)]
+
+
+def test_keyword_patterns_start_on_their_keyword():
+    # `re` jumps ahead only to a pattern's first literal; one that starts with
+    # `\b` is tried at every character. Write `\bword` as `word(?<!\wword)`.
+    found = {_module_name(p): lines for p in PACKAGE.rglob("*.py")
+             if (lines := _word_boundary_starts(ast.parse(p.read_text(encoding="utf-8"))))}
+    assert found == {}, "start the pattern on its keyword: write \\bword as word(?<!\\wword)"
+    # the guard rejects a leading `\b` keyword, and only that
+    assert _word_boundary_starts(ast.parse(
+        're.compile(r"\\brequire\\s*\\(")\nre.compile(r"require(?<!\\wrequire)\\s*\\(")\n'
+        're.compile(r"\\b(\\d+)")\nre.compile("\\\\bstep", re.I)'
+    )) == [1, 4]

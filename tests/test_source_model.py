@@ -1,19 +1,32 @@
-"""The per-audit source model: one mask, one line index and one contract scan
-shared by parsing, resolution and the engines, checked against independent
-forms on generated Solidity-like text."""
+"""The per-audit source model: one mask, one line index, one bracket index and
+one contract scan shared by parsing, resolution and the engines, and the
+keyword-anchored scans over it, checked against independent forms on
+generated Solidity-like text."""
 
 from __future__ import annotations
 
+import importlib
 import logging
+import re
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_footprints, brute_force_line_of, brute_force_mask
+from oracles import (
+    UNANCHORED,
+    UNANCHORED_CLAIMS,
+    brute_force_close,
+    brute_force_footprints,
+    brute_force_line_of,
+    brute_force_mask,
+    separate_scans,
+    state_vars_blanked_in_place,
+)
 
+from solaudit import findings, ingest
 from solaudit.ccim import assemble_ccim, parse, parse_function_records
-from solaudit.ccim.parse import mask_noncode, parse_source
+from solaudit.ccim.parse import bracket_pairs, mask_noncode, match_brace, parse_source, scan_body
 from solaudit.engines import patterns, run_engines
 from solaudit.ingest import AuditSource, OffsetMap, Segment
 
@@ -66,6 +79,8 @@ def test_mask_preserves_length_and_newlines(text):
     assert len(masked) == len(text)
     assert _newlines(masked) == _newlines(text)
     assert masked == brute_force_mask(text)
+    # a text is left open exactly when it would hide the code after it
+    assert ingest._left_open(text, masked) == (not mask_noncode(text + "\nx").endswith("x"))
 
 
 @settings(max_examples=100, deadline=None)
@@ -117,7 +132,8 @@ def test_engines_never_fail_and_footprints_match_brute_force(generated):
 
 def test_audit_parses_the_source_once(sources, monkeypatch):
     # every module-level binding of the two whole-source passes is counted, so
-    # an import under another module's name cannot hide a second parse
+    # an import under another module's name cannot hide a second parse; ingest
+    # masked each file once, so the audit never masks the whole source
     source = sources["vault_oracle"]
     calls = {"mask": 0, "scan": 0}
     originals = {"mask_noncode": (parse.mask_noncode, "mask"),
@@ -135,7 +151,7 @@ def test_audit_parses_the_source_once(sources, monkeypatch):
             if getattr(module, attr, None) is fn:
                 monkeypatch.setattr(module, attr, counting(fn, kind))
     run_engines(assemble_ccim(source))
-    assert calls == {"mask": 1, "scan": 1}
+    assert calls == {"mask": 0, "scan": 1}
 
 
 @pytest.mark.parametrize("body", [
@@ -149,3 +165,110 @@ def test_unbalanced_assembly_yields_no_block(body):
 def test_unbalanced_unchecked_block_is_empty():
     assert list(patterns._rule_unchecked_arithmetic(None, "unchecked { x = a + b;")) == []
     assert list(patterns._rule_unchecked_arithmetic(None, "unchecked { x = a + b; }"))
+
+
+# --- one scan per text --------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_SOUP, _contract_source().map(lambda s: s[0])), st.data())
+def test_bracket_index_matches_a_walk(text, data):
+    for scanned in (text, mask_noncode(text)):
+        pairs = bracket_pairs(scanned)
+        end = data.draw(st.integers(0, len(scanned)))
+        for pos in range(end):
+            if scanned[pos] in "([{":
+                assert match_brace(pairs, pos, end) == brute_force_close(scanned, pos, end)
+
+
+# keywords, identifiers that contain them, numbers and the punctuation the
+# anchored patterns read
+_KEYWORD_TEXT = st.lists(st.sampled_from([
+    "contract", "abstract", "interface", "library", "is", "function", "constructor",
+    "receive", "fallback", "modifier", "require", "returns", "override", "delete",
+    "return", "emit", "assembly", "unchecked", "ecrecover", "uint", "int", "uint8",
+    "int128", "uint256", "mapping", "public", "constant", "memory", "storage", "payable", "step",
+    "external call", "calls out", "race condition", "evm race", "reentrancy",
+    "overflow", "underflow", "wrap-around", "xrequire", "requirex", "a.require", "_emit",
+    "uint8x", "9uint8", "x", "Foo", "12", "1e18", "3.5e2", "0x1f", "2",
+    " ", "  ", "\n", "\t", ";", "{", "}", "(", ")", "[", "]", "=", ".", "/", "*", "**",
+    "-", ",", "=>", "\n  ",
+]), max_size=40).map("".join)
+
+
+def _found(pattern: re.Pattern, text: str) -> list:
+    return [(m.regs, m.groups()) for m in pattern.finditer(text)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_KEYWORD_TEXT)
+def test_anchored_patterns_match_their_unanchored_forms(text):
+    special = {"_CONTRACT_RE", "_STATE_VAR_RE", "_DIV_THEN_MUL_RE", "_DECL_RE"}
+    for (module, name), old in UNANCHORED.items():
+        if name not in special:
+            new = getattr(importlib.import_module(f"solaudit.{module}"), name)
+            flags = new.flags & re.I
+            assert _found(new, text) == _found(re.compile(old, flags), text), name
+    claims = dict(findings._CLAIM_RES)
+    for claim, old in UNANCHORED_CLAIMS.items():
+        assert _found(claims[claim], text) == _found(re.compile(old, re.I), text), claim
+
+    # the state-variable scan reads a text that starts with a newline: the
+    # same starts, and groups one character on
+    for old, new in zip(re.finditer(UNANCHORED["ccim.parse", "_STATE_VAR_RE"], text),
+                        parse._STATE_VAR_RE.finditer("\n" + text), strict=True):
+        assert (new.start(), new.groups()) == (old.start(), old.groups())
+        assert new.regs[1:] == tuple((a + 1, b + 1) if a >= 0 else (a, b) for a, b in old.regs[1:])
+    # a contract match starts at its keyword; `abstract` is read apart
+    abstract_at = {m.end() for m in parse._ABSTRACT_RE.finditer(text)}
+    assert [(m.start(), m.end(), "abstract" if m.start() in abstract_at else m.group(1),
+             *m.groups()[1:]) for m in parse._CONTRACT_RE.finditer(text)] == \
+        [(m.start(3), m.end(), "abstract" if m.group(2) else m.group(3), *m.groups()[3:])
+         for m in re.finditer(UNANCHORED["ccim.parse", "_CONTRACT_RE"], text)]
+    # a division is found from its `/`, and reported where the dividend ends
+    assert [hit[4] for hit in patterns._rule_div_before_mul(None, text)] == \
+        [m.start() for m in re.finditer(UNANCHORED["engines.patterns", "_DIV_THEN_MUL_RE"], text)]
+    assert ingest._declarations(text) == \
+        [m.group(2, 3) for m in re.finditer(UNANCHORED["ingest", "_DECL_RE"], text, re.M)]
+
+
+_STATE = {"bal": "mapping(address => uint256)", "total": "uint256", "peer": "IPool",
+          "owner": "address", "arr": "uint256[]", "flag": "bool"}
+_STATEMENT = st.sampled_from([
+    "total = 1;", "total += x;", "bal[a][b] -= 1;", "bal [a] [b] = 1;", "delete bal[a];",
+    "++total;", "total++;", "-- total;", "arr.push(1);", "arr.pop();", "arr[0].m = 1;",
+    "peer.ping();", "peer . ping{value: 1}(x);", "peer.a.b();", "owner.transfer(1);",
+    "x.total = 1;", "this.f();", "f(total);", "g (1);", "uint256 total = 2;",
+    "Foo memory peer = y;", "storage memory owner;", "memory storage flag;", "uint total;",
+    "bool flag = total == 1;", "x.uint owner = 1;", "require(total > 0);",
+    "if (flag) { total = 0; }", "unchecked { total -= 1; }", "y = 1e18 * total;",
+    "0xtotal;", "_total = 1;", "total_ = 2;", "emit E(total);", "return total;",
+    "bal[arr[1]] = 2;", "(total) = 3;", "total\n=\n4;", "x = peer;", "arr.length;",
+    "type(uint).max;", "9total = 1;", "bal[", "total[", "delete\ttotal;",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_STATEMENT, max_size=12).map(" ".join),
+       st.sampled_from([(), ("total",), ("x", "owner")]))
+def test_one_identifier_pass_matches_separate_scans(body, params):
+    fn_names = {"f", "g", "total"}
+    got = scan_body(body, 0, len(body), bracket_pairs(body), _STATE, fn_names, params)
+    assert got == separate_scans(body, _STATE, fn_names, params)
+
+
+# contract-level declarations with blocks inside and between their words
+_MEMBERS = st.lists(st.sampled_from([
+    "uint256", "mapping(address => uint)", "IPool", "public", "constant", "payable", "x",
+    "y", "= 1", "=", ";", "{ z = 1; }", "{\n}", "{}", "function f() {\n  y = 2;\n}",
+    "modifier m() { _; }", "\n", " ", "\t", "[2]",
+]), max_size=30).map(lambda members: "contract C {\n" + "".join(members) + "\n}\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_MEMBERS, _contract_source().map(lambda s: s[0])))
+def test_state_variables_match_blanking_in_place(text):
+    parsed = parse_source(text)
+    for decl in parsed.decls:
+        assert [(v.name, v.type_text, v.has_initializer, v.line) for v in decl.state_vars] == \
+            state_vars_blanked_in_place(parsed.masked, decl.open_pos, decl.close_pos, parsed.line_starts)
