@@ -11,7 +11,7 @@ from typing import Callable
 
 from ..ccim import CcimModel
 from .behavior import infer_preconditions, itpc_high_risk, run_bpm, run_cir, run_ira, run_itpc_lite
-from .bva import COUNTER_STEMS, run_bva
+from .bva import COUNTER_STEMS, counter_pairs, run_bva
 from .external import ingest_external
 from .patterns import run_pattern_detectors
 from .signal import (
@@ -63,6 +63,7 @@ __all__ = [
     "ENGINE_TAGS",
     "MergedSignals",
     "Signal",
+    "counter_pairs",
     "infer_preconditions",
     "ingest_external",
     "itpc_high_risk",

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
+from functools import cache
 
 from ..ccim import CcimModel, FunctionRecord
 from ..ccim.parse import NAME_RE
@@ -25,22 +27,20 @@ def run_bpm(ccim: CcimModel) -> list[Signal]:
     """Writers that deviate from the majority guard or co-modification pattern
     of their variable's writer set."""
     signals: list[Signal] = []
+    # each writer's guard patterns and qualified writes, once per run
+    patterns = cache(lambda w: _guard_patterns(r) if (r := ccim.record(*w)) else frozenset())
+    writes_q = cache(ccim.writes_q)
     for var in sorted(ccim.deps.writers):
         writers = sorted(ccim.deps.writers[var])
         if len(writers) < BPM_MIN_WRITERS:
             continue
-        records = {w: ccim.record(*w) for w in writers}
-        patterns = {w: _guard_patterns(r) if r else frozenset() for w, r in records.items()}
-        space = set().union(*patterns.values())
-        majority = {}
-        for p in sorted(space):
-            holders = [w for w in writers if p in patterns[w]]
-            if len(holders) * 2 > len(writers) and len(holders) < len(writers):
-                majority[p] = len(holders) / len(writers)
+        holders = Counter(p for w in writers for p in patterns(w))
+        majority = {p: n / len(writers) for p, n in holders.items()
+                    if n * 2 > len(writers) and n < len(writers)}
         for w in writers:
-            missing = sorted(p for p in majority if p not in patterns[w])
+            missing = sorted(p for p in majority if p not in patterns(w))
             if missing:
-                rec = records[w]
+                rec = ccim.record(*w)
                 signals.append(Signal(
                     source_tag="BPM", id="bpm-guard-deviation",
                     description=(f"{w[0]}.{w[1]} writes {var} without the guard(s) "
@@ -49,20 +49,20 @@ def run_bpm(ccim: CcimModel) -> list[Signal]:
                     confidence=round(max(majority[p] for p in missing), 2),
                     function=w, line_hint=rec.src[0] if rec else None,
                 ))
-        signals.extend(_comod_deviants(ccim, var, writers))
+        signals.extend(_comod_deviants(ccim, var, writers, writes_q))
     return signals
 
 
-def _comod_deviants(ccim: CcimModel, var: str, writers: list) -> list[Signal]:
-    co_counts: dict[str, list] = {}
+def _comod_deviants(ccim: CcimModel, var: str, writers: list, writes_q) -> list[Signal]:
+    co_holders: dict[str, set] = {}
     for w in writers:
-        for u_q in ccim.writes_q(w):
+        for u_q in writes_q(w):
             if u_q != var:
-                co_counts.setdefault(u_q, []).append(w)
+                co_holders.setdefault(u_q, set()).add(w)
     signals = []
     deviants: dict[tuple, list[str]] = {}
-    for u in sorted(co_counts):
-        holders = co_counts[u]
+    for u in sorted(co_holders):
+        holders = co_holders[u]
         if len(holders) * 2 > len(writers) and len(holders) < len(writers):
             for w in writers:
                 if w not in holders:

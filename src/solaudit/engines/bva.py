@@ -28,6 +28,18 @@ UINT256_MAX = 2 ** 256 - 1
 # first four pairs are the canonical protocol idioms, the rest are extensions
 COUNTER_STEMS = (("deposit", "withdraw"), ("mint", "burn"), ("lock", "unlock"),
                  ("stake", "unstake"), ("open", "close"), ("pause", "unpause"))
+_STEMS = frozenset(s for pair in COUNTER_STEMS for s in pair)
+
+
+def counter_pairs(records) -> list[tuple[FunctionRecord, FunctionRecord]]:
+    """(a, b) records of one contract named by a paired idiom: for each stem
+    pair, each a-stem name with each b-stem name, both in record order."""
+    buckets: dict[str, list[FunctionRecord]] = {}
+    for r in records:
+        for stem in filter(r.name.lower().startswith, _STEMS):
+            buckets.setdefault(stem, []).append(r)
+    return [(ra, rb) for a_stem, b_stem in COUNTER_STEMS
+            for ra in buckets.get(a_stem, ()) for rb in buckets.get(b_stem, ())]
 
 
 def scope_contracts(ccim: CcimModel) -> list[str]:
@@ -159,24 +171,18 @@ def _sub_formula_mismatch(ccim: CcimModel) -> list[Signal]:
     for contract in scope_contracts(ccim):
         records = {r.name.lower(): r for r in ccim.owned(contract)}
         shapes = {r.key: _muldiv_shapes(r) for r in records.values()}
-        for a_stem, b_stem in COUNTER_STEMS:
-            pairs = [(ra, rb) for na, ra in records.items() if na.startswith(a_stem)
-                     for nb, rb in records.items() if nb.startswith(b_stem)]
-            for ra, rb in pairs:
-                for ops_a, ids_a in shapes[ra.key]:
-                    for ops_b, ids_b in shapes[rb.key]:
-                        if ops_a != ops_b and ids_a & ids_b:
-                            signals.append(Signal(
-                                source_tag="BVA", id="bva-formula-mismatch",
-                                description=(f"{ra.name} and {rb.name} apply inconsistent operator order "
-                                             f"({ops_a} vs {ops_b}) over {', '.join(sorted(ids_a & ids_b))}"),
-                                severity="HIGH", confidence=0.7,
-                                function=ra.key, line_hint=ra.src[0],
-                            ))
-                            break
-                    else:
-                        continue
-                    break
+        for ra, rb in counter_pairs(records.values()):
+            hit = next(((ops_a, ops_b, ids_a & ids_b) for ops_a, ids_a in shapes[ra.key]
+                        for ops_b, ids_b in shapes[rb.key] if ops_a != ops_b and ids_a & ids_b), None)
+            if hit:
+                ops_a, ops_b, common = hit
+                signals.append(Signal(
+                    source_tag="BVA", id="bva-formula-mismatch",
+                    description=(f"{ra.name} and {rb.name} apply inconsistent operator order "
+                                 f"({ops_a} vs {ops_b}) over {', '.join(sorted(common))}"),
+                    severity="HIGH", confidence=0.7,
+                    function=ra.key, line_hint=ra.src[0],
+                ))
     return signals
 
 

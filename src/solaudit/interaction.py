@@ -8,13 +8,13 @@ from __future__ import annotations
 import heapq
 import logging
 import re
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from functools import cache
+from itertools import combinations, groupby, islice
 
 from . import prompts
 from .ccim import CcimModel, FnKey, FunctionRecord
-from .engines import COUNTER_STEMS, MergedSignals, infer_preconditions, itpc_high_risk
+from .engines import MergedSignals, counter_pairs, infer_preconditions, itpc_high_risk
 from .findings import (
     SEVERITY_RANK,
     Finding,
@@ -92,29 +92,32 @@ def select_pairs(ccim: CcimModel, merged: MergedSignals,
     on unordered pair identity and ordered by source confidence, then pair.
 
     With `max_pairs` (a count, at least 0) the result is the first `max_pairs`
-    of that order, and with None the whole order. Each source nominates a set
-    of pairs; the ranking walks the confidence tiers down and stops once
-    `max_pairs` are taken, so a candidate is built only for a returned pair.
-    Its `sources` are every source that nominated it, and its
-    `source_confidence` the highest of theirs."""
-    records = _auditable(ccim)
-    nominated = {}  # source -> the pairs it nominates
+    of that order, and with None the whole order. Each source has a per-pair
+    membership test and a sorted stream of its pairs. Walking the tiers from the
+    highest confidence down, a tier's stream, less the pairs of higher tiers, is
+    read only while `max_pairs` leaves room; a taken pair's `sources` are those
+    whose membership test holds for it."""
+    keys = {r.key for r in _auditable(ccim)}
 
-    # (iii) shared-state: both functions write the same storage variable; the
-    # counter holds the number of variables each pair shares
-    keys = {r.key for r in records}
-    shared_writes = Counter(pair for writers in ccim.deps.writers.values()
-                            for pair in combinations(sorted(keys.intersection(writers)), 2))
-    nominated["SHARED_STATE"] = shared_writes
+    # (iii) shared-state: both functions write the same storage variable
+    writes_q = cache(ccim.writes_q)
+
+    def shared(a: FnKey, b: FnKey) -> int:
+        return len(writes_q(a) & writes_q(b)) if a in keys and b in keys else 0
+
+    def shared_stream():
+        runs = (combinations(sorted(keys.intersection(writers)), 2)
+                for writers in ccim.deps.writers.values())
+        return (pair for pair, _ in groupby(heapq.merge(*runs)))
 
     # (ii) counter-pairs by naming idiom, same contract
-    by_owner: dict[str, list[FunctionRecord]] = {}
-    for r in records:
-        by_owner.setdefault(r.owner, []).append(r)
-    nominated["COUNTER"] = _pair_set(
-        (ra.key, rb.key) for recs in by_owner.values() for a_stem, b_stem in COUNTER_STEMS
-        for ra in recs if ra.name.lower().startswith(a_stem)
-        for rb in recs if rb.name.lower().startswith(b_stem))
+    def counter(a: FnKey, b: FnKey) -> bool:
+        return a[0] == b[0] and a in keys and b in keys and any(
+            x is not y for x, y in counter_pairs(ccim.records_of((a, b))))
+
+    def counter_stream():
+        return sorted(_pair_set((ra.key, rb.key) for owner in {a for a, _ in keys} for ra, rb in
+                                counter_pairs([r for r in ccim.owned(owner) if r.key in keys])))
 
     # (i) attention hotspots: signal mass plus shared-write coupling
     signal_conf: dict[FnKey, float] = {}
@@ -122,10 +125,11 @@ def select_pairs(ccim: CcimModel, merged: MergedSignals,
         if s.function:
             signal_conf[s.function] = signal_conf.get(s.function, 0.0) + s.confidence
     edges = _pair_set(ccim.graph.edges)
-    nominated["HOTSPOT"] = {
-        (a, b) for a, b in chain(shared_writes, edges)
-        if signal_conf.get(a, 0.0) + signal_conf.get(b, 0.0)
-        + ATTENTION_SHARED_WRITE_BONUS * shared_writes.get((a, b), 0) >= ATTENTION_THRESHOLD}
+
+    def hotspot(a: FnKey, b: FnKey) -> bool:
+        n = shared(a, b)
+        return (n > 0 or (a, b) in edges) and signal_conf.get(a, 0.0) + signal_conf.get(b, 0.0) \
+            + ATTENTION_SHARED_WRITE_BONUS * n >= ATTENTION_THRESHOLD
 
     # (iv) triage pairs: signal-bearing functions sharing a parameter, a state
     # read, or a trust boundary
@@ -133,29 +137,38 @@ def select_pairs(ccim: CcimModel, merged: MergedSignals,
     params = {k: frozenset(ccim.record(*k).params) for k in flagged}
     reads = {k: ccim.reads_q(k) for k in flagged}
     gap = ccim.trust.trustgap
-    nominated["TRIAGE"] = {
-        (a, b) for a, b in combinations(flagged, 2)
-        if params[a] & params[b] or reads[a] & reads[b] or (a, b) in edges
-        or (a[0], b[0]) in gap or (b[0], a[0]) in gap}
+
+    def triage(a: FnKey, b: FnKey) -> bool:
+        return a in params and b in params and bool(
+            params[a] & params[b] or reads[a] & reads[b] or (a, b) in edges
+            or (a[0], b[0]) in gap or (b[0], a[0]) in gap)
+
+    # source -> (membership test, sorted stream of its pairs); a hotspot that
+    # shares a write is in the shared-state tier, so its tier streams call edges
+    sources = {
+        "TRIAGE": (triage, lambda: (p for p in combinations(flagged, 2) if triage(*p))),
+        "SHARED_STATE": (lambda a, b: shared(a, b) > 0, shared_stream),
+        "COUNTER": (counter, counter_stream),
+        "HOTSPOT": (hotspot, lambda: (p for p in sorted(edges) if hotspot(*p))),
+    }
 
     # (v) optional reasoner triage for contracts with no high-severity signals
     if reasoner is not None:
         low_risk = _low_risk_contracts(ccim, merged)
         if low_risk:
-            nominated["LLM_TRIAGE"] = _pair_set(_reasoner_triage(ccim, low_risk, reasoner, budget))
+            llm = _pair_set(_reasoner_triage(ccim, low_risk, reasoner, budget))
+            sources["LLM_TRIAGE"] = (lambda a, b: (a, b) in llm, lambda: sorted(llm))
 
-    # rank tier by tier, from the highest source confidence down
     ranked: list[PairCandidate] = []
-    for conf in sorted(set(SOURCE_CONFIDENCE.values()), reverse=True):
-        higher = [pairs for source, pairs in nominated.items() if SOURCE_CONFIDENCE[source] > conf]
-        tier = {pair for source, pairs in nominated.items() if SOURCE_CONFIDENCE[source] == conf
-                for pair in pairs if not any(pair in h for h in higher)}
-        room = len(tier) if max_pairs is None else max_pairs - len(ranked)
-        ranked.extend(
-            PairCandidate(pair, {s for s, pairs in nominated.items() if pair in pairs}, conf)
-            for pair in heapq.nsmallest(room, tier))
-        if max_pairs is not None and len(ranked) >= max_pairs:
+    walked = []  # membership tests of the higher tiers; each source is a tier of its own
+    for source in sorted(sources, key=SOURCE_CONFIDENCE.get, reverse=True):
+        room = None if max_pairs is None else max_pairs - len(ranked)
+        if room == 0:
             break
+        fresh = (p for p in sources[source][1]() if not any(m(*p) for m in walked))
+        ranked.extend(PairCandidate(p, {s for s, (m, _) in sources.items() if m(*p)},
+                                    SOURCE_CONFIDENCE[source]) for p in islice(fresh, room))
+        walked.append(sources[source][0])
     return ranked
 
 
@@ -166,9 +179,8 @@ def _low_risk_contracts(ccim: CcimModel, merged: MergedSignals) -> list[str]:
 
 
 def _reasoner_triage(ccim, contracts, reasoner, budget) -> list[tuple[FnKey, FnKey]]:
-    skeletons = "\n".join(
-        r.signature for r in ccim.records if r.owner in set(contracts) and r.signature
-    )
+    owners = set(contracts)
+    skeletons = "\n".join(r.signature for r in ccim.records if r.owner in owners and r.signature)
     prompt = prompts.render(prompts.STAGE1_TRIAGE, budget, {"skeletons": skeletons})
     reply = ask(reasoner, "stage1_triage", prompt, budget)
     if reply is None:

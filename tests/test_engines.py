@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solaudit.engines import (
+    COUNTER_STEMS,
     Signal,
+    counter_pairs,
     ingest_external,
     merge_signals,
     render_markdown,
@@ -40,6 +45,25 @@ def test_bva_formula_mismatch(models):
     mism = [s for s in signals if s.id == "bva-formula-mismatch"]
     assert len(mism) == 1
     assert mism[0].function[0] == "Pricer"  # ConsistentPricer stays clean
+
+
+# names glued from stems in any case, so a name can carry both stems of a pair
+# ("depositWithdraw") or another stem inside a stem ("unlock")
+_NAME_PIECES = st.sampled_from(sorted({s for pair in COUNTER_STEMS for s in pair}) + ["", "all", "x"])
+_NAMES = st.lists(st.builds(lambda piece, case: case(piece), _NAME_PIECES,
+                            st.sampled_from((str.lower, str.upper, str.capitalize, str.swapcase))),
+                  min_size=1, max_size=3).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(names=st.lists(_NAMES, max_size=12), overloads=st.integers(0, 3))
+def test_counter_pairs_equal_the_nested_stem_loop(names, overloads):
+    # the first names come back as overloads; the index tells records apart
+    records = [SimpleNamespace(name=n, i=i) for i, n in enumerate(names + names[:overloads])]
+    expected = [(ra.i, rb.i) for a_stem, b_stem in COUNTER_STEMS
+                for ra in records if ra.name.lower().startswith(a_stem)
+                for rb in records if rb.name.lower().startswith(b_stem)]
+    assert [(ra.i, rb.i) for ra, rb in counter_pairs(records)] == expected
 
 
 def test_bva_quiet_on_clean_contract(models):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from corpus import REPOS, write_repo
@@ -11,6 +13,7 @@ from solaudit.ccim import assemble_ccim
 from solaudit.engines import Signal, merge_signals, run_engines
 from solaudit.ingest import build_audit_source, classify_files, resolve_remappings
 from solaudit.interaction import (
+    SOURCE_CONFIDENCE,
     BehaviorSpec,
     audit_standalone,
     build_spec_prompt,
@@ -99,11 +102,18 @@ def _summary(candidates):
     return [(c.pair, c.sources, c.source_confidence) for c in candidates]
 
 
-def _assert_matches_oracle(ccim, merged, make_reasoner=lambda: None):
+def _assert_matches_oracle(ccim, merged, make_reasoner=lambda: None) -> int:
+    """Compare every limit of LIMITS and each tier boundary of the oracle's
+    full list (its length included), plus and minus one; returns how many
+    limits were compared."""
     full = brute_force_select_pairs(ccim, merged, make_reasoner())
-    for k in LIMITS:
+    cuts = [i for i in range(1, len(full))
+            if full[i].source_confidence != full[i - 1].source_confidence] + [len(full)]
+    limits = set(LIMITS) | {k + d for k in cuts for d in (-1, 0, 1) if k + d >= 0}
+    for k in limits:
         got = select_pairs(ccim, merged, make_reasoner(), max_pairs=k)
         assert _summary(got) == _summary(full[:k]), k
+    return len(limits)
 
 
 @pytest.mark.parametrize("name", sorted(REPOS))
@@ -122,8 +132,8 @@ def test_select_pairs_top_k_matches_oracle_with_reasoner_triage(models):
         made.append(scripted(script))
         return made[-1]
 
-    _assert_matches_oracle(models["bidirectional"], merge_signals({}), reasoner)
-    assert [r.call_count("stage1_triage") for r in made] == [1] * (1 + len(LIMITS))
+    limits = _assert_matches_oracle(models["bidirectional"], merge_signals({}), reasoner)
+    assert [r.call_count("stage1_triage") for r in made] == [1] * (1 + limits)
 
 
 def test_select_pairs_top_k_matches_oracle_on_generated_corpus(deep_model):
@@ -142,6 +152,32 @@ def test_select_pairs_top_k_matches_oracle_with_overloads(tmp_path):
              ("Nowhere", "f")])]})
     assert any("TRIAGE" in c.sources for c in select_pairs(ccim, merged))
     _assert_matches_oracle(ccim, merged)
+
+
+class _Listed(Exception):
+    pass
+
+
+class _UnlistableWriters(dict):
+    """A writer map that answers `get` but refuses to be listed."""
+
+    def __iter__(self):
+        raise _Listed
+
+    keys = values = items = __iter__
+
+
+def test_select_pairs_lists_no_shared_writer_pairs_when_triage_fills(deep_model):
+    ccim, merged = deep_model
+    unlistable = replace(ccim, deps=replace(ccim.deps, writers=_UnlistableWriters(ccim.deps.writers)))
+    got = select_pairs(unlistable, merged, max_pairs=16)
+    assert _summary(got) == _summary(select_pairs(ccim, merged, max_pairs=16))
+    # all 16 come from the top tier, and some also share a write
+    assert {c.source_confidence for c in got} == {SOURCE_CONFIDENCE["TRIAGE"]}
+    assert any("SHARED_STATE" in c.sources for c in got)
+    # the shared-state tier is listed only once the selection reaches it
+    with pytest.raises(_Listed):
+        select_pairs(unlistable, merged)
 
 
 def test_id_run_builds_only_the_audited_candidates(deep_model, monkeypatch):

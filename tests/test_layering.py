@@ -1,7 +1,8 @@
 """Layering of the package: past the substrate, every stage reads only the
 cross-contract interaction model (CCIM), never the raw audit source. Also
 read off the package's syntax tree: every constant regex is compiled once,
-and none starts with a `\b` keyword the regex engine cannot jump to."""
+and none but a listed few that read short texts starts with a `\b` keyword
+the regex engine cannot jump to."""
 
 from __future__ import annotations
 
@@ -79,25 +80,45 @@ def test_constant_regexes_are_compiled_module_constants():
     )) == [1, 2]
 
 
-def _word_boundary_starts(tree: ast.AST) -> list[int]:
-    """Lines of `re.compile` calls whose literal pattern begins with `\\b` and
-    a letter."""
-    return [node.lineno for node in ast.walk(tree)
+def _word_boundary_starts(tree: ast.AST) -> list[tuple[int, str | None]]:
+    """(line, assigned name or None) of each `re.compile` call whose literal
+    pattern begins with `\\b` and a letter, or with `\\b(` and a letter."""
+    names = {id(node.value): node.targets[0].id for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+    return [(node.lineno, names.get(id(node))) for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
             and node.func.attr == "compile" and node.args
             and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
-            and re.match(r"\\b[A-Za-z]", node.args[0].value)]
+            and re.match(r"\\b\(?[A-Za-z]", node.args[0].value)]
+
+
+# the patterns allowed a leading `\b(`: each reads only the short text named,
+# never a function body or the whole source
+SHORT_TEXT_PATTERNS = {
+    "solaudit.ccim.parse._VISIBILITY_RE": "one function header",
+    "solaudit.ccim.parse._MUTABILITY_RE": "one function header",
+    "solaudit.engines.patterns._BLOCK_NUMBER_RE": "one statement that reads block.timestamp",
+    "solaudit.interaction._HEDGE_RE": "one finding's description and attack scenario",
+    "solaudit.interaction._PRECON_WORD_RE": "one enumerated step of an attack scenario",
+    "solaudit.interaction._CLAIMS_PROTECTED_RE": "one finding's text",
+}
 
 
 def test_keyword_patterns_start_on_their_keyword():
     # `re` jumps ahead only to a pattern's first literal; one that starts with
     # `\b` is tried at every character. Write `\bword` as `word(?<!\wword)`.
-    found = {_module_name(p): lines for p in PACKAGE.rglob("*.py")
-             if (lines := _word_boundary_starts(ast.parse(p.read_text(encoding="utf-8"))))}
-    assert found == {}, "start the pattern on its keyword: write \\bword as word(?<!\\wword)"
-    # the guard rejects a leading `\b` keyword, and only that
+    found = {f"{_module_name(p)}.{name}" if name else f"{_module_name(p)}:{line}"
+             for p in PACKAGE.rglob("*.py")
+             for line, name in _word_boundary_starts(ast.parse(p.read_text(encoding="utf-8")))}
+    assert found - set(SHORT_TEXT_PATTERNS) == set(), \
+        "start the pattern on its keyword: write \\bword as word(?<!\\wword)"
+    # no stale entry: each allowed pattern still starts with `\b(`
+    assert set(SHORT_TEXT_PATTERNS) <= found
+    # the guard rejects a leading `\b` keyword or `\b(` keyword, and only those
     assert _word_boundary_starts(ast.parse(
         're.compile(r"\\brequire\\s*\\(")\nre.compile(r"require(?<!\\wrequire)\\s*\\(")\n'
-        're.compile(r"\\b(\\d+)")\nre.compile("\\\\bstep", re.I)'
-    )) == [1, 4]
+        're.compile(r"\\b(\\d+)")\nre.compile("\\\\bstep", re.I)\n'
+        'X = re.compile(r"\\b(view|pure)\\b")\nre.compile(r"\\b(Block)")\n'
+        're.compile(r"\\b(\\w+Block)")'
+    )) == [(1, None), (4, None), (5, "X"), (6, None)]
