@@ -44,9 +44,6 @@ class RunConfig:
     formats: tuple[str, ...] = ("markdown", "json")
     severity_gate: str = "HIGH"
     external_signals: tuple[str, ...] = ()
-    max_pairs: int = 16
-    reaudit_rounds: int = 1
-    blindspot_top: int = 3
 
     def __post_init__(self):
         if not self.formats:
@@ -106,8 +103,7 @@ def run(config: RunConfig, reasoner: Reasoner | None = None) -> AuditReport:
 
     with ThreadPoolExecutor(max_workers=2, thread_name_prefix="pipeline") as pool:
         dd_future = pool.submit(dd_run, ccim, merged_signals, reasoner, budget=config.char_budget)
-        id_future = pool.submit(id_run, ccim, merged_signals, reasoner,
-                                budget=config.char_budget, max_pairs=config.max_pairs)
+        id_future = pool.submit(id_run, ccim, merged_signals, reasoner, budget=config.char_budget)
         f_d = dd_future.result()
         f_i = id_future.result()
 
@@ -118,24 +114,21 @@ def run(config: RunConfig, reasoner: Reasoner | None = None) -> AuditReport:
     pipeline_findings = list(merged.findings)
     coverage = compute_gap_set(pipeline_findings, features)
 
-    for _ in range(max(0, config.reaudit_rounds)):
-        if not coverage.gap_set:
-            break
+    if coverage.gap_set:
         reaudit = _extra_round_findings(
             gap_reaudit_prompts(coverage.gap_set, ccim, features, config.char_budget),
             "gap_reaudit", reasoner, ccim, merged_signals, "gap-reaudit",
             config.char_budget, final)
-        if not reaudit:
-            break
-        final.extend(reaudit)
-        pipeline_findings.extend(reaudit)
-        coverage = compute_gap_set(pipeline_findings, features)
+        if reaudit:
+            final.extend(reaudit)
+            pipeline_findings.extend(reaudit)
+            coverage = compute_gap_set(pipeline_findings, features)
 
     residuals = attention_residual(
         ccim, discussed_names_from(pipeline_findings),
         " ".join(f.text() for f in pipeline_findings))
     blind = _extra_round_findings(
-        blindspot_prompts(residuals, ccim, config.blindspot_top, config.char_budget),
+        blindspot_prompts(residuals, ccim, budget=config.char_budget),
         "blindspot", reasoner, ccim, merged_signals, "blindspot-review",
         config.char_budget, final)
     if blind:

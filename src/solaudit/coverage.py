@@ -269,23 +269,23 @@ def gap_reaudit_prompts(gap_set: tuple[str, ...] | list[str], ccim: CcimModel,
                         detected_features: set[str],
                         budget: int = DEFAULT_CHAR_BUDGET) -> list[str]:
     """One targeted prompt per gap class, embedding the class heuristics and
-    the structural evidence for the detected feature that made it relevant."""
+    the structural evidence for the detected feature that made it relevant.
+    Each feature's evidence is built once, however many gap classes it has."""
+    names = [(r, r.name.lower()) for r in ccim.records]
+    evidence: dict[str, str] = {}
     prompts_out = []
     for bug_class in sorted(gap_set):
         feature = next((f for f in sorted(detected_features)
                         if bug_class in FEATURES.get(f, {}).get("bug_classes", ())), "unknown")
-        spec = FEATURES.get(feature, {})
-        evidence_fns = [
-            r for r in ccim.records
-            if any(stem in r.name.lower() for stem in spec.get("names", ()))
-        ]
-        evidence = "\n".join(
-            f"- {r.owner}.{r.name} (span {r.src}, calls: "
-            f"{[(s.target, s.method, s.line) for s in r.call_sites]})"
-            for r in evidence_fns
-        ) or "(feature detected from state-variable patterns)"
+        if feature not in evidence:
+            stems = FEATURES.get(feature, {}).get("names", ())
+            evidence[feature] = "\n".join(
+                f"- {r.owner}.{r.name} (span {r.src}, calls: "
+                f"{[(s.target, s.method, s.line) for s in r.call_sites]})"
+                for r, name in names if any(stem in name for stem in stems)
+            ) or "(feature detected from state-variable patterns)"
         prompts_out.append(prompts.render(
-            prompts.GAP_REAUDIT, budget, {"evidence": evidence}, feature=feature,
+            prompts.GAP_REAUDIT, budget, {"evidence": evidence[feature]}, feature=feature,
             bug_class=bug_class, heuristics=", ".join(CLASS_KEYWORDS.get(bug_class, ())),
         ))
     return prompts_out

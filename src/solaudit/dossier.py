@@ -73,7 +73,7 @@ class Dossier:
 
 @dataclass(frozen=True, slots=True)
 class InteractionGroup:
-    kind: str                     # "pair" | "nway" | "call"
+    kind: str                     # "var" | "call"
     members: tuple[FnKey, ...]
     subject: str                  # shared variable, or "Owner.name" of the callee
     part: int = 1                 # chunk `part` of `parts` of the touchers or callers
@@ -250,9 +250,8 @@ def build_phase_c_interactions(ccim: CcimModel,
     """One interference review per shared variable and one per callee.
 
     A variable's touchers (writers and readers) are ranked by
-    `coverage.risk_profile`, highest first, ties by key. Two touchers make a
-    "pair" group; three or more make "nway" groups. The ranked members are
-    packed into consecutive chunks whose source blocks fit the room that
+    `coverage.risk_profile`, highest first, ties by key, and packed into "var"
+    groups: consecutive chunks whose source blocks fit the room that
     PHASE_C, rendered with the longest subject the variable can carry, leaves
     under `budget`, so every prompt stays shorter than the budget. Every
     toucher lands in exactly one chunk and no chunk has a single member; a
@@ -280,7 +279,7 @@ def build_phase_c_interactions(ccim: CcimModel,
     for var in sorted(set(ccim.deps.writers) | set(ccim.deps.readers)):
         touchers = ccim.deps.writers.get(var, frozenset()) | ccim.deps.readers.get(var, frozenset())
         if len(touchers) >= 2:
-            pack("pair" if len(touchers) == 2 else "nway", touchers, var)
+            pack("var", touchers, var)
     for g in sorted({g for _, g in ccim.graph.edges}):
         pack("call", ccim.graph.callers(g) - {g} or {g}, f"{g[0]}.{g[1]}", (g,))
     return groups

@@ -167,14 +167,20 @@ def _muldiv_shapes(record: FunctionRecord) -> list[tuple[str, frozenset[str]]]:
 
 # (vi) formula-mismatch across paired functions
 def _sub_formula_mismatch(ccim: CcimModel) -> list[Signal]:
+    """Every overload is checked; a pair of keys gets at most one signal, from
+    its first mismatching pair of records in record order."""
     signals = []
     for contract in scope_contracts(ccim):
-        records = {r.name.lower(): r for r in ccim.owned(contract)}
-        shapes = {r.key: _muldiv_shapes(r) for r in records.values()}
-        for ra, rb in counter_pairs(records.values()):
-            hit = next(((ops_a, ops_b, ids_a & ids_b) for ops_a, ids_a in shapes[ra.key]
-                        for ops_b, ids_b in shapes[rb.key] if ops_a != ops_b and ids_a & ids_b), None)
+        records = ccim.owned(contract)
+        shapes = {id(r): _muldiv_shapes(r) for r in records}
+        flagged = set()
+        for ra, rb in counter_pairs(records):
+            if (ra.key, rb.key) in flagged:
+                continue
+            hit = next(((ops_a, ops_b, ids_a & ids_b) for ops_a, ids_a in shapes[id(ra)]
+                        for ops_b, ids_b in shapes[id(rb)] if ops_a != ops_b and ids_a & ids_b), None)
             if hit:
+                flagged.add((ra.key, rb.key))
                 ops_a, ops_b, common = hit
                 signals.append(Signal(
                     source_tag="BVA", id="bva-formula-mismatch",

@@ -37,9 +37,7 @@ class Signal:
 class MergedSignals:
     per_engine: dict[str, tuple[Signal, ...]]
     stats: dict[str, dict[str, int]]     # tag -> {"before": n, "after": m}
-    cap_applied: bool
     retained: tuple[Signal, ...]         # every kept signal, highest rank first
-    cap: int = DEFAULT_SIGNAL_CAP
 
 
 def _sort_key(s: Signal) -> tuple:
@@ -59,7 +57,6 @@ def merge_signals(engine_outputs: dict[str, list[Signal]],
             pooled.append(s)
     pooled.sort(key=_sort_key)
     retained = tuple(pooled[:cap])
-    cap_applied = len(pooled) > cap
 
     per_engine: dict[str, tuple[Signal, ...]] = {
         tag: tuple(s for s in retained if s.source_tag == tag)
@@ -67,8 +64,7 @@ def merge_signals(engine_outputs: dict[str, list[Signal]],
     }
     stats = {tag: {"before": before[tag], "after": len(per_engine[tag])}
              for tag in per_engine}
-    return MergedSignals(per_engine=per_engine, stats=stats, cap_applied=cap_applied,
-                         retained=retained, cap=cap)
+    return MergedSignals(per_engine=per_engine, stats=stats, retained=retained)
 
 
 def render_markdown(merged: MergedSignals) -> str:

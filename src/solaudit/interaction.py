@@ -1,7 +1,9 @@
-"""Interaction-driven audit pipeline: deterministic pair selection,
-skeleton-only specification inference, spec-then-verify checklists, and the
-deterministic stage-5 cleanup (self-contradiction filter plus the six-rule
-severity recalibration shared with the dossier pipeline's phase E)."""
+"""Interaction-driven audit pipeline: pair selection (one sorted stream of
+pairs per nomination source, four structural and one reasoner triage, read
+tier by tier), skeleton-only specification inference, spec-then-verify
+checklists, and the deterministic stage-5 cleanup (self-contradiction filter
+plus the six-rule severity recalibration shared with the dossier pipeline's
+phase E)."""
 
 from __future__ import annotations
 
@@ -9,7 +11,6 @@ import heapq
 import logging
 import re
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import combinations, groupby, islice
 
 from . import prompts
@@ -39,8 +40,8 @@ SOURCE_CONFIDENCE = {
     "HOTSPOT": 0.6,
     "LLM_TRIAGE": 0.5,
 }
+MAX_PAIRS = 16      # pairs the interaction pipeline audits
 
-ATTENTION_SHARED_WRITE_BONUS = 0.5
 ATTENTION_THRESHOLD = 1.0
 
 SELF_DISPROVING_PHRASES = ("by design", "intended behavior", "not a vulnerability")
@@ -52,13 +53,6 @@ _STEP_RE = re.compile(r"step(?<!\wstep)\b", re.I)
 _CLAIMS_PROTECTED_RE = re.compile(
     r"\b(admin[- ]only|only the (owner|admin)|restricted to (the )?(owner|admin)|"
     r"protected by only\w+)\b", re.I)
-
-
-@dataclass(slots=True)
-class PairCandidate:
-    pair: tuple[FnKey, FnKey]
-    sources: set[str] = field(default_factory=set)
-    source_confidence: float = 0.0
 
 
 @dataclass
@@ -83,92 +77,69 @@ def _pair_set(pairs) -> set[tuple[FnKey, FnKey]]:
     return {(a, b) if a < b else (b, a) for a, b in pairs if a != b}
 
 
-def select_pairs(ccim: CcimModel, merged: MergedSignals,
-                 reasoner: Reasoner | None = None,
+def select_pairs(ccim: CcimModel, merged: MergedSignals, reasoner: Reasoner,
                  budget: int = DEFAULT_CHAR_BUDGET,
-                 max_pairs: int | None = None) -> list[PairCandidate]:
+                 max_pairs: int | None = None) -> list[tuple[FnKey, FnKey]]:
     """Union of the deterministic nomination heuristics (hotspot, counter,
-    shared-state, triage) plus the optional reasoner triage source, deduplicated
-    on unordered pair identity and ordered by source confidence, then pair.
+    shared-state, triage) and the reasoner triage source, deduplicated on
+    unordered pair identity and ordered by source confidence, then pair.
 
     With `max_pairs` (a count, at least 0) the result is the first `max_pairs`
-    of that order, and with None the whole order. Each source has a per-pair
-    membership test and a sorted stream of its pairs. Walking the tiers from the
-    highest confidence down, a tier's stream, less the pairs of higher tiers, is
-    read only while `max_pairs` leaves room; a taken pair's `sources` are those
-    whose membership test holds for it."""
+    of that order, and with None the whole order. Each source is one sorted
+    stream of its pairs and a tier of its own. Walking the tiers from the
+    highest confidence down, a tier's stream is read only while `max_pairs`
+    leaves room, less the pairs already taken: a lower tier is reached only
+    once every higher tier's stream ran to its end, so those are exactly the
+    pairs of the higher tiers. The reasoner is asked before any tier is read."""
     keys = {r.key for r in _auditable(ccim)}
+    edges = _pair_set(ccim.graph.edges)
+    signal_conf: dict[FnKey, float] = {}
+    for s in merged.retained:
+        if s.function:
+            signal_conf[s.function] = signal_conf.get(s.function, 0.0) + s.confidence
+
+    # (iv) triage pairs: signal-bearing functions sharing a parameter, a state
+    # read, a call edge or a trust boundary
+    def triage():
+        flagged = sorted(k for k in signal_conf if ccim.record(*k) is not None)
+        params = {k: frozenset(ccim.record(*k).params) for k in flagged}
+        reads = {k: ccim.reads_q(k) for k in flagged}
+        gap = ccim.trust.trustgap
+        return ((a, b) for a, b in combinations(flagged, 2)
+                if params[a] & params[b] or reads[a] & reads[b] or (a, b) in edges
+                or (a[0], b[0]) in gap or (b[0], a[0]) in gap)
 
     # (iii) shared-state: both functions write the same storage variable
-    writes_q = cache(ccim.writes_q)
-
-    def shared(a: FnKey, b: FnKey) -> int:
-        return len(writes_q(a) & writes_q(b)) if a in keys and b in keys else 0
-
-    def shared_stream():
+    def shared_state():
         runs = (combinations(sorted(keys.intersection(writers)), 2)
                 for writers in ccim.deps.writers.values())
         return (pair for pair, _ in groupby(heapq.merge(*runs)))
 
     # (ii) counter-pairs by naming idiom, same contract
-    def counter(a: FnKey, b: FnKey) -> bool:
-        return a[0] == b[0] and a in keys and b in keys and any(
-            x is not y for x, y in counter_pairs(ccim.records_of((a, b))))
-
-    def counter_stream():
+    def counter():
         return sorted(_pair_set((ra.key, rb.key) for owner in {a for a, _ in keys} for ra, rb in
                                 counter_pairs([r for r in ccim.owned(owner) if r.key in keys])))
 
-    # (i) attention hotspots: signal mass plus shared-write coupling
-    signal_conf: dict[FnKey, float] = {}
-    for s in merged.retained:
-        if s.function:
-            signal_conf[s.function] = signal_conf.get(s.function, 0.0) + s.confidence
-    edges = _pair_set(ccim.graph.edges)
+    # (i) attention hotspots: call edges whose two ends carry enough signal
+    # mass. The attention score's shared-write bonus never decides a pair
+    # here: a pair that shares a write is the shared-state tier's.
+    def hotspot():
+        return (p for p in sorted(edges)
+                if signal_conf.get(p[0], 0.0) + signal_conf.get(p[1], 0.0) >= ATTENTION_THRESHOLD)
 
-    def hotspot(a: FnKey, b: FnKey) -> bool:
-        n = shared(a, b)
-        return (n > 0 or (a, b) in edges) and signal_conf.get(a, 0.0) + signal_conf.get(b, 0.0) \
-            + ATTENTION_SHARED_WRITE_BONUS * n >= ATTENTION_THRESHOLD
+    # (v) reasoner triage for contracts with no high-severity signals
+    low_risk = _low_risk_contracts(ccim, merged)
+    llm = sorted(_pair_set(_reasoner_triage(ccim, low_risk, reasoner, budget))) if low_risk else []
 
-    # (iv) triage pairs: signal-bearing functions sharing a parameter, a state
-    # read, or a trust boundary
-    flagged = sorted(k for k in signal_conf if ccim.record(*k) is not None)
-    params = {k: frozenset(ccim.record(*k).params) for k in flagged}
-    reads = {k: ccim.reads_q(k) for k in flagged}
-    gap = ccim.trust.trustgap
-
-    def triage(a: FnKey, b: FnKey) -> bool:
-        return a in params and b in params and bool(
-            params[a] & params[b] or reads[a] & reads[b] or (a, b) in edges
-            or (a[0], b[0]) in gap or (b[0], a[0]) in gap)
-
-    # source -> (membership test, sorted stream of its pairs); a hotspot that
-    # shares a write is in the shared-state tier, so its tier streams call edges
-    sources = {
-        "TRIAGE": (triage, lambda: (p for p in combinations(flagged, 2) if triage(*p))),
-        "SHARED_STATE": (lambda a, b: shared(a, b) > 0, shared_stream),
-        "COUNTER": (counter, counter_stream),
-        "HOTSPOT": (hotspot, lambda: (p for p in sorted(edges) if hotspot(*p))),
-    }
-
-    # (v) optional reasoner triage for contracts with no high-severity signals
-    if reasoner is not None:
-        low_risk = _low_risk_contracts(ccim, merged)
-        if low_risk:
-            llm = _pair_set(_reasoner_triage(ccim, low_risk, reasoner, budget))
-            sources["LLM_TRIAGE"] = (lambda a, b: (a, b) in llm, lambda: sorted(llm))
-
-    ranked: list[PairCandidate] = []
-    walked = []  # membership tests of the higher tiers; each source is a tier of its own
-    for source in sorted(sources, key=SOURCE_CONFIDENCE.get, reverse=True):
+    streams = {"TRIAGE": triage, "SHARED_STATE": shared_state, "COUNTER": counter,
+               "HOTSPOT": hotspot, "LLM_TRIAGE": lambda: llm}
+    ranked: list[tuple[FnKey, FnKey]] = []
+    for source in sorted(streams, key=SOURCE_CONFIDENCE.get, reverse=True):
         room = None if max_pairs is None else max_pairs - len(ranked)
         if room == 0:
             break
-        fresh = (p for p in sources[source][1]() if not any(m(*p) for m in walked))
-        ranked.extend(PairCandidate(p, {s for s, (m, _) in sources.items() if m(*p)},
-                                    SOURCE_CONFIDENCE[source]) for p in islice(fresh, room))
-        walked.append(sources[source][0])
+        taken = set(ranked)
+        ranked.extend(islice((p for p in streams[source]() if p not in taken), room))
     return ranked
 
 
@@ -418,15 +389,14 @@ def recalibrate_severity(findings: list[Finding], ccim: CcimModel) -> list[Findi
 
 
 def id_run(ccim: CcimModel, merged: MergedSignals, reasoner: Reasoner, *,
-           budget: int = DEFAULT_CHAR_BUDGET, max_pairs: int = 16) -> list[Finding]:
-    """Full interaction-driven pipeline: pair selection -> spec inference ->
-    spec-then-verify (+ standalone slots) -> stage-5 cleanup."""
-    pairs = select_pairs(ccim, merged, reasoner, budget, max_pairs)
-
+           budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
+    """Full interaction-driven pipeline: pair selection (the first
+    `MAX_PAIRS`) -> spec inference -> spec-then-verify (+ standalone slots)
+    -> stage-5 cleanup."""
     findings: list[Finding] = []
-    for cand in pairs:
-        spec = infer_spec(cand.pair, ccim, reasoner, budget)
-        findings.extend(spec_verify(cand.pair, spec, ccim, reasoner, budget))
+    for pair in select_pairs(ccim, merged, reasoner, budget, MAX_PAIRS):
+        spec = infer_spec(pair, ccim, reasoner, budget)
+        findings.extend(spec_verify(pair, spec, ccim, reasoner, budget))
     findings.extend(audit_standalone(ccim, reasoner, budget))
 
     findings = self_contradiction_filter(findings)

@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from dataclasses import dataclass, field
 
 from solaudit.ccim import CcimModel, FnKey, FunctionRecord, parse
 from solaudit.engines import COUNTER_STEMS, MergedSignals
 from solaudit.interaction import (
-    ATTENTION_SHARED_WRITE_BONUS,
     ATTENTION_THRESHOLD,
     SOURCE_CONFIDENCE,
-    PairCandidate,
     _auditable,
     _low_risk_contracts,
     _reasoner_triage,
@@ -146,23 +145,35 @@ def _canonical(a: FnKey, b: FnKey) -> tuple[FnKey, FnKey]:
     return (a, b) if a <= b else (b, a)
 
 
-def brute_force_select_pairs(ccim: CcimModel, merged: MergedSignals,
-                             reasoner: Reasoner | None = None,
-                             budget: int = DEFAULT_CHAR_BUDGET) -> list[PairCandidate]:
+@dataclass
+class Nomination:
+    """A nominated pair with the sources that named it and its tier, the
+    highest confidence among them: provenance that only the tests keep."""
+    pair: tuple[FnKey, FnKey]
+    sources: set[str] = field(default_factory=set)
+    tier: float = 0.0
+
+
+# the attention score's weight per shared written variable
+ATTENTION_SHARED_WRITE_BONUS = 0.5
+
+
+def brute_force_select_pairs(ccim: CcimModel, merged: MergedSignals, reasoner: Reasoner,
+                             budget: int = DEFAULT_CHAR_BUDGET) -> list[Nomination]:
     """`interaction.select_pairs` as it was before top-`max_pairs` selection:
-    a candidate for every nomination, every pair of records intersected for
-    shared writes, and the full candidate list sorted. Slice it to compare
-    with a limited selection."""
+    a nomination for every source that names a pair, every pair of records
+    intersected for shared writes, and the full list sorted. Slice its pairs
+    to compare with a limited selection."""
     records = _auditable(ccim)
-    candidates: dict[tuple[FnKey, FnKey], PairCandidate] = {}
+    candidates: dict[tuple[FnKey, FnKey], Nomination] = {}
 
     def nominate(a: FnKey, b: FnKey, source: str):
         if a == b:
             return
         key = _canonical(a, b)
-        cand = candidates.setdefault(key, PairCandidate(pair=key))
+        cand = candidates.setdefault(key, Nomination(pair=key))
         cand.sources.add(source)
-        cand.source_confidence = max(cand.source_confidence, SOURCE_CONFIDENCE[source])
+        cand.tier = max(cand.tier, SOURCE_CONFIDENCE[source])
 
     # (iii) shared-state: both functions write the same storage variable
     writes = [(r.key, ccim.writes_q(r.key)) for r in records]
@@ -219,15 +230,13 @@ def brute_force_select_pairs(ccim: CcimModel, merged: MergedSignals,
             if shares_param or shares_read or edge or gap:
                 nominate(a, b, "TRIAGE")
 
-    # (v) optional reasoner triage for contracts with no high-severity signals
-    if reasoner is not None:
-        low_risk = _low_risk_contracts(ccim, merged)
-        if low_risk:
-            for a, b in _reasoner_triage(ccim, low_risk, reasoner, budget):
-                nominate(a, b, "LLM_TRIAGE")
+    # (v) reasoner triage for contracts with no high-severity signals
+    low_risk = _low_risk_contracts(ccim, merged)
+    if low_risk:
+        for a, b in _reasoner_triage(ccim, low_risk, reasoner, budget):
+            nominate(a, b, "LLM_TRIAGE")
 
-    ordered = sorted(candidates.values(), key=lambda c: (-c.source_confidence, c.pair))
-    return ordered
+    return sorted(candidates.values(), key=lambda c: (-c.tier, c.pair))
 
 
 def brute_force_close(text: str, open_pos: int, end: int) -> int:

@@ -38,7 +38,8 @@ def test_substrate_benchmark(benchmark, tmp_path, monkeypatch):
 
 def test_select_pairs_benchmark(benchmark, deep_model):
     ccim, merged = deep_model
-    pairs = benchmark.pedantic(select_pairs, args=(ccim, merged), kwargs={"max_pairs": 16},
+    pairs = benchmark.pedantic(select_pairs, args=(ccim, merged, MockReasoner()),
+                               kwargs={"max_pairs": 16},
                                rounds=5, iterations=1)
     assert len(pairs) == 16
 

@@ -8,6 +8,7 @@ character budget, and the overlap of the two audit pipelines."""
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -332,11 +333,41 @@ def test_every_prompt_keeps_its_instruction_under_a_tight_budget(tmp_path):
 
 
 def test_extra_rounds_admit_each_finding_once(tmp_path):
-    # two rounds of four gap prompts get the same scripted reply eight times
+    # one round of four gap prompts gets the same scripted reply four times
     reasoner = _RequestLog(_script_file(tmp_path, VAULT_SCRIPT))
-    report = _run_vault(tmp_path, reasoner, reaudit_rounds=2)
-    assert sum(r.stage == "gap_reaudit" for r in reasoner.requests) == 8
+    report = _run_vault(tmp_path, reasoner)
+    assert sum(r.stage == "gap_reaudit" for r in reasoner.requests) == 4
     assert [f.id for f in report.findings if "gap-reaudit" in f.flags] == ["G-001"]
+
+
+def test_extra_round_skips_a_finding_already_in_the_report(models, merged_signals):
+    gap_reply = next(e for e in VAULT_SCRIPT if e["stage"] == "gap_reaudit")
+
+    def extra_round(report):
+        return cli._extra_round_findings(
+            ["prompt"], "gap_reaudit", scripted([gap_reply]), models["vault_oracle"],
+            merged_signals["vault_oracle"], "gap-reaudit", 24_000, report)
+
+    first = extra_round([])
+    assert [f.title for f in first] == ["Sweep empties user deposits"]
+    assert extra_round(first) == []
+
+
+def test_every_run_config_field_is_set_from_a_flag(monkeypatch):
+    # a value other than the default for every flag reaches every field
+    seen = []
+
+    def stop(config, reasoner=None):
+        seen.append(config)
+        raise ValueError("stop")
+
+    monkeypatch.setattr(cli, "run", stop)
+    assert cli.main(["--path", "repo", "--scope", "Vault", "--signal-cap", "7",
+                     "--char-budget", "999", "--mock-script", "mock.json", "--out", "out",
+                     "--format", "json", "--severity-gate", "LOW",
+                     "--external-signals", "tool.json"]) == cli.EXIT_ERROR
+    for f in fields(cli.RunConfig):
+        assert getattr(seen[0], f.name) != f.default, f.name
 
 
 def test_extra_round_ids_follow_the_report(models, merged_signals):

@@ -191,16 +191,16 @@ def test_discovery_skips_malformed_findings(models, merged_signals, findings):
 
 def test_phase_c_groups(models):
     groups = build_phase_c_interactions(models["guards_majority"])
-    nway = [g for g in groups if g.kind == "nway" and g.subject == "Ledger.balances"]
-    assert len(nway) == 1
-    assert len(nway[0].members) >= 4
-    # the one n-way review replaces the writer/reader pairs
-    assert not any(g.kind == "pair" and g.subject == "Ledger.balances" for g in groups)
+    # the one review of every toucher replaces the writer/reader pairs
+    balances = [g for g in groups if g.subject == "Ledger.balances"]
+    assert [g.kind for g in balances] == ["var"]
+    assert len(balances[0].members) >= 4
 
 
 def test_phase_c_two_touchers_pairs_only(models):
-    groups = build_phase_c_interactions(models["locked_ether"])
-    assert not [g for g in groups if g.kind == "nway" and g.subject == "Payer.received"]
+    groups = build_phase_c_interactions(models["guards_majority"])
+    small = [g for g in groups if g.subject == "LedgerSmall.balances"]
+    assert [(g.kind, len(g.members)) for g in small] == [("var", 2)]
 
 
 def test_phase_c_empty(models):

@@ -47,6 +47,38 @@ def test_bva_formula_mismatch(models):
     assert mism[0].function[0] == "Pricer"  # ConsistentPricer stays clean
 
 
+_MISMATCHING_DEPOSIT = ("    function deposit(uint256 a) external {\n"
+                        "        total += a * price / 1e18;\n"
+                        "    }\n")
+_MATCHING_DEPOSIT = ("    function deposit(uint256 a, address to) external {\n"
+                     "        total += a / 1e18 * price;\n"
+                     "    }\n")
+
+
+@pytest.mark.parametrize("mismatch_first", [True, False])
+def test_bva_formula_mismatch_checks_every_overload(tmp_path, mismatch_first):
+    from solaudit.ccim import assemble_ccim
+    from solaudit.ingest import build_audit_source, classify_files
+    deposits = [_MISMATCHING_DEPOSIT, _MATCHING_DEPOSIT]
+    if not mismatch_first:
+        deposits.reverse()
+    text = ("pragma solidity ^0.8.0;\n"
+            "contract C {\n"
+            "    uint256 public price;\n"
+            "    uint256 public total;\n"
+            + "".join(deposits)
+            + "    function withdraw(uint256 a) external {\n"
+              "        total -= a / 1e18 * price;\n"
+              "    }\n"
+              "}\n")
+    (tmp_path / "c.sol").write_text(text)
+    signals = run_bva(assemble_ccim(build_audit_source(classify_files(tmp_path))))
+    mism = [s for s in signals if s.id == "bva-formula-mismatch"]
+    # one signal per pair of keys, from the overload that mismatches
+    assert [(s.function, s.line_hint) for s in mism] == [
+        (("C", "deposit"), text[:text.index(_MISMATCHING_DEPOSIT)].count("\n") + 1)]
+
+
 # names glued from stems in any case, so a name can carry both stems of a pair
 # ("depositWithdraw") or another stem inside a stem ("unlock")
 _NAME_PIECES = st.sampled_from(sorted({s for pair in COUNTER_STEMS for s in pair}) + ["", "all", "x"])
@@ -303,8 +335,7 @@ def test_merge_cap_and_severity_order():
     pool = _synthetic_signals(10, ["CRITICAL"]) + _synthetic_signals(50, ["LOW"])
     merged = merge_signals({"BVA": pool}, cap=50)
     retained = merged.retained
-    assert len(retained) == 50
-    assert merged.cap_applied
+    assert len(retained) == 50 < len(pool)
     assert sum(1 for s in retained if s.severity == "CRITICAL") == 10
     # no retained signal ranks strictly below any dropped one
     dropped_rank = max(SEVERITY_RANK[s.severity] for s in pool) if len(pool) > 50 else 0
@@ -314,9 +345,9 @@ def test_merge_cap_and_severity_order():
 
 
 def test_merge_under_cap():
-    merged = merge_signals({"BVA": _synthetic_signals(7, ["MEDIUM"])})
-    assert len(merged.retained) == 7
-    assert not merged.cap_applied
+    pool = _synthetic_signals(7, ["MEDIUM"])
+    merged = merge_signals({"BVA": pool})
+    assert len(merged.retained) == len(pool)
 
 
 def test_merge_tie_broken_by_engine_tag():

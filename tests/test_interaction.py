@@ -8,7 +8,6 @@ from corpus import REPOS, write_repo
 from helpers import ThrowingReasoner, make_finding, scripted
 from oracles import brute_force_select_pairs
 
-from solaudit import interaction
 from solaudit.ccim import assemble_ccim
 from solaudit.engines import Signal, merge_signals, run_engines
 from solaudit.ingest import build_audit_source, classify_files, resolve_remappings
@@ -30,48 +29,57 @@ from solaudit.reasoner import MockReasoner
 # --- stage 1: pair selection ---------------------------------------------------
 
 
+def _oracle(name, models, merged_signals):
+    return brute_force_select_pairs(models[name], merged_signals[name], MockReasoner())
+
+
 def test_counter_and_shared_state_pair(models, merged_signals):
-    pairs = select_pairs(models["vault_oracle"], merged_signals["vault_oracle"])
-    match = [c for c in pairs
-             if {c.pair[0][1], c.pair[1][1]} == {"deposit", "withdraw"}
-             and c.pair[0][0] == "Vault"]
+    pairs = select_pairs(models["vault_oracle"], merged_signals["vault_oracle"], MockReasoner())
+    full = _oracle("vault_oracle", models, merged_signals)
+    match = [n for n in full if {n.pair[0][1], n.pair[1][1]} == {"deposit", "withdraw"}
+             and n.pair[0][0] == "Vault"]
     assert match, "deposit/withdraw pair not nominated"
-    cand = match[0]
-    assert {"COUNTER", "SHARED_STATE"} <= cand.sources
-    assert cand.source_confidence == 0.8  # max of the contributing sources
+    nom = match[0]
+    assert {"COUNTER", "SHARED_STATE"} <= nom.sources
+    assert nom.tier == SOURCE_CONFIDENCE["SHARED_STATE"]  # max of the contributing sources
+    # taken once, in the higher tier; the counter tier does not add it again
+    assert pairs.count(nom.pair) == 1
+    assert pairs.index(nom.pair) == full.index(nom)
 
 
 def test_pairs_deduplicated(models, merged_signals):
-    pairs = select_pairs(models["vault_oracle"], merged_signals["vault_oracle"])
-    keys = [c.pair for c in pairs]
-    assert len(keys) == len(set(keys))
-    for c in pairs:
-        assert c.pair[0] != c.pair[1]
-        assert c.sources
+    pairs = select_pairs(models["vault_oracle"], merged_signals["vault_oracle"], MockReasoner())
+    assert len(pairs) == len(set(pairs))
+    assert all(a != b for a, b in pairs)
+    # every pair is named by some source
+    assert set(pairs) == {n.pair for n in _oracle("vault_oracle", models, merged_signals)}
 
 
 def test_pairs_sorted_by_confidence(models, merged_signals):
     for name in models:
-        pairs = select_pairs(models[name], merged_signals[name])
-        confs = [c.source_confidence for c in pairs]
+        tier = {n.pair: n.tier for n in _oracle(name, models, merged_signals)}
+        confs = [tier[p] for p in select_pairs(models[name], merged_signals[name], MockReasoner())]
         assert confs == sorted(confs, reverse=True), name
 
 
 def test_single_function_contract_no_pairs(models, merged_signals):
     # ambiguous repo: Consumer has a single function; no shared writes
-    pairs = select_pairs(models["ambiguous"], merged_signals["ambiguous"])
-    assert all({c.pair[0][0], c.pair[1][0]} != {"Consumer"} for c in pairs)
+    pairs = select_pairs(models["ambiguous"], merged_signals["ambiguous"], MockReasoner())
+    assert all({a[0], b[0]} != {"Consumer"} for a, b in pairs)
 
 
 def test_llm_triage_source(models):
-    reasoner = scripted([{
-        "stage": "stage1_triage", "match": [],
-        "response": {"pairs": [["Hub", "callSpoke", "Spoke", "notify"]]},
-    }])
-    pairs = select_pairs(models["bidirectional"], merge_signals({}), reasoner)
-    hit = [c for c in pairs if "LLM_TRIAGE" in c.sources]
-    assert hit
-    assert hit[0].pair == ((("Hub", "callSpoke")) , ("Spoke", "notify"))
+    def reasoner():
+        return scripted([{
+            "stage": "stage1_triage", "match": [],
+            "response": {"pairs": [["Hub", "callSpoke", "Spoke", "notify"]]},
+        }])
+
+    pairs = select_pairs(models["bidirectional"], merge_signals({}), reasoner())
+    full = brute_force_select_pairs(models["bidirectional"], merge_signals({}), reasoner())
+    hit = [n.pair for n in full if "LLM_TRIAGE" in n.sources]
+    assert hit == [(("Hub", "callSpoke"), ("Spoke", "notify"))]
+    assert hit[0] in pairs
 
 
 # top-`max_pairs` selection against the full ranking of the oracle
@@ -98,21 +106,16 @@ OVERLOADED = {"src/Twin.sol": (
     "}\n")}
 
 
-def _summary(candidates):
-    return [(c.pair, c.sources, c.source_confidence) for c in candidates]
-
-
-def _assert_matches_oracle(ccim, merged, make_reasoner=lambda: None) -> int:
-    """Compare every limit of LIMITS and each tier boundary of the oracle's
-    full list (its length included), plus and minus one; returns how many
-    limits were compared."""
+def _assert_matches_oracle(ccim, merged, make_reasoner=MockReasoner) -> int:
+    """Compare the pairs at every limit of LIMITS and each tier boundary of
+    the oracle's full list (its length included), plus and minus one; returns
+    how many limits were compared."""
     full = brute_force_select_pairs(ccim, merged, make_reasoner())
-    cuts = [i for i in range(1, len(full))
-            if full[i].source_confidence != full[i - 1].source_confidence] + [len(full)]
+    cuts = [i for i in range(1, len(full)) if full[i].tier != full[i - 1].tier] + [len(full)]
     limits = set(LIMITS) | {k + d for k in cuts for d in (-1, 0, 1) if k + d >= 0}
     for k in limits:
         got = select_pairs(ccim, merged, make_reasoner(), max_pairs=k)
-        assert _summary(got) == _summary(full[:k]), k
+        assert got == [n.pair for n in full[:k]], k
     return len(limits)
 
 
@@ -150,7 +153,7 @@ def test_select_pairs_top_k_matches_oracle_with_overloads(tmp_path):
         Signal("BVA", f"s{i}", "d", "MEDIUM", 0.6, key) for i, key in enumerate(
             [("Twin", "deposit"), ("Twin", "withdraw"), ("Pair", "deposit"), ("Pair", "burn"),
              ("Nowhere", "f")])]})
-    assert any("TRIAGE" in c.sources for c in select_pairs(ccim, merged))
+    assert any("TRIAGE" in n.sources for n in brute_force_select_pairs(ccim, merged, MockReasoner()))
     _assert_matches_oracle(ccim, merged)
 
 
@@ -170,27 +173,16 @@ class _UnlistableWriters(dict):
 def test_select_pairs_lists_no_shared_writer_pairs_when_triage_fills(deep_model):
     ccim, merged = deep_model
     unlistable = replace(ccim, deps=replace(ccim.deps, writers=_UnlistableWriters(ccim.deps.writers)))
-    got = select_pairs(unlistable, merged, max_pairs=16)
-    assert _summary(got) == _summary(select_pairs(ccim, merged, max_pairs=16))
+    got = select_pairs(unlistable, merged, MockReasoner(), max_pairs=16)
+    assert got == select_pairs(ccim, merged, MockReasoner(), max_pairs=16)
     # all 16 come from the top tier, and some also share a write
-    assert {c.source_confidence for c in got} == {SOURCE_CONFIDENCE["TRIAGE"]}
-    assert any("SHARED_STATE" in c.sources for c in got)
+    top = brute_force_select_pairs(ccim, merged, MockReasoner())[:16]
+    assert [n.pair for n in top] == got
+    assert {n.tier for n in top} == {SOURCE_CONFIDENCE["TRIAGE"]}
+    assert any("SHARED_STATE" in n.sources for n in top)
     # the shared-state tier is listed only once the selection reaches it
     with pytest.raises(_Listed):
-        select_pairs(unlistable, merged)
-
-
-def test_id_run_builds_only_the_audited_candidates(deep_model, monkeypatch):
-    built = []
-    real = interaction.PairCandidate
-
-    def counting(*args, **kwargs):
-        built.append(real(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(interaction, "PairCandidate", counting)
-    id_run(*deep_model, MockReasoner(), max_pairs=16)
-    assert len(built) == 16
+        select_pairs(unlistable, merged, MockReasoner())
 
 
 # --- stage 2: spec inference ------------------------------------------------------
