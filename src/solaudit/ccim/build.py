@@ -12,6 +12,7 @@ from dataclasses import replace
 from ..ingest import AuditSource
 from .parse import (
     ContractDecl,
+    ParsedSource,
     ancestors_of,
     balanced,
     extract_approval_recipients,
@@ -50,7 +51,7 @@ ROLE_REQUIRE_PATTERNS = tuple(re.compile(p) for p in (
 _ROLE_PATTERNS = ROLE_MODIFIER_PATTERNS + ROLE_REQUIRE_PATTERNS
 
 
-def build_resolution(records: list[FunctionRecord], decls: tuple[ContractDecl, ...]) -> ResolutionMap:
+def build_resolution(decls: tuple[ContractDecl, ...]) -> ResolutionMap:
     """Map each storage variable (qualified by its declaring contract) to the
     concrete contract implementing its declared type, or None when no unique
     concrete implementer exists, from the audit's contract declarations."""
@@ -156,7 +157,7 @@ def propagate_footprints(records: list[FunctionRecord]) -> Footprints:
 
 
 def compute_state_dependencies(records: list[FunctionRecord], footprints: Footprints,
-                               resolution: ResolutionMap) -> StateDependencyMap:
+                               resolution: ResolutionMap, parsed: ParsedSource) -> StateDependencyMap:
     """Per-variable writers, readers and consumers keyed by qualified variable
     id, plus per-function approval recipients. The rot set is filled in by
     flag_rotation_risks."""
@@ -173,7 +174,7 @@ def compute_state_dependencies(records: list[FunctionRecord], footprints: Footpr
         visible.setdefault(owner, set()).add(name)
     approvals: dict[FnKey, frozenset[str]] = {}
     for r in records:
-        got = extract_approval_recipients(r, visible.get(r.owner, set()))
+        got = extract_approval_recipients(parsed, r, visible.get(r.owner, set()))
         if got:
             approvals[r.key] = frozenset(resolution.var_id(r.owner, v) for v in got)
 
@@ -219,15 +220,15 @@ _RETURN_RE = re.compile(r"return(?<!\wreturn)\b([^;]*);")
 _EMIT_RE = re.compile(r"emit(?<!\wemit)\s+([A-Za-z_]\w*\s*\()")
 
 
-def _postconditions(record: FunctionRecord) -> frozenset[str]:
-    body = record.masked_inner
+def _postconditions(parsed: ParsedSource, record: FunctionRecord) -> frozenset[str]:
+    masked, (start, end) = parsed.masked, parsed.body_span(record)
     out: set[str] = set()
-    for m in _RETURN_RE.finditer(body):
+    for m in _RETURN_RE.finditer(masked, start, end):
         expr = m.group(1).strip()
         if expr:
             out.add(normalize_predicate("return " + expr))
-    for m, _, close in balanced(body, _EMIT_RE, "()"):
-        out.add(normalize_predicate("emit " + body[m.start(1):close + 1]))
+    for m, _, close in balanced(masked, _EMIT_RE, parsed.brackets, start, end, "()"):
+        out.add(normalize_predicate("emit " + masked[m.start(1):close + 1]))
     return frozenset(out)
 
 
@@ -239,7 +240,8 @@ def _caller_gating_guards(record: FunctionRecord) -> frozenset[str]:
     return frozenset(out)
 
 
-def compute_trust_model(graph: CallGraph, records: list[FunctionRecord]) -> TrustModel:
+def compute_trust_model(graph: CallGraph, records: list[FunctionRecord],
+                        parsed: ParsedSource) -> TrustModel:
     """Assumed vs enforced predicate sets per directed contract pair, trust
     gaps as containment failures, callbacks as bidirectional contract edges."""
     by_key = {r.key: r for r in records}
@@ -248,7 +250,7 @@ def compute_trust_model(graph: CallGraph, records: list[FunctionRecord]) -> Trus
         by_owner.setdefault(r.owner, []).append(r)
 
     # each callee's body is scanned once, however many edges reach it
-    post = {g: _postconditions(by_key[g]) for g in {g for _, g in graph.edges} if g in by_key}
+    post = {g: _postconditions(parsed, by_key[g]) for g in {g for _, g in graph.edges} if g in by_key}
     assumes: dict[tuple[str, str], set[str]] = {}
     for (f, g) in graph.edges:
         assumes.setdefault((f[0], g[0]), set()).update(post.get(g, ()))
@@ -284,13 +286,13 @@ def assemble_ccim(source: AuditSource) -> CcimModel:
     """Run the full construction pipeline over an audit source, parsed once."""
     parsed = parse_source(source.text, source.masked)
     records = parse_function_records(source, parsed)
-    resolution = build_resolution(records, parsed.decls)
+    resolution = build_resolution(parsed.decls)
     graph = build_call_graph(records, resolution)
     footprints = propagate_footprints(records)
-    deps = compute_state_dependencies(records, footprints, resolution)
+    deps = compute_state_dependencies(records, footprints, resolution, parsed)
     admin_set = classify_admin(records)
     deps = replace(deps, rot=flag_rotation_risks(deps, admin_set))
-    trust = compute_trust_model(graph, records)
+    trust = compute_trust_model(graph, records, parsed)
     return CcimModel(
         records=tuple(records), resolution=resolution, graph=graph,
         footprints=footprints, deps=deps, trust=trust, admin_set=admin_set,

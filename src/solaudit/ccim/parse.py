@@ -3,7 +3,9 @@ r"""Pattern-based Solidity parser.
 No AST: contracts, functions and state variables are recovered with regexes
 over a comment- and string-masked copy of the source. Unparseable constructs
 degrade to empty field values with a logged warning; they never abort the
-run. Assembly blocks are opaque text. Each text is scanned once:
+run. Assembly blocks are opaque text. Function records are spans of the one
+mask: readers scan it inside `ParsedSource.decl_span` or `body_span`. Each
+text is scanned once:
 - a pattern that scans a body or the whole text starts on a literal, as
   `word(?<!\wword)`: `re` skips ahead only to a first literal or character
   set, and tries one that starts with `\b`, a lookbehind or a multiline `^`
@@ -11,7 +13,9 @@ run. Assembly blocks are opaque text. Each text is scanned once:
 - one identifier pass per function body (`scan_body`) yields all its uses,
   testing call and declaration shapes with anchored matches at a token's end;
 - one bracket index per audit (`bracket_pairs`) makes finding a closing
-  bracket a lookup bounded to the span being read (`match_brace`).
+  bracket a lookup bounded to the span being read (`match_brace`);
+- one walk over a contract's declarations yields its function names and
+  records; it never enters a body.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from ..ingest import AuditSource, map_line, mask_noncode, pragma_ge_08
-from .types import CallSite, FunctionRecord, inner_body
+from .types import CallSite, FunctionRecord
 
 log = logging.getLogger(__name__)
 
@@ -128,19 +132,16 @@ def match_brace(pairs: dict[int, int], open_pos: int, end: int) -> int:
     return close if close < end else -1
 
 
-def balanced(text: str, opener: re.Pattern, pair: str = "{}",
-             pairs: dict[int, int] | None = None, start: int = 0, end: int | None = None):
+def balanced(text: str, opener: re.Pattern, pairs: dict[int, int], start: int, end: int,
+             pair: str = "{}"):
     """(match, open, close) for every `opener` match in text[start:end]:
     `open` is the first pair[0] from the match start and `close` the bracket
     closing it before `end`, else the match is skipped. `pairs` is the bracket
-    index of `text`, built on the first match when not given."""
-    end = len(text) if end is None else end
+    index of `text`."""
     for m in opener.finditer(text, start, end):
         open_pos = text.find(pair[0], m.start(), end)
         if open_pos < 0:
             continue
-        if pairs is None:
-            pairs = bracket_pairs(text)
         close = match_brace(pairs, open_pos, end)
         if close >= 0:
             yield m, open_pos, close
@@ -179,7 +180,6 @@ class ContractDecl:
     open_pos: int                  # char offset of '{'
     close_pos: int                 # char offset of matching '}'
     state_vars: list[StateVarDecl] = field(default_factory=list)
-    function_names: set[str] = field(default_factory=set)
     modifier_guards: dict[str, list[str]] = field(default_factory=dict)
 
 
@@ -199,6 +199,20 @@ class ParsedSource:
     def line_of(self, pos: int) -> int:
         """1-based line of character offset `pos`."""
         return bisect_right(self.line_starts, pos)
+
+    def decl_span(self, rec: FunctionRecord) -> tuple[int, int]:
+        """(start, end) of `rec`'s declaration, header included."""
+        return rec.offset, rec.offset + len(rec.body)
+
+    def body_span(self, rec: FunctionRecord) -> tuple[int, int]:
+        """(start, end) of `rec`'s body between its code braces: the `{`
+        paired with the `}` that ends the declaration. Empty at the
+        declaration's end when it has no body."""
+        start, end = self.decl_span(rec)
+        open_pos = self.masked.find("{", start, end)
+        while open_pos >= 0 and self.brackets.get(open_pos) != end - 1:
+            open_pos = self.masked.find("{", open_pos + 1, end)
+        return (open_pos + 1, end - 1) if open_pos >= 0 else (end, end)
 
 
 def parse_source(text: str, masked: str | None = None) -> ParsedSource:
@@ -235,8 +249,6 @@ def scan_contracts(masked: str, line_starts: tuple[int, ...],
         )
         start = open_pos + 1
         decl.state_vars = _scan_state_vars(masked, start, close_pos, brackets, line_starts)
-        decl.function_names = {fm.group(2) for fm in _FUNCTION_RE.finditer(masked, start, close_pos)
-                               if fm.group(2)}
         decl.modifier_guards = _scan_modifier_guards(masked, start, close_pos, brackets)
         decls.append(decl)
     return decls
@@ -280,12 +292,12 @@ def _scan_state_vars(masked: str, start: int, end: int, brackets: dict[int, int]
 def _scan_modifier_guards(masked: str, start: int, end: int,
                           brackets: dict[int, int]) -> dict[str, list[str]]:
     return {m.group(1): _extract_requires(masked, open_pos, close, brackets)
-            for m, open_pos, close in balanced(masked, _MODIFIER_DEF_RE, "{}", brackets, start, end)}
+            for m, open_pos, close in balanced(masked, _MODIFIER_DEF_RE, brackets, start, end)}
 
 
 def _extract_requires(masked: str, start: int, end: int, brackets: dict[int, int]) -> list[str]:
     conds = []
-    for _, open_pos, close in balanced(masked, _REQUIRE_RE, "()", brackets, start, end):
+    for _, open_pos, close in balanced(masked, _REQUIRE_RE, brackets, start, end, "()"):
         args = split_top_level(masked[open_pos + 1:close])
         if args:
             conds.append(normalize_predicate(args[0]))
@@ -345,13 +357,37 @@ def _visible_state_vars(decl: ContractDecl, by_name: dict[str, ContractDecl]) ->
 
 
 def _parse_contract_functions(decl, parsed, visible_vars, source):
-    masked, brackets, end = parsed.masked, parsed.brackets, decl.close_pos
+    """The records of `decl`'s function declarations, from one walk over its
+    body that steps over each function body: the walk's names are the
+    same-contract callees, so a Yul `function` in `assembly` is not one."""
+    found = list(_declarations(decl, parsed))
+    fn_names = {m.group(2) for m, *_ in found if m.group(2)}
     default_vis = "external" if decl.kind == "interface" else "public"
+    for m, params_close, header_end, decl_end in found:
+        name = m.group(2) or m.group(1)  # constructor/receive/fallback keep keyword name
+        try:
+            yield _build_record(decl, name, parsed, visible_vars, fn_names, source, default_vis,
+                                m, params_close, header_end, decl_end)
+        except Exception as exc:  # per-component isolation: degrade, never abort
+            log.warning("parse failure in %s.%s (%s); emitting degraded record", decl.name, name, exc)
+            yield FunctionRecord(
+                name=name, owner=decl.name, vis=default_vis, mut="nonpayable",
+                modifiers=(), guards=(), reads=frozenset(), writes=frozenset(),
+                call_sites=(), fund_flag=False,
+                src=(parsed.line_of(m.start()), parsed.line_of(decl_end)),
+                internal_calls=frozenset(), body=parsed.text[m.start():decl_end + 1], offset=m.start(),
+            )
+
+
+def _declarations(decl, parsed):
+    """(match, params close, header end, declaration end) per function
+    declaration of `decl`; the header ends at the body's `{` or at the `;`
+    that ends the declaration, and a body's `}` ends it."""
+    masked, brackets, end = parsed.masked, parsed.brackets, decl.close_pos
     pos = decl.open_pos + 1
     while m := _FUNCTION_RE.search(masked, pos, end):
-        name = m.group(2) or m.group(1)  # constructor/receive/fallback keep keyword name
-        params_open = m.end() - 1
-        params_close = match_brace(brackets, params_open, end)
+        name = m.group(2) or m.group(1)
+        params_close = match_brace(brackets, m.end() - 1, end)
         if params_close < 0:
             log.warning("unbalanced parameter list in %s.%s; skipped", decl.name, name)
             pos = m.end()
@@ -361,35 +397,13 @@ def _parse_contract_functions(decl, parsed, visible_vars, source):
             log.warning("unterminated declaration %s.%s; skipped", decl.name, name)
             pos = m.end()
             continue
-        if has_body:
-            body_close = match_brace(brackets, header_end, end)
-            if body_close < 0:
-                log.warning("unbalanced braces in %s.%s; skipped to next declaration", decl.name, name)
-                pos = header_end + 1
-                continue
-            decl_end = body_close
-        else:
-            decl_end = header_end
+        decl_end = match_brace(brackets, header_end, end) if has_body else header_end
+        if decl_end < 0:
+            log.warning("unbalanced braces in %s.%s; skipped to next declaration", decl.name, name)
+            pos = header_end + 1
+            continue
         pos = decl_end + 1
-        abs_start = m.start()
-        try:
-            yield _build_record(
-                decl, name, parsed, visible_vars, source,
-                abs_start=abs_start, abs_end=decl_end,
-                params_text=masked[params_open + 1:params_close],
-                header_text=masked[params_close + 1:header_end],
-                body_span=(header_end, decl_end) if has_body else None,
-                default_vis=default_vis,
-            )
-        except Exception as exc:  # per-component isolation: degrade, never abort
-            log.warning("parse failure in %s.%s (%s); emitting degraded record", decl.name, name, exc)
-            yield FunctionRecord(
-                name=name, owner=decl.name, vis=default_vis, mut="nonpayable",
-                modifiers=(), guards=(), reads=frozenset(), writes=frozenset(),
-                call_sites=(), fund_flag=False,
-                src=(parsed.line_of(abs_start), parsed.line_of(decl_end)),
-                internal_calls=frozenset(), **_bodies(parsed, abs_start, decl_end),
-            )
+        yield m, params_close, header_end, decl_end
 
 
 def _find_header_end(masked: str, pos: int, end: int, brackets: dict[int, int]) -> tuple[int, bool]:
@@ -455,34 +469,21 @@ def _natspec_above(src_lines: tuple[str, ...], header_line: int) -> str:
     return "\n".join(reversed(collected))
 
 
-def _bodies(parsed: ParsedSource, abs_start: int, abs_end: int) -> dict[str, str]:
-    """The raw declaration text and its masked forms. A declaration starts at
-    code, so a slice of the shared mask equals masking the slice; so does a cut
-    of the inner body at two code braces. Any other cut is masked on its own."""
-    body = parsed.text[abs_start:abs_end + 1]
-    masked = parsed.masked[abs_start:abs_end + 1]
-    i, j = body.find("{"), body.rfind("}")
-    if 0 <= i < j and masked[i] == "{" and masked[j] == "}":
-        masked_inner = masked[i + 1:j]
-    else:
-        masked_inner = mask_noncode(inner_body(body))
-    return {"body": body, "masked_body": masked, "masked_inner": masked_inner}
-
-
-def _build_record(decl, name, parsed, visible_vars, source, *,
-                  abs_start, abs_end, params_text, header_text, body_span, default_vis):
-    text, masked = parsed.text, parsed.masked
-    vis, mut, modifiers = _parse_header(header_text, default_vis)
-    params = _param_names(params_text)
+def _build_record(decl, name, parsed, visible_vars, fn_names, source, default_vis,
+                  m, params_close, header_end, abs_end):
+    text, masked, abs_start = parsed.text, parsed.masked, m.start()
+    vis, mut, modifiers = _parse_header(masked[params_close + 1:header_end], default_vis)
+    params = _param_names(masked[m.end():params_close])
     start_line = parsed.line_of(abs_start)
     end_line = parsed.line_of(abs_end)
-    signature = " ".join(text[abs_start:abs_start + (body_span[0] - abs_start if body_span else abs_end - abs_start)].split())
+    signature = " ".join(text[abs_start:header_end].split())
 
-    # a bodiless declaration reads the empty span
-    start, end = (body_span[0] + 1, body_span[1]) if body_span else (abs_end, abs_end)
+    # the body between its braces; a bodiless declaration, whose header ends
+    # at its `;`, reads the empty span past it
+    start, end = header_end + 1, abs_end
     guards = _extract_requires(masked, start, end, parsed.brackets)
     _, reads, writes, calls, internal = scan_body(
-        masked, start, end, parsed.brackets, visible_vars, decl.function_names, params)
+        masked, start, end, parsed.brackets, visible_vars, fn_names, params)
     fund = any(r.search(masked, start, end) for r in _FUND_RES)
 
     # modifier bodies contribute their require conditions to the guard set
@@ -498,7 +499,7 @@ def _build_record(decl, name, parsed, visible_vars, source, *,
         call_sites=tuple(CallSite(target=target, method=method, line=parsed.line_of(pos))
                          for target, method, pos in calls), fund_flag=fund,
         src=(start_line, end_line), internal_calls=frozenset(internal),
-        **_bodies(parsed, abs_start, abs_end), params=params, signature=signature,
+        body=text[abs_start:abs_end + 1], offset=abs_start, params=params, signature=signature,
         natspec=_natspec_above(parsed.lines, start_line),
         pragma_ge_08=pragma_ge_08(source.pragmas.get(path)),
     )
@@ -571,13 +572,15 @@ def _classify_suffix(masked: str, pos: int, end: int, brackets: dict[int, int]) 
     return "read"
 
 
-def extract_approval_recipients(record: FunctionRecord, state_vars: set[str]) -> frozenset[str]:
+def extract_approval_recipients(parsed: ParsedSource, record: FunctionRecord,
+                                state_vars: set[str]) -> frozenset[str]:
     """Storage variables passed as the recipient argument of approve/safeApprove
     call sites inside `record`."""
-    body = record.masked_body
+    masked = parsed.masked
     out: set[str] = set()
-    for _, open_paren, close in balanced(body, _APPROVE_RE, "()"):
-        args = split_top_level(body[open_paren + 1:close])
+    for _, open_paren, close in balanced(masked, _APPROVE_RE, parsed.brackets,
+                                         *parsed.decl_span(record), "()"):
+        args = split_top_level(masked[open_paren + 1:close])
         if args and NAME_RE.fullmatch(args[0]) and args[0] in state_vars:
             out.add(args[0])
     return frozenset(out)

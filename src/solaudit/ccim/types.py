@@ -16,15 +16,6 @@ if TYPE_CHECKING:
 FnKey = tuple[str, str]  # (owner contract, function name)
 
 
-def inner_body(body: str) -> str:
-    """`FunctionRecord.body_inner` of a raw declaration text."""
-    i = body.find("{")
-    if i < 0:
-        return ""
-    j = body.rfind("}")
-    return body[i + 1:j] if j > i else body[i + 1:]
-
-
 @dataclass(frozen=True)
 class CallSite:
     target: str        # storage-variable name holding the callee address
@@ -47,9 +38,7 @@ class FunctionRecord:
     src: tuple[int, int]                  # (start, end) lines in concatenation space
     internal_calls: frozenset[str]        # same-contract callee names
     body: str                             # raw declaration text, header included
-    # mask_noncode(body) and mask_noncode(body_inner()), cut from the shared mask
-    masked_body: str = field(compare=False, repr=False)
-    masked_inner: str = field(compare=False, repr=False)
+    offset: int                           # char offset of `body` in the audit source
     # parser extras consumed by downstream stages (precondition inference,
     # pair selection, skeleton prompts, the >=0.8 overflow rule)
     params: tuple[str, ...] = ()
@@ -67,11 +56,8 @@ class FunctionRecord:
 
     def body_inner(self) -> str:
         """The brace-delimited body proper, without the header."""
-        return inner_body(self.body)
-
-    def line_at(self, pos: int) -> int:
-        """Concatenation line of offset `pos` into `body`."""
-        return self.src[0] + self.body.count("\n", 0, pos)
+        i, j = self.body.find("{"), self.body.rfind("}")
+        return "" if i < 0 else self.body[i + 1:j] if j > i else self.body[i + 1:]
 
 
 @dataclass(frozen=True)

@@ -207,17 +207,24 @@ def run_discovery_phase(ccim: CcimModel, merged: MergedSignals, reasoner: Reason
         {"contracts": "\n\n".join(blocks), "signals": render_markdown(merged)},
         lens=DISCOVERY_LENS,
     )
-    reply = ask(reasoner, "phase_b", prompt, budget, schema="phase_b")
+    reply = ask(reasoner, "phase_b", prompt, budget)
     return [] if reply is None else findings_from(reply, "D")
 
 
 # --- phase C ---------------------------------------------------------------
 
 
+def _source_block(key: FnKey, bodies: list[str]) -> str:
+    """The source block of function `key`: its overloads' bodies in record order."""
+    return f"// {key[0]}.{key[1]}\n" + "\n".join(bodies)
+
+
 def _member_blocks(ccim: CcimModel) -> dict[FnKey, str]:
-    """One phase C source block per function key; the last record of an
-    overloaded name wins, as in ccim.record."""
-    return {r.key: f"// {r.owner}.{r.name}\n{r.body}" for r in ccim.records}
+    """One phase C source block per function key."""
+    bodies: dict[FnKey, list[str]] = {}
+    for r in ccim.records:
+        bodies.setdefault(r.key, []).append(r.body)
+    return {k: _source_block(k, b) for k, b in bodies.items()}
 
 
 def _phase_c_subject(kind: str, subject: str, part: int, parts: int) -> str:
@@ -355,7 +362,8 @@ def expand_source_block(finding: Finding, ccim: CcimModel) -> str:
         for neighbor in sorted(ccim.graph.callers(k) | ccim.graph.callees(k)):
             if neighbor not in keys and ccim.record(*neighbor) is not None:
                 keys.append(neighbor)
-    return "\n\n".join(f"// {k[0]}.{k[1]}\n{ccim.record(*k).body}" for k in keys)
+    return "\n\n".join(_source_block(k, [r.body for r in ccim.owned(k[0]) if r.name == k[1]])
+                       for k in keys)
 
 
 def _normalize_quote(text: str) -> str:

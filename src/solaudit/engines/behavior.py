@@ -95,7 +95,7 @@ def run_cir(ccim: CcimModel) -> list[Signal]:
             rec = ccim.record(*writer)
             if rec is None:
                 continue
-            if _APPROVE_ZERO_RE.search(rec.masked_body):
+            if _APPROVE_ZERO_RE.search(ccim.parsed.masked, *ccim.parsed.decl_span(rec)):
                 continue
             signals.append(Signal(
                 source_tag="CIR", id="cir-stale-approval",

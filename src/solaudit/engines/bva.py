@@ -8,7 +8,7 @@ import logging
 import re
 
 from ..ccim import CcimModel, FunctionRecord
-from ..ccim.parse import NAME_RE, NATIVE_OUT_RES
+from ..ccim.parse import NAME_RE, NATIVE_OUT_RES, ParsedSource
 from .signal import Signal
 
 log = logging.getLogger(__name__)
@@ -67,12 +67,9 @@ def run_bva(ccim: CcimModel) -> list[Signal]:
 
 
 # (ii) boundary finding from require/if numeric guards
-def _bounds(record: FunctionRecord) -> list[tuple[str, str, float, int]]:
-    out = []
-    body = record.masked_body
-    for m in _BOUND_RE.finditer(body):
-        out.append((m.group(1), m.group(2), float(m.group(3)), m.start()))
-    return out
+def _bounds(parsed: ParsedSource, record: FunctionRecord) -> list[tuple[str, str, float, int]]:
+    return [(m.group(1), m.group(2), float(m.group(3)), m.start())
+            for m in _BOUND_RE.finditer(parsed.masked, *parsed.decl_span(record))]
 
 
 # (iii) rationality: bounds on the same variable must admit at least one value
@@ -81,7 +78,7 @@ def _sub_rationality(ccim: CcimModel) -> list[Signal]:
     for contract in scope_contracts(ccim):
         for rec in ccim.owned(contract):
             by_var: dict[str, list[tuple[str, float, int]]] = {}
-            for var, op, value, pos in _bounds(rec):
+            for var, op, value, pos in _bounds(ccim.parsed, rec):
                 by_var.setdefault(var, []).append((op, value, pos))
             for var, entries in sorted(by_var.items()):
                 lowers = [(v, op) for op, v, _ in entries if op in (">", ">=")]
@@ -97,7 +94,7 @@ def _sub_rationality(ccim: CcimModel) -> list[Signal]:
                         source_tag="BVA", id="bva-irrational-bound",
                         description=f"bounds on {var} admit no value ({lo_op} {lo:g} vs {hi_op} {hi:g})",
                         severity="MEDIUM", confidence=0.6,
-                        function=rec.key, line_hint=rec.line_at(pos),
+                        function=rec.key, line_hint=ccim.parsed.line_of(pos),
                     ))
     return signals
 
@@ -110,7 +107,8 @@ def _sub_locked_ether(ccim: CcimModel) -> list[Signal]:
         receivers = [r for r in records if r.mut == "payable"]
         if not receivers:
             continue
-        if any(any(rx.search(r.masked_body) for rx in NATIVE_OUT_RES) for r in records):
+        if any(rx.search(ccim.parsed.masked, *ccim.parsed.decl_span(r))
+               for r in records for rx in NATIVE_OUT_RES):
             continue
         entry = min(receivers, key=lambda r: r.src[0])
         signals.append(Signal(
@@ -147,14 +145,14 @@ def _sub_read_before_write(ccim: CcimModel) -> list[Signal]:
     return signals
 
 
-def _muldiv_shapes(record: FunctionRecord) -> list[tuple[str, frozenset[str]]]:
+def _muldiv_shapes(parsed: ParsedSource, record: FunctionRecord) -> list[tuple[str, frozenset[str]]]:
     """Per statement containing both * and /: the operator order plus the
     identifiers involved."""
     shapes = []
-    body = record.masked_inner
-    if "/" not in body or "*" not in body:
+    masked, (start, end) = parsed.masked, parsed.body_span(record)
+    if masked.find("/", start, end) < 0 or masked.find("*", start, end) < 0:
         return shapes
-    for m in STATEMENT_RE.finditer(body):
+    for m in STATEMENT_RE.finditer(masked, start, end):
         stmt = m.group(0)
         if "/" not in stmt or "*" not in stmt:
             continue
@@ -172,7 +170,7 @@ def _sub_formula_mismatch(ccim: CcimModel) -> list[Signal]:
     signals = []
     for contract in scope_contracts(ccim):
         records = ccim.owned(contract)
-        shapes = {id(r): _muldiv_shapes(r) for r in records}
+        shapes = {id(r): _muldiv_shapes(ccim.parsed, r) for r in records}
         flagged = set()
         for ra, rb in counter_pairs(records):
             if (ra.key, rb.key) in flagged:
@@ -206,11 +204,12 @@ def _sub_symbolic_eval(ccim: CcimModel) -> list[Signal]:
         for rec in ccim.owned(contract):
             # the fold keeps every newline, so a line count over `folded`
             # plus the line of the opening brace locates a match
-            folded = rec.masked_inner
+            start, end = ccim.parsed.body_span(rec)
+            folded = ccim.parsed.masked[start:end]
             if "**" in folded:
                 folded = _POW_RE.sub(lambda m: str(int(m.group(1)) ** int(m.group(2)))
                                      + "\n" * m.group(0).count("\n"), folded)
-            first = rec.line_at(rec.body.find("{"))
+            first = ccim.parsed.line_of(start)
 
             def line_of(pos: int) -> int:
                 return first + folded.count("\n", 0, pos)

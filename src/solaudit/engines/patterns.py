@@ -7,7 +7,7 @@ from __future__ import annotations
 import logging
 import re
 
-from ..ccim import CcimModel, FunctionRecord
+from ..ccim import CcimModel
 from ..ccim.parse import balanced
 from .bva import STATEMENT_RE, scope_contracts
 from .signal import Signal
@@ -28,52 +28,53 @@ _ARITHMETIC_RE = re.compile(r"[\w\]]\s*(\+|-|\*)[^+\-=]")
 _BLOCK_NUMBER_RE = re.compile(r"\b(block\.number|\w*[bB]lockNumber\w*|startBlock|endBlock|\w+Block)\b")
 
 
-def _rule_oracle_staleness(rec: FunctionRecord, body: str):
-    for m in _ORACLE_READ_RE.finditer(body):
-        if "updatedAt" not in body and "staleness" not in body.lower():
+# a rule reads the masked text[start:end], `pairs` its bracket index, and
+# reports offsets into `text`
+def _rule_oracle_staleness(text: str, start: int, end: int, pairs: dict[int, int]):
+    for m in _ORACLE_READ_RE.finditer(text, start, end):
+        if text.find("updatedAt", start, end) < 0 and "staleness" not in text[start:end].lower():
             yield ("CUSTOM", "custom-oracle-staleness", "HIGH", 0.7, m.start(),
                    f"{m.group(1)} consumed without checking updatedAt for staleness")
 
 
-def _rule_div_before_mul(rec: FunctionRecord, body: str):
-    for m in _DIV_THEN_MUL_RE.finditer(body):
+def _rule_div_before_mul(text: str, start: int, end: int, pairs: dict[int, int]):
+    for m in _DIV_THEN_MUL_RE.finditer(text, start, end):
         pos = m.start()
-        while pos and body[pos - 1].isspace():
+        while pos > start and text[pos - 1].isspace():
             pos -= 1
-        if pos and (body[pos - 1].isalnum() or body[pos - 1] in "_)]"):
+        if pos > start and (text[pos - 1].isalnum() or text[pos - 1] in "_)]"):
             yield ("MATH", "math-div-before-mul", "MEDIUM", 0.6, pos - 1,
                    "division before multiplication loses precision")
 
 
-def _rule_unsafe_downcast(rec: FunctionRecord, body: str):
-    for m in _DOWNCAST_RE.finditer(body):
+def _rule_unsafe_downcast(text: str, start: int, end: int, pairs: dict[int, int]):
+    for m in _DOWNCAST_RE.finditer(text, start, end):
         yield ("MATH", "math-unsafe-downcast", "MEDIUM", 0.55, m.start(),
                f"narrowing cast to {m.group(1)} can silently truncate")
 
 
-def _rule_signature_replay(rec: FunctionRecord, body: str):
-    m = _ECRECOVER_RE.search(body)
+def _rule_signature_replay(text: str, start: int, end: int, pairs: dict[int, int]):
+    m = _ECRECOVER_RE.search(text, start, end)
     if not m:
         return
-    if not _NONCE_RE.search(body):
+    if not _NONCE_RE.search(text, start, end):
         yield ("SIG", "sig-missing-nonce", "HIGH", 0.65, m.start(),
                "ecrecover-verified payload consumes no nonce; signatures are replayable")
-    if not _DEADLINE_RE.search(body):
+    if not _DEADLINE_RE.search(text, start, end):
         yield ("SIG", "sig-missing-deadline", "MEDIUM", 0.5, m.start(),
                "signature verification without a deadline bound")
 
 
-def _rule_unchecked_arithmetic(rec: FunctionRecord, body: str):
-    for m, open_pos, close_pos in balanced(body, _UNCHECKED_RE):
-        block = body[open_pos:close_pos + 1]
-        if _ARITHMETIC_RE.search(block):
+def _rule_unchecked_arithmetic(text: str, start: int, end: int, pairs: dict[int, int]):
+    for m, open_pos, close_pos in balanced(text, _UNCHECKED_RE, pairs, start, end):
+        if _ARITHMETIC_RE.search(text, open_pos, close_pos + 1):
             yield ("MATH", "math-unchecked-arithmetic", "MEDIUM", 0.5, m.start(),
                    "arithmetic inside an unchecked block wraps silently")
 
 
-def _rule_assembly(rec: FunctionRecord, body: str):
-    for m, open_pos, close_pos in balanced(body, _ASSEMBLY_RE):
-        block = body[open_pos:close_pos + 1]
+def _rule_assembly(text: str, start: int, end: int, pairs: dict[int, int]):
+    for m, open_pos, close_pos in balanced(text, _ASSEMBLY_RE, pairs, start, end):
+        block = text[open_pos:close_pos + 1]
         if "delegatecall" in block:
             yield ("ASM", "asm-delegatecall", "HIGH", 0.7, m.start(),
                    "delegatecall inside assembly forwards full control over storage")
@@ -82,14 +83,14 @@ def _rule_assembly(rec: FunctionRecord, body: str):
                    "raw returndata handling in assembly; verify size checks")
 
 
-def _rule_semantic_units(rec: FunctionRecord, body: str):
+def _rule_semantic_units(text: str, start: int, end: int, pairs: dict[int, int]):
     # reduced-scope semantic-type check: timestamp values compared with or
     # assigned to block-number-named quantities
-    if "block.timestamp" not in body:
+    if text.find("block.timestamp", start, end) < 0:
         return
-    for stmt in STATEMENT_RE.finditer(body):
-        text = stmt.group(0)
-        if "block.timestamp" in text and _BLOCK_NUMBER_RE.search(text):
+    for stmt in STATEMENT_RE.finditer(text, start, end):
+        stmt_text = stmt.group(0)
+        if "block.timestamp" in stmt_text and _BLOCK_NUMBER_RE.search(stmt_text):
             yield ("CCPTI", "ccpti-unit-mismatch", "MEDIUM", 0.5, stmt.start(),
                    "timestamp value mixed with a block-number quantity in one expression")
 
@@ -108,17 +109,19 @@ _RULES = (
 def run_pattern_detectors(ccim: CcimModel) -> list[Signal]:
     signals: list[Signal] = []
     scope = set(scope_contracts(ccim))
+    parsed = ccim.parsed
     for rec in sorted(ccim.records, key=lambda r: r.src[0]):
         if rec.owner not in scope or "{" not in rec.body:
             continue
-        body = rec.masked_body
+        start, end = parsed.decl_span(rec)
         for rule in _RULES:
             try:
-                for tag, rule_id, severity, confidence, pos, desc in rule(rec, body):
+                for tag, rule_id, severity, confidence, pos, desc in rule(
+                        parsed.masked, start, end, parsed.brackets):
                     signals.append(Signal(
                         source_tag=tag, id=rule_id, description=desc,
                         severity=severity, confidence=confidence,
-                        function=rec.key, line_hint=rec.line_at(pos),
+                        function=rec.key, line_hint=parsed.line_of(pos),
                     ))
             except Exception as exc:
                 log.warning("pattern rule %s failed on %s.%s (%s); continuing",

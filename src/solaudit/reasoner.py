@@ -33,11 +33,10 @@ class BudgetExceededError(ReasonerError):
 class ReasonerRequest:
     stage: str                  # phase/stage identifier, e.g. "phase_a"
     prompt: str
-    schema: str                 # expected response schema id
     budget: int = DEFAULT_CHAR_BUDGET
 
 
-# schema-valid defaults returned by the mock for unscripted requests
+# schema-valid defaults per stage, returned by the mock for unscripted requests
 SCHEMA_DEFAULTS: dict[str, dict] = {
     "phase_a": {"items": []},
     "phase_b": {"findings": []},
@@ -76,7 +75,7 @@ class ScriptEntry:
 
 class MockReasoner(Reasoner):
     """Deterministic mock: a keyed table of (stage, prompt substrings) ->
-    canned structured response. Unscripted requests get the schema default."""
+    canned structured response. Unscripted requests get their stage's default."""
 
     def __init__(self, script: list[ScriptEntry] | None = None):
         self.script = list(script or [])
@@ -120,7 +119,7 @@ class MockReasoner(Reasoner):
                 continue
             if all(s in request.prompt for s in entry.match):
                 return dict(entry.response)
-        return dict(SCHEMA_DEFAULTS.get(request.schema, {}))
+        return dict(SCHEMA_DEFAULTS.get(request.stage, {}))
 
     def call_count(self, stage: str) -> int:
         with self._lock:
@@ -131,12 +130,11 @@ class MockReasoner(Reasoner):
             return sum(self._counts.values())
 
 
-def ask(reasoner: Reasoner, stage: str, prompt: str, budget: int,
-        schema: str | None = None) -> dict | None:
+def ask(reasoner: Reasoner, stage: str, prompt: str, budget: int) -> dict | None:
     """One round trip: the reply payload, or None after logging the
-    `ReasonerError` of a failed one. `schema` defaults to the stage name."""
+    `ReasonerError` of a failed one."""
     try:
-        return reasoner.respond(ReasonerRequest(stage, prompt, schema or stage, budget))
+        return reasoner.respond(ReasonerRequest(stage, prompt, budget))
     except ReasonerError as exc:
         log.warning("%s reasoner failure (%s)", stage, exc)
         return None

@@ -153,6 +153,21 @@ def test_parse_receive_and_interface_function():
     assert records[("C", "receive")].mut == "payable"
 
 
+def test_yul_function_is_no_internal_callee():
+    src = _source_from_text(
+        "contract C {\n"
+        "    function g(uint256 x) external pure returns (uint256 r) {\n"
+        "        assembly {\n"
+        "            function double(v) -> w { w := add(v, v) }\n"
+        "            r := double(x)\n"
+        "        }\n"
+        "    }\n"
+        "}\n")
+    [g] = parse_function_records(src)
+    assert g.name == "g"
+    assert g.internal_calls == frozenset()
+
+
 def test_parse_natspec_and_signature():
     src = _source_from_text(
         "contract C {\n"

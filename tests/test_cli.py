@@ -329,7 +329,7 @@ def test_every_prompt_keeps_its_instruction_under_a_tight_budget(tmp_path):
     assert {"phase_a", "phase_b", "phase_d", "stage3_verify", "sve_layer2"} <= cut
     for r in reasoner.requests:
         assert len(r.prompt) <= budget, r.stage
-        assert r.prompt.endswith(json_instruction(getattr(prompts, r.schema.upper()))), r.stage
+        assert r.prompt.endswith(json_instruction(getattr(prompts, r.stage.upper()))), r.stage
 
 
 def test_extra_rounds_admit_each_finding_once(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from corpus import REPOS, write_repo
 from helpers import ThrowingReasoner, make_finding, scripted
+from test_interaction import OVERLOADED
 
 from solaudit import prompts
 from solaudit.ccim import assemble_ccim
@@ -326,6 +327,21 @@ def test_phase_c_self_call_holds_callee_block_once():
     found = run_phase_c(ccim, scripted([{"stage": "phase_c", "match": ["calls into Z.ping"],
                                          "response": {"verdict": "VULNERABLE", "severity": "HIGH"}}]))
     assert [f.title for f in found] == ["interference on Z.ping"]
+
+
+def test_phase_c_and_phase_d_blocks_hold_every_overload(tmp_path):
+    root = write_repo(OVERLOADED, tmp_path / "repo")
+    ccim = assemble_ccim(build_audit_source(classify_files(root), None, resolve_remappings(root)))
+    first, last = "balance[msg.sender] += a; total += a;", "balance[to] += 1; total += 1;"
+    reasoner = _RecordingReasoner()
+    run_phase_c(ccim, reasoner)
+    # the first overload of Twin.deposit reaches the reviews of what it writes
+    assert any(first in p for p in reasoner.prompts)
+    for block in (_member_blocks(ccim)[("Twin", "deposit")],
+                  expand_source_block(make_finding(functions=[("Twin", "deposit")]), ccim)):
+        assert block.startswith("// Twin.deposit\n")
+        assert block.count("// Twin.deposit\n") == 1
+        assert block.index(first) < block.index("external virtual;") < block.index(last)
 
 
 def test_phase_c_lone_last_member_never_stands_alone():

@@ -79,6 +79,19 @@ def test_bva_formula_mismatch_checks_every_overload(tmp_path, mismatch_first):
         (("C", "deposit"), text[:text.index(_MISMATCHING_DEPOSIT)].count("\n") + 1)]
 
 
+def test_bva_reads_no_code_in_a_header_comment(tmp_path):
+    from solaudit.ccim import assemble_ccim
+    from solaudit.ingest import build_audit_source, classify_files
+    # the comment's `{` is not the body's: its `a / 0` is no division
+    (tmp_path / "c.sol").write_text(
+        "pragma solidity ^0.8.0;\n"
+        "contract C {\n"
+        "    uint256 public total;\n"
+        "    function f(uint256 a) /* {a / 0} */ external { total = a; }\n"
+        "}\n")
+    assert run_bva(assemble_ccim(build_audit_source(classify_files(tmp_path)))) == []
+
+
 # names glued from stems in any case, so a name can carry both stems of a pair
 # ("depositWithdraw") or another stem inside a stem ("unlock")
 _NAME_PIECES = st.sampled_from(sorted({s for pair in COUNTER_STEMS for s in pair}) + ["", "all", "x"])

@@ -122,3 +122,43 @@ def test_keyword_patterns_start_on_their_keyword():
         'X = re.compile(r"\\b(view|pure)\\b")\nre.compile(r"\\b(Block)")\n'
         're.compile(r"\\b(\\w+Block)")'
     )) == [(1, None), (4, None), (5, "X"), (6, None)]
+
+
+# the whole-source passes and where each may run: one mask per file at ingest,
+# and the audit's one bracket index when its source is parsed
+WHOLE_SOURCE_PASSES = {
+    "bracket_pairs": {"solaudit.ccim.parse.parse_source"},
+    "mask_noncode": {"solaudit.ingest", "solaudit.ccim.parse.parse_source"},
+}
+
+
+def _pass_calls(tree: ast.AST, module: str) -> set[tuple[str, str]]:
+    """(pass name, caller) per call of a whole-source pass, by plain or
+    attribute name; the caller is the enclosing top-level function's
+    qualified name, or the module's outside any function."""
+    found = set()
+    for node in tree.body:
+        caller = f"{module}.{node.name}" if isinstance(node, ast.FunctionDef) else module
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                if name in WHOLE_SOURCE_PASSES:
+                    found.add((name, caller))
+    return found
+
+
+def test_whole_source_passes_run_only_where_listed():
+    found = set().union(*(_pass_calls(ast.parse(p.read_text(encoding="utf-8")), _module_name(p))
+                          for p in PACKAGE.rglob("*.py")))
+    stray = {(name, caller) for name, caller in found
+             if caller not in WHOLE_SOURCE_PASSES[name]
+             and caller.rsplit(".", 1)[0] not in WHOLE_SOURCE_PASSES[name]}
+    assert stray == set()
+    # the guard sees the calls it allows: each listed place still makes one
+    assert ("bracket_pairs", "solaudit.ccim.parse.parse_source") in found
+    assert ("mask_noncode", "solaudit.ccim.parse.parse_source") in found
+    # both call forms, inside and outside a function
+    assert _pass_calls(ast.parse(
+        "def f(t):\n    return parse.bracket_pairs(t)\nmask_noncode(x)\n"
+        "class K:\n    def g(self):\n        bracket_pairs(y)\n"
+    ), "m") == {("bracket_pairs", "m.f"), ("mask_noncode", "m"), ("bracket_pairs", "m")}

@@ -14,8 +14,8 @@ from solaudit.reasoner import (
 )
 
 
-def _req(stage="phase_a", prompt="hello Vault.withdraw", schema="phase_a", budget=1000):
-    return ReasonerRequest(stage=stage, prompt=prompt, schema=schema, budget=budget)
+def _req(stage="phase_a", prompt="hello Vault.withdraw", budget=1000):
+    return ReasonerRequest(stage=stage, prompt=prompt, budget=budget)
 
 
 def test_scripted_response_verbatim():
@@ -26,7 +26,7 @@ def test_scripted_response_verbatim():
 
 def test_unscripted_returns_schema_default():
     mock = MockReasoner()
-    assert mock.respond(_req(schema="sve_layer2")) == SCHEMA_DEFAULTS["sve_layer2"]
+    assert mock.respond(_req(stage="sve_layer2")) == SCHEMA_DEFAULTS["sve_layer2"]
 
 
 def test_budget_exceeded():
@@ -52,7 +52,7 @@ def test_call_counters():
     assert mock.call_count("phase_a") == 0
     mock.respond(_req())
     mock.respond(_req())
-    mock.respond(_req(stage="stage3_verify", schema="stage3_verify"))
+    mock.respond(_req(stage="stage3_verify"))
     assert mock.call_count("phase_a") == 2
     assert mock.call_count("stage3_verify") == 1
     assert mock.total_calls() == 3

@@ -96,11 +96,16 @@ def test_line_index_matches_newline_count(text):
 @given(_contract_source())
 def test_stored_masks_equal_masking_the_record(generated):
     text, functions = generated
-    records = parse_function_records(_source(text))
+    parsed = parse_source(text)
+    records = parse_function_records(_source(text), parsed)
     assert len(records) == functions
     for rec in records:
-        assert rec.masked_body == mask_noncode(rec.body)
-        assert rec.masked_inner == mask_noncode(rec.body_inner())
+        masked = mask_noncode(rec.body)
+        assert parsed.masked[slice(*parsed.decl_span(rec))] == masked
+        # a generated header holds braces only in comments, so the body's
+        # braces are the first and last of the masked declaration
+        assert masked.endswith("}")
+        assert parsed.masked[slice(*parsed.body_span(rec))] == masked[masked.index("{") + 1:-1]
 
 
 class _Records(logging.Handler):
@@ -130,18 +135,21 @@ def test_engines_never_fail_and_footprints_match_brute_force(generated):
     assert footprints == brute_force_footprints(list(ccim.records))
 
 
-def test_audit_parses_the_source_once(sources, monkeypatch):
-    # every module-level binding of the two whole-source passes is counted, so
-    # an import under another module's name cannot hide a second parse; ingest
-    # masked each file once, so the audit never masks the whole source
-    source = sources["vault_oracle"]
-    calls = {"mask": 0, "scan": 0}
+@pytest.mark.parametrize("name", ["vault_oracle", "patterns", "approvals"])
+def test_audit_parses_the_source_once(sources, monkeypatch, name):
+    # every module-level binding of the three whole-source passes is counted,
+    # so an import under another module's name cannot hide a second parse;
+    # ingest masked each file once, so the audit never masks the whole source,
+    # and every engine reads the audit's one bracket index
+    source = sources[name]
+    calls = {"mask": 0, "scan": 0, "brackets": 0}
     originals = {"mask_noncode": (parse.mask_noncode, "mask"),
-                 "scan_contracts": (parse.scan_contracts, "scan")}
+                 "scan_contracts": (parse.scan_contracts, "scan"),
+                 "bracket_pairs": (parse.bracket_pairs, "brackets")}
 
     def counting(fn, kind):
         def wrapper(*args, **kwargs):
-            if kind == "scan" or args[0] == source.text:
+            if kind != "mask" or args[0] == source.text:
                 calls[kind] += 1
             return fn(*args, **kwargs)
         return wrapper
@@ -151,7 +159,12 @@ def test_audit_parses_the_source_once(sources, monkeypatch):
             if getattr(module, attr, None) is fn:
                 monkeypatch.setattr(module, attr, counting(fn, kind))
     run_engines(assemble_ccim(source))
-    assert calls == {"mask": 0, "scan": 1}
+    assert calls == {"mask": 0, "scan": 1, "brackets": 1}
+
+
+def _rule(rule, text: str) -> list:
+    """A pattern rule's hits on the whole of `text`, read as masked."""
+    return list(rule(text, 0, len(text), bracket_pairs(text)))
 
 
 @pytest.mark.parametrize("body", [
@@ -159,12 +172,12 @@ def test_audit_parses_the_source_once(sources, monkeypatch):
     "assembly { { returndatasize() }",
 ])
 def test_unbalanced_assembly_yields_no_block(body):
-    assert list(patterns._rule_assembly(None, body)) == []
+    assert _rule(patterns._rule_assembly, body) == []
 
 
 def test_unbalanced_unchecked_block_is_empty():
-    assert list(patterns._rule_unchecked_arithmetic(None, "unchecked { x = a + b;")) == []
-    assert list(patterns._rule_unchecked_arithmetic(None, "unchecked { x = a + b; }"))
+    assert _rule(patterns._rule_unchecked_arithmetic, "unchecked { x = a + b;") == []
+    assert _rule(patterns._rule_unchecked_arithmetic, "unchecked { x = a + b; }")
 
 
 # --- one scan per text --------------------------------------------------------
@@ -226,7 +239,7 @@ def test_anchored_patterns_match_their_unanchored_forms(text):
         [(m.start(3), m.end(), "abstract" if m.group(2) else m.group(3), *m.groups()[3:])
          for m in re.finditer(UNANCHORED["ccim.parse", "_CONTRACT_RE"], text)]
     # a division is found from its `/`, and reported where the dividend ends
-    assert [hit[4] for hit in patterns._rule_div_before_mul(None, text)] == \
+    assert [hit[4] for hit in _rule(patterns._rule_div_before_mul, text)] == \
         [m.start() for m in re.finditer(UNANCHORED["engines.patterns", "_DIV_THEN_MUL_RE"], text)]
     assert ingest._declarations(text) == \
         [m.group(2, 3) for m in re.finditer(UNANCHORED["ingest", "_DECL_RE"], text, re.M)]
