@@ -43,12 +43,13 @@ _FUNCTION_RE = re.compile(
 )
 # a modifier with a body: a bodiless `modifier m() virtual;` ends at its `;`
 _MODIFIER_DEF_RE = re.compile(r"modifier(?<!\wmodifier)\s+([A-Za-z_]\w*)[^;{]*(?=\{)")
-# a declaration at the start of a line, matched from the newline before it
+# a declaration at the start of a line or right after a `;`, matched from
+# that newline or `;`; its own `;` is left to start the next match
 _STATE_VAR_RE = re.compile(
-    r"\n[ \t]*"
+    r"[\n;][ \t]*"
     r"(mapping\s*\((?:[^()]|\([^()]*\))*\)|[A-Za-z_]\w*(?:\s+payable)?(?:\s*\[\s*\w*\s*\])*)"
     r"((?:\s+(?:public|private|internal|constant|immutable|override|transient))*)"
-    r"\s+([A-Za-z_]\w*)\s*(=[^;]*)?;"
+    r"\s+([A-Za-z_]\w*)\s*(=[^;]*)?(?=;)"
 )
 _HEADER_KEYWORDS = {
     "public", "external", "internal", "private", "view", "pure", "payable",

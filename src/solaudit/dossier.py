@@ -1,12 +1,15 @@
 """Dossier compilation and the dossier-driven audit pipeline (phases A-E):
-per-function risk dossiers, checklist verification, discovery passes,
-deterministic re-verification routing and severity recalibration."""
+per-function risk dossiers, checklist verification (one prompt per contract
+or budget-sized chunk of it), a discovery pass, interference reviews,
+deterministic re-verification routing and severity recalibration. Phases A,
+B and C pack their member blocks into the budget with the one `_chunks`."""
 
 from __future__ import annotations
 
 import json
 import logging
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from . import prompts
 from .ccim import CcimModel, FnKey, FunctionRecord
@@ -136,44 +139,59 @@ def _facts_block(rec: FunctionRecord) -> str:
     )
 
 
-def phase_a_verify(dossier: Dossier, reasoner: Reasoner,
-                   budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
-    """Checklist verification of one flagged dossier; REAL items with an
-    evidence citation become findings."""
-    if not dossier.flagged:
-        raise ValueError(f"dossier for {dossier.function} is unflagged; phase A must not run")
-    items_text = "\n".join(
-        f"- item-{i}: [{it.source_tag}/{it.id} conf={it.confidence:.2f}] {it.description}"
+def _phase_a_block(dossier: Dossier) -> str:
+    """A dossier's phase A member block: heading, facts and its checklist
+    items, each with the id `Owner.name#i` that a reply cites."""
+    name = f"{dossier.function[0]}.{dossier.function[1]}"
+    items = "\n".join(
+        f"- {name}#{i}: [{it.source_tag}/{it.id} conf={it.confidence:.2f}] {it.description}"
         + (f" (line {it.line_hint})" if it.line_hint else "")
-        for i, it in enumerate(dossier.risk_items, start=1)
-    )
-    prompt = prompts.render(
-        prompts.PHASE_A, budget, {"facts": _facts_block(dossier.facts), "items": items_text},
-        fp_rules=prompts.BUILTIN_FP_RULES, owner=dossier.function[0], name=dossier.function[1],
-    )
-    reply = ask(reasoner, "phase_a", prompt, budget)
-    if reply is None:
-        return []
+        for i, it in enumerate(dossier.risk_items, start=1))
+    return f"### {name}\n{_facts_block(dossier.facts)}\nChecklist items:\n{items}"
 
-    findings: list[Finding] = []
-    for raw in reply_list(reply, "items"):
-        if not isinstance(raw, dict):
-            continue
-        verdict = str(raw.get("verdict", "UNCLEAR")).upper()
-        line = reply_line(raw.get("evidence_line"))
-        if verdict == "REAL" and line is None:
-            log.warning("REAL verdict without evidence line on %s; demoted to UNCLEAR",
-                        dossier.function)
-            verdict = "UNCLEAR"
-        if verdict != "REAL":
-            continue
-        payload = dict(raw)
-        payload.setdefault("title", f"confirmed risk on {dossier.function[1]}")
-        payload["evidence_line"] = line
-        f = finding_from_payload(payload, "D", [dossier.function])
-        if f is not None:
-            findings.append(f)
-    return findings
+
+def phase_a_verify(dossiers: list[Dossier], reasoner: Reasoner,
+                   budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
+    """Checklist verification of one contract's flagged dossiers, packed by
+    `_chunks` into as few prompts as fit the budget, a lone dossier allowed.
+    A reply item is attributed to the dossier its `item_id` names; REAL items
+    with an evidence citation become findings, in dossier order."""
+    if any(not d.flagged for d in dossiers) or len({d.function[0] for d in dossiers}) > 1:
+        raise ValueError("phase A takes the flagged dossiers of one contract")
+    if not dossiers:
+        return []
+    by_key = {d.function: d for d in dossiers}
+    blocks = {k: _phase_a_block(d) for k, d in by_key.items()}
+    fields = {"fp_rules": prompts.BUILTIN_FP_RULES, "owner": dossiers[0].function[0]}
+    room = budget - 1 - len(prompts.render(prompts.PHASE_A, budget, {"members": ""}, **fields))
+    found: dict[FnKey, list[Finding]] = {k: [] for k in by_key}
+    for chunk in _chunks(list(by_key), blocks, room, least=1):
+        members = "\n".join(blocks[k] for k in chunk)
+        reply = ask(reasoner, "phase_a",
+                    prompts.render(prompts.PHASE_A, budget, {"members": members}, **fields), budget)
+        named = {f"{k[0]}.{k[1]}": k for k in chunk}
+        for raw in [] if reply is None else reply_list(reply, "items"):
+            if not isinstance(raw, dict):
+                continue
+            key = named.get(str(raw.get("item_id")).rpartition("#")[0])
+            if key is None:
+                log.warning("phase A item %r names no dossier of its prompt; dropped",
+                            raw.get("item_id"))
+                continue
+            verdict = str(raw.get("verdict", "UNCLEAR")).upper()
+            line = reply_line(raw.get("evidence_line"))
+            if verdict == "REAL" and line is None:
+                log.warning("REAL verdict without evidence line on %s; demoted to UNCLEAR", key)
+                verdict = "UNCLEAR"
+            if verdict != "REAL":
+                continue
+            payload = dict(raw)
+            payload.setdefault("title", f"confirmed risk on {key[1]}")
+            payload["evidence_line"] = line
+            f = finding_from_payload(payload, "D", [key])
+            if f is not None:
+                found[key].append(f)
+    return [f for fs in found.values() for f in fs]
 
 
 # --- discovery (phase B) ---------------------------------------------------
@@ -195,18 +213,27 @@ def contract_priorities(ccim: CcimModel, merged: MergedSignals) -> list[tuple[st
 
 def run_discovery_phase(ccim: CcimModel, merged: MergedSignals, reasoner: Reasoner,
                         budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
-    """Prompt-packaged discovery pass (phase B): prioritized contract context
-    plus the signal record, findings parsed from the structured reply."""
-    ranked = contract_priorities(ccim, merged)[:DISCOVERY_CONTRACTS]
-    blocks = []
-    for contract, score in ranked:
-        bodies = "\n".join(r.body for r in ccim.owned(contract))
-        blocks.append(f"### {contract} (risk score {score:.2f})\n{bodies}")
-    prompt = prompts.render(
-        prompts.PHASE_B, budget,
-        {"contracts": "\n\n".join(blocks), "signals": render_markdown(merged)},
-        lens=DISCOVERY_LENS,
-    )
+    """Prompt-packaged discovery pass (phase B): the signal record and the
+    prioritized contracts' whole function bodies, as many as `_chunks` fits
+    under the budget in priority order; findings parsed from the structured
+    reply. The functions left out are named in one warning."""
+    records, blocks = [], {}
+    for contract, score in contract_priorities(ccim, merged)[:DISCOVERY_CONTRACTS]:
+        heading = ("\n" if blocks else "") + f"### {contract} (risk score {score:.2f})\n"
+        for r in ccim.owned(contract):
+            blocks[len(records)] = heading + r.body
+            records.append(r)
+            heading = ""
+    fields = {"lens": DISCOVERY_LENS}
+    signals = render_markdown(merged)
+    shell = prompts.render(prompts.PHASE_B, budget, {"contracts": "", "signals": signals}, **fields)
+    sent = _chunks(list(blocks), blocks, budget - 1 - len(shell), least=1)[0]
+    if len(sent) < len(records):
+        log.warning("phase B prompt holds %d of %d functions; left out: %s", len(sent),
+                    len(records), ", ".join(f"{r.owner}.{r.name}" for r in records[len(sent):]))
+    contracts = "\n".join(blocks[i] for i in sent)
+    prompt = prompts.render(prompts.PHASE_B, budget, {"contracts": contracts, "signals": signals},
+                            **fields)
     reply = ask(reasoner, "phase_b", prompt, budget)
     return [] if reply is None else findings_from(reply, "D")
 
@@ -232,22 +259,23 @@ def _phase_c_subject(kind: str, subject: str, part: int, parts: int) -> str:
     return what + (f" (part {part} of {parts})" if parts > 1 else "")
 
 
-def _chunks(ranked: list[FnKey], blocks: dict[FnKey, str], room: int) -> list[list[FnKey]]:
+def _chunks(ranked: list, blocks: dict, room: int, least: int = 2) -> list[list]:
     """`ranked` cut into consecutive chunks whose newline-joined blocks fit
-    in `room`. A chunk closes only once it has two members; a lone last
-    member takes the previous chunk's last one, and the two chunks merge if
-    that leaves a lone member behind."""
-    chunks: list[list[FnKey]] = [[]]
+    in `room`: the one packer of phases A, B and C. A chunk closes only once
+    it has `least` (1 or 2) members; a last chunk short of `least` takes the
+    previous chunk's last member, and the two merge if that leaves the
+    previous one short. So a chunk over the room cannot split in two."""
+    chunks: list[list] = [[]]
     used = -1
     for k in ranked:
-        if len(chunks[-1]) >= 2 and used + 1 + len(blocks[k]) > room:
+        if len(chunks[-1]) >= least and used + 1 + len(blocks[k]) > room:
             chunks.append([])
             used = -1
         chunks[-1].append(k)
         used += 1 + len(blocks[k])
-    if len(chunks) > 1 and len(chunks[-1]) == 1:
+    if len(chunks) > 1 and len(chunks[-1]) < least:
         chunks[-1].insert(0, chunks[-2].pop())
-        if len(chunks[-2]) == 1:
+        if len(chunks[-2]) < least:
             chunks[-2:] = [chunks[-2] + chunks[-1]]
     return chunks
 
@@ -470,8 +498,8 @@ def dd_run(ccim: CcimModel, merged: MergedSignals, reasoner: Reasoner, *,
     flagged = [d for d in compile_dossiers(ccim, merged) if d.flagged]
 
     findings: list[Finding] = []
-    for d in flagged:
-        findings.extend(phase_a_verify(d, reasoner, budget))
+    for _, contract in groupby(flagged, key=lambda d: d.function[0]):
+        findings.extend(phase_a_verify(list(contract), reasoner, budget))
     findings.extend(run_discovery_phase(ccim, merged, reasoner, budget))
     findings.extend(run_phase_c(ccim, reasoner, budget=budget))
 

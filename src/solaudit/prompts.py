@@ -8,7 +8,7 @@ against.
 
 from __future__ import annotations
 
-PROMPT_VERSION = "2"
+PROMPT_VERSION = "3"
 
 BUILTIN_FP_RULES = """\
 Built-in false-positive rules (do not report these):
@@ -24,15 +24,12 @@ UNCLEAR. A REAL verdict must cite an evidence line number from the source.
 
 {fp_rules}
 
-Function under review: {owner}.{name}
-{facts}
+Functions of {owner} under review, each with its facts and checklist items:
+{members}
 
-Checklist items:
-{items}
-
-Respond as JSON: {{"items": [{{"item_id": ..., "verdict": "REAL|FALSE_POSITIVE|UNCLEAR",
-"evidence_line": <int or null>, "title": ..., "description": ..., "attack_scenario": ...,
-"severity": "CRITICAL|HIGH|MEDIUM|LOW|INFO"}}]}}"""
+Respond as JSON, one entry per item, keyed by the item's id: {{"items": [{{"item_id": "Owner.name#i",
+"verdict": "REAL|FALSE_POSITIVE|UNCLEAR", "evidence_line": <int or null>, "title": ...,
+"description": ..., "attack_scenario": ..., "severity": "CRITICAL|HIGH|MEDIUM|LOW|INFO"}}]}}"""
 
 PHASE_B = """\
 [template v{version}] Contract-level semantic review through the lens: {lens}.

@@ -1,16 +1,22 @@
 """Smoke benchmarks, timed by pytest-benchmark for a fixed few rounds: the
 substrate (`assemble_ccim` plus `run_engines`) on a generated 5-contract
-corpus, and top-16 pair selection and phase C on the `deep` shape. The corpus generator
-is read from the benchmark's `auditbench/`."""
+corpus, and top-16 pair selection, phase A and phase C on the `deep` shape.
+The corpus generator is read from the benchmark's `auditbench/`."""
 
 from __future__ import annotations
 
+from itertools import groupby
 from pathlib import Path
 
 from corpus import write_repo
 
 from solaudit.ccim import assemble_ccim
-from solaudit.dossier import build_phase_c_interactions, run_phase_c
+from solaudit.dossier import (
+    build_phase_c_interactions,
+    compile_dossiers,
+    phase_a_verify,
+    run_phase_c,
+)
 from solaudit.engines import run_engines
 from solaudit.ingest import build_audit_source, classify_files, resolve_remappings
 from solaudit.interaction import select_pairs
@@ -55,3 +61,22 @@ def test_phase_c_benchmark(benchmark, deep_model):
     benchmark.pedantic(run_phase_c, setup=fresh_reasoner, rounds=5, iterations=1)
     groups = len(build_phase_c_interactions(ccim))
     assert [r.call_count("phase_c") for r in reasoners] == [groups] * 5
+
+
+def test_phase_a_benchmark(benchmark, deep_model):
+    ccim, merged = deep_model
+    flagged = [d for d in compile_dossiers(ccim, merged) if d.flagged]
+    reasoners: list[MockReasoner] = []
+
+    def fresh_reasoner():
+        reasoners.append(MockReasoner())
+        return (reasoners[-1],), {}
+
+    def phase_a(reasoner):
+        for _, contract in groupby(flagged, key=lambda d: d.function[0]):
+            phase_a_verify(list(contract), reasoner)
+
+    benchmark.pedantic(phase_a, setup=fresh_reasoner, rounds=5, iterations=1)
+    # one prompt per budget-sized chunk of a contract's 50 flagged dossiers
+    assert len(flagged) == 50
+    assert [r.call_count("phase_a") for r in reasoners] == [3] * 5

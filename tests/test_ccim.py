@@ -140,6 +140,18 @@ def test_parse_compound_and_index_writes():
     assert g.reads == {"balances", "count"}
 
 
+def test_one_line_state_declarations_each_declare():
+    src = _source_from_text(
+        "contract C {\n"
+        "    uint256 public a; uint256 public b;\n"
+        "    function setB(uint256 x) external { b = x; }\n"
+        "}\n")
+    [set_b] = parse_function_records(src)
+    assert set_b.writes == {"b"}
+    [decl] = parse_source(src.text).decls
+    assert [(v.name, v.line) for v in decl.state_vars] == [("a", 2), ("b", 2)]
+
+
 def test_parse_receive_and_interface_function():
     src = _source_from_text(
         "interface IX { function poke(uint256 n) external; }\n"

@@ -28,7 +28,7 @@ _ZERO_GUARD = 'require(amount > 0, "zero");'
 
 VAULT_SCRIPT = [
     {"stage": "phase_a", "match": ["Vault.withdraw"],
-     "response": {"items": [{"item_id": "item-1", "verdict": "REAL", "evidence_line": 61,
+     "response": {"items": [{"item_id": "Vault.withdraw#1", "verdict": "REAL", "evidence_line": 61,
                              "title": "Oracle rotation reprices withdrawals",
                              "description": "The owner-rotated oracle reprices every pending "
                                             "withdrawal.",

@@ -15,6 +15,8 @@ from solaudit.dossier import (
     ROUTE_GRAPH_SKIP,
     ROUTE_NEEDS_REASONER,
     ROUTE_VECTOR_CONFIRMED,
+    Dossier,
+    RiskItem,
     _chunks,
     _member_blocks,
     _phase_c_subject,
@@ -113,11 +115,11 @@ def test_phase_a_real_item_becomes_finding(models, merged_signals):
     line = dossier.facts.src[0] + 2
     reasoner = scripted([{
         "stage": "phase_a", "match": ["Vault.withdraw"],
-        "response": {"items": [{"item_id": "item-1", "verdict": "REAL",
+        "response": {"items": [{"item_id": "Vault.withdraw#1", "verdict": "REAL",
                                 "evidence_line": line, "title": "oracle rotation risk",
                                 "severity": "HIGH"}]},
     }])
-    findings = phase_a_verify(dossier, reasoner)
+    findings = phase_a_verify([dossier], reasoner)
     assert len(findings) == 1
     assert findings[0].pipeline == "D"
     assert findings[0].evidence_lines == [line]
@@ -128,49 +130,118 @@ def test_phase_a_unflagged_dossier_rejected(models, merged_signals):
     dossiers = compile_dossiers(models["vault_oracle"], merged_signals["vault_oracle"])
     unflagged = next(d for d in dossiers if not d.flagged)
     with pytest.raises(ValueError):
-        phase_a_verify(unflagged, MockReasoner())
+        phase_a_verify([unflagged], MockReasoner())
+
+
+def test_phase_a_dossiers_of_two_contracts_rejected(models):
+    ccim = models["vault_oracle"]
+    item = RiskItem("TEST", "t", "t", 0.5, None)
+    two = [Dossier(k, ccim.record(*k), [item]) for k in (("ChainOracle", "setPrice"),
+                                                         ("Vault", "withdraw"))]
+    reasoner = MockReasoner()
+    with pytest.raises(ValueError):
+        phase_a_verify(two, reasoner)
+    assert reasoner.call_count("phase_a") == 0
 
 
 def test_phase_a_false_positives_yield_nothing(models, merged_signals):
     dossier = _flagged_dossier(models, merged_signals)
     reasoner = scripted([{
         "stage": "phase_a", "match": [],
-        "response": {"items": [{"item_id": "item-1", "verdict": "FALSE_POSITIVE",
+        "response": {"items": [{"item_id": "Vault.withdraw#1", "verdict": "FALSE_POSITIVE",
                                 "evidence_line": 3}]},
     }])
-    assert phase_a_verify(dossier, reasoner) == []
+    assert phase_a_verify([dossier], reasoner) == []
 
 
 def test_phase_a_real_without_line_demoted(models, merged_signals, caplog):
     dossier = _flagged_dossier(models, merged_signals)
     reasoner = scripted([{
         "stage": "phase_a", "match": [],
-        "response": {"items": [{"item_id": "item-1", "verdict": "REAL"}]},
+        "response": {"items": [{"item_id": "Vault.withdraw#1", "verdict": "REAL"}]},
     }])
     with caplog.at_level("WARNING"):
-        assert phase_a_verify(dossier, reasoner) == []
+        assert phase_a_verify([dossier], reasoner) == []
     assert "demoted" in caplog.text
 
 
 def test_phase_a_reasoner_failure_isolated(models, merged_signals):
     dossier = _flagged_dossier(models, merged_signals)
-    assert phase_a_verify(dossier, ThrowingReasoner()) == []
+    assert phase_a_verify([dossier], ThrowingReasoner()) == []
 
 
 def test_phase_a_prompt_contains_fp_rules(models, merged_signals):
-    captured = {}
-
-    class Capture(MockReasoner):
-        def respond(self, request):
-            captured["prompt"] = request.prompt
-            return super().respond(request)
-
-    phase_a_verify(_flagged_dossier(models, merged_signals), Capture())
-    prompt = captured["prompt"]
+    reasoner = _RecordingReasoner()
+    phase_a_verify([_flagged_dossier(models, merged_signals)], reasoner)
+    [prompt] = reasoner.prompts
     assert "unchecked blocks" in prompt
     assert "nonReentrant" in prompt
     assert "admin modifier" in prompt
     assert "atomically" in prompt
+
+
+def test_phase_a_items_of_two_functions_attributed_by_id(models):
+    ccim = models["vault_oracle"]
+    deposit, withdraw = ("Vault", "deposit"), ("Vault", "withdraw")
+    items = [RiskItem("TEST", f"t{i}", f"risk {i}", 0.5, None) for i in (1, 2)]
+    dossiers = [Dossier(deposit, ccim.record(*deposit), items[:1]),
+                Dossier(withdraw, ccim.record(*withdraw), items)]
+    # the reply lists withdraw's item before deposit's
+    reasoner = scripted([{"stage": "phase_a", "match": ["Vault.deposit#1", "Vault.withdraw#2"],
+                          "response": {"items": [
+                              {"item_id": "Vault.withdraw#2", "verdict": "REAL",
+                               "evidence_line": 60, "title": "on withdraw"},
+                              {"item_id": "Vault.deposit#1", "verdict": "REAL",
+                               "evidence_line": 55, "title": "on deposit"},
+                              {"item_id": "Vault.withdraw#1", "verdict": "UNCLEAR"}]}}])
+    findings = phase_a_verify(dossiers, reasoner)
+    assert reasoner.call_count("phase_a") == 1
+    # findings follow the dossiers' order, each on the function its id names
+    assert [(f.title, f.affected_functions) for f in findings] == [
+        ("on deposit", [deposit]), ("on withdraw", [withdraw])]
+
+
+def test_phase_a_unknown_item_id_dropped(models, merged_signals, caplog):
+    dossier = _flagged_dossier(models, merged_signals)
+    line = dossier.facts.src[0] + 2
+    unknown = ["item-1", "Vault.deposit#1", "ChainOracle.setPrice#1", None]
+    reasoner = scripted([{"stage": "phase_a", "match": [], "response": {"items": [
+        {"item_id": i, "verdict": "REAL", "evidence_line": line} for i in unknown]}}])
+    with caplog.at_level("WARNING"):
+        assert phase_a_verify([dossier], reasoner) == []
+    assert caplog.text.count("names no dossier") == len(unknown)
+
+
+def test_phase_a_small_budget_splits_a_contract(deep_model):
+    ccim, merged = deep_model
+    flagged = [d for d in compile_dossiers(ccim, merged) if d.flagged]
+    owner = max({d.function[0] for d in flagged},
+                key=lambda c: sum(d.function[0] == c for d in flagged))
+    dossiers = [d for d in flagged if d.function[0] == owner]
+    ids = [f"{d.function[0]}.{d.function[1]}#{i}"
+           for d in dossiers for i in range(1, len(d.risk_items) + 1)]
+    budget = 3 * max(len(d.facts.body) for d in dossiers) + 4_000
+    reasoner = _RecordingReasoner()
+    phase_a_verify(dossiers, reasoner, budget)
+    assert len(reasoner.prompts) > 1
+    assert all(len(p) < budget for p in reasoner.prompts)
+    for item_id in ids:
+        assert sum(f"- {item_id}: " in p for p in reasoner.prompts) == 1, item_id
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(0, 40), max_size=12), room=st.integers(-1, 120),
+       least=st.sampled_from((1, 2)))
+def test_chunks_partition_in_order_within_room(sizes, room, least):
+    blocks = {i: "x" * n for i, n in enumerate(sizes)}
+    chunks = _chunks(list(blocks), blocks, room, least)
+    assert [k for c in chunks for k in c] == list(blocks)
+    for i, c in enumerate(chunks):
+        if sum(1 + len(blocks[k]) for k in c) - 1 > room:
+            # only a chunk that cannot split into two of `least` overflows:
+            # the last one may hold the previous chunk's folded-in members
+            assert len(c) == least or (i == len(chunks) - 1 and len(c) < 2 * least)
+        assert len(c) >= least or len(sizes) < least
 
 
 # --- phase B/C -------------------------------------------------------------------
@@ -188,6 +259,22 @@ def test_discovery_skips_malformed_findings(models, merged_signals, findings):
     reasoner = scripted([{"stage": "phase_b", "match": [], "response": {"findings": findings}}])
     found = run_discovery_phase(models["vault_oracle"], merged_signals["vault_oracle"], reasoner)
     assert [f.title for f in found] == ([] if findings == 5 else ["kept"])
+
+
+def test_discovery_sends_whole_bodies_and_names_the_rest(deep_model, caplog):
+    ccim, merged = deep_model
+    reasoner = _RecordingReasoner()
+    with caplog.at_level("WARNING"):
+        run_discovery_phase(ccim, merged, reasoner)
+    [prompt] = reasoner.prompts
+    assert len(prompt) < DEFAULT_CHAR_BUDGET
+    [warning] = [r.getMessage() for r in caplog.records if "phase B" in r.getMessage()]
+    left_out = warning.split("left out: ")[1].split(", ")
+    records = [r for c, _ in contract_priorities(ccim, merged)[:3] for r in ccim.owned(c)]
+    # each function is sent whole or named as left out, never cut
+    for r in records:
+        assert (r.body in prompt) != (f"{r.owner}.{r.name}" in left_out), r.key
+    assert 0 < len(left_out) < len(records)
 
 
 def test_phase_c_groups(models):
@@ -532,7 +619,7 @@ def test_dd_run_end_to_end(models, merged_signals):
     rec = ccim.record("Vault", "withdraw")
     reasoner = scripted([{
         "stage": "phase_a", "match": ["Vault.withdraw"],
-        "response": {"items": [{"item_id": "item-1", "verdict": "REAL",
+        "response": {"items": [{"item_id": "Vault.withdraw#1", "verdict": "REAL",
                                 "evidence_line": rec.src[0] + 2,
                                 "title": "oracle rotation repricing",
                                 "description": "owner-rotated oracle reprices withdrawals",

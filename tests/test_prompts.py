@@ -19,7 +19,7 @@ BUDGET = 24_000
 
 # the fields each stage passes as cuttable payload; every other field is fixed
 PAYLOAD_FIELDS = {
-    "PHASE_A": ("facts", "items"),
+    "PHASE_A": ("members",),
     "PHASE_B": ("contracts", "signals"),
     "PHASE_C": ("members",),
     "PHASE_D": ("source_block",),
