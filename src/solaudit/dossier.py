@@ -1,8 +1,10 @@
 """Dossier compilation and the dossier-driven audit pipeline (phases A-E):
 per-function risk dossiers, checklist verification (one prompt per contract
-or budget-sized chunk of it), a discovery pass, interference reviews,
-deterministic re-verification routing and severity recalibration. Phases A,
-B and C pack their member blocks into the budget with the one `_chunks`."""
+or budget-sized chunk of it), a discovery pass, interference reviews (as few
+prompts as fit the budget, several reviews each), deterministic
+re-verification routing and severity recalibration. Phases A, B and C pack
+their member blocks into the budget with the one `_chunks`, and phases A and
+C attribute a reply's entries to the prompt's members by id with `_by_id`."""
 
 from __future__ import annotations
 
@@ -66,7 +68,7 @@ class RiskItem:
 @dataclass
 class Dossier:
     function: FnKey
-    facts: FunctionRecord
+    records: tuple[FunctionRecord, ...]      # every overload of `function`, in record order
     risk_items: list[RiskItem] = field(default_factory=list)
 
     @property
@@ -84,13 +86,14 @@ class InteractionGroup:
 
 
 def compile_dossiers(ccim: CcimModel, merged: MergedSignals) -> list[Dossier]:
-    """One dossier per non-interface function; every merged signal attached to
-    its target function, with a line-range fallback for name misses."""
-    dossiers: dict[FnKey, Dossier] = {}
+    """One dossier per non-interface function key, holding the records of all
+    its overloads; every merged signal attached to its target function, with
+    a line-range fallback for name misses."""
+    records: dict[FnKey, list[FunctionRecord]] = {}
     for rec in sorted(ccim.records, key=lambda r: r.src[0]):
-        if ccim.resolution.kinds.get(rec.owner) == "interface":
-            continue
-        dossiers[rec.key] = Dossier(function=rec.key, facts=rec)
+        if ccim.resolution.kinds.get(rec.owner) != "interface":
+            records.setdefault(rec.key, []).append(rec)
+    dossiers = {k: Dossier(k, tuple(rs)) for k, rs in records.items()}
 
     def attach(key: FnKey | None, item: RiskItem, line: int | None):
         if key in dossiers:
@@ -140,22 +143,42 @@ def _facts_block(rec: FunctionRecord) -> str:
 
 
 def _phase_a_block(dossier: Dossier) -> str:
-    """A dossier's phase A member block: heading, facts and its checklist
-    items, each with the id `Owner.name#i` that a reply cites."""
+    """A dossier's phase A member block: heading, the facts and body of each
+    overload, and its checklist items, each with the id `Owner.name#i` that a
+    reply cites."""
     name = f"{dossier.function[0]}.{dossier.function[1]}"
     items = "\n".join(
         f"- {name}#{i}: [{it.source_tag}/{it.id} conf={it.confidence:.2f}] {it.description}"
         + (f" (line {it.line_hint})" if it.line_hint else "")
         for i, it in enumerate(dossier.risk_items, start=1))
-    return f"### {name}\n{_facts_block(dossier.facts)}\nChecklist items:\n{items}"
+    facts = "\n".join(_facts_block(r) for r in dossier.records)
+    return f"### {name}\n{facts}\nChecklist items:\n{items}"
+
+
+def _by_id(entries: list, field: str, members: dict, noun: str) -> list[tuple[object, dict]]:
+    """The object entries of a reply list, each paired with the member of
+    its prompt that its `field` names: the id up to any `#` (phase A's item
+    number) is a key of `members`. An entry naming no member of the prompt is
+    dropped with a warning."""
+    named = []
+    for raw in entries:
+        if not isinstance(raw, dict):
+            continue
+        member = members.get(str(raw.get(field)).partition("#")[0])
+        if member is None:
+            log.warning("%s %r names no %s of its prompt; dropped", field, raw.get(field), noun)
+            continue
+        named.append((member, raw))
+    return named
 
 
 def phase_a_verify(dossiers: list[Dossier], reasoner: Reasoner,
                    budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
     """Checklist verification of one contract's flagged dossiers, packed by
     `_chunks` into as few prompts as fit the budget, a lone dossier allowed.
-    A reply item is attributed to the dossier its `item_id` names; REAL items
-    with an evidence citation become findings, in dossier order."""
+    A reply item is attributed by `_by_id` to the dossier its `item_id`
+    names; REAL items with an evidence citation become findings, in dossier
+    order."""
     if any(not d.flagged for d in dossiers) or len({d.function[0] for d in dossiers}) > 1:
         raise ValueError("phase A takes the flagged dossiers of one contract")
     if not dossiers:
@@ -165,19 +188,12 @@ def phase_a_verify(dossiers: list[Dossier], reasoner: Reasoner,
     fields = {"fp_rules": prompts.BUILTIN_FP_RULES, "owner": dossiers[0].function[0]}
     room = budget - 1 - len(prompts.render(prompts.PHASE_A, budget, {"members": ""}, **fields))
     found: dict[FnKey, list[Finding]] = {k: [] for k in by_key}
-    for chunk in _chunks(list(by_key), blocks, room, least=1):
+    for chunk in _chunks(list(by_key), {k: len(b) for k, b in blocks.items()}, room, least=1):
         members = "\n".join(blocks[k] for k in chunk)
         reply = ask(reasoner, "phase_a",
                     prompts.render(prompts.PHASE_A, budget, {"members": members}, **fields), budget)
-        named = {f"{k[0]}.{k[1]}": k for k in chunk}
-        for raw in [] if reply is None else reply_list(reply, "items"):
-            if not isinstance(raw, dict):
-                continue
-            key = named.get(str(raw.get("item_id")).rpartition("#")[0])
-            if key is None:
-                log.warning("phase A item %r names no dossier of its prompt; dropped",
-                            raw.get("item_id"))
-                continue
+        items = [] if reply is None else reply_list(reply, "items")
+        for key, raw in _by_id(items, "item_id", {f"{k[0]}.{k[1]}": k for k in chunk}, "dossier"):
             verdict = str(raw.get("verdict", "UNCLEAR")).upper()
             line = reply_line(raw.get("evidence_line"))
             if verdict == "REAL" and line is None:
@@ -227,7 +243,8 @@ def run_discovery_phase(ccim: CcimModel, merged: MergedSignals, reasoner: Reason
     fields = {"lens": DISCOVERY_LENS}
     signals = render_markdown(merged)
     shell = prompts.render(prompts.PHASE_B, budget, {"contracts": "", "signals": signals}, **fields)
-    sent = _chunks(list(blocks), blocks, budget - 1 - len(shell), least=1)[0]
+    sent = _chunks(list(blocks), {i: len(b) for i, b in blocks.items()},
+                   budget - 1 - len(shell), least=1)[0]
     if len(sent) < len(records):
         log.warning("phase B prompt holds %d of %d functions; left out: %s", len(sent),
                     len(records), ", ".join(f"{r.owner}.{r.name}" for r in records[len(sent):]))
@@ -254,25 +271,27 @@ def _member_blocks(ccim: CcimModel) -> dict[FnKey, str]:
     return {k: _source_block(k, b) for k, b in bodies.items()}
 
 
-def _phase_c_subject(kind: str, subject: str, part: int, parts: int) -> str:
+def _review_heading(n: int, kind: str, subject: str, part: int, parts: int) -> str:
+    """The heading line of phase C review `C<n>`: what its functions touch."""
     what = f"calls into {subject}" if kind == "call" else f"storage variable {subject}"
-    return what + (f" (part {part} of {parts})" if parts > 1 else "")
+    return f"### C{n}: {what}" + (f" (part {part} of {parts})" if parts > 1 else "") + "\n"
 
 
-def _chunks(ranked: list, blocks: dict, room: int, least: int = 2) -> list[list]:
-    """`ranked` cut into consecutive chunks whose newline-joined blocks fit
-    in `room`: the one packer of phases A, B and C. A chunk closes only once
-    it has `least` (1 or 2) members; a last chunk short of `least` takes the
-    previous chunk's last member, and the two merge if that leaves the
-    previous one short. So a chunk over the room cannot split in two."""
+def _chunks(ranked: list, size: dict, room: int, least: int = 2) -> list[list]:
+    """`ranked` cut into consecutive chunks whose blocks, of `size[k]`
+    characters each, fit in `room` joined by newlines: the one packer of
+    phases A, B and C. A chunk closes only once it has `least` (1 or 2)
+    members; a last chunk short of `least` takes the previous chunk's last
+    member, and the two merge if that leaves the previous one short. So a
+    chunk over the room cannot split in two."""
     chunks: list[list] = [[]]
     used = -1
     for k in ranked:
-        if len(chunks[-1]) >= least and used + 1 + len(blocks[k]) > room:
+        if len(chunks[-1]) >= least and used + 1 + size[k] > room:
             chunks.append([])
             used = -1
         chunks[-1].append(k)
-        used += 1 + len(blocks[k])
+        used += 1 + size[k]
     if len(chunks) > 1 and len(chunks[-1]) < least:
         chunks[-1].insert(0, chunks[-2].pop())
         if len(chunks[-2]) < least:
@@ -286,28 +305,29 @@ def build_phase_c_interactions(ccim: CcimModel,
 
     A variable's touchers (writers and readers) are ranked by
     `coverage.risk_profile`, highest first, ties by key, and packed into "var"
-    groups: consecutive chunks whose source blocks fit the room that
-    PHASE_C, rendered with the longest subject the variable can carry, leaves
-    under `budget`, so every prompt stays shorter than the budget. Every
-    toucher lands in exactly one chunk and no chunk has a single member; a
-    prompt is cut only when member blocks are too large to fit two to a
-    chunk. A variable split into k > 1 chunks numbers them 1..k.
+    groups: consecutive chunks whose source blocks fit the room that PHASE_C
+    and the widest review heading the chunks can carry leave under `budget`,
+    so every review fits in a prompt shorter than the budget. Every toucher
+    lands in exactly one chunk and no chunk has a single member; a prompt is
+    cut only when member blocks are too large to fit two to a chunk. A
+    variable split into k > 1 chunks numbers them 1..k.
 
     A callee's callers are ranked and packed the same way into "call" groups
     whose last member is the callee, its block counted in every chunk's
     room. A callee is not its own caller unless it has no other, so a self
-    call keeps its (g, g) pair and no prompt otherwise holds a block twice."""
-    blocks = _member_blocks(ccim)
+    call keeps its (g, g) pair and no review otherwise holds a block twice."""
+    size = {k: len(b) for k, b in _member_blocks(ccim).items()}
     risk = {r.key: risk_profile(r) for r in ccim.records}
+    shell = len(prompts.render(prompts.PHASE_C, budget, {"reviews": ""}))
     groups: list[InteractionGroup] = []
 
     def pack(kind: str, members: frozenset[FnKey] | set[FnKey], subject: str,
              tail: tuple[FnKey, ...] = ()):
         ranked = sorted(members, key=lambda k: (-risk[k], k))
-        shell = prompts.render(prompts.PHASE_C, budget, {"members": ""},
-                               subject=_phase_c_subject(kind, subject, len(ranked), len(ranked)))
-        room = budget - 1 - len(shell) - sum(1 + len(blocks[k]) for k in tail)
-        chunks = _chunks(ranked, blocks, room)
+        # no chunk of `ranked` gets a later review number or a longer part
+        widest = _review_heading(len(groups) + len(ranked), kind, subject, len(ranked), len(ranked))
+        room = budget - 1 - shell - len(widest) - sum(1 + size[k] for k in tail)
+        chunks = _chunks(ranked, size, room)
         groups.extend(InteractionGroup(kind, (*c, *tail), subject, i, len(chunks))
                       for i, c in enumerate(chunks, start=1))
 
@@ -322,21 +342,43 @@ def build_phase_c_interactions(ccim: CcimModel,
 
 def run_phase_c(ccim: CcimModel, reasoner: Reasoner,
                 budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
-    findings = []
+    """Interference reviews, several per prompt. The n-th group of
+    `build_phase_c_interactions` is review `C<n>`: a section of its heading
+    and its member blocks. The sections are packed in group order by
+    `_chunks` into as few prompts as fit the budget, each built only for its
+    prompt. A reply's "reviews" entry is attributed by `_by_id` to the review
+    its `review_id` names, and each review's payload is the reply's
+    top-level fields overridden by its own entry, so a reply of one
+    top-level verdict judges every review of its prompt. Each VULNERABLE
+    review becomes a finding on its group's members, in group order."""
     blocks = _member_blocks(ccim)
-    for group in build_phase_c_interactions(ccim, budget):
-        members = "\n".join(blocks[k] for k in group.members)
-        subject = _phase_c_subject(group.kind, group.subject, group.part, group.parts)
-        prompt = prompts.render(prompts.PHASE_C, budget, {"members": members}, subject=subject)
-        reply = ask(reasoner, "phase_c", prompt, budget)
-        if reply is None or str(reply.get("verdict", "UNCLEAR")).upper() != "VULNERABLE":
+    groups = build_phase_c_interactions(ccim, budget)
+    if not groups:
+        return []
+    headings = [_review_heading(n, g.kind, g.subject, g.part, g.parts)
+                for n, g in enumerate(groups, start=1)]
+    size = {i: len(h) + sum(1 + len(blocks[k]) for k in g.members) - 1
+            for i, (h, g) in enumerate(zip(headings, groups))}
+    room = budget - 1 - len(prompts.render(prompts.PHASE_C, budget, {"reviews": ""}))
+    findings = []
+    for chunk in _chunks(list(size), size, room, least=1):
+        reviews = "\n".join(headings[i] + "\n".join(blocks[k] for k in groups[i].members)
+                            for i in chunk)
+        reply = ask(reasoner, "phase_c",
+                    prompts.render(prompts.PHASE_C, budget, {"reviews": reviews}), budget)
+        if reply is None:
             continue
-        payload = dict(reply)
-        payload.setdefault("title", f"interference on {group.subject}")
-        payload.setdefault("functions", [list(k) for k in group.members])
-        f = finding_from_payload(payload, "D", list(group.members))
-        if f is not None:
-            findings.append(f)
+        top = {k: v for k, v in reply.items() if k != "reviews"}
+        entries = dict(_by_id(reply_list(reply, "reviews"), "review_id",
+                              {f"C{i + 1}": i for i in chunk}, "review"))
+        for i in chunk:
+            payload = {**top, **entries.get(i, {})}
+            if str(payload.get("verdict", "UNCLEAR")).upper() != "VULNERABLE":
+                continue
+            payload.setdefault("title", f"interference on {groups[i].subject}")
+            f = finding_from_payload(payload, "D", list(groups[i].members))
+            if f is not None:
+                findings.append(f)
     return findings
 
 

@@ -8,7 +8,7 @@ against.
 
 from __future__ import annotations
 
-PROMPT_VERSION = "3"
+PROMPT_VERSION = "4"
 
 BUILTIN_FP_RULES = """\
 Built-in false-positive rules (do not report these):
@@ -45,14 +45,14 @@ Report findings as JSON: {{"findings": [{{"title": ..., "description": ...,
 "evidence_lines": [..]}}]}}"""
 
 PHASE_C = """\
-[template v{version}] Cross-function interference review. The functions below
-all touch {subject}. Examine the entire interference set at once and issue one
-verdict: VULNERABLE, SAFE or UNCLEAR.
+[template v{version}] Cross-function interference reviews. The functions of each
+review all touch its subject: examine them as one set, one verdict per review.
 
-{members}
+{reviews}
 
-Respond as JSON: {{"verdict": "VULNERABLE|SAFE|UNCLEAR", "title": ...,
-"description": ..., "attack_scenario": ..., "severity": ..., "evidence_lines": [..]}}"""
+Respond as JSON; top-level fields apply to each review without an entry of its own:
+{{"reviews": [{{"review_id": "C<n>", "verdict": "VULNERABLE|SAFE|UNCLEAR", "title": ...,
+"description": ..., "attack_scenario": ..., "severity": ..., "evidence_lines": [..]}}]}}"""
 
 PHASE_D = """\
 [template v{version}] Claim-first verification. Follow the four steps exactly:

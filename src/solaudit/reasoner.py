@@ -40,7 +40,7 @@ class ReasonerRequest:
 SCHEMA_DEFAULTS: dict[str, dict] = {
     "phase_a": {"items": []},
     "phase_b": {"findings": []},
-    "phase_c": {"verdict": "UNCLEAR"},
+    "phase_c": {"reviews": []},
     "phase_d": {"claim": "", "prevention": "", "quote": "", "verdict": "UNCLEAR"},
     "phase_e": {"severity": None, "justification": ""},
     "stage1_triage": {"pairs": []},

@@ -266,7 +266,7 @@ UNANCHORED = {
     ("ccim.parse", "_FUNCTION_RE"): r"\b(function\s+([A-Za-z_]\w*)|constructor|receive|fallback)\s*\(",
     ("ccim.parse", "_MODIFIER_DEF_RE"): r"\bmodifier\s+([A-Za-z_]\w*)[^;{]*(?=\{)",
     ("ccim.parse", "_STATE_VAR_RE"):
-        r"(?m)^[ \t]*"
+        r"(?m)(?:^|(?<=;))[ \t]*"
         r"(mapping\s*\((?:[^()]|\([^()]*\))*\)|[A-Za-z_]\w*(?:\s+payable)?(?:\s*\[\s*\w*\s*\])*)"
         r"((?:\s+(?:public|private|internal|constant|immutable|override|transient))*)"
         r"\s+([A-Za-z_]\w*)\s*(=[^;]*)?;",

@@ -231,6 +231,9 @@ def test_external_report_non_finite_line_degrades(tmp_path):
 MALFORMED_REPLIES = {
     "phase_c-evidence_lines": ("cycle", "phase_c", {"verdict": "VULNERABLE", "evidence_lines": 7}),
     "phase_c-functions": ("cycle", "phase_c", {"verdict": "VULNERABLE", "functions": 5}),
+    "phase_c-reviews": ("cycle", "phase_c", {"reviews": 5}),
+    "phase_c-review_id": ("cycle", "phase_c",
+                          {"reviews": [{"review_id": "C99", "verdict": "VULNERABLE"}]}),
     "phase_a-items": ("vault_oracle", "phase_a", {"items": 5}),
     "stage3-items": ("vault_oracle", "stage3_verify", {"items": 5}),
     "triage-pairs": ("vault_oracle", "stage1_triage", {"pairs": 5}),

@@ -19,7 +19,6 @@ from solaudit.dossier import (
     RiskItem,
     _chunks,
     _member_blocks,
-    _phase_c_subject,
     build_phase_c_interactions,
     compile_dossiers,
     contract_priorities,
@@ -112,7 +111,7 @@ def _flagged_dossier(models, merged_signals, key=("Vault", "withdraw")):
 
 def test_phase_a_real_item_becomes_finding(models, merged_signals):
     dossier = _flagged_dossier(models, merged_signals)
-    line = dossier.facts.src[0] + 2
+    line = dossier.records[0].src[0] + 2
     reasoner = scripted([{
         "stage": "phase_a", "match": ["Vault.withdraw"],
         "response": {"items": [{"item_id": "Vault.withdraw#1", "verdict": "REAL",
@@ -136,7 +135,7 @@ def test_phase_a_unflagged_dossier_rejected(models, merged_signals):
 def test_phase_a_dossiers_of_two_contracts_rejected(models):
     ccim = models["vault_oracle"]
     item = RiskItem("TEST", "t", "t", 0.5, None)
-    two = [Dossier(k, ccim.record(*k), [item]) for k in (("ChainOracle", "setPrice"),
+    two = [Dossier(k, (ccim.record(*k),), [item]) for k in (("ChainOracle", "setPrice"),
                                                          ("Vault", "withdraw"))]
     reasoner = MockReasoner()
     with pytest.raises(ValueError):
@@ -184,8 +183,8 @@ def test_phase_a_items_of_two_functions_attributed_by_id(models):
     ccim = models["vault_oracle"]
     deposit, withdraw = ("Vault", "deposit"), ("Vault", "withdraw")
     items = [RiskItem("TEST", f"t{i}", f"risk {i}", 0.5, None) for i in (1, 2)]
-    dossiers = [Dossier(deposit, ccim.record(*deposit), items[:1]),
-                Dossier(withdraw, ccim.record(*withdraw), items)]
+    dossiers = [Dossier(deposit, (ccim.record(*deposit),), items[:1]),
+                Dossier(withdraw, (ccim.record(*withdraw),), items)]
     # the reply lists withdraw's item before deposit's
     reasoner = scripted([{"stage": "phase_a", "match": ["Vault.deposit#1", "Vault.withdraw#2"],
                           "response": {"items": [
@@ -203,7 +202,7 @@ def test_phase_a_items_of_two_functions_attributed_by_id(models):
 
 def test_phase_a_unknown_item_id_dropped(models, merged_signals, caplog):
     dossier = _flagged_dossier(models, merged_signals)
-    line = dossier.facts.src[0] + 2
+    line = dossier.records[0].src[0] + 2
     unknown = ["item-1", "Vault.deposit#1", "ChainOracle.setPrice#1", None]
     reasoner = scripted([{"stage": "phase_a", "match": [], "response": {"items": [
         {"item_id": i, "verdict": "REAL", "evidence_line": line} for i in unknown]}}])
@@ -220,7 +219,7 @@ def test_phase_a_small_budget_splits_a_contract(deep_model):
     dossiers = [d for d in flagged if d.function[0] == owner]
     ids = [f"{d.function[0]}.{d.function[1]}#{i}"
            for d in dossiers for i in range(1, len(d.risk_items) + 1)]
-    budget = 3 * max(len(d.facts.body) for d in dossiers) + 4_000
+    budget = 3 * max(len(r.body) for d in dossiers for r in d.records) + 4_000
     reasoner = _RecordingReasoner()
     phase_a_verify(dossiers, reasoner, budget)
     assert len(reasoner.prompts) > 1
@@ -229,15 +228,29 @@ def test_phase_a_small_budget_splits_a_contract(deep_model):
         assert sum(f"- {item_id}: " in p for p in reasoner.prompts) == 1, item_id
 
 
+def test_phase_a_block_holds_every_overload(tmp_path):
+    root = write_repo(OVERLOADED, tmp_path / "repo")
+    ccim = assemble_ccim(build_audit_source(classify_files(root), None, resolve_remappings(root)))
+    merged = _signals_for(ccim, [("TEST", "t", "MEDIUM", 0.6, ("Twin", "deposit"), None)])
+    [dossier] = [d for d in compile_dossiers(ccim, merged) if d.function == ("Twin", "deposit")]
+    reasoner = _RecordingReasoner()
+    phase_a_verify([dossier], reasoner)
+    [prompt] = reasoner.prompts
+    # deposit(uint256 a), the first of three overloads, reaches the prompt too
+    first, last = "balance[msg.sender] += a; total += a;", "balance[to] += 1; total += 1;"
+    assert prompt.count("### Twin.deposit\n") == 1
+    assert prompt.index(first) < prompt.index("external virtual;") < prompt.index(last)
+
+
 @settings(max_examples=200, deadline=None)
 @given(sizes=st.lists(st.integers(0, 40), max_size=12), room=st.integers(-1, 120),
        least=st.sampled_from((1, 2)))
 def test_chunks_partition_in_order_within_room(sizes, room, least):
-    blocks = {i: "x" * n for i, n in enumerate(sizes)}
-    chunks = _chunks(list(blocks), blocks, room, least)
-    assert [k for c in chunks for k in c] == list(blocks)
+    size = dict(enumerate(sizes))
+    chunks = _chunks(list(size), size, room, least)
+    assert [k for c in chunks for k in c] == list(size)
     for i, c in enumerate(chunks):
-        if sum(1 + len(blocks[k]) for k in c) - 1 > room:
+        if sum(1 + size[k] for k in c) - 1 > room:
             # only a chunk that cannot split into two of `least` overflows:
             # the last one may hold the previous chunk's folded-in members
             assert len(c) == least or (i == len(chunks) - 1 and len(c) < 2 * least)
@@ -310,6 +323,52 @@ def test_phase_c_vulnerable_verdict(models):
     assert all(f.pipeline == "D" for f in findings)
 
 
+def _reviews(ccim) -> dict:
+    """Each phase C review id with its group, in group order."""
+    return {f"C{n}": g for n, g in enumerate(build_phase_c_interactions(ccim), start=1)}
+
+
+def test_phase_c_entry_judges_the_review_it_names(models, caplog):
+    ccim = models["guards_majority"]
+    reviews = _reviews(ccim)
+    rid = list(reviews)[1]
+    unknown = [f"C{len(reviews) + 1}", "C0", None]
+    reasoner = scripted([{"stage": "phase_c", "match": [], "response": {"reviews": [
+        "not an object", {"review_id": rid, "verdict": "VULNERABLE", "title": "named"},
+        *({"review_id": u, "verdict": "VULNERABLE"} for u in unknown)]}}])
+    with caplog.at_level("WARNING"):
+        found = run_phase_c(ccim, reasoner)
+    assert reasoner.call_count("phase_c") == 1
+    assert [(f.title, f.affected_functions) for f in found] == [
+        ("named", list(reviews[rid].members))]
+    assert caplog.text.count("names no review") == len(unknown)
+
+
+def test_phase_c_top_level_reply_judges_every_review(models):
+    # the shape of a reply with one verdict and no "reviews" list
+    ccim = models["guards_majority"]
+    groups = list(_reviews(ccim).values())
+    reasoner = scripted([{"stage": "phase_c", "match": [],
+                          "response": {"verdict": "VULNERABLE", "severity": "HIGH"}}])
+    found = run_phase_c(ccim, reasoner)
+    assert reasoner.call_count("phase_c") < len(groups)
+    assert [(f.title, f.affected_functions) for f in found] == [
+        (f"interference on {g.subject}", list(g.members)) for g in groups]
+
+
+def test_phase_c_entry_overrides_the_top_level_fields(models):
+    ccim = models["guards_majority"]
+    groups = list(_reviews(ccim).values())
+    reasoner = scripted([{"stage": "phase_c", "match": [], "response": {
+        "verdict": "VULNERABLE", "severity": "HIGH", "reviews": [
+            {"review_id": "C1", "verdict": "SAFE"},
+            {"review_id": "C2", "title": "own title"}]}}])
+    found = run_phase_c(ccim, reasoner)
+    # C1's SAFE overrides the top-level verdict; C2 keeps the top-level severity
+    assert [(f.title, f.severity) for f in found] == [("own title", "HIGH")] + [
+        (f"interference on {g.subject}", "HIGH") for g in groups[2:]]
+
+
 class _RecordingReasoner(MockReasoner):
     """The unscripted mock, keeping every prompt it is sent."""
 
@@ -331,10 +390,9 @@ def _generated_model(gen, tmp_path_factory, shape, seed):
 def _check_phase_c_chunks(ccim, budget):
     reasoner = _RecordingReasoner()
     run_phase_c(ccim, reasoner, budget)
-    assert all(len(p) < budget for p in reasoner.prompts)
-
     groups = build_phase_c_interactions(ccim, budget)
-    assert len(reasoner.prompts) == len(groups)
+    shell = len(prompts.render(prompts.PHASE_C, budget, {"reviews": ""}))
+
     for var in set(ccim.deps.writers) | set(ccim.deps.readers):
         touchers = ccim.deps.writers.get(var, frozenset()) | ccim.deps.readers.get(var, frozenset())
         chunks = [g for g in groups if g.subject == var]
@@ -356,11 +414,26 @@ def _check_phase_c_chunks(ccim, budget):
         assert all(c.members[-1] == g for c in chunks), g
         assert [(c.part, c.parts) for c in chunks] == [(i, len(chunks))
                                                        for i in range(1, len(chunks) + 1)]
-        shell = prompts.render(prompts.PHASE_C, budget, {"members": ""},
-                               subject=_phase_c_subject("call", subject, len(callers), len(callers)))
+        # a review that fits whole under the widest heading it can get is one chunk
+        n = len(callers)
+        heading = f"### C{len(groups) + n}: calls into {subject}" + (
+            f" (part {n} of {n})" if n > 1 else "") + "\n"
         whole = "\n".join(blocks[k] for k in (*callers, g))
-        if len(shell) + len(whole) < budget:
+        if shell + len(heading) + len(whole) < budget:
             assert len(chunks) == 1, g
+
+    # each review is one section, headed by its id and subject, in one prompt
+    sections = []
+    for n, g in enumerate(groups, start=1):
+        what = f"calls into {g.subject}" if g.kind == "call" else f"storage variable {g.subject}"
+        part = f" (part {g.part} of {g.parts})" if g.parts > 1 else ""
+        sections.append(f"### C{n}: {what}{part}\n" + "\n".join(blocks[k] for k in g.members))
+    assert all(len(p) < budget for p in reasoner.prompts)
+    assert len(reasoner.prompts) <= len(groups)
+    for section in sections:
+        assert sum(section in p for p in reasoner.prompts) == 1, section.partition("\n")[0]
+    if groups and shell + len("\n".join(sections)) < budget:
+        assert len(reasoner.prompts) == 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -383,8 +456,10 @@ def test_phase_c_chunks_on_deep(deep_model):
 def test_phase_c_one_review_per_callee_on_deep(deep_model):
     reasoner = MockReasoner()
     run_phase_c(deep_model[0], reasoner)
-    # 36 variable chunks and 6 callee chunks for 320 call edges
-    assert reasoner.call_count("phase_c") == 42
+    # 36 variable chunks and 6 callee chunks for 320 call edges, packed
+    # several to a prompt
+    assert len(build_phase_c_interactions(deep_model[0])) == 42
+    assert reasoner.call_count("phase_c") == 29
 
 
 _SELF_CALLS = """contract Z {
@@ -406,13 +481,18 @@ def test_phase_c_self_call_holds_callee_block_once():
     # ping leaves its own caller list; lone, its only caller, keeps its (g, g) pair
     assert calls == [("Z.lone", (lone, lone)), ("Z.ping", (pong, ping))]
 
+    rid = next(r for r, g in _reviews(ccim).items() if g.kind == "call" and g.subject == "Z.ping")
     reasoner = _RecordingReasoner()
     run_phase_c(ccim, reasoner)
     [prompt] = [p for p in reasoner.prompts if "calls into Z.ping" in p]
-    assert prompt.count("// Z.ping\n") == 1
+    review = prompt.split(f"### {rid}: calls into Z.ping\n")[1].split("\n\n")[0]
+    assert review.split("\n### ")[0].count("// Z.ping\n") == 1
 
+    # the reviews of Z.lone and Z.ping share the prompt, so the verdict names its review
     found = run_phase_c(ccim, scripted([{"stage": "phase_c", "match": ["calls into Z.ping"],
-                                         "response": {"verdict": "VULNERABLE", "severity": "HIGH"}}]))
+                                         "response": {"reviews": [{"review_id": rid,
+                                                                   "verdict": "VULNERABLE",
+                                                                   "severity": "HIGH"}]}}]))
     assert [f.title for f in found] == ["interference on Z.ping"]
 
 
@@ -432,11 +512,11 @@ def test_phase_c_and_phase_d_blocks_hold_every_overload(tmp_path):
 
 
 def test_phase_c_lone_last_member_never_stands_alone():
-    blocks = dict.fromkeys("abcd", "x" * 10)
+    size = dict.fromkeys("abcd", 10)
     # room for three blocks: d would be alone, so it takes c
-    assert _chunks(list("abcd"), blocks, 32) == [["a", "b"], ["c", "d"]]
+    assert _chunks(list("abcd"), size, 32) == [["a", "b"], ["c", "d"]]
     # room for two blocks: taking b would leave a alone, so all three merge
-    assert _chunks(list("abc"), blocks, 21) == [["a", "b", "c"]]
+    assert _chunks(list("abc"), size, 21) == [["a", "b", "c"]]
 
 
 def test_phase_c_calls_grow_linearly(gen, tmp_path_factory):

@@ -21,7 +21,7 @@ BUDGET = 24_000
 PAYLOAD_FIELDS = {
     "PHASE_A": ("members",),
     "PHASE_B": ("contracts", "signals"),
-    "PHASE_C": ("members",),
+    "PHASE_C": ("reviews",),
     "PHASE_D": ("source_block",),
     "PHASE_E": ("bundle",),
     "STAGE1_TRIAGE": ("skeletons",),

@@ -11,7 +11,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     UNANCHORED,
@@ -215,6 +215,7 @@ def _found(pattern: re.Pattern, text: str) -> list:
 
 @settings(max_examples=300, deadline=None)
 @given(_KEYWORD_TEXT)
+@example(";external call;")     # a declaration also starts right after a `;`
 def test_anchored_patterns_match_their_unanchored_forms(text):
     special = {"_CONTRACT_RE", "_STATE_VAR_RE", "_DIV_THEN_MUL_RE", "_DECL_RE"}
     for (module, name), old in UNANCHORED.items():
