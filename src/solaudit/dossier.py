@@ -1,10 +1,12 @@
 """Dossier compilation and the dossier-driven audit pipeline (phases A-E):
 per-function risk dossiers, checklist verification (one prompt per contract
 or budget-sized chunk of it), a discovery pass, interference reviews (as few
-prompts as fit the budget, several reviews each), deterministic
-re-verification routing and severity recalibration. Phases A, B and C pack
-their member blocks into the budget with the one `_chunks`, and phases A and
-C attribute a reply's entries to the prompt's members by id with `_by_id`."""
+prompts as fit the budget, several reviews each, every function's source
+printed once per prompt), deterministic re-verification routing and severity
+recalibration. Phases A, B and C pack their members into the budget with the
+one `_chunks`, which counts a part that several members share once, and
+phases A and C attribute a reply's entries to the prompt's members by id with
+`_by_id`."""
 
 from __future__ import annotations
 
@@ -188,7 +190,7 @@ def phase_a_verify(dossiers: list[Dossier], reasoner: Reasoner,
     fields = {"fp_rules": prompts.BUILTIN_FP_RULES, "owner": dossiers[0].function[0]}
     room = budget - 1 - len(prompts.render(prompts.PHASE_A, budget, {"members": ""}, **fields))
     found: dict[FnKey, list[Finding]] = {k: [] for k in by_key}
-    for chunk in _chunks(list(by_key), {k: len(b) for k, b in blocks.items()}, room, least=1):
+    for chunk in _chunks(list(by_key), {k: {k: len(b)} for k, b in blocks.items()}, room, least=1):
         members = "\n".join(blocks[k] for k in chunk)
         reply = ask(reasoner, "phase_a",
                     prompts.render(prompts.PHASE_A, budget, {"members": members}, **fields), budget)
@@ -243,7 +245,7 @@ def run_discovery_phase(ccim: CcimModel, merged: MergedSignals, reasoner: Reason
     fields = {"lens": DISCOVERY_LENS}
     signals = render_markdown(merged)
     shell = prompts.render(prompts.PHASE_B, budget, {"contracts": "", "signals": signals}, **fields)
-    sent = _chunks(list(blocks), {i: len(b) for i, b in blocks.items()},
+    sent = _chunks(list(blocks), {i: {i: len(b)} for i, b in blocks.items()},
                    budget - 1 - len(shell), least=1)[0]
     if len(sent) < len(records):
         log.warning("phase B prompt holds %d of %d functions; left out: %s", len(sent),
@@ -258,9 +260,14 @@ def run_discovery_phase(ccim: CcimModel, merged: MergedSignals, reasoner: Reason
 # --- phase C ---------------------------------------------------------------
 
 
+def _name_line(key: FnKey) -> str:
+    return f"// {key[0]}.{key[1]}"
+
+
 def _source_block(key: FnKey, bodies: list[str]) -> str:
-    """The source block of function `key`: its overloads' bodies in record order."""
-    return f"// {key[0]}.{key[1]}\n" + "\n".join(bodies)
+    """The source block of function `key`: its name line, then its overloads'
+    bodies in record order."""
+    return _name_line(key) + "\n" + "\n".join(bodies)
 
 
 def _member_blocks(ccim: CcimModel) -> dict[FnKey, str]:
@@ -277,21 +284,29 @@ def _review_heading(n: int, kind: str, subject: str, part: int, parts: int) -> s
     return f"### C{n}: {what}" + (f" (part {part} of {parts})" if parts > 1 else "") + "\n"
 
 
-def _chunks(ranked: list, size: dict, room: int, least: int = 2) -> list[list]:
-    """`ranked` cut into consecutive chunks whose blocks, of `size[k]`
-    characters each, fit in `room` joined by newlines: the one packer of
-    phases A, B and C. A chunk closes only once it has `least` (1 or 2)
-    members; a last chunk short of `least` takes the previous chunk's last
-    member, and the two merge if that leaves the previous one short. So a
-    chunk over the room cannot split in two."""
+def _chunks(ranked: list, parts: dict, room: int, least: int = 2) -> list[list]:
+    """`ranked` cut into consecutive chunks that fit in `room`: the one packer
+    of phases A, B and C. Member `k` is made of the named parts `parts[k]`
+    (`{part: size}`), and a chunk's size is the sum of its distinct parts,
+    each plus its newline, so a part that several members share counts once.
+    A chunk closes only once it has `least` (1 or 2) members; a last chunk
+    short of `least` takes the previous chunk's last member, and the two
+    merge if that leaves the previous one short. So a chunk over the room
+    cannot split in two."""
     chunks: list[list] = [[]]
+    held: set = set()
     used = -1
     for k in ranked:
-        if len(chunks[-1]) >= least and used + 1 + size[k] > room:
+        own = parts[k]
+        grow = sum(1 + size for p, size in own.items() if p not in held)
+        if len(chunks[-1]) >= least and used + grow > room:
             chunks.append([])
+            held.clear()
             used = -1
+            grow = sum(1 + size for p, size in own.items() if p not in held)
         chunks[-1].append(k)
-        used += 1 + size[k]
+        held.update(own)
+        used += grow
     if len(chunks) > 1 and len(chunks[-1]) < least:
         chunks[-1].insert(0, chunks[-2].pop())
         if len(chunks[-2]) < least:
@@ -299,24 +314,27 @@ def _chunks(ranked: list, size: dict, room: int, least: int = 2) -> list[list]:
     return chunks
 
 
-def build_phase_c_interactions(ccim: CcimModel,
+def build_phase_c_interactions(ccim: CcimModel, blocks: dict[FnKey, str],
                                budget: int = DEFAULT_CHAR_BUDGET) -> list[InteractionGroup]:
     """One interference review per shared variable and one per callee.
 
     A variable's touchers (writers and readers) are ranked by
     `coverage.risk_profile`, highest first, ties by key, and packed into "var"
-    groups: consecutive chunks whose source blocks fit the room that PHASE_C
-    and the widest review heading the chunks can carry leave under `budget`,
-    so every review fits in a prompt shorter than the budget. Every toucher
-    lands in exactly one chunk and no chunk has a single member; a prompt is
-    cut only when member blocks are too large to fit two to a chunk. A
-    variable split into k > 1 chunks numbers them 1..k.
+    groups: consecutive chunks whose source blocks (`blocks`, of
+    `_member_blocks`) fit the room that PHASE_C and the widest review heading
+    the chunks can carry leave under `budget`, so every review fits in a
+    prompt shorter than the budget. Every toucher lands in exactly one chunk
+    and no chunk has a single member, so a prompt is cut only when that rule
+    takes a chunk over the room: two blocks too large to fit together, or a
+    last three of which only two fit. A variable split into k > 1 chunks
+    numbers them 1..k.
 
     A callee's callers are ranked and packed the same way into "call" groups
     whose last member is the callee, its block counted in every chunk's
     room. A callee is not its own caller unless it has no other, so a self
-    call keeps its (g, g) pair and no review otherwise holds a block twice."""
-    size = {k: len(b) for k, b in _member_blocks(ccim).items()}
+    call keeps its (g, g) pair and no review otherwise names a function
+    twice."""
+    parts = {k: {k: len(b)} for k, b in blocks.items()}
     risk = {r.key: risk_profile(r) for r in ccim.records}
     shell = len(prompts.render(prompts.PHASE_C, budget, {"reviews": ""}))
     groups: list[InteractionGroup] = []
@@ -326,8 +344,8 @@ def build_phase_c_interactions(ccim: CcimModel,
         ranked = sorted(members, key=lambda k: (-risk[k], k))
         # no chunk of `ranked` gets a later review number or a longer part
         widest = _review_heading(len(groups) + len(ranked), kind, subject, len(ranked), len(ranked))
-        room = budget - 1 - shell - len(widest) - sum(1 + size[k] for k in tail)
-        chunks = _chunks(ranked, size, room)
+        room = budget - 1 - shell - len(widest) - sum(1 + len(blocks[k]) for k in tail)
+        chunks = _chunks(ranked, parts, room)
         groups.extend(InteractionGroup(kind, (*c, *tail), subject, i, len(chunks))
                       for i, c in enumerate(chunks, start=1))
 
@@ -344,28 +362,42 @@ def run_phase_c(ccim: CcimModel, reasoner: Reasoner,
                 budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
     """Interference reviews, several per prompt. The n-th group of
     `build_phase_c_interactions` is review `C<n>`: a section of its heading
-    and its member blocks. The sections are packed in group order by
+    and one `// Owner.name` line per member. A function's first mention in a
+    prompt is followed by its bodies, which makes it its `_source_block`; a
+    later mention in the same prompt is the bare name line, so each body is
+    printed once per prompt. The sections are packed in group order by
     `_chunks` into as few prompts as fit the budget, each built only for its
-    prompt. A reply's "reviews" entry is attributed by `_by_id` to the review
-    its `review_id` names, and each review's payload is the reply's
-    top-level fields overridden by its own entry, so a reply of one
-    top-level verdict judges every review of its prompt. Each VULNERABLE
-    review becomes a finding on its group's members, in group order."""
+    prompt: a section's own part is its heading and name lines, and each
+    member's bodies are a part shared across the prompt. A reply's "reviews"
+    entry is attributed by `_by_id` to the review its `review_id` names, and
+    each review's payload is the reply's top-level fields overridden by its
+    own entry, so a reply of one top-level verdict judges every review of
+    its prompt. Each VULNERABLE review becomes a finding on its group's
+    members, in group order."""
     blocks = _member_blocks(ccim)
-    groups = build_phase_c_interactions(ccim, budget)
+    groups = build_phase_c_interactions(ccim, blocks, budget)
     if not groups:
         return []
     headings = [_review_heading(n, g.kind, g.subject, g.part, g.parts)
                 for n, g in enumerate(groups, start=1)]
-    size = {i: len(h) + sum(1 + len(blocks[k]) for k in g.members) - 1
-            for i, (h, g) in enumerate(zip(headings, groups))}
+    names = {k: _name_line(k) for k in blocks}
+    parts = {}
+    for i, (h, g) in enumerate(zip(headings, groups)):
+        parts[i] = {k: len(blocks[k]) - len(names[k]) - 1 for k in g.members}   # bodies
+        parts[i][i] = len(h) + sum(1 + len(names[k]) for k in g.members) - 1     # own lines
     room = budget - 1 - len(prompts.render(prompts.PHASE_C, budget, {"reviews": ""}))
     findings = []
-    for chunk in _chunks(list(size), size, room, least=1):
-        reviews = "\n".join(headings[i] + "\n".join(blocks[k] for k in groups[i].members)
-                            for i in chunk)
-        reply = ask(reasoner, "phase_c",
-                    prompts.render(prompts.PHASE_C, budget, {"reviews": reviews}), budget)
+    for chunk in _chunks(list(parts), parts, room, least=1):
+        shown: set[FnKey] = set()
+        sections = []
+        for i in chunk:
+            mentions = []
+            for k in groups[i].members:
+                mentions.append(names[k] if k in shown else blocks[k])
+                shown.add(k)
+            sections.append(headings[i] + "\n".join(mentions))
+        reply = ask(reasoner, "phase_c", prompts.render(
+            prompts.PHASE_C, budget, {"reviews": "\n".join(sections)}), budget)
         if reply is None:
             continue
         top = {k: v for k, v in reply.items() if k != "reviews"}

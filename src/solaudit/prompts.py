@@ -8,7 +8,7 @@ against.
 
 from __future__ import annotations
 
-PROMPT_VERSION = "4"
+PROMPT_VERSION = "5"
 
 BUILTIN_FP_RULES = """\
 Built-in false-positive rules (do not report these):
@@ -45,12 +45,12 @@ Report findings as JSON: {{"findings": [{{"title": ..., "description": ...,
 "evidence_lines": [..]}}]}}"""
 
 PHASE_C = """\
-[template v{version}] Cross-function interference reviews. The functions of each
-review all touch its subject: examine them as one set, one verdict per review.
+[template v{version}] Interference reviews: judge each review's functions, which
+touch its subject, as one set. A repeated `// Owner.name` refers to its source above.
 
 {reviews}
 
-Respond as JSON; top-level fields apply to each review without an entry of its own:
+Respond as JSON; top-level fields apply to any review without its own entry:
 {{"reviews": [{{"review_id": "C<n>", "verdict": "VULNERABLE|SAFE|UNCLEAR", "title": ...,
 "description": ..., "attack_scenario": ..., "severity": ..., "evidence_lines": [..]}}]}}"""
 

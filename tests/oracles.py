@@ -1,7 +1,9 @@
 """Independent brute-force oracles for the fixpoint, security-view,
 clustering, mask, bracket, scan and pair-selection checks. These deliberately
 use different algorithms than the implementations they verify and must stay
-that way."""
+that way. `chunks_of_sizes` is the exception: it keeps the prompt packer as
+it was before members had shared parts, which the packer must still equal
+when every member is one part of its own."""
 
 from __future__ import annotations
 
@@ -386,3 +388,24 @@ def state_vars_blanked_in_place(masked: str, open_pos: int, close_pos: int,
                       bool(m.group(4)) or "constant" in modifiers or "immutable" in modifiers,
                       bisect_right(line_starts, open_pos + 1 + m.start())))
     return found
+
+
+def chunks_of_sizes(ranked: list, size: dict, room: int, least: int) -> list[list]:
+    """The prompt packer of blocks of `size[k]` characters: consecutive chunks
+    whose blocks fit in `room` joined by newlines. A chunk closes only once it
+    has `least` members; a last chunk short of `least` takes the previous
+    chunk's last member, and the two merge if that leaves the previous one
+    short."""
+    chunks: list[list] = [[]]
+    used = -1
+    for k in ranked:
+        if len(chunks[-1]) >= least and used + 1 + size[k] > room:
+            chunks.append([])
+            used = -1
+        chunks[-1].append(k)
+        used += 1 + size[k]
+    if len(chunks) > 1 and len(chunks[-1]) < least:
+        chunks[-1].insert(0, chunks[-2].pop())
+        if len(chunks[-2]) < least:
+            chunks[-2:] = [chunks[-2] + chunks[-1]]
+    return chunks

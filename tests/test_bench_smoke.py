@@ -12,6 +12,7 @@ from corpus import write_repo
 
 from solaudit.ccim import assemble_ccim
 from solaudit.dossier import (
+    _member_blocks,
     build_phase_c_interactions,
     compile_dossiers,
     phase_a_verify,
@@ -60,7 +61,7 @@ def test_phase_c_benchmark(benchmark, deep_model):
 
     benchmark.pedantic(run_phase_c, setup=fresh_reasoner, rounds=5, iterations=1)
     # 42 reviews packed several to a prompt
-    assert len(build_phase_c_interactions(ccim)) == 42
+    assert len(build_phase_c_interactions(ccim, _member_blocks(ccim))) == 42
     assert [r.call_count("phase_c") for r in reasoners] == [29] * 5
 
 

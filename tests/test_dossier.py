@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import REPOS, write_repo
 from helpers import ThrowingReasoner, make_finding, scripted
+from oracles import chunks_of_sizes
 from test_interaction import OVERLOADED
 
 from solaudit import prompts
@@ -242,19 +245,62 @@ def test_phase_a_block_holds_every_overload(tmp_path):
     assert prompt.index(first) < prompt.index("external virtual;") < prompt.index(last)
 
 
+def _size(parts: dict, chunk: list) -> int:
+    """A chunk's characters: its distinct parts, each plus its newline, less one."""
+    distinct = {p: size for k in chunk for p, size in parts[k].items()}
+    return sum(1 + size for size in distinct.values()) - 1
+
+
+def _check_chunks(parts: dict, room: int, least: int) -> list[list]:
+    chunks = _chunks(list(parts), parts, room, least)
+    assert [k for c in chunks for k in c] == list(parts)
+    for i, c in enumerate(chunks):
+        if _size(parts, c) > room:
+            # only a chunk that cannot split into two of `least` overflows:
+            # the last one may hold the previous chunk's folded-in members
+            assert len(c) == least or (i == len(chunks) - 1 and len(c) < 2 * least)
+        assert len(c) >= least or len(parts) < least
+    # a chunk the lone-tail fold leaves alone closes only when the next member
+    # would take it over the room
+    for c, after in zip(chunks[:-2], chunks[1:-1]):
+        assert _size(parts, c + after[:1]) > room
+    return chunks
+
+
 @settings(max_examples=200, deadline=None)
 @given(sizes=st.lists(st.integers(0, 40), max_size=12), room=st.integers(-1, 120),
        least=st.sampled_from((1, 2)))
 def test_chunks_partition_in_order_within_room(sizes, room, least):
-    size = dict(enumerate(sizes))
-    chunks = _chunks(list(size), size, room, least)
-    assert [k for c in chunks for k in c] == list(size)
-    for i, c in enumerate(chunks):
-        if sum(1 + size[k] for k in c) - 1 > room:
-            # only a chunk that cannot split into two of `least` overflows:
-            # the last one may hold the previous chunk's folded-in members
-            assert len(c) == least or (i == len(chunks) - 1 and len(c) < 2 * least)
-        assert len(c) >= least or len(sizes) < least
+    # one part of its own per member: the packer of blocks of fixed sizes
+    chunks = _check_chunks({k: {k: s} for k, s in enumerate(sizes)}, room, least)
+    assert chunks == chunks_of_sizes(list(range(len(sizes))), dict(enumerate(sizes)), room, least)
+
+
+@st.composite
+def _shared_parts(draw) -> dict:
+    """Members of at most one part of their own and some of a few shared
+    parts, each shared part of one size."""
+    shared = draw(st.lists(st.integers(0, 40), min_size=1, max_size=5))
+    parts = {}
+    for k in range(draw(st.integers(0, 12))):
+        own = draw(st.lists(st.integers(0, 40), max_size=1))
+        picks = draw(st.sets(st.integers(0, len(shared) - 1), max_size=3))
+        parts[k] = {**{("own", k): s for s in own}, **{("shared", p): shared[p] for p in picks}}
+    return parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=_shared_parts(), room=st.integers(-1, 120), least=st.sampled_from((1, 2)))
+def test_chunks_count_a_shared_part_once(parts, room, least):
+    _check_chunks(parts, room, least)
+
+
+def test_chunks_fit_members_sharing_a_part_together():
+    # three members of 10 own characters sharing 30: 3 * 11 + 31 - 1 = 63
+    # characters together, 3 * 42 - 1 = 125 if each printed the shared part
+    parts = {k: {k: 10, "shared": 30} for k in "abc"}
+    assert _chunks(list("abc"), parts, 63, least=1) == [["a", "b", "c"]]
+    assert _chunks(list("abc"), parts, 62, least=1) == [["a", "b"], ["c"]]
 
 
 # --- phase B/C -------------------------------------------------------------------
@@ -290,8 +336,12 @@ def test_discovery_sends_whole_bodies_and_names_the_rest(deep_model, caplog):
     assert 0 < len(left_out) < len(records)
 
 
+def _groups(ccim, budget=DEFAULT_CHAR_BUDGET):
+    return build_phase_c_interactions(ccim, _member_blocks(ccim), budget)
+
+
 def test_phase_c_groups(models):
-    groups = build_phase_c_interactions(models["guards_majority"])
+    groups = _groups(models["guards_majority"])
     # the one review of every toucher replaces the writer/reader pairs
     balances = [g for g in groups if g.subject == "Ledger.balances"]
     assert [g.kind for g in balances] == ["var"]
@@ -299,7 +349,7 @@ def test_phase_c_groups(models):
 
 
 def test_phase_c_two_touchers_pairs_only(models):
-    groups = build_phase_c_interactions(models["guards_majority"])
+    groups = _groups(models["guards_majority"])
     small = [g for g in groups if g.subject == "LedgerSmall.balances"]
     assert [(g.kind, len(g.members)) for g in small] == [("var", 2)]
 
@@ -309,7 +359,7 @@ def test_phase_c_empty(models):
     src = AuditSource(text="contract Z { function f() external pure returns (uint256) { return 1; } }",
                       offsets=OffsetMap.build([Segment("z.sol", 1, 1, 1)]),
                       scope=("Z",), remappings=(), pragmas={})
-    assert build_phase_c_interactions(assemble_ccim(src)) == []
+    assert _groups(assemble_ccim(src)) == []
 
 
 def test_phase_c_vulnerable_verdict(models):
@@ -325,7 +375,7 @@ def test_phase_c_vulnerable_verdict(models):
 
 def _reviews(ccim) -> dict:
     """Each phase C review id with its group, in group order."""
-    return {f"C{n}": g for n, g in enumerate(build_phase_c_interactions(ccim), start=1)}
+    return {f"C{n}": g for n, g in enumerate(_groups(ccim), start=1)}
 
 
 def test_phase_c_entry_judges_the_review_it_names(models, caplog):
@@ -390,7 +440,8 @@ def _generated_model(gen, tmp_path_factory, shape, seed):
 def _check_phase_c_chunks(ccim, budget):
     reasoner = _RecordingReasoner()
     run_phase_c(ccim, reasoner, budget)
-    groups = build_phase_c_interactions(ccim, budget)
+    blocks = _member_blocks(ccim)
+    groups = build_phase_c_interactions(ccim, blocks, budget)
     shell = len(prompts.render(prompts.PHASE_C, budget, {"reviews": ""}))
 
     for var in set(ccim.deps.writers) | set(ccim.deps.readers):
@@ -405,7 +456,6 @@ def _check_phase_c_chunks(ccim, budget):
         assert [(g.part, g.parts) for g in chunks] == [(i, len(chunks))
                                                        for i in range(1, len(chunks) + 1)]
 
-    blocks = _member_blocks(ccim)
     for g in {g for _, g in ccim.graph.edges}:
         subject = f"{g[0]}.{g[1]}"
         chunks = [c for c in groups if c.kind == "call" and c.subject == subject]
@@ -422,18 +472,45 @@ def _check_phase_c_chunks(ccim, budget):
         if shell + len(heading) + len(whole) < budget:
             assert len(chunks) == 1, g
 
-    # each review is one section, headed by its id and subject, in one prompt
-    sections = []
+    # each review is one section in one prompt: its heading and one name line
+    # per member; a function's body follows only its first name line of the
+    # prompt
+    name = {k: f"// {k[0]}.{k[1]}" for k in blocks}
+    headings = []
     for n, g in enumerate(groups, start=1):
         what = f"calls into {g.subject}" if g.kind == "call" else f"storage variable {g.subject}"
         part = f" (part {g.part} of {g.parts})" if g.parts > 1 else ""
-        sections.append(f"### C{n}: {what}{part}\n" + "\n".join(blocks[k] for k in g.members))
-    assert all(len(p) < budget for p in reasoner.prompts)
+        headings.append(f"### C{n}: {what}{part}\n")
+    prefix, suffix = prompts.PHASE_C.format(version=prompts.PROMPT_VERSION,
+                                            reviews="\0").split("\0")
     assert len(reasoner.prompts) <= len(groups)
-    for section in sections:
-        assert sum(section in p for p in reasoner.prompts) == 1, section.partition("\n")[0]
-    if groups and shell + len("\n".join(sections)) < budget:
-        assert len(reasoner.prompts) == 1
+    assert all(len(p) < budget for p in reasoner.prompts)
+    held = []
+    for p in reasoner.prompts:
+        assert p.startswith(prefix) and p.endswith(suffix)
+        reviews = p[len(prefix):len(p) - len(suffix)]
+        named = set()
+        for section in re.split(r"\n(?=### C\d+: )", reviews):
+            n = int(re.match(r"### C(\d+): ", section)[1])
+            held.append(n)
+            g = groups[n - 1]
+            assert section.startswith(headings[n - 1])
+            lines = {name[k] for k in g.members}
+            assert [line for line in section.split("\n") if line in lines] == [
+                name[k] for k in g.members], headings[n - 1]
+            named.update(g.members)
+        for k in named:
+            assert reviews.count(blocks[k]) == 1, k
+            first = re.search(f"^{re.escape(name[k])}$", reviews, re.M)
+            assert first.start() == reviews.index(blocks[k]), k
+    assert sorted(held) == list(range(1, len(groups) + 1))
+
+    # the reviews side by side, each body once
+    together = (sum(len(h) + sum(1 + len(name[k]) for k in g.members)
+                    for h, g in zip(headings, groups)) - 1
+                + sum(len(blocks[k]) - len(name[k]) for k in {k for g in groups for k in g.members}))
+    if groups and shell + together < budget:
+        assert [len(p) for p in reasoner.prompts] == [shell + together]
 
 
 @settings(max_examples=25, deadline=None)
@@ -458,8 +535,21 @@ def test_phase_c_one_review_per_callee_on_deep(deep_model):
     run_phase_c(deep_model[0], reasoner)
     # 36 variable chunks and 6 callee chunks for 320 call edges, packed
     # several to a prompt
-    assert len(build_phase_c_interactions(deep_model[0])) == 42
+    assert len(_groups(deep_model[0])) == 42
     assert reasoner.call_count("phase_c") == 29
+
+
+def test_phase_c_prints_each_body_once_per_prompt_on_wide(gen, tmp_path_factory):
+    # the benchmark's `wide` shape: its 300 reviews took 25 prompts while each
+    # review printed the bodies of its members
+    ccim = _generated_model(gen, tmp_path_factory, gen.Shape(20, 16, 12), seed=3)
+    reasoner = _RecordingReasoner()
+    run_phase_c(ccim, reasoner)
+    blocks = _member_blocks(ccim)
+    assert len(build_phase_c_interactions(ccim, blocks)) == 300
+    assert len(reasoner.prompts) == 12
+    for p in reasoner.prompts:
+        assert all(p.count(b) <= 1 for b in blocks.values())
 
 
 _SELF_CALLS = """contract Z {
@@ -477,7 +567,7 @@ def test_phase_c_self_call_holds_callee_block_once():
                                      scope=("Z",), remappings=(), pragmas={}))
     ping, pong, lone = ("Z", "ping"), ("Z", "pong"), ("Z", "lone")
     assert {(ping, ping), (pong, ping), (lone, lone)} <= ccim.graph.edges
-    calls = [(g.subject, g.members) for g in build_phase_c_interactions(ccim) if g.kind == "call"]
+    calls = [(g.subject, g.members) for g in _groups(ccim) if g.kind == "call"]
     # ping leaves its own caller list; lone, its only caller, keeps its (g, g) pair
     assert calls == [("Z.lone", (lone, lone)), ("Z.ping", (pong, ping))]
 
@@ -485,8 +575,13 @@ def test_phase_c_self_call_holds_callee_block_once():
     reasoner = _RecordingReasoner()
     run_phase_c(ccim, reasoner)
     [prompt] = [p for p in reasoner.prompts if "calls into Z.ping" in p]
+    # the Z.ping body is printed once in the prompt, after its first name line;
+    # the callee's review names its caller and itself
+    body = "function ping() external { peer.ping(); }"
+    assert prompt.count(body) == 1
+    assert prompt.index("// Z.ping\n" + body) == prompt.index("// Z.ping")
     review = prompt.split(f"### {rid}: calls into Z.ping\n")[1].split("\n\n")[0]
-    assert review.split("\n### ")[0].count("// Z.ping\n") == 1
+    assert review.split("\n### ")[0] == "// Z.pong\n// Z.ping"
 
     # the reviews of Z.lone and Z.ping share the prompt, so the verdict names its review
     found = run_phase_c(ccim, scripted([{"stage": "phase_c", "match": ["calls into Z.ping"],
@@ -512,11 +607,11 @@ def test_phase_c_and_phase_d_blocks_hold_every_overload(tmp_path):
 
 
 def test_phase_c_lone_last_member_never_stands_alone():
-    size = dict.fromkeys("abcd", 10)
+    parts = {k: {k: 10} for k in "abcd"}
     # room for three blocks: d would be alone, so it takes c
-    assert _chunks(list("abcd"), size, 32) == [["a", "b"], ["c", "d"]]
+    assert _chunks(list("abcd"), parts, 32) == [["a", "b"], ["c", "d"]]
     # room for two blocks: taking b would leave a alone, so all three merge
-    assert _chunks(list("abc"), size, 21) == [["a", "b", "c"]]
+    assert _chunks(list("abc"), parts, 21) == [["a", "b", "c"]]
 
 
 def test_phase_c_calls_grow_linearly(gen, tmp_path_factory):
