@@ -103,7 +103,7 @@ def build_resolution(decls: tuple[ContractDecl, ...]) -> ResolutionMap:
 def build_call_graph(records: list[FunctionRecord], resolution: ResolutionMap) -> CallGraph:
     """One edge per actionable call site whose resolved callee declares the
     invoked method."""
-    declared: dict[FnKey, FunctionRecord] = {r.key: r for r in records}
+    declared = {r.key for r in records}
     edges: set[tuple[FnKey, FnKey]] = set()
     for rec in records:
         for site in rec.call_sites:
@@ -122,37 +122,39 @@ def build_call_graph(records: list[FunctionRecord], resolution: ResolutionMap) -
 
 def propagate_footprints(records: list[FunctionRecord]) -> Footprints:
     """Least fixpoint of read/write/fund propagation through same-contract
-    internal calls. Set union over a finite lattice: iteration terminates."""
-    by_owner: dict[str, dict[str, FunctionRecord]] = {}
+    internal calls, per function key. A key's own facts are the union over
+    its overloads, and an internal call by name reaches every overload of
+    the callee, so a key's footprint never shrinks when an overload is
+    added. Set union over a finite lattice: iteration terminates."""
+    reads: dict[FnKey, set[str]] = {}
+    writes: dict[FnKey, set[str]] = {}
+    fund: dict[FnKey, bool] = {}
+    calls: dict[FnKey, set[FnKey]] = {}
     for r in records:
-        by_owner.setdefault(r.owner, {})[r.name] = r
-    reads = {r.key: set(r.reads) for r in records}
-    writes = {r.key: set(r.writes) for r in records}
-    fund = {r.key: r.fund_flag for r in records}
+        reads.setdefault(r.key, set()).update(r.reads)
+        writes.setdefault(r.key, set()).update(r.writes)
+        fund[r.key] = fund.get(r.key, False) or r.fund_flag
+        calls.setdefault(r.key, set()).update((r.owner, name) for name in r.internal_calls)
+    calls = {k: names & calls.keys() for k, names in calls.items()}   # callees declared here
 
     changed = True
     while changed:
         changed = False
-        for r in records:
-            own = by_owner[r.owner]
-            for callee_name in r.internal_calls:
-                callee = own.get(callee_name)
-                if callee is None:
-                    continue
-                ck = callee.key
-                if not reads[ck] <= reads[r.key]:
-                    reads[r.key] |= reads[ck]
+        for k, callees in calls.items():
+            for ck in callees:
+                if not reads[ck] <= reads[k]:
+                    reads[k] |= reads[ck]
                     changed = True
-                if not writes[ck] <= writes[r.key]:
-                    writes[r.key] |= writes[ck]
+                if not writes[ck] <= writes[k]:
+                    writes[k] |= writes[ck]
                     changed = True
-                if fund[ck] and not fund[r.key]:
-                    fund[r.key] = True
+                if fund[ck] and not fund[k]:
+                    fund[k] = True
                     changed = True
     return Footprints(
         reads={k: frozenset(v) for k, v in reads.items()},
         writes={k: frozenset(v) for k, v in writes.items()},
-        fund=dict(fund),
+        fund=fund,
     )
 
 
@@ -176,7 +178,8 @@ def compute_state_dependencies(records: list[FunctionRecord], footprints: Footpr
     for r in records:
         got = extract_approval_recipients(parsed, r, visible.get(r.owner, set()))
         if got:
-            approvals[r.key] = frozenset(resolution.var_id(r.owner, v) for v in got)
+            approvals[r.key] = approvals.get(r.key, frozenset()).union(
+                resolution.var_id(r.owner, v) for v in got)
 
     consumers: dict[str, set[FnKey]] = {}
     for r in records:
@@ -195,13 +198,17 @@ def compute_state_dependencies(records: list[FunctionRecord], footprints: Footpr
 
 
 def classify_admin(records: list[FunctionRecord]) -> frozenset[FnKey]:
-    """Functions whose guards (modifier names folded in) match a role-check
-    pattern."""
-    admin: set[FnKey] = set()
+    """Function keys whose every overload is role-guarded: its guards
+    (modifier names folded in) match a role-check pattern. One unguarded
+    overload leaves the key open to anyone."""
+    guarded: set[FnKey] = set()
+    unguarded: set[FnKey] = set()
     for r in records:
         if any(rx.search(g) for g in (*r.guards, *r.modifiers) for rx in _ROLE_PATTERNS):
-            admin.add(r.key)
-    return frozenset(admin)
+            guarded.add(r.key)
+        else:
+            unguarded.add(r.key)
+    return frozenset(guarded - unguarded)
 
 
 def flag_rotation_risks(deps: StateDependencyMap, admin_set: frozenset[FnKey]) -> frozenset[str]:
@@ -243,14 +250,18 @@ def _caller_gating_guards(record: FunctionRecord) -> frozenset[str]:
 def compute_trust_model(graph: CallGraph, records: list[FunctionRecord],
                         parsed: ParsedSource) -> TrustModel:
     """Assumed vs enforced predicate sets per directed contract pair, trust
-    gaps as containment failures, callbacks as bidirectional contract edges."""
-    by_key = {r.key: r for r in records}
+    gaps as containment failures, callbacks as bidirectional contract edges.
+    A callee key's post-conditions are the union over its overloads."""
     by_owner: dict[str, list[FunctionRecord]] = {}
     for r in records:
         by_owner.setdefault(r.owner, []).append(r)
 
-    # each callee's body is scanned once, however many edges reach it
-    post = {g: _postconditions(parsed, by_key[g]) for g in {g for _, g in graph.edges} if g in by_key}
+    # each callee's bodies are scanned once, however many edges reach it
+    callees = {g for _, g in graph.edges}
+    post: dict[FnKey, set[str]] = {}
+    for r in records:
+        if r.key in callees:
+            post.setdefault(r.key, set()).update(_postconditions(parsed, r))
     assumes: dict[tuple[str, str], set[str]] = {}
     for (f, g) in graph.edges:
         assumes.setdefault((f[0], g[0]), set()).update(post.get(g, ()))

@@ -13,7 +13,10 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from .parse import ParsedSource
 
-FnKey = tuple[str, str]  # (owner contract, function name)
+FnKey = tuple[str, str]
+"""(owner contract, function name). A key stands for every overload of the
+name in the contract: the model's facts of a key hold over all of them, and
+`CcimModel.records_of` gives them all."""
 
 
 @dataclass(frozen=True)
@@ -141,8 +144,11 @@ class CcimModel:
     # record indexes, built on first use; a frozen dataclass still has an
     # instance __dict__ for cached_property to fill
     @cached_property
-    def _by_key(self) -> dict[FnKey, FunctionRecord]:
-        return {r.key: r for r in self.records}
+    def _by_key(self) -> dict[FnKey, tuple[FunctionRecord, ...]]:
+        out: dict[FnKey, list[FunctionRecord]] = {}
+        for r in self.records:
+            out.setdefault(r.key, []).append(r)
+        return {k: tuple(recs) for k, recs in out.items()}
 
     @cached_property
     def _by_owner(self) -> dict[str, tuple[FunctionRecord, ...]]:
@@ -152,20 +158,25 @@ class CcimModel:
         return {owner: tuple(recs) for owner, recs in out.items()}
 
     @cached_property
+    def keys(self) -> tuple[FnKey, ...]:
+        """Every function key, in the order of its first overload."""
+        return tuple(self._by_key)
+
+    @cached_property
     def leak_probes(self) -> tuple[tuple[FunctionRecord, str], ...]:
         """(record, stripped body) per body of 20+ characters: what a skeleton prompt must not hold."""
         return tuple((r, inner) for r in self.records if len(inner := r.body_inner().strip()) >= 20)
-
-    def record(self, owner: str, name: str) -> FunctionRecord | None:
-        return self._by_key.get((owner, name))
 
     def owned(self, contract: str) -> tuple[FunctionRecord, ...]:
         """The records of `contract`, in record (source) order."""
         return self._by_owner.get(contract, ())
 
     def records_of(self, keys) -> list[FunctionRecord]:
-        """The records of `keys` in order; names the model lacks are skipped."""
-        return [r for k in keys if (r := self.record(*k)) is not None]
+        """Every overload of each of `keys`, key by key and each key's
+        overloads in record (source) order; keys the model lacks are skipped.
+        The one lookup of a key's records: a check over the result holds for
+        every overload, and a caller that needs one line takes the first."""
+        return [r for k in keys for r in self._by_key.get(k, ())]
 
     def function_named(self, name: str) -> list[FunctionRecord]:
         return [r for r in self.records if r.name == name]

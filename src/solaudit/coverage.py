@@ -307,42 +307,45 @@ def risk_profile(record: FunctionRecord) -> float:
     return score
 
 
+def key_risk(ccim: CcimModel, key: FnKey) -> float:
+    """A function's risk: the highest `risk_profile` among its overloads."""
+    return max(map(risk_profile, ccim.records_of((key,))), default=0.0)
+
+
 def attention_residual(ccim: CcimModel, discussed_names: set[str],
                        output_text: str = "") -> ResidualClassification:
     """Partition the inventory by comparing mentioned function names against
     the full parsed set; mentioned functions with an unaddressed critical
-    aspect (fund movement, external calls) are partial-attention."""
+    aspect (fund movement, external calls) in any overload are
+    partial-attention."""
     lowered = output_text.lower()
     status: dict[FnKey, str] = {}
     scores: dict[FnKey, float] = {}
-    for rec in ccim.records:
-        scores[rec.key] = risk_profile(rec)
-        if rec.name not in discussed_names:
-            status[rec.key] = "unattended"
+    for key in ccim.keys:
+        scores[key] = key_risk(ccim, key)
+        if key[1] not in discussed_names:
+            status[key] = "unattended"
             continue
         unaddressed = False
         if output_text:
-            if rec.fund_flag and not any(k in lowered for k in ASPECT_KEYWORDS["fund"]):
+            recs = ccim.records_of((key,))
+            if any(r.fund_flag for r in recs) and not any(k in lowered for k in ASPECT_KEYWORDS["fund"]):
                 unaddressed = True
-            if rec.call_sites and not any(k in lowered for k in ASPECT_KEYWORDS["external_call"]):
+            if any(r.call_sites for r in recs) \
+                    and not any(k in lowered for k in ASPECT_KEYWORDS["external_call"]):
                 unaddressed = True
-        status[rec.key] = "partial-attention" if unaddressed else "discussed"
+        status[key] = "partial-attention" if unaddressed else "discussed"
     return ResidualClassification(status=status, risk_score=scores)
 
 
 def blindspot_prompts(residuals: ResidualClassification, ccim: CcimModel,
                       top_n: int = 3, budget: int = DEFAULT_CHAR_BUDGET) -> list[str]:
     """Package the highest-risk residual functions for the targeted review
-    pass: function source and classification only, no carry-over context."""
-    out = []
-    for key in residuals.ranked_residuals()[:top_n]:
-        rec = ccim.record(*key)
-        if rec is None:
-            continue
-        out.append(prompts.render(prompts.BLINDSPOT, budget,
-                                  {"source": f"// {key[0]}.{key[1]}\n{rec.body}"},
-                                  status=residuals.status[key]))
-    return out
+    pass: the source of every overload and the classification only, no
+    carry-over context."""
+    return [prompts.render(prompts.BLINDSPOT, budget, {"source": prompts.source_block(ccim, key)},
+                           status=residuals.status[key])
+            for key in residuals.ranked_residuals()[:top_n]]
 
 
 def discussed_names_from(findings: list[Finding]) -> set[str]:

@@ -17,7 +17,7 @@ from itertools import groupby
 
 from . import prompts
 from .ccim import CcimModel, FnKey, FunctionRecord
-from .coverage import risk_profile
+from .coverage import key_risk
 from .engines import MergedSignals, render_markdown
 from .findings import (
     SEVERITY_RANK,
@@ -70,7 +70,7 @@ class RiskItem:
 @dataclass
 class Dossier:
     function: FnKey
-    records: tuple[FunctionRecord, ...]      # every overload of `function`, in record order
+    records: tuple[FunctionRecord, ...]      # the function's `ccim.records_of`
     risk_items: list[RiskItem] = field(default_factory=list)
 
     @property
@@ -88,14 +88,10 @@ class InteractionGroup:
 
 
 def compile_dossiers(ccim: CcimModel, merged: MergedSignals) -> list[Dossier]:
-    """One dossier per non-interface function key, holding the records of all
-    its overloads; every merged signal attached to its target function, with
-    a line-range fallback for name misses."""
-    records: dict[FnKey, list[FunctionRecord]] = {}
-    for rec in sorted(ccim.records, key=lambda r: r.src[0]):
-        if ccim.resolution.kinds.get(rec.owner) != "interface":
-            records.setdefault(rec.key, []).append(rec)
-    dossiers = {k: Dossier(k, tuple(rs)) for k, rs in records.items()}
+    """One dossier per non-interface function; every merged signal attached
+    to its target function, with a line-range fallback for name misses."""
+    dossiers = {k: Dossier(k, tuple(ccim.records_of((k,)))) for k in ccim.keys
+                if ccim.resolution.kinds.get(k[0]) != "interface"}
 
     def attach(key: FnKey | None, item: RiskItem, line: int | None):
         if key in dossiers:
@@ -146,8 +142,8 @@ def _facts_block(rec: FunctionRecord) -> str:
 
 def _phase_a_block(dossier: Dossier) -> str:
     """A dossier's phase A member block: heading, the facts and body of each
-    overload, and its checklist items, each with the id `Owner.name#i` that a
-    reply cites."""
+    of its records, and its checklist items, each with the id `Owner.name#i`
+    that a reply cites."""
     name = f"{dossier.function[0]}.{dossier.function[1]}"
     items = "\n".join(
         f"- {name}#{i}: [{it.source_tag}/{it.id} conf={it.confidence:.2f}] {it.description}"
@@ -260,22 +256,9 @@ def run_discovery_phase(ccim: CcimModel, merged: MergedSignals, reasoner: Reason
 # --- phase C ---------------------------------------------------------------
 
 
-def _name_line(key: FnKey) -> str:
-    return f"// {key[0]}.{key[1]}"
-
-
-def _source_block(key: FnKey, bodies: list[str]) -> str:
-    """The source block of function `key`: its name line, then its overloads'
-    bodies in record order."""
-    return _name_line(key) + "\n" + "\n".join(bodies)
-
-
 def _member_blocks(ccim: CcimModel) -> dict[FnKey, str]:
-    """One phase C source block per function key."""
-    bodies: dict[FnKey, list[str]] = {}
-    for r in ccim.records:
-        bodies.setdefault(r.key, []).append(r.body)
-    return {k: _source_block(k, b) for k, b in bodies.items()}
+    """One phase C `prompts.source_block` per function key."""
+    return {k: prompts.source_block(ccim, k) for k in ccim.keys}
 
 
 def _review_heading(n: int, kind: str, subject: str, part: int, parts: int) -> str:
@@ -319,7 +302,7 @@ def build_phase_c_interactions(ccim: CcimModel, blocks: dict[FnKey, str],
     """One interference review per shared variable and one per callee.
 
     A variable's touchers (writers and readers) are ranked by
-    `coverage.risk_profile`, highest first, ties by key, and packed into "var"
+    `coverage.key_risk`, highest first, ties by key, and packed into "var"
     groups: consecutive chunks whose source blocks (`blocks`, of
     `_member_blocks`) fit the room that PHASE_C and the widest review heading
     the chunks can carry leave under `budget`, so every review fits in a
@@ -335,7 +318,7 @@ def build_phase_c_interactions(ccim: CcimModel, blocks: dict[FnKey, str],
     call keeps its (g, g) pair and no review otherwise names a function
     twice."""
     parts = {k: {k: len(b)} for k, b in blocks.items()}
-    risk = {r.key: risk_profile(r) for r in ccim.records}
+    risk = {k: key_risk(ccim, k) for k in blocks}
     shell = len(prompts.render(prompts.PHASE_C, budget, {"reviews": ""}))
     groups: list[InteractionGroup] = []
 
@@ -363,7 +346,7 @@ def run_phase_c(ccim: CcimModel, reasoner: Reasoner,
     """Interference reviews, several per prompt. The n-th group of
     `build_phase_c_interactions` is review `C<n>`: a section of its heading
     and one `// Owner.name` line per member. A function's first mention in a
-    prompt is followed by its bodies, which makes it its `_source_block`; a
+    prompt is followed by its bodies, which makes it its source block; a
     later mention in the same prompt is the bare name line, so each body is
     printed once per prompt. The sections are packed in group order by
     `_chunks` into as few prompts as fit the budget, each built only for its
@@ -380,7 +363,7 @@ def run_phase_c(ccim: CcimModel, reasoner: Reasoner,
         return []
     headings = [_review_heading(n, g.kind, g.subject, g.part, g.parts)
                 for n, g in enumerate(groups, start=1)]
-    names = {k: _name_line(k) for k in blocks}
+    names = {k: prompts.name_line(k) for k in blocks}
     parts = {}
     for i, (h, g) in enumerate(zip(headings, groups)):
         parts[i] = {k: len(blocks[k]) - len(names[k]) - 1 for k in g.members}   # bodies
@@ -456,16 +439,10 @@ def phase_d_prefilter(finding: Finding, ccim: CcimModel,
 
 def expand_source_block(finding: Finding, ccim: CcimModel) -> str:
     """Every function the finding mentions plus their callers and callees."""
-    keys: list[FnKey] = []
-    for k in finding.affected_functions:
-        if k not in keys and ccim.record(*k) is not None:
-            keys.append(k)
+    keys = dict.fromkeys(k for k in finding.affected_functions if ccim.records_of((k,)))
     for k in list(keys):
-        for neighbor in sorted(ccim.graph.callers(k) | ccim.graph.callees(k)):
-            if neighbor not in keys and ccim.record(*neighbor) is not None:
-                keys.append(neighbor)
-    return "\n\n".join(_source_block(k, [r.body for r in ccim.owned(k[0]) if r.name == k[1]])
-                       for k in keys)
+        keys.update(dict.fromkeys(sorted(ccim.graph.callers(k) | ccim.graph.callees(k))))
+    return "\n\n".join(prompts.source_block(ccim, k) for k in keys)
 
 
 def _normalize_quote(text: str) -> str:

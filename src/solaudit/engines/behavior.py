@@ -23,12 +23,17 @@ def _guard_patterns(record: FunctionRecord) -> frozenset[str]:
     return frozenset(mods | set(record.guards))
 
 
+def _first_line(ccim: CcimModel, key) -> int:
+    return ccim.records_of((key,))[0].src[0]
+
+
 def run_bpm(ccim: CcimModel) -> list[Signal]:
     """Writers that deviate from the majority guard or co-modification pattern
     of their variable's writer set."""
     signals: list[Signal] = []
-    # each writer's guard patterns and qualified writes, once per run
-    patterns = cache(lambda w: _guard_patterns(r) if (r := ccim.record(*w)) else frozenset())
+    # each writer's guard patterns (those every overload holds) and qualified
+    # writes, once per run
+    patterns = cache(lambda w: frozenset.intersection(*map(_guard_patterns, ccim.records_of((w,)))))
     writes_q = cache(ccim.writes_q)
     for var in sorted(ccim.deps.writers):
         writers = sorted(ccim.deps.writers[var])
@@ -40,14 +45,13 @@ def run_bpm(ccim: CcimModel) -> list[Signal]:
         for w in writers:
             missing = sorted(p for p in majority if p not in patterns(w))
             if missing:
-                rec = ccim.record(*w)
                 signals.append(Signal(
                     source_tag="BPM", id="bpm-guard-deviation",
                     description=(f"{w[0]}.{w[1]} writes {var} without the guard(s) "
                                  f"{', '.join(missing)} shared by the majority of writers"),
                     severity="MEDIUM",
                     confidence=round(max(majority[p] for p in missing), 2),
-                    function=w, line_hint=rec.src[0] if rec else None,
+                    function=w, line_hint=_first_line(ccim, w),
                 ))
         signals.extend(_comod_deviants(ccim, var, writers, writes_q))
     return signals
@@ -68,13 +72,12 @@ def _comod_deviants(ccim: CcimModel, var: str, writers: list, writes_q) -> list[
                 if w not in holders:
                     deviants.setdefault(w, []).append(u)
     for w in sorted(deviants):
-        rec = ccim.record(*w)
         signals.append(Signal(
             source_tag="BPM", id="bpm-comodification-deviation",
             description=(f"{w[0]}.{w[1]} writes {var} without also updating "
                          f"{', '.join(deviants[w])} as most writers do"),
             severity="MEDIUM", confidence=0.55,
-            function=w, line_hint=rec.src[0] if rec else None,
+            function=w, line_hint=_first_line(ccim, w),
         ))
     return signals
 
@@ -92,17 +95,16 @@ def run_cir(ccim: CcimModel) -> list[Signal]:
             if (writer, var) in seen:
                 continue
             seen.add((writer, var))
-            rec = ccim.record(*writer)
-            if rec is None:
-                continue
-            if _APPROVE_ZERO_RE.search(ccim.parsed.masked, *ccim.parsed.decl_span(rec)):
+            # revoked only when every overload of the writer revokes
+            if all(_APPROVE_ZERO_RE.search(ccim.parsed.masked, *ccim.parsed.decl_span(r))
+                   for r in ccim.records_of((writer,))):
                 continue
             signals.append(Signal(
                 source_tag="CIR", id="cir-stale-approval",
                 description=(f"{writer[0]}.{writer[1]} rotates approval recipient {var} "
                              f"without revoking the outstanding approval (no approve-to-zero)"),
                 severity="MEDIUM", confidence=0.65,
-                function=writer, line_hint=rec.src[0],
+                function=writer, line_hint=_first_line(ccim, writer),
             ))
     return signals
 
@@ -168,35 +170,29 @@ def itpc_high_risk(record: FunctionRecord, fund_transitive: bool) -> bool:
 
 
 def run_itpc_lite(ccim: CcimModel) -> list[Signal]:
+    """Caller-callee chains (same-contract internal calls, then call-graph
+    edges) whose caller leaves a precondition of the callee unestablished. A
+    callee's preconditions are those of any of its overloads; a caller
+    establishes a guard only when every overload of it holds the guard."""
+    chains = [(r.key, (r.owner, name)) for r in sorted(ccim.records, key=lambda r: r.src[0])
+              for name in sorted(r.internal_calls) if name != r.name]
+    chains += sorted(ccim.graph.edges)
     signals = []
-    chains: list[tuple[FunctionRecord, FunctionRecord]] = []
-    for r in sorted(ccim.records, key=lambda r: r.src[0]):
-        for callee_name in sorted(r.internal_calls):
-            callee = ccim.record(r.owner, callee_name)
-            if callee is not None and callee.key != r.key:
-                chains.append((r, callee))
-    for f_key, g_key in sorted(ccim.graph.edges):
-        f_rec, g_rec = ccim.record(*f_key), ccim.record(*g_key)
-        if f_rec is not None and g_rec is not None:
-            chains.append((f_rec, g_rec))
-
     seen = set()
-    for caller, callee in chains:
-        pair = (caller.key, callee.key)
-        if pair in seen:
+    for f, g in chains:
+        callers, callees = ccim.records_of((f,)), ccim.records_of((g,))
+        if (f, g) in seen or not callees:
             continue
-        seen.add(pair)
-        preconditions = infer_preconditions(callee)
-        if not preconditions:
-            continue
-        established = set(caller.guards)
-        missing = sorted(p for p in preconditions if p not in established)
+        seen.add((f, g))
+        preconditions = frozenset().union(*map(infer_preconditions, callees))
+        established = frozenset.intersection(*(frozenset(r.guards) for r in callers))
+        missing = sorted(preconditions - established)
         if missing:
             signals.append(Signal(
                 source_tag="ITPC", id="itpc-precondition-gap",
-                description=(f"{caller.owner}.{caller.name} reaches {callee.owner}.{callee.name} "
+                description=(f"{f[0]}.{f[1]} reaches {g[0]}.{g[1]} "
                              f"without establishing its precondition(s): {'; '.join(missing)}"),
                 severity="LOW", confidence=0.4,
-                function=caller.key, line_hint=caller.src[0],
+                function=f, line_hint=callers[0].src[0],
             ))
     return signals

@@ -135,12 +135,11 @@ def _sub_read_before_write(ccim: CcimModel) -> list[Signal]:
         for reader in sorted(ccim.deps.readers[var]):
             if reader[0] not in scope:
                 continue
-            rec = ccim.record(*reader)
             signals.append(Signal(
                 source_tag="BVA", id="bva-read-before-write",
                 description=f"{var} is read but never written or initialized; reads see the zero value",
                 severity="MEDIUM", confidence=0.5,
-                function=reader, line_hint=rec.src[0] if rec else None,
+                function=reader, line_hint=ccim.records_of((reader,))[0].src[0],
             ))
     return signals
 
@@ -252,9 +251,8 @@ def _sub_invariant_consistency(ccim: CcimModel) -> list[Signal]:
         if len(writers) < 2:
             continue
         checking, unchecked = [], []
-        for w in writers:
-            rec = ccim.record(*w)
-            if rec is None or plain not in rec.writes:
+        for rec in ccim.records_of(writers):
+            if plain not in rec.writes:
                 continue  # transitive writers inherit the helper's checks
             if any(plain in _WORD_RE.findall(g) for g in rec.guards):
                 checking.append(rec)

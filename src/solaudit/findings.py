@@ -182,3 +182,15 @@ def classify_claim(finding: Finding) -> str:
         if rx.search(text):
             return kind
     return "OTHER"
+
+
+# phrases by which a finding's own narrative refutes it
+SELF_DISPROVING_PHRASES = ("by design", "intended behavior", "not a vulnerability")
+
+
+def self_disproving(finding: Finding) -> bool:
+    """Whether the finding's description or attack scenario says it is no
+    vulnerability: the one test of funnel stage 2 and the interaction
+    pipeline's self-contradiction filter."""
+    text = f"{finding.description} {finding.attack_scenario}".lower()
+    return any(p in text for p in SELF_DISPROVING_PHRASES)

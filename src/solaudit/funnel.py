@@ -20,8 +20,7 @@ from .dossier import (
     phase_e_package,
 )
 from .engines import MergedSignals
-from .findings import Finding, classify_claim, classify_impact
-from .interaction import SELF_DISPROVING_PHRASES
+from .findings import Finding, classify_claim, classify_impact, self_disproving
 from .merge import MergedFindingSet
 from .reasoner import DEFAULT_CHAR_BUDGET, Reasoner, ask
 
@@ -44,13 +43,15 @@ class VerdictRecord:
 # --- deterministic checks ----------------------------------------------------
 # Each predicate is defined once and shared: stage 1 and SVE layer 1 checks
 # 1, 4 and 5 refute the same three claim types, stage 2 and SVE check 6 drop
-# the same unresolvable citations. Each stage words its own evidence.
+# the same unresolvable citations. Each stage words its own evidence. Every
+# check reads `records_of`, so an all(...) holds for every overload of the
+# cited functions and a not any(...) for none of them.
 
 
 def _cites_unknown_function(finding: Finding, ccim: CcimModel) -> bool:
     return bool(finding.affected_functions) and not any(
-        ccim.record(owner, name) is not None or ccim.function_named(name)
-        for owner, name in finding.affected_functions)
+        ccim.records_of((key,)) or ccim.function_named(key[1])
+        for key in finding.affected_functions)
 
 
 def _reentrancy_guarded(claim: str, recs: list[FunctionRecord]) -> bool:
@@ -112,8 +113,7 @@ def stage2_filter(finding: Finding, ccim: CcimModel) -> VerdictRecord:
     if _CENTRALIZATION_RE.search(finding.text()) and not finding.evidence_lines:
         return VerdictRecord(finding.id, "stage2", "FILTERED",
                              "centralization complaint without a concrete exploit path")
-    text = f"{finding.description} {finding.attack_scenario}".lower()
-    if any(p in text for p in SELF_DISPROVING_PHRASES):
+    if self_disproving(finding):
         return VerdictRecord(finding.id, "stage2", "FILTERED",
                              "self-disproving evidence text")
     if _cites_unknown_function(finding, ccim):

@@ -25,6 +25,7 @@ from .findings import (
     renumber,
     reply_line,
     reply_list,
+    self_disproving,
     severity_cap,
     severity_down,
 )
@@ -43,8 +44,6 @@ SOURCE_CONFIDENCE = {
 MAX_PAIRS = 16      # pairs the interaction pipeline audits
 
 ATTENTION_THRESHOLD = 1.0
-
-SELF_DISPROVING_PHRASES = ("by design", "intended behavior", "not a vulnerability")
 
 _HEDGE_RE = re.compile(r"\b(may|might|could|potentially|possibly)\b", re.I)
 _ENUM_RE = re.compile(r"(?m)^\s*(?:\d+[.)]|[-*])\s+(.*)$")
@@ -101,8 +100,8 @@ def select_pairs(ccim: CcimModel, merged: MergedSignals, reasoner: Reasoner,
     # (iv) triage pairs: signal-bearing functions sharing a parameter, a state
     # read, a call edge or a trust boundary
     def triage():
-        flagged = sorted(k for k in signal_conf if ccim.record(*k) is not None)
-        params = {k: frozenset(ccim.record(*k).params) for k in flagged}
+        flagged = sorted(k for k in signal_conf if ccim.records_of((k,)))
+        params = {k: frozenset(p for r in ccim.records_of((k,)) for p in r.params) for k in flagged}
         reads = {k: ccim.reads_q(k) for k in flagged}
         gap = ccim.trust.trustgap
         return ((a, b) for a, b in combinations(flagged, 2)
@@ -259,16 +258,18 @@ def spec_verify(pair: tuple[FnKey, FnKey], spec: BehaviorSpec, ccim: CcimModel,
 def audit_standalone(ccim: CcimModel, reasoner: Reasoner,
                      budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
     """Focused audit slots for high-risk standalone functions so single-function
-    bugs are not starved by the pair decomposition."""
+    bugs are not starved by the pair decomposition. A function is high-risk
+    when one of its auditable overloads is, and its slot shows every
+    overload."""
     findings = []
-    for rec in _auditable(ccim):
-        if not itpc_high_risk(rec, ccim.footprints.fund.get(rec.key, False)):
-            continue
+    keys = [r.key for r in _auditable(ccim)
+            if itpc_high_risk(r, ccim.footprints.fund.get(r.key, False))]
+    for key in dict.fromkeys(keys):
         prompt = prompts.render(prompts.STANDALONE, budget,
-                                {"source": f"// {rec.owner}.{rec.name}\n{rec.body}"})
+                                {"source": prompts.source_block(ccim, key)})
         reply = ask(reasoner, "standalone", prompt, budget)
         if reply is not None:
-            findings.extend(findings_from(reply, "I", [rec.key]))
+            findings.extend(findings_from(reply, "I", [key]))
     return findings
 
 
@@ -280,8 +281,7 @@ def self_contradiction_filter(findings: list[Finding]) -> list[Finding]:
     still carry an evidence line are kept, downgraded to INFO."""
     out = []
     for f in findings:
-        text = f"{f.description} {f.attack_scenario}".lower()
-        if any(p in text for p in SELF_DISPROVING_PHRASES):
+        if self_disproving(f):
             if f.evidence_lines:
                 f.severity = "INFO"
                 f.flags.add("self-contradictory")
@@ -302,6 +302,8 @@ def _has_concrete_steps(scenario: str) -> bool:
 
 
 def _access_facts(finding: Finding, ccim: CcimModel) -> tuple[bool, bool, bool]:
+    """(admin only, any admin, moves funds) over every overload of the
+    finding's functions."""
     records = ccim.records_of(finding.affected_functions)
     any_admin = any(ccim.is_admin(r.key) for r in records)
     admin_only = bool(records) and all(ccim.is_admin(r.key) for r in records)
@@ -338,12 +340,10 @@ def _apply_rule_6(finding: Finding, ccim: CcimModel) -> None:
     # parsed access-control evidence beats the finding's own claim; the second
     # branch is the one place a severity may go up
     admin_only, any_admin, moves_funds = _access_facts(finding, ccim)
-    has_records = any(ccim.record(*k) is not None for k in finding.affected_functions)
     if classify_claim(finding) == "MISSING_ACCESS_CONTROL" and admin_only:
         finding.severity = severity_cap(finding.severity, "LOW")
         finding.flags.add("ccim-evidence-override")
-    elif _CLAIMS_PROTECTED_RE.search(finding.text()) and has_records \
-            and not any_admin and moves_funds:
+    elif _CLAIMS_PROTECTED_RE.search(finding.text()) and not any_admin and moves_funds:
         finding.severity = _raise_one(finding.severity)
         finding.flags.add("ccim-evidence-override")
 

@@ -68,14 +68,11 @@ def extract_card(finding: Finding, ccim: CcimModel) -> StructuralCard:
     """Root-cause card: first resolvable affected function, the uniquely
     written variable behind the evidence lines, the attacker role from guard
     classification, and the keyword impact class."""
-    vulnerable = None
-    for key in finding.affected_functions:
-        if ccim.record(*key) is not None:
-            vulnerable = key
-            break
+    vulnerable = next((k for k in finding.affected_functions if ccim.records_of((k,))), None)
     low_fidelity = vulnerable is None
-    if vulnerable is None:
+    if low_fidelity:
         vulnerable = finding.affected_functions[0] if finding.affected_functions else ("?", "?")
+    recs = ccim.records_of((vulnerable,))
 
     abused = None
     write_union: set[str] = set()
@@ -83,21 +80,20 @@ def extract_card(finding: Finding, ccim: CcimModel) -> StructuralCard:
         rec = ccim.record_at_line(line)
         if rec is not None:
             write_union |= rec.writes
-    if not write_union and not low_fidelity:
-        rec = ccim.record(*vulnerable)
-        if rec is not None:
-            write_union |= rec.writes
+    if not write_union:
+        write_union = set().union(*(r.writes for r in recs))
     if len(write_union) == 1:
         abused = next(iter(write_union))
 
+    # the least privilege that reaches some overload of the function
     role = "unauthenticated"
-    rec = ccim.record(*vulnerable) if not low_fidelity else None
-    if rec is not None:
-        if ccim.is_admin(rec.key):
+    exposed = [r for r in recs if r.vis not in ("internal", "private")]
+    if recs:
+        if ccim.is_admin(vulnerable):
             role = "admin"
-        elif rec.vis in ("internal", "private"):
+        elif not exposed:
             role = "contract"
-        elif any("msg.sender" in g for g in rec.guards):
+        elif all(any("msg.sender" in g for g in r.guards) for r in exposed):
             role = "user"
 
     return StructuralCard(

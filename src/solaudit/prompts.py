@@ -1,5 +1,6 @@
-"""Versioned prompt templates for every reasoner-bearing stage, and the one
-rule that fits a filled template into the character budget.
+"""Versioned prompt templates for every reasoner-bearing stage, the one
+rule that fits a filled template into the character budget, and the one
+source block a prompt shows a function by.
 
 Templates are plain text resources; bump PROMPT_VERSION when wording changes
 so scripted mock responses can be pinned to the template they were written
@@ -7,6 +8,11 @@ against.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .ccim import CcimModel, FnKey
 
 PROMPT_VERSION = "5"
 
@@ -216,3 +222,14 @@ def render(template: str, budget: int, payload: dict[str, str], **fields: str) -
     if len(text) <= budget:
         return text
     return template.format(**fit(template, budget, payload, **fields))
+
+
+def name_line(key: FnKey) -> str:
+    """The line that names function `key` in a prompt."""
+    return f"// {key[0]}.{key[1]}"
+
+
+def source_block(ccim: CcimModel, key: FnKey) -> str:
+    """The source block of function `key`: its name line, then the bodies of
+    all its overloads in source order."""
+    return name_line(key) + "\n" + "\n".join(r.body for r in ccim.records_of((key,)))

@@ -34,18 +34,15 @@ class AuditReport:
 
 def build_citations(findings: list[Finding], ccim: CcimModel,
                     source: AuditSource) -> dict[str, list[dict]]:
-    """Map every affected function span and evidence line back to
-    (file, original line) pairs."""
+    """Map the span of every overload of each affected function, and every
+    evidence line, back to (file, original line) pairs."""
     out: dict[str, list[dict]] = {}
     for f in findings:
         entries = []
-        for key in f.affected_functions:
-            rec = ccim.record(*key)
-            if rec is None:
-                continue
+        for rec in ccim.records_of(f.affected_functions):
             path, start = map_line(source.offsets, rec.src[0])
             _, end = map_line(source.offsets, rec.src[1])
-            entries.append({"function": f"{key[0]}.{key[1]}", "file": path,
+            entries.append({"function": f"{rec.owner}.{rec.name}", "file": path,
                             "lines": [start, end]})
         for line in f.evidence_lines:
             try:

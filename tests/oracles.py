@@ -23,32 +23,33 @@ from solaudit.interaction import (
 from solaudit.reasoner import DEFAULT_CHAR_BUDGET, Reasoner
 
 
-def reachable_internal(record: FunctionRecord, by_owner: dict) -> set:
+def reachable_internal(record: FunctionRecord, records: list[FunctionRecord]) -> list:
     """All records reachable from `record` through same-contract internal
-    calls, including itself (plain BFS)."""
-    own = by_owner[record.owner]
+    calls, including itself and every overload of each name reached: a call
+    by name reaches each overload (plain BFS over names)."""
+    own = [r for r in records if r.owner == record.owner]
     seen = {record.name}
     frontier = [record.name]
     while frontier:
-        current = own.get(frontier.pop())
-        if current is None:
-            continue
-        for callee in current.internal_calls:
-            if callee not in seen and callee in own:
-                seen.add(callee)
-                frontier.append(callee)
-    return {own[n] for n in seen if n in own}
+        name = frontier.pop()
+        for current in own:
+            if current.name != name:
+                continue
+            for callee in current.internal_calls:
+                if callee not in seen and any(r.name == callee for r in own):
+                    seen.add(callee)
+                    frontier.append(callee)
+    return [r for r in own if r.name in seen]
 
 
 def brute_force_footprints(records: list[FunctionRecord]):
-    by_owner: dict[str, dict[str, FunctionRecord]] = {}
-    for r in records:
-        by_owner.setdefault(r.owner, {})[r.name] = r
+    """Per function key, the reads, writes and fund flag of every record its
+    overloads reach."""
     reads, writes, fund = {}, {}, {}
     for r in records:
-        closure = reachable_internal(r, by_owner)
-        reads[r.key] = frozenset().union(*(g.reads for g in closure)) if closure else frozenset()
-        writes[r.key] = frozenset().union(*(g.writes for g in closure)) if closure else frozenset()
+        closure = reachable_internal(r, records)
+        reads[r.key] = frozenset().union(*(g.reads for g in closure))
+        writes[r.key] = frozenset().union(*(g.writes for g in closure))
         fund[r.key] = any(g.fund_flag for g in closure)
     return reads, writes, fund
 
@@ -214,21 +215,21 @@ def brute_force_select_pairs(ccim: CcimModel, merged: MergedSignals, reasoner: R
             nominate(a, b, "HOTSPOT")
 
     # (iv) triage pairs: signal-bearing functions sharing a parameter, a state
-    # read, or a trust boundary
+    # read, or a trust boundary; a function's parameters are those of any
+    # of its overloads
     flagged = sorted(signal_conf)
     for i, a in enumerate(flagged):
-        ra = ccim.record(*a)
-        if ra is None:
+        params_a = {p for r in ccim.records if r.key == a for p in r.params}
+        if not any(r.key == a for r in ccim.records):
             continue
         for b in flagged[i + 1:]:
-            rb = ccim.record(*b)
-            if rb is None:
+            if not any(r.key == b for r in ccim.records):
                 continue
-            shares_param = bool(set(ra.params) & set(rb.params))
+            params_b = {p for r in ccim.records if r.key == b for p in r.params}
+            shares_param = bool(params_a & params_b)
             shares_read = bool(ccim.reads_q(a) & ccim.reads_q(b))
             edge = (a, b) in ccim.graph.edges or (b, a) in ccim.graph.edges
-            gap = (ra.owner, rb.owner) in ccim.trust.trustgap or \
-                  (rb.owner, ra.owner) in ccim.trust.trustgap
+            gap = (a[0], b[0]) in ccim.trust.trustgap or (b[0], a[0]) in ccim.trust.trustgap
             if shares_param or shares_read or edge or gap:
                 nominate(a, b, "TRIAGE")
 

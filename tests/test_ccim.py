@@ -260,7 +260,7 @@ def test_indexes_match_linear_scans(models, repo):
         assert ccim.graph.callees(key) == {g for f, g in ccim.graph.edges if f == key}
         assert ccim.graph.callers(key) == {f for f, g in ccim.graph.edges if g == key}
         assert ccim.graph.touches(key) == any(key in edge for edge in ccim.graph.edges)
-        assert ccim.record(*key) == next((r for r in reversed(ccim.records) if r.key == key), None)
+        assert ccim.records_of([key]) == [r for r in ccim.records if r.key == key]
     for contract in {r.owner for r in ccim.records} | {"NoSuchContract"}:
         assert list(ccim.owned(contract)) == [r for r in ccim.records if r.owner == contract]
 
@@ -299,7 +299,7 @@ def test_footprint_transitive_write(models):
 
 def test_footprint_base_case(models):
     ccim = models["vault_oracle"]
-    rec = ccim.record("ChainOracle", "setPrice")
+    rec = ccim.records_of([("ChainOracle", "setPrice")])[0]
     assert ccim.footprints.writes[rec.key] == rec.writes
     assert ccim.footprints.reads[rec.key] == rec.reads
     assert ccim.footprints.fund[rec.key] == rec.fund_flag
@@ -446,7 +446,6 @@ def test_edge_actionability(models):
         declared = {r.key for r in ccim.records}
         for f, g in ccim.graph.edges:
             assert g in declared, name
-            rec = ccim.record(*f)
             resolved = {ccim.resolution.resolve(ccim.resolution.var_id(rec.owner, s.target))
-                        for s in rec.call_sites}
+                        for rec in ccim.records_of([f]) for s in rec.call_sites}
             assert g[0] in resolved, name

@@ -107,8 +107,8 @@ def test_gap_reaudit_empty(models):
 
 def test_risk_profile_dominance(models):
     ccim = models["vault_oracle"]
-    withdraw = risk_profile(ccim.record("Vault", "withdraw"))
-    view_helper = risk_profile(ccim.record("ChainOracle", "latestPrice"))
+    withdraw = risk_profile(ccim.records_of([("Vault", "withdraw")])[0])
+    view_helper = risk_profile(ccim.records_of([("ChainOracle", "latestPrice")])[0])
     assert withdraw > view_helper
 
 
@@ -122,17 +122,17 @@ def test_risk_profile_zero_base(tmp_path):
         "}\n"
     )
     ccim = assemble_ccim(build_audit_source(classify_files(tmp_path)))
-    assert risk_profile(ccim.record("Z", "noop")) == 0.0
+    assert risk_profile(ccim.records_of([("Z", "noop")])[0]) == 0.0
 
 
 def test_risk_profile_financial_names(models):
-    rec = models["vault_oracle"].record("Vault", "deposit")
+    rec = models["vault_oracle"].records_of([("Vault", "deposit")])[0]
     assert risk_profile(rec) >= 2.0  # balance-named writes contribute
 
 
 def test_risk_profile_monotone_in_calls_and_writes(models):
     import dataclasses
-    rec = models["vault_oracle"].record("Vault", "withdraw")
+    rec = models["vault_oracle"].records_of([("Vault", "withdraw")])[0]
     richer = dataclasses.replace(rec, writes=frozenset(rec.writes | {"extraVar"}))
     assert risk_profile(richer) >= risk_profile(rec)
 

@@ -78,7 +78,7 @@ def test_compile_dossier_zero_signals(models):
 
 def test_compile_dossier_line_range_fallback(models):
     ccim = models["vault_oracle"]
-    rec = ccim.record("Vault", "withdraw")
+    rec = ccim.records_of([("Vault", "withdraw")])[0]
     inside = rec.src[0] + 1
     merged = _signals_for(ccim, [
         ("MYT", "myt-thing", "HIGH", 0.6, None, inside),                 # line only
@@ -138,7 +138,7 @@ def test_phase_a_unflagged_dossier_rejected(models, merged_signals):
 def test_phase_a_dossiers_of_two_contracts_rejected(models):
     ccim = models["vault_oracle"]
     item = RiskItem("TEST", "t", "t", 0.5, None)
-    two = [Dossier(k, (ccim.record(*k),), [item]) for k in (("ChainOracle", "setPrice"),
+    two = [Dossier(k, (ccim.records_of([k])[0],), [item]) for k in (("ChainOracle", "setPrice"),
                                                          ("Vault", "withdraw"))]
     reasoner = MockReasoner()
     with pytest.raises(ValueError):
@@ -186,8 +186,8 @@ def test_phase_a_items_of_two_functions_attributed_by_id(models):
     ccim = models["vault_oracle"]
     deposit, withdraw = ("Vault", "deposit"), ("Vault", "withdraw")
     items = [RiskItem("TEST", f"t{i}", f"risk {i}", 0.5, None) for i in (1, 2)]
-    dossiers = [Dossier(deposit, (ccim.record(*deposit),), items[:1]),
-                Dossier(withdraw, (ccim.record(*withdraw),), items)]
+    dossiers = [Dossier(deposit, (ccim.records_of([deposit])[0],), items[:1]),
+                Dossier(withdraw, (ccim.records_of([withdraw])[0],), items)]
     # the reply lists withdraw's item before deposit's
     reasoner = scripted([{"stage": "phase_a", "match": ["Vault.deposit#1", "Vault.withdraw#2"],
                           "response": {"items": [
@@ -791,7 +791,7 @@ def test_phase_e_reasoner_failure_unchanged(models):
 
 def test_dd_run_end_to_end(models, merged_signals):
     ccim = models["vault_oracle"]
-    rec = ccim.record("Vault", "withdraw")
+    rec = ccim.records_of([("Vault", "withdraw")])[0]
     reasoner = scripted([{
         "stage": "phase_a", "match": ["Vault.withdraw"],
         "response": {"items": [{"item_id": "Vault.withdraw#1", "verdict": "REAL",

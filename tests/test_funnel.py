@@ -166,7 +166,7 @@ def test_sve1_state_corruption_on_view(models):
 
 def test_sve1_evidence_outside_span(models):
     ccim = models["vault_oracle"]
-    rec = ccim.record("Vault", "withdraw")
+    rec = ccim.records_of([("Vault", "withdraw")])[0]
     f = make_finding(title="theft", description="funds can be drained",
                      functions=[("Vault", "withdraw")], lines=(rec.src[1] + 5,))
     record = sve_layer1(f, ccim)
@@ -192,7 +192,7 @@ def test_sve1_unknown_function(models):
 
 def test_sve1_clean_finding_passes(models):
     ccim = models["vault_oracle"]
-    rec = ccim.record("Vault", "withdraw")
+    rec = ccim.records_of([("Vault", "withdraw")])[0]
     f = make_finding(title="theft via reentrancy", description="drain through withdraw",
                      functions=[("Vault", "withdraw")], lines=(rec.src[0] + 2,))
     assert sve_layer1(f, ccim).verdict == "PASSED"
@@ -233,7 +233,7 @@ def _adversarial_set(models):
     """One instance of every stage-1 refutable claim type, one fabricated
     function, one genuine cross-pipeline finding."""
     ccim = models["vault_oracle"]
-    rec = ccim.record("Vault", "withdraw")
+    rec = ccim.records_of([("Vault", "withdraw")])[0]
     line = rec.src[0] + 1
     f_d = [
         make_finding(fid="D-001", title="missing access control on setOracle",
@@ -353,7 +353,7 @@ def test_funnel_stage_failure_degrades_to_passthrough(models, monkeypatch, caplo
 def test_funnel_complementarity(models):
     """Each stage removes a finding class no other stage decides."""
     ccim = models["vault_oracle"]
-    rec = ccim.record("Vault", "withdraw")
+    rec = ccim.records_of([("Vault", "withdraw")])[0]
     inside = rec.src[0] + 1
 
     # only stage 1 refutes an EVM-race claim (citations are fine, function real)

@@ -162,6 +162,6 @@ def test_file_ending_inside_a_comment_or_literal_hides_no_later_file(tmp_path, c
     with caplog.at_level("WARNING"):
         ccim = assemble_ccim(build_audit_source(classify_files(root)))
     assert ccim.scope == ("A", "B")
-    assert ccim.record("B", "g").writes == {"b"}
+    assert ccim.records_of([("B", "g")])[0].writes == {"b"}
     assert "src/A.sol ends inside a comment or string literal" in caplog.text
     assert "src/B.sol" not in caplog.text

@@ -1,8 +1,9 @@
 """Layering of the package: past the substrate, every stage reads only the
-cross-contract interaction model (CCIM), never the raw audit source. Also
-read off the package's syntax tree: every constant regex is compiled once,
-and none but a listed few that read short texts starts with a `\b` keyword
-the regex engine cannot jump to."""
+cross-contract interaction model (CCIM), never the raw audit source, and
+only the model gathers a function's records by key. Also read off the
+package's syntax tree: every constant regex is compiled once, and none but a
+listed few that read short texts starts with a `\b` keyword the regex engine
+cannot jump to."""
 
 from __future__ import annotations
 
@@ -162,3 +163,41 @@ def test_whole_source_passes_run_only_where_listed():
         "def f(t):\n    return parse.bracket_pairs(t)\nmask_noncode(x)\n"
         "class K:\n    def g(self):\n        bracket_pairs(y)\n"
     ), "m") == {("bracket_pairs", "m.f"), ("mask_noncode", "m"), ("bracket_pairs", "m")}
+
+
+def _is_record_key(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "key"
+
+
+def _record_key_maps(tree: ast.AST) -> list[int]:
+    """Lines that build a map keyed by a record's `.key`: a dict
+    comprehension on it, `.setdefault(<x>.key, ...)`, or `m[<x>.key] = ...`."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.DictComp) and _is_record_key(node.key):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "setdefault" and node.args and _is_record_key(node.args[0]):
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Subscript) and _is_record_key(t.slice) for t in targets):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_model_groups_records_by_key():
+    # a key stands for every overload: the model's `records_of` is the one
+    # place that gathers a key's records, so no stage picks one of them
+    found = {_module_name(p): lines for p in PACKAGE.rglob("*.py")
+             if not _module_name(p).startswith("solaudit.ccim")
+             and (lines := _record_key_maps(ast.parse(p.read_text(encoding="utf-8"))))}
+    assert found == {}
+    # the guard sees the model's own indexes
+    assert _record_key_maps(ast.parse((PACKAGE / "ccim" / "types.py").read_text(encoding="utf-8")))
+    # each form, and neither a read by key nor a map on another attribute
+    assert _record_key_maps(ast.parse(
+        "m = {r.key: r for r in rs}\nm.setdefault(r.key, []).append(r)\nm[r.key] = r\n"
+        "m[r.key] |= s\nx = m[r.key]\nm = {r.name: r for r in rs}\nm.setdefault(k, 0)\n"
+        "m = {k: v for k, v in m.items()}\nkeys = {r.key for r in rs}"
+    )) == [1, 2, 3, 4]

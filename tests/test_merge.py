@@ -52,7 +52,7 @@ def test_tag_and_union_collision():
 
 def test_extract_card_reentrancy_shape(models):
     ccim = models["vault_oracle"]
-    rec = ccim.record("Vault", "withdraw")
+    rec = ccim.records_of([("Vault", "withdraw")])[0]
     f = make_finding(title="reentrancy in withdraw drains balances",
                      description="external call before state update",
                      functions=[("Vault", "withdraw")], lines=(rec.src[0] + 1,))
@@ -204,7 +204,7 @@ def test_boost_contract_violations():
 
 def _mergeable_pair(models):
     ccim = models["vault_oracle"]
-    rec = ccim.record("Vault", "withdraw")
+    rec = ccim.records_of([("Vault", "withdraw")])[0]
     line = rec.src[0] + 1
     d = make_finding(fid="D-001", title="reentrancy drains balances",
                      description="call before effects", severity="HIGH",
