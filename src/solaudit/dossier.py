@@ -2,15 +2,15 @@
 per-function risk dossiers, checklist verification (one prompt per contract
 or budget-sized chunk of it), a discovery pass, interference reviews (as few
 prompts as fit the budget, several reviews each, every function's source
-printed once per prompt), deterministic re-verification routing and severity
-recalibration. Phases A, B and C pack their members into the budget with the
-one `_chunks`, which counts a part that several members share once, and
-phases A and C attribute a reply's entries to the prompt's members by id with
-`_by_id`."""
+printed once per prompt), deterministic re-verification routing with one
+claim-first check where routing cannot decide (phase D), and severity
+recalibration by the shared six-rule set, with no reasoner call (phase E).
+Phases A, B and C pack their members into the budget with the one `_chunks`,
+which counts a part that several members share once, and phases A and C
+attribute a reply's entries to the prompt's members by id with `_by_id`."""
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -20,7 +20,6 @@ from .ccim import CcimModel, FnKey, FunctionRecord
 from .coverage import key_risk
 from .engines import MergedSignals, render_markdown
 from .findings import (
-    SEVERITY_RANK,
     Finding,
     finding_from_payload,
     findings_from,
@@ -28,6 +27,7 @@ from .findings import (
     reply_line,
     reply_list,
 )
+from .interaction import calibrate_one
 from .reasoner import DEFAULT_CHAR_BUDGET, Reasoner, ask
 
 log = logging.getLogger(__name__)
@@ -496,47 +496,11 @@ def phase_d_verify(finding: Finding, ccim: CcimModel, reasoner: Reasoner,
 # --- phase E ---------------------------------------------------------------
 
 
-def phase_e_package(finding: Finding, ccim: CcimModel) -> dict:
-    """Recalibration evidence bundle: parsed access-control facts of every
-    affected function plus the role hierarchy."""
-    functions = []
-    for rec in ccim.records_of(finding.affected_functions):
-        k = rec.key
-        functions.append({
-            "function": f"{k[0]}.{k[1]}",
-            "visibility": rec.vis,
-            "modifiers": list(rec.modifiers),
-            "guards": list(rec.guards),
-            "writes": sorted(ccim.footprints.writes.get(k, frozenset())),
-            "moves_funds": ccim.footprints.fund.get(k, False),
-            "admin": ccim.is_admin(k),
-        })
-    return {
-        "functions": functions,
-        "role_hierarchy": sorted(f"{o}.{n}" for o, n in ccim.admin_set),
-    }
-
-
-def phase_e_recalibrate(finding: Finding, ccim: CcimModel, reasoner: Reasoner,
-                        budget: int = DEFAULT_CHAR_BUDGET) -> Finding:
-    """Severity recalibration from access-control evidence. A scripted reply
-    may set the severity directly; the deterministic default applies the
-    shared six-rule set. A failed round trip leaves the severity unchanged."""
-    from .interaction import calibrate_one  # shared rule set with the pair pipeline
-
-    bundle = json.dumps(phase_e_package(finding, ccim), indent=1, sort_keys=True)
-    prompt = prompts.render(prompts.PHASE_E, budget, {"bundle": bundle}, title=finding.title,
-                            severity=finding.severity, description=finding.description)
-    reply = ask(reasoner, "phase_e", prompt, budget)
-    if reply is None:
-        return finding
-    severity = reply.get("severity")
-    if isinstance(severity, str) and severity.upper() in SEVERITY_RANK:
-        finding.severity = severity.upper()
-        finding.flags.add("recalibrated")
-    else:
-        calibrate_one(finding, ccim)
-    return finding
+def phase_e_recalibrate(finding: Finding, ccim: CcimModel) -> Finding:
+    """Severity recalibration from the parsed access-control evidence: the
+    six-rule set of `calibrate_one`, with no reasoner call. A reasoner's own
+    severity comes back only in the SVE layer-2 reply."""
+    return calibrate_one(finding, ccim)
 
 
 # --- pipeline runner -------------------------------------------------------
@@ -545,7 +509,8 @@ def phase_e_recalibrate(finding: Finding, ccim: CcimModel, reasoner: Reasoner,
 def dd_run(ccim: CcimModel, merged: MergedSignals, reasoner: Reasoner, *,
            budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
     """Full dossier-driven pipeline: dossiers -> A -> discovery (B) -> C ->
-    D routing/claim-first -> E recalibration -> renumbered finding set."""
+    D routing/claim-first -> E deterministic recalibration -> renumbered
+    finding set."""
     flagged = [d for d in compile_dossiers(ccim, merged) if d.flagged]
 
     findings: list[Finding] = []
@@ -568,5 +533,5 @@ def dd_run(ccim: CcimModel, merged: MergedSignals, reasoner: Reasoner, *,
         survivors.append(f)
 
     for f in survivors:
-        phase_e_recalibrate(f, ccim, reasoner, budget)
+        phase_e_recalibrate(f, ccim)
     return renumber(survivors, "D")

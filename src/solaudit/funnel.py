@@ -12,15 +12,9 @@ from dataclasses import dataclass
 
 from . import prompts
 from .ccim import CcimModel, FunctionRecord
-from .dossier import (
-    ROUTE_ADMIN_TRUST,
-    ROUTE_GRAPH_SKIP,
-    ROUTE_VECTOR_CONFIRMED,
-    phase_d_verify,
-    phase_e_package,
-)
+from .dossier import ROUTE_ADMIN_TRUST, ROUTE_GRAPH_SKIP, ROUTE_VECTOR_CONFIRMED, phase_d_verify
 from .engines import MergedSignals
-from .findings import Finding, classify_claim, classify_impact, self_disproving
+from .findings import SEVERITY_RANK, Finding, classify_claim, classify_impact, self_disproving
 from .merge import MergedFindingSet
 from .reasoner import DEFAULT_CHAR_BUDGET, Reasoner, ask
 
@@ -189,12 +183,35 @@ def sve_layer1(finding: Finding, ccim: CcimModel) -> VerdictRecord:
     return VerdictRecord(finding.id, "sve_layer1", "PASSED", "all eight checks passed")
 
 
+def access_control_bundle(finding: Finding, ccim: CcimModel) -> dict:
+    """The parsed access-control facts of every affected function plus the
+    role hierarchy: the evidence a layer-2 severity is judged against."""
+    functions = []
+    for rec in ccim.records_of(finding.affected_functions):
+        k = rec.key
+        functions.append({
+            "function": f"{k[0]}.{k[1]}",
+            "visibility": rec.vis,
+            "modifiers": list(rec.modifiers),
+            "guards": list(rec.guards),
+            "writes": sorted(ccim.footprints.writes.get(k, frozenset())),
+            "moves_funds": ccim.footprints.fund.get(k, False),
+            "admin": ccim.is_admin(k),
+        })
+    return {
+        "functions": functions,
+        "role_hierarchy": sorted(f"{o}.{n}" for o, n in ccim.admin_set),
+    }
+
+
 def sve_layer2(finding: Finding, ccim: CcimModel, reasoner: Reasoner,
                budget: int = DEFAULT_CHAR_BUDGET) -> VerdictRecord:
     """Final evidence-packaged verdict; parse failures and backend failures
-    degrade to UNCERTAIN, never to DISPROVED."""
+    degrade to UNCERTAIN, never to DISPROVED. A reply's "severity" naming a
+    level of SEVERITY_RANK, in any case, sets the finding's severity and
+    flags it `recalibrated`; any other value is ignored."""
     evidence = {
-        "access_control": phase_e_package(finding, ccim),
+        "access_control": access_control_bundle(finding, ccim),
         "sources": [r.body for r in ccim.records_of(finding.affected_functions)],
         "evidence_lines": finding.evidence_lines,
     }
@@ -206,6 +223,10 @@ def sve_layer2(finding: Finding, ccim: CcimModel, reasoner: Reasoner,
     if reply is None:
         return VerdictRecord(finding.id, "sve_layer2", "UNCERTAIN",
                              "backend failure or unparseable reply", reasoner_used=True)
+    severity = reply.get("severity")
+    if isinstance(severity, str) and severity.upper() in SEVERITY_RANK:
+        finding.severity = severity.upper()
+        finding.flags.add("recalibrated")
     verdict = str(reply.get("verdict", "UNCERTAIN")).upper()
     argument = str(reply.get("argument") or reply.get("quote") or "")
     if verdict == "VERIFIED":
@@ -220,12 +241,23 @@ def sve_layer2(finding: Finding, ccim: CcimModel, reasoner: Reasoner,
 _STAGE_DROPS = {"DISPROVED", "FILTERED"}
 
 
+def _guarded(stage: str, check, finding: Finding) -> VerdictRecord:
+    """`check(finding)`'s record. A check that raises logs a WARNING and
+    passes the finding, so one failing check never aborts the audit."""
+    try:
+        return check(finding)
+    except Exception as exc:
+        log.warning("%s failed on %s (%s); passing through", stage, finding.id, exc)
+        return VerdictRecord(finding.id, stage, "PASSED", "stage failure; recall-preserving pass")
+
+
 def deterministically_refuted(finding: Finding, ccim: CcimModel) -> bool:
     """Whether stage 1, stage 2 or SVE layer 1 drops the finding: the
     admission test for findings raised after the funnel ran (gap re-audit,
-    blind-spot review)."""
-    return any(check(finding, ccim).verdict in _STAGE_DROPS
-               for check in (stage1_verify, stage2_filter, sve_layer1))
+    blind-spot review). Each check is guarded as in `run_funnel`."""
+    checks = {"stage1": stage1_verify, "stage2": stage2_filter, "sve_layer1": sve_layer1}
+    return any(_guarded(stage, lambda f: check(f, ccim), finding).verdict in _STAGE_DROPS
+               for stage, check in checks.items())
 
 
 def run_funnel(merged: MergedFindingSet, ccim: CcimModel, reasoner: Reasoner,
@@ -241,11 +273,7 @@ def run_funnel(merged: MergedFindingSet, ccim: CcimModel, reasoner: Reasoner,
         survivors = []
         tally: dict[str, int] = {}
         for f in current:
-            try:
-                record = fn(f)
-            except Exception as exc:
-                log.warning("%s failed on %s (%s); passing through", name, f.id, exc)
-                record = VerdictRecord(f.id, name, "PASSED", "stage failure; recall-preserving pass")
+            record = _guarded(name, fn, f)
             stats["records"].append(record)
             tally[record.verdict] = tally.get(record.verdict, 0) + 1
             if record.verdict in _STAGE_DROPS:

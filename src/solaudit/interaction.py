@@ -2,8 +2,8 @@
 pairs per nomination source, four structural and one reasoner triage, read
 tier by tier), skeleton-only specification inference, spec-then-verify
 checklists, and the deterministic stage-5 cleanup (self-contradiction filter
-plus the six-rule severity recalibration shared with the dossier pipeline's
-phase E)."""
+plus the six-rule severity recalibration, whose single-finding form
+`calibrate_one` is the whole of the dossier pipeline's phase E)."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from . import prompts
 from .ccim import CcimModel, FnKey, FunctionRecord
 from .engines import MergedSignals, counter_pairs, infer_preconditions, itpc_high_risk
 from .findings import (
+    SEVERITIES,
     SEVERITY_RANK,
     Finding,
     classify_claim,
@@ -332,7 +333,6 @@ def _apply_rules_1_to_4(finding: Finding, ccim: CcimModel) -> None:
 
 
 def _raise_one(severity: str) -> str:
-    from .findings import SEVERITIES
     return SEVERITIES[min(len(SEVERITIES) - 1, SEVERITY_RANK[severity] + 1)]
 
 

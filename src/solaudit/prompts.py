@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from .ccim import CcimModel, FnKey
 
-PROMPT_VERSION = "5"
+PROMPT_VERSION = "6"
 
 BUILTIN_FP_RULES = """\
 Built-in false-positive rules (do not report these):
@@ -75,21 +75,6 @@ Source (affected functions expanded with callers and callees):
 {source_block}
 
 Respond as JSON: {{"claim": ..., "prevention": ..., "quote": ..., "verdict": "DISPROVED|CONFIRMED|UNCLEAR"}}"""
-
-PHASE_E = """\
-[template v{version}] Severity recalibration. Use only the parsed
-access-control evidence below, not the finding's own claims. Apply the six
-calibration rules and return the recalibrated severity with a one-sentence
-justification referencing the evidence.
-
-Finding: {title} (current severity {severity})
-{description}
-
-Access-control evidence:
-{bundle}
-
-Respond as JSON: {{"severity": "CRITICAL|HIGH|MEDIUM|LOW|INFO" or null,
-"justification": ...}}"""
 
 STAGE1_TRIAGE = """\
 [template v{version}] The contracts below produced no high-severity
@@ -169,7 +154,8 @@ Finding: {title} [{severity}]
 Packaged evidence:
 {evidence}
 
-Respond as JSON: {{"verdict": "VERIFIED|DISPROVED|UNCERTAIN", "quote": ..., "argument": ...}}"""
+Respond as JSON: {{"verdict": "VERIFIED|DISPROVED|UNCERTAIN", "quote": ..., "argument": ...,
+"severity": "CRITICAL|HIGH|MEDIUM|LOW|INFO" or null}}"""
 
 GAP_REAUDIT = """\
 [template v{version}] Coverage-gap re-audit. The protocol exhibits the feature

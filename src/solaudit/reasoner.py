@@ -42,12 +42,11 @@ SCHEMA_DEFAULTS: dict[str, dict] = {
     "phase_b": {"findings": []},
     "phase_c": {"reviews": []},
     "phase_d": {"claim": "", "prevention": "", "quote": "", "verdict": "UNCLEAR"},
-    "phase_e": {"severity": None, "justification": ""},
     "stage1_triage": {"pairs": []},
     "stage2_spec": {"lifecycle": "", "agreed_variables": [], "assumptions": []},
     "stage3_verify": {"items": []},
     "standalone": {"findings": []},
-    "sve_layer2": {"verdict": "UNCERTAIN", "argument": ""},
+    "sve_layer2": {"verdict": "UNCERTAIN", "argument": "", "severity": None},
     "gap_reaudit": {"findings": []},
     "blindspot": {"findings": []},
 }

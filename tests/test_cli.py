@@ -1,7 +1,7 @@
 """End-to-end tests of `cli.run` and `cli.main`: golden reports over corpus
 repos, the audit scope, exit codes against the severity gate, malformed
 external reports, malformed reasoner replies and mock scripts, non-finite
-line numbers and confidences, the
+line numbers and confidences, an admission check that raises, the
 one-claim-check-per-finding budget of phase D, whole prompts under a tight
 character budget, and the overlap of the two audit pipelines."""
 
@@ -16,7 +16,7 @@ import pytest
 from corpus import REPOS, write_repo
 from helpers import RendezvousReasoner, json_instruction, make_finding, scripted
 
-from solaudit import cli, prompts
+from solaudit import cli, funnel, prompts
 from solaudit.findings import finding_from_payload
 from solaudit.reasoner import MockReasoner
 
@@ -248,19 +248,49 @@ MALFORMED_REPLIES = {
                         {"items": [{"status": "VIOLATE", "evidence_line": float("inf")}]}),
     "phase_c-confidence-huge": ("cycle", "phase_c",
                                 {"verdict": "VULNERABLE", "confidence": 10 ** 400}),
+    # ahead of the vault script, whose findings reach SVE layer 2
+    "sve_layer2-severity-number": ("vault_oracle", "sve_layer2", {"severity": 5}, VAULT_SCRIPT),
+    "sve_layer2-severity-unknown": ("vault_oracle", "sve_layer2", {"severity": "EXTREME"},
+                                    VAULT_SCRIPT),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_REPLIES))
 def test_malformed_reply_degrades(tmp_path, made_reasoners, case):
-    repo, stage, reply = MALFORMED_REPLIES[case]
+    repo, stage, reply, *rest = MALFORMED_REPLIES[case]
+    background = rest[0] if rest else []
     out = tmp_path / "out"
-    script = _script_file(tmp_path, [{"stage": stage, "match": [], "response": reply}])
+    script = _script_file(tmp_path, [{"stage": stage, "match": [], "response": reply},
+                                     *background])
     code = cli.main(["--path", str(_repo(tmp_path, repo)), "--out", str(out),
                      "--mock-script", str(script)])
     assert made_reasoners[0].call_count(stage) > 0
     assert code in (cli.EXIT_CLEAN, cli.EXIT_FINDINGS)
     assert (out / "report.json").is_file() and (out / "report.md").is_file()
+    # no malformed reply sets a severity
+    doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert not any("recalibrated" in f["flags"] for f in doc["findings"])
+
+
+def test_raising_admission_check_passes_the_finding_through(tmp_path, monkeypatch, caplog):
+    # a deterministic check that raises on a blind-spot finding counts as not
+    # refuting, as inside the funnel; the finding's other checks still run
+    stage1 = funnel.stage1_verify
+
+    def flaky(finding, ccim):
+        if finding.title == "Burn skips the balance check":
+            raise IndexError("stage 1 broke")
+        return stage1(finding, ccim)
+
+    monkeypatch.setattr(funnel, "stage1_verify", flaky)
+    with caplog.at_level("WARNING", logger="solaudit.funnel"):
+        code, out = _main(tmp_path, "vault_oracle")
+    assert code == cli.EXIT_FINDINGS
+    assert "stage1 failed on pending (stage 1 broke); passing through" in caplog.text
+    # SVE check 7 still refutes the finding, so the report is the golden one
+    for name in ("report.json", "report.md"):
+        golden = (GOLDEN_REPORT / f"vault_oracle.{name}").read_text(encoding="utf-8")
+        assert (out / name).read_text(encoding="utf-8") == golden, name
 
 
 @pytest.mark.parametrize("conf,expected", [

@@ -8,6 +8,7 @@ from helpers import ThrowingReasoner, make_finding, scripted
 
 from solaudit.findings import classify_claim
 from solaudit.funnel import (
+    access_control_bundle,
     run_funnel,
     stage1_verify,
     stage2_filter,
@@ -222,8 +223,27 @@ def test_sve2_disproved_needs_argument(models):
 
 
 def test_sve2_failure_uncertain(models):
-    f = make_finding(functions=[("Vault", "withdraw")])
+    f = make_finding(severity="CRITICAL", functions=[("Vault", "withdraw")])
     assert sve_layer2(f, models["vault_oracle"], ThrowingReasoner()).verdict == "UNCERTAIN"
+    assert f.severity == "CRITICAL" and "recalibrated" not in f.flags
+
+
+def test_sve2_reply_severity_recalibrates(models):
+    f = make_finding(severity="LOW", functions=[("Vault", "withdraw")])
+    reasoner = scripted([{"stage": "sve_layer2", "match": [],
+                          "response": {"verdict": "VERIFIED", "severity": "HIGH"}}])
+    assert sve_layer2(f, models["vault_oracle"], reasoner).verdict == "CONFIRMED"
+    assert f.severity == "HIGH" and "recalibrated" in f.flags
+
+
+def test_sve2_access_control_bundle(models):
+    ccim = models["vault_oracle"]
+    bundle = access_control_bundle(make_finding(functions=[("Vault", "setOracle")]), ccim)
+    entry = bundle["functions"][0]
+    assert entry["visibility"] == "external"
+    assert entry["modifiers"] == ["onlyOwner"]
+    assert entry["admin"] is True
+    assert "Vault.sweep" in bundle["role_hierarchy"]
 
 
 # --- full funnel ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from helpers import json_instruction, make_finding, scripted
 import solaudit
 from solaudit import prompts
 from solaudit.dossier import expand_source_block, phase_d_claim_first
+from solaudit.reasoner import SCHEMA_DEFAULTS
 
 BUDGET = 24_000
 
@@ -23,7 +24,6 @@ PAYLOAD_FIELDS = {
     "PHASE_B": ("contracts", "signals"),
     "PHASE_C": ("reviews",),
     "PHASE_D": ("source_block",),
-    "PHASE_E": ("bundle",),
     "STAGE1_TRIAGE": ("skeletons",),
     "STAGE2_SPEC": ("skeleton",),
     "STAGE3_VERIFY": ("spec", "sources", "preconditions"),
@@ -38,10 +38,18 @@ def _placeholders(template: str) -> list[str]:
     return [name for name in re.findall(r"(?<!\{)\{(\w+)\}", template) if name != "version"]
 
 
+def _templates() -> set[str]:
+    return {name for name, value in vars(prompts).items()
+            if isinstance(value, str) and "[template v{version}]" in value}
+
+
 def test_payload_table_names_every_template():
-    templates = {name for name, value in vars(prompts).items()
-                 if isinstance(value, str) and "[template v{version}]" in value}
-    assert templates == set(PAYLOAD_FIELDS)
+    assert _templates() == set(PAYLOAD_FIELDS)
+
+
+def test_every_reasoner_stage_has_one_template_and_one_default():
+    # a stage left with a default but no template, or the reverse, is dead code
+    assert {name.lower() for name in _templates()} == set(SCHEMA_DEFAULTS)
 
 
 @pytest.mark.parametrize("name", sorted(PAYLOAD_FIELDS))

@@ -43,7 +43,7 @@ def test_match_requires_all_substrings():
 
 
 def test_stage_mismatch_falls_through():
-    mock = MockReasoner([ScriptEntry(stage="phase_e", match=(), response={"severity": "LOW"})])
+    mock = MockReasoner([ScriptEntry(stage="phase_d", match=(), response={"verdict": "CONFIRMED"})])
     assert mock.respond(_req(stage="phase_a")) == SCHEMA_DEFAULTS["phase_a"]
 
 
