@@ -1,6 +1,7 @@
 """Recall-side coverage: protocol-feature detection against a twenty-category
-knowledge base, bug-class gap reporting, the seventeen-class keyword map and
-attention-residual analysis over the function inventory."""
+knowledge base, bug-class gap reporting with one re-audit prompt per detected
+feature (its evidence once, its gap classes listed), the seventeen-class
+keyword map and attention-residual analysis over the function inventory."""
 
 from __future__ import annotations
 
@@ -268,26 +269,27 @@ def compute_gap_set(findings: list[Finding], detected_features: set[str]) -> Cov
 def gap_reaudit_prompts(gap_set: tuple[str, ...] | list[str], ccim: CcimModel,
                         detected_features: set[str],
                         budget: int = DEFAULT_CHAR_BUDGET) -> list[str]:
-    """One targeted prompt per gap class, embedding the class heuristics and
-    the structural evidence for the detected feature that made it relevant.
-    Each feature's evidence is built once, however many gap classes it has."""
-    names = [(r, r.name.lower()) for r in ccim.records]
-    evidence: dict[str, str] = {}
-    prompts_out = []
+    """One targeted prompt per detected feature that made a gap class
+    relevant: the feature's structural evidence once, and each of its gap
+    classes with the class heuristics. A class sits under the first feature
+    in sorted order that lists it; the prompts follow the sorted classes."""
+    classes: dict[str, list[str]] = {}
     for bug_class in sorted(gap_set):
         feature = next((f for f in sorted(detected_features)
                         if bug_class in FEATURES.get(f, {}).get("bug_classes", ())), "unknown")
-        if feature not in evidence:
-            stems = FEATURES.get(feature, {}).get("names", ())
-            evidence[feature] = "\n".join(
-                f"- {r.owner}.{r.name} (span {r.src}, calls: "
-                f"{[(s.target, s.method, s.line) for s in r.call_sites]})"
-                for r, name in names if any(stem in name for stem in stems)
-            ) or "(feature detected from state-variable patterns)"
+        classes.setdefault(feature, []).append(bug_class)
+    prompts_out = []
+    for feature, listed in classes.items():
+        stems = FEATURES.get(feature, {}).get("names", ())
+        evidence = "\n".join(
+            f"- {r.owner}.{r.name} (span {r.src}, calls: "
+            f"{[(s.target, s.method, s.line) for s in r.call_sites]})"
+            for r in ccim.records if any(stem in r.name.lower() for stem in stems)
+        ) or "(feature detected from state-variable patterns)"
+        heuristics = "\n".join(f"- {c}: {', '.join(CLASS_KEYWORDS.get(c, ()))}" for c in listed)
         prompts_out.append(prompts.render(
-            prompts.GAP_REAUDIT, budget, {"evidence": evidence[feature]}, feature=feature,
-            bug_class=bug_class, heuristics=", ".join(CLASS_KEYWORDS.get(bug_class, ())),
-        ))
+            prompts.GAP_REAUDIT, budget, {"classes": heuristics, "evidence": evidence},
+            feature=feature))
     return prompts_out
 
 

@@ -5,9 +5,9 @@ prompts as fit the budget, several reviews each, every function's source
 printed once per prompt), deterministic re-verification routing with one
 claim-first check where routing cannot decide (phase D), and severity
 recalibration by the shared six-rule set, with no reasoner call (phase E).
-Phases A, B and C pack their members into the budget with the one `_chunks`,
-which counts a part that several members share once, and phases A and C
-attribute a reply's entries to the prompt's members by id with `_by_id`."""
+Phases A, B and C pack their members into the budget with `prompts.chunks`,
+the packer every multi-member stage shares, and phases A and C attribute a
+reply's entries to the prompt's members by id with `prompts.by_id`."""
 
 from __future__ import annotations
 
@@ -153,30 +153,13 @@ def _phase_a_block(dossier: Dossier) -> str:
     return f"### {name}\n{facts}\nChecklist items:\n{items}"
 
 
-def _by_id(entries: list, field: str, members: dict, noun: str) -> list[tuple[object, dict]]:
-    """The object entries of a reply list, each paired with the member of
-    its prompt that its `field` names: the id up to any `#` (phase A's item
-    number) is a key of `members`. An entry naming no member of the prompt is
-    dropped with a warning."""
-    named = []
-    for raw in entries:
-        if not isinstance(raw, dict):
-            continue
-        member = members.get(str(raw.get(field)).partition("#")[0])
-        if member is None:
-            log.warning("%s %r names no %s of its prompt; dropped", field, raw.get(field), noun)
-            continue
-        named.append((member, raw))
-    return named
-
-
 def phase_a_verify(dossiers: list[Dossier], reasoner: Reasoner,
                    budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
     """Checklist verification of one contract's flagged dossiers, packed by
-    `_chunks` into as few prompts as fit the budget, a lone dossier allowed.
-    A reply item is attributed by `_by_id` to the dossier its `item_id`
-    names; REAL items with an evidence citation become findings, in dossier
-    order."""
+    `prompts.chunks` into as few prompts as fit the budget, a lone dossier
+    allowed. A reply item is attributed by `prompts.by_id` to the dossier its
+    `item_id` names; REAL items with an evidence citation become findings, in
+    dossier order."""
     if any(not d.flagged for d in dossiers) or len({d.function[0] for d in dossiers}) > 1:
         raise ValueError("phase A takes the flagged dossiers of one contract")
     if not dossiers:
@@ -186,12 +169,14 @@ def phase_a_verify(dossiers: list[Dossier], reasoner: Reasoner,
     fields = {"fp_rules": prompts.BUILTIN_FP_RULES, "owner": dossiers[0].function[0]}
     room = budget - 1 - len(prompts.render(prompts.PHASE_A, budget, {"members": ""}, **fields))
     found: dict[FnKey, list[Finding]] = {k: [] for k in by_key}
-    for chunk in _chunks(list(by_key), {k: {k: len(b)} for k, b in blocks.items()}, room, least=1):
+    parts = {k: {k: len(b)} for k, b in blocks.items()}
+    for chunk in prompts.chunks(list(by_key), parts, room, least=1):
         members = "\n".join(blocks[k] for k in chunk)
         reply = ask(reasoner, "phase_a",
                     prompts.render(prompts.PHASE_A, budget, {"members": members}, **fields), budget)
         items = [] if reply is None else reply_list(reply, "items")
-        for key, raw in _by_id(items, "item_id", {f"{k[0]}.{k[1]}": k for k in chunk}, "dossier"):
+        ids = {f"{k[0]}.{k[1]}": k for k in chunk}
+        for key, raw in prompts.by_id(items, "item_id", ids, "dossier"):
             verdict = str(raw.get("verdict", "UNCLEAR")).upper()
             line = reply_line(raw.get("evidence_line"))
             if verdict == "REAL" and line is None:
@@ -228,9 +213,9 @@ def contract_priorities(ccim: CcimModel, merged: MergedSignals) -> list[tuple[st
 def run_discovery_phase(ccim: CcimModel, merged: MergedSignals, reasoner: Reasoner,
                         budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
     """Prompt-packaged discovery pass (phase B): the signal record and the
-    prioritized contracts' whole function bodies, as many as `_chunks` fits
-    under the budget in priority order; findings parsed from the structured
-    reply. The functions left out are named in one warning."""
+    prioritized contracts' whole function bodies, as many as `prompts.chunks`
+    fits under the budget in priority order; findings parsed from the
+    structured reply. The functions left out are named in one warning."""
     records, blocks = [], {}
     for contract, score in contract_priorities(ccim, merged)[:DISCOVERY_CONTRACTS]:
         heading = ("\n" if blocks else "") + f"### {contract} (risk score {score:.2f})\n"
@@ -241,8 +226,8 @@ def run_discovery_phase(ccim: CcimModel, merged: MergedSignals, reasoner: Reason
     fields = {"lens": DISCOVERY_LENS}
     signals = render_markdown(merged)
     shell = prompts.render(prompts.PHASE_B, budget, {"contracts": "", "signals": signals}, **fields)
-    sent = _chunks(list(blocks), {i: {i: len(b)} for i, b in blocks.items()},
-                   budget - 1 - len(shell), least=1)[0]
+    sent = prompts.chunks(list(blocks), {i: {i: len(b)} for i, b in blocks.items()},
+                          budget - 1 - len(shell), least=1)[0]
     if len(sent) < len(records):
         log.warning("phase B prompt holds %d of %d functions; left out: %s", len(sent),
                     len(records), ", ".join(f"{r.owner}.{r.name}" for r in records[len(sent):]))
@@ -265,36 +250,6 @@ def _review_heading(n: int, kind: str, subject: str, part: int, parts: int) -> s
     """The heading line of phase C review `C<n>`: what its functions touch."""
     what = f"calls into {subject}" if kind == "call" else f"storage variable {subject}"
     return f"### C{n}: {what}" + (f" (part {part} of {parts})" if parts > 1 else "") + "\n"
-
-
-def _chunks(ranked: list, parts: dict, room: int, least: int = 2) -> list[list]:
-    """`ranked` cut into consecutive chunks that fit in `room`: the one packer
-    of phases A, B and C. Member `k` is made of the named parts `parts[k]`
-    (`{part: size}`), and a chunk's size is the sum of its distinct parts,
-    each plus its newline, so a part that several members share counts once.
-    A chunk closes only once it has `least` (1 or 2) members; a last chunk
-    short of `least` takes the previous chunk's last member, and the two
-    merge if that leaves the previous one short. So a chunk over the room
-    cannot split in two."""
-    chunks: list[list] = [[]]
-    held: set = set()
-    used = -1
-    for k in ranked:
-        own = parts[k]
-        grow = sum(1 + size for p, size in own.items() if p not in held)
-        if len(chunks[-1]) >= least and used + grow > room:
-            chunks.append([])
-            held.clear()
-            used = -1
-            grow = sum(1 + size for p, size in own.items() if p not in held)
-        chunks[-1].append(k)
-        held.update(own)
-        used += grow
-    if len(chunks) > 1 and len(chunks[-1]) < least:
-        chunks[-1].insert(0, chunks[-2].pop())
-        if len(chunks[-2]) < least:
-            chunks[-2:] = [chunks[-2] + chunks[-1]]
-    return chunks
 
 
 def build_phase_c_interactions(ccim: CcimModel, blocks: dict[FnKey, str],
@@ -328,7 +283,7 @@ def build_phase_c_interactions(ccim: CcimModel, blocks: dict[FnKey, str],
         # no chunk of `ranked` gets a later review number or a longer part
         widest = _review_heading(len(groups) + len(ranked), kind, subject, len(ranked), len(ranked))
         room = budget - 1 - shell - len(widest) - sum(1 + len(blocks[k]) for k in tail)
-        chunks = _chunks(ranked, parts, room)
+        chunks = prompts.chunks(ranked, parts, room)
         groups.extend(InteractionGroup(kind, (*c, *tail), subject, i, len(chunks))
                       for i, c in enumerate(chunks, start=1))
 
@@ -345,49 +300,26 @@ def run_phase_c(ccim: CcimModel, reasoner: Reasoner,
                 budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
     """Interference reviews, several per prompt. The n-th group of
     `build_phase_c_interactions` is review `C<n>`: a section of its heading
-    and one `// Owner.name` line per member. A function's first mention in a
-    prompt is followed by its bodies, which makes it its source block; a
-    later mention in the same prompt is the bare name line, so each body is
-    printed once per prompt. The sections are packed in group order by
-    `_chunks` into as few prompts as fit the budget, each built only for its
-    prompt: a section's own part is its heading and name lines, and each
-    member's bodies are a part shared across the prompt. A reply's "reviews"
-    entry is attributed by `_by_id` to the review its `review_id` names, and
+    and one `// Owner.name` line per member, packed in group order by
+    `prompts.pack_sections`, so a function's first mention in a prompt is its
+    source block and each body is printed once per prompt. A reply's
+    "reviews" entry is attributed to the review its `review_id` names, and
     each review's payload is the reply's top-level fields overridden by its
-    own entry, so a reply of one top-level verdict judges every review of
-    its prompt. Each VULNERABLE review becomes a finding on its group's
-    members, in group order."""
+    own entry (`prompts.payloads`), so a reply of one top-level verdict judges
+    every review of its prompt. Each VULNERABLE review becomes a finding on
+    its group's members, in group order."""
     blocks = _member_blocks(ccim)
     groups = build_phase_c_interactions(ccim, blocks, budget)
-    if not groups:
-        return []
     headings = [_review_heading(n, g.kind, g.subject, g.part, g.parts)
                 for n, g in enumerate(groups, start=1)]
-    names = {k: prompts.name_line(k) for k in blocks}
-    parts = {}
-    for i, (h, g) in enumerate(zip(headings, groups)):
-        parts[i] = {k: len(blocks[k]) - len(names[k]) - 1 for k in g.members}   # bodies
-        parts[i][i] = len(h) + sum(1 + len(names[k]) for k in g.members) - 1     # own lines
     room = budget - 1 - len(prompts.render(prompts.PHASE_C, budget, {"reviews": ""}))
     findings = []
-    for chunk in _chunks(list(parts), parts, room, least=1):
-        shown: set[FnKey] = set()
-        sections = []
-        for i in chunk:
-            mentions = []
-            for k in groups[i].members:
-                mentions.append(names[k] if k in shown else blocks[k])
-                shown.add(k)
-            sections.append(headings[i] + "\n".join(mentions))
-        reply = ask(reasoner, "phase_c", prompts.render(
-            prompts.PHASE_C, budget, {"reviews": "\n".join(sections)}), budget)
-        if reply is None:
-            continue
-        top = {k: v for k, v in reply.items() if k != "reviews"}
-        entries = dict(_by_id(reply_list(reply, "reviews"), "review_id",
-                              {f"C{i + 1}": i for i in chunk}, "review"))
-        for i in chunk:
-            payload = {**top, **entries.get(i, {})}
+    for chunk, reviews in prompts.pack_sections(headings, [g.members for g in groups], blocks,
+                                                room):
+        reply = ask(reasoner, "phase_c",
+                    prompts.render(prompts.PHASE_C, budget, {"reviews": reviews}), budget)
+        ids = {f"C{i + 1}": i for i in chunk}
+        for i, payload in prompts.payloads(reply, "reviews", "review_id", ids, "review").items():
             if str(payload.get("verdict", "UNCLEAR")).upper() != "VULNERABLE":
                 continue
             payload.setdefault("title", f"interference on {groups[i].subject}")

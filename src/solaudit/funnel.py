@@ -242,12 +242,15 @@ _STAGE_DROPS = {"DISPROVED", "FILTERED"}
 
 
 def _guarded(stage: str, check, finding: Finding) -> VerdictRecord:
-    """`check(finding)`'s record. A check that raises logs a WARNING and
-    passes the finding, so one failing check never aborts the audit."""
+    """`check(finding)`'s record. A check that raises logs a WARNING that
+    names the finding by id and title, since a finding not yet numbered is
+    `pending`, and passes the finding, so one failing check never aborts the
+    audit."""
     try:
         return check(finding)
     except Exception as exc:
-        log.warning("%s failed on %s (%s); passing through", stage, finding.id, exc)
+        log.warning("%s failed on %s %r (%s); passing through", stage, finding.id, finding.title,
+                    exc)
         return VerdictRecord(finding.id, stage, "PASSED", "stage failure; recall-preserving pass")
 
 

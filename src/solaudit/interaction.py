@@ -3,7 +3,12 @@ pairs per nomination source, four structural and one reasoner triage, read
 tier by tier), skeleton-only specification inference, spec-then-verify
 checklists, and the deterministic stage-5 cleanup (self-contradiction filter
 plus the six-rule severity recalibration, whose single-finding form
-`calibrate_one` is the whole of the dossier pipeline's phase E)."""
+`calibrate_one` is the whole of the dossier pipeline's phase E).
+
+Stages 2 and 3 send the audited pairs packed, as few prompts as fit the
+budget, with the packer and reply rule of `prompts`: the n-th pair is `P<n>`
+in both stages, a contract's skeleton or a function's source is printed once
+per prompt, and a reply's entries are attributed by `pair_id`."""
 
 from __future__ import annotations
 
@@ -173,52 +178,66 @@ def _skeleton(ccim: CcimModel, contract: str) -> str:
     return "\n".join(lines)
 
 
-def build_spec_prompt(pair: tuple[FnKey, FnKey], ccim: CcimModel,
-                      budget: int = DEFAULT_CHAR_BUDGET) -> str:
-    """Skeleton-only prompt: signatures, doc comments, module documentation;
-    implementation bodies must never leak in."""
-    contracts = sorted({pair[0][0], pair[1][0]})
-    skeleton = "\n\n".join(_skeleton(ccim, c) for c in contracts)
-    prompt = prompts.render(
-        prompts.STAGE2_SPEC, budget, {"skeleton": skeleton},
-        pair=f"{pair[0][0]}.{pair[0][1]} / {pair[1][0]}.{pair[1][1]}",
-    )
-    for rec, inner in ccim.leak_probes:
-        if inner in prompt:
-            raise RuntimeError(
-                f"implementation body of {rec.owner}.{rec.name} leaked into the spec prompt")
-    return prompt
+def _pair_name(n: int, pair: tuple[FnKey, FnKey]) -> str:
+    """Pair `P<n>` as a prompt names it."""
+    return f"P{n}: {pair[0][0]}.{pair[0][1]} / {pair[1][0]}.{pair[1][1]}"
 
 
-def infer_spec(pair: tuple[FnKey, FnKey], ccim: CcimModel, reasoner: Reasoner,
-               budget: int = DEFAULT_CHAR_BUDGET) -> BehaviorSpec:
-    reply = ask(reasoner, "stage2_spec", build_spec_prompt(pair, ccim, budget), budget)
-    if reply is None:
-        return BehaviorSpec(pair=pair)
-    return BehaviorSpec(
-        pair=pair,
-        lifecycle=str(reply.get("lifecycle", "")),
-        agreed_variables=[str(v) for v in reply_list(reply, "agreed_variables")],
-        assumptions=[str(a) for a in reply_list(reply, "assumptions")],
-    )
+def spec_prompts(pairs: list[tuple[FnKey, FnKey]], ccim: CcimModel,
+                 budget: int = DEFAULT_CHAR_BUDGET) -> list[tuple[list[int], str]]:
+    """Skeleton-only prompts for `pairs`, packed by `prompts.chunks`, each
+    with the indices of its pairs: pair `P<n>` (numbered over the whole list)
+    is one line, and each contract's skeleton (signatures, doc comments,
+    module documentation) is a part every pair naming it shares, printed once
+    per prompt. Implementation bodies must never leak into any prompt."""
+    if not pairs:
+        return []
+    lines = [_pair_name(n, p) for n, p in enumerate(pairs, start=1)]
+    skeletons = {c: _skeleton(ccim, c) for c in sorted({k[0] for p in pairs for k in p})}
+    # skeletons are separated by a blank line, one newline more than `chunks` counts
+    parts = {i: {i: len(line), **{k[0]: len(skeletons[k[0]]) + 1 for k in pairs[i]}}
+             for i, line in enumerate(lines)}
+    shell = prompts.render(prompts.STAGE2_SPEC, budget, {"pairs": "", "skeletons": ""})
+    out = []
+    for chunk in prompts.chunks(list(parts), parts, budget - 1 - len(shell), least=1):
+        named = sorted({k[0] for i in chunk for k in pairs[i]})
+        prompt = prompts.render(prompts.STAGE2_SPEC, budget, {
+            "pairs": "\n".join(lines[i] for i in chunk),
+            "skeletons": "\n\n".join(skeletons[c] for c in named)})
+        for rec, inner in ccim.leak_probes:
+            if inner in prompt:
+                raise RuntimeError(
+                    f"implementation body of {rec.owner}.{rec.name} leaked into the spec prompt")
+        out.append((chunk, prompt))
+    return out
+
+
+def infer_spec(pairs: list[tuple[FnKey, FnKey]], ccim: CcimModel, reasoner: Reasoner,
+               budget: int = DEFAULT_CHAR_BUDGET) -> list[BehaviorSpec]:
+    """Each pair's spec, in pair order, from one prompt per chunk of
+    `spec_prompts`: a reply's "specs" entry is attributed by its `pair_id`,
+    and each pair's spec is read from the reply's top-level fields overridden
+    by its own entry. A failed prompt leaves its pairs' specs empty."""
+    specs = [BehaviorSpec(pair=p) for p in pairs]
+    for chunk, prompt in spec_prompts(pairs, ccim, budget):
+        reply = ask(reasoner, "stage2_spec", prompt, budget)
+        ids = {f"P{i + 1}": i for i in chunk}
+        for i, payload in prompts.payloads(reply, "specs", "pair_id", ids, "pair").items():
+            specs[i] = BehaviorSpec(
+                pair=pairs[i],
+                lifecycle=str(payload.get("lifecycle", "")),
+                agreed_variables=[str(v) for v in reply_list(payload, "agreed_variables")],
+                assumptions=[str(a) for a in reply_list(payload, "assumptions")],
+            )
+    return specs
 
 
 # --- stage 3: spec-then-verify ---------------------------------------------
 
 
-def spec_verify(pair: tuple[FnKey, FnKey], spec: BehaviorSpec, ccim: CcimModel,
-                reasoner: Reasoner, budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
-    """Seven-point checklist over the pair; VIOLATE items lacking both an
-    evidence citation and a concrete trace are rejected."""
-    recs = ccim.records_of(pair)
-    if not recs:
-        return []
-    sources = "\n\n".join(
-        f"// {r.owner}.{r.name} vis={r.vis} modifiers={list(r.modifiers)} "
-        f"reentrancy_guard={r.nonreentrant}\n{r.body}"
-        for r in recs
-    )
-    preconditions = sorted(set().union(*(infer_preconditions(r) for r in recs)))
+def _verify_head(n: int, spec: BehaviorSpec, preconditions: list[str]) -> str:
+    """The head of pair `P<n>`'s stage 3 section: its spec and the
+    preconditions inferred across the pair, then the sources' heading."""
     checklist_items = spec.assumptions if spec.assumptions else ["(no inferred assumptions)"]
     spec_text = (
         f"lifecycle: {spec.lifecycle or '(none inferred)'}\n"
@@ -228,17 +247,17 @@ def spec_verify(pair: tuple[FnKey, FnKey], spec: BehaviorSpec, ccim: CcimModel,
     if spec.empty:
         # degraded path: checklist items (2)-(7) still run without assumptions
         spec_text += "\n(spec unavailable; items 2-7 only)"
-    prompt = prompts.render(
-        prompts.STAGE3_VERIFY, budget,
-        {"spec": spec_text, "sources": sources,
-         "preconditions": "\n".join(preconditions) or "(none)"},
-        checklist="\n".join(f"{i}. {c}" for i, c in enumerate(prompts.STAGE3_CHECKLIST, start=1)),
-    )
-    reply = ask(reasoner, "stage3_verify", prompt, budget)
-    if reply is None:
-        return []
+    preconditions_text = "\n".join(preconditions) or "(none)"
+    return (f"### {_pair_name(n, spec.pair)}\nInferred specification:\n{spec_text}\n"
+            f"Preconditions inferred across the pair:\n{preconditions_text}\n"
+            f"Pair sources with structural metadata:\n")
+
+
+def _violations(pair: tuple[FnKey, FnKey], items: list) -> list[Finding]:
+    """The findings of one pair's checklist items: VIOLATE items lacking both
+    an evidence citation and a concrete trace are rejected."""
     findings = []
-    for raw in reply_list(reply, "items"):
+    for raw in items:
         if not isinstance(raw, dict):
             continue
         if str(raw.get("status", "")).upper() != "VIOLATE":
@@ -253,6 +272,37 @@ def spec_verify(pair: tuple[FnKey, FnKey], spec: BehaviorSpec, ccim: CcimModel,
         f = finding_from_payload(payload, "I", list(pair))
         if f is not None:
             findings.append(f)
+    return findings
+
+
+def spec_verify(specs: list[BehaviorSpec], ccim: CcimModel, reasoner: Reasoner,
+                budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
+    """Seven-point checklist over the pair of each spec that has records.
+    The n-th spec's pair `P<n>` is one section, packed by
+    `prompts.pack_sections`: its own part is its spec and preconditions, and
+    each function's source block (per overload, a metadata line and the body)
+    is shared, printed once per prompt. A reply's "pairs" entry is attributed
+    by its `pair_id`, and a pair's checklist items are its own entry's, else
+    the reply's top-level ones. Findings come in pair order."""
+    shown = [(n, spec) for n, spec in enumerate(specs, start=1) if ccim.records_of(spec.pair)]
+    keys = dict.fromkeys(k for _, spec in shown for k in spec.pair if ccim.records_of((k,)))
+    blocks = {k: "\n".join(f"{prompts.name_line(k)} vis={r.vis} modifiers={list(r.modifiers)} "
+                           f"reentrancy_guard={r.nonreentrant}\n{r.body}"
+                           for r in ccim.records_of((k,)))
+              for k in keys}
+    heads = [_verify_head(n, spec, sorted(set().union(
+        *map(infer_preconditions, ccim.records_of(spec.pair))))) for n, spec in shown]
+    members = [tuple(k for k in spec.pair if k in blocks) for _, spec in shown]
+    fields = {"checklist": "\n".join(f"{i}. {c}" for i, c in
+                                     enumerate(prompts.STAGE3_CHECKLIST, start=1))}
+    room = budget - 1 - len(prompts.render(prompts.STAGE3_VERIFY, budget, {"pairs": ""}, **fields))
+    findings = []
+    for chunk, sections in prompts.pack_sections(heads, members, blocks, room):
+        reply = ask(reasoner, "stage3_verify", prompts.render(
+            prompts.STAGE3_VERIFY, budget, {"pairs": sections}, **fields), budget)
+        ids = {f"P{shown[i][0]}": shown[i][1].pair for i in chunk}
+        for pair, payload in prompts.payloads(reply, "pairs", "pair_id", ids, "pair").items():
+            findings.extend(_violations(pair, reply_list(payload, "items")))
     return findings
 
 
@@ -393,10 +443,9 @@ def id_run(ccim: CcimModel, merged: MergedSignals, reasoner: Reasoner, *,
     """Full interaction-driven pipeline: pair selection (the first
     `MAX_PAIRS`) -> spec inference -> spec-then-verify (+ standalone slots)
     -> stage-5 cleanup."""
-    findings: list[Finding] = []
-    for pair in select_pairs(ccim, merged, reasoner, budget, MAX_PAIRS):
-        spec = infer_spec(pair, ccim, reasoner, budget)
-        findings.extend(spec_verify(pair, spec, ccim, reasoner, budget))
+    specs = infer_spec(select_pairs(ccim, merged, reasoner, budget, MAX_PAIRS), ccim, reasoner,
+                       budget)
+    findings = spec_verify(specs, ccim, reasoner, budget)
     findings.extend(audit_standalone(ccim, reasoner, budget))
 
     findings = self_contradiction_filter(findings)

@@ -1,6 +1,13 @@
 """Versioned prompt templates for every reasoner-bearing stage, the one
-rule that fits a filled template into the character budget, and the one
-source block a prompt shows a function by.
+rule that fits a filled template into the character budget, the one source
+block a prompt shows a function by, and the one packer with its reply rule.
+
+Every stage that sends several members (phase A's dossiers, phase B's
+bodies, phase C's reviews, stage 2's and stage 3's pairs) packs them with
+`chunks`, which counts a part that several members share once, so a shared
+skeleton or body is sent once per prompt. A reply's entries are attributed
+to the prompt's members by id with `by_id`, and `payloads` gives each member
+the reply's top-level fields overridden by its own entry.
 
 Templates are plain text resources; bump PROMPT_VERSION when wording changes
 so scripted mock responses can be pinned to the template they were written
@@ -9,12 +16,17 @@ against.
 
 from __future__ import annotations
 
+import logging
 from typing import TYPE_CHECKING
+
+from .findings import reply_list
 
 if TYPE_CHECKING:
     from .ccim import CcimModel, FnKey
 
-PROMPT_VERSION = "6"
+log = logging.getLogger(__name__)
+
+PROMPT_VERSION = "7"
 
 BUILTIN_FP_RULES = """\
 Built-in false-positive rules (do not report these):
@@ -87,17 +99,20 @@ Respond as JSON: {{"pairs": [["Contract", "fnA", "Contract", "fnB"], ...]}}"""
 
 STAGE2_SPEC = """\
 [template v{version}] Behavioral specification inference. You see ONLY the
-contract skeleton: signatures, doc comments, module documentation. Do not
-assume anything about the implementation. For the pair below, state the
+contract skeletons: signatures, doc comments, module documentation. Do not
+assume anything about the implementation. For each pair below, state the
 expected lifecycle, the state variables both functions must agree on, and the
 behavioral assumptions a correct implementation preserves.
 
-Pair: {pair}
+Pairs:
+{pairs}
 
-Skeleton:
-{skeleton}
+Skeletons:
+{skeletons}
 
-Respond as JSON: {{"lifecycle": ..., "agreed_variables": [..], "assumptions": [..]}}"""
+Respond as JSON; top-level fields apply to any pair without its own entry:
+{{"specs": [{{"pair_id": "P<n>", "lifecycle": ..., "agreed_variables": [..],
+"assumptions": [..]}}]}}"""
 
 STAGE3_CHECKLIST = (
     "assumption enforcement: does the code ENFORCE or VIOLATE each specified assumption (cite lines)",
@@ -110,27 +125,21 @@ STAGE3_CHECKLIST = (
 )
 
 STAGE3_VERIFY = """\
-[template v{version}] Spec-then-verify audit of a function pair. Answer the
-seven checklist items one by one. Every VIOLATE item must carry either an
-evidence citation (line number plus quoted code) or a concrete exploit trace.
-Invented attack narratives without a specific assumption violation are
-forbidden.
-
-Inferred specification:
-{spec}
-
-Pair sources with structural metadata:
-{sources}
-
-Preconditions inferred across the pair:
-{preconditions}
+[template v{version}] Spec-then-verify audit of function pairs. For each pair,
+answer the seven checklist items one by one. Every VIOLATE item must carry
+either an evidence citation (line number plus quoted code) or a concrete
+exploit trace. Invented attack narratives without a specific assumption
+violation are forbidden. A repeated `// Owner.name` refers to its source above.
 
 Checklist:
 {checklist}
 
-Respond as JSON: {{"items": [{{"index": 1..7, "status": "ENFORCE|VIOLATE",
+{pairs}
+
+Respond as JSON; top-level items apply to any pair without its own entry:
+{{"pairs": [{{"pair_id": "P<n>", "items": [{{"index": 1..7, "status": "ENFORCE|VIOLATE",
 "evidence_line": <int or null>, "quote": ..., "trace": ..., "title": ...,
-"description": ..., "attack_scenario": ..., "severity": ...}}]}}"""
+"description": ..., "attack_scenario": ..., "severity": ...}}]}}]}}"""
 
 STANDALONE = """\
 [template v{version}] Focused single-function audit. This function handles
@@ -159,10 +168,11 @@ Respond as JSON: {{"verdict": "VERIFIED|DISPROVED|UNCERTAIN", "quote": ..., "arg
 
 GAP_REAUDIT = """\
 [template v{version}] Coverage-gap re-audit. The protocol exhibits the feature
-"{feature}" but no finding addresses the bug class "{bug_class}". Re-examine
-the evidence below specifically for that class.
+"{feature}" but no finding addresses the bug classes below. Re-examine the
+evidence below specifically for those classes.
 
-Detection heuristics for the class: {heuristics}
+Bug classes, each with its detection heuristics:
+{classes}
 
 Structural evidence:
 {evidence}
@@ -219,3 +229,93 @@ def source_block(ccim: CcimModel, key: FnKey) -> str:
     """The source block of function `key`: its name line, then the bodies of
     all its overloads in source order."""
     return name_line(key) + "\n" + "\n".join(r.body for r in ccim.records_of((key,)))
+
+
+def chunks(ranked: list, parts: dict, room: int, least: int = 2) -> list[list]:
+    """`ranked` cut into consecutive chunks that fit in `room`: the one packer
+    of every multi-member prompt. Member `k` is made of the named parts
+    `parts[k]` (`{part: size}`), and a chunk's size is the sum of its distinct
+    parts, each plus its newline, so a part that several members share counts
+    once. A chunk closes only once it has `least` (1 or 2) members; a last
+    chunk short of `least` takes the previous chunk's last member, and the two
+    merge if that leaves the previous one short. So a chunk over the room
+    cannot split in two."""
+    out: list[list] = [[]]
+    held: set = set()
+    used = -1
+    for k in ranked:
+        own = parts[k]
+        grow = sum(1 + size for p, size in own.items() if p not in held)
+        if len(out[-1]) >= least and used + grow > room:
+            out.append([])
+            held.clear()
+            used = -1
+            grow = sum(1 + size for size in own.values())
+        out[-1].append(k)
+        held.update(own)
+        used += grow
+    if len(out) > 1 and len(out[-1]) < least:
+        out[-1].insert(0, out[-2].pop())
+        if len(out[-2]) < least:
+            out[-2:] = [out[-2] + out[-1]]
+    return out
+
+
+def pack_sections(heads: list[str], members: list[tuple[FnKey, ...]], blocks: dict[FnKey, str],
+                  room: int) -> list[tuple[list[int], str]]:
+    """Sections packed by `chunks` into as few texts as fit `room`, each text
+    with the indices of its sections in order. Section `i` is `heads[i]` and
+    one mention per key of `members[i]`, one a line. A key's first mention in
+    a text is its block `blocks[k]`, which starts with `name_line(k)`; a later
+    one is that bare name line, so each block is printed once per text. A
+    section's own part is its head and name lines, and each key's block past
+    its name line is a part shared across the text. No sections, no text."""
+    if not heads:
+        return []
+    names = {k: name_line(k) for keys in members for k in keys}
+    parts = {}
+    for i, (head, keys) in enumerate(zip(heads, members)):
+        parts[i] = {k: len(blocks[k]) - len(names[k]) - 1 for k in keys}
+        parts[i][i] = len(head) + sum(1 + len(names[k]) for k in keys) - 1
+    texts = []
+    for chunk in chunks(list(parts), parts, room, least=1):
+        shown: set[FnKey] = set()
+        sections = []
+        for i in chunk:
+            mentions = []
+            for k in members[i]:
+                mentions.append(names[k] if k in shown else blocks[k])
+                shown.add(k)
+            sections.append(heads[i] + "\n".join(mentions))
+        texts.append((chunk, "\n".join(sections)))
+    return texts
+
+
+def by_id(entries: list, field: str, members: dict, noun: str) -> list[tuple[object, dict]]:
+    """The object entries of a reply list, each paired with the member of
+    its prompt that its `field` names: the id up to any `#` (phase A's item
+    number) is a key of `members`. An entry naming no member of the prompt is
+    dropped with a warning."""
+    named = []
+    for raw in entries:
+        if not isinstance(raw, dict):
+            continue
+        member = members.get(str(raw.get(field)).partition("#")[0])
+        if member is None:
+            log.warning("%s %r names no %s of its prompt; dropped", field, raw.get(field), noun)
+            continue
+        named.append((member, raw))
+    return named
+
+
+def payloads(reply: dict | None, key: str, field: str, members: dict, noun: str) -> dict:
+    """Each member's payload from a packed prompt's reply, in the order of
+    `members` (id -> member): the reply's top-level fields, but `key`,
+    overridden by the member's own entry in the `key` list, which `by_id`
+    attributes. So a reply with no entries judges every member alike. A
+    failed request (None) gives no payload."""
+    if reply is None:
+        return {}
+    top = {k: v for k, v in reply.items() if k != key}
+    own = dict(by_id(reply_list(reply, key), field, members, noun))
+    return {m: {**top, **own.get(m, {})} for m in members.values()}

@@ -43,8 +43,8 @@ SCHEMA_DEFAULTS: dict[str, dict] = {
     "phase_c": {"reviews": []},
     "phase_d": {"claim": "", "prevention": "", "quote": "", "verdict": "UNCLEAR"},
     "stage1_triage": {"pairs": []},
-    "stage2_spec": {"lifecycle": "", "agreed_variables": [], "assumptions": []},
-    "stage3_verify": {"items": []},
+    "stage2_spec": {"specs": []},
+    "stage3_verify": {"pairs": []},
     "standalone": {"findings": []},
     "sve_layer2": {"verdict": "UNCERTAIN", "argument": "", "severity": None},
     "gap_reaudit": {"findings": []},

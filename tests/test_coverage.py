@@ -94,7 +94,14 @@ def test_gap_reaudit_prompts(models):
     detected = detect_features(models["vault_oracle"])
     report = compute_gap_set([], detected)
     prompts = gap_reaudit_prompts(report.gap_set, models["vault_oracle"], detected)
-    assert len(prompts) == len(report.gap_set)
+    # one prompt per feature that made a gap class relevant; each class is
+    # listed once, under the first feature in sorted order that lists it
+    home = {c: next(f for f in sorted(detected) if c in FEATURES[f]["bug_classes"])
+            for c in report.gap_set}
+    assert len(prompts) == len(set(home.values())) < len(report.gap_set)
+    for c, feature in home.items():
+        [prompt] = [p for p in prompts if f"\n- {c}: " in p]
+        assert f'"{feature}" but no finding' in prompt
     oracle_prompts = [p for p in prompts if "oracle-staleness" in p]
     assert oracle_prompts
     # structural evidence for the feature is embedded

@@ -20,7 +20,6 @@ from solaudit.dossier import (
     ROUTE_VECTOR_CONFIRMED,
     Dossier,
     RiskItem,
-    _chunks,
     _member_blocks,
     build_phase_c_interactions,
     compile_dossiers,
@@ -251,7 +250,7 @@ def _size(parts: dict, chunk: list) -> int:
 
 
 def _check_chunks(parts: dict, room: int, least: int) -> list[list]:
-    chunks = _chunks(list(parts), parts, room, least)
+    chunks = prompts.chunks(list(parts), parts, room, least)
     assert [k for c in chunks for k in c] == list(parts)
     for i, c in enumerate(chunks):
         if _size(parts, c) > room:
@@ -298,8 +297,8 @@ def test_chunks_fit_members_sharing_a_part_together():
     # three members of 10 own characters sharing 30: 3 * 11 + 31 - 1 = 63
     # characters together, 3 * 42 - 1 = 125 if each printed the shared part
     parts = {k: {k: 10, "shared": 30} for k in "abc"}
-    assert _chunks(list("abc"), parts, 63, least=1) == [["a", "b", "c"]]
-    assert _chunks(list("abc"), parts, 62, least=1) == [["a", "b"], ["c"]]
+    assert prompts.chunks(list("abc"), parts, 63, least=1) == [["a", "b", "c"]]
+    assert prompts.chunks(list("abc"), parts, 62, least=1) == [["a", "b"], ["c"]]
 
 
 # --- phase B/C -------------------------------------------------------------------
@@ -608,9 +607,9 @@ def test_phase_c_and_phase_d_blocks_hold_every_overload(tmp_path):
 def test_phase_c_lone_last_member_never_stands_alone():
     parts = {k: {k: 10} for k in "abcd"}
     # room for three blocks: d would be alone, so it takes c
-    assert _chunks(list("abcd"), parts, 32) == [["a", "b"], ["c", "d"]]
+    assert prompts.chunks(list("abcd"), parts, 32) == [["a", "b"], ["c", "d"]]
     # room for two blocks: taking b would leave a alone, so all three merge
-    assert _chunks(list("abc"), parts, 21) == [["a", "b", "c"]]
+    assert prompts.chunks(list("abc"), parts, 21) == [["a", "b", "c"]]
 
 
 def test_phase_c_calls_grow_linearly(gen, tmp_path_factory):

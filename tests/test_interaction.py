@@ -15,12 +15,12 @@ from solaudit.interaction import (
     SOURCE_CONFIDENCE,
     BehaviorSpec,
     audit_standalone,
-    build_spec_prompt,
     id_run,
     infer_spec,
     recalibrate_severity,
     select_pairs,
     self_contradiction_filter,
+    spec_prompts,
     spec_verify,
 )
 from solaudit.reasoner import MockReasoner
@@ -191,7 +191,9 @@ def test_select_pairs_lists_no_shared_writer_pairs_when_triage_fills(deep_model)
 def test_spec_prompt_is_skeleton_only(models):
     ccim = models["vault_oracle"]
     pair = (("Vault", "deposit"), ("Vault", "withdraw"))
-    prompt = build_spec_prompt(pair, ccim)
+    [(chunk, prompt)] = spec_prompts([pair], ccim)
+    assert chunk == [0]
+    assert "\nP1: Vault.deposit / Vault.withdraw\n" in prompt
     for rec in ccim.records:
         inner = rec.body_inner().strip()
         if len(inner) >= 20:
@@ -201,11 +203,22 @@ def test_spec_prompt_is_skeleton_only(models):
 
 
 def test_spec_prompt_body_leak_raises(models, monkeypatch):
+    # only the last pair's Treasury leaks; under the tight budget that pair
+    # has a packed prompt of its own, and the check still runs on it
     import solaudit.interaction as interaction_mod
+    ccim = models["vault_oracle"]
+    pairs = [(("Vault", "deposit"), ("Vault", "withdraw")),
+             (("ChainOracle", "setPrice"), ("Treasury", "setAdmin"))]
+    budgets = {24_000: [[0, 1]], 900: [[0], [1]]}
+    for budget, chunks in budgets.items():
+        assert [chunk for chunk, _ in spec_prompts(pairs, ccim, budget)] == chunks
+    skeleton = interaction_mod._skeleton
     monkeypatch.setattr(interaction_mod, "_skeleton", lambda ccim, contract: "\n".join(
-        r.body for r in ccim.records if r.owner == contract))
-    with pytest.raises(RuntimeError, match="leaked into the spec prompt"):
-        build_spec_prompt((("Vault", "deposit"), ("Vault", "withdraw")), models["vault_oracle"])
+        r.body for r in ccim.records if r.owner == contract) if contract == "Treasury"
+        else skeleton(ccim, contract))
+    for budget in budgets:
+        with pytest.raises(RuntimeError, match="Treasury.setAdmin leaked into the spec prompt"):
+            spec_prompts(pairs, ccim, budget)
 
 
 def test_infer_spec_parses_payload(models):
@@ -215,15 +228,15 @@ def test_infer_spec_parses_payload(models):
                      "agreed_variables": ["balances", "totalSupply"],
                      "assumptions": ["withdraw subtracts what deposit added"]},
     }])
-    spec = infer_spec((("Vault", "deposit"), ("Vault", "withdraw")),
-                      models["vault_oracle"], reasoner)
+    [spec] = infer_spec([(("Vault", "deposit"), ("Vault", "withdraw"))],
+                        models["vault_oracle"], reasoner)
     assert spec.assumptions == ["withdraw subtracts what deposit added"]
     assert not spec.empty
 
 
 def test_infer_spec_failure_gives_empty_spec(models):
-    spec = infer_spec((("Vault", "deposit"), ("Vault", "withdraw")),
-                      models["vault_oracle"], ThrowingReasoner())
+    [spec] = infer_spec([(("Vault", "deposit"), ("Vault", "withdraw"))],
+                        models["vault_oracle"], ThrowingReasoner())
     assert spec.empty
 
 
@@ -241,7 +254,7 @@ def test_spec_verify_violate_with_citation(models):
         "response": {"items": [{"index": 4, "status": "VIOLATE", "evidence_line": 33,
                                 "title": "accounting drift", "severity": "HIGH"}]},
     }])
-    findings = spec_verify(_pair(models), spec, models["vault_oracle"], reasoner)
+    findings = spec_verify([spec], models["vault_oracle"], reasoner)
     assert len(findings) == 1
     assert findings[0].pipeline == "I"
 
@@ -252,7 +265,7 @@ def test_spec_verify_all_enforce(models):
         "stage": "stage3_verify", "match": [],
         "response": {"items": [{"index": 1, "status": "ENFORCE"}]},
     }])
-    assert spec_verify(_pair(models), spec, models["vault_oracle"], reasoner) == []
+    assert spec_verify([spec], models["vault_oracle"], reasoner) == []
 
 
 def test_spec_verify_rejects_uncited_violations(models, caplog):
@@ -262,7 +275,7 @@ def test_spec_verify_rejects_uncited_violations(models, caplog):
         "response": {"items": [{"index": 2, "status": "VIOLATE"}]},
     }])
     with caplog.at_level("INFO"):
-        findings = spec_verify(_pair(models), spec, models["vault_oracle"], reasoner)
+        findings = spec_verify([spec], models["vault_oracle"], reasoner)
     assert findings == []
     assert "rejected" in caplog.text
 
@@ -274,7 +287,7 @@ def test_spec_verify_trace_counts_as_evidence(models):
         "response": {"items": [{"index": 3, "status": "VIOLATE",
                                 "trace": "deposit then withdraw drains the pool"}]},
     }])
-    findings = spec_verify(_pair(models), spec, models["vault_oracle"], reasoner)
+    findings = spec_verify([spec], models["vault_oracle"], reasoner)
     assert len(findings) == 1
     assert findings[0].attack_scenario == "deposit then withdraw drains the pool"
 

@@ -1,9 +1,11 @@
 """Layering of the package: past the substrate, every stage reads only the
 cross-contract interaction model (CCIM), never the raw audit source, and
-only the model gathers a function's records by key. Also read off the
-package's syntax tree: every constant regex is compiled once, and none but a
-listed few that read short texts starts with a `\b` keyword the regex engine
-cannot jump to."""
+only the model gathers a function's records by key. The one packer of
+multi-member prompts and its reply attribution live in `solaudit.prompts`,
+and the interaction pipeline and coverage reach them without importing the
+dossier pipeline. Also read off the package's syntax tree: every constant
+regex is compiled once, and none but a listed few that read short texts
+starts with a `\b` keyword the regex engine cannot jump to."""
 
 from __future__ import annotations
 
@@ -201,3 +203,35 @@ def test_only_the_model_groups_records_by_key():
         "m[r.key] |= s\nx = m[r.key]\nm = {r.name: r for r in rs}\nm.setdefault(k, 0)\n"
         "m = {k: v for k, v in m.items()}\nkeys = {r.key for r in rs}"
     )) == [1, 2, 3, 4]
+
+
+# the one packer of multi-member prompts and its reply attribution by id,
+# each with or without a leading underscore, and the one module that defines
+# them; the stages that pack without the dossier pipeline must not import it
+PACKER_NAMES = {"chunks", "pack_sections", "by_id", "payloads"}
+PACKER_HOME = "solaudit.prompts"
+DOSSIER_FREE = {"solaudit.interaction", "solaudit.coverage"}
+
+
+def _packer_defs(tree: ast.AST) -> set[str]:
+    """Names of the functions a file defines, at any depth, that are one of
+    `PACKER_NAMES` up to a leading underscore."""
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.lstrip("_") in PACKER_NAMES}
+
+
+def test_the_packer_and_by_id_attribution_live_only_in_prompts():
+    found = {_module_name(p): names for p in PACKAGE.rglob("*.py")
+             if (names := _packer_defs(ast.parse(p.read_text(encoding="utf-8"))))}
+    assert found == {PACKER_HOME: PACKER_NAMES}
+    importers = {_module_name(p) for p in PACKAGE.rglob("*.py")
+                 if "solaudit.dossier" in _imported_modules(p)}
+    assert importers & DOSSIER_FREE == set()
+    # the guard reads real imports: the funnel is known to import the dossier
+    assert "solaudit.funnel" in importers
+    # a definition at any depth, with or without an underscore, and not a call
+    assert _packer_defs(ast.parse(
+        "def _chunks(r):\n    pass\nclass K:\n    def by_id(self):\n        pass\n"
+        "chunks(x)\ndef chunk():\n    pass\nasync def _payloads():\n    pass"
+    )) == {"_chunks", "by_id", "_payloads"}

@@ -25,11 +25,11 @@ PAYLOAD_FIELDS = {
     "PHASE_C": ("reviews",),
     "PHASE_D": ("source_block",),
     "STAGE1_TRIAGE": ("skeletons",),
-    "STAGE2_SPEC": ("skeleton",),
-    "STAGE3_VERIFY": ("spec", "sources", "preconditions"),
+    "STAGE2_SPEC": ("skeletons", "pairs"),
+    "STAGE3_VERIFY": ("pairs",),
     "STANDALONE": ("source",),
     "SVE_LAYER2": ("evidence",),
-    "GAP_REAUDIT": ("evidence",),
+    "GAP_REAUDIT": ("evidence", "classes"),
     "BLINDSPOT": ("source",),
 }
 
