@@ -7,7 +7,10 @@ claim-first check where routing cannot decide (phase D), and severity
 recalibration by the shared six-rule set, with no reasoner call (phase E).
 Phases A, B and C pack their members into the budget with `prompts.chunks`,
 the packer every multi-member stage shares, and phases A and C attribute a
-reply's entries to the prompt's members by id with `prompts.by_id`."""
+reply's entries to the prompt's members by id with `prompts.by_id`. Phase C
+packs its reviews by contract locality (`prompts.pack_sections`), so the
+reviews that share a contract's bodies share prompts, while review ids and
+the order of the findings stay in group order."""
 
 from __future__ import annotations
 
@@ -261,11 +264,11 @@ def build_phase_c_interactions(ccim: CcimModel, blocks: dict[FnKey, str],
     groups: consecutive chunks whose source blocks (`blocks`, of
     `_member_blocks`) fit the room that PHASE_C and the widest review heading
     the chunks can carry leave under `budget`, so every review fits in a
-    prompt shorter than the budget. Every toucher lands in exactly one chunk
-    and no chunk has a single member, so a prompt is cut only when that rule
-    takes a chunk over the room: two blocks too large to fit together, or a
-    last three of which only two fit. A variable split into k > 1 chunks
-    numbers them 1..k.
+    prompt shorter than the budget. No chunk has a single member: a lone
+    last toucher takes the previous chunk's last one, which sits in both
+    chunks when the previous chunk has only two. Every other toucher lands in
+    exactly one chunk, so a prompt is cut only when two blocks are too large
+    to fit together. A variable split into k > 1 chunks numbers them 1..k.
 
     A callee's callers are ranked and packed the same way into "call" groups
     whose last member is the callee, its block counted in every chunk's
@@ -300,20 +303,21 @@ def run_phase_c(ccim: CcimModel, reasoner: Reasoner,
                 budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
     """Interference reviews, several per prompt. The n-th group of
     `build_phase_c_interactions` is review `C<n>`: a section of its heading
-    and one `// Owner.name` line per member, packed in group order by
-    `prompts.pack_sections`, so a function's first mention in a prompt is its
-    source block and each body is printed once per prompt. A reply's
-    "reviews" entry is attributed to the review its `review_id` names, and
-    each review's payload is the reply's top-level fields overridden by its
-    own entry (`prompts.payloads`), so a reply of one top-level verdict judges
-    every review of its prompt. Each VULNERABLE review becomes a finding on
-    its group's members, in group order."""
+    and one `// Owner.name` line per member, packed by contract locality by
+    `prompts.pack_sections`, so one contract's reviews share prompts, a
+    function's first mention in a prompt is its source block and each body
+    is printed once per prompt. A reply's "reviews" entry is attributed to
+    the review its `review_id` names, and each review's payload is the
+    reply's top-level fields overridden by its own entry (`prompts.payloads`),
+    so a reply of one top-level verdict judges every review of its prompt.
+    Each VULNERABLE review becomes a finding on its group's members; the
+    findings come in group order, whatever the packing."""
     blocks = _member_blocks(ccim)
     groups = build_phase_c_interactions(ccim, blocks, budget)
     headings = [_review_heading(n, g.kind, g.subject, g.part, g.parts)
                 for n, g in enumerate(groups, start=1)]
     room = budget - 1 - len(prompts.render(prompts.PHASE_C, budget, {"reviews": ""}))
-    findings = []
+    found: dict[int, Finding] = {}
     for chunk, reviews in prompts.pack_sections(headings, [g.members for g in groups], blocks,
                                                 room):
         reply = ask(reasoner, "phase_c",
@@ -325,8 +329,8 @@ def run_phase_c(ccim: CcimModel, reasoner: Reasoner,
             payload.setdefault("title", f"interference on {groups[i].subject}")
             f = finding_from_payload(payload, "D", list(groups[i].members))
             if f is not None:
-                findings.append(f)
-    return findings
+                found[i] = f
+    return [found[i] for i in sorted(found)]
 
 
 # --- phase D ---------------------------------------------------------------

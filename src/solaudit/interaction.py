@@ -8,7 +8,9 @@ plus the six-rule severity recalibration, whose single-finding form
 Stages 2 and 3 send the audited pairs packed, as few prompts as fit the
 budget, with the packer and reply rule of `prompts`: the n-th pair is `P<n>`
 in both stages, a contract's skeleton or a function's source is printed once
-per prompt, and a reply's entries are attributed by `pair_id`."""
+per prompt, and a reply's entries are attributed by `pair_id`. Stage 3 packs
+its pairs by the contract of their first function, and its findings still
+come in pair order."""
 
 from __future__ import annotations
 
@@ -278,12 +280,13 @@ def _violations(pair: tuple[FnKey, FnKey], items: list) -> list[Finding]:
 def spec_verify(specs: list[BehaviorSpec], ccim: CcimModel, reasoner: Reasoner,
                 budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
     """Seven-point checklist over the pair of each spec that has records.
-    The n-th spec's pair `P<n>` is one section, packed by
-    `prompts.pack_sections`: its own part is its spec and preconditions, and
-    each function's source block (per overload, a metadata line and the body)
-    is shared, printed once per prompt. A reply's "pairs" entry is attributed
-    by its `pair_id`, and a pair's checklist items are its own entry's, else
-    the reply's top-level ones. Findings come in pair order."""
+    The n-th spec's pair `P<n>` is one section, packed by contract locality
+    by `prompts.pack_sections`: its own part is its spec and preconditions,
+    and each function's source block (per overload, a metadata line and the
+    body) is shared, printed once per prompt. A reply's "pairs" entry is
+    attributed by its `pair_id`, and a pair's checklist items are its own
+    entry's, else the reply's top-level ones. Findings are collected per
+    pair and come in pair order, whatever the packing."""
     shown = [(n, spec) for n, spec in enumerate(specs, start=1) if ccim.records_of(spec.pair)]
     keys = dict.fromkeys(k for _, spec in shown for k in spec.pair if ccim.records_of((k,)))
     blocks = {k: "\n".join(f"{prompts.name_line(k)} vis={r.vis} modifiers={list(r.modifiers)} "
@@ -296,14 +299,14 @@ def spec_verify(specs: list[BehaviorSpec], ccim: CcimModel, reasoner: Reasoner,
     fields = {"checklist": "\n".join(f"{i}. {c}" for i, c in
                                      enumerate(prompts.STAGE3_CHECKLIST, start=1))}
     room = budget - 1 - len(prompts.render(prompts.STAGE3_VERIFY, budget, {"pairs": ""}, **fields))
-    findings = []
+    found: dict[int, list[Finding]] = {}
     for chunk, sections in prompts.pack_sections(heads, members, blocks, room):
         reply = ask(reasoner, "stage3_verify", prompts.render(
             prompts.STAGE3_VERIFY, budget, {"pairs": sections}, **fields), budget)
-        ids = {f"P{shown[i][0]}": shown[i][1].pair for i in chunk}
-        for pair, payload in prompts.payloads(reply, "pairs", "pair_id", ids, "pair").items():
-            findings.extend(_violations(pair, reply_list(payload, "items")))
-    return findings
+        ids = {f"P{shown[i][0]}": i for i in chunk}
+        for i, payload in prompts.payloads(reply, "pairs", "pair_id", ids, "pair").items():
+            found[i] = _violations(shown[i][1].pair, reply_list(payload, "items"))
+    return [f for i in sorted(found) for f in found[i]]
 
 
 def audit_standalone(ccim: CcimModel, reasoner: Reasoner,

@@ -5,9 +5,13 @@ block a prompt shows a function by, and the one packer with its reply rule.
 Every stage that sends several members (phase A's dossiers, phase B's
 bodies, phase C's reviews, stage 2's and stage 3's pairs) packs them with
 `chunks`, which counts a part that several members share once, so a shared
-skeleton or body is sent once per prompt. A reply's entries are attributed
-to the prompt's members by id with `by_id`, and `payloads` gives each member
-the reply's top-level fields overridden by its own entry.
+skeleton or body is sent once per prompt. Phase C's reviews and stage 3's
+pairs are sections packed by `pack_sections` in contract locality order, so
+sections of one contract, which share its bodies, sit in the same prompts;
+their ids and the order of their findings stay in section order. A reply's
+entries are attributed to the prompt's members by id with `by_id`, and
+`payloads` gives each member the reply's top-level fields overridden by its
+own entry.
 
 Templates are plain text resources; bump PROMPT_VERSION when wording changes
 so scripted mock responses can be pinned to the template they were written
@@ -237,9 +241,10 @@ def chunks(ranked: list, parts: dict, room: int, least: int = 2) -> list[list]:
     `parts[k]` (`{part: size}`), and a chunk's size is the sum of its distinct
     parts, each plus its newline, so a part that several members share counts
     once. A chunk closes only once it has `least` (1 or 2) members; a last
-    chunk short of `least` takes the previous chunk's last member, and the two
-    merge if that leaves the previous one short. So a chunk over the room
-    cannot split in two."""
+    chunk short of `least` takes the previous chunk's last member, moved, or
+    copied if moving it would leave the previous chunk short. So no chunk
+    exceeds the room unless `least` members alone do, and only that one
+    member may sit in two chunks."""
     out: list[list] = [[]]
     held: set = set()
     used = -1
@@ -255,30 +260,35 @@ def chunks(ranked: list, parts: dict, room: int, least: int = 2) -> list[list]:
         held.update(own)
         used += grow
     if len(out) > 1 and len(out[-1]) < least:
-        out[-1].insert(0, out[-2].pop())
-        if len(out[-2]) < least:
-            out[-2:] = [out[-2] + out[-1]]
+        out[-1].insert(0, out[-2][-1] if len(out[-2]) <= least else out[-2].pop())
     return out
 
 
 def pack_sections(heads: list[str], members: list[tuple[FnKey, ...]], blocks: dict[FnKey, str],
                   room: int) -> list[tuple[list[int], str]]:
     """Sections packed by `chunks` into as few texts as fit `room`, each text
-    with the indices of its sections in order. Section `i` is `heads[i]` and
-    one mention per key of `members[i]`, one a line. A key's first mention in
-    a text is its block `blocks[k]`, which starts with `name_line(k)`; a later
-    one is that bare name line, so each block is printed once per text. A
-    section's own part is its head and name lines, and each key's block past
-    its name line is a part shared across the text. No sections, no text."""
+    with the indices of its sections in the order it prints them. Section `i`
+    is `heads[i]` and one mention per key of `members[i]`, one a line. A
+    key's first mention in a text is its block `blocks[k]`, which starts with
+    `name_line(k)`; a later one is that bare name line, so each block is
+    printed once per text. A section's own part is its head and name lines,
+    and each key's block past its name line is a part shared across the text.
+
+    Sections are packed in locality order: a stable sort by the contract of
+    their first member, a section with no members first. So the sections of
+    one contract, which share its bodies, are packed next to each other,
+    while the indices, and so the ids a caller gives the sections, keep
+    their order. No sections, no text."""
     if not heads:
         return []
+    order = sorted(range(len(heads)), key=lambda i: members[i][0][0] if members[i] else "")
     names = {k: name_line(k) for keys in members for k in keys}
     parts = {}
     for i, (head, keys) in enumerate(zip(heads, members)):
         parts[i] = {k: len(blocks[k]) - len(names[k]) - 1 for k in keys}
         parts[i][i] = len(head) + sum(1 + len(names[k]) for k in keys) - 1
     texts = []
-    for chunk in chunks(list(parts), parts, room, least=1):
+    for chunk in chunks(order, parts, room, least=1):
         shown: set[FnKey] = set()
         sections = []
         for i in chunk:

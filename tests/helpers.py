@@ -1,10 +1,15 @@
-"""Shared test utilities: finding factories and instrumented reasoners."""
+"""Shared test utilities: finding factories, generated models and
+instrumented reasoners."""
 
 from __future__ import annotations
 
 import threading
 
+from corpus import write_repo
+
+from solaudit.ccim import assemble_ccim
 from solaudit.findings import Finding
+from solaudit.ingest import build_audit_source, classify_files, resolve_remappings
 from solaudit.reasoner import MockReasoner, Reasoner, ReasonerError, ReasonerRequest, ScriptEntry
 
 
@@ -24,6 +29,29 @@ def scripted(entries: list[dict]) -> MockReasoner:
         ScriptEntry(stage=e["stage"], match=tuple(e.get("match", ())), response=e["response"])
         for e in entries
     ])
+
+
+def generated_model(gen, tmp_path_factory, shape, seed):
+    """The model of the benchmark generator's corpus of `shape` at `seed`."""
+    corpus = gen.generate(shape, seed=seed)
+    root = write_repo(corpus.files, tmp_path_factory.mktemp("gen"))
+    return assemble_ccim(build_audit_source(classify_files(root), None, resolve_remappings(root)))
+
+
+class RecordingReasoner(MockReasoner):
+    """The mock, scripted or not, keeping every request it is sent."""
+
+    def __init__(self, script: list[ScriptEntry] | None = None):
+        super().__init__(script)
+        self.requests: list[ReasonerRequest] = []
+
+    @property
+    def prompts(self) -> list[str]:
+        return [r.prompt for r in self.requests]
+
+    def respond(self, request: ReasonerRequest):
+        self.requests.append(request)
+        return super().respond(request)
 
 
 class ThrowingReasoner(Reasoner):

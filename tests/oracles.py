@@ -395,8 +395,8 @@ def chunks_of_sizes(ranked: list, size: dict, room: int, least: int) -> list[lis
     """The prompt packer of blocks of `size[k]` characters: consecutive chunks
     whose blocks fit in `room` joined by newlines. A chunk closes only once it
     has `least` members; a last chunk short of `least` takes the previous
-    chunk's last member, and the two merge if that leaves the previous one
-    short."""
+    chunk's last member: a copy of it if the previous chunk has no member to
+    spare, else the member itself."""
     chunks: list[list] = [[]]
     used = -1
     for k in ranked:
@@ -406,7 +406,6 @@ def chunks_of_sizes(ranked: list, size: dict, room: int, least: int) -> list[lis
         chunks[-1].append(k)
         used += 1 + size[k]
     if len(chunks) > 1 and len(chunks[-1]) < least:
-        chunks[-1].insert(0, chunks[-2].pop())
-        if len(chunks[-2]) < least:
-            chunks[-2:] = [chunks[-2] + chunks[-1]]
+        spare = len(chunks[-2]) > least
+        chunks[-1].insert(0, chunks[-2].pop() if spare else chunks[-2][-1])
     return chunks

@@ -14,7 +14,13 @@ from pathlib import Path
 import pytest
 
 from corpus import REPOS, write_repo
-from helpers import RendezvousReasoner, json_instruction, make_finding, scripted
+from helpers import (
+    RecordingReasoner,
+    RendezvousReasoner,
+    json_instruction,
+    make_finding,
+    scripted,
+)
 
 from solaudit import cli, funnel, prompts
 from solaudit.findings import finding_from_payload
@@ -328,25 +334,13 @@ def test_malformed_mock_script_exits_with_error(tmp_path, capsys, case):
     assert all(w in err for w in words), err
 
 
-class _RequestLog(MockReasoner):
-    """Scripted mock that keeps every request it answers."""
-
-    def __init__(self, script):
-        super().__init__(MockReasoner.from_file(script).script)
-        self.requests = []
-
-    def respond(self, request):
-        self.requests.append(request)
-        return super().respond(request)
-
-
 def _run_vault(tmp_path: Path, reasoner, **config):
     return cli.run(cli.RunConfig(path=str(_repo(tmp_path, "vault_oracle")),
                                  out_dir=str(tmp_path / "out"), **config), reasoner)
 
 
 def test_each_finding_claim_checked_at_most_once(tmp_path):
-    reasoner = _RequestLog(_script_file(tmp_path, VAULT_SCRIPT))
+    reasoner = RecordingReasoner.from_file(_script_file(tmp_path, VAULT_SCRIPT))
     _run_vault(tmp_path, reasoner)
     phase_d = [r.prompt for r in reasoner.requests if r.stage == "phase_d"]
     assert phase_d
@@ -357,7 +351,7 @@ def test_each_finding_claim_checked_at_most_once(tmp_path):
 
 def test_every_prompt_keeps_its_instruction_under_a_tight_budget(tmp_path):
     budget = 1100
-    reasoner = _RequestLog(_script_file(tmp_path, VAULT_SCRIPT))
+    reasoner = RecordingReasoner.from_file(_script_file(tmp_path, VAULT_SCRIPT))
     _run_vault(tmp_path, reasoner, char_budget=budget)
     cut = {r.stage for r in reasoner.requests if len(r.prompt) == budget}
     assert {"phase_a", "phase_b", "phase_d", "stage3_verify", "sve_layer2"} <= cut
@@ -369,7 +363,7 @@ def test_every_prompt_keeps_its_instruction_under_a_tight_budget(tmp_path):
 def test_extra_rounds_admit_each_finding_once(tmp_path):
     # one round of two gap prompts, one per detected feature, gets the same
     # scripted reply twice
-    reasoner = _RequestLog(_script_file(tmp_path, VAULT_SCRIPT))
+    reasoner = RecordingReasoner.from_file(_script_file(tmp_path, VAULT_SCRIPT))
     report = _run_vault(tmp_path, reasoner)
     assert sum(r.stage == "gap_reaudit" for r in reasoner.requests) == 2
     assert [f.id for f in report.findings if "gap-reaudit" in f.flags] == ["G-001"]

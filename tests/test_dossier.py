@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import re
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import REPOS, write_repo
-from helpers import ThrowingReasoner, make_finding, scripted
+from helpers import RecordingReasoner, ThrowingReasoner, generated_model, make_finding, scripted
 from oracles import chunks_of_sizes
 from test_interaction import OVERLOADED
 
@@ -171,7 +172,7 @@ def test_phase_a_reasoner_failure_isolated(models, merged_signals):
 
 
 def test_phase_a_prompt_contains_fp_rules(models, merged_signals):
-    reasoner = _RecordingReasoner()
+    reasoner = RecordingReasoner()
     phase_a_verify([_flagged_dossier(models, merged_signals)], reasoner)
     [prompt] = reasoner.prompts
     assert "unchecked blocks" in prompt
@@ -221,7 +222,7 @@ def test_phase_a_small_budget_splits_a_contract(deep_model):
     ids = [f"{d.function[0]}.{d.function[1]}#{i}"
            for d in dossiers for i in range(1, len(d.risk_items) + 1)]
     budget = 3 * max(len(r.body) for d in dossiers for r in d.records) + 4_000
-    reasoner = _RecordingReasoner()
+    reasoner = RecordingReasoner()
     phase_a_verify(dossiers, reasoner, budget)
     assert len(reasoner.prompts) > 1
     assert all(len(p) < budget for p in reasoner.prompts)
@@ -234,7 +235,7 @@ def test_phase_a_block_holds_every_overload(tmp_path):
     ccim = assemble_ccim(build_audit_source(classify_files(root), None, resolve_remappings(root)))
     merged = _signals_for(ccim, [("TEST", "t", "MEDIUM", 0.6, ("Twin", "deposit"), None)])
     [dossier] = [d for d in compile_dossiers(ccim, merged) if d.function == ("Twin", "deposit")]
-    reasoner = _RecordingReasoner()
+    reasoner = RecordingReasoner()
     phase_a_verify([dossier], reasoner)
     [prompt] = reasoner.prompts
     # deposit(uint256 a), the first of three overloads, reaches the prompt too
@@ -249,14 +250,24 @@ def _size(parts: dict, chunk: list) -> int:
     return sum(1 + size for size in distinct.values()) - 1
 
 
+def _covered(chunks: list) -> list:
+    """The members of consecutive chunks in order, each once: only the last
+    member of the second-to-last chunk may appear twice, as the first of the
+    last chunk, and only when both chunks have two members."""
+    flat = [k for c in chunks for k in c]
+    if len(chunks) > 1 and chunks[-1][0] == chunks[-2][-1]:
+        assert len(chunks[-2]) == len(chunks[-1]) == 2, chunks
+        del flat[-2]
+    return flat
+
+
 def _check_chunks(parts: dict, room: int, least: int) -> list[list]:
     chunks = prompts.chunks(list(parts), parts, room, least)
-    assert [k for c in chunks for k in c] == list(parts)
-    for i, c in enumerate(chunks):
+    assert _covered(chunks) == list(parts)
+    for c in chunks:
         if _size(parts, c) > room:
-            # only a chunk that cannot split into two of `least` overflows:
-            # the last one may hold the previous chunk's folded-in members
-            assert len(c) == least or (i == len(chunks) - 1 and len(c) < 2 * least)
+            # only `least` members that alone do not fit overflow
+            assert len(c) == min(least, len(parts))
         assert len(c) >= least or len(parts) < least
     # a chunk the lone-tail fold leaves alone closes only when the next member
     # would take it over the room
@@ -320,7 +331,7 @@ def test_discovery_skips_malformed_findings(models, merged_signals, findings):
 
 def test_discovery_sends_whole_bodies_and_names_the_rest(deep_model, caplog):
     ccim, merged = deep_model
-    reasoner = _RecordingReasoner()
+    reasoner = RecordingReasoner()
     with caplog.at_level("WARNING"):
         run_discovery_phase(ccim, merged, reasoner)
     [prompt] = reasoner.prompts
@@ -417,26 +428,8 @@ def test_phase_c_entry_overrides_the_top_level_fields(models):
         (f"interference on {g.subject}", "HIGH") for g in groups[2:]]
 
 
-class _RecordingReasoner(MockReasoner):
-    """The unscripted mock, keeping every prompt it is sent."""
-
-    def __init__(self):
-        super().__init__()
-        self.prompts: list[str] = []
-
-    def respond(self, request):
-        self.prompts.append(request.prompt)
-        return super().respond(request)
-
-
-def _generated_model(gen, tmp_path_factory, shape, seed):
-    corpus = gen.generate(shape, seed=seed)
-    root = write_repo(corpus.files, tmp_path_factory.mktemp("gen"))
-    return assemble_ccim(build_audit_source(classify_files(root), None, resolve_remappings(root)))
-
-
 def _check_phase_c_chunks(ccim, budget):
-    reasoner = _RecordingReasoner()
+    reasoner = RecordingReasoner()
     run_phase_c(ccim, reasoner, budget)
     blocks = _member_blocks(ccim)
     groups = build_phase_c_interactions(ccim, blocks, budget)
@@ -448,8 +441,7 @@ def _check_phase_c_chunks(ccim, budget):
         if len(touchers) < 2:
             assert not chunks
             continue
-        members = [k for g in chunks for k in g.members]
-        assert sorted(members) == sorted(touchers), var
+        assert sorted(_covered([g.members for g in chunks])) == sorted(touchers), var
         assert all(len(g.members) >= 2 for g in chunks), var
         assert [(g.part, g.parts) for g in chunks] == [(i, len(chunks))
                                                        for i in range(1, len(chunks) + 1)]
@@ -458,7 +450,7 @@ def _check_phase_c_chunks(ccim, budget):
         subject = f"{g[0]}.{g[1]}"
         chunks = [c for c in groups if c.kind == "call" and c.subject == subject]
         callers = ccim.graph.callers(g) - {g} or {g}
-        assert sorted(k for c in chunks for k in c.members[:-1]) == sorted(callers), g
+        assert sorted(_covered([c.members[:-1] for c in chunks])) == sorted(callers), g
         assert all(c.members[-1] == g for c in chunks), g
         assert [(c.part, c.parts) for c in chunks] == [(i, len(chunks))
                                                        for i in range(1, len(chunks) + 1)]
@@ -472,7 +464,8 @@ def _check_phase_c_chunks(ccim, budget):
 
     # each review is one section in one prompt: its heading and one name line
     # per member; a function's body follows only its first name line of the
-    # prompt
+    # prompt. The sections of one contract's reviews are printed next to
+    # each other across the prompts.
     name = {k: f"// {k[0]}.{k[1]}" for k in blocks}
     headings = []
     for n, g in enumerate(groups, start=1):
@@ -483,7 +476,7 @@ def _check_phase_c_chunks(ccim, budget):
                                             reviews="\0").split("\0")
     assert len(reasoner.prompts) <= len(groups)
     assert all(len(p) < budget for p in reasoner.prompts)
-    held = []
+    held, owners = [], []
     for p in reasoner.prompts:
         assert p.startswith(prefix) and p.endswith(suffix)
         reviews = p[len(prefix):len(p) - len(suffix)]
@@ -492,6 +485,7 @@ def _check_phase_c_chunks(ccim, budget):
             n = int(re.match(r"### C(\d+): ", section)[1])
             held.append(n)
             g = groups[n - 1]
+            owners.append(g.members[0][0])
             assert section.startswith(headings[n - 1])
             lines = {name[k] for k in g.members}
             assert [line for line in section.split("\n") if line in lines] == [
@@ -502,6 +496,8 @@ def _check_phase_c_chunks(ccim, budget):
             first = re.search(f"^{re.escape(name[k])}$", reviews, re.M)
             assert first.start() == reviews.index(blocks[k]), k
     assert sorted(held) == list(range(1, len(groups) + 1))
+    runs = [owner for owner, _ in groupby(owners)]
+    assert len(runs) == len(set(runs)), runs
 
     # the reviews side by side, each body once
     together = (sum(len(h) + sum(1 + len(name[k]) for k in g.members)
@@ -515,7 +511,7 @@ def _check_phase_c_chunks(ccim, budget):
 @given(shape=st.tuples(st.integers(1, 3), st.integers(2, 40), st.integers(2, 6)),
        seed=st.integers(0, 1_000), budget=st.integers(1_500, DEFAULT_CHAR_BUDGET))
 def test_phase_c_chunks_on_generated_corpora(gen, tmp_path_factory, shape, seed, budget):
-    _check_phase_c_chunks(_generated_model(gen, tmp_path_factory, gen.Shape(*shape), seed), budget)
+    _check_phase_c_chunks(generated_model(gen, tmp_path_factory, gen.Shape(*shape), seed), budget)
 
 
 @settings(max_examples=25, deadline=None)
@@ -539,15 +535,21 @@ def test_phase_c_one_review_per_callee_on_deep(deep_model):
 
 def test_phase_c_prints_each_body_once_per_prompt_on_wide(gen, tmp_path_factory):
     # the benchmark's `wide` shape: its 300 reviews took 25 prompts while each
-    # review printed the bodies of its members
-    ccim = _generated_model(gen, tmp_path_factory, gen.Shape(20, 16, 12), seed=3)
-    reasoner = _RecordingReasoner()
+    # review printed the bodies of its members, and 12 while they were packed
+    # in group order, every variable review before every callee review, so a
+    # body went out once with its variables and again with its callee
+    ccim = generated_model(gen, tmp_path_factory, gen.Shape(20, 16, 12), seed=3)
+    reasoner = RecordingReasoner()
     run_phase_c(ccim, reasoner)
     blocks = _member_blocks(ccim)
-    assert len(build_phase_c_interactions(ccim, blocks)) == 300
-    assert len(reasoner.prompts) == 12
+    groups = build_phase_c_interactions(ccim, blocks)
+    assert len(groups) == 300
+    assert len(reasoner.prompts) == 7
     for p in reasoner.prompts:
         assert all(p.count(b) <= 1 for b in blocks.values())
+    # 2.29 times the distinct bodies in group order
+    distinct = sum(len(blocks[k]) for k in {k for g in groups for k in g.members})
+    assert sum(map(len, reasoner.prompts)) <= 1.5 * distinct
 
 
 _SELF_CALLS = """contract Z {
@@ -570,7 +572,7 @@ def test_phase_c_self_call_holds_callee_block_once():
     assert calls == [("Z.lone", (lone, lone)), ("Z.ping", (pong, ping))]
 
     rid = next(r for r, g in _reviews(ccim).items() if g.kind == "call" and g.subject == "Z.ping")
-    reasoner = _RecordingReasoner()
+    reasoner = RecordingReasoner()
     run_phase_c(ccim, reasoner)
     [prompt] = [p for p in reasoner.prompts if "calls into Z.ping" in p]
     # the Z.ping body is printed once in the prompt, after its first name line;
@@ -593,7 +595,7 @@ def test_phase_c_and_phase_d_blocks_hold_every_overload(tmp_path):
     root = write_repo(OVERLOADED, tmp_path / "repo")
     ccim = assemble_ccim(build_audit_source(classify_files(root), None, resolve_remappings(root)))
     first, last = "balance[msg.sender] += a; total += a;", "balance[to] += 1; total += 1;"
-    reasoner = _RecordingReasoner()
+    reasoner = RecordingReasoner()
     run_phase_c(ccim, reasoner)
     # the first overload of Twin.deposit reaches the reviews of what it writes
     assert any(first in p for p in reasoner.prompts)
@@ -608,8 +610,33 @@ def test_phase_c_lone_last_member_never_stands_alone():
     parts = {k: {k: 10} for k in "abcd"}
     # room for three blocks: d would be alone, so it takes c
     assert prompts.chunks(list("abcd"), parts, 32) == [["a", "b"], ["c", "d"]]
-    # room for two blocks: taking b would leave a alone, so all three merge
-    assert prompts.chunks(list("abc"), parts, 21) == [["a", "b", "c"]]
+    # room for two blocks: taking b would leave a alone, so c takes a copy of b
+    assert prompts.chunks(list("abc"), parts, 21) == [["a", "b"], ["b", "c"]]
+
+
+def test_phase_c_prompts_stay_under_tight_budgets(gen, tmp_path_factory):
+    # a lone last toucher or caller once merged into a chunk of two, making a
+    # chunk of three of which only two fit, and its prompt was cut
+    ccim = generated_model(gen, tmp_path_factory, gen.Shape(1, 3, 2), seed=0)
+    for budget in range(1_200, 1_433, 8):
+        reasoner = RecordingReasoner()
+        run_phase_c(ccim, reasoner, budget)
+        assert reasoner.prompts, budget
+        assert all(len(p) < budget for p in reasoner.prompts), budget
+
+
+@pytest.mark.parametrize("budget", [3_000, 6_000, 12_000, DEFAULT_CHAR_BUDGET])
+def test_phase_c_findings_come_in_group_order_whatever_the_packing(gen, tmp_path_factory,
+                                                                   budget):
+    ccim = generated_model(gen, tmp_path_factory, gen.Shape(3, 6, 2), seed=3)
+    groups = build_phase_c_interactions(ccim, _member_blocks(ccim), budget)
+    reasoner = RecordingReasoner(scripted([{"stage": "phase_c", "match": [],
+                                            "response": {"verdict": "VULNERABLE"}}]).script)
+    found = run_phase_c(ccim, reasoner, budget)
+    # the prompts print the reviews by contract, not in group order
+    printed = [int(n) for p in reasoner.prompts for n in re.findall(r"^### C(\d+): ", p, re.M)]
+    assert printed != sorted(printed)
+    assert [tuple(f.affected_functions) for f in found] == [g.members for g in groups]
 
 
 def test_phase_c_calls_grow_linearly(gen, tmp_path_factory):
@@ -617,7 +644,7 @@ def test_phase_c_calls_grow_linearly(gen, tmp_path_factory):
     for functions in (160, 320):
         shape = gen.Shape(contracts=2, functions=functions, pairs=6)
         reasoner = MockReasoner()
-        run_phase_c(_generated_model(gen, tmp_path_factory, shape, seed=3), reasoner)
+        run_phase_c(generated_model(gen, tmp_path_factory, shape, seed=3), reasoner)
         calls.append(reasoner.call_count("phase_c"))
     assert calls[1] <= 2.2 * calls[0], calls
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from corpus import REPOS, write_repo
-from helpers import ThrowingReasoner, make_finding, scripted
+from helpers import RecordingReasoner, ThrowingReasoner, make_finding, scripted
 from oracles import brute_force_select_pairs
 
 from solaudit.ccim import assemble_ccim
@@ -314,15 +314,9 @@ def test_standalone_slots_for_high_risk(models):
     src = AuditSource(text=text, offsets=OffsetMap.build([Segment("p.sol", 1, lines, 1)]),
                       scope=("P",), remappings=(), pragmas={"p.sol": "^0.8.0"})
     ccim = assemble_ccim(src)
-    calls = []
-
-    class Capture(MockReasoner):
-        def respond(self, request):
-            calls.append(request.stage)
-            return super().respond(request)
-
-    audit_standalone(ccim, Capture())
-    assert calls.count("standalone") == 1  # pay() only, helper excluded
+    reasoner = RecordingReasoner()
+    audit_standalone(ccim, reasoner)
+    assert [r.stage for r in reasoner.requests] == ["standalone"]  # pay() only, helper excluded
 
 
 def test_standalone_confirms_finding(models):

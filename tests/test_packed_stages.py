@@ -14,13 +14,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import REPOS, write_repo
-from helpers import scripted
-from test_dossier import _generated_model, _RecordingReasoner
+from helpers import RecordingReasoner, generated_model, scripted
 
 from solaudit import cli, prompts
+from solaudit.ccim import assemble_ccim
 from solaudit.coverage import FEATURES, compute_gap_set, detect_features, gap_reaudit_prompts
 from solaudit.engines import run_engines
-from solaudit.interaction import MAX_PAIRS, _skeleton, infer_spec, select_pairs, spec_verify
+from solaudit.ingest import AuditSource, OffsetMap, Segment
+from solaudit.interaction import (
+    MAX_PAIRS,
+    BehaviorSpec,
+    _skeleton,
+    infer_spec,
+    select_pairs,
+    spec_verify,
+)
 from solaudit.reasoner import DEFAULT_CHAR_BUDGET, MockReasoner
 
 
@@ -36,7 +44,7 @@ def _source(r) -> str:
 
 def _check_packed_stages(ccim, merged, budget):
     pairs = select_pairs(ccim, merged, MockReasoner(), budget, MAX_PAIRS)
-    stage2, stage3 = _RecordingReasoner(), _RecordingReasoner()
+    stage2, stage3 = RecordingReasoner(), RecordingReasoner()
     specs = infer_spec(pairs, ccim, stage2, budget)
     assert [s.pair for s in specs] == pairs
     spec_verify(specs, ccim, stage3, budget)
@@ -104,7 +112,7 @@ def test_packed_stages_on_corpus_repos(models, merged_signals, name, budget):
        seed=st.integers(0, 1_000),
        budget=st.sampled_from((1_500, 3_000, 6_000, DEFAULT_CHAR_BUDGET)))
 def test_packed_stages_on_generated_corpora(gen, tmp_path_factory, shape, seed, budget):
-    ccim = _generated_model(gen, tmp_path_factory, gen.Shape(*shape), seed)
+    ccim = generated_model(gen, tmp_path_factory, gen.Shape(*shape), seed)
     _check_packed_stages(ccim, run_engines(ccim), budget)
 
 
@@ -170,3 +178,39 @@ def test_stage3_entry_overrides_the_top_level_for_its_pair_only(models, caplog):
     # the uncited VIOLATE item of P2's entry is rejected on its own pair
     assert f"VIOLATE item without citation or trace rejected on {PAIRS[1]}" in caplog.text
     assert "pair_id 'P7' names no pair of its prompt; dropped" in caplog.text
+
+
+_TWO_CONTRACTS = "".join(f"""contract {c} {{
+    uint256 public total;
+    function f(uint256 x) external {{ total += x; }}
+    function g(uint256 x) external {{ require(x <= total, "low"); total -= x; }}
+    function h() external view returns (uint256) {{ return total * 2; }}
+}}
+""" for c in "AB")
+
+
+def test_stage3_packs_a_contracts_pairs_together_and_keeps_pair_order():
+    lines = _TWO_CONTRACTS.count("\n")
+    ccim = assemble_ccim(AuditSource(text=_TWO_CONTRACTS,
+                                     offsets=OffsetMap.build([Segment("ab.sol", 1, lines, 1)]),
+                                     scope=("A", "B"), remappings=(), pragmas={}))
+    # the first functions alternate between the contracts; each contract's
+    # two pairs share the block of its `g`
+    pairs = [(("A", "f"), ("A", "g")), (("B", "f"), ("B", "g")),
+             (("A", "g"), ("A", "h")), (("B", "g"), ("B", "h"))]
+    specs = [BehaviorSpec(pair=p) for p in pairs]
+
+    def prompts_at(budget, chosen):
+        reasoner = RecordingReasoner()
+        spec_verify([specs[i] for i in chosen], ccim, reasoner, budget)
+        return reasoner.prompts
+
+    # room for one contract's two pairs, not for all four
+    budget = 1 + max(len(p) for chosen in ((0, 2), (1, 3)) for p in prompts_at(10**6, chosen))
+    assert len(prompts_at(10**6, range(4))[0]) > budget
+
+    reasoner = RecordingReasoner(scripted([{"stage": "stage3_verify", "match": [], "response": {
+        "items": [{"index": 4, "status": "VIOLATE", "trace": "1. call one 2. call two"}]}}]).script)
+    findings = spec_verify(specs, ccim, reasoner, budget)
+    assert [sorted(_held(r"^### P(\d+): ", p)) for p in reasoner.prompts] == [[1, 3], [2, 4]]
+    assert [tuple(f.affected_functions) for f in findings] == pairs
