@@ -308,7 +308,7 @@ def assemble_ccim(source: AuditSource) -> CcimModel:
         records=tuple(records), resolution=resolution, graph=graph,
         footprints=footprints, deps=deps, trust=trust, admin_set=admin_set,
         parsed=parsed,
-        # ingest reads declarations off the raw text, comments included
+        # ingest reads declarations off the mask as the parse does; keep the resolved
         scope=tuple(c for c in source.scope if c in resolution.kinds),
     )
 

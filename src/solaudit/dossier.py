@@ -1,10 +1,11 @@
 """Dossier compilation and the dossier-driven audit pipeline (phases A-E):
-per-function risk dossiers, checklist verification (one prompt per contract
-or budget-sized chunk of it), a discovery pass, interference reviews (as few
-prompts as fit the budget, several reviews each, every function's source
+per-function risk dossiers, checklist verification (all flagged dossiers in
+as few prompts as fit the budget), a discovery pass, interference reviews (as
+few prompts as fit the budget, several reviews each, every function's source
 printed once per prompt), deterministic re-verification routing with one
-claim-first check where routing cannot decide (phase D), and severity
-recalibration by the shared six-rule set, with no reasoner call (phase E).
+claim-first check where routing cannot decide (phase D, whose verdict is
+funnel stage 3's record), and severity recalibration by the shared six-rule
+set, with no reasoner call (phase E).
 Phases A, B and C pack their members into the budget with `prompts.chunks`,
 the packer every multi-member stage shares, and phases A and C attribute a
 reply's entries to the prompt's members by id with `prompts.by_id`. Phase C
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import groupby
 
 from . import prompts
 from .ccim import CcimModel, FnKey, FunctionRecord
@@ -24,6 +24,7 @@ from .coverage import key_risk
 from .engines import MergedSignals, render_markdown
 from .findings import (
     Finding,
+    VerdictRecord,
     finding_from_payload,
     findings_from,
     renumber,
@@ -34,11 +35,6 @@ from .interaction import calibrate_one
 from .reasoner import DEFAULT_CHAR_BUDGET, Reasoner, ask
 
 log = logging.getLogger(__name__)
-
-ROUTE_ADMIN_TRUST = "ADMIN_TRUST"
-ROUTE_VECTOR_CONFIRMED = "VECTOR_CONFIRMED"
-ROUTE_GRAPH_SKIP = "GRAPH_SKIP"
-ROUTE_NEEDS_REASONER = "NEEDS_REASONER"
 
 VECTOR_MIN_CONFIDENCE = 0.8
 VECTOR_MIN_TRACE_CHARS = 30
@@ -158,19 +154,19 @@ def _phase_a_block(dossier: Dossier) -> str:
 
 def phase_a_verify(dossiers: list[Dossier], reasoner: Reasoner,
                    budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
-    """Checklist verification of one contract's flagged dossiers, packed by
-    `prompts.chunks` into as few prompts as fit the budget, a lone dossier
+    """Checklist verification of flagged dossiers, of any contracts, packed
+    by `prompts.chunks` into as few prompts as fit the budget, a lone dossier
     allowed. A reply item is attributed by `prompts.by_id` to the dossier its
-    `item_id` names; REAL items with an evidence citation become findings, in
-    dossier order."""
-    if any(not d.flagged for d in dossiers) or len({d.function[0] for d in dossiers}) > 1:
-        raise ValueError("phase A takes the flagged dossiers of one contract")
+    `item_id` (`Owner.name#i`) names; REAL items with an evidence citation
+    become findings, in dossier order."""
+    if any(not d.flagged for d in dossiers):
+        raise ValueError("phase A takes flagged dossiers only")
     if not dossiers:
         return []
     by_key = {d.function: d for d in dossiers}
     blocks = {k: _phase_a_block(d) for k, d in by_key.items()}
-    fields = {"fp_rules": prompts.BUILTIN_FP_RULES, "owner": dossiers[0].function[0]}
-    room = budget - 1 - len(prompts.render(prompts.PHASE_A, budget, {"members": ""}, **fields))
+    fields = {"fp_rules": prompts.BUILTIN_FP_RULES}
+    room = prompts.room(prompts.PHASE_A, budget, {"members": ""}, **fields)
     found: dict[FnKey, list[Finding]] = {k: [] for k in by_key}
     parts = {k: {k: len(b)} for k, b in blocks.items()}
     for chunk in prompts.chunks(list(by_key), parts, room, least=1):
@@ -228,9 +224,9 @@ def run_discovery_phase(ccim: CcimModel, merged: MergedSignals, reasoner: Reason
             heading = ""
     fields = {"lens": DISCOVERY_LENS}
     signals = render_markdown(merged)
-    shell = prompts.render(prompts.PHASE_B, budget, {"contracts": "", "signals": signals}, **fields)
-    sent = prompts.chunks(list(blocks), {i: {i: len(b)} for i, b in blocks.items()},
-                          budget - 1 - len(shell), least=1)[0]
+    room = prompts.room(prompts.PHASE_B, budget, {"contracts": "", "signals": signals}, **fields)
+    sent = prompts.chunks(list(blocks), {i: {i: len(b)} for i, b in blocks.items()}, room,
+                          least=1)[0]
     if len(sent) < len(records):
         log.warning("phase B prompt holds %d of %d functions; left out: %s", len(sent),
                     len(records), ", ".join(f"{r.owner}.{r.name}" for r in records[len(sent):]))
@@ -277,7 +273,7 @@ def build_phase_c_interactions(ccim: CcimModel, blocks: dict[FnKey, str],
     twice."""
     parts = {k: {k: len(b)} for k, b in blocks.items()}
     risk = {k: key_risk(ccim, k) for k in blocks}
-    shell = len(prompts.render(prompts.PHASE_C, budget, {"reviews": ""}))
+    shell_room = prompts.room(prompts.PHASE_C, budget, {"reviews": ""})
     groups: list[InteractionGroup] = []
 
     def pack(kind: str, members: frozenset[FnKey] | set[FnKey], subject: str,
@@ -285,7 +281,7 @@ def build_phase_c_interactions(ccim: CcimModel, blocks: dict[FnKey, str],
         ranked = sorted(members, key=lambda k: (-risk[k], k))
         # no chunk of `ranked` gets a later review number or a longer part
         widest = _review_heading(len(groups) + len(ranked), kind, subject, len(ranked), len(ranked))
-        room = budget - 1 - shell - len(widest) - sum(1 + len(blocks[k]) for k in tail)
+        room = shell_room - len(widest) - sum(1 + len(blocks[k]) for k in tail)
         chunks = prompts.chunks(ranked, parts, room)
         groups.extend(InteractionGroup(kind, (*c, *tail), subject, i, len(chunks))
                       for i, c in enumerate(chunks, start=1))
@@ -316,7 +312,7 @@ def run_phase_c(ccim: CcimModel, reasoner: Reasoner,
     groups = build_phase_c_interactions(ccim, blocks, budget)
     headings = [_review_heading(n, g.kind, g.subject, g.part, g.parts)
                 for n, g in enumerate(groups, start=1)]
-    room = budget - 1 - len(prompts.render(prompts.PHASE_C, budget, {"reviews": ""}))
+    room = prompts.room(prompts.PHASE_C, budget, {"reviews": ""})
     found: dict[int, Finding] = {}
     for chunk, reviews in prompts.pack_sections(headings, [g.members for g in groups], blocks,
                                                 room):
@@ -350,27 +346,43 @@ def _vector_match(finding: Finding, signals: MergedSignals | None) -> bool:
     return False
 
 
+def cite_line(finding: Finding, ccim: CcimModel) -> int:
+    """The line a verdict cites for a finding: the first line of its first
+    resolvable function, else its first evidence line, else line 1."""
+    recs = ccim.records_of(finding.affected_functions)
+    if recs:
+        return recs[0].src[0]
+    return finding.evidence_lines[0] if finding.evidence_lines else 1
+
+
 def phase_d_prefilter(finding: Finding, ccim: CcimModel,
-                      signals: MergedSignals | None = None) -> str:
-    """Deterministic routing: exactly one of ADMIN_TRUST, VECTOR_CONFIRMED,
-    GRAPH_SKIP or NEEDS_REASONER, in that precedence order."""
+                      signals: MergedSignals | None = None) -> VerdictRecord | None:
+    """Deterministic routing, in precedence order. The first route that
+    decides applies its side effect and returns its stage-3 record:
+    admin trust (severity LOW, flag `admin-trust`, PASSED), vector confirmed
+    (flag `vector-confirmed`, CONFIRMED) or graph skip (DISPROVED at the
+    cited line). None when only the reasoner can decide."""
     records = ccim.records_of(finding.affected_functions)
 
     external = [r for r in records if r.vis in ("public", "external")]
     if external and all(ccim.is_admin(r.key) for r in external):
-        return ROUTE_ADMIN_TRUST
+        finding.severity = "LOW"
+        finding.flags.add("admin-trust")
+        return VerdictRecord(finding.id, "stage3", "PASSED", "admin-trust short-circuit")
 
     if (_vector_match(finding, signals)
             and finding.confidence >= VECTOR_MIN_CONFIDENCE
             and finding.evidence_lines
             and len(finding.attack_scenario) >= VECTOR_MIN_TRACE_CHARS):
-        return ROUTE_VECTOR_CONFIRMED
+        finding.flags.add("vector-confirmed")
+        return VerdictRecord(finding.id, "stage3", "CONFIRMED", "vector-confirmed short-circuit")
 
     if records and all(r.mut in ("view", "pure") for r in records) \
             and not any(ccim.graph.touches(r.key) for r in records):
-        return ROUTE_GRAPH_SKIP
-
-    return ROUTE_NEEDS_REASONER
+        return VerdictRecord(finding.id, "stage3", "DISPROVED",
+                             f"line {cite_line(finding, ccim)}: affected functions are view/pure "
+                             f"and absent from the call graph; claim unreachable")
+    return None
 
 
 def expand_source_block(finding: Finding, ccim: CcimModel) -> str:
@@ -411,22 +423,19 @@ def phase_d_claim_first(finding: Finding, ccim: CcimModel, reasoner: Reasoner,
 
 def phase_d_verify(finding: Finding, ccim: CcimModel, reasoner: Reasoner,
                    signals: MergedSignals | None = None,
-                   budget: int = DEFAULT_CHAR_BUDGET) -> tuple[str, str | None]:
-    """Route one finding and apply the route's side effects. Only the
-    NEEDS_REASONER route is claim-checked: the verdict is recorded on the
-    finding and a later call reuses it instead of asking again. Returns the
-    route and the claim-first verdict, or None on a short-circuit route."""
-    route = phase_d_prefilter(finding, ccim, signals)
-    if route == ROUTE_ADMIN_TRUST:
-        finding.severity = "LOW"
-        finding.flags.add("admin-trust")
-    elif route == ROUTE_VECTOR_CONFIRMED:
-        finding.flags.add("vector-confirmed")
-    if route != ROUTE_NEEDS_REASONER:
-        return route, None
+                   budget: int = DEFAULT_CHAR_BUDGET) -> VerdictRecord:
+    """Phase D's verdict on one finding, as funnel stage 3's record: the
+    prefilter's record when a route decides, else the claim-first verdict
+    mapped to DISPROVED, CONFIRMED or UNCERTAIN. The claim-first verdict is
+    recorded on the finding, and a later call reuses it instead of asking
+    again."""
+    record = phase_d_prefilter(finding, ccim, signals)
+    if record is not None:
+        return record
     if finding.claim_verdict is None:
         finding.claim_verdict = phase_d_claim_first(finding, ccim, reasoner, budget)
-    return route, finding.claim_verdict
+    verdict = "UNCERTAIN" if finding.claim_verdict == "UNCLEAR" else finding.claim_verdict
+    return VerdictRecord(finding.id, "stage3", verdict, "claim-first protocol", reasoner_used=True)
 
 
 # --- phase E ---------------------------------------------------------------
@@ -449,22 +458,17 @@ def dd_run(ccim: CcimModel, merged: MergedSignals, reasoner: Reasoner, *,
     finding set."""
     flagged = [d for d in compile_dossiers(ccim, merged) if d.flagged]
 
-    findings: list[Finding] = []
-    for _, contract in groupby(flagged, key=lambda d: d.function[0]):
-        findings.extend(phase_a_verify(list(contract), reasoner, budget))
+    findings = phase_a_verify(flagged, reasoner, budget)
     findings.extend(run_discovery_phase(ccim, merged, reasoner, budget))
     findings.extend(run_phase_c(ccim, reasoner, budget=budget))
 
     survivors: list[Finding] = []
     for f in findings:
-        route, verdict = phase_d_verify(f, ccim, reasoner, merged, budget)
-        if route == ROUTE_GRAPH_SKIP:
-            log.info("finding %r disproved as unreachable (view/pure, no call-graph presence)", f.title)
+        record = phase_d_verify(f, ccim, reasoner, merged, budget)
+        if record.verdict == "DISPROVED":
+            log.info("finding %r disproved in phase D (%s)", f.title, record.evidence)
             continue
-        if verdict == "DISPROVED":
-            log.info("finding %r disproved by claim-first verification", f.title)
-            continue
-        if verdict == "UNCLEAR":
+        if record.verdict == "UNCERTAIN":
             f.flags.add("unverified")
         survivors.append(f)
 

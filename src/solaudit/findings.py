@@ -1,5 +1,5 @@
-"""Shared finding model: severity scale, candidate-vulnerability records and
-the structural card used for root-cause clustering."""
+"""Shared finding model: severity scale, candidate-vulnerability records, the
+root-cause clustering card and the verdict record every funnel stage returns."""
 
 from __future__ import annotations
 
@@ -63,7 +63,6 @@ class StructuralCard:
     abused_state_variable: str | None
     attacker_role: str
     impact_class: str
-    low_fidelity: bool = False
 
     def cluster_key(self) -> tuple:
         # attacker_role is reporting metadata, not part of root-cause identity
@@ -92,6 +91,15 @@ class Finding:
 
     def sort_key(self) -> tuple:
         return (-SEVERITY_RANK.get(self.severity, 0), -self.confidence, self.id)
+
+
+@dataclass(frozen=True)
+class VerdictRecord:
+    finding_id: str
+    stage: str
+    verdict: str                # DISPROVED | CONFIRMED | UNCERTAIN | FILTERED | PASSED
+    evidence: str
+    reasoner_used: bool = False
 
 
 _ID_COUNTER_WIDTH = 3

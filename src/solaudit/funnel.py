@@ -8,13 +8,19 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass
 
 from . import prompts
 from .ccim import CcimModel, FunctionRecord
-from .dossier import ROUTE_ADMIN_TRUST, ROUTE_GRAPH_SKIP, ROUTE_VECTOR_CONFIRMED, phase_d_verify
+from .dossier import cite_line, phase_d_verify
 from .engines import MergedSignals
-from .findings import SEVERITY_RANK, Finding, classify_claim, classify_impact, self_disproving
+from .findings import (
+    SEVERITY_RANK,
+    Finding,
+    VerdictRecord,
+    classify_claim,
+    classify_impact,
+    self_disproving,
+)
 from .merge import MergedFindingSet
 from .reasoner import DEFAULT_CHAR_BUDGET, Reasoner, ask
 
@@ -23,15 +29,6 @@ log = logging.getLogger(__name__)
 _CENTRALIZATION_RE = re.compile(
     r"centraliz|too powerful|full control over|single point of failure|rug[- ]?pull", re.I)
 _EXTERNAL_CALL_CLAIM_RE = re.compile(r"external call(?<!\wexternal call)\b|call(?<!\wcall)s? out\b", re.I)
-
-
-@dataclass(frozen=True)
-class VerdictRecord:
-    finding_id: str
-    stage: str
-    verdict: str                # DISPROVED | CONFIRMED | UNCERTAIN | FILTERED | PASSED
-    evidence: str
-    reasoner_used: bool = False
 
 
 # --- deterministic checks ----------------------------------------------------
@@ -69,13 +66,6 @@ def _guard_line(rec: FunctionRecord) -> int:
     return rec.src[0]  # the modifier sits on the header line
 
 
-def _cite_line(finding: Finding, ccim: CcimModel) -> int:
-    recs = ccim.records_of(finding.affected_functions)
-    if recs:
-        return recs[0].src[0]
-    return finding.evidence_lines[0] if finding.evidence_lines else 1
-
-
 def stage1_verify(finding: Finding, ccim: CcimModel) -> VerdictRecord:
     """Treat the finding as a testable proposition about parsed ground truth;
     no reasoner is consulted."""
@@ -84,7 +74,7 @@ def stage1_verify(finding: Finding, ccim: CcimModel) -> VerdictRecord:
 
     if claim == "EVM_RACE":
         return VerdictRecord(finding.id, "stage1", "DISPROVED",
-                             f"line {_cite_line(finding, ccim)}: transactions execute atomically; "
+                             f"line {cite_line(finding, ccim)}: transactions execute atomically; "
                              f"race conditions are structurally impossible")
     if _admin_guarded(claim, recs, ccim):
         line = _guard_line(recs[0])
@@ -117,22 +107,9 @@ def stage2_filter(finding: Finding, ccim: CcimModel) -> VerdictRecord:
     return VerdictRecord(finding.id, "stage2", "PASSED", "")
 
 
-def stage3_route_and_verify(finding: Finding, ccim: CcimModel, reasoner: Reasoner,
-                            signals: MergedSignals | None = None,
-                            budget: int = DEFAULT_CHAR_BUDGET) -> VerdictRecord:
-    """The only reasoner-bearing stage; the three deterministic short-circuits
-    bypass it whenever the verdict is structurally decidable."""
-    route, verdict = phase_d_verify(finding, ccim, reasoner, signals, budget)
-    if route == ROUTE_ADMIN_TRUST:
-        return VerdictRecord(finding.id, "stage3", "PASSED", "admin-trust short-circuit")
-    if route == ROUTE_VECTOR_CONFIRMED:
-        return VerdictRecord(finding.id, "stage3", "CONFIRMED", "vector-confirmed short-circuit")
-    if route == ROUTE_GRAPH_SKIP:
-        return VerdictRecord(finding.id, "stage3", "DISPROVED",
-                             f"line {_cite_line(finding, ccim)}: affected functions are view/pure "
-                             f"and absent from the call graph; claim unreachable")
-    mapped = {"DISPROVED": "DISPROVED", "CONFIRMED": "CONFIRMED"}.get(verdict, "UNCERTAIN")
-    return VerdictRecord(finding.id, "stage3", mapped, "claim-first protocol", reasoner_used=True)
+# stage 3 is phase D, bound under the stage's own name: a tracer that wraps
+# it sees the funnel's calls and not those of `dd_run`
+stage3_route_and_verify = phase_d_verify
 
 
 # --- structural verdict engine ---------------------------------------------
@@ -166,7 +143,7 @@ def sve_layer1(finding: Finding, ccim: CcimModel) -> VerdictRecord:
         return disproved("5:checked-arithmetic", recs[0].src[0], "solc >= 0.8 and no unchecked block")
     # (6) cited functions must exist in the inventory
     if _cites_unknown_function(finding, ccim):
-        return disproved("6:function-inventory", _cite_line(finding, ccim),
+        return disproved("6:function-inventory", cite_line(finding, ccim),
                          "no cited function exists in the parsed inventory")
     # (7) evidence lines must fall inside the claimed functions' spans
     if finding.evidence_lines and recs:

@@ -276,15 +276,13 @@ def build_audit_source(
         cursor += len(lines)
     text = "\n".join(chunks)
     masked = "\n".join(masks)
+    # a contract declared only inside a comment or string is not declared
+    scope = tuple(_declared_contracts(masked))
     if scope_override:
-        # a contract declared only inside a comment or string is unknown
-        declared = _declared_contracts(masked)
-        unknown = [n for n in scope_override if n not in declared]
+        unknown = [n for n in scope_override if n not in scope]
         if unknown:
             raise IngestError(f"scope override names unknown contracts: {', '.join(sorted(unknown))}")
-        scope = tuple(n for n in declared if n in set(scope_override))
-    else:
-        scope = tuple(_declared_contracts(text))
+        scope = tuple(n for n in scope if n in set(scope_override))
     return AuditSource(
         text=text,
         offsets=OffsetMap.build(segments),

@@ -199,9 +199,9 @@ def spec_prompts(pairs: list[tuple[FnKey, FnKey]], ccim: CcimModel,
     # skeletons are separated by a blank line, one newline more than `chunks` counts
     parts = {i: {i: len(line), **{k[0]: len(skeletons[k[0]]) + 1 for k in pairs[i]}}
              for i, line in enumerate(lines)}
-    shell = prompts.render(prompts.STAGE2_SPEC, budget, {"pairs": "", "skeletons": ""})
+    room = prompts.room(prompts.STAGE2_SPEC, budget, {"pairs": "", "skeletons": ""})
     out = []
-    for chunk in prompts.chunks(list(parts), parts, budget - 1 - len(shell), least=1):
+    for chunk in prompts.chunks(list(parts), parts, room, least=1):
         named = sorted({k[0] for i in chunk for k in pairs[i]})
         prompt = prompts.render(prompts.STAGE2_SPEC, budget, {
             "pairs": "\n".join(lines[i] for i in chunk),
@@ -298,7 +298,7 @@ def spec_verify(specs: list[BehaviorSpec], ccim: CcimModel, reasoner: Reasoner,
     members = [tuple(k for k in spec.pair if k in blocks) for _, spec in shown]
     fields = {"checklist": "\n".join(f"{i}. {c}" for i, c in
                                      enumerate(prompts.STAGE3_CHECKLIST, start=1))}
-    room = budget - 1 - len(prompts.render(prompts.STAGE3_VERIFY, budget, {"pairs": ""}, **fields))
+    room = prompts.room(prompts.STAGE3_VERIFY, budget, {"pairs": ""}, **fields)
     found: dict[int, list[Finding]] = {}
     for chunk, sections in prompts.pack_sections(heads, members, blocks, room):
         reply = ask(reasoner, "stage3_verify", prompts.render(

@@ -69,8 +69,7 @@ def extract_card(finding: Finding, ccim: CcimModel) -> StructuralCard:
     written variable behind the evidence lines, the attacker role from guard
     classification, and the keyword impact class."""
     vulnerable = next((k for k in finding.affected_functions if ccim.records_of((k,))), None)
-    low_fidelity = vulnerable is None
-    if low_fidelity:
+    if vulnerable is None:
         vulnerable = finding.affected_functions[0] if finding.affected_functions else ("?", "?")
     recs = ccim.records_of((vulnerable,))
 
@@ -101,7 +100,6 @@ def extract_card(finding: Finding, ccim: CcimModel) -> StructuralCard:
         abused_state_variable=abused,
         attacker_role=role,
         impact_class=classify_impact(finding.text()),
-        low_fidelity=low_fidelity,
     )
 
 

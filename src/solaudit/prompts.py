@@ -1,6 +1,7 @@
 """Versioned prompt templates for every reasoner-bearing stage, the one
-rule that fits a filled template into the character budget, the one source
-block a prompt shows a function by, and the one packer with its reply rule.
+rule that fits a filled template into the character budget and the one room
+it leaves a packer, the one source block a prompt shows a function by, and
+the one packer with its reply rule.
 
 Every stage that sends several members (phase A's dossiers, phase B's
 bodies, phase C's reviews, stage 2's and stage 3's pairs) packs them with
@@ -30,7 +31,7 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-PROMPT_VERSION = "7"
+PROMPT_VERSION = "8"
 
 BUILTIN_FP_RULES = """\
 Built-in false-positive rules (do not report these):
@@ -46,7 +47,7 @@ UNCLEAR. A REAL verdict must cite an evidence line number from the source.
 
 {fp_rules}
 
-Functions of {owner} under review, each with its facts and checklist items:
+Functions under review, each with its facts and checklist items:
 {members}
 
 Respond as JSON, one entry per item, keyed by the item's id: {{"items": [{{"item_id": "Owner.name#i",
@@ -222,6 +223,13 @@ def render(template: str, budget: int, payload: dict[str, str], **fields: str) -
     if len(text) <= budget:
         return text
     return template.format(**fit(template, budget, payload, **fields))
+
+
+def room(template: str, budget: int, payload: dict[str, str], **fields: str) -> int:
+    """The characters a packer may add to `template` rendered with `payload`
+    and `fields`: one below what the budget leaves, since a prompt of exactly
+    the budget is the cut that `reasoner.truncated` counts."""
+    return budget - 1 - len(render(template, budget, payload, **fields))
 
 
 def name_line(key: FnKey) -> str:

@@ -15,10 +15,6 @@ from test_interaction import OVERLOADED
 from solaudit import prompts
 from solaudit.ccim import assemble_ccim
 from solaudit.dossier import (
-    ROUTE_ADMIN_TRUST,
-    ROUTE_GRAPH_SKIP,
-    ROUTE_NEEDS_REASONER,
-    ROUTE_VECTOR_CONFIRMED,
     Dossier,
     RiskItem,
     _member_blocks,
@@ -36,6 +32,7 @@ from solaudit.dossier import (
     run_phase_c,
 )
 from solaudit.engines import Signal, merge_signals
+from solaudit.findings import VerdictRecord
 from solaudit.ingest import (
     AuditSource,
     OffsetMap,
@@ -44,7 +41,7 @@ from solaudit.ingest import (
     classify_files,
     resolve_remappings,
 )
-from solaudit.reasoner import DEFAULT_CHAR_BUDGET, MockReasoner
+from solaudit.reasoner import DEFAULT_CHAR_BUDGET, MockReasoner, ReasonerError, ScriptEntry
 
 
 def _signals_for(ccim, entries):
@@ -134,15 +131,23 @@ def test_phase_a_unflagged_dossier_rejected(models, merged_signals):
         phase_a_verify([unflagged], MockReasoner())
 
 
-def test_phase_a_dossiers_of_two_contracts_rejected(models):
+def test_phase_a_dossiers_of_two_contracts_share_one_prompt(models):
     ccim = models["vault_oracle"]
+    keys = (("ChainOracle", "setPrice"), ("Vault", "withdraw"))
     item = RiskItem("TEST", "t", "t", 0.5, None)
-    two = [Dossier(k, (ccim.records_of([k])[0],), [item]) for k in (("ChainOracle", "setPrice"),
-                                                         ("Vault", "withdraw"))]
-    reasoner = MockReasoner()
-    with pytest.raises(ValueError):
-        phase_a_verify(two, reasoner)
-    assert reasoner.call_count("phase_a") == 0
+    two = [Dossier(k, (ccim.records_of([k])[0],), [item]) for k in keys]
+    lines = {k: ccim.records_of([k])[0].src[0] for k in keys}
+    # one prompt carries both contracts' items; the reply lists them reversed
+    reasoner = scripted([{"stage": "phase_a", "match": [f"{o}.{n}#1" for o, n in keys],
+                          "response": {"items": [
+                              {"item_id": f"{o}.{n}#1", "verdict": "REAL",
+                               "evidence_line": lines[(o, n)], "title": f"on {o}"}
+                              for o, n in reversed(keys)]}}])
+    findings = phase_a_verify(two, reasoner)
+    assert reasoner.call_count("phase_a") == 1
+    # each item reaches its own contract's dossier, in dossier order
+    assert [(f.title, f.affected_functions, f.evidence_lines) for f in findings] == [
+        (f"on {k[0]}", [k], [lines[k]]) for k in keys]
 
 
 def test_phase_a_false_positives_yield_nothing(models, merged_signals):
@@ -653,18 +658,26 @@ def test_phase_c_calls_grow_linearly(gen, tmp_path_factory):
 
 
 def test_route_admin_trust(models):
-    f = make_finding(functions=[("Vault", "setOracle")])
-    assert phase_d_prefilter(f, models["vault_oracle"]) == ROUTE_ADMIN_TRUST
+    f = make_finding(severity="CRITICAL", functions=[("Vault", "setOracle")])
+    assert phase_d_prefilter(f, models["vault_oracle"]) == VerdictRecord(
+        f.id, "stage3", "PASSED", "admin-trust short-circuit")
+    assert f.severity == "LOW" and f.flags == {"admin-trust"}
 
 
 def test_route_graph_skip(models):
+    ccim = models["patterns"]
     f = make_finding(functions=[("Risky", "ratio")])
-    assert phase_d_prefilter(f, models["patterns"]) == ROUTE_GRAPH_SKIP
+    record = phase_d_prefilter(f, ccim)
+    assert (record.stage, record.verdict, record.reasoner_used) == ("stage3", "DISPROVED", False)
+    # the record cites the function's first line
+    assert record.evidence.startswith(f"line {ccim.records_of(f.affected_functions)[0].src[0]}: ")
+    assert f.flags == set()
 
 
 def test_route_needs_reasoner(models):
-    f = make_finding(functions=[("Vault", "withdraw")])
-    assert phase_d_prefilter(f, models["vault_oracle"]) == ROUTE_NEEDS_REASONER
+    f = make_finding(severity="CRITICAL", functions=[("Vault", "withdraw")])
+    assert phase_d_prefilter(f, models["vault_oracle"]) is None
+    assert f.severity == "CRITICAL" and f.flags == set()
 
 
 def test_route_vector_confirmed_and_boundaries(models):
@@ -677,25 +690,33 @@ def test_route_vector_confirmed_and_boundaries(models):
         description="the signature can be replayed",
         functions=[("Risky", "claim")], lines=(5,),
     )
+
+    def verdict(finding):
+        record = phase_d_prefilter(finding, ccim, signals)
+        return None if record is None else record.verdict
+
     ok = make_finding(confidence=0.8, scenario="x" * 30, **base)
-    assert phase_d_prefilter(ok, ccim, signals) == ROUTE_VECTOR_CONFIRMED
+    assert phase_d_prefilter(ok, ccim, signals) == VerdictRecord(
+        ok.id, "stage3", "CONFIRMED", "vector-confirmed short-circuit")
+    assert ok.flags == {"vector-confirmed"}
     low_conf = make_finding(confidence=0.79, scenario="x" * 30, **base)
-    assert phase_d_prefilter(low_conf, ccim, signals) != ROUTE_VECTOR_CONFIRMED
     short_trace = make_finding(confidence=0.8, scenario="x" * 29, **base)
-    assert phase_d_prefilter(short_trace, ccim, signals) != ROUTE_VECTOR_CONFIRMED
     no_lines = make_finding(confidence=0.8, scenario="x" * 30,
                             title=base["title"], description=base["description"],
                             functions=base["functions"])
-    assert phase_d_prefilter(no_lines, ccim, signals) != ROUTE_VECTOR_CONFIRMED
+    for near_miss in (low_conf, short_trace, no_lines):
+        assert verdict(near_miss) != "CONFIRMED"
+        assert "vector-confirmed" not in near_miss.flags
 
 
 def test_routes_are_exclusive_and_total(models, merged_signals):
     ccim = models["vault_oracle"]
     for key in [("Vault", "setOracle"), ("Vault", "withdraw"), ("ChainOracle", "setPrice")]:
-        route = phase_d_prefilter(make_finding(functions=[key]), ccim,
-                                  merged_signals["vault_oracle"])
-        assert route in (ROUTE_ADMIN_TRUST, ROUTE_VECTOR_CONFIRMED,
-                         ROUTE_GRAPH_SKIP, ROUTE_NEEDS_REASONER)
+        f = make_finding(functions=[key])
+        record = phase_d_prefilter(f, ccim, merged_signals["vault_oracle"])
+        # a short-circuit decides without the reasoner; None leaves it the claim
+        assert record is None or (record.stage, record.reasoner_used) == ("stage3", False)
+        assert len(f.flags & {"admin-trust", "vector-confirmed"}) <= 1
 
 
 def test_expand_source_block_includes_neighbors(models):
@@ -745,15 +766,103 @@ def test_phase_d_verify_records_verdict_once(models):
     f = make_finding(functions=[("Vault", "withdraw")])
     offline = ThrowingReasoner()
     for _ in range(2):
-        assert phase_d_verify(f, ccim, offline) == (ROUTE_NEEDS_REASONER, "UNCLEAR")
+        assert phase_d_verify(f, ccim, offline) == VerdictRecord(
+            f.id, "stage3", "UNCERTAIN", "claim-first protocol", reasoner_used=True)
     assert offline.calls == 1
     assert f.claim_verdict == "UNCLEAR"
     assert "reasoner-failure" in f.flags
 
     admin = make_finding(severity="CRITICAL", functions=[("Vault", "setOracle")])
-    assert phase_d_verify(admin, ccim, offline) == (ROUTE_ADMIN_TRUST, None)
+    assert phase_d_verify(admin, ccim, offline) == VerdictRecord(
+        admin.id, "stage3", "PASSED", "admin-trust short-circuit")
     assert admin.severity == "LOW" and "admin-trust" in admin.flags
     assert admin.claim_verdict is None and offline.calls == 1
+
+
+_ROUTE_TABLE = {"src/Table.sol": """\
+pragma solidity ^0.8.19;
+
+contract Table {
+    address public owner;
+    uint256 public total;
+
+    modifier onlyOwner() {
+        require(msg.sender == owner, "not owner");
+        _;
+    }
+
+    function setOwner(address o) external onlyOwner {
+        owner = o;
+    }
+
+    function claim(bytes32 h, uint8 v, bytes32 r, bytes32 s) external {
+        total += uint256(uint160(ecrecover(h, v, r, s)));
+    }
+
+    function ratio(uint256 a, uint256 b) external pure returns (uint256) {
+        return a / b;
+    }
+
+    function add(uint256 x) external {
+        require(x > 0, "zero");
+        total += x;
+    }
+}
+"""}
+
+
+class _PhaseDReasoner(MockReasoner):
+    """The scripted mock whose phase D backend fails when `down`."""
+
+    def __init__(self, script, down: bool):
+        super().__init__(script)
+        self.down = down
+
+    def respond(self, request):
+        reply = super().respond(request)
+        if self.down and request.stage == "phase_d":
+            raise ReasonerError("backend down")
+        return reply
+
+
+@pytest.mark.parametrize("reply", ["DISPROVED", "CONFIRMED", "UNCLEAR", None],
+                         ids=["disproved", "confirmed", "unclear", "backend-failure"])
+def test_dd_run_keeps_and_flags_by_phase_d_record(tmp_path, reply):
+    root = write_repo(_ROUTE_TABLE, tmp_path / "repo")
+    ccim = assemble_ccim(build_audit_source(classify_files(root), None, resolve_remappings(root)))
+    merged = _signals_for(ccim, [("SIG", "sig-missing-nonce", "HIGH", 0.7, ("Table", "claim"),
+                                  None)])
+    claim_line = ccim.records_of([("Table", "claim")])[0].src[0] + 1
+    # one finding per prefilter outcome, title -> (function, extra payload)
+    raised = {
+        "owner rotation": ("setOwner", {}),
+        "signature replay in claim": ("claim", {
+            "confidence": 0.8, "evidence_lines": [claim_line],
+            "attack_scenario": "1. sign once 2. replay the same signature twice"}),
+        "ratio rounding": ("ratio", {}),
+        "open total update": ("add", {}),
+    }
+    reasoner = _PhaseDReasoner(
+        [ScriptEntry("phase_b", (), {"findings": [
+            {"title": t, "functions": [["Table", fn]], **extra}
+            for t, (fn, extra) in raised.items()]}),
+         ScriptEntry("phase_d", (), {"verdict": reply or "UNCLEAR",
+                                     "quote": 'require(x > 0, "zero");'})],
+        down=reply is None)
+    records = {"owner rotation": "PASSED", "signature replay in claim": "CONFIRMED",
+               "ratio rounding": "DISPROVED",
+               "open total update": {"DISPROVED": "DISPROVED",
+                                     "CONFIRMED": "CONFIRMED"}.get(reply, "UNCERTAIN")}
+    kept = dd_run(ccim, merged, reasoner)
+    assert {f.title for f in kept} == {t for t, v in records.items() if v != "DISPROVED"}
+    assert {f.title for f in kept if "unverified" in f.flags} == \
+        {t for t, v in records.items() if v == "UNCERTAIN"}
+    # only the claim the prefilter cannot decide reaches the reasoner, once,
+    # and stage 3 reads the same record off the recorded verdict
+    assert reasoner.call_count("phase_d") == 1
+    assert {f.title: phase_d_verify(f, ccim, reasoner, merged).verdict for f in kept} == \
+        {t: v for t, v in records.items() if v != "DISPROVED"}
+    assert reasoner.call_count("phase_d") == 1
 
 
 # --- phase E -------------------------------------------------------------------

@@ -131,6 +131,19 @@ def test_scope_default_and_override(multi_root):
         build_audit_source(files, ["Nope"])
 
 
+def test_scope_skips_a_contract_declared_in_a_comment(tmp_path):
+    root = write_repo({"src/Live.sol": "pragma solidity ^0.8.19;\n/*\ncontract Legacy {}\n*/\n"
+                                       "contract Live {\n    function f() external {}\n}\n"},
+                      tmp_path / "repo")
+    files = classify_files(root)
+    # with and without an override, the scope is read off the masked text
+    source = build_audit_source(files)
+    assert source.scope == build_audit_source(files, ["Live"]).scope == ("Live",)
+    assert assemble_ccim(source).scope == ("Live",)
+    with pytest.raises(IngestError, match="Legacy"):
+        build_audit_source(files, ["Legacy"])
+
+
 def test_scope_override_three_contract_repo(corpus_root):
     files = classify_files(corpus_root / "vault_oracle")
     source = build_audit_source(files, ["Vault"])

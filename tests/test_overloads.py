@@ -18,12 +18,7 @@ from solaudit import cli
 from solaudit.ccim import CcimModel, assemble_ccim
 from solaudit.ccim.parse import parse_source
 from solaudit.coverage import attention_residual, blindspot_prompts
-from solaudit.dossier import (
-    ROUTE_ADMIN_TRUST,
-    _member_blocks,
-    build_phase_c_interactions,
-    phase_d_prefilter,
-)
+from solaudit.dossier import _member_blocks, build_phase_c_interactions, phase_d_prefilter
 from solaudit.funnel import deterministically_refuted, stage1_verify, sve_layer1
 from solaudit.ingest import build_audit_source, classify_files, resolve_remappings
 
@@ -105,7 +100,7 @@ def test_one_unguarded_overload_leaves_the_function_open(tmp_path, order):
     assert not ccim.is_admin(("A", "setFee"))
     finding = make_finding(description=_OPEN_SETTER, functions=[("A", "setFee")])
     assert stage1_verify(finding, ccim).verdict == "PASSED"
-    assert phase_d_prefilter(finding, ccim) != ROUTE_ADMIN_TRUST
+    assert phase_d_prefilter(finding, ccim) is None and "admin-trust" not in finding.flags
     assert not deterministically_refuted(finding, ccim)
 
 
