@@ -441,11 +441,11 @@ def phase_d_verify(finding: Finding, ccim: CcimModel, reasoner: Reasoner,
 # --- phase E ---------------------------------------------------------------
 
 
-def phase_e_recalibrate(finding: Finding, ccim: CcimModel) -> Finding:
-    """Severity recalibration from the parsed access-control evidence: the
-    six-rule set of `calibrate_one`, with no reasoner call. A reasoner's own
-    severity comes back only in the SVE layer-2 reply."""
-    return calibrate_one(finding, ccim)
+# phase E is the six severity rules of `calibrate_one` over the parsed
+# access-control evidence, with no reasoner call; a reasoner's own severity
+# comes back only in the SVE layer-2 reply. `dd_run` calls it by this name, so
+# a tracer that wraps it times phase E
+phase_e_recalibrate = calibrate_one
 
 
 # --- pipeline runner -------------------------------------------------------

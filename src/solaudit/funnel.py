@@ -1,7 +1,8 @@
 """Staged false-positive reduction: deterministic claim refutation, structural
 filters, evidence-constrained re-verification, scoring (applied at merge) and
-the two-layer structural verdict engine. Stages are applied in cost order and
-never create findings."""
+the two-layer structural verdict engine (SVE). Stages 1 to 3 are applied in
+cost order; the SVE ends the funnel, so its deterministic layer 1 runs after
+stage 3's reasoner calls. No stage creates findings."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from .findings import (
     classify_impact,
     self_disproving,
 )
+from .interaction import access_facts
 from .merge import MergedFindingSet
 from .reasoner import DEFAULT_CHAR_BUDGET, Reasoner, ask
 
@@ -32,35 +34,13 @@ _EXTERNAL_CALL_CLAIM_RE = re.compile(r"external call(?<!\wexternal call)\b|call(
 
 
 # --- deterministic checks ----------------------------------------------------
-# Each predicate is defined once and shared: stage 1 and SVE layer 1 checks
-# 1, 4 and 5 refute the same three claim types, stage 2 and SVE check 6 drop
-# the same unresolvable citations. Each stage words its own evidence. Every
-# check reads `records_of`, so an all(...) holds for every overload of the
-# cited functions and a not any(...) for none of them.
+# Every check reads `records_of`, so an all(...) holds for every overload of
+# the cited functions and a not any(...) for none of them.
 
 
-def _cites_unknown_function(finding: Finding, ccim: CcimModel) -> bool:
-    return bool(finding.affected_functions) and not any(
-        ccim.records_of((key,)) or ccim.function_named(key[1])
-        for key in finding.affected_functions)
-
-
-def _reentrancy_guarded(claim: str, recs: list[FunctionRecord]) -> bool:
-    return claim == "REENTRANCY" and bool(recs) and all(r.nonreentrant for r in recs)
-
-
-def _admin_guarded(claim: str, recs: list[FunctionRecord], ccim: CcimModel) -> bool:
-    return claim == "MISSING_ACCESS_CONTROL" and bool(recs) \
-        and all(ccim.is_admin(r.key) for r in recs)
-
-
-def _checked_arithmetic(claim: str, recs: list[FunctionRecord]) -> bool:
-    return claim == "INTEGER_OVERFLOW_GE08" and bool(recs) \
-        and all(r.pragma_ge_08 for r in recs) and not any("unchecked" in r.body for r in recs)
-
-
-def _guard_line(rec: FunctionRecord) -> int:
-    for i, line in enumerate(rec.body.split("\n")):
+def _guard_line(rec: FunctionRecord, ccim: CcimModel) -> int:
+    start, end = ccim.parsed.decl_span(rec)
+    for i, line in enumerate(ccim.parsed.masked[start:end].split("\n")):
         if "require(" in line and "msg.sender" in line:
             return rec.src[0] + i
     return rec.src[0]  # the modifier sits on the header line
@@ -76,15 +56,16 @@ def stage1_verify(finding: Finding, ccim: CcimModel) -> VerdictRecord:
         return VerdictRecord(finding.id, "stage1", "DISPROVED",
                              f"line {cite_line(finding, ccim)}: transactions execute atomically; "
                              f"race conditions are structurally impossible")
-    if _admin_guarded(claim, recs, ccim):
-        line = _guard_line(recs[0])
+    if claim == "MISSING_ACCESS_CONTROL" and access_facts(finding, ccim)[0]:
+        line = _guard_line(recs[0], ccim)
         return VerdictRecord(finding.id, "stage1", "DISPROVED",
                              f"line {line}: verified admin guard present "
                              f"({', '.join(recs[0].modifiers) or recs[0].guards[0]})")
-    if _reentrancy_guarded(claim, recs):
+    if claim == "REENTRANCY" and recs and all(r.nonreentrant for r in recs):
         return VerdictRecord(finding.id, "stage1", "DISPROVED",
                              f"line {recs[0].src[0]}: every affected function is nonReentrant-guarded")
-    if _checked_arithmetic(claim, recs):
+    if claim == "INTEGER_OVERFLOW_GE08" and recs and all(r.pragma_ge_08 for r in recs) \
+            and not any("unchecked" in r.body for r in recs):
         return VerdictRecord(finding.id, "stage1", "DISPROVED",
                              f"line {recs[0].src[0]}: solc >= 0.8 checked arithmetic and "
                              f"no unchecked block in the affected span")
@@ -100,7 +81,9 @@ def stage2_filter(finding: Finding, ccim: CcimModel) -> VerdictRecord:
     if self_disproving(finding):
         return VerdictRecord(finding.id, "stage2", "FILTERED",
                              "self-disproving evidence text")
-    if _cites_unknown_function(finding, ccim):
+    if finding.affected_functions and not any(
+            ccim.records_of((key,)) or ccim.function_named(key[1])
+            for key in finding.affected_functions):
         missing = ", ".join(f"{o}.{n}" for o, n in finding.affected_functions)
         return VerdictRecord(finding.id, "stage2", "FILTERED",
                              f"cited functions unresolvable against the interaction model: {missing}")
@@ -116,9 +99,13 @@ stage3_route_and_verify = phase_d_verify
 
 
 def sve_layer1(finding: Finding, ccim: CcimModel) -> VerdictRecord:
-    """Eight deterministic ground-truth checks; first failure disproves with
-    the check name and a cited line."""
-    claim = classify_claim(finding)
+    """The deterministic ground-truth checks no earlier stage makes; the first
+    failure disproves with the check name and a cited line. Checks 1, 4 and 5
+    (reentrancy guard, admin guard, checked arithmetic) belong to stage 1 and
+    check 6 (function inventory) to stage 2. Every finding that reaches layer 1
+    has passed them: in `run_funnel` by the stage order, in
+    `deterministically_refuted` because `any` stops at the first drop. So a
+    pass here has passed all eight checks."""
     impact = classify_impact(finding.text())
     recs = ccim.records_of(finding.affected_functions)
 
@@ -126,25 +113,12 @@ def sve_layer1(finding: Finding, ccim: CcimModel) -> VerdictRecord:
         return VerdictRecord(finding.id, "sve_layer1", "DISPROVED",
                              f"check {check}, line {line}: {note}")
 
-    # (1) claimed reentrancy on guarded functions
-    if _reentrancy_guarded(claim, recs):
-        return disproved("1:reentrancy-guard", recs[0].src[0], "nonReentrant on every affected function")
     # (2) claimed fund-theft on functions that move no funds
-    if impact == "fund-theft" and recs and not any(ccim.footprints.fund.get(r.key, False) for r in recs):
+    if impact == "fund-theft" and recs and not access_facts(finding, ccim)[2]:
         return disproved("2:no-fund-movement", recs[0].src[0], "no affected function moves funds")
     # (3) claimed state corruption on view/pure functions
     if impact == "state-corruption" and recs and all(r.mut in ("view", "pure") for r in recs):
         return disproved("3:view-pure", recs[0].src[0], "affected functions cannot write state")
-    # (4) access-control claim against a present admin guard
-    if _admin_guarded(claim, recs, ccim):
-        return disproved("4:admin-guard", _guard_line(recs[0]), "admin guard parsed on the function")
-    # (5) overflow claim against checked arithmetic
-    if _checked_arithmetic(claim, recs):
-        return disproved("5:checked-arithmetic", recs[0].src[0], "solc >= 0.8 and no unchecked block")
-    # (6) cited functions must exist in the inventory
-    if _cites_unknown_function(finding, ccim):
-        return disproved("6:function-inventory", cite_line(finding, ccim),
-                         "no cited function exists in the parsed inventory")
     # (7) evidence lines must fall inside the claimed functions' spans
     if finding.evidence_lines and recs:
         spans = [(r.src[0], r.src[1]) for r in recs]

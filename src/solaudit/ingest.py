@@ -270,7 +270,7 @@ def build_audit_source(
         if _left_open(f.text, masked):
             log.warning("%s ends inside a comment or string literal; masked on its own", f.path)
         masks.append(masked[:len(chunks[-1])])
-        m = _PRAGMA_RE.search(f.text)
+        m = _PRAGMA_RE.search(masked)
         if m:
             pragmas[f.path] = m.group(1).strip()
         cursor += len(lines)

@@ -355,7 +355,7 @@ def _has_concrete_steps(scenario: str) -> bool:
     return bool(_ENUM_RE.search(scenario)) or bool(_STEP_RE.search(scenario))
 
 
-def _access_facts(finding: Finding, ccim: CcimModel) -> tuple[bool, bool, bool]:
+def access_facts(finding: Finding, ccim: CcimModel) -> tuple[bool, bool, bool]:
     """(admin only, any admin, moves funds) over every overload of the
     finding's functions."""
     records = ccim.records_of(finding.affected_functions)
@@ -366,7 +366,7 @@ def _access_facts(finding: Finding, ccim: CcimModel) -> tuple[bool, bool, bool]:
 
 
 def _apply_rules_1_to_4(finding: Finding, ccim: CcimModel) -> None:
-    admin_only, _, moves_funds = _access_facts(finding, ccim)
+    admin_only, _, moves_funds = access_facts(finding, ccim)
     # (1) admin-only paths capped to LOW unless they move user funds
     if admin_only and not moves_funds:
         finding.severity = severity_cap(finding.severity, "LOW")
@@ -392,7 +392,7 @@ def _raise_one(severity: str) -> str:
 def _apply_rule_6(finding: Finding, ccim: CcimModel) -> None:
     # parsed access-control evidence beats the finding's own claim; the second
     # branch is the one place a severity may go up
-    admin_only, any_admin, moves_funds = _access_facts(finding, ccim)
+    admin_only, any_admin, moves_funds = access_facts(finding, ccim)
     if classify_claim(finding) == "MISSING_ACCESS_CONTROL" and admin_only:
         finding.severity = severity_cap(finding.severity, "LOW")
         finding.flags.add("ccim-evidence-override")

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import ThrowingReasoner, make_finding, scripted
 
+from solaudit.ccim import assemble_ccim
 from solaudit.findings import classify_claim
 from solaudit.funnel import (
     access_control_bundle,
@@ -16,8 +17,14 @@ from solaudit.funnel import (
     sve_layer1,
     sve_layer2,
 )
+from solaudit.ingest import build_audit_source, classify_files
 from solaudit.merge import merge
 from solaudit.reasoner import MockReasoner
+
+
+def _model_of(tmp_path, text):
+    (tmp_path / "c.sol").write_text(text)
+    return assemble_ccim(build_audit_source(classify_files(tmp_path)))
 
 
 # --- claim classification ---------------------------------------------------------
@@ -63,6 +70,38 @@ def test_stage1_overflow_disproved_on_checked_arithmetic(models):
 def test_stage1_overflow_passes_with_unchecked_block(models):
     f = make_finding(title="integer overflow in wild", functions=[("Risky", "wild")])
     assert stage1_verify(f, models["patterns"]).verdict == "PASSED"
+
+
+def test_stage1_reads_the_pragma_off_the_code(tmp_path):
+    # a pragma quoted in a comment does not make 0.7 arithmetic checked
+    ccim = _model_of(tmp_path, "// Ported from: pragma solidity ^0.8.0;\n"
+                               "pragma solidity ^0.7.6;\n"
+                               "contract Old {\n"
+                               "    uint256 public total;\n"
+                               "    function add(uint256 x) external {\n"
+                               "        total += x;\n"
+                               "    }\n"
+                               "}\n")
+    assert not ccim.records_of([("Old", "add")])[0].pragma_ge_08
+    f = make_finding(title="integer overflow in add", functions=[("Old", "add")])
+    assert stage1_verify(f, ccim).verdict == "PASSED"
+
+
+def test_stage1_cites_the_guard_not_a_commented_out_one(tmp_path):
+    ccim = _model_of(tmp_path, "pragma solidity ^0.8.19;\n"
+                               "contract Fees {\n"
+                               "    address public owner;\n"
+                               "    uint256 public fee;\n"
+                               "    function setFee(uint256 f) external {\n"
+                               "        // require(msg.sender == owner);\n"
+                               "        require(msg.sender == owner, \"not owner\");\n"
+                               "        fee = f;\n"
+                               "    }\n"
+                               "}\n")
+    f = make_finding(title="missing access control on setFee", functions=[("Fees", "setFee")])
+    record = stage1_verify(f, ccim)
+    assert record.verdict == "DISPROVED"
+    assert record.evidence.startswith("line 7:")
 
 
 def test_stage1_other_passes(models):
@@ -184,13 +223,6 @@ def test_sve1_external_call_claim(models):
     assert "check 8" in record.evidence
 
 
-def test_sve1_unknown_function(models):
-    f = make_finding(title="ghost", functions=[("Nowhere", "nothing")])
-    record = sve_layer1(f, models["vault_oracle"])
-    assert record.verdict == "DISPROVED"
-    assert "check 6" in record.evidence
-
-
 def test_sve1_clean_finding_passes(models):
     ccim = models["vault_oracle"]
     rec = ccim.records_of([("Vault", "withdraw")])[0]
@@ -284,9 +316,8 @@ def _adversarial_set(models):
 
 
 def _guarded_model(tmp_path):
-    from solaudit.ccim import assemble_ccim
-    from solaudit.ingest import build_audit_source, classify_files
-    (tmp_path / "g.sol").write_text(
+    return _model_of(
+        tmp_path,
         "pragma solidity ^0.8.0;\n"
         "contract Guarded {\n"
         "    uint256 public locked;\n"
@@ -296,9 +327,8 @@ def _guarded_model(tmp_path):
         "        balances[msg.sender] -= x;\n"
         "        payable(msg.sender).transfer(x);\n"
         "    }\n"
-        "}\n"
+        "}\n",
     )
-    return assemble_ccim(build_audit_source(classify_files(tmp_path)))
 
 
 def test_funnel_removes_hallucinations_keeps_genuine(models, tmp_path):
@@ -370,7 +400,7 @@ def test_funnel_stage_failure_degrades_to_passthrough(models, monkeypatch, caplo
     assert "passing through" in caplog.text
 
 
-def test_funnel_complementarity(models):
+def test_funnel_complementarity(models, tmp_path):
     """Each stage removes a finding class no other stage decides."""
     ccim = models["vault_oracle"]
     rec = ccim.records_of([("Vault", "withdraw")])[0]
@@ -380,25 +410,42 @@ def test_funnel_complementarity(models):
     race = make_finding(fid="D-001", title="race condition exploit",
                         description="txs race", functions=[("Vault", "withdraw")],
                         lines=(inside,))
+    # only stage 1 refutes reentrancy on a nonReentrant function, a missing
+    # access control on an admin function and overflow under checked arithmetic
+    reentrant = make_finding(fid="D-005", title="reentrancy in safePull",
+                             description="re-entering safePull pays out twice",
+                             functions=[("Guarded", "safePull")])
+    open_admin = make_finding(fid="D-006", title="missing access control on setOracle",
+                              description="anyone can call setOracle",
+                              functions=[("Vault", "setOracle")])
+    overflow = make_finding(fid="D-007", title="integer overflow in deposit",
+                            description="the addition overflows",
+                            functions=[("Vault", "deposit")])
     # only stage 2 catches a centralization complaint (no refutable claim type)
     central = make_finding(fid="D-002", title="owner is too powerful",
                            description="full control over everything",
                            functions=[("Vault", "setOracle")])
+    # only stage 2 drops a finding that cites no function of the model
+    ghost = make_finding(fid="D-008", title="ghost", functions=[("Nowhere", "nothing")])
     # only SVE layer 1 check 7 catches an out-of-span citation
     misplaced = make_finding(fid="D-004", title="theft from withdraw",
                              description="funds can be stolen",
                              functions=[("Vault", "withdraw")], lines=(rec.src[1] + 3,))
 
-    for finding, stage in ((race, "stage1"), (central, "stage2"), (misplaced, "sve_layer1")):
+    guarded = _guarded_model(tmp_path)
+    cases = ((race, ccim, "stage1"), (reentrant, guarded, "stage1"), (open_admin, ccim, "stage1"),
+             (overflow, ccim, "stage1"), (central, ccim, "stage2"), (ghost, ccim, "stage2"),
+             (misplaced, ccim, "sve_layer1"))
+    for finding, model, stage in cases:
         others = {
-            "stage1": lambda f: stage1_verify(f, ccim),
-            "stage2": lambda f: stage2_filter(f, ccim),
-            "sve_layer1": lambda f: sve_layer1(f, ccim),
+            "stage1": lambda f: stage1_verify(f, model),
+            "stage2": lambda f: stage2_filter(f, model),
+            "sve_layer1": lambda f: sve_layer1(f, model),
         }
         removing = others.pop(stage)(copy.deepcopy(finding))
-        assert removing.verdict in ("DISPROVED", "FILTERED"), stage
+        assert removing.verdict in ("DISPROVED", "FILTERED"), (finding.id, stage)
         for other_stage, fn in others.items():
-            assert fn(copy.deepcopy(finding)).verdict == "PASSED", (stage, other_stage)
+            assert fn(copy.deepcopy(finding)).verdict == "PASSED", (finding.id, other_stage)
 
     # only stage 3's graph-skip short-circuit disproves a view/pure no-edge
     # finding; the other deterministic stages all pass it
