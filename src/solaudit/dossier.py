@@ -6,16 +6,21 @@ printed once per prompt), deterministic re-verification routing with one
 claim-first check where routing cannot decide (phase D, whose verdict is
 funnel stage 3's record), and severity recalibration by the shared six-rule
 set, with no reasoner call (phase E).
-Phases A, B and C pack their members into the budget with `prompts.chunks`,
-the packer every multi-member stage shares, and phases A and C attribute a
+Phases A and B pack their members, and phase C each review's functions,
+into the budget with `prompts.chunks`, and phases A and C attribute a
 reply's entries to the prompt's members by id with `prompts.by_id`. Phase C
-packs its reviews by contract locality (`prompts.pack_sections`), so the
-reviews that share a contract's bodies share prompts, while review ids and
-the order of the findings stay in group order."""
+packs its reviews first-fit by contract locality (`prompts.pack_sections`),
+so the reviews that share a contract's bodies share prompts, while review
+ids and the order of the findings stay in group order. Phase C does not
+review what no call can interfere through: a set-once variable, which holds
+one value after construction, and an inert callee, which does nothing; it
+abstains from the skip wherever a write the CCIM cannot see could hide
+(`build_phase_c_interactions`)."""
 
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
 
 from . import prompts
@@ -251,9 +256,51 @@ def _review_heading(n: int, kind: str, subject: str, part: int, parts: int) -> s
     return f"### C{n}: {what}" + (f" (part {part} of {parts})" if parts > 1 else "") + "\n"
 
 
+# the elementary value types: a `storage` pointer cannot alias a variable of
+# one, so only a direct assignment, which the CCIM sees, writes it
+_VALUE_TYPE_RE = re.compile(r"u?int\d*|bool|address(?: payable)?|bytes\d+|byte")
+
+
+def _set_once(ccim: CcimModel, var: str) -> bool:
+    """Whether `var` is fixed once construction ends: it has a writer, every
+    writer is a constructor, and its declared type is an elementary value
+    type or a contract or interface of the audit."""
+    writers = ccim.deps.writers.get(var)
+    type_text = ccim.resolution.type_map.get(var, "")
+    return (bool(writers) and all(k[1] == "constructor" for k in writers)
+            and (_VALUE_TYPE_RE.fullmatch(type_text) is not None
+                 or ccim.resolution.kinds.get(type_text) in ("contract", "abstract", "interface")))
+
+
+def _inert(ccim: CcimModel, key: FnKey) -> bool:
+    """Whether every overload of `key` has a `{...}` body that is blank in the
+    mask, no modifiers and no `payable`: a call into it has no effect."""
+    records = ccim.records_of((key,))
+    for r in records:
+        start, end = ccim.parsed.body_span(r)
+        if (r.modifiers or r.mut == "payable" or end == ccim.parsed.decl_span(r)[1]
+                or ccim.parsed.masked[start:end].strip()):
+            return False
+    return bool(records)
+
+
 def build_phase_c_interactions(ccim: CcimModel, blocks: dict[FnKey, str],
                                budget: int = DEFAULT_CHAR_BUDGET) -> list[InteractionGroup]:
-    """One interference review per shared variable and one per callee.
+    """One interference review per shared variable and one per callee, but
+    none that no call can interfere through.
+
+    A review is skipped when its subject cannot change between two calls or
+    has no effect to share. A set-once variable, one whose every writer is a
+    constructor and whose declared type is an elementary value type or a
+    contract or interface of the audit, holds one value after construction.
+    An inert callee, every overload of which has a `{...}` body that is blank
+    in the mask and no modifier and is not payable, does nothing when called.
+    A subject is still reviewed wherever a skip could hide a write that the
+    CCIM cannot see: a variable with no visible writer; a mapping, array,
+    struct, `string`, `bytes` or unknown type, which a `storage` pointer can
+    write unseen; a variable that any non-constructor writes, an
+    `initialize()` included; a bodiless callee, as an interface or abstract
+    one is; and a callee with a modifier.
 
     A variable's touchers (writers and readers) are ranked by
     `coverage.key_risk`, highest first, ties by key, and packed into "var"
@@ -288,10 +335,11 @@ def build_phase_c_interactions(ccim: CcimModel, blocks: dict[FnKey, str],
 
     for var in sorted(set(ccim.deps.writers) | set(ccim.deps.readers)):
         touchers = ccim.deps.writers.get(var, frozenset()) | ccim.deps.readers.get(var, frozenset())
-        if len(touchers) >= 2:
+        if len(touchers) >= 2 and not _set_once(ccim, var):
             pack("var", touchers, var)
     for g in sorted({g for _, g in ccim.graph.edges}):
-        pack("call", ccim.graph.callers(g) - {g} or {g}, f"{g[0]}.{g[1]}", (g,))
+        if not _inert(ccim, g):
+            pack("call", ccim.graph.callers(g) - {g} or {g}, f"{g[0]}.{g[1]}", (g,))
     return groups
 
 

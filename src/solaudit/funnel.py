@@ -160,14 +160,20 @@ def sve_layer2(finding: Finding, ccim: CcimModel, reasoner: Reasoner,
     """Final evidence-packaged verdict; parse failures and backend failures
     degrade to UNCERTAIN, never to DISPROVED. A reply's "severity" naming a
     level of SEVERITY_RANK, in any case, sets the finding's severity and
-    flags it `recalibrated`; any other value is ignored."""
-    evidence = {
-        "access_control": access_control_bundle(finding, ccim),
-        "sources": [r.body for r in ccim.records_of(finding.affected_functions)],
-        "evidence_lines": finding.evidence_lines,
-    }
+    flags it `recalibrated`; any other value is ignored. The evidence is
+    one `role_hierarchy:` line, one JSON line per function of
+    `access_control_bundle`, an `evidence_lines:` line and each affected
+    function's `prompts.source_block`, its bodies as written."""
+    bundle = access_control_bundle(finding, ccim)
+    keys = dict.fromkeys(k for k in finding.affected_functions if ccim.records_of((k,)))
+    evidence = "\n".join([
+        f"role_hierarchy: {json.dumps(bundle['role_hierarchy'])}",
+        *(json.dumps(fn, sort_keys=True) for fn in bundle["functions"]),
+        f"evidence_lines: {json.dumps(finding.evidence_lines)}",
+        *(prompts.source_block(ccim, k) for k in keys),
+    ])
     prompt = prompts.render(
-        prompts.SVE_LAYER2, budget, {"evidence": json.dumps(evidence, indent=1, sort_keys=True)},
+        prompts.SVE_LAYER2, budget, {"evidence": evidence},
         title=finding.title, severity=finding.severity, description=finding.description,
     )
     reply = ask(reasoner, "sve_layer2", prompt, budget)

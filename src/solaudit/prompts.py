@@ -1,18 +1,17 @@
 """Versioned prompt templates for every reasoner-bearing stage, the one
 rule that fits a filled template into the character budget and the one room
 it leaves a packer, the one source block a prompt shows a function by, and
-the one packer with its reply rule.
+the two packers with their reply rule.
 
-Every stage that sends several members (phase A's dossiers, phase B's
-bodies, phase C's reviews, stage 2's and stage 3's pairs) packs them with
-`chunks`, which counts a part that several members share once, so a shared
-skeleton or body is sent once per prompt. Phase C's reviews and stage 3's
-pairs are sections packed by `pack_sections` in contract locality order, so
-sections of one contract, which share its bodies, sit in the same prompts;
-their ids and the order of their findings stay in section order. A reply's
-entries are attributed to the prompt's members by id with `by_id`, and
-`payloads` gives each member the reply's top-level fields overridden by its
-own entry.
+Phase A's dossiers, phase B's bodies and stage 2's pairs are packed in order
+by `chunks`; phase C's reviews and stage 3's pairs are sections packed
+first-fit by `pack_sections` in contract locality order, so sections of one
+contract, which share its bodies, sit in the same prompts, and their ids and
+the order of their findings stay in section order. Both packers count a part
+that several members share once, so a shared skeleton or body is sent once
+per prompt. A reply's entries are attributed to the prompt's members by id
+with `by_id`, and `payloads` gives each member the reply's top-level fields
+overridden by its own entry.
 
 Templates are plain text resources; bump PROMPT_VERSION when wording changes
 so scripted mock responses can be pinned to the template they were written
@@ -31,7 +30,7 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-PROMPT_VERSION = "8"
+PROMPT_VERSION = "9"
 
 BUILTIN_FP_RULES = """\
 Built-in false-positive rules (do not report these):
@@ -274,29 +273,51 @@ def chunks(ranked: list, parts: dict, room: int, least: int = 2) -> list[list]:
 
 def pack_sections(heads: list[str], members: list[tuple[FnKey, ...]], blocks: dict[FnKey, str],
                   room: int) -> list[tuple[list[int], str]]:
-    """Sections packed by `chunks` into as few texts as fit `room`, each text
+    """Sections packed first-fit into as few texts as fit `room`, each text
     with the indices of its sections in the order it prints them. Section `i`
     is `heads[i]` and one mention per key of `members[i]`, one a line. A
     key's first mention in a text is its block `blocks[k]`, which starts with
     `name_line(k)`; a later one is that bare name line, so each block is
     printed once per text. A section's own part is its head and name lines,
-    and each key's block past its name line is a part shared across the text.
+    and each key's block past its name line is a part shared across the text,
+    counted once per text as in `chunks`.
 
-    Sections are packed in locality order: a stable sort by the contract of
-    their first member, a section with no members first. So the sections of
-    one contract, which share its bodies, are packed next to each other,
-    while the indices, and so the ids a caller gives the sections, keep
-    their order. No sections, no text."""
-    if not heads:
-        return []
-    order = sorted(range(len(heads)), key=lambda i: members[i][0][0] if members[i] else "")
+    Sections are placed in locality order: a stable sort by the contract of
+    their first member, a section with no members first. Each goes to the
+    first text that already holds a section of its contract, or else the
+    last text, where it fits, and opens a new text when none has room; a
+    section too large for any text stands alone. So a section that overflows
+    the last text can still join an earlier one that holds its contract's
+    bodies, the sections of one contract sit in consecutive texts, and the
+    indices, and so the ids a caller gives the sections, keep their order.
+    No sections, no text."""
+    owners = [keys[0][0] if keys else "" for keys in members]
     names = {k: name_line(k) for keys in members for k in keys}
-    parts = {}
-    for i, (head, keys) in enumerate(zip(heads, members)):
-        parts[i] = {k: len(blocks[k]) - len(names[k]) - 1 for k in keys}
-        parts[i][i] = len(head) + sum(1 + len(names[k]) for k in keys) - 1
-    texts = []
-    for chunk in chunks(order, parts, room, least=1):
+    texts: list[list[int]] = []
+    held: list[set] = []               # per text: the keys whose bodies it prints
+    used: list[int] = []
+    contract, first = None, None       # the contract placed last, its first text
+    for i in sorted(range(len(heads)), key=owners.__getitem__):
+        keys = members[i]
+        if owners[i] != contract:
+            contract, first = owners[i], None
+        own = len(heads[i]) + sum(1 + len(names[k]) for k in keys)
+        for t in range(max(len(texts) - 1, 0) if first is None else first, len(texts)):
+            grow = own + sum(len(blocks[k]) - len(names[k]) for k in set(keys) - held[t])
+            if used[t] + grow <= room:
+                break
+        else:
+            texts.append([])
+            held.append(set())
+            used.append(-1)
+            t = len(texts) - 1
+            grow = own + sum(len(blocks[k]) - len(names[k]) for k in set(keys))
+        first = t if first is None else first
+        texts[t].append(i)
+        held[t].update(keys)
+        used[t] += grow
+    out = []
+    for chunk in texts:
         shown: set[FnKey] = set()
         sections = []
         for i in chunk:
@@ -305,8 +326,8 @@ def pack_sections(heads: list[str], members: list[tuple[FnKey, ...]], blocks: di
                 mentions.append(names[k] if k in shown else blocks[k])
                 shown.add(k)
             sections.append(heads[i] + "\n".join(mentions))
-        texts.append((chunk, "\n".join(sections)))
-    return texts
+        out.append((chunk, "\n".join(sections)))
+    return out
 
 
 def by_id(entries: list, field: str, members: dict, noun: str) -> list[tuple[object, dict]]:

@@ -1,7 +1,7 @@
 """Independent brute-force oracles for the fixpoint, security-view,
-clustering, mask, bracket, scan and pair-selection checks. These deliberately
-use different algorithms than the implementations they verify and must stay
-that way. `chunks_of_sizes` is the exception: it keeps the prompt packer as
+clustering, mask, bracket, scan, pair-selection and phase C skip checks.
+These deliberately use different algorithms than the implementations they
+verify and must stay that way. `chunks_of_sizes` is the exception: it keeps the prompt packer as
 it was before members had shared parts, which the packer must still equal
 when every member is one part of its own."""
 
@@ -52,6 +52,66 @@ def brute_force_footprints(records: list[FunctionRecord]):
         writes[r.key] = frozenset().union(*(g.writes for g in closure))
         fund[r.key] = any(g.fund_flag for g in closure)
     return reads, writes, fund
+
+
+def _value_type(type_text: str, contracts: set[str]) -> bool:
+    """Whether a declared type is a value type that no `storage` pointer can
+    alias: an elementary type other than `string` and `bytes`, spelled out
+    token by token, or a contract or interface of the audit."""
+    if type_text in contracts or type_text in ("bool", "address", "address payable", "byte"):
+        return True
+    for stem in ("uint", "int", "bytes"):
+        if type_text.startswith(stem):
+            digits = type_text[len(stem):]
+            return digits.isdigit() or (digits == "" and stem != "bytes")
+    return False
+
+
+def _blank_body(record: FunctionRecord) -> bool:
+    """Whether the record's declaration ends in a `{...}` body that holds
+    nothing but comments and whitespace: the `{` that the last `}` closes,
+    searched one brace at a time over the record's own masked text."""
+    masked = brute_force_mask(record.body).rstrip()
+    if not masked.endswith("}"):
+        return False
+    for pos, c in enumerate(masked):
+        if c == "{" and brute_force_close(masked, pos, len(masked)) == len(masked) - 1:
+            return not masked[pos + 1:-1].strip()
+    return False
+
+
+def phase_c_subjects(ccim: CcimModel) -> set[tuple[str, str]]:
+    """(kind, subject) of every review phase C holds: each variable of two or
+    more touchers and each callee of the call graph, less the variables that
+    only constructors write and whose declared type is a value type, and
+    less the callees whose every overload has a blank body, no modifier and
+    no `payable`. Writers come from `brute_force_footprints`, types from the
+    contract declarations."""
+    reads, writes, _ = brute_force_footprints(list(ccim.records))
+    writers, touchers = {}, {}
+    for key, names in writes.items():
+        for name in names:
+            var = ccim.resolution.var_id(key[0], name)
+            writers.setdefault(var, set()).add(key)
+            touchers.setdefault(var, set()).add(key)
+    for key, names in reads.items():
+        for name in names:
+            touchers.setdefault(ccim.resolution.var_id(key[0], name), set()).add(key)
+    contracts = {d.name for d in ccim.parsed.decls if d.kind != "library"}
+    types = {f"{d.name}.{sv.name}": sv.type_text for d in ccim.parsed.decls for sv in d.state_vars}
+    out = set()
+    for var, keys in touchers.items():
+        set_once = (var in writers and all(name == "constructor" for _, name in writers[var])
+                    and _value_type(types.get(var, ""), contracts))
+        if len(keys) >= 2 and not set_once:
+            out.add(("var", var))
+    for _, callee in ccim.graph.edges:
+        records = [r for r in ccim.records if r.key == callee]
+        inert = records and all(not r.modifiers and r.mut != "payable" and _blank_body(r)
+                                for r in records)
+        if not inert:
+            out.add(("call", f"{callee[0]}.{callee[1]}"))
+    return out
 
 
 def brute_force_rot(ccim: CcimModel) -> set[str]:

@@ -59,9 +59,9 @@ def test_phase_c_benchmark(benchmark, deep_model):
         return (ccim, reasoners[-1]), {}
 
     benchmark.pedantic(run_phase_c, setup=fresh_reasoner, rounds=5, iterations=1)
-    # 42 reviews packed several to a prompt
-    assert len(build_phase_c_interactions(ccim, _member_blocks(ccim))) == 42
-    assert [r.call_count("phase_c") for r in reasoners] == [29] * 5
+    # 30 reviews packed several to a prompt
+    assert len(build_phase_c_interactions(ccim, _member_blocks(ccim))) == 30
+    assert [r.call_count("phase_c") for r in reasoners] == [18] * 5
 
 
 def test_phase_a_benchmark(benchmark, deep_model):

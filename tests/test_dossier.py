@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from corpus import REPOS, write_repo
 from helpers import RecordingReasoner, ThrowingReasoner, generated_model, make_finding, scripted
-from oracles import chunks_of_sizes
+from oracles import chunks_of_sizes, phase_c_subjects
 from test_interaction import OVERLOADED
 
 from solaudit import prompts
@@ -376,6 +376,120 @@ def test_phase_c_empty(models):
     assert _groups(assemble_ccim(src)) == []
 
 
+_SKIPS = """\
+interface IPool {
+    function ping() external;
+}
+
+contract Pool {
+    struct Config {
+        uint256 limit;
+    }
+
+    IPool public peer;
+    address public admin;
+    Sink public sink;
+    uint256 public fee;
+    uint256 public cap;
+    mapping(address => uint256) public limits;
+    string public label;
+    IERC20 public token;
+    Config public config;
+    uint256[] public steps;
+
+    constructor(address p, Sink s) {
+        peer = IPool(p);
+        admin = msg.sender;
+        sink = s;
+        limits[msg.sender] = 1;
+        label = "pool";
+        _setCap();
+        config.limit = 5;
+        steps.push(1);
+    }
+
+    function _setCap() internal {
+        cap = 1;
+    }
+
+    function initialize(uint256 f) external {
+        fee = f;
+    }
+
+    function a() external {
+        sink.ping();
+        sink.quiet();
+        sink.gated();
+        sink.bare();
+        sink.take{value: 1}();
+        emit Seen(peer, admin, fee, cap, limits[msg.sender], label, token);
+    }
+
+    function b() external view returns (uint256) {
+        return uint256(uint160(address(peer))) + uint256(uint160(admin)) + uint256(uint160(address(sink)))
+            + fee + cap + limits[msg.sender] + bytes(label).length + token.totalSupply() + config.limit
+            + steps.length;
+    }
+}
+
+contract Sink {
+    modifier gate() {
+        _;
+    }
+
+    function ping() external {}
+
+    function quiet() external { /* no-op */ }
+
+    function gated() external gate {}
+
+    function bare() external;
+
+    function take() external payable {}
+}
+"""
+
+
+def _model(text: str, *scope: str):
+    lines = text.count("\n") + 1
+    return assemble_ccim(AuditSource(text=text, offsets=OffsetMap.build([Segment("p.sol", 1, lines, 1)]),
+                                     scope=scope, remappings=(), pragmas={}))
+
+
+@pytest.mark.parametrize("kind, subject, reviewed", [
+    # set once: only the constructor writes a value type
+    ("var", "Pool.peer", False),        # a declared interface
+    ("var", "Pool.admin", False),       # an address
+    ("var", "Pool.sink", False),        # a declared contract
+    # a call into an empty body, with no modifier, does nothing
+    ("call", "Sink.ping", False),       # {}
+    ("call", "Sink.quiet", False),      # { /* no-op */ }
+    # a write the model cannot see stays possible
+    ("var", "Pool.token", True),        # no visible writer, of an undeclared type
+    ("var", "Pool.limits", True),       # a mapping that only the constructor writes
+    ("var", "Pool.steps", True),        # an array
+    ("var", "Pool.config", True),       # a struct
+    ("var", "Pool.label", True),        # a string
+    ("var", "Pool.fee", True),          # written by initialize()
+    ("var", "Pool.cap", True),          # written by the constructor through an internal helper
+    ("call", "Sink.gated", True),       # an empty body behind a modifier
+    ("call", "Sink.bare", True),        # no body: function bare() external;
+    ("call", "Sink.take", True),        # an empty payable body takes the value it is sent
+])
+def test_phase_c_skips_only_what_no_call_can_interfere_through(kind, subject, reviewed):
+    ccim = _model(_SKIPS, "Pool", "Sink")
+    assert ((kind, subject) in {(g.kind, g.subject) for g in _groups(ccim)}) is reviewed
+    assert ((kind, subject) in phase_c_subjects(ccim)) is reviewed
+
+
+def test_phase_c_reviews_a_variable_with_no_visible_writer(models):
+    # Allowances.token is read by grant and rotateSafe and written by nothing the model sees
+    ccim = models["approvals"]
+    assert "Allowances.token" not in ccim.deps.writers
+    assert [g.members for g in _groups(ccim) if g.subject == "Allowances.token"] == [
+        (("Allowances", "rotateSafe"), ("Allowances", "grant"))]
+
+
 def test_phase_c_vulnerable_verdict(models):
     reasoner = scripted([{
         "stage": "phase_c", "match": ["Ledger.balances"],
@@ -439,11 +553,14 @@ def _check_phase_c_chunks(ccim, budget):
     blocks = _member_blocks(ccim)
     groups = build_phase_c_interactions(ccim, blocks, budget)
     shell = len(prompts.render(prompts.PHASE_C, budget, {"reviews": ""}))
+    # the reviewed subjects are the brute-force skip rule's
+    reviewed = phase_c_subjects(ccim)
+    assert {(g.kind, g.subject) for g in groups} == reviewed
 
     for var in set(ccim.deps.writers) | set(ccim.deps.readers):
         touchers = ccim.deps.writers.get(var, frozenset()) | ccim.deps.readers.get(var, frozenset())
         chunks = [g for g in groups if g.subject == var]
-        if len(touchers) < 2:
+        if ("var", var) not in reviewed:
             assert not chunks
             continue
         assert sorted(_covered([g.members for g in chunks])) == sorted(touchers), var
@@ -454,6 +571,9 @@ def _check_phase_c_chunks(ccim, budget):
     for g in {g for _, g in ccim.graph.edges}:
         subject = f"{g[0]}.{g[1]}"
         chunks = [c for c in groups if c.kind == "call" and c.subject == subject]
+        if ("call", subject) not in reviewed:
+            assert not chunks
+            continue
         callers = ccim.graph.callers(g) - {g} or {g}
         assert sorted(_covered([c.members[:-1] for c in chunks])) == sorted(callers), g
         assert all(c.members[-1] == g for c in chunks), g
@@ -532,24 +652,30 @@ def test_phase_c_chunks_on_deep(deep_model):
 def test_phase_c_one_review_per_callee_on_deep(deep_model):
     reasoner = MockReasoner()
     run_phase_c(deep_model[0], reasoner)
-    # 36 variable chunks and 6 callee chunks for 320 call edges, packed
-    # several to a prompt
-    assert len(_groups(deep_model[0])) == 42
-    assert reasoner.call_count("phase_c") == 29
+    # 30 variable chunks, packed several to a prompt; the 320 call edges
+    # and the constructor-set `peer` get no review, since every edge goes
+    # into an empty `ping`
+    groups = _groups(deep_model[0])
+    assert len(groups) == 30
+    assert {g.kind for g in groups} == {"var"}
+    assert not any(g.subject.endswith(".peer") for g in groups)
+    assert reasoner.call_count("phase_c") == 18
 
 
 def test_phase_c_prints_each_body_once_per_prompt_on_wide(gen, tmp_path_factory):
     # the benchmark's `wide` shape: its 300 reviews took 25 prompts while each
     # review printed the bodies of its members, and 12 while they were packed
     # in group order, every variable review before every callee review, so a
-    # body went out once with its variables and again with its callee
+    # body went out once with its variables and again with its callee. The
+    # 40 reviews of the constructor-set `peer` and of the calls into the
+    # empty `ping` are skipped, and 260 remain
     ccim = generated_model(gen, tmp_path_factory, gen.Shape(20, 16, 12), seed=3)
     reasoner = RecordingReasoner()
     run_phase_c(ccim, reasoner)
     blocks = _member_blocks(ccim)
     groups = build_phase_c_interactions(ccim, blocks)
-    assert len(groups) == 300
-    assert len(reasoner.prompts) == 7
+    assert len(groups) == 260
+    assert len(reasoner.prompts) == 6
     for p in reasoner.prompts:
         assert all(p.count(b) <= 1 for b in blocks.values())
     # 2.29 times the distinct bodies in group order
@@ -633,8 +759,16 @@ def test_phase_c_prompts_stay_under_tight_budgets(gen, tmp_path_factory):
 @pytest.mark.parametrize("budget", [3_000, 6_000, 12_000, DEFAULT_CHAR_BUDGET])
 def test_phase_c_findings_come_in_group_order_whatever_the_packing(gen, tmp_path_factory,
                                                                    budget):
-    ccim = generated_model(gen, tmp_path_factory, gen.Shape(3, 6, 2), seed=3)
+    # each pool's `ping` emits, so the reviews of the calls into it, which
+    # follow every variable review in group order, are printed with the
+    # reviews of their callers' contract
+    corpus = gen.generate(gen.Shape(3, 6, 2), seed=3)
+    root = write_repo({rel: text.replace("function ping() external {}",
+                                         "function ping() external { emit Pinged(); }")
+                       for rel, text in corpus.files.items()}, tmp_path_factory.mktemp("gen"))
+    ccim = assemble_ccim(build_audit_source(classify_files(root), None, resolve_remappings(root)))
     groups = build_phase_c_interactions(ccim, _member_blocks(ccim), budget)
+    assert any(g.kind == "call" for g in groups)
     reasoner = RecordingReasoner(scripted([{"stage": "phase_c", "match": [],
                                             "response": {"verdict": "VULNERABLE"}}]).script)
     found = run_phase_c(ccim, reasoner, budget)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import copy
+import json
 
 import pytest
 
-from helpers import ThrowingReasoner, make_finding, scripted
+from helpers import RecordingReasoner, ThrowingReasoner, make_finding, scripted
 
+from solaudit import prompts
 from solaudit.ccim import assemble_ccim
 from solaudit.findings import classify_claim
 from solaudit.funnel import (
@@ -276,6 +278,23 @@ def test_sve2_access_control_bundle(models):
     assert entry["modifiers"] == ["onlyOwner"]
     assert entry["admin"] is True
     assert "Vault.sweep" in bundle["role_hierarchy"]
+
+
+def test_sve2_evidence_sends_each_source_as_written(models):
+    ccim = models["vault_oracle"]
+    keys = [("Vault", "setOracle"), ("Vault", "withdraw"), ("Nowhere", "nothing")]
+    reasoner = RecordingReasoner()
+    sve_layer2(make_finding(functions=keys, lines=(7, 9)), ccim, reasoner)
+    [prompt] = reasoner.prompts
+    evidence = prompt.split("Packaged evidence:\n")[1].split("\n\nRespond as JSON")[0]
+    bundle = access_control_bundle(make_finding(functions=keys), ccim)
+    # one line per fact, then each resolvable function's source block,
+    # its body unescaped
+    assert evidence.split("\n")[:4] == [
+        f"role_hierarchy: {json.dumps(bundle['role_hierarchy'])}",
+        *(json.dumps(fn, sort_keys=True) for fn in bundle["functions"]),
+        "evidence_lines: [7, 9]"]
+    assert evidence.endswith("\n" + "\n".join(prompts.source_block(ccim, k) for k in keys[:2]))
 
 
 # --- full funnel ---------------------------------------------------------------------------

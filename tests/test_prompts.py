@@ -1,6 +1,7 @@
 """Prompt budgeting: every template keeps its text, its fixed fields and its
-response-schema instruction whole under the character budget, and the budget
-cut and the reasoner request each have one home in the package."""
+response-schema instruction whole under the character budget, sections are
+packed first-fit, and the budget cut and the reasoner request each have one
+home in the package."""
 
 from __future__ import annotations
 
@@ -81,6 +82,27 @@ def test_payload_fields_share_the_room():
     fields = prompts.fit("{version}|{a}|{b}|{c}", 16, {"a": "a" * 9, "b": "b", "c": "c" * 9})
     # 4 characters of fixed text leave 12: b keeps whole, a and c split the rest
     assert (fields["a"], fields["b"], fields["c"]) == ("a" * 5, "b", "c" * 6)
+
+
+def test_pack_sections_fills_an_earlier_text_of_the_same_contract():
+    f, g, h = ("A", "f"), ("A", "g"), ("B", "h")
+    blocks = {f: "// A.f\n" + "x" * 60, g: "// A.g\n" + "y" * 60, h: "// B.h\n" + "z" * 5}
+    heads = [f"### S{i}\n" for i in range(4)]
+    members = [(f,), (g,), (f,), (h,)]
+    room = 110
+    packed = prompts.pack_sections(heads, members, blocks, room)
+    # S2 repeats A.f, whose body S0's text already holds; S3, of contract B,
+    # would fit in that text too, but B's sections start at the last text
+    assert [chunk for chunk, _ in packed] == [[0, 2], [1, 3]]
+    texts = [text for _, text in packed]
+    assert all(len(t) <= room for t in texts)
+    assert ["".join(texts).count(head) for head in heads] == [1, 1, 1, 1]
+    owners = [members[i][0][0] for chunk, _ in packed for i in chunk]
+    assert owners == sorted(owners)
+    # packing each section into the last text, as `chunks` does, takes one text more
+    parts = {i: {**{k: len(blocks[k]) - 7 for k in keys}, i: len(head) + 7 * len(keys) - 1}
+             for i, (head, keys) in enumerate(zip(heads, members))}
+    assert len(prompts.chunks(list(range(4)), parts, room, least=1)) == len(packed) + 1
 
 
 _ZERO_GUARD = 'require(amount > 0, "zero");'
