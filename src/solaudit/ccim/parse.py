@@ -426,10 +426,12 @@ def _find_header_end(masked: str, pos: int, end: int, brackets: dict[int, int]) 
 
 
 def _parse_header(header: str, default_vis: str) -> tuple[str, str, tuple[str, ...]]:
-    vis_m = _VISIBILITY_RE.search(header)
-    mut_m = _MUTABILITY_RE.search(header)
-    stripped = _RETURNS_RE.sub(" ", header)
-    stripped = _OVERRIDE_RE.sub(" ", stripped)
+    """Visibility, mutability and modifiers of a header, read with its return
+    list and override list taken out: `returns (address payable)` is no
+    `payable` function."""
+    stripped = _OVERRIDE_RE.sub(" ", _RETURNS_RE.sub(" ", header))
+    vis_m = _VISIBILITY_RE.search(stripped)
+    mut_m = _MUTABILITY_RE.search(stripped)
     modifiers = []
     for mm in _HEADER_TOKEN_RE.finditer(stripped):
         if mm.group(1) in _HEADER_KEYWORDS:

@@ -9,7 +9,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .ccim import assemble_ccim
+from . import prompts
+from .ccim import FnKey, assemble_ccim
 from .coverage import (
     attention_residual,
     blindspot_prompts,
@@ -20,7 +21,7 @@ from .coverage import (
 )
 from .dossier import dd_run
 from .engines import DEFAULT_SIGNAL_CAP, ingest_external, run_engines
-from .findings import SEVERITY_RANK, Finding, findings_from
+from .findings import SEVERITY_RANK, Finding, finding_from_payload, reply_list
 from .funnel import deterministically_refuted, run_funnel
 from .ingest import IngestError, build_audit_source, classify_files, resolve_remappings
 from .interaction import id_run
@@ -56,19 +57,31 @@ def _identity(f: Finding) -> tuple:
     return f.title, tuple(f.affected_functions), tuple(f.evidence_lines)
 
 
-def _extra_round_findings(prompt_list: list[str], stage: str, reasoner: Reasoner, ccim,
-                          signals, flag: str, budget: int,
+def _extra_round_findings(prompt_list: list[tuple[dict[str, FnKey], str]], stage: str,
+                          reasoner: Reasoner, ccim, signals, flag: str, budget: int,
                           report: list[Finding]) -> list[Finding]:
-    """Closed-loop follow-up passes (gap re-audit, blind-spot review): parsed
-    findings are admitted only after the deterministic funnel checks. A
-    finding equal to one already in `report` or raised by an earlier prompt
-    (same title, affected functions and evidence lines) is skipped, and the
-    admitted findings are numbered after those of this flag in `report`."""
+    """Closed-loop follow-up passes (gap re-audit, blind-spot review), each
+    prompt with its section ids to the function each section reviews. A
+    reply entry that names no function of its own is attributed to the
+    section its `review_id` names (`prompts.by_id`). Parsed findings are
+    admitted only after the deterministic funnel checks. A finding equal to
+    one already in `report` or raised earlier in the round (same title,
+    affected functions and evidence lines) is skipped, and the admitted
+    findings are numbered after those of this flag in `report`."""
     prefix = f"{flag[0].upper()}-"
     seen = {_identity(f) for f in report}
     number = max((int(f.id[len(prefix):]) for f in report if f.id.startswith(prefix)), default=0)
-    found = [f for prompt in prompt_list
-             for f in findings_from(ask(reasoner, stage, prompt, budget) or {}, "I")]
+    found = []
+    for ids, prompt in prompt_list:
+        for entry in reply_list(ask(reasoner, stage, prompt, budget) or {}, "findings"):
+            if not isinstance(entry, dict):
+                continue
+            f = finding_from_payload(entry, "I")
+            if f is None:
+                named = prompts.by_id([entry], "review_id", ids, "section")
+                f = finding_from_payload(entry, "I", [named[0][0]]) if named else None
+            if f is not None:
+                found.append(f)
     admitted = []
     for f in found:
         if _identity(f) in seen:
@@ -116,7 +129,8 @@ def run(config: RunConfig, reasoner: Reasoner | None = None) -> AuditReport:
 
     if coverage.gap_set:
         reaudit = _extra_round_findings(
-            gap_reaudit_prompts(coverage.gap_set, ccim, features, config.char_budget),
+            [({}, p) for p in gap_reaudit_prompts(coverage.gap_set, ccim, features,
+                                                  config.char_budget)],
             "gap_reaudit", reasoner, ccim, merged_signals, "gap-reaudit",
             config.char_budget, final)
         if reaudit:

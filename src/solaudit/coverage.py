@@ -1,7 +1,8 @@
 """Recall-side coverage: protocol-feature detection against a twenty-category
-knowledge base, bug-class gap reporting with one re-audit prompt per detected
-feature (its evidence once, its gap classes listed), the seventeen-class
-keyword map and attention-residual analysis over the function inventory."""
+knowledge base, bug-class gap reporting with one re-audit section per
+detected feature (its evidence once, its gap classes listed), the
+seventeen-class keyword map, attention-residual analysis over the function
+inventory and the blind-spot review of the top residuals."""
 
 from __future__ import annotations
 
@@ -269,17 +270,19 @@ def compute_gap_set(findings: list[Finding], detected_features: set[str]) -> Cov
 def gap_reaudit_prompts(gap_set: tuple[str, ...] | list[str], ccim: CcimModel,
                         detected_features: set[str],
                         budget: int = DEFAULT_CHAR_BUDGET) -> list[str]:
-    """One targeted prompt per detected feature that made a gap class
-    relevant: the feature's structural evidence once, and each of its gap
-    classes with the class heuristics. A class sits under the first feature
-    in sorted order that lists it; the prompts follow the sorted classes."""
+    """The gap re-audit's prompts: one `### G<n>: feature "<name>"` section
+    per detected feature that made a gap class relevant, holding each of its
+    gap classes with the class heuristics, then its structural evidence once.
+    A class sits under the first feature in sorted order that lists it; the
+    sections follow the sorted classes and are packed by `prompts.pack`, so
+    at the default budget the round is one prompt."""
     classes: dict[str, list[str]] = {}
     for bug_class in sorted(gap_set):
         feature = next((f for f in sorted(detected_features)
                         if bug_class in FEATURES.get(f, {}).get("bug_classes", ())), "unknown")
         classes.setdefault(feature, []).append(bug_class)
-    prompts_out = []
-    for feature, listed in classes.items():
+    sections = {}
+    for n, (feature, listed) in enumerate(classes.items(), start=1):
         stems = FEATURES.get(feature, {}).get("names", ())
         evidence = "\n".join(
             f"- {r.owner}.{r.name} (span {r.src}, calls: "
@@ -287,10 +290,10 @@ def gap_reaudit_prompts(gap_set: tuple[str, ...] | list[str], ccim: CcimModel,
             for r in ccim.records if any(stem in r.name.lower() for stem in stems)
         ) or "(feature detected from state-variable patterns)"
         heuristics = "\n".join(f"- {c}: {', '.join(CLASS_KEYWORDS.get(c, ()))}" for c in listed)
-        prompts_out.append(prompts.render(
-            prompts.GAP_REAUDIT, budget, {"classes": heuristics, "evidence": evidence},
-            feature=feature))
-    return prompts_out
+        sections[n] = (f'### G{n}: feature "{feature}"\n'
+                       f"Bug classes, each with its detection heuristics:\n{heuristics}\n"
+                       f"Structural evidence:\n{evidence}")
+    return [prompt for _, prompt in prompts.pack(prompts.GAP_REAUDIT, "features", sections, budget)]
 
 
 def risk_profile(record: FunctionRecord) -> float:
@@ -341,13 +344,19 @@ def attention_residual(ccim: CcimModel, discussed_names: set[str],
 
 
 def blindspot_prompts(residuals: ResidualClassification, ccim: CcimModel,
-                      top_n: int = 3, budget: int = DEFAULT_CHAR_BUDGET) -> list[str]:
-    """Package the highest-risk residual functions for the targeted review
-    pass: the source of every overload and the classification only, no
-    carry-over context."""
-    return [prompts.render(prompts.BLINDSPOT, budget, {"source": prompts.source_block(ccim, key)},
-                           status=residuals.status[key])
-            for key in residuals.ranked_residuals()[:top_n]]
+                      top_n: int = 3, budget: int = DEFAULT_CHAR_BUDGET
+                      ) -> list[tuple[dict[str, FnKey], str]]:
+    """The blind-spot review of the `top_n` highest-risk residual functions:
+    one `### B<n>: Owner.name (<status>)` section each, in rank order, with
+    the source of every overload and the classification only, no carry-over
+    context. The sections are packed by `prompts.pack`, so at the default
+    budget the round is one prompt; each prompt comes with its sections' ids
+    (`B<n>`) to the function each reviews."""
+    keys = {f"B{n}": k for n, k in enumerate(residuals.ranked_residuals()[:top_n], start=1)}
+    sections = {i: f"### {i}: {k[0]}.{k[1]} ({residuals.status[k]})\n"
+                   + prompts.source_block(ccim, k) for i, k in keys.items()}
+    return [({i: keys[i] for i in chunk}, prompt)
+            for chunk, prompt in prompts.pack(prompts.BLINDSPOT, "reviews", sections, budget)]
 
 
 def discussed_names_from(findings: list[Finding]) -> set[str]:

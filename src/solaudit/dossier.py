@@ -160,24 +160,17 @@ def _phase_a_block(dossier: Dossier) -> str:
 def phase_a_verify(dossiers: list[Dossier], reasoner: Reasoner,
                    budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
     """Checklist verification of flagged dossiers, of any contracts, packed
-    by `prompts.chunks` into as few prompts as fit the budget, a lone dossier
+    by `prompts.pack` into as few prompts as fit the budget, a lone dossier
     allowed. A reply item is attributed by `prompts.by_id` to the dossier its
     `item_id` (`Owner.name#i`) names; REAL items with an evidence citation
     become findings, in dossier order."""
     if any(not d.flagged for d in dossiers):
         raise ValueError("phase A takes flagged dossiers only")
-    if not dossiers:
-        return []
-    by_key = {d.function: d for d in dossiers}
-    blocks = {k: _phase_a_block(d) for k, d in by_key.items()}
-    fields = {"fp_rules": prompts.BUILTIN_FP_RULES}
-    room = prompts.room(prompts.PHASE_A, budget, {"members": ""}, **fields)
-    found: dict[FnKey, list[Finding]] = {k: [] for k in by_key}
-    parts = {k: {k: len(b)} for k, b in blocks.items()}
-    for chunk in prompts.chunks(list(by_key), parts, room, least=1):
-        members = "\n".join(blocks[k] for k in chunk)
-        reply = ask(reasoner, "phase_a",
-                    prompts.render(prompts.PHASE_A, budget, {"members": members}, **fields), budget)
+    blocks = {d.function: _phase_a_block(d) for d in dossiers}
+    found: dict[FnKey, list[Finding]] = {k: [] for k in blocks}
+    for chunk, prompt in prompts.pack(prompts.PHASE_A, "members", blocks, budget,
+                                      fp_rules=prompts.BUILTIN_FP_RULES):
+        reply = ask(reasoner, "phase_a", prompt, budget)
         items = [] if reply is None else reply_list(reply, "items")
         ids = {f"{k[0]}.{k[1]}": k for k in chunk}
         for key, raw in prompts.by_id(items, "item_id", ids, "dossier"):
@@ -323,8 +316,8 @@ def build_phase_c_interactions(ccim: CcimModel, blocks: dict[FnKey, str],
     shell_room = prompts.room(prompts.PHASE_C, budget, {"reviews": ""})
     groups: list[InteractionGroup] = []
 
-    def pack(kind: str, members: frozenset[FnKey] | set[FnKey], subject: str,
-             tail: tuple[FnKey, ...] = ()):
+    def add_groups(kind: str, members: frozenset[FnKey] | set[FnKey], subject: str,
+                   tail: tuple[FnKey, ...] = ()):
         ranked = sorted(members, key=lambda k: (-risk[k], k))
         # no chunk of `ranked` gets a later review number or a longer part
         widest = _review_heading(len(groups) + len(ranked), kind, subject, len(ranked), len(ranked))
@@ -336,10 +329,10 @@ def build_phase_c_interactions(ccim: CcimModel, blocks: dict[FnKey, str],
     for var in sorted(set(ccim.deps.writers) | set(ccim.deps.readers)):
         touchers = ccim.deps.writers.get(var, frozenset()) | ccim.deps.readers.get(var, frozenset())
         if len(touchers) >= 2 and not _set_once(ccim, var):
-            pack("var", touchers, var)
+            add_groups("var", touchers, var)
     for g in sorted({g for _, g in ccim.graph.edges}):
         if not _inert(ccim, g):
-            pack("call", ccim.graph.callers(g) - {g} or {g}, f"{g[0]}.{g[1]}", (g,))
+            add_groups("call", ccim.graph.callers(g) - {g} or {g}, f"{g[0]}.{g[1]}", (g,))
     return groups
 
 

@@ -1,17 +1,20 @@
 """Versioned prompt templates for every reasoner-bearing stage, the one
 rule that fits a filled template into the character budget and the one room
-it leaves a packer, the one source block a prompt shows a function by, and
-the two packers with their reply rule.
+it leaves a packer, the one source block a prompt shows a function by, the
+two packers, `pack` that renders a template per chunk, and the reply rule.
 
-Phase A's dossiers, phase B's bodies and stage 2's pairs are packed in order
-by `chunks`; phase C's reviews and stage 3's pairs are sections packed
-first-fit by `pack_sections` in contract locality order, so sections of one
-contract, which share its bodies, sit in the same prompts, and their ids and
-the order of their findings stay in section order. Both packers count a part
-that several members share once, so a shared skeleton or body is sent once
-per prompt. A reply's entries are attributed to the prompt's members by id
-with `by_id`, and `payloads` gives each member the reply's top-level fields
-overridden by its own entry.
+Every stage that shows the reasoner several members packs them. Phase A's
+dossiers, the gap re-audit's features and the blind-spot review's functions
+are sections that `pack` puts in order into as few prompts as fit, one
+chunk of `chunks` each; phase B's bodies and stage 2's pairs are packed in
+order by `chunks` itself; phase C's reviews and stage 3's pairs are sections
+packed first-fit by `pack_sections` in contract locality order, so sections
+of one contract, which share its bodies, sit in the same prompts, and their
+ids and the order of their findings stay in section order. Both packers
+count a part that several members share once, so a shared skeleton or body
+is sent once per prompt. A reply's entries are attributed to the prompt's
+members by id with `by_id`, and `payloads` gives each member the reply's
+top-level fields overridden by its own entry.
 
 Templates are plain text resources; bump PROMPT_VERSION when wording changes
 so scripted mock responses can be pinned to the template they were written
@@ -30,7 +33,7 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-PROMPT_VERSION = "9"
+PROMPT_VERSION = "10"
 
 BUILTIN_FP_RULES = """\
 Built-in false-positive rules (do not report these):
@@ -171,28 +174,25 @@ Respond as JSON: {{"verdict": "VERIFIED|DISPROVED|UNCERTAIN", "quote": ..., "arg
 "severity": "CRITICAL|HIGH|MEDIUM|LOW|INFO" or null}}"""
 
 GAP_REAUDIT = """\
-[template v{version}] Coverage-gap re-audit. The protocol exhibits the feature
-"{feature}" but no finding addresses the bug classes below. Re-examine the
-evidence below specifically for those classes.
+[template v{version}] Coverage-gap re-audit. The protocol exhibits each feature
+below, but no finding addresses the bug classes listed under it. Re-examine
+each feature's structural evidence specifically for its classes.
 
-Bug classes, each with its detection heuristics:
-{classes}
-
-Structural evidence:
-{evidence}
+{features}
 
 Respond as JSON: {{"findings": [{{"title": ..., "description": ...,
 "attack_scenario": ..., "severity": ..., "functions": [["Contract", "function"]],
 "evidence_lines": [..]}}]}}"""
 
 BLINDSPOT = """\
-[template v{version}] Blind-spot review. The function below was {status} by
-the audit passes. You receive only its source and classification, with
-no carry-over context. Audit it from scratch.
+[template v{version}] Blind-spot reviews. Each function below was left
+unattended or given partial attention by the audit passes, as its heading
+says. Each section holds only its source and classification, with
+no carry-over context: audit each function from scratch.
 
-{source}
+{reviews}
 
-Respond as JSON: {{"findings": [{{"title": ..., "description": ...,
+Respond as JSON: {{"findings": [{{"review_id": "B<n>", "title": ..., "description": ...,
 "attack_scenario": ..., "severity": ..., "evidence_lines": [..]}}]}}"""
 
 
@@ -269,6 +269,22 @@ def chunks(ranked: list, parts: dict, room: int, least: int = 2) -> list[list]:
     if len(out) > 1 and len(out[-1]) < least:
         out[-1].insert(0, out[-2][-1] if len(out[-2]) <= least else out[-2].pop())
     return out
+
+
+def pack(template: str, field: str, sections: dict, budget: int,
+         **fields: str) -> list[tuple[list, str]]:
+    """`template` prompts that hold `sections` (member -> text) in order, one
+    a line in the payload `field`, cut by `chunks` into as few prompts as fit
+    the room it leaves under `budget`; each prompt comes with its members. A
+    section over the room alone gets a prompt of its own, cut by `fit`. No
+    sections, no prompt."""
+    if not sections:
+        return []
+    room_left = room(template, budget, {field: ""}, **fields)
+    parts = {k: {k: len(text)} for k, text in sections.items()}
+    return [(chunk, render(template, budget, {field: "\n".join(sections[k] for k in chunk)},
+                           **fields))
+            for chunk in chunks(list(sections), parts, room_left, least=1)]
 
 
 def pack_sections(heads: list[str], members: list[tuple[FnKey, ...]], blocks: dict[FnKey, str],

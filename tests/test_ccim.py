@@ -165,6 +165,17 @@ def test_parse_receive_and_interface_function():
     assert records[("C", "receive")].mut == "payable"
 
 
+@pytest.mark.parametrize("header, mut", [
+    ("function ret() external returns (address payable)", "nonpayable"),
+    ("function ret() external payable returns (address payable)", "payable"),
+    ("function ret() external view returns (address payable)", "view"),
+])
+def test_mutability_ignores_the_return_list(header, mut):
+    src = _source_from_text(f"contract C {{\n    {header} {{}}\n}}\n")
+    [record] = parse_function_records(src)
+    assert record.mut == mut
+
+
 def test_yul_function_is_no_internal_callee():
     src = _source_from_text(
         "contract C {\n"

@@ -8,6 +8,7 @@ character budget, and the overlap of the two audit pipelines."""
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -361,11 +362,11 @@ def test_every_prompt_keeps_its_instruction_under_a_tight_budget(tmp_path):
 
 
 def test_extra_rounds_admit_each_finding_once(tmp_path):
-    # one round of two gap prompts, one per detected feature, gets the same
-    # scripted reply twice
+    # one round of one gap prompt, one section per detected feature; a reply
+    # repeated across prompts is `test_extra_round_ids_follow_the_report`'s
     reasoner = RecordingReasoner.from_file(_script_file(tmp_path, VAULT_SCRIPT))
     report = _run_vault(tmp_path, reasoner)
-    assert sum(r.stage == "gap_reaudit" for r in reasoner.requests) == 2
+    assert sum(r.stage == "gap_reaudit" for r in reasoner.requests) == 1
     assert [f.id for f in report.findings if "gap-reaudit" in f.flags] == ["G-001"]
 
 
@@ -374,7 +375,7 @@ def test_extra_round_skips_a_finding_already_in_the_report(models, merged_signal
 
     def extra_round(report):
         return cli._extra_round_findings(
-            ["prompt"], "gap_reaudit", scripted([gap_reply]), models["vault_oracle"],
+            [({}, "prompt")], "gap_reaudit", scripted([gap_reply]), models["vault_oracle"],
             merged_signals["vault_oracle"], "gap-reaudit", 24_000, report)
 
     first = extra_round([])
@@ -403,10 +404,40 @@ def test_extra_round_ids_follow_the_report(models, merged_signals):
     gap_reply = next(e for e in VAULT_SCRIPT if e["stage"] == "gap_reaudit")
     earlier = make_finding(fid="G-001", title="earlier gap finding",
                            functions=[("Vault", "sweep")], flags=["gap-reaudit"])
+    # both prompts get the same reply; its finding is admitted once
     admitted = cli._extra_round_findings(
-        ["first prompt", "second prompt"], "gap_reaudit", scripted([gap_reply]),
+        [({}, "first prompt"), ({}, "second prompt")], "gap_reaudit", scripted([gap_reply]),
         models["vault_oracle"], merged_signals["vault_oracle"], "gap-reaudit", 24_000, [earlier])
     assert [(f.id, f.title) for f in admitted] == [("G-002", "Sweep empties user deposits")]
+
+
+def test_blindspot_entry_without_functions_is_its_sections(tmp_path, caplog):
+    # the blind-spot schema asks for a review id, not for functions: such an
+    # entry is attributed to the function of the section its id names, an
+    # entry with functions of its own keeps them, and one naming no section
+    # of its prompt is dropped
+    reply = {"findings": [
+        {"review_id": "B1", "title": "Rounding leaves dust behind",
+         "description": "The division rounds down and the remainder stays behind.",
+         "severity": "HIGH"},
+        {"review_id": "B2", "title": "Deposit emits no event", "severity": "LOW",
+         "functions": ["Vault.deposit"]},
+        {"review_id": "B9", "title": "Stray review", "severity": "HIGH"},
+        {"title": "Unnamed review", "severity": "HIGH"},
+    ]}
+    reasoner = RecordingReasoner(
+        scripted([{"stage": "blindspot", "match": [], "response": reply}]).script)
+    with caplog.at_level("WARNING"):
+        report = _run_vault(tmp_path, reasoner)
+    [prompt] = [r.prompt for r in reasoner.requests if r.stage == "blindspot"]
+    heads = {i: (o, n) for i, o, n in re.findall(r"^### (B\d+): (\w+)\.(\w+) ", prompt, re.M)}
+    assert list(heads) == ["B1", "B2", "B3"]
+    blind = [(f.id, f.title, f.affected_functions, f.severity)
+             for f in report.findings if "blindspot-review" in f.flags]
+    assert blind == [("B-001", "Rounding leaves dust behind", [heads["B1"]], "HIGH"),
+                     ("B-002", "Deposit emits no event", [("Vault", "deposit")], "LOW")]
+    assert "review_id 'B9' names no section of its prompt; dropped" in caplog.text
+    assert "review_id None names no section of its prompt; dropped" in caplog.text
 
 
 def test_pipelines_run_concurrently(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 from helpers import make_finding
 
 from solaudit.coverage import (
@@ -14,6 +16,7 @@ from solaudit.coverage import (
     gap_reaudit_prompts,
     risk_profile,
 )
+from solaudit.prompts import source_block
 
 
 def test_catalogue_shape():
@@ -93,19 +96,23 @@ def test_keyword_map_reentrancy(models):
 def test_gap_reaudit_prompts(models):
     detected = detect_features(models["vault_oracle"])
     report = compute_gap_set([], detected)
-    prompts = gap_reaudit_prompts(report.gap_set, models["vault_oracle"], detected)
-    # one prompt per feature that made a gap class relevant; each class is
-    # listed once, under the first feature in sorted order that lists it
+    # one prompt of one section per feature that made a gap class relevant,
+    # numbered in sorted class order; each class is listed once, under the
+    # first feature in sorted order that lists it
+    [prompt] = gap_reaudit_prompts(report.gap_set, models["vault_oracle"], detected)
     home = {c: next(f for f in sorted(detected) if c in FEATURES[f]["bug_classes"])
             for c in report.gap_set}
-    assert len(prompts) == len(set(home.values())) < len(report.gap_set)
+    features = list(dict.fromkeys(home[c] for c in sorted(home)))
+    assert len(features) < len(report.gap_set)
+    assert re.findall(r'^### G(\d+): feature "(.+)"$', prompt, re.M) == \
+        [(str(n), f) for n, f in enumerate(features, start=1)]
+    sections = dict(zip(features, re.split(r"^### G\d+: ", prompt, flags=re.M)[1:]))
     for c, feature in home.items():
-        [prompt] = [p for p in prompts if f"\n- {c}: " in p]
-        assert f'"{feature}" but no finding' in prompt
-    oracle_prompts = [p for p in prompts if "oracle-staleness" in p]
-    assert oracle_prompts
-    # structural evidence for the feature is embedded
-    assert any("latestPrice" in p or "setOracle" in p for p in oracle_prompts)
+        assert [f for f, text in sections.items() if f"\n- {c}: " in text] == [feature]
+    # the feature's structural evidence follows its classes
+    classes, evidence = sections["oracle-integration"].split("\nStructural evidence:\n")
+    assert "- oracle-staleness: " in classes
+    assert "latestPrice" in evidence or "setOracle" in evidence
 
 
 def test_gap_reaudit_empty(models):
@@ -171,11 +178,16 @@ def test_attention_residual_empty_output(models):
 def test_blindspot_prompts_ranked(models):
     ccim = models["vault_oracle"]
     residuals = attention_residual(ccim, set(), "")
-    prompts = blindspot_prompts(residuals, ccim, top_n=2)
-    assert len(prompts) == 2
-    ranked = residuals.ranked_residuals()
-    assert f"{ranked[0][0]}.{ranked[0][1]}" in prompts[0]
-    assert "no carry-over context" in prompts[0]
+    # one prompt of one section per top residual, in rank order, each with
+    # its source block; the ids name the function each section reviews
+    [(ids, prompt)] = blindspot_prompts(residuals, ccim, top_n=2)
+    top = residuals.ranked_residuals()[:2]
+    assert ids == {"B1": top[0], "B2": top[1]}
+    assert re.findall(r"^### (B\d+): (\w+)\.(\w+) \((.+)\)$", prompt, re.M) == \
+        [("B1", *top[0], "unattended"), ("B2", *top[1], "unattended")]
+    for n, key in enumerate(top, start=1):
+        assert f"### B{n}: {key[0]}.{key[1]} (unattended)\n{source_block(ccim, key)}" in prompt
+    assert "no carry-over context" in prompt
 
 
 def test_discussed_names_extraction():

@@ -208,7 +208,7 @@ def test_only_the_model_groups_records_by_key():
 # the one packer of multi-member prompts and its reply attribution by id,
 # each with or without a leading underscore, and the one module that defines
 # them; the stages that pack without the dossier pipeline must not import it
-PACKER_NAMES = {"chunks", "pack_sections", "by_id", "payloads"}
+PACKER_NAMES = {"chunks", "pack", "pack_sections", "by_id", "payloads"}
 PACKER_HOME = "solaudit.prompts"
 DOSSIER_FREE = {"solaudit.interaction", "solaudit.coverage"}
 

@@ -1,9 +1,10 @@
-"""The packed interaction stages and gap re-audit: stage 2 and stage 3 send
+"""The packed interaction stages and extra rounds: stage 2 and stage 3 send
 the audited pairs several to a prompt with the one packer of
 `solaudit.prompts`, numbered `P<n>` over the whole pair list, and the gap
-re-audit sends one prompt per detected feature. Properties on the corpus
-repos, on generated shapes at several budgets and on the `deep` fixture; the
-reply rule of both stages; the request counts on `deep`."""
+re-audit and the blind-spot review send their sections, `G<n>` per detected
+feature and `B<n>` per top residual, several to a prompt. Properties on the
+corpus repos, on generated shapes at several budgets and on the `deep`
+fixture; the reply rule of both stages; the request counts on `deep`."""
 
 from __future__ import annotations
 
@@ -18,7 +19,14 @@ from helpers import RecordingReasoner, generated_model, scripted
 
 from solaudit import cli, prompts
 from solaudit.ccim import assemble_ccim
-from solaudit.coverage import FEATURES, compute_gap_set, detect_features, gap_reaudit_prompts
+from solaudit.coverage import (
+    FEATURES,
+    attention_residual,
+    blindspot_prompts,
+    compute_gap_set,
+    detect_features,
+    gap_reaudit_prompts,
+)
 from solaudit.engines import run_engines
 from solaudit.ingest import AuditSource, OffsetMap, Segment
 from solaudit.interaction import (
@@ -90,15 +98,60 @@ def _check_packed_stages(ccim, merged, budget):
             "skeletons": "\n\n".join(skeletons[c] for c in sorted(skeletons))}))
         if whole < budget:
             assert len(stage2.prompts) == 1
+    _check_gap_reaudit(ccim, budget)
+    _check_blindspot(ccim, budget)
 
-    # gap re-audit: one prompt per feature, each gap class listed once
+
+def _check_gap_reaudit(ccim, budget):
+    """Every feature that homes a gap class is one `### G<n>` section of
+    exactly one prompt, numbered in sorted class order, and every gap class
+    is listed once."""
     features = detect_features(ccim)
     gaps = compute_gap_set([], features).gap_set
     sent = gap_reaudit_prompts(gaps, ccim, features, budget)
-    homes = {next(f for f in sorted(features) if c in FEATURES[f]["bug_classes"]) for c in gaps}
-    assert len(sent) == len(homes)
+    homes = list(dict.fromkeys(next(f for f in sorted(features) if c in FEATURES[f]["bug_classes"])
+                               for c in gaps))
+    held = []
+    for p in sent:
+        mine = _held(r"^### G(\d+): ", p)
+        assert all(f'\n### G{n}: feature "{homes[n - 1]}"\n' in p for n in mine)
+        held += mine
+        assert len(p) <= budget
+        assert len(p) < budget or len(mine) == 1
+    assert sorted(held) == list(range(1, len(homes) + 1))
     for c in gaps:
-        assert sum(f"\n- {c}: " in p for p in sent) == 1, c
+        assert sum(p.count(f"\n- {c}: ") for p in sent) == 1, c
+    _check_one_prompt_when_it_fits(sent, gap_reaudit_prompts(
+        gaps, ccim, features, DEFAULT_CHAR_BUDGET * 100), budget)
+
+
+def _check_blindspot(ccim, budget):
+    """Every top residual is one `### B<n>` section of exactly one prompt,
+    in rank order, and the prompt's ids name the function of each of its
+    sections."""
+    residuals = attention_residual(ccim, set())
+    top = residuals.ranked_residuals()[:3]
+    sent = blindspot_prompts(residuals, ccim, budget=budget)
+    held = []
+    for ids, p in sent:
+        mine = _held(r"^### B(\d+): ", p)
+        assert ids == {f"B{n}": top[n - 1] for n in mine}
+        assert all(f"\n### B{n}: {top[n - 1][0]}.{top[n - 1][1]} (unattended)\n" in p
+                   for n in mine)
+        held += mine
+        assert len(p) <= budget
+        assert len(p) < budget or len(mine) == 1
+    assert sorted(held) == list(range(1, len(top) + 1))
+    _check_one_prompt_when_it_fits([p for _, p in sent], [p for _, p in blindspot_prompts(
+        residuals, ccim, budget=DEFAULT_CHAR_BUDGET * 100)], budget)
+
+
+def _check_one_prompt_when_it_fits(sent, whole, budget):
+    """A round whose sections fit one prompt under `budget` sends one;
+    `whole` is the round at a budget no section reaches."""
+    assert len(whole) <= 1
+    if whole and len(whole[0]) < budget:
+        assert len(sent) == 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -121,14 +174,25 @@ def test_packed_stages_on_deep(deep_model, budget):
     _check_packed_stages(*deep_model, budget)
 
 
+@pytest.mark.parametrize("budget", [600, 800, 1_000])
+def test_blindspot_sections_split_under_a_tight_budget(models, budget):
+    # from 1,500 on every corpus repo's three sections fit one prompt
+    for ccim in models.values():
+        _check_blindspot(ccim, budget)
+    residuals = attention_residual(models["vault_oracle"], set())
+    assert len(blindspot_prompts(residuals, models["vault_oracle"], budget=600)) == 3
+
+
 def test_deep_sends_one_prompt_per_stage_and_per_feature(gen, tmp_path):
-    # before packing: 16 spec prompts, 16 verify prompts and 9 gap prompts,
-    # one per pair or gap class; `deep` detects three features
+    # before packing: 16 spec prompts, 16 verify prompts, 9 gap prompts (one
+    # per pair or gap class; `deep` detects three features) and 3 blind-spot
+    # prompts, one per top residual
     root = write_repo(gen.generate(gen.SHAPES["deep"], seed=3).files, tmp_path / "deep")
     reasoner = MockReasoner()
     cli.run(cli.RunConfig(path=str(root), out_dir=str(tmp_path / "out")), reasoner)
-    assert {s: reasoner.call_count(s) for s in ("stage2_spec", "stage3_verify", "gap_reaudit")} \
-        == {"stage2_spec": 1, "stage3_verify": 1, "gap_reaudit": 3}
+    stages = ("stage2_spec", "stage3_verify", "gap_reaudit", "blindspot")
+    assert {s: reasoner.call_count(s) for s in stages} \
+        == {"stage2_spec": 1, "stage3_verify": 1, "gap_reaudit": 1, "blindspot": 1}
 
 
 # --- the reply rule ---------------------------------------------------------------

@@ -30,8 +30,8 @@ PAYLOAD_FIELDS = {
     "STAGE3_VERIFY": ("pairs",),
     "STANDALONE": ("source",),
     "SVE_LAYER2": ("evidence",),
-    "GAP_REAUDIT": ("evidence", "classes"),
-    "BLINDSPOT": ("source",),
+    "GAP_REAUDIT": ("features",),
+    "BLINDSPOT": ("reviews",),
 }
 
 
@@ -79,7 +79,7 @@ def test_prompt_under_budget_is_filled_uncut(name):
 
 
 def test_payload_fields_share_the_room():
-    fields = prompts.fit("{version}|{a}|{b}|{c}", 16, {"a": "a" * 9, "b": "b", "c": "c" * 9})
+    fields = prompts.fit("#|{a}|{b}|{c}", 16, {"a": "a" * 9, "b": "b", "c": "c" * 9})
     # 4 characters of fixed text leave 12: b keeps whole, a and c split the rest
     assert (fields["a"], fields["b"], fields["c"]) == ("a" * 5, "b", "c" * 6)
 
