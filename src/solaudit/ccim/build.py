@@ -228,7 +228,7 @@ _EMIT_RE = re.compile(r"emit(?<!\wemit)\s+([A-Za-z_]\w*\s*\()")
 
 
 def _postconditions(parsed: ParsedSource, record: FunctionRecord) -> frozenset[str]:
-    masked, (start, end) = parsed.masked, parsed.body_span(record)
+    masked, (start, end) = parsed.masked, record.span
     out: set[str] = set()
     for m in _RETURN_RE.finditer(masked, start, end):
         expr = m.group(1).strip()

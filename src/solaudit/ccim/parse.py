@@ -4,7 +4,8 @@ No AST: contracts, functions and state variables are recovered with regexes
 over a comment- and string-masked copy of the source. Unparseable constructs
 degrade to empty field values with a logged warning; they never abort the
 run. Assembly blocks are opaque text. Function records are spans of the one
-mask: readers scan it inside `ParsedSource.decl_span` or `body_span`. Each
+mask: readers scan it inside `ParsedSource.decl_span` or a record's body
+`span`, and take its code facts from the record, never its raw text. Each
 text is scanned once:
 - a pattern that scans a body or the whole text starts on a literal, as
   `word(?<!\wword)`: `re` skips ahead only to a first literal or character
@@ -101,6 +102,7 @@ _HEADER_END_RE = re.compile(r"[(){;]")
 # one step along an [index] / .member chain after an identifier
 _SUFFIX_STEP_RE = re.compile(r"[ \t]*(?:(\[)|\.\s*([A-Za-z_]\w*))?")
 _REQUIRE_RE = re.compile(r"require(?<!\wrequire)\s*\(")
+UNCHECKED_RE = re.compile(r"unchecked(?<!\wunchecked)\s*\{")
 _APPROVE_RE = re.compile(r"\.\s*(?:approve|safeApprove)\s*\(")
 
 
@@ -204,16 +206,6 @@ class ParsedSource:
     def decl_span(self, rec: FunctionRecord) -> tuple[int, int]:
         """(start, end) of `rec`'s declaration, header included."""
         return rec.offset, rec.offset + len(rec.body)
-
-    def body_span(self, rec: FunctionRecord) -> tuple[int, int]:
-        """(start, end) of `rec`'s body between its code braces: the `{`
-        paired with the `}` that ends the declaration. Empty at the
-        declaration's end when it has no body."""
-        start, end = self.decl_span(rec)
-        open_pos = self.masked.find("{", start, end)
-        while open_pos >= 0 and self.brackets.get(open_pos) != end - 1:
-            open_pos = self.masked.find("{", open_pos + 1, end)
-        return (open_pos + 1, end - 1) if open_pos >= 0 else (end, end)
 
 
 def parse_source(text: str, masked: str | None = None) -> ParsedSource:
@@ -366,9 +358,13 @@ def _parse_contract_functions(decl, parsed, visible_vars, source):
     default_vis = "external" if decl.kind == "interface" else "public"
     for m, params_close, header_end, decl_end in found:
         name = m.group(2) or m.group(1)  # constructor/receive/fallback keep keyword name
+        # the body between its braces; a bodiless declaration, whose header
+        # ends at its `;`, has the empty span past it
+        span = (header_end + 1, decl_end) if decl_end > header_end else (decl_end + 1, decl_end + 1)
+        unchecked = UNCHECKED_RE.search(parsed.masked, *span) is not None
         try:
             yield _build_record(decl, name, parsed, visible_vars, fn_names, source, default_vis,
-                                m, params_close, header_end, decl_end)
+                                m, params_close, header_end, decl_end, span, unchecked)
         except Exception as exc:  # per-component isolation: degrade, never abort
             log.warning("parse failure in %s.%s (%s); emitting degraded record", decl.name, name, exc)
             yield FunctionRecord(
@@ -377,6 +373,7 @@ def _parse_contract_functions(decl, parsed, visible_vars, source):
                 call_sites=(), fund_flag=False,
                 src=(parsed.line_of(m.start()), parsed.line_of(decl_end)),
                 internal_calls=frozenset(), body=parsed.text[m.start():decl_end + 1], offset=m.start(),
+                span=span, unchecked=unchecked,
             )
 
 
@@ -473,7 +470,7 @@ def _natspec_above(src_lines: tuple[str, ...], header_line: int) -> str:
 
 
 def _build_record(decl, name, parsed, visible_vars, fn_names, source, default_vis,
-                  m, params_close, header_end, abs_end):
+                  m, params_close, header_end, abs_end, span, unchecked):
     text, masked, abs_start = parsed.text, parsed.masked, m.start()
     vis, mut, modifiers = _parse_header(masked[params_close + 1:header_end], default_vis)
     params = _param_names(masked[m.end():params_close])
@@ -481,9 +478,7 @@ def _build_record(decl, name, parsed, visible_vars, fn_names, source, default_vi
     end_line = parsed.line_of(abs_end)
     signature = " ".join(text[abs_start:header_end].split())
 
-    # the body between its braces; a bodiless declaration, whose header ends
-    # at its `;`, reads the empty span past it
-    start, end = header_end + 1, abs_end
+    start, end = span
     guards = _extract_requires(masked, start, end, parsed.brackets)
     _, reads, writes, calls, internal = scan_body(
         masked, start, end, parsed.brackets, visible_vars, fn_names, params)
@@ -502,7 +497,8 @@ def _build_record(decl, name, parsed, visible_vars, fn_names, source, default_vi
         call_sites=tuple(CallSite(target=target, method=method, line=parsed.line_of(pos))
                          for target, method, pos in calls), fund_flag=fund,
         src=(start_line, end_line), internal_calls=frozenset(internal),
-        body=text[abs_start:abs_end + 1], offset=abs_start, params=params, signature=signature,
+        body=text[abs_start:abs_end + 1], offset=abs_start, span=span, unchecked=unchecked,
+        params=params, signature=signature,
         natspec=_natspec_above(parsed.lines, start_line),
         pragma_ge_08=pragma_ge_08(source.pragmas.get(path)),
     )

@@ -42,6 +42,8 @@ class FunctionRecord:
     internal_calls: frozenset[str]        # same-contract callee names
     body: str                             # raw declaration text, header included
     offset: int                           # char offset of `body` in the audit source
+    span: tuple[int, int]                 # (start, end) offsets of the body between its braces
+    unchecked: bool                       # the masked span holds an `unchecked {` block
     # parser extras consumed by downstream stages (precondition inference,
     # pair selection, skeleton prompts, the >=0.8 overflow rule)
     params: tuple[str, ...] = ()
@@ -57,10 +59,10 @@ class FunctionRecord:
     def nonreentrant(self) -> bool:
         return "nonReentrant" in {m.split("(")[0] for m in self.modifiers}
 
-    def body_inner(self) -> str:
-        """The brace-delimited body proper, without the header."""
-        i, j = self.body.find("{"), self.body.rfind("}")
-        return "" if i < 0 else self.body[i + 1:j] if j > i else self.body[i + 1:]
+    @property
+    def has_body(self) -> bool:
+        """Whether the declaration has a `{...}` body: a bodiless one's span is past its `;`."""
+        return self.span[1] < self.offset + len(self.body)
 
 
 @dataclass(frozen=True)
@@ -164,8 +166,10 @@ class CcimModel:
 
     @cached_property
     def leak_probes(self) -> tuple[tuple[FunctionRecord, str], ...]:
-        """(record, stripped body) per body of 20+ characters: what a skeleton prompt must not hold."""
-        return tuple((r, inner) for r in self.records if len(inner := r.body_inner().strip()) >= 20)
+        """(record, stripped raw text over its span) per body of 20+ characters:
+        what a skeleton prompt must not hold."""
+        return tuple((r, inner) for r in self.records
+                     if len(inner := self.parsed.text[slice(*r.span)].strip()) >= 20)
 
     def owned(self, contract: str) -> tuple[FunctionRecord, ...]:
         """The records of `contract`, in record (source) order."""

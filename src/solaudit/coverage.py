@@ -253,7 +253,7 @@ def compute_gap_set(findings: list[Finding], detected_features: set[str]) -> Cov
     all_text = " ".join(f.text().lower() for f in findings)
     covered = {
         cls for cls in relevant
-        if any(k in all_text for k in CLASS_KEYWORDS.get(cls, (cls.replace("-", " "),)))
+        if any(k in all_text for k in CLASS_KEYWORDS[cls])
     }
     keyword_map = {
         cls: any(k in all_text for k in keywords)
@@ -289,15 +289,16 @@ def gap_reaudit_prompts(gap_set: tuple[str, ...] | list[str], ccim: CcimModel,
             f"{[(s.target, s.method, s.line) for s in r.call_sites]})"
             for r in ccim.records if any(stem in r.name.lower() for stem in stems)
         ) or "(feature detected from state-variable patterns)"
-        heuristics = "\n".join(f"- {c}: {', '.join(CLASS_KEYWORDS.get(c, ()))}" for c in listed)
+        heuristics = "\n".join(f"- {c}: {', '.join(CLASS_KEYWORDS[c])}" for c in listed)
         sections[n] = (f'### G{n}: feature "{feature}"\n'
                        f"Bug classes, each with its detection heuristics:\n{heuristics}\n"
                        f"Structural evidence:\n{evidence}")
     return [prompt for _, prompt in prompts.pack(prompts.GAP_REAUDIT, "features", sections, budget)]
 
 
-def risk_profile(record: FunctionRecord) -> float:
-    """Additive structural risk score over the six named factors."""
+def risk_profile(record: FunctionRecord, masked: str) -> float:
+    """Additive structural risk score over the six named factors; arithmetic
+    operators are counted over the record's span of the audit's `masked` source."""
     score = 0.0
     if record.vis in ("external", "public"):
         score += RISK_WEIGHTS["external_vis"]
@@ -305,7 +306,7 @@ def risk_profile(record: FunctionRecord) -> float:
         score += RISK_WEIGHTS["fund_flag"]
     score += RISK_WEIGHTS["per_write"] * len(record.writes)
     score += RISK_WEIGHTS["per_external_call"] * len(record.call_sites)
-    ops = len(_ARITH_OP_RE.findall(record.body_inner()))
+    ops = len(_ARITH_OP_RE.findall(masked, *record.span))
     score += min(RISK_WEIGHTS["arithmetic_bucket_max"], ops / 5.0)
     if any(_FINANCIAL_NAME_RE.search(v) for v in record.writes | record.reads):
         score += RISK_WEIGHTS["financial_name"]
@@ -314,11 +315,11 @@ def risk_profile(record: FunctionRecord) -> float:
 
 def key_risk(ccim: CcimModel, key: FnKey) -> float:
     """A function's risk: the highest `risk_profile` among its overloads."""
-    return max(map(risk_profile, ccim.records_of((key,))), default=0.0)
+    return max((risk_profile(r, ccim.parsed.masked) for r in ccim.records_of((key,))), default=0.0)
 
 
 def attention_residual(ccim: CcimModel, discussed_names: set[str],
-                       output_text: str = "") -> ResidualClassification:
+                       output_text: str) -> ResidualClassification:
     """Partition the inventory by comparing mentioned function names against
     the full parsed set; mentioned functions with an unaddressed critical
     aspect (fund movement, external calls) in any overload are
@@ -331,14 +332,11 @@ def attention_residual(ccim: CcimModel, discussed_names: set[str],
         if key[1] not in discussed_names:
             status[key] = "unattended"
             continue
-        unaddressed = False
-        if output_text:
-            recs = ccim.records_of((key,))
-            if any(r.fund_flag for r in recs) and not any(k in lowered for k in ASPECT_KEYWORDS["fund"]):
-                unaddressed = True
-            if any(r.call_sites for r in recs) \
-                    and not any(k in lowered for k in ASPECT_KEYWORDS["external_call"]):
-                unaddressed = True
+        recs = ccim.records_of((key,))
+        unaddressed = ((any(r.fund_flag for r in recs)
+                        and not any(k in lowered for k in ASPECT_KEYWORDS["fund"]))
+                       or (any(r.call_sites for r in recs)
+                           and not any(k in lowered for k in ASPECT_KEYWORDS["external_call"])))
         status[key] = "partial-attention" if unaddressed else "discussed"
     return ResidualClassification(status=status, risk_score=scores)
 

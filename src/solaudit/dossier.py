@@ -270,9 +270,8 @@ def _inert(ccim: CcimModel, key: FnKey) -> bool:
     mask, no modifiers and no `payable`: a call into it has no effect."""
     records = ccim.records_of((key,))
     for r in records:
-        start, end = ccim.parsed.body_span(r)
-        if (r.modifiers or r.mut == "payable" or end == ccim.parsed.decl_span(r)[1]
-                or ccim.parsed.masked[start:end].strip()):
+        if (r.modifiers or r.mut == "payable" or not r.has_body
+                or ccim.parsed.masked[slice(*r.span)].strip()):
             return False
     return bool(records)
 

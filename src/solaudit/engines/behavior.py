@@ -166,7 +166,7 @@ def infer_preconditions(record: FunctionRecord) -> frozenset[str]:
 def itpc_high_risk(record: FunctionRecord, fund_transitive: bool) -> bool:
     """Value-handling functions with unchecked arithmetic get standalone audit slots."""
     handles_value = fund_transitive or record.mut == "payable"
-    return handles_value and "unchecked" in record.body
+    return handles_value and record.unchecked
 
 
 def run_itpc_lite(ccim: CcimModel) -> list[Signal]:

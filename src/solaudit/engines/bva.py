@@ -148,7 +148,7 @@ def _muldiv_shapes(parsed: ParsedSource, record: FunctionRecord) -> list[tuple[s
     """Per statement containing both * and /: the operator order plus the
     identifiers involved."""
     shapes = []
-    masked, (start, end) = parsed.masked, parsed.body_span(record)
+    masked, (start, end) = parsed.masked, record.span
     if masked.find("/", start, end) < 0 or masked.find("*", start, end) < 0:
         return shapes
     for m in STATEMENT_RE.finditer(masked, start, end):
@@ -203,7 +203,7 @@ def _sub_symbolic_eval(ccim: CcimModel) -> list[Signal]:
         for rec in ccim.owned(contract):
             # the fold keeps every newline, so a line count over `folded`
             # plus the line of the opening brace locates a match
-            start, end = ccim.parsed.body_span(rec)
+            start, end = rec.span
             folded = ccim.parsed.masked[start:end]
             if "**" in folded:
                 folded = _POW_RE.sub(lambda m: str(int(m.group(1)) ** int(m.group(2)))

@@ -8,14 +8,13 @@ import logging
 import re
 
 from ..ccim import CcimModel
-from ..ccim.parse import balanced
+from ..ccim.parse import UNCHECKED_RE, balanced
 from .bva import STATEMENT_RE, scope_contracts
 from .signal import Signal
 
 log = logging.getLogger(__name__)
 
 _ASSEMBLY_RE = re.compile(r"assembly(?<!\wassembly)\s*(?:\([^)]*\)\s*)?\{")
-_UNCHECKED_RE = re.compile(r"unchecked(?<!\wunchecked)\s*\{")
 _ORACLE_READ_RE = re.compile(r"\.\s*(latestAnswer|latestRoundData)\s*\(")
 # from the `/` of a division whose divisor a `*` follows; the dividend's last
 # character (a word character, `)` or `]`) is found by walking back
@@ -66,7 +65,7 @@ def _rule_signature_replay(text: str, start: int, end: int, pairs: dict[int, int
 
 
 def _rule_unchecked_arithmetic(text: str, start: int, end: int, pairs: dict[int, int]):
-    for m, open_pos, close_pos in balanced(text, _UNCHECKED_RE, pairs, start, end):
+    for m, open_pos, close_pos in balanced(text, UNCHECKED_RE, pairs, start, end):
         if _ARITHMETIC_RE.search(text, open_pos, close_pos + 1):
             yield ("MATH", "math-unchecked-arithmetic", "MEDIUM", 0.5, m.start(),
                    "arithmetic inside an unchecked block wraps silently")
@@ -111,7 +110,7 @@ def run_pattern_detectors(ccim: CcimModel) -> list[Signal]:
     scope = set(scope_contracts(ccim))
     parsed = ccim.parsed
     for rec in sorted(ccim.records, key=lambda r: r.src[0]):
-        if rec.owner not in scope or "{" not in rec.body:
+        if rec.owner not in scope or not rec.has_body:
             continue
         start, end = parsed.decl_span(rec)
         for rule in _RULES:

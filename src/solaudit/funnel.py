@@ -65,7 +65,7 @@ def stage1_verify(finding: Finding, ccim: CcimModel) -> VerdictRecord:
         return VerdictRecord(finding.id, "stage1", "DISPROVED",
                              f"line {recs[0].src[0]}: every affected function is nonReentrant-guarded")
     if claim == "INTEGER_OVERFLOW_GE08" and recs and all(r.pragma_ge_08 for r in recs) \
-            and not any("unchecked" in r.body for r in recs):
+            and not any(r.unchecked for r in recs):
         return VerdictRecord(finding.id, "stage1", "DISPROVED",
                              f"line {recs[0].src[0]}: solc >= 0.8 checked arithmetic and "
                              f"no unchecked block in the affected span")

@@ -76,7 +76,7 @@ class BehaviorSpec:
 
 def _auditable(ccim: CcimModel) -> list[FunctionRecord]:
     return [r for r in ccim.records
-            if ccim.resolution.kinds.get(r.owner) != "interface" and "{" in r.body]
+            if ccim.resolution.kinds.get(r.owner) != "interface" and r.has_body]
 
 
 def _pair_set(pairs) -> set[tuple[FnKey, FnKey]]:

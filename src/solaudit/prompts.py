@@ -276,11 +276,14 @@ def pack(template: str, field: str, sections: dict, budget: int,
     """`template` prompts that hold `sections` (member -> text) in order, one
     a line in the payload `field`, cut by `chunks` into as few prompts as fit
     the room it leaves under `budget`; each prompt comes with its members. A
-    section over the room alone gets a prompt of its own, cut by `fit`. No
-    sections, no prompt."""
+    section over the room alone gets a prompt of its own, cut by `fit`; one
+    WARNING names each such section by its first line. No sections, no prompt."""
     if not sections:
         return []
     room_left = room(template, budget, {field: ""}, **fields)
+    if over := [t.partition("\n")[0].lstrip("# ") for t in sections.values() if len(t) > room_left]:
+        log.warning("sections over the room of %d characters alone, each cut to fit a prompt "
+                    "of its own: %s", room_left, "; ".join(over))
     parts = {k: {k: len(text)} for k, text in sections.items()}
     return [(chunk, render(template, budget, {field: "\n".join(sections[k] for k in chunk)},
                            **fields))

@@ -341,7 +341,7 @@ UNANCHORED = {
     ("engines.bva", "_POW_RE"): r"\b(\d+)\s*\*\*\s*(\d+)\b",
     ("engines.bva", "_LITERAL_OP_RE"): r"\b(\d+(?:\.\d+)?e\d+|\d+)\s*(\*|-)\s*(\d+(?:\.\d+)?e\d+|\d+)",
     ("engines.patterns", "_ASSEMBLY_RE"): r"\bassembly\s*(?:\([^)]*\)\s*)?\{",
-    ("engines.patterns", "_UNCHECKED_RE"): r"\bunchecked\s*\{",
+    ("ccim.parse", "UNCHECKED_RE"): r"\bunchecked\s*\{",
     ("engines.patterns", "_ECRECOVER_RE"): r"\becrecover\s*\(",
     ("engines.patterns", "_DOWNCAST_RE"): r"\b(u?int(?:8|16|32|64|96|128))\s*\(\s*[A-Za-z_]",
     ("engines.patterns", "_DIV_THEN_MUL_RE"): r"[\w\)\]]\s*/\s*[\w\(][\w\.\(\)\[\]]*\s*\*",

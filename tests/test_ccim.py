@@ -161,7 +161,7 @@ def test_parse_receive_and_interface_function():
     )
     records = {r.key: r for r in parse_function_records(src)}
     assert records[("IX", "poke")].vis == "external"
-    assert records[("IX", "poke")].body_inner() == ""
+    assert not records[("IX", "poke")].has_body
     assert records[("C", "receive")].mut == "payable"
 
 

@@ -121,8 +121,8 @@ def test_gap_reaudit_empty(models):
 
 def test_risk_profile_dominance(models):
     ccim = models["vault_oracle"]
-    withdraw = risk_profile(ccim.records_of([("Vault", "withdraw")])[0])
-    view_helper = risk_profile(ccim.records_of([("ChainOracle", "latestPrice")])[0])
+    withdraw = risk_profile(ccim.records_of([("Vault", "withdraw")])[0], ccim.parsed.masked)
+    view_helper = risk_profile(ccim.records_of([("ChainOracle", "latestPrice")])[0], ccim.parsed.masked)
     assert withdraw > view_helper
 
 
@@ -136,19 +136,51 @@ def test_risk_profile_zero_base(tmp_path):
         "}\n"
     )
     ccim = assemble_ccim(build_audit_source(classify_files(tmp_path)))
-    assert risk_profile(ccim.records_of([("Z", "noop")])[0]) == 0.0
+    assert risk_profile(ccim.records_of([("Z", "noop")])[0], ccim.parsed.masked) == 0.0
 
 
 def test_risk_profile_financial_names(models):
-    rec = models["vault_oracle"].records_of([("Vault", "deposit")])[0]
-    assert risk_profile(rec) >= 2.0  # balance-named writes contribute
+    ccim = models["vault_oracle"]
+    rec = ccim.records_of([("Vault", "deposit")])[0]
+    assert risk_profile(rec, ccim.parsed.masked) >= 2.0  # balance-named writes contribute
 
 
 def test_risk_profile_monotone_in_calls_and_writes(models):
     import dataclasses
-    rec = models["vault_oracle"].records_of([("Vault", "withdraw")])[0]
+    ccim = models["vault_oracle"]
+    rec = ccim.records_of([("Vault", "withdraw")])[0]
     richer = dataclasses.replace(rec, writes=frozenset(rec.writes | {"extraVar"}))
-    assert risk_profile(richer) >= risk_profile(rec)
+    assert risk_profile(richer, ccim.parsed.masked) >= risk_profile(rec, ccim.parsed.masked)
+
+
+def test_payable_twins_differing_in_a_comment_score_alike(tmp_path):
+    # the comment's "unchecked" and operators are no code: the twins get the
+    # same standalone-slot verdict and the same risk
+    from solaudit.ccim import assemble_ccim
+    from solaudit.engines import itpc_high_risk
+    from solaudit.ingest import build_audit_source, classify_files
+    (tmp_path / "t.sol").write_text(
+        "pragma solidity ^0.8.19;\n"
+        "contract Twins {\n"
+        "    uint256 public total;\n"
+        "    function f(uint256 x) external payable {\n"
+        "        // no unchecked math here: a + b - c * d / e\n"
+        "        total = x;\n"
+        "    }\n"
+        "    function g(uint256 x) external payable {\n"
+        "        total = x;\n"
+        "    }\n"
+        "}\n"
+    )
+    ccim = assemble_ccim(build_audit_source(classify_files(tmp_path)))
+    f, g = ccim.records_of([("Twins", "f"), ("Twins", "g")])
+    assert itpc_high_risk(f, False) == itpc_high_risk(g, False) is False
+    assert risk_profile(f, ccim.parsed.masked) == risk_profile(g, ccim.parsed.masked) == 3.0
+
+
+def test_every_feature_bug_class_has_keywords():
+    classes = {c for spec in FEATURES.values() for c in spec["bug_classes"]}
+    assert classes and all(CLASS_KEYWORDS.get(c) for c in classes)
 
 
 def test_attention_residual_statuses(models):

@@ -89,6 +89,24 @@ def test_stage1_reads_the_pragma_off_the_code(tmp_path):
     assert stage1_verify(f, ccim).verdict == "PASSED"
 
 
+@pytest.mark.parametrize("body", [
+    "        // no unchecked block: solc checks this addition\n        total += x;\n",
+    "        total = uncheckedAdd(total, x);\n",
+], ids=["comment", "identifier"])
+def test_stage1_reads_unchecked_off_the_code(tmp_path, body):
+    # a comment or an identifier that says "unchecked" is no unchecked block
+    ccim = _model_of(tmp_path, "pragma solidity ^0.8.19;\n"
+                               "contract Acc {\n"
+                               "    uint256 public total;\n"
+                               f"    function add(uint256 x) external {{\n{body}    }}\n"
+                               "    function uncheckedAdd(uint256 a, uint256 b) internal pure returns (uint256) {\n"
+                               "        return a + b;\n"
+                               "    }\n"
+                               "}\n")
+    f = make_finding(title="integer overflow in add", functions=[("Acc", "add")])
+    assert stage1_verify(f, ccim).verdict == "DISPROVED"
+
+
 def test_stage1_cites_the_guard_not_a_commented_out_one(tmp_path):
     ccim = _model_of(tmp_path, "pragma solidity ^0.8.19;\n"
                                "contract Fees {\n"

@@ -9,11 +9,12 @@ from helpers import RecordingReasoner, ThrowingReasoner, make_finding, scripted
 from oracles import brute_force_select_pairs
 
 from solaudit.ccim import assemble_ccim
-from solaudit.engines import Signal, merge_signals, run_engines
+from solaudit.engines import Signal, merge_signals, patterns, run_engines, run_pattern_detectors
 from solaudit.ingest import build_audit_source, classify_files, resolve_remappings
 from solaudit.interaction import (
     SOURCE_CONFIDENCE,
     BehaviorSpec,
+    _auditable,
     audit_standalone,
     id_run,
     infer_spec,
@@ -27,6 +28,31 @@ from solaudit.reasoner import MockReasoner
 
 
 # --- stage 1: pair selection ---------------------------------------------------
+
+
+def test_a_bodiless_declaration_is_not_audited(tmp_path, monkeypatch):
+    # a `{` in a comment gives no body: the declaration is neither audited in
+    # pairs nor a pattern rule's target
+    (tmp_path / "h.sol").write_text(
+        "pragma solidity ^0.8.19;\n"
+        "contract Hooks {\n"
+        "    uint256 public total;\n"
+        "    function hook(uint256 a) external virtual /* { */;\n"
+        "    function run(uint256 a) external {\n"
+        "        total = a;\n"
+        "    }\n"
+        "}\n")
+    ccim = assemble_ccim(build_audit_source(classify_files(tmp_path)))
+    assert [r.name for r in _auditable(ccim)] == ["run"]
+    targets = []
+
+    def rule(text, start, end, pairs):
+        targets.append(ccim.record_at_line(ccim.parsed.line_of(start)).name)
+        return ()
+
+    monkeypatch.setattr(patterns, "_RULES", (rule,))
+    run_pattern_detectors(ccim)
+    assert targets == ["run"]
 
 
 def _oracle(name, models, merged_signals):
@@ -195,7 +221,7 @@ def test_spec_prompt_is_skeleton_only(models):
     assert chunk == [0]
     assert "\nP1: Vault.deposit / Vault.withdraw\n" in prompt
     for rec in ccim.records:
-        inner = rec.body_inner().strip()
+        inner = ccim.parsed.text[slice(*rec.span)].strip()
         if len(inner) >= 20:
             assert inner not in prompt
     assert "function deposit()" in prompt

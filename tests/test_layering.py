@@ -4,8 +4,9 @@ only the model gathers a function's records by key. The one packer of
 multi-member prompts and its reply attribution live in `solaudit.prompts`,
 and the interaction pipeline and coverage reach them without importing the
 dossier pipeline. Also read off the package's syntax tree: every constant
-regex is compiled once, and none but a listed few that read short texts
-starts with a `\b` keyword the regex engine cannot jump to."""
+regex is compiled once, none but a listed few that read short texts starts
+with a `\b` keyword the regex engine cannot jump to, and no stage reads a
+code fact off a record's raw declaration text."""
 
 from __future__ import annotations
 
@@ -235,3 +236,42 @@ def test_the_packer_and_by_id_attribution_live_only_in_prompts():
         "def _chunks(r):\n    pass\nclass K:\n    def by_id(self):\n        pass\n"
         "chunks(x)\ndef chunk():\n    pass\nasync def _payloads():\n    pass"
     )) == {"_chunks", "by_id", "_payloads"}
+
+
+def _is_body(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "body"
+
+
+def _raw_body_reads(tree: ast.AST) -> list[int]:
+    """Lines that read a code fact off a record's raw declaration text: an
+    `in` or `not in` test against a `.body` attribute, a method call on one,
+    or any use of `body_inner`. Printing the text as written is no read."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.In, ast.NotIn)) and _is_body(right)
+                for op, right in zip(node.ops, node.comparators)):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and _is_body(node.func.value):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "body_inner"
+              or isinstance(node, ast.FunctionDef) and node.name == "body_inner"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_code_facts_are_read_off_the_mask():
+    # a comment, a literal or an identifier in the raw text is no code: the
+    # parse keeps each body's span and facts on its record, read off the mask
+    found = {_module_name(p): lines for p in PACKAGE.rglob("*.py")
+             if (lines := _raw_body_reads(ast.parse(p.read_text(encoding="utf-8"))))}
+    assert found == {}
+    # each form is rejected; the text printed as written, its length and a
+    # test against another attribute are not
+    assert _raw_body_reads(ast.parse(
+        '"unchecked" in r.body\n"{" not in rec.body\nr.body_inner()\nr.body.find("{")\n'
+        "def body_inner(self):\n    pass\n"
+        'f"source: {r.body}"\n"\\n".join(r.body for r in rs)\nlen(r.body)\nr.body == s\n'
+        'x in r.bodies\nr.body in prompt\n'
+    )) == [1, 2, 3, 4, 5]

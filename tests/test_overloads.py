@@ -121,7 +121,7 @@ def test_blindspot_finding_on_an_open_overload_reaches_the_report(tmp_path):
 
 def test_blindspot_prompt_shows_every_overload(tmp_path):
     ccim = _model(_fee_repo(GUARDED, UNGUARDED), tmp_path / "repo")
-    [(ids, prompt)] = blindspot_prompts(attention_residual(ccim, set()), ccim)
+    [(ids, prompt)] = blindspot_prompts(attention_residual(ccim, set(), ""), ccim)
     assert ids == {"B1": ("A", "setFee")}
     assert prompt.count("// A.setFee\n") == 1
     assert GUARDED.strip() in prompt and UNGUARDED.strip() in prompt

@@ -129,7 +129,7 @@ def _check_blindspot(ccim, budget):
     """Every top residual is one `### B<n>` section of exactly one prompt,
     in rank order, and the prompt's ids name the function of each of its
     sections."""
-    residuals = attention_residual(ccim, set())
+    residuals = attention_residual(ccim, set(), "")
     top = residuals.ranked_residuals()[:3]
     sent = blindspot_prompts(residuals, ccim, budget=budget)
     held = []
@@ -179,8 +179,23 @@ def test_blindspot_sections_split_under_a_tight_budget(models, budget):
     # from 1,500 on every corpus repo's three sections fit one prompt
     for ccim in models.values():
         _check_blindspot(ccim, budget)
-    residuals = attention_residual(models["vault_oracle"], set())
+    residuals = attention_residual(models["vault_oracle"], set(), "")
     assert len(blindspot_prompts(residuals, models["vault_oracle"], budget=600)) == 3
+
+
+def test_a_section_over_the_room_alone_is_named_in_a_warning(models, caplog):
+    # vault_oracle's G1 is over the room at 700 and G2 is not; at the default
+    # budget neither is
+    ccim = models["vault_oracle"]
+    features = detect_features(ccim)
+    gaps = compute_gap_set([], features).gap_set
+    with caplog.at_level("WARNING", logger="solaudit.prompts"):
+        gap_reaudit_prompts(gaps, ccim, features)
+        assert caplog.messages == []
+        sent = gap_reaudit_prompts(gaps, ccim, features, 700)
+    [message] = caplog.messages
+    assert message.endswith(': G1: feature "vault-accounting"')
+    assert len(sent[0]) == 700
 
 
 def test_deep_sends_one_prompt_per_stage_and_per_feature(gen, tmp_path):

@@ -34,12 +34,15 @@ _CODE = st.sampled_from([
     "x = 1;", "y += x;", "{ z = 2; }", "if (x > 0) { y = x; }", "emit E(x);",
     "return x;", "unchecked { x -= 1; }", "token.approve(a, 0);",
     "f0(x);", "f1(a);", "x0 += a;",   # internal calls and a state write, for footprints
+    "uncheckedAdd(x);",               # a call that names `unchecked`, and no block
 ])
 # braces, quotes and escapes inside literals and comments
-_LITERAL = st.sampled_from(['"{"', "'}'", '"a\\"b{"', "'it\\'s }'", '"\\\\"', '""', '"//"', "'/*'"])
-_COMMENT = st.sampled_from(["// c { }\n", "/* { */", "/* multi\nline } */", "/// @notice n\n", "//\n"])
+_LITERAL = st.sampled_from(['"{"', "'}'", '"a\\"b{"', "'it\\'s }'", '"\\\\"', '""', '"//"', "'/*'",
+                           '"unchecked {"', "'a + b - c * d / e % f'"])
+_COMMENT = st.sampled_from(["// c { }\n", "/* { */", "/* multi\nline } */", "/// @notice n\n", "//\n",
+                           "// unchecked { x + 1 }\n", "/* a - b * c / d % e */"])
 _PIECE = st.one_of(_CODE, _LITERAL, _COMMENT, st.just("\n"))
-_HEADER_NOTE = st.sampled_from(["", " /* { */", " // } {\n", ' /* "x" */'])
+_HEADER_NOTE = st.sampled_from(["", " /* { */", " // } {\n", ' /* "x" */', " /* unchecked { */"])
 
 # raw character soup: unterminated comments and literals, stray escapes
 _SOUP = st.text(alphabet="ab1 ;=/*\"'\\{}()\n", max_size=300)
@@ -47,7 +50,8 @@ _SOUP = st.text(alphabet="ab1 ;=/*\"'\\{}()\n", max_size=300)
 
 @st.composite
 def _contract_source(draw) -> tuple[str, int]:
-    """Solidity-like text of one to three contracts and its function count."""
+    """Solidity-like text of one to three contracts and its function count,
+    bodiless declarations included."""
     chunks, functions = [], 0
     for c in range(draw(st.integers(1, 3))):
         chunks.append(draw(st.sampled_from(["", "/** @title {C} */\n", "// pre }\n"])))
@@ -55,8 +59,8 @@ def _contract_source(draw) -> tuple[str, int]:
         for f in range(draw(st.integers(0, 4))):
             pieces = draw(st.lists(_PIECE, max_size=8))
             note = draw(_HEADER_NOTE)
-            chunks.append(f"    /// @dev f{f}\n    function f{f}(uint a{note}) external {{\n"
-                          f"        {' '.join(pieces)}\n    }}\n")
+            body = draw(st.sampled_from([f" {{\n        {' '.join(pieces)}\n    }}\n", ";\n"]))
+            chunks.append(f"    /// @dev f{f}\n    function f{f}(uint a{note}) external{body}")
             functions += 1
         chunks.append("}\n")
     return "".join(chunks), functions
@@ -100,12 +104,21 @@ def test_stored_masks_equal_masking_the_record(generated):
     records = parse_function_records(_source(text), parsed)
     assert len(records) == functions
     for rec in records:
-        masked = mask_noncode(rec.body)
-        assert parsed.masked[slice(*parsed.decl_span(rec))] == masked
-        # a generated header holds braces only in comments, so the body's
-        # braces are the first and last of the masked declaration
-        assert masked.endswith("}")
-        assert parsed.masked[slice(*parsed.body_span(rec))] == masked[masked.index("{") + 1:-1]
+        masked = brute_force_mask(rec.body)
+        start, end = parsed.decl_span(rec)
+        assert parsed.masked[start:end] == masked
+        # a generated header holds braces only in comments, so a body's
+        # braces are the first and last of the masked declaration, and a
+        # bodiless one's span is empty at its end
+        assert rec.has_body == ("{" in masked)
+        if rec.has_body:
+            assert masked.endswith("}")
+            assert rec.span == (start + masked.index("{") + 1, end - 1)
+        else:
+            assert rec.span == (end, end)
+        # the code facts are read off the mask: comments, literals and
+        # identifiers that hold `unchecked` are no block
+        assert rec.unchecked == bool(re.search(r"\bunchecked\s*\{", masked[rec.span[0] - start:rec.span[1] - start]))
 
 
 class _Records(logging.Handler):
