@@ -27,16 +27,13 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from ..ingest import AuditSource, map_line, mask_noncode, pragma_ge_08
+from ..ingest import DECL_RE, AuditSource, map_line, mask_noncode, pragma_ge_08
 from .types import CallSite, FunctionRecord
 
 log = logging.getLogger(__name__)
 
-# a declaration keyword after whitespace, `;`, `}` or the text's start
-_CONTRACT_RE = re.compile(
-    r"(contract(?<![^\s;}]contract)|interface(?<![^\s;}]interface)|library(?<![^\s;}]library))"
-    r"\s+([A-Za-z_]\w*)\s*(is\s+([^{]+?))?\s*\{"
-)
+# a declaration, by ingest's rule, with its base list up to its `{`
+_CONTRACT_RE = re.compile(DECL_RE.pattern + r"\s*(is\s+([^{]+?))?\s*\{")
 _ABSTRACT_RE = re.compile(r"abstract(?<![^\s;}]abstract)\s+(?=contract|interface|library)")
 _FUNCTION_RE = re.compile(
     r"(function(?<!\wfunction)\s+([A-Za-z_]\w*)|constructor(?<!\wconstructor)"
@@ -202,6 +199,11 @@ class ParsedSource:
     def line_of(self, pos: int) -> int:
         """1-based line of character offset `pos`."""
         return bisect_right(self.line_starts, pos)
+
+    def indent_of(self, line: int) -> int:
+        """The width of the leading spaces and tabs of 1-based line `line`."""
+        text = self.lines[line - 1]
+        return len(text) - len(text.lstrip(" \t"))
 
     def decl_span(self, rec: FunctionRecord) -> tuple[int, int]:
         """(start, end) of `rec`'s declaration, header included."""
@@ -373,7 +375,7 @@ def _parse_contract_functions(decl, parsed, visible_vars, source):
                 call_sites=(), fund_flag=False,
                 src=(parsed.line_of(m.start()), parsed.line_of(decl_end)),
                 internal_calls=frozenset(), body=parsed.text[m.start():decl_end + 1], offset=m.start(),
-                span=span, unchecked=unchecked,
+                span=span, unchecked=unchecked, indent=parsed.indent_of(parsed.line_of(m.start())),
             )
 
 
@@ -500,7 +502,7 @@ def _build_record(decl, name, parsed, visible_vars, fn_names, source, default_vi
         body=text[abs_start:abs_end + 1], offset=abs_start, span=span, unchecked=unchecked,
         params=params, signature=signature,
         natspec=_natspec_above(parsed.lines, start_line),
-        pragma_ge_08=pragma_ge_08(source.pragmas.get(path)),
+        pragma_ge_08=pragma_ge_08(source.pragmas.get(path)), indent=parsed.indent_of(start_line),
     )
 
 

@@ -6,12 +6,16 @@ across concurrently running consumers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .parse import ParsedSource
+
+# the leading spaces and tabs of a line after the first
+_INDENT_RE = re.compile(r"\n[ \t]+")
 
 FnKey = tuple[str, str]
 """(owner contract, function name). A key stands for every overload of the
@@ -40,10 +44,12 @@ class FunctionRecord:
     fund_flag: bool
     src: tuple[int, int]                  # (start, end) lines in concatenation space
     internal_calls: frozenset[str]        # same-contract callee names
-    body: str                             # raw declaration text, header included
+    body: str                             # raw declaration text, header included;
+                                          # prompts print it as `printed`
     offset: int                           # char offset of `body` in the audit source
     span: tuple[int, int]                 # (start, end) offsets of the body between its braces
     unchecked: bool                       # the masked span holds an `unchecked {` block
+    indent: int                           # leading spaces and tabs of the declaration's line
     # parser extras consumed by downstream stages (precondition inference,
     # pair selection, skeleton prompts, the >=0.8 overflow rule)
     params: tuple[str, ...] = ()
@@ -63,6 +69,15 @@ class FunctionRecord:
     def has_body(self) -> bool:
         """Whether the declaration has a `{...}` body: a bodiless one's span is past its `;`."""
         return self.span[1] < self.offset + len(self.body)
+
+    @cached_property
+    def printed(self) -> str:
+        """The declaration as every prompt prints it, made once per record:
+        `body` with each line after the first losing up to `indent` leading
+        spaces or tabs, never more than it has. Every line stays, and so
+        every line number; a file indented further as a whole prints the
+        same text."""
+        return re.sub(f"\n[ \t]{{1,{self.indent}}}", "\n", self.body) if self.indent else self.body
 
 
 @dataclass(frozen=True)
@@ -165,11 +180,17 @@ class CcimModel:
         return tuple(self._by_key)
 
     @cached_property
-    def leak_probes(self) -> tuple[tuple[FunctionRecord, str], ...]:
-        """(record, stripped raw text over its span) per body of 20+ characters:
-        what a skeleton prompt must not hold."""
-        return tuple((r, inner) for r in self.records
+    def _leak_probes(self) -> tuple[tuple[FunctionRecord, str], ...]:
+        """(record, stripped text over its span, flush left) per body of 20+
+        characters: what a skeleton prompt must not hold, at any indentation."""
+        return tuple((r, _INDENT_RE.sub("\n", inner)) for r in self.records
                      if len(inner := self.parsed.text[slice(*r.span)].strip()) >= 20)
+
+    def leaked(self, prompt: str) -> FunctionRecord | None:
+        """The first record whose body `prompt` holds, as written, as
+        `FunctionRecord.printed` prints it or at any other indentation."""
+        flat = _INDENT_RE.sub("\n", prompt)
+        return next((r for r, probe in self._leak_probes if probe in flat), None)
 
     def owned(self, contract: str) -> tuple[FunctionRecord, ...]:
         """The records of `contract`, in record (source) order."""

@@ -140,7 +140,7 @@ def _facts_block(rec: FunctionRecord) -> str:
         f"reads={sorted(rec.reads)} writes={sorted(rec.writes)}\n"
         f"external_calls={[(s.target, s.method, s.line) for s in rec.call_sites]}\n"
         f"moves_funds={rec.fund_flag} span={rec.src}\n"
-        f"source:\n{rec.body}"
+        f"source:\n{rec.printed}"
     )
 
 
@@ -217,7 +217,7 @@ def run_discovery_phase(ccim: CcimModel, merged: MergedSignals, reasoner: Reason
     for contract, score in contract_priorities(ccim, merged)[:DISCOVERY_CONTRACTS]:
         heading = ("\n" if blocks else "") + f"### {contract} (risk score {score:.2f})\n"
         for r in ccim.owned(contract):
-            blocks[len(records)] = heading + r.body
+            blocks[len(records)] = heading + r.printed
             records.append(r)
             heading = ""
     fields = {"lens": DISCOVERY_LENS}

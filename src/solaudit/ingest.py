@@ -14,8 +14,13 @@ from pathlib import Path
 log = logging.getLogger(__name__)
 
 _PRAGMA_RE = re.compile(r"pragma\s+solidity\s+([^;]+);")
-# a declaration keyword and its name; `_declarations` keeps those starting a line
-_DECL_RE = re.compile(r"(contract|interface|library)(?=\s+([A-Za-z_]\w*))")
+# a declaration keyword after whitespace, `;`, `}` or the text's start, and
+# its name: the one rule of what declares a contract, for the scope check
+# here and for the parser, which reads on to the declaration's `{`
+DECL_RE = re.compile(
+    r"(contract(?<![^\s;}]contract)|interface(?<![^\s;}]interface)|library(?<![^\s;}]library))"
+    r"\s+([A-Za-z_]\w*)"
+)
 _VERSION_RE = re.compile(r"(\d+)\.(\d+)")
 _REMAPPINGS_ARRAY_RE = re.compile(r"remappings\s*=\s*\[(.*?)\]", re.S)
 _QUOTED_RE = re.compile(r"[\"']([^\"']+)[\"']")
@@ -227,16 +232,8 @@ def _find_remapping_arrays(data) -> list[str]:
 
 
 def _declarations(text: str) -> list[tuple[str, str]]:
-    r"""(kind, name) of each match of `^\s*(abstract\s+)?(contract|interface|
-    library)\s+([A-Za-z_]\w*)` under re.M, found from the keyword."""
-    found, end = [], 0           # a declaration's name is not a keyword
-    for m in _DECL_RE.finditer(text):
-        head = text[text.rfind("\n", 0, m.start()) + 1:m.start()]
-        if m.start() >= end and head.split() in ([], ["abstract"]) \
-                and (not head or head[-1].isspace()):
-            found.append(m.group(1, 2))
-            end = m.end(2)
-    return found
+    """(kind, name) of each declaration in the masked `text`, by `DECL_RE`."""
+    return [m.group(1, 2) for m in DECL_RE.finditer(text)]
 
 
 def _declared_contracts(text: str) -> list[str]:

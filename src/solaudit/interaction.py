@@ -206,10 +206,9 @@ def spec_prompts(pairs: list[tuple[FnKey, FnKey]], ccim: CcimModel,
         prompt = prompts.render(prompts.STAGE2_SPEC, budget, {
             "pairs": "\n".join(lines[i] for i in chunk),
             "skeletons": "\n\n".join(skeletons[c] for c in named)})
-        for rec, inner in ccim.leak_probes:
-            if inner in prompt:
-                raise RuntimeError(
-                    f"implementation body of {rec.owner}.{rec.name} leaked into the spec prompt")
+        if (rec := ccim.leaked(prompt)) is not None:
+            raise RuntimeError(
+                f"implementation body of {rec.owner}.{rec.name} leaked into the spec prompt")
         out.append((chunk, prompt))
     return out
 
@@ -290,7 +289,7 @@ def spec_verify(specs: list[BehaviorSpec], ccim: CcimModel, reasoner: Reasoner,
     shown = [(n, spec) for n, spec in enumerate(specs, start=1) if ccim.records_of(spec.pair)]
     keys = dict.fromkeys(k for _, spec in shown for k in spec.pair if ccim.records_of((k,)))
     blocks = {k: "\n".join(f"{prompts.name_line(k)} vis={r.vis} modifiers={list(r.modifiers)} "
-                           f"reentrancy_guard={r.nonreentrant}\n{r.body}"
+                           f"reentrancy_guard={r.nonreentrant}\n{r.printed}"
                            for r in ccim.records_of((k,)))
               for k in keys}
     heads = [_verify_head(n, spec, sorted(set().union(

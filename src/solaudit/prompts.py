@@ -16,6 +16,10 @@ is sent once per prompt. A reply's entries are attributed to the prompt's
 members by id with `by_id`, and `payloads` gives each member the reply's
 top-level fields overridden by its own entry.
 
+A prompt prints a function as `FunctionRecord.printed` gives it: the raw
+declaration text at the declaration's own indentation, every line kept, so
+leading whitespace the file adds to every line costs no prompt characters.
+
 Templates are plain text resources; bump PROMPT_VERSION when wording changes
 so scripted mock responses can be pinned to the template they were written
 against.
@@ -237,9 +241,9 @@ def name_line(key: FnKey) -> str:
 
 
 def source_block(ccim: CcimModel, key: FnKey) -> str:
-    """The source block of function `key`: its name line, then the bodies of
-    all its overloads in source order."""
-    return name_line(key) + "\n" + "\n".join(r.body for r in ccim.records_of((key,)))
+    """The source block of function `key`: its name line, then each of its
+    overloads in source order, as `FunctionRecord.printed` prints it."""
+    return name_line(key) + "\n" + "\n".join(r.printed for r in ccim.records_of((key,)))
 
 
 def chunks(ranked: list, parts: dict, room: int, least: int = 2) -> list[list]:

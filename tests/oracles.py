@@ -345,7 +345,7 @@ UNANCHORED = {
     ("engines.patterns", "_ECRECOVER_RE"): r"\becrecover\s*\(",
     ("engines.patterns", "_DOWNCAST_RE"): r"\b(u?int(?:8|16|32|64|96|128))\s*\(\s*[A-Za-z_]",
     ("engines.patterns", "_DIV_THEN_MUL_RE"): r"[\w\)\]]\s*/\s*[\w\(][\w\.\(\)\[\]]*\s*\*",
-    ("ingest", "_DECL_RE"): r"^\s*(abstract\s+)?(contract|interface|library)\s+([A-Za-z_]\w*)",
+    ("ingest", "DECL_RE"): r"(?:^|[\s;}])((abstract)\s+)?(contract|interface|library)\s+([A-Za-z_]\w*)",
     ("interaction", "_STEP_RE"): r"\bstep\b",
     ("funnel", "_EXTERNAL_CALL_CLAIM_RE"): r"\bexternal call\b|\bcalls? out\b",
 }

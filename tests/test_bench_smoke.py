@@ -61,7 +61,7 @@ def test_phase_c_benchmark(benchmark, deep_model):
     benchmark.pedantic(run_phase_c, setup=fresh_reasoner, rounds=5, iterations=1)
     # 30 reviews packed several to a prompt
     assert len(build_phase_c_interactions(ccim, _member_blocks(ccim))) == 30
-    assert [r.call_count("phase_c") for r in reasoners] == [18] * 5
+    assert [r.call_count("phase_c") for r in reasoners] == [16] * 5
 
 
 def test_phase_a_benchmark(benchmark, deep_model):

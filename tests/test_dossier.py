@@ -346,7 +346,7 @@ def test_discovery_sends_whole_bodies_and_names_the_rest(deep_model, caplog):
     records = [r for c, _ in contract_priorities(ccim, merged)[:3] for r in ccim.owned(c)]
     # each function is sent whole or named as left out, never cut
     for r in records:
-        assert (r.body in prompt) != (f"{r.owner}.{r.name}" in left_out), r.key
+        assert (r.printed in prompt) != (f"{r.owner}.{r.name}" in left_out), r.key
     assert 0 < len(left_out) < len(records)
 
 
@@ -659,7 +659,7 @@ def test_phase_c_one_review_per_callee_on_deep(deep_model):
     assert len(groups) == 30
     assert {g.kind for g in groups} == {"var"}
     assert not any(g.subject.endswith(".peer") for g in groups)
-    assert reasoner.call_count("phase_c") == 18
+    assert reasoner.call_count("phase_c") == 16
 
 
 def test_phase_c_prints_each_body_once_per_prompt_on_wide(gen, tmp_path_factory):
@@ -675,7 +675,7 @@ def test_phase_c_prints_each_body_once_per_prompt_on_wide(gen, tmp_path_factory)
     blocks = _member_blocks(ccim)
     groups = build_phase_c_interactions(ccim, blocks)
     assert len(groups) == 260
-    assert len(reasoner.prompts) == 6
+    assert len(reasoner.prompts) == 5
     for p in reasoner.prompts:
         assert all(p.count(b) <= 1 for b in blocks.values())
     # 2.29 times the distinct bodies in group order

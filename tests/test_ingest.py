@@ -144,6 +144,22 @@ def test_scope_skips_a_contract_declared_in_a_comment(tmp_path):
         build_audit_source(files, ["Legacy"])
 
 
+@pytest.mark.parametrize("between", [" ", "", ";"])
+def test_scope_takes_every_contract_the_parser_keys(tmp_path, between):
+    # a declaration after a `}` or a `;` on the line of another is in scope,
+    # as the parser keys it; an interface there does not make the file one
+    line = ("interface I { function g() external; }" + between
+            + "contract A { function f() external {} }" + between
+            + "contract B { function g() external {} }")
+    root = write_repo({"src/AB.sol": f"pragma solidity ^0.8.19;\n{line}\n"}, tmp_path / "repo")
+    files = classify_files(root)
+    assert [f.role for f in files] == ["source"]
+    ccim = assemble_ccim(build_audit_source(files))
+    assert ccim.keys == (("I", "g"), ("A", "f"), ("B", "g"))
+    assert ccim.scope == ("A", "B")
+    assert assemble_ccim(build_audit_source(files, ["B"])).scope == ("B",)
+
+
 def test_scope_override_three_contract_repo(corpus_root):
     files = classify_files(corpus_root / "vault_oracle")
     source = build_audit_source(files, ["Vault"])

@@ -247,6 +247,19 @@ def test_spec_prompt_body_leak_raises(models, monkeypatch):
             spec_prompts(pairs, ccim, budget)
 
 
+def test_spec_prompt_printed_body_leak_raises(models, monkeypatch):
+    # a body as the prompts print it, at its own indentation, is no substring
+    # of the text as written, and is caught all the same
+    import solaudit.interaction as interaction_mod
+    ccim = models["vault_oracle"]
+    [admin] = ccim.records_of([("Treasury", "setAdmin")])
+    inner = ccim.parsed.text[slice(*admin.span)].strip()
+    assert "\n" in inner and inner not in admin.printed
+    monkeypatch.setattr(interaction_mod, "_skeleton", lambda ccim, contract: admin.printed)
+    with pytest.raises(RuntimeError, match="Treasury.setAdmin leaked into the spec prompt"):
+        spec_prompts([(("ChainOracle", "setPrice"), ("Treasury", "setAdmin"))], ccim)
+
+
 def test_infer_spec_parses_payload(models):
     reasoner = scripted([{
         "stage": "stage2_spec", "match": ["deposit"],

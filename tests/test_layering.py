@@ -5,8 +5,9 @@ multi-member prompts and its reply attribution live in `solaudit.prompts`,
 and the interaction pipeline and coverage reach them without importing the
 dossier pipeline. Also read off the package's syntax tree: every constant
 regex is compiled once, none but a listed few that read short texts starts
-with a `\b` keyword the regex engine cannot jump to, and no stage reads a
-code fact off a record's raw declaration text."""
+with a `\b` keyword the regex engine cannot jump to, no stage reads a
+code fact off a record's raw declaration text, and one helper turns that
+text into what prompts print."""
 
 from __future__ import annotations
 
@@ -275,3 +276,39 @@ def test_code_facts_are_read_off_the_mask():
         'f"source: {r.body}"\n"\\n".join(r.body for r in rs)\nlen(r.body)\nr.body == s\n'
         'x in r.bodies\nr.body in prompt\n'
     )) == [1, 2, 3, 4, 5]
+
+
+# the readers of a record's raw declaration text: the one helper that turns it
+# into prompt text, and two that take only its length
+BODY_READERS = {
+    "solaudit.ccim.types.FunctionRecord.printed": "the text every prompt prints",
+    "solaudit.ccim.types.FunctionRecord.has_body": "its length",
+    "solaudit.ccim.parse.ParsedSource.decl_span": "its length",
+}
+
+
+def _body_readers(tree: ast.AST, scope: str) -> set[str]:
+    """The qualified name of the innermost class or function around each
+    `.body` attribute under `tree`, or `scope` outside any."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= _body_readers(node, f"{scope}.{node.name}")
+        elif _is_body(node):
+            found.add(scope)
+            found |= _body_readers(node, scope)
+        else:
+            found |= _body_readers(node, scope)
+    return found
+
+
+def test_only_the_print_helper_turns_a_body_into_prompt_text():
+    found = set().union(*(_body_readers(ast.parse(p.read_text(encoding="utf-8")), _module_name(p))
+                          for p in PACKAGE.rglob("*.py")))
+    assert found == set(BODY_READERS)
+    # a read in a method, a nested function or at module level is found
+    assert _body_readers(ast.parse(
+        "class R:\n    def p(self):\n        return f(self.body)\n"
+        "def g(rs):\n    def h(r):\n        return r.body\n    return h\n"
+        "x = r.body\ny = r.bodies\n"
+    ), "m") == {"m.R.p", "m.g.h", "m"}

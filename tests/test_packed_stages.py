@@ -47,7 +47,7 @@ def _held(pattern: str, prompt: str) -> list[int]:
 def _source(r) -> str:
     """One overload's part of a stage 3 source block."""
     return (f"{prompts.name_line(r.key)} vis={r.vis} modifiers={list(r.modifiers)} "
-            f"reentrancy_guard={r.nonreentrant}\n{r.body}")
+            f"reentrancy_guard={r.nonreentrant}\n{r.printed}")
 
 
 def _check_packed_stages(ccim, merged, budget):

@@ -1,7 +1,8 @@
 """Prompt budgeting: every template keeps its text, its fixed fields and its
 response-schema instruction whole under the character budget, sections are
 packed first-fit, and the budget cut and the reasoner request each have one
-home in the package."""
+home in the package. A function is printed at its declaration's own
+indentation, and phase D's quote check reads past it."""
 
 from __future__ import annotations
 
@@ -9,8 +10,11 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import json_instruction, make_finding, scripted
+from test_dossier import _model
 
 import solaudit
 from solaudit import prompts
@@ -145,3 +149,71 @@ def test_budget_cut_and_reasoner_request_have_one_home():
         for pattern, home in homes.items():
             if path.relative_to(package).as_posix() != home:
                 assert not re.search(pattern, text), f"{pattern} in {path.name}"
+
+
+@pytest.mark.parametrize("text, printed", [
+    # tabs are stripped as spaces are, one character each
+    ("contract T {\n\tfunction f() external {\n\t\tx = 1;\n\t}\n}\n",
+     ["function f() external {\n\tx = 1;\n}"]),
+    # a one-line contract: the declaration's line starts at column 0
+    ("contract A { uint x; function f() external { x = 1; } }\n",
+     ["function f() external { x = 1; }"]),
+    # code before `function` on an indented line: the line's indentation counts
+    ("contract A {\n    uint x; function f() external {\n        x = 1;\n    }\n}\n",
+     ["function f() external {\n    x = 1;\n}"]),
+    # a line indented less than its declaration loses only what it has
+    ("contract A {\n        function f() external {\n  x = 1;\n            y = 2;\n}\n}\n",
+     ["function f() external {\nx = 1;\n    y = 2;\n}"]),
+    # a bodiless declaration, over lines of its own
+    ("interface I {\n    function g(\n        uint256 a\n    ) external;\n}\n",
+     ["function g(\n    uint256 a\n) external;"]),
+    # overloads, each dedented by its own line
+    ("contract A {\n    function f() external {\n        x = 1;\n    }\n"
+     "  function f(uint a) external {\n      x = a;\n  }\n}\n",
+     ["function f() external {\n    x = 1;\n}", "function f(uint a) external {\n    x = a;\n}"]),
+])
+def test_function_is_printed_at_its_own_indentation(text, printed):
+    ccim = _model(text)
+    assert [r.printed for r in ccim.records] == printed
+    key = ccim.records[0].key
+    assert prompts.source_block(ccim, key) == "\n".join([prompts.name_line(key), *printed])
+
+
+_LINE = st.tuples(st.text(" \t", max_size=6),
+                  st.sampled_from(["x = 1;", "if (x) { y = 2; }", "", "y += 2;", "// note {"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(indent=st.text(" \t", max_size=6), lines=st.lists(_LINE, max_size=8))
+def test_printed_lines_are_the_written_lines_stripped(indent, lines):
+    body = "".join(f"\n{lead}{code}" for lead, code in lines)
+    ccim = _model(f"contract A {{\n{indent}function f() external {{{body}\n{indent}}}\n}}\n")
+    [r] = ccim.records
+    written, printed = r.body.split("\n"), r.printed.split("\n")
+    assert len(printed) == len(written)
+    assert [line.strip() for line in printed] == [line.strip() for line in written]
+    # each line loses the declaration's width of leading whitespace, or all it has
+    for old, new in zip(written[1:], printed[1:]):
+        lead = len(old) - len(old.lstrip(" \t"))
+        assert old.endswith(new) and len(old) - len(new) == min(lead, len(indent))
+
+
+@pytest.mark.parametrize("quote", [
+    # copied from the file with its own indentation, or over two of its lines
+    '        require(amount > 0, "zero");',
+    'require(amount > 0, "zero");\n        uint256 priced = amount * oracle.latestPrice() / 1e18;',
+])
+def test_phase_d_quote_as_written_in_the_file_verifies(models, quote):
+    ccim = models["vault_oracle"]
+    assert quote not in expand_source_block(make_finding(functions=[("Vault", "withdraw")]), ccim)
+    disproving = [{"stage": "phase_d", "match": [],
+                   "response": {"verdict": "DISPROVED", "quote": quote}}]
+    f = make_finding(functions=[("Vault", "withdraw")])
+    assert phase_d_claim_first(f, ccim, scripted(disproving)) == "DISPROVED"
+    assert not f.flags
+    # a quote the block does not hold is still a protocol violation
+    absent = [{"stage": "phase_d", "match": [],
+               "response": {"verdict": "DISPROVED", "quote": quote.replace("0", "1")}}]
+    f = make_finding(functions=[("Vault", "withdraw")])
+    assert phase_d_claim_first(f, ccim, scripted(absent)) == "UNCLEAR"
+    assert "protocol-violation" in f.flags
