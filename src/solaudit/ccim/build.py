@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import replace
 
 from ..ingest import AuditSource
 from .parse import (
@@ -117,7 +116,13 @@ def build_call_graph(records: list[FunctionRecord], resolution: ResolutionMap) -
                 continue
             edges.add((rec.key, callee))
     contract_edges = {(f[0], g[0]) for f, g in edges}
-    return CallGraph(edges=frozenset(edges), contract_edges=frozenset(contract_edges))
+    callees: dict[FnKey, set[FnKey]] = {}
+    callers: dict[FnKey, set[FnKey]] = {}
+    for f, g in edges:
+        callees.setdefault(f, set()).add(g)
+        callers.setdefault(g, set()).add(f)
+    return CallGraph(edges=frozenset(edges), contract_edges=frozenset(contract_edges),
+                     adjacent=(callees, callers))
 
 
 def propagate_footprints(records: list[FunctionRecord]) -> Footprints:
@@ -302,9 +307,9 @@ def assemble_ccim(source: AuditSource) -> CcimModel:
     footprints = propagate_footprints(records)
     deps = compute_state_dependencies(records, footprints, resolution, parsed)
     admin_set = classify_admin(records)
-    deps = replace(deps, rot=flag_rotation_risks(deps, admin_set))
+    deps = deps._replace(rot=flag_rotation_risks(deps, admin_set))
     trust = compute_trust_model(graph, records, parsed)
-    return CcimModel(
+    return CcimModel.build(
         records=tuple(records), resolution=resolution, graph=graph,
         footprints=footprints, deps=deps, trust=trust, admin_set=admin_set,
         parsed=parsed,

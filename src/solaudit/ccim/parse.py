@@ -24,8 +24,8 @@ from __future__ import annotations
 import logging
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 from ..ingest import DECL_RE, AuditSource, map_line, mask_noncode, pragma_ge_08
 from .types import CallSite, FunctionRecord
@@ -82,17 +82,11 @@ _MEMBER_CALL_RE = re.compile(r"\s*\.\s*([A-Za-z_]\w*)\s*[({]")
 _PLAIN_CALL_RE = re.compile(r"\s*\(")
 _ASSIGN_OP_RE = re.compile(r"(=(?!=)|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)")
 _ELEMENTARY_RE = re.compile(r"^(u?int\d*|bool|bytes\d*|byte|string)(\[\s*\w*\s*\])*$")
-# native ether leaving the contract; token transfers also move funds
-NATIVE_OUT_RES = (
-    re.compile(r"\.\s*transfer\s*\("),
-    re.compile(r"\.\s*send\s*\("),
-    re.compile(r"\.\s*call\s*\{\s*value\s*:"),
-)
-_FUND_RES = NATIVE_OUT_RES + (
-    re.compile(r"\.\s*transferFrom\s*\("),
-    re.compile(r"\.\s*safeTransfer\s*\("),
-    re.compile(r"\.\s*safeTransferFrom\s*\("),
-)
+# native ether leaving the contract; token transfers also move funds. Each
+# is one search, which `re` tries only at a `.`
+NATIVE_OUT_RE = re.compile(r"\.\s*(?:(?:transfer|send)\s*\(|call\s*\{\s*value\s*:)")
+_FUND_RE = re.compile(r"\.\s*(?:(?:transfer|send|transferFrom|safeTransfer|safeTransferFrom)\s*\("
+                      r"|call\s*\{\s*value\s*:)")
 _BRACKET_RE = re.compile(r"[(){}\[\]]")
 _NESTING_RE = re.compile(r"[([{]|[)\]}]|,")
 _HEADER_END_RE = re.compile(r"[(){;]")
@@ -163,28 +157,25 @@ def split_top_level(text: str) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
-@dataclass
-class StateVarDecl:
+class StateVarDecl(NamedTuple):
     name: str
     type_text: str
     has_initializer: bool
     line: int
 
 
-@dataclass
-class ContractDecl:
+class ContractDecl(NamedTuple):
     name: str
     kind: str                      # contract | abstract | interface | library
     bases: tuple[str, ...]
     start: int                     # char offset of the declaration keyword
     open_pos: int                  # char offset of '{'
     close_pos: int                 # char offset of matching '}'
-    state_vars: list[StateVarDecl] = field(default_factory=list)
-    modifier_guards: dict[str, list[str]] = field(default_factory=dict)
+    state_vars: list[StateVarDecl] = []
+    modifier_guards: dict[str, list[str]] = {}
 
 
-@dataclass(frozen=True)
-class ParsedSource:
+class ParsedSource(NamedTuple):
     """One audit source parsed once: the comment- and string-masked text, the
     line-start index, the raw lines, the bracket index of the mask and the
     contract declarations. Built per audit by `parse_source` and shared by
@@ -193,7 +184,7 @@ class ParsedSource:
     masked: str
     line_starts: tuple[int, ...]
     lines: tuple[str, ...]
-    brackets: dict[int, int] = field(repr=False)   # bracket_pairs(masked)
+    brackets: dict[int, int]       # bracket_pairs(masked)
     decls: tuple[ContractDecl, ...]
 
     def line_of(self, pos: int) -> int:
@@ -238,14 +229,13 @@ def scan_contracts(masked: str, line_starts: tuple[int, ...],
                 ident = NAME_RE.match(part)
                 if ident:
                     bases.append(ident.group(0))
-        decl = ContractDecl(
+        start = open_pos + 1
+        decls.append(ContractDecl(
             name=m.group(2), kind="abstract" if m.start() in abstract_at else m.group(1),
             bases=tuple(bases), start=m.start(), open_pos=open_pos, close_pos=close_pos,
-        )
-        start = open_pos + 1
-        decl.state_vars = _scan_state_vars(masked, start, close_pos, brackets, line_starts)
-        decl.modifier_guards = _scan_modifier_guards(masked, start, close_pos, brackets)
-        decls.append(decl)
+            state_vars=_scan_state_vars(masked, start, close_pos, brackets, line_starts),
+            modifier_guards=_scan_modifier_guards(masked, start, close_pos, brackets),
+        ))
     return decls
 
 
@@ -369,14 +359,14 @@ def _parse_contract_functions(decl, parsed, visible_vars, source):
                                 m, params_close, header_end, decl_end, span, unchecked)
         except Exception as exc:  # per-component isolation: degrade, never abort
             log.warning("parse failure in %s.%s (%s); emitting degraded record", decl.name, name, exc)
-            yield FunctionRecord(
+            yield with_printed(FunctionRecord(
                 name=name, owner=decl.name, vis=default_vis, mut="nonpayable",
                 modifiers=(), guards=(), reads=frozenset(), writes=frozenset(),
                 call_sites=(), fund_flag=False,
                 src=(parsed.line_of(m.start()), parsed.line_of(decl_end)),
                 internal_calls=frozenset(), body=parsed.text[m.start():decl_end + 1], offset=m.start(),
                 span=span, unchecked=unchecked, indent=parsed.indent_of(parsed.line_of(m.start())),
-            )
+            ))
 
 
 def _declarations(decl, parsed):
@@ -484,7 +474,7 @@ def _build_record(decl, name, parsed, visible_vars, fn_names, source, default_vi
     guards = _extract_requires(masked, start, end, parsed.brackets)
     _, reads, writes, calls, internal = scan_body(
         masked, start, end, parsed.brackets, visible_vars, fn_names, params)
-    fund = any(r.search(masked, start, end) for r in _FUND_RES)
+    fund = _FUND_RE.search(masked, start, end) is not None
 
     # modifier bodies contribute their require conditions to the guard set
     for mod in modifiers:
@@ -492,7 +482,7 @@ def _build_record(decl, name, parsed, visible_vars, fn_names, source, default_vi
         guards.extend(decl.modifier_guards.get(mod_name, []))
 
     path, _ = map_line(source.offsets, start_line) if source.offsets.segments else ("", 0)
-    return FunctionRecord(
+    return with_printed(FunctionRecord(
         name=name, owner=decl.name, vis=vis, mut=mut, modifiers=modifiers,
         guards=tuple(dict.fromkeys(guards)),
         reads=frozenset(reads), writes=frozenset(writes),
@@ -503,7 +493,17 @@ def _build_record(decl, name, parsed, visible_vars, fn_names, source, default_vi
         params=params, signature=signature,
         natspec=_natspec_above(parsed.lines, start_line),
         pragma_ge_08=pragma_ge_08(source.pragmas.get(path)), indent=parsed.indent_of(start_line),
-    )
+    ))
+
+
+def with_printed(rec: FunctionRecord) -> FunctionRecord:
+    """`rec` with its `printed` text, the declaration as every prompt prints
+    it: `body` with each line after the first losing up to `indent` leading
+    spaces or tabs, never more than it has. Every line stays, and so every
+    line number; a file indented further as a whole prints the same text.
+    The one place that turns a body into prompt text, once per record."""
+    text = re.sub(f"\n[ \t]{{1,{rec.indent}}}", "\n", rec.body) if rec.indent else rec.body
+    return rec._replace(printed=text)
 
 
 def scan_body(masked: str, start: int, end: int, brackets: dict[int, int],

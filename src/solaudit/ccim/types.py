@@ -1,15 +1,20 @@
 """Domain types for the cross-contract interaction model.
 
-Everything here is frozen: the assembled model is immutable and safe to share
-across concurrently running consumers.
+Every record here is a `typing.NamedTuple`: no field of a tuple can be
+assigned, and the containers a record holds are filled before it is built,
+never after. So the assembled model is immutable and safe to share across
+concurrently running consumers. A tuple has no instance `__dict__` to cache
+into, so what a record derives from its fields is a field too, made once
+where the record is built: a function's `printed` text by the parse
+(`parse.with_printed`), the call graph's adjacency by `build_call_graph`, and
+the model's indexes by `CcimModel.build`. A default is one object that every
+record taking it shares.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .parse import ParsedSource
@@ -23,15 +28,13 @@ name in the contract: the model's facts of a key hold over all of them, and
 `CcimModel.records_of` gives them all."""
 
 
-@dataclass(frozen=True)
-class CallSite:
+class CallSite(NamedTuple):
     target: str        # storage-variable name holding the callee address
     method: str        # invoked selector name
     line: int          # concatenation line number
 
 
-@dataclass(frozen=True)
-class FunctionRecord:
+class FunctionRecord(NamedTuple):
     name: str
     owner: str
     vis: str                              # public | external | internal | private
@@ -44,8 +47,7 @@ class FunctionRecord:
     fund_flag: bool
     src: tuple[int, int]                  # (start, end) lines in concatenation space
     internal_calls: frozenset[str]        # same-contract callee names
-    body: str                             # raw declaration text, header included;
-                                          # prompts print it as `printed`
+    body: str                             # raw declaration text, header included
     offset: int                           # char offset of `body` in the audit source
     span: tuple[int, int]                 # (start, end) offsets of the body between its braces
     unchecked: bool                       # the masked span holds an `unchecked {` block
@@ -56,6 +58,7 @@ class FunctionRecord:
     signature: str = ""
     natspec: str = ""
     pragma_ge_08: bool = False
+    printed: str = ""                     # `body` as every prompt prints it (`parse.with_printed`)
 
     @property
     def key(self) -> FnKey:
@@ -70,25 +73,15 @@ class FunctionRecord:
         """Whether the declaration has a `{...}` body: a bodiless one's span is past its `;`."""
         return self.span[1] < self.offset + len(self.body)
 
-    @cached_property
-    def printed(self) -> str:
-        """The declaration as every prompt prints it, made once per record:
-        `body` with each line after the first losing up to `indent` leading
-        spaces or tabs, never more than it has. Every line stays, and so
-        every line number; a file indented further as a whole prints the
-        same text."""
-        return re.sub(f"\n[ \t]{{1,{self.indent}}}", "\n", self.body) if self.indent else self.body
 
-
-@dataclass(frozen=True)
-class ResolutionMap:
+class ResolutionMap(NamedTuple):
     # storage variables are identified by qualified ids "DeclaringContract.name":
     # same-named variables in unrelated contracts are distinct storage
     mapping: dict[str, str | None]        # qualified var -> contract, None for unresolved
     type_map: dict[str, str]              # qualified var -> declared type text
     inheritance: frozenset[tuple[str, str]]  # (ancestor/interface, implementer) edges, reflexive-transitive
-    kinds: dict[str, str] = field(default_factory=dict)  # contract -> contract|interface|library|abstract
-    var_origin: dict[FnKey, str] = field(default_factory=dict)  # (contract, plain name) -> qualified id
+    kinds: dict[str, str] = {}             # contract -> contract|interface|library|abstract
+    var_origin: dict[FnKey, str] = {}      # (contract, plain name) -> qualified id
 
     def var_id(self, owner: str, name: str) -> str:
         return self.var_origin.get((owner, name), f"{owner}.{name}")
@@ -97,40 +90,29 @@ class ResolutionMap:
         return self.mapping.get(var)
 
 
-@dataclass(frozen=True)
-class CallGraph:
+class CallGraph(NamedTuple):
     edges: frozenset[tuple[FnKey, FnKey]]
     contract_edges: frozenset[tuple[str, str]]
-
-    @cached_property
-    def _adjacent(self) -> tuple[dict[FnKey, set[FnKey]], dict[FnKey, set[FnKey]]]:
-        """(callees, callers) of every function on an edge, built on first use."""
-        callees: dict[FnKey, set[FnKey]] = {}
-        callers: dict[FnKey, set[FnKey]] = {}
-        for f, g in self.edges:
-            callees.setdefault(f, set()).add(g)
-            callers.setdefault(g, set()).add(f)
-        return callees, callers
+    # (callees, callers) of every function on an edge
+    adjacent: tuple[dict[FnKey, set[FnKey]], dict[FnKey, set[FnKey]]]
 
     def callees(self, fn: FnKey) -> set[FnKey]:
-        return set(self._adjacent[0].get(fn, ()))
+        return set(self.adjacent[0].get(fn, ()))
 
     def callers(self, fn: FnKey) -> set[FnKey]:
-        return set(self._adjacent[1].get(fn, ()))
+        return set(self.adjacent[1].get(fn, ()))
 
     def touches(self, fn: FnKey) -> bool:
-        return fn in self._adjacent[0] or fn in self._adjacent[1]
+        return fn in self.adjacent[0] or fn in self.adjacent[1]
 
 
-@dataclass(frozen=True)
-class Footprints:
+class Footprints(NamedTuple):
     reads: dict[FnKey, frozenset[str]]    # R*
     writes: dict[FnKey, frozenset[str]]   # W*
     fund: dict[FnKey, bool]               # tau*
 
 
-@dataclass(frozen=True)
-class StateDependencyMap:
+class StateDependencyMap(NamedTuple):
     writers: dict[str, frozenset[FnKey]]      # delta_W
     readers: dict[str, frozenset[FnKey]]      # delta_R
     consumers: dict[str, frozenset[FnKey]]    # uses(v): call target or approval recipient
@@ -138,16 +120,14 @@ class StateDependencyMap:
     rot: frozenset[str]                       # rotation-risky variables
 
 
-@dataclass(frozen=True)
-class TrustModel:
+class TrustModel(NamedTuple):
     assumes: dict[tuple[str, str], frozenset[str]]   # (caller, callee) -> post-condition strings
     enforces: dict[tuple[str, str], frozenset[str]]  # (callee, caller) -> caller-gating guards
     trustgap: frozenset[tuple[str, str]]
     callbacks: frozenset[tuple[str, str]]            # sorted unordered pairs
 
 
-@dataclass(frozen=True)
-class CcimModel:
+class CcimModel(NamedTuple):
     records: tuple[FunctionRecord, ...]
     resolution: ResolutionMap
     graph: CallGraph
@@ -155,53 +135,49 @@ class CcimModel:
     deps: StateDependencyMap
     trust: TrustModel
     admin_set: frozenset[FnKey]
-    parsed: ParsedSource = field(compare=False, repr=False)  # the audit source parsed once
+    parsed: ParsedSource                  # the audit source parsed once
     scope: tuple[str, ...] = ()
+    # record indexes, made by `build`
+    by_key: dict[FnKey, tuple[FunctionRecord, ...]] = {}
+    by_owner: dict[str, tuple[FunctionRecord, ...]] = {}
+    keys: tuple[FnKey, ...] = ()          # every function key, in the order of its first overload
+    # (record, stripped text over its span, flush left) per body of 20+
+    # characters: what a skeleton prompt must not hold, at any indentation
+    leak_probes: tuple[tuple[FunctionRecord, str], ...] = ()
 
-    # record indexes, built on first use; a frozen dataclass still has an
-    # instance __dict__ for cached_property to fill
-    @cached_property
-    def _by_key(self) -> dict[FnKey, tuple[FunctionRecord, ...]]:
-        out: dict[FnKey, list[FunctionRecord]] = {}
-        for r in self.records:
-            out.setdefault(r.key, []).append(r)
-        return {k: tuple(recs) for k, recs in out.items()}
-
-    @cached_property
-    def _by_owner(self) -> dict[str, tuple[FunctionRecord, ...]]:
-        out: dict[str, list[FunctionRecord]] = {}
-        for r in self.records:
-            out.setdefault(r.owner, []).append(r)
-        return {owner: tuple(recs) for owner, recs in out.items()}
-
-    @cached_property
-    def keys(self) -> tuple[FnKey, ...]:
-        """Every function key, in the order of its first overload."""
-        return tuple(self._by_key)
-
-    @cached_property
-    def _leak_probes(self) -> tuple[tuple[FunctionRecord, str], ...]:
-        """(record, stripped text over its span, flush left) per body of 20+
-        characters: what a skeleton prompt must not hold, at any indentation."""
-        return tuple((r, _INDENT_RE.sub("\n", inner)) for r in self.records
-                     if len(inner := self.parsed.text[slice(*r.span)].strip()) >= 20)
+    @classmethod
+    def build(cls, **parts) -> CcimModel:
+        """The model of `parts`, its fields up to `scope`, with its record indexes."""
+        model = cls(**parts)
+        by_key: dict[FnKey, list[FunctionRecord]] = {}
+        by_owner: dict[str, list[FunctionRecord]] = {}
+        for r in model.records:
+            by_key.setdefault(r.key, []).append(r)
+            by_owner.setdefault(r.owner, []).append(r)
+        text = model.parsed.text
+        return model._replace(
+            by_key={k: tuple(recs) for k, recs in by_key.items()},
+            by_owner={owner: tuple(recs) for owner, recs in by_owner.items()},
+            keys=tuple(by_key),
+            leak_probes=tuple((r, _INDENT_RE.sub("\n", inner)) for r in model.records
+                              if len(inner := text[slice(*r.span)].strip()) >= 20))
 
     def leaked(self, prompt: str) -> FunctionRecord | None:
         """The first record whose body `prompt` holds, as written, as
         `FunctionRecord.printed` prints it or at any other indentation."""
         flat = _INDENT_RE.sub("\n", prompt)
-        return next((r for r, probe in self._leak_probes if probe in flat), None)
+        return next((r for r, probe in self.leak_probes if probe in flat), None)
 
     def owned(self, contract: str) -> tuple[FunctionRecord, ...]:
         """The records of `contract`, in record (source) order."""
-        return self._by_owner.get(contract, ())
+        return self.by_owner.get(contract, ())
 
     def records_of(self, keys) -> list[FunctionRecord]:
         """Every overload of each of `keys`, key by key and each key's
         overloads in record (source) order; keys the model lacks are skipped.
         The one lookup of a key's records: a check over the result holds for
         every overload, and a caller that needs one line takes the first."""
-        return [r for k in keys for r in self._by_key.get(k, ())]
+        return [r for k in keys for r in self.by_key.get(k, ())]
 
     def function_named(self, name: str) -> list[FunctionRecord]:
         return [r for r in self.records if r.name == name]

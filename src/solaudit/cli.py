@@ -7,7 +7,7 @@ import argparse
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import prompts
 from .ccim import FnKey, assemble_ccim
@@ -34,8 +34,7 @@ EXIT_FINDINGS = 1
 EXIT_ERROR = 2
 
 
-@dataclass
-class RunConfig:
+class _RunConfigFields(NamedTuple):
     path: str
     scope: list[str] | None = None
     signal_cap: int = DEFAULT_SIGNAL_CAP
@@ -46,11 +45,20 @@ class RunConfig:
     severity_gate: str = "HIGH"
     external_signals: tuple[str, ...] = ()
 
-    def __post_init__(self):
+
+class RunConfig(_RunConfigFields):
+    """One audit's settings; no report format or a severity gate off the
+    scale raises ValueError when it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.formats:
             raise ValueError("at least one report format must be selected")
         if self.severity_gate not in SEVERITY_RANK:
             raise ValueError(f"unknown severity gate {self.severity_gate!r}")
+        return self
 
 
 def _identity(f: Finding) -> tuple:

@@ -7,7 +7,7 @@ inventory and the blind-spot review of the top residuals."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import prompts
 from .ccim import CcimModel, FnKey, FunctionRecord
@@ -200,8 +200,7 @@ ASPECT_KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     detected_features: tuple[str, ...]
     covered_classes: tuple[str, ...]
     gap_set: tuple[str, ...]
@@ -216,8 +215,7 @@ class CoverageReport:
         }
 
 
-@dataclass(frozen=True)
-class ResidualClassification:
+class ResidualClassification(NamedTuple):
     status: dict[FnKey, str]
     risk_score: dict[FnKey, float]
 

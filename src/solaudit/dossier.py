@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import prompts
 from .ccim import CcimModel, FnKey, FunctionRecord
@@ -62,8 +62,7 @@ CCIM_ITEM_CONFIDENCE_ROT = 0.6
 CCIM_ITEM_CONFIDENCE_TRUSTGAP = 0.55
 
 
-@dataclass(frozen=True)
-class RiskItem:
+class RiskItem(NamedTuple):
     source_tag: str
     id: str
     description: str
@@ -71,19 +70,17 @@ class RiskItem:
     line_hint: int | None
 
 
-@dataclass
-class Dossier:
+class Dossier(NamedTuple):
     function: FnKey
     records: tuple[FunctionRecord, ...]      # the function's `ccim.records_of`
-    risk_items: list[RiskItem] = field(default_factory=list)
+    risk_items: list[RiskItem] = []
 
     @property
     def flagged(self) -> bool:
         return bool(self.risk_items)
 
 
-@dataclass(frozen=True, slots=True)
-class InteractionGroup:
+class InteractionGroup(NamedTuple):
     kind: str                     # "var" | "call"
     members: tuple[FnKey, ...]
     subject: str                  # shared variable, or "Owner.name" of the callee
@@ -94,17 +91,17 @@ class InteractionGroup:
 def compile_dossiers(ccim: CcimModel, merged: MergedSignals) -> list[Dossier]:
     """One dossier per non-interface function; every merged signal attached
     to its target function, with a line-range fallback for name misses."""
-    dossiers = {k: Dossier(k, tuple(ccim.records_of((k,)))) for k in ccim.keys
-                if ccim.resolution.kinds.get(k[0]) != "interface"}
+    items: dict[FnKey, list[RiskItem]] = {k: [] for k in ccim.keys
+                                            if ccim.resolution.kinds.get(k[0]) != "interface"}
 
     def attach(key: FnKey | None, item: RiskItem, line: int | None):
-        if key in dossiers:
-            dossiers[key].risk_items.append(item)
+        if key in items:
+            items[key].append(item)
             return
         if line is not None:
             rec = ccim.record_at_line(line)
-            if rec is not None and rec.key in dossiers:
-                dossiers[rec.key].risk_items.append(item)
+            if rec is not None and rec.key in items:
+                items[rec.key].append(item)
                 return
         log.warning("risk item %s names unknown function %s and no usable line; dropped",
                     item.id, key)
@@ -122,15 +119,15 @@ def compile_dossiers(ccim: CcimModel, merged: MergedSignals) -> list[Dossier]:
                 CCIM_ITEM_CONFIDENCE_ROT, None), None)
     for (c1, c2) in sorted(ccim.trust.trustgap):
         for (f, g) in sorted(ccim.graph.edges):
-            if f[0] == c1 and g[0] == c2 and f in dossiers:
+            if f[0] == c1 and g[0] == c2 and f in items:
                 attach(f, RiskItem(
                     "CCIM", "ccim-trust-gap",
                     f"{c1} assumes post-conditions of {c2} that {c2} does not enforce",
                     CCIM_ITEM_CONFIDENCE_TRUSTGAP, None), None)
 
-    for d in dossiers.values():
-        d.risk_items.sort(key=lambda it: (-it.confidence, it.source_tag, it.id))
-    return list(dossiers.values())
+    return [Dossier(k, tuple(ccim.records_of((k,))),
+                    sorted(its, key=lambda it: (-it.confidence, it.source_tag, it.id)))
+            for k, its in items.items()]
 
 
 def _facts_block(rec: FunctionRecord) -> str:
@@ -454,7 +451,8 @@ def phase_d_claim_first(finding: Finding, ccim: CcimModel, reasoner: Reasoner,
         quote = _normalize_quote(str(reply.get("quote", "")))
         if not quote or quote not in _normalize_quote(fields["source_block"]):
             finding.flags.add("protocol-violation")
-            log.warning("phase D DISPROVED without verifiable quote on %s; downgraded", finding.id)
+            log.warning("phase D DISPROVED without verifiable quote on %s %r; downgraded",
+                        finding.id, finding.title)
             return "UNCLEAR"
     if verdict not in ("DISPROVED", "CONFIRMED", "UNCLEAR"):
         verdict = "UNCLEAR"

@@ -8,7 +8,7 @@ import logging
 import re
 
 from ..ccim import CcimModel, FunctionRecord
-from ..ccim.parse import NAME_RE, NATIVE_OUT_RES, ParsedSource
+from ..ccim.parse import NAME_RE, NATIVE_OUT_RE, ParsedSource
 from .signal import Signal
 
 log = logging.getLogger(__name__)
@@ -107,8 +107,8 @@ def _sub_locked_ether(ccim: CcimModel) -> list[Signal]:
         receivers = [r for r in records if r.mut == "payable"]
         if not receivers:
             continue
-        if any(rx.search(ccim.parsed.masked, *ccim.parsed.decl_span(r))
-               for r in records for rx in NATIVE_OUT_RES):
+        if any(NATIVE_OUT_RE.search(ccim.parsed.masked, *ccim.parsed.decl_span(r))
+               for r in records):
             continue
         entry = min(receivers, key=lambda r: r.src[0])
         signals.append(Signal(

@@ -4,7 +4,7 @@ capped signal merger."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..findings import SEVERITY_RANK
 
@@ -16,8 +16,7 @@ ENGINE_TAGS = ("ITPC", "CIR", "CCPTI", "BPM", "IRA", "CUSTOM", "SIG", "MATH",
 DEFAULT_SIGNAL_CAP = 50
 
 
-@dataclass(frozen=True)
-class Signal:
+class _SignalFields(NamedTuple):
     source_tag: str
     id: str
     description: str
@@ -26,15 +25,23 @@ class Signal:
     function: tuple[str, str] | None = None
     line_hint: int | None = None
 
-    def __post_init__(self):
+
+class Signal(_SignalFields):
+    """One engine's risk signal; a severity off the scale or a confidence
+    outside [0, 1] raises ValueError when it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.severity not in SEVERITY_RANK:
             raise ValueError(f"unknown severity {self.severity!r}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
+        return self
 
 
-@dataclass(frozen=True)
-class MergedSignals:
+class MergedSignals(NamedTuple):
     per_engine: dict[str, tuple[Signal, ...]]
     stats: dict[str, dict[str, int]]     # tag -> {"before": n, "after": m}
     retained: tuple[Signal, ...]         # every kept signal, highest rank first

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 SEVERITIES = ("INFO", "LOW", "MEDIUM", "HIGH", "CRITICAL")
 SEVERITY_RANK = {s: i for i, s in enumerate(SEVERITIES)}
@@ -57,8 +57,7 @@ def classify_impact(text: str) -> str:
     return "info"
 
 
-@dataclass(frozen=True)
-class StructuralCard:
+class StructuralCard(NamedTuple):
     vulnerable_function: tuple[str, str]
     abused_state_variable: str | None
     attacker_role: str
@@ -69,22 +68,37 @@ class StructuralCard:
         return (self.vulnerable_function, self.abused_state_variable, self.impact_class)
 
 
-@dataclass
 class Finding:
-    id: str
-    pipeline: str                         # "D" or "I"
-    title: str
-    description: str
-    attack_scenario: str
-    severity: str
-    affected_functions: list[tuple[str, str]]
-    evidence_lines: list[int] = field(default_factory=list)
-    confidence: float = 0.4
-    card: StructuralCard | None = None
-    flags: set[str] = field(default_factory=set)
-    matched_ids: list[str] = field(default_factory=list)
-    # phase D claim-first verdict, recorded once and reused by funnel stage 3
-    claim_verdict: str | None = None
+    """A candidate vulnerability: the one record that stages update in place
+    (id, severity, confidence, card, flags, phase D verdict). Each finding
+    gets its own evidence list, flag set and matched-id list."""
+
+    __slots__ = ("id", "pipeline", "title", "description", "attack_scenario", "severity",
+                 "affected_functions", "evidence_lines", "confidence", "card", "flags",
+                 "matched_ids", "claim_verdict")
+
+    def __init__(self, id: str, pipeline: str, title: str, description: str,
+                 attack_scenario: str, severity: str, affected_functions: list[tuple[str, str]],
+                 evidence_lines: list[int] | None = None, confidence: float = 0.4,
+                 card: StructuralCard | None = None, flags: set[str] | None = None,
+                 matched_ids: list[str] | None = None, claim_verdict: str | None = None):
+        self.id = id
+        self.pipeline = pipeline                      # "D" or "I"
+        self.title = title
+        self.description = description
+        self.attack_scenario = attack_scenario
+        self.severity = severity
+        self.affected_functions = affected_functions
+        self.evidence_lines = [] if evidence_lines is None else evidence_lines
+        self.confidence = confidence
+        self.card = card
+        self.flags = set() if flags is None else flags
+        self.matched_ids = [] if matched_ids is None else matched_ids
+        # phase D claim-first verdict, recorded once and reused by funnel stage 3
+        self.claim_verdict = claim_verdict
+
+    def __repr__(self) -> str:
+        return f"Finding({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
 
     def text(self) -> str:
         return " ".join((self.title, self.description, self.attack_scenario))
@@ -93,8 +107,7 @@ class Finding:
         return (-SEVERITY_RANK.get(self.severity, 0), -self.confidence, self.id)
 
 
-@dataclass(frozen=True)
-class VerdictRecord:
+class VerdictRecord(NamedTuple):
     finding_id: str
     stage: str
     verdict: str                # DISPROVED | CONFIRMED | UNCERTAIN | FILTERED | PASSED

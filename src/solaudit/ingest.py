@@ -8,8 +8,8 @@ from __future__ import annotations
 import logging
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -66,27 +66,24 @@ class IngestError(Exception):
     """Raised when the repository cannot be ingested at all."""
 
 
-@dataclass(frozen=True)
-class SourceFile:
+class SourceFile(NamedTuple):
     path: str          # relative, posix-style
     role: str          # source | test | script | interface | library
     text: str
     # mask_noncode(text), made when the role was read off the content
-    masked: str | None = field(default=None, repr=False, compare=False)
+    masked: str | None = None
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     path: str
     start: int         # first line in concatenation space (1-based, inclusive)
     end: int           # last line in concatenation space (inclusive)
     orig_start: int    # line in the original file that `start` maps to
 
 
-@dataclass(frozen=True)
-class OffsetMap:
+class OffsetMap(NamedTuple):
     segments: tuple[Segment, ...]
-    _starts: tuple[int, ...] = field(default=(), repr=False)
+    starts: tuple[int, ...] = ()       # each segment's `start`, for bisection
 
     @staticmethod
     def build(segments: list[Segment]) -> "OffsetMap":
@@ -97,15 +94,14 @@ class OffsetMap:
         return self.segments[-1].end if self.segments else 0
 
 
-@dataclass(frozen=True)
-class AuditSource:
+class AuditSource(NamedTuple):
     text: str
     offsets: OffsetMap
     scope: tuple[str, ...]              # in-scope contract names
     remappings: tuple[tuple[str, str], ...]
-    pragmas: dict[str, str] = field(default_factory=dict)  # path -> pragma version expr
+    pragmas: dict[str, str] = {}        # path -> pragma version expr
     # the files' masks joined like `text`; None masks `text` when it is parsed
-    masked: str | None = field(default=None, repr=False, compare=False)
+    masked: str | None = None
 
 
 def classify_files(root: str | Path) -> list[SourceFile]:
@@ -294,7 +290,7 @@ def map_line(offsets: OffsetMap, line: int) -> tuple[str, int]:
     """Map a concatenation line number back to (file path, original line)."""
     if line < 1 or line > offsets.total_lines:
         raise ValueError(f"line {line} outside concatenation range 1..{offsets.total_lines}")
-    idx = bisect_right(offsets._starts, line) - 1
+    idx = bisect_right(offsets.starts, line) - 1
     seg = offsets.segments[idx]
     return seg.path, seg.orig_start + (line - seg.start)
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 import heapq
 import logging
 import re
-from dataclasses import dataclass, field
 from itertools import combinations, groupby, islice
+from typing import NamedTuple
 
 from . import prompts
 from .ccim import CcimModel, FnKey, FunctionRecord
@@ -62,12 +62,11 @@ _CLAIMS_PROTECTED_RE = re.compile(
     r"protected by only\w+)\b", re.I)
 
 
-@dataclass
-class BehaviorSpec:
+class BehaviorSpec(NamedTuple):
     pair: tuple[FnKey, FnKey]
     lifecycle: str = ""
-    agreed_variables: list[str] = field(default_factory=list)
-    assumptions: list[str] = field(default_factory=list)
+    agreed_variables: list[str] = []
+    assumptions: list[str] = []
 
     @property
     def empty(self) -> bool:

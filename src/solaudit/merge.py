@@ -5,7 +5,7 @@ clipped confidence boost."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ccim import CcimModel
 from .engines import MergedSignals
@@ -27,8 +27,7 @@ CORROBORATION_STEP = 0.1
 CORROBORATION_CAP = 3
 
 
-@dataclass(frozen=True)
-class ClusterPartition:
+class ClusterPartition(NamedTuple):
     clusters: tuple[frozenset[str], ...]       # disjoint finding-id sets covering F
     assignment: dict[str, int]                 # finding id -> cluster index
 
@@ -36,8 +35,7 @@ class ClusterPartition:
         return self.clusters[self.assignment[finding_id]]
 
 
-@dataclass
-class MergedFindingSet:
+class MergedFindingSet(NamedTuple):
     findings: list[Finding]
     pi: dict[str, str]                         # finding id -> D | I
     partition: ClusterPartition

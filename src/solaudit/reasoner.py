@@ -13,8 +13,8 @@ import json
 import logging
 import threading
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -29,8 +29,7 @@ class BudgetExceededError(ReasonerError):
     """Prompt longer than the request's character budget."""
 
 
-@dataclass(frozen=True)
-class ReasonerRequest:
+class ReasonerRequest(NamedTuple):
     stage: str                  # phase/stage identifier, e.g. "phase_a"
     prompt: str
     budget: int = DEFAULT_CHAR_BUDGET
@@ -65,8 +64,7 @@ class Reasoner:
         raise NotImplementedError
 
 
-@dataclass
-class ScriptEntry:
+class ScriptEntry(NamedTuple):
     stage: str
     match: tuple[str, ...]        # all substrings must appear in the prompt
     response: dict

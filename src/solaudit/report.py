@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .ccim import CcimModel
 from .coverage import CoverageReport, ResidualClassification
@@ -20,8 +20,7 @@ log = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     findings: list[Finding]
     citations: dict[str, list[dict]]
     merged: MergedFindingSet

@@ -1,5 +1,6 @@
 """Independent brute-force oracles for the fixpoint, security-view,
-clustering, mask, bracket, scan, pair-selection and phase C skip checks.
+clustering, mask, bracket, scan, fund-movement, pair-selection and phase C
+skip checks.
 These deliberately use different algorithms than the implementations they
 verify and must stay that way. `chunks_of_sizes` is the exception: it keeps the prompt packer as
 it was before members had shared parts, which the packer must still equal
@@ -354,6 +355,19 @@ UNANCHORED_CLAIMS = {   # findings._CLAIM_RES, by claim type
     "REENTRANCY": r"\breentran",
     "INTEGER_OVERFLOW_GE08": r"\boverflow\b|\bunderflow\b|\bwrap[- ]?around\b",
 }
+
+# the fund-movement scans as separate searches, one per call shape: the
+# references for `parse.NATIVE_OUT_RE` (native ether out) and `parse._FUND_RE`
+NATIVE_OUT_RES = (
+    re.compile(r"\.\s*transfer\s*\("),
+    re.compile(r"\.\s*send\s*\("),
+    re.compile(r"\.\s*call\s*\{\s*value\s*:"),
+)
+FUND_RES = NATIVE_OUT_RES + (
+    re.compile(r"\.\s*transferFrom\s*\("),
+    re.compile(r"\.\s*safeTransfer\s*\("),
+    re.compile(r"\.\s*safeTransferFrom\s*\("),
+)
 
 # the function-body helpers that one identifier pass replaced
 _IDENT_RE = re.compile(r"(?<![\w.])[A-Za-z_]\w*")

@@ -146,10 +146,9 @@ def test_risk_profile_financial_names(models):
 
 
 def test_risk_profile_monotone_in_calls_and_writes(models):
-    import dataclasses
     ccim = models["vault_oracle"]
     rec = ccim.records_of([("Vault", "withdraw")])[0]
-    richer = dataclasses.replace(rec, writes=frozenset(rec.writes | {"extraVar"}))
+    richer = rec._replace(writes=frozenset(rec.writes | {"extraVar"}))
     assert risk_profile(richer, ccim.parsed.masked) >= risk_profile(rec, ccim.parsed.masked)
 
 

@@ -1045,6 +1045,24 @@ def test_dd_run_end_to_end(models, merged_signals):
     assert all(f.id.startswith("D-") for f in findings)
 
 
+def test_dd_run_names_a_finding_downgraded_for_an_unquoted_disproof(models, caplog):
+    # phase D runs before the findings are numbered, so a WARNING that gave
+    # only the id would name every finding `pending`
+    ccim = models["guards_majority"]
+    reasoner = scripted([
+        {"stage": "phase_c", "match": [], "response": {"reviews": [
+            {"review_id": "C1", "verdict": "VULNERABLE", "severity": "HIGH",
+             "title": "unguarded writer breaks accounting"}]}},
+        {"stage": "phase_d", "match": [], "response": {"verdict": "DISPROVED", "quote": ""}},
+    ])
+    with caplog.at_level("WARNING", logger="solaudit.dossier"):
+        kept = dd_run(ccim, merge_signals({}), reasoner)
+    assert [f.title for f in kept] == ["unguarded writer breaks accounting"]
+    assert [r.getMessage() for r in caplog.records if "verifiable quote" in r.getMessage()] == [
+        "phase D DISPROVED without verifiable quote on pending "
+        "'unguarded writer breaks accounting'; downgraded"]
+
+
 def test_dd_run_unflagged_dossiers_skip_reasoner(models):
     ccim = models["guards_majority"]
     reasoner = MockReasoner()

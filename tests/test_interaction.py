@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from corpus import REPOS, write_repo
@@ -198,7 +196,7 @@ class _UnlistableWriters(dict):
 
 def test_select_pairs_lists_no_shared_writer_pairs_when_triage_fills(deep_model):
     ccim, merged = deep_model
-    unlistable = replace(ccim, deps=replace(ccim.deps, writers=_UnlistableWriters(ccim.deps.writers)))
+    unlistable = ccim._replace(deps=ccim.deps._replace(writers=_UnlistableWriters(ccim.deps.writers)))
     got = select_pairs(unlistable, merged, MockReasoner(), max_pairs=16)
     assert got == select_pairs(ccim, merged, MockReasoner(), max_pairs=16)
     # all 16 come from the top tier, and some also share a write

@@ -7,15 +7,24 @@ dossier pipeline. Also read off the package's syntax tree: every constant
 regex is compiled once, none but a listed few that read short texts starts
 with a `\b` keyword the regex engine cannot jump to, no stage reads a
 code fact off a record's raw declaration text, and one helper turns that
-text into what prompts print."""
+text into what prompts print. Every record type but `Finding` is an
+immutable tuple, each finding has containers of its own, and importing the
+entry point loads no `dataclasses`."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import solaudit
+from solaudit.findings import Finding
 
 PACKAGE = Path(solaudit.__file__).parent
 
@@ -281,7 +290,7 @@ def test_code_facts_are_read_off_the_mask():
 # the readers of a record's raw declaration text: the one helper that turns it
 # into prompt text, and two that take only its length
 BODY_READERS = {
-    "solaudit.ccim.types.FunctionRecord.printed": "the text every prompt prints",
+    "solaudit.ccim.parse.with_printed": "the text every prompt prints",
     "solaudit.ccim.types.FunctionRecord.has_body": "its length",
     "solaudit.ccim.parse.ParsedSource.decl_span": "its length",
 }
@@ -312,3 +321,51 @@ def test_only_the_print_helper_turns_a_body_into_prompt_text():
         "def g(rs):\n    def h(r):\n        return r.body\n    return h\n"
         "x = r.body\ny = r.bodies\n"
     ), "m") == {"m.R.p", "m.g.h", "m"}
+
+
+def _package_classes() -> set[type]:
+    """Every class that a module of the package defines."""
+    modules = [importlib.import_module(m.name)
+               for m in pkgutil.walk_packages(solaudit.__path__, "solaudit.")]
+    return {cls for mod in modules for cls in vars(mod).values()
+            if isinstance(cls, type) and cls.__module__ == mod.__name__}
+
+
+# the public tuple types; a validating record's private field base is
+# checked through the record
+RECORD_TYPES = sorted((cls for cls in _package_classes()
+                       if issubclass(cls, tuple) and not cls.__name__.startswith("_")),
+                      key=lambda c: (c.__module__, c.__name__))
+
+
+@pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda c: f"{c.__module__}.{c.__name__}")
+def test_no_field_of_a_record_can_be_assigned(cls):
+    record = cls._make([None] * len(cls._fields))
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+
+
+def test_every_class_but_finding_an_error_or_a_reasoner_is_a_record_type():
+    assert {cls.__name__ for cls in _package_classes()
+            if not issubclass(cls, (tuple, Exception))} == {"Finding", "Reasoner", "MockReasoner"}
+    # the records of every layer are found, the validating ones included
+    assert {"FunctionRecord", "CcimModel", "AuditSource", "Dossier", "Signal", "RunConfig",
+            "AuditReport"} <= {cls.__name__ for cls in RECORD_TYPES}
+
+
+def test_findings_built_without_containers_share_none():
+    first, second = (Finding("pending", "D", "t", "", "", "LOW", [("A", "f")]) for _ in range(2))
+    first.evidence_lines.append(3)
+    first.flags.add("unverified")
+    first.matched_ids.append("D-001")
+    assert (second.evidence_lines, second.flags, second.matched_ids) == ([], set(), [])
+
+
+def test_the_entry_point_imports_no_dataclasses():
+    # creating a dataclass type execs its generated methods: a startup cost
+    # the package's records do not pay. `-S` keeps site hooks out of the count
+    code = "import sys, solaudit.cli; print('dataclasses' in sys.modules)"
+    loaded = subprocess.run([sys.executable, "-S", "-c", code],
+                            capture_output=True, text=True, check=True, cwd=PACKAGE.parent)
+    assert loaded.stdout.strip() == "False"

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    FUND_RES,
+    NATIVE_OUT_RES,
     UNANCHORED,
     UNANCHORED_CLAIMS,
     brute_force_close,
@@ -282,6 +284,26 @@ def test_one_identifier_pass_matches_separate_scans(body, params):
     fn_names = {"f", "g", "total"}
     got = scan_body(body, 0, len(body), bracket_pairs(body), _STATE, fn_names, params)
     assert got == separate_scans(body, _STATE, fn_names, params)
+
+
+# call shapes around the fund-movement patterns: each of them, spaced and
+# unspaced, and near misses
+_FUND_PIECE = st.sampled_from([
+    ".transfer(", ". transfer (", ".transferFrom(", ".transferFrom (", ".safeTransfer(",
+    ". safeTransferFrom(", ".send(", ".send\n(", ".call{value: 1}(", ". call { value :",
+    ".call(", ".call{gas: 1}(", ".sendValue(", ".safeTransferETH(", "transfer(", ".transfer",
+    ".transferFro(", "safe", "From", "value:", ".", "(", "{", " ", "\n", "x",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FUND_PIECE, max_size=12).map("".join), st.data())
+def test_fund_patterns_match_where_a_separate_search_does(body, data):
+    start = data.draw(st.integers(0, len(body)))
+    end = data.draw(st.integers(start, len(body)))
+    for one, separate in ((parse._FUND_RE, FUND_RES), (parse.NATIVE_OUT_RE, NATIVE_OUT_RES)):
+        assert (one.search(body, start, end) is not None) == \
+            any(rx.search(body, start, end) for rx in separate), one.pattern
 
 
 # contract-level declarations with blocks inside and between their words
