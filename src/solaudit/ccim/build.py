@@ -10,9 +10,7 @@ import re
 
 from ..ingest import AuditSource
 from .parse import (
-    ContractDecl,
     ParsedSource,
-    ancestors_of,
     balanced,
     extract_approval_recipients,
     normalize_predicate,
@@ -50,34 +48,21 @@ ROLE_REQUIRE_PATTERNS = tuple(re.compile(p) for p in (
 _ROLE_PATTERNS = ROLE_MODIFIER_PATTERNS + ROLE_REQUIRE_PATTERNS
 
 
-def build_resolution(decls: tuple[ContractDecl, ...]) -> ResolutionMap:
+def build_resolution(parsed: ParsedSource) -> ResolutionMap:
     """Map each storage variable (qualified by its declaring contract) to the
     concrete contract implementing its declared type, or None when no unique
-    concrete implementer exists, from the audit's contract declarations."""
-    by_name = {d.name: d for d in decls}
-    kinds = {d.name: d.kind for d in decls}
-
+    concrete implementer exists. Inheritance, visibility and types are the
+    parse's view; a name declared twice sees each declaration's state, the
+    first declaration's first."""
+    kinds = {d.name: d.kind for d in parsed.decls}
     # reflexive-transitive inheritance edges: (ancestor, implementer)
-    edges: set[tuple[str, str]] = {(d.name, d.name) for d in decls}
-    for d in decls:
-        for anc in ancestors_of(d.name, by_name):
-            edges.add((anc, d.name))
-
-    # visibility chains: (user contract, plain name) -> qualified id at the
-    # nearest declaration (own declarations shadow inherited ones)
+    edges = {(anc, name) for name, lineage in parsed.lineage.items() for anc in (name, *lineage)}
     var_origin: dict[tuple[str, str], str] = {}
     type_map: dict[str, str] = {}
-    for d in decls:
-        for holder_name in [d.name] + ancestors_of(d.name, by_name):
-            holder = by_name.get(holder_name)
-            if holder is None:
-                continue
-            for sv in holder.state_vars:
-                key = (d.name, sv.name)
-                if key not in var_origin:
-                    qid = f"{holder_name}.{sv.name}"
-                    var_origin[key] = qid
-                    type_map.setdefault(qid, sv.type_text)
+    for decl, visible in zip(parsed.decls, parsed.visible):
+        for name, (qid, sv) in visible.items():
+            var_origin.setdefault((decl.name, name), qid)
+            type_map.setdefault(qid, sv.type_text)
 
     mapping: dict[str, str | None] = {}
     for var, type_text in type_map.items():
@@ -176,15 +161,10 @@ def compute_state_dependencies(records: list[FunctionRecord], footprints: Footpr
         for v in footprints.reads.get(r.key, frozenset()):
             readers.setdefault(resolution.var_id(r.owner, v), set()).add(r.key)
 
-    visible: dict[str, set[str]] = {}
-    for owner, name in resolution.var_origin:
-        visible.setdefault(owner, set()).add(name)
     approvals: dict[FnKey, frozenset[str]] = {}
     for r in records:
-        got = extract_approval_recipients(parsed, r, visible.get(r.owner, set()))
-        if got:
-            approvals[r.key] = approvals.get(r.key, frozenset()).union(
-                resolution.var_id(r.owner, v) for v in got)
+        if got := extract_approval_recipients(parsed, r, resolution.var_origin):
+            approvals[r.key] = approvals.get(r.key, frozenset()) | got
 
     consumers: dict[str, set[FnKey]] = {}
     for r in records:
@@ -302,7 +282,7 @@ def assemble_ccim(source: AuditSource) -> CcimModel:
     """Run the full construction pipeline over an audit source, parsed once."""
     parsed = parse_source(source.text, source.masked)
     records = parse_function_records(source, parsed)
-    resolution = build_resolution(parsed.decls)
+    resolution = build_resolution(parsed)
     graph = build_call_graph(records, resolution)
     footprints = propagate_footprints(records)
     deps = compute_state_dependencies(records, footprints, resolution, parsed)
@@ -313,8 +293,9 @@ def assemble_ccim(source: AuditSource) -> CcimModel:
         records=tuple(records), resolution=resolution, graph=graph,
         footprints=footprints, deps=deps, trust=trust, admin_set=admin_set,
         parsed=parsed,
-        # ingest reads declarations off the mask as the parse does; keep the resolved
-        scope=tuple(c for c in source.scope if c in resolution.kinds),
+        # ingest reads declarations off the mask as the parse does; keep the
+        # resolved, each once: a name two files declare is one contract
+        scope=tuple(dict.fromkeys(c for c in source.scope if c in resolution.kinds)),
     )
 
 

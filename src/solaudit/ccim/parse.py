@@ -16,7 +16,10 @@ text is scanned once:
 - one bracket index per audit (`bracket_pairs`) makes finding a closing
   bracket a lookup bounded to the span being read (`match_brace`);
 - one walk over a contract's declarations yields its function names and
-  records; it never enters a body.
+  records; it never enters a body;
+- one walk of each contract's inheritance yields one view per declaration of
+  its lineage and visible state, which the body scan, the resolution map and
+  BVA read (`ParsedSource.lineage` and `visible`).
 """
 
 from __future__ import annotations
@@ -177,15 +180,18 @@ class ContractDecl(NamedTuple):
 
 class ParsedSource(NamedTuple):
     """One audit source parsed once: the comment- and string-masked text, the
-    line-start index, the raw lines, the bracket index of the mask and the
-    contract declarations. Built per audit by `parse_source` and shared by
-    parsing, resolution and the engines."""
+    line-start index, the raw lines, the bracket index of the mask, the
+    contract declarations and the view of their inheritance. Built per audit
+    by `parse_source` and shared by parsing, resolution and the engines."""
     text: str
     masked: str
     line_starts: tuple[int, ...]
     lines: tuple[str, ...]
     brackets: dict[int, int]       # bracket_pairs(masked)
     decls: tuple[ContractDecl, ...]
+    lineage: dict[str, tuple[str, ...]]   # contract -> its ancestors, nearest first
+    # per declaration: state-variable name -> (qualified id, nearest declaration)
+    visible: tuple[dict[str, tuple[str, StateVarDecl]], ...]
 
     def line_of(self, pos: int) -> int:
         """1-based line of character offset `pos`."""
@@ -208,8 +214,41 @@ def parse_source(text: str, masked: str | None = None) -> ParsedSource:
     lines = tuple(text.split("\n"))
     line_starts = (0, *accumulate(len(line) + 1 for line in lines[:-1]))
     brackets = bracket_pairs(masked)
+    decls = tuple(scan_contracts(masked, line_starts, brackets))
+    lineage, visible = _inheritance_view(decls)
     return ParsedSource(text=text, masked=masked, line_starts=line_starts, lines=lines,
-                        brackets=brackets, decls=tuple(scan_contracts(masked, line_starts, brackets)))
+                        brackets=brackets, decls=decls, lineage=lineage, visible=visible)
+
+
+def _inheritance_view(decls: tuple[ContractDecl, ...]) -> tuple[dict, tuple[dict, ...]]:
+    """`lineage` and `visible` of `decls`, from one walk of each contract's
+    inheritance; its own declarations shadow inherited ones. A name declared
+    twice has its last declaration's bases, and each declaration its own state."""
+    by_name = {d.name: d for d in decls}
+    lineage = {name: _ancestors_of(name, by_name) for name in by_name}
+    visible = []
+    for decl in decls:
+        seen: dict[str, tuple[str, StateVarDecl]] = {}
+        for holder in (decl, *(by_name[a] for a in lineage[decl.name] if a in by_name)):
+            for sv in holder.state_vars:
+                seen.setdefault(sv.name, (f"{holder.name}.{sv.name}", sv))
+        visible.append(seen)
+    return lineage, tuple(visible)
+
+
+def _ancestors_of(name: str, by_name: dict[str, ContractDecl]) -> tuple[str, ...]:
+    """Transitive bases of `name`, excluding itself, breadth first: each base
+    list in declared order; a base outside the audit is listed and not walked."""
+    seen: list[str] = []
+    frontier = list(by_name[name].bases)
+    while frontier:
+        base = frontier.pop(0)
+        if base in seen or base == name:
+            continue
+        seen.append(base)
+        if base in by_name:
+            frontier.extend(by_name[base].bases)
+    return tuple(seen)
 
 
 def scan_contracts(masked: str, line_starts: tuple[int, ...],
@@ -307,38 +346,11 @@ def parse_function_records(source: AuditSource,
         return []
     if parsed is None:
         parsed = parse_source(source.text, source.masked)
-    by_name = {d.name: d for d in parsed.decls}
     records: list[FunctionRecord] = []
-    for decl in parsed.decls:
-        visible_vars = _visible_state_vars(decl, by_name)
-        records.extend(_parse_contract_functions(decl, parsed, visible_vars, source))
+    for decl, visible in zip(parsed.decls, parsed.visible):
+        types = {name: sv.type_text for name, (_, sv) in visible.items()}
+        records.extend(_parse_contract_functions(decl, parsed, types, source))
     return records
-
-
-def ancestors_of(name: str, by_name: dict[str, ContractDecl]) -> list[str]:
-    """Transitive base contracts/interfaces of `name`, excluding itself."""
-    seen: list[str] = []
-    frontier = list(by_name[name].bases) if name in by_name else []
-    while frontier:
-        base = frontier.pop(0)
-        if base in seen or base == name:
-            continue
-        seen.append(base)
-        if base in by_name:
-            frontier.extend(by_name[base].bases)
-    return seen
-
-
-def _visible_state_vars(decl: ContractDecl, by_name: dict[str, ContractDecl]) -> dict[str, str]:
-    """State variables declared by the contract or its ancestors: name -> type."""
-    visible: dict[str, str] = {}
-    for ancestor in reversed(ancestors_of(decl.name, by_name)):
-        if ancestor in by_name:
-            for sv in by_name[ancestor].state_vars:
-                visible[sv.name] = sv.type_text
-    for sv in decl.state_vars:
-        visible[sv.name] = sv.type_text
-    return visible
 
 
 def _parse_contract_functions(decl, parsed, visible_vars, source):
@@ -574,14 +586,14 @@ def _classify_suffix(masked: str, pos: int, end: int, brackets: dict[int, int]) 
 
 
 def extract_approval_recipients(parsed: ParsedSource, record: FunctionRecord,
-                                state_vars: set[str]) -> frozenset[str]:
-    """Storage variables passed as the recipient argument of approve/safeApprove
-    call sites inside `record`."""
+                                var_origin: dict[tuple[str, str], str]) -> frozenset[str]:
+    """Qualified ids, by `var_origin`, of the storage variables passed as the
+    recipient argument of approve/safeApprove call sites inside `record`."""
     masked = parsed.masked
     out: set[str] = set()
     for _, open_paren, close in balanced(masked, _APPROVE_RE, parsed.brackets,
                                          *parsed.decl_span(record), "()"):
         args = split_top_level(masked[open_paren + 1:close])
-        if args and NAME_RE.fullmatch(args[0]) and args[0] in state_vars:
-            out.add(args[0])
+        if args and (qid := var_origin.get((record.owner, args[0]))):
+            out.add(qid)
     return frozenset(out)

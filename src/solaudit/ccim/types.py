@@ -76,12 +76,14 @@ class FunctionRecord(NamedTuple):
 
 class ResolutionMap(NamedTuple):
     # storage variables are identified by qualified ids "DeclaringContract.name":
-    # same-named variables in unrelated contracts are distinct storage
+    # same-named variables in unrelated contracts are distinct storage.
+    # `inheritance`, `type_map` and `var_origin` are read off the parse's one
+    # view of each contract's lineage and visible state (`ParsedSource`)
     mapping: dict[str, str | None]        # qualified var -> contract, None for unresolved
     type_map: dict[str, str]              # qualified var -> declared type text
     inheritance: frozenset[tuple[str, str]]  # (ancestor/interface, implementer) edges, reflexive-transitive
     kinds: dict[str, str] = {}             # contract -> contract|interface|library|abstract
-    var_origin: dict[FnKey, str] = {}      # (contract, plain name) -> qualified id
+    var_origin: dict[FnKey, str] = {}      # (contract, plain name) -> qualified id of the nearest declaration
 
     def var_id(self, owner: str, name: str) -> str:
         return self.var_origin.get((owner, name), f"{owner}.{name}")

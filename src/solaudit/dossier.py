@@ -118,12 +118,12 @@ def compile_dossiers(ccim: CcimModel, merged: MergedSignals) -> list[Dossier]:
                 f"{var} is admin-rotatable and consumed as a call target or approval recipient",
                 CCIM_ITEM_CONFIDENCE_ROT, None), None)
     for (c1, c2) in sorted(ccim.trust.trustgap):
-        for (f, g) in sorted(ccim.graph.edges):
-            if f[0] == c1 and g[0] == c2 and f in items:
-                attach(f, RiskItem(
-                    "CCIM", "ccim-trust-gap",
-                    f"{c1} assumes post-conditions of {c2} that {c2} does not enforce",
-                    CCIM_ITEM_CONFIDENCE_TRUSTGAP, None), None)
+        # one item per calling function, however many of c2's functions it calls
+        for f in sorted({f for f, g in ccim.graph.edges if f[0] == c1 and g[0] == c2 and f in items}):
+            attach(f, RiskItem(
+                "CCIM", "ccim-trust-gap",
+                f"{c1} assumes post-conditions of {c2} that {c2} does not enforce",
+                CCIM_ITEM_CONFIDENCE_TRUSTGAP, None), None)
 
     return [Dossier(k, tuple(ccim.records_of((k,))),
                     sorted(its, key=lambda it: (-it.confidence, it.source_tag, it.id)))

@@ -122,11 +122,8 @@ def _sub_locked_ether(ccim: CcimModel) -> list[Signal]:
 
 # (v) read-before-write: reads of state that nothing ever writes or initializes
 def _sub_read_before_write(ccim: CcimModel) -> list[Signal]:
-    initialized = set()
-    for decl in ccim.parsed.decls:
-        for sv in decl.state_vars:
-            if sv.has_initializer:
-                initialized.add(f"{decl.name}.{sv.name}")
+    initialized = {qid for visible in ccim.parsed.visible
+                   for qid, sv in visible.values() if sv.has_initializer}
     signals = []
     scope = set(scope_contracts(ccim))
     for var in sorted(ccim.deps.readers):

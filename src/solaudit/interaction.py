@@ -96,7 +96,8 @@ def select_pairs(ccim: CcimModel, merged: MergedSignals, reasoner: Reasoner,
     highest confidence down, a tier's stream is read only while `max_pairs`
     leaves room, less the pairs already taken: a lower tier is reached only
     once every higher tier's stream ran to its end, so those are exactly the
-    pairs of the higher tiers. The reasoner is asked before any tier is read."""
+    pairs of the higher tiers. The reasoner triage is the lowest tier, and
+    the reasoner is asked only when that tier is read."""
     keys = {r.key for r in _auditable(ccim)}
     edges = _pair_set(ccim.graph.edges)
     signal_conf: dict[FnKey, float] = {}
@@ -134,11 +135,12 @@ def select_pairs(ccim: CcimModel, merged: MergedSignals, reasoner: Reasoner,
                 if signal_conf.get(p[0], 0.0) + signal_conf.get(p[1], 0.0) >= ATTENTION_THRESHOLD)
 
     # (v) reasoner triage for contracts with no high-severity signals
-    low_risk = _low_risk_contracts(ccim, merged)
-    llm = sorted(_pair_set(_reasoner_triage(ccim, low_risk, reasoner, budget))) if low_risk else []
+    def llm_triage():
+        low_risk = _low_risk_contracts(ccim, merged)
+        return sorted(_pair_set(_reasoner_triage(ccim, low_risk, reasoner, budget))) if low_risk else []
 
     streams = {"TRIAGE": triage, "SHARED_STATE": shared_state, "COUNTER": counter,
-               "HOTSPOT": hotspot, "LLM_TRIAGE": lambda: llm}
+               "HOTSPOT": hotspot, "LLM_TRIAGE": llm_triage}
     ranked: list[tuple[FnKey, FnKey]] = []
     for source in sorted(streams, key=SOURCE_CONFIDENCE.get, reverse=True):
         room = None if max_pairs is None else max_pairs - len(ranked)

@@ -1,6 +1,6 @@
 """Independent brute-force oracles for the fixpoint, security-view,
-clustering, mask, bracket, scan, fund-movement, pair-selection and phase C
-skip checks.
+clustering, mask, bracket, scan, fund-movement, pair-selection, inheritance
+and phase C skip checks.
 These deliberately use different algorithms than the implementations they
 verify and must stay that way. `chunks_of_sizes` is the exception: it keeps the prompt packer as
 it was before members had shared parts, which the packer must still equal
@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from solaudit.ccim import CcimModel, FnKey, FunctionRecord, parse
 from solaudit.engines import COUNTER_STEMS, MergedSignals
@@ -463,6 +464,68 @@ def state_vars_blanked_in_place(masked: str, open_pos: int, close_pos: int,
                       bool(m.group(4)) or "constant" in modifiers or "immutable" in modifiers,
                       bisect_right(line_starts, open_pos + 1 + m.start())))
     return found
+
+
+class InheritanceWalks(NamedTuple):
+    lineage: dict[str, tuple[str, ...]]
+    visible_types: list[dict[str, str]]      # per declaration: name -> type
+    inheritance: set[tuple[str, str]]
+    var_origin: dict[tuple[str, str], str]
+    type_map: dict[str, str]
+    initialized: set[str]                    # qualified ids with an initializer
+
+
+def separate_inheritance_walks(decls) -> InheritanceWalks:
+    """What each reader of a contract's inheritance found by walking it on
+    its own, before the parse kept one view: the body scan walked the
+    ancestors in reverse, the last write winning and the contract's own
+    declarations written last; the resolution map walked the contract and
+    then its ancestors, the first write winning; BVA qualified every
+    declaration's initialized state by its declaring contract."""
+    by_name = {d.name: d for d in decls}
+
+    def ancestors_of(name: str) -> list[str]:
+        seen: list[str] = []
+        frontier = list(by_name[name].bases) if name in by_name else []
+        while frontier:
+            base = frontier.pop(0)
+            if base in seen or base == name:
+                continue
+            seen.append(base)
+            if base in by_name:
+                frontier.extend(by_name[base].bases)
+        return seen
+
+    visible_types = []
+    for d in decls:
+        visible: dict[str, str] = {}
+        for ancestor in reversed(ancestors_of(d.name)):
+            if ancestor in by_name:
+                for sv in by_name[ancestor].state_vars:
+                    visible[sv.name] = sv.type_text
+        for sv in d.state_vars:
+            visible[sv.name] = sv.type_text
+        visible_types.append(visible)
+
+    inheritance = {(d.name, d.name) for d in decls}
+    var_origin: dict[tuple[str, str], str] = {}
+    type_map: dict[str, str] = {}
+    for d in decls:
+        inheritance.update((anc, d.name) for anc in ancestors_of(d.name))
+        for holder_name in [d.name] + ancestors_of(d.name):
+            holder = by_name.get(holder_name)
+            if holder is None:
+                continue
+            for sv in holder.state_vars:
+                key = (d.name, sv.name)
+                if key not in var_origin:
+                    qid = f"{holder_name}.{sv.name}"
+                    var_origin[key] = qid
+                    type_map.setdefault(qid, sv.type_text)
+
+    initialized = {f"{d.name}.{sv.name}" for d in decls for sv in d.state_vars if sv.has_initializer}
+    return InheritanceWalks({name: tuple(ancestors_of(name)) for name in by_name}, visible_types,
+                            inheritance, var_origin, type_map, initialized)
 
 
 def chunks_of_sizes(ranked: list, size: dict, room: int, least: int) -> list[list]:

@@ -19,6 +19,7 @@ from solaudit.ccim import (
     parse_function_records,
 )
 from solaudit.ccim.parse import mask_noncode, parse_source
+from solaudit.engines.bva import run_bva
 from solaudit.ingest import AuditSource, OffsetMap, Segment, build_audit_source, classify_files
 
 
@@ -417,6 +418,28 @@ def test_trustgap_cases(models):
 
 
 # --- assembly and serialization ----------------------------------------------
+
+
+def test_a_contract_two_files_declare_is_one_contract(tmp_path):
+    # each declaration keeps its own state in the parse; the name's visible
+    # state is the union of both, the first declaration's first
+    for rel, own, second in (("a/A.sol", "uint256 public a;\n    address public x;",
+                              "function f() external { a = 1; x = msg.sender; }"),
+                             ("b/B.sol", "uint256 public b;\n    uint256 public x;",
+                              "function g() external view returns (uint256) { return b / 0; }")):
+        (tmp_path / rel).parent.mkdir()
+        (tmp_path / rel).write_text(
+            f"pragma solidity ^0.8.0;\ncontract Vault {{\n    {own}\n    {second}\n}}\n")
+    ccim = assemble_ccim(build_audit_source(classify_files(tmp_path)))
+    assert ccim.scope == ("Vault",)
+    f, g = ccim.records
+    assert (f.writes, f.reads, g.reads) == ({"a", "x"}, set(), {"b"})
+    res = ccim.resolution
+    assert res.var_origin == {("Vault", "a"): "Vault.a", ("Vault", "x"): "Vault.x",
+                              ("Vault", "b"): "Vault.b"}
+    assert res.type_map == {"Vault.a": "uint256", "Vault.x": "address", "Vault.b": "uint256"}
+    # BVA examines the contract once: one literal division, one signal
+    assert [s.id for s in run_bva(ccim)].count("bva-division-by-zero") == 1
 
 
 def test_empty_source_model():

@@ -93,6 +93,23 @@ def test_dossier_items_sorted_by_confidence(models, merged_signals):
             assert confs == sorted(confs, reverse=True)
 
 
+def test_one_trust_gap_item_per_function_and_gap():
+    # A.pull() calls two functions of B, and A assumes what B returns
+    ccim = _model(
+        "contract B {\n"
+        "    function x() external returns (uint256) { return 1; }\n"
+        "    function y() external returns (uint256) { return 2; }\n"
+        "}\n"
+        "contract A {\n"
+        "    B public b;\n"
+        "    function pull() external { b.x(); b.y(); }\n"
+        "}\n", "B", "A")
+    assert ccim.trust.trustgap == {("A", "B")}
+    assert ccim.graph.callees(("A", "pull")) == {("B", "x"), ("B", "y")}
+    dossiers = {d.function: d for d in compile_dossiers(ccim, merge_signals({}))}
+    assert [it.id for it in dossiers[("A", "pull")].risk_items] == ["ccim-trust-gap"]
+
+
 def test_rotation_item_attached_to_readers(models, merged_signals):
     ccim = models["vault_oracle"]
     dossiers = {d.function: d for d in compile_dossiers(ccim, merged_signals["vault_oracle"])}

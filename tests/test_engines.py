@@ -176,6 +176,23 @@ def test_bva_literal_line_hint_below_multiline_header(tmp_path):
     assert [s.line_hint for s in hits] == [7]
 
 
+def test_bva_read_before_write_skips_initialized_state_inherited_or_own(tmp_path):
+    from solaudit.ccim import assemble_ccim
+    from solaudit.ingest import build_audit_source, classify_files
+    (tmp_path / "r.sol").write_text(
+        "pragma solidity ^0.8.0;\n"
+        "contract Base { uint256 public cap = 10; uint256 public floor; }\n"
+        "contract Vault is Base {\n"
+        "    uint256 public constant FEE = 3;\n"
+        "    uint256 public limit;\n"
+        "    function f() external view returns (uint256) { return cap + FEE + floor + limit; }\n"
+        "}\n"
+    )
+    signals = run_bva(assemble_ccim(build_audit_source(classify_files(tmp_path))))
+    assert sorted(s.description.split()[0] for s in signals if s.id == "bva-read-before-write") == \
+        ["Base.floor", "Vault.limit"]
+
+
 def test_bva_sub_analyzer_isolation(models, monkeypatch, caplog):
     import solaudit.engines.bva as bva_mod
 

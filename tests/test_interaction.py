@@ -130,17 +130,17 @@ OVERLOADED = {"src/Twin.sol": (
     "}\n")}
 
 
-def _assert_matches_oracle(ccim, merged, make_reasoner=MockReasoner) -> int:
+def _assert_matches_oracle(ccim, merged, make_reasoner=MockReasoner):
     """Compare the pairs at every limit of LIMITS and each tier boundary of
     the oracle's full list (its length included), plus and minus one; returns
-    how many limits were compared."""
+    that list and the limits in the order compared."""
     full = brute_force_select_pairs(ccim, merged, make_reasoner())
     cuts = [i for i in range(1, len(full)) if full[i].tier != full[i - 1].tier] + [len(full)]
-    limits = set(LIMITS) | {k + d for k in cuts for d in (-1, 0, 1) if k + d >= 0}
+    limits = list(set(LIMITS) | {k + d for k in cuts for d in (-1, 0, 1) if k + d >= 0})
     for k in limits:
         got = select_pairs(ccim, merged, make_reasoner(), max_pairs=k)
         assert got == [n.pair for n in full[:k]], k
-    return len(limits)
+    return full, limits
 
 
 @pytest.mark.parametrize("name", sorted(REPOS))
@@ -159,8 +159,13 @@ def test_select_pairs_top_k_matches_oracle_with_reasoner_triage(models):
         made.append(scripted(script))
         return made[-1]
 
-    limits = _assert_matches_oracle(models["bidirectional"], merge_signals({}), reasoner)
-    assert [r.call_count("stage1_triage") for r in made] == [1] * (1 + limits)
+    full, limits = _assert_matches_oracle(models["bidirectional"], merge_signals({}), reasoner)
+    # the oracle asks once; a selection asks only when its limit leaves room
+    # past the pairs of the higher tiers, where the triage tier is read
+    higher = sum(n.tier > SOURCE_CONFIDENCE["LLM_TRIAGE"] for n in full)
+    assert [r.call_count("stage1_triage") for r in made] == \
+        [1] + [int(k is None or k > higher) for k in limits]
+    assert {0, None} <= set(limits)   # both cases are met
 
 
 def test_select_pairs_top_k_matches_oracle_on_generated_corpus(deep_model):
@@ -207,6 +212,15 @@ def test_select_pairs_lists_no_shared_writer_pairs_when_triage_fills(deep_model)
     # the shared-state tier is listed only once the selection reaches it
     with pytest.raises(_Listed):
         select_pairs(unlistable, merged, MockReasoner())
+
+
+def test_select_pairs_asks_the_reasoner_only_when_its_tier_is_read(deep_model):
+    # the deterministic tiers fill 16 pairs, so the lowest tier is never read
+    ccim, merged = deep_model
+    for max_pairs, asked in ((16, 0), (None, 1)):
+        reasoner = MockReasoner()
+        select_pairs(ccim, merged, reasoner, max_pairs=max_pairs)
+        assert reasoner.call_count("stage1_triage") == asked, max_pairs
 
 
 # --- stage 2: spec inference ------------------------------------------------------

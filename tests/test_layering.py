@@ -6,8 +6,9 @@ and the interaction pipeline and coverage reach them without importing the
 dossier pipeline. Also read off the package's syntax tree: every constant
 regex is compiled once, none but a listed few that read short texts starts
 with a `\b` keyword the regex engine cannot jump to, no stage reads a
-code fact off a record's raw declaration text, and one helper turns that
-text into what prompts print. Every record type but `Finding` is an
+code fact off a record's raw declaration text, one helper turns that
+text into what prompts print, and only the parse's view builder reads a
+contract's base list. Every record type but `Finding` is an
 immutable tuple, each finding has containers of its own, and importing the
 entry point loads no `dataclasses`."""
 
@@ -296,31 +297,43 @@ BODY_READERS = {
 }
 
 
-def _body_readers(tree: ast.AST, scope: str) -> set[str]:
+def _attribute_readers(tree: ast.AST, scope: str, attr: str = "body") -> set[str]:
     """The qualified name of the innermost class or function around each
-    `.body` attribute under `tree`, or `scope` outside any."""
+    `.body` (or other `attr`) attribute under `tree`, or `scope` outside any."""
     found = set()
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            found |= _body_readers(node, f"{scope}.{node.name}")
-        elif _is_body(node):
+            found |= _attribute_readers(node, f"{scope}.{node.name}", attr)
+        elif isinstance(node, ast.Attribute) and node.attr == attr:
             found.add(scope)
-            found |= _body_readers(node, scope)
+            found |= _attribute_readers(node, scope, attr)
         else:
-            found |= _body_readers(node, scope)
+            found |= _attribute_readers(node, scope, attr)
     return found
 
 
+def _package_readers(attr: str) -> set[str]:
+    """`_attribute_readers` of `attr` over every module of the package."""
+    return set().union(*(_attribute_readers(ast.parse(p.read_text(encoding="utf-8")),
+                                            _module_name(p), attr) for p in PACKAGE.rglob("*.py")))
+
+
 def test_only_the_print_helper_turns_a_body_into_prompt_text():
-    found = set().union(*(_body_readers(ast.parse(p.read_text(encoding="utf-8")), _module_name(p))
-                          for p in PACKAGE.rglob("*.py")))
-    assert found == set(BODY_READERS)
+    assert _package_readers("body") == set(BODY_READERS)
     # a read in a method, a nested function or at module level is found
-    assert _body_readers(ast.parse(
+    assert _attribute_readers(ast.parse(
         "class R:\n    def p(self):\n        return f(self.body)\n"
         "def g(rs):\n    def h(r):\n        return r.body\n    return h\n"
         "x = r.body\ny = r.bodies\n"
     ), "m") == {"m.R.p", "m.g.h", "m"}
+
+
+def test_only_the_view_builder_reads_a_contract_s_bases():
+    # each contract's inheritance is walked once, where the parse builds its
+    # view of lineage and visible state; every other reader takes that view
+    assert _package_readers("bases") == {"solaudit.ccim.parse._ancestors_of"}
+    assert _attribute_readers(ast.parse("def walk(d):\n    return d.bases\nx = d.base"),
+                              "m", "bases") == {"m.walk"}
 
 
 def _package_classes() -> set[type]:

@@ -22,12 +22,14 @@ from oracles import (
     brute_force_footprints,
     brute_force_line_of,
     brute_force_mask,
+    separate_inheritance_walks,
     separate_scans,
     state_vars_blanked_in_place,
 )
 
 from solaudit import findings, ingest
 from solaudit.ccim import assemble_ccim, parse, parse_function_records
+from solaudit.ccim.build import build_resolution
 from solaudit.ccim.parse import bracket_pairs, mask_noncode, match_brace, parse_source, scan_body
 from solaudit.engines import patterns, run_engines
 from solaudit.ingest import AuditSource, OffsetMap, Segment
@@ -321,3 +323,53 @@ def test_state_variables_match_blanking_in_place(text):
     for decl in parsed.decls:
         assert [(v.name, v.type_text, v.has_initializer, v.line) for v in decl.state_vars] == \
             state_vars_blanked_in_place(parsed.masked, decl.open_pos, decl.close_pos, parsed.line_starts)
+
+
+# inheritance shapes: contracts of distinct names whose bases are any names,
+# themselves, later ones and ones outside the audit included, and whose state
+# variables share a few names, so that one shadows another
+_NAMES = ("A", "B", "C", "D", "E")
+_VAR = st.tuples(st.sampled_from("abcd"),
+                 st.sampled_from(["uint256", "address", "A", "IPool", "B[]", "mapping(address => A)"]),
+                 st.booleans())
+_HIERARCHY = st.lists(st.sampled_from(_NAMES), min_size=1, max_size=5, unique=True).flatmap(
+    lambda names: st.tuples(*(st.tuples(
+        st.just(name), st.sampled_from(["contract", "abstract contract", "interface"]),
+        st.lists(st.sampled_from(_NAMES + ("Ext", "IOutside")), max_size=3, unique=True),
+        st.lists(_VAR, max_size=3, unique_by=lambda v: v[0])) for name in names)))
+
+
+def _hierarchy_text(contracts) -> str:
+    return "".join(
+        f"{kind} {name}{' is ' + ', '.join(bases) if bases else ''} {{\n"
+        + "".join(f"    {type_text} public {var}{' = 1' if init else ''};\n"
+                  for var, type_text, init in state)
+        + "}\n"
+        for name, kind, bases, state in contracts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_HIERARCHY)
+# a diamond whose sides shadow its root's `a`, and a base outside the audit
+@example((("D", "contract", ["B", "C", "Ext"], [("d", "A", False)]),
+          ("B", "abstract contract", ["A"], [("a", "address", True)]),
+          ("C", "contract", ["A"], [("a", "uint256", False), ("c", "B[]", True)]),
+          ("A", "contract", [], [("a", "IPool", False)])))
+# `A is B` and `B is A`, and a contract that names itself
+@example((("A", "contract", ["B"], [("a", "uint256", True)]),
+          ("B", "contract", ["A", "B"], [("a", "address", False), ("b", "A", False)])))
+def test_one_view_of_inheritance_matches_the_separate_walks(contracts):
+    parsed = parse_source(_hierarchy_text(contracts))
+    assert [d.name for d in parsed.decls] == [c[0] for c in contracts]
+    walks = separate_inheritance_walks(parsed.decls)
+    assert parsed.lineage == walks.lineage
+    # the types the body scan sees, and the resolution map's facts in order
+    assert [{name: sv.type_text for name, (_, sv) in visible.items()}
+            for visible in parsed.visible] == walks.visible_types
+    resolution = build_resolution(parsed)
+    assert resolution.inheritance == walks.inheritance
+    assert resolution.var_origin == walks.var_origin
+    assert list(resolution.type_map.items()) == list(walks.type_map.items())
+    # every declaration's initialized state is in the view, under its qualified id
+    assert {qid for visible in parsed.visible for qid, sv in visible.values()
+            if sv.has_initializer} == walks.initialized
