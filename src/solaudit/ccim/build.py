@@ -30,22 +30,13 @@ from .types import (
 
 log = logging.getLogger(__name__)
 
-# recognized role checks: modifier shapes and require shapes
-ROLE_MODIFIER_PATTERNS = tuple(re.compile(p) for p in (
-    r"^onlyOwner$",
-    r"^onlyRole\(",
-    r"^onlyAdmin$",
-    r"^onlyGovernance$",
-    r"^onlyGovernor$",
-    r"^requiresAuth$",
-))
-ROLE_REQUIRE_PATTERNS = tuple(re.compile(p) for p in (
-    r"^msg\.sender==_?(owner|admin|governance|governor)(\(\))?$",
-    r"^_?(owner|admin|governance|governor)(\(\))?==msg\.sender$",
-    r"^hasRole\(",
-    r"^_checkRole\(",
-))
-_ROLE_PATTERNS = ROLE_MODIFIER_PATTERNS + ROLE_REQUIRE_PATTERNS
+# recognized role checks, each read from the text's start: modifier shapes
+# and require shapes
+_ROLE_MODIFIER_RE = re.compile(
+    r"^(?:onlyOwner$|onlyRole\(|onlyAdmin$|onlyGovernance$|onlyGovernor$|requiresAuth$)")
+_ROLE_REQUIRE_RE = re.compile(
+    r"^(?:msg\.sender==_?(?:owner|admin|governance|governor)(?:\(\))?$"
+    r"|_?(?:owner|admin|governance|governor)(?:\(\))?==msg\.sender$|hasRole\(|_checkRole\()")
 
 
 def build_resolution(parsed: ParsedSource) -> ResolutionMap:
@@ -155,11 +146,11 @@ def compute_state_dependencies(records: list[FunctionRecord], footprints: Footpr
     flag_rotation_risks."""
     writers: dict[str, set[FnKey]] = {}
     readers: dict[str, set[FnKey]] = {}
-    for r in records:
-        for v in footprints.writes.get(r.key, frozenset()):
-            writers.setdefault(resolution.var_id(r.owner, v), set()).add(r.key)
-        for v in footprints.reads.get(r.key, frozenset()):
-            readers.setdefault(resolution.var_id(r.owner, v), set()).add(r.key)
+    for key in dict.fromkeys(r.key for r in records):   # a footprint is per key
+        for v in footprints.writes.get(key, frozenset()):
+            writers.setdefault(resolution.var_id(key[0], v), set()).add(key)
+        for v in footprints.reads.get(key, frozenset()):
+            readers.setdefault(resolution.var_id(key[0], v), set()).add(key)
 
     approvals: dict[FnKey, frozenset[str]] = {}
     for r in records:
@@ -189,7 +180,8 @@ def classify_admin(records: list[FunctionRecord]) -> frozenset[FnKey]:
     guarded: set[FnKey] = set()
     unguarded: set[FnKey] = set()
     for r in records:
-        if any(rx.search(g) for g in (*r.guards, *r.modifiers) for rx in _ROLE_PATTERNS):
+        if any(_ROLE_MODIFIER_RE.match(g) or _ROLE_REQUIRE_RE.match(g)
+               for g in (*r.guards, *r.modifiers)):
             guarded.add(r.key)
         else:
             unguarded.add(r.key)
@@ -228,7 +220,7 @@ def _caller_gating_guards(record: FunctionRecord) -> frozenset[str]:
     # any msg.sender mention or role modifier counts as caller-gating;
     # per-caller-contract restriction is not recoverable from source
     out = {g for g in record.guards if "msg.sender" in g}
-    out |= {m for m in record.modifiers if any(rx.search(m) for rx in ROLE_MODIFIER_PATTERNS)}
+    out |= {m for m in record.modifiers if _ROLE_MODIFIER_RE.match(m)}
     return frozenset(out)
 
 

@@ -7,10 +7,14 @@ run. Assembly blocks are opaque text. Function records are spans of the one
 mask: readers scan it inside `ParsedSource.decl_span` or a record's body
 `span`, and take its code facts from the record, never its raw text. Each
 text is scanned once:
-- a pattern that scans a body or the whole text starts on a literal, as
+- a pattern that scans a body or the whole text starts on one literal, as
   `word(?<!\wword)`: `re` skips ahead only to a first literal or character
   set, and tries one that starts with `\b`, a lookbehind or a multiline `^`
-  at every character;
+  at every character. A set of first letters is no anchor either: an
+  alternation of `contract|interface|library` is tried at every `c`, `i`
+  and `l`. Scan one literal per pass, by a pattern it leads or by
+  `str.find` and an anchored match, and merge the passes by offset
+  (`ingest.declarations`), or scan behind a cheap literal gate;
 - one identifier pass per function body (`scan_body`) yields all its uses,
   testing call and declaration shapes with anchored matches at a token's end;
 - one bracket index per audit (`bracket_pairs`) makes finding a closing
@@ -30,13 +34,14 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import NamedTuple
 
-from ..ingest import DECL_RE, AuditSource, map_line, mask_noncode, pragma_ge_08
+from ..ingest import AuditSource, declarations, map_line, mask_noncode, pragma_ge_08
 from .types import CallSite, FunctionRecord
 
 log = logging.getLogger(__name__)
 
-# a declaration, by ingest's rule, with its base list up to its `{`
-_CONTRACT_RE = re.compile(DECL_RE.pattern + r"\s*(is\s+([^{]+?))?\s*\{")
+# a declaration from its name on, as ingest's rule reads it, with its base
+# list up to its `{`
+_CONTRACT_RE = re.compile(r"([A-Za-z_]\w*)\s*(is\s+([^{]+?))?\s*\{")
 _ABSTRACT_RE = re.compile(r"abstract(?<![^\s;}]abstract)\s+(?=contract|interface|library)")
 _FUNCTION_RE = re.compile(
     r"(function(?<!\wfunction)\s+([A-Za-z_]\w*)|constructor(?<!\wconstructor)"
@@ -45,13 +50,21 @@ _FUNCTION_RE = re.compile(
 # a modifier with a body: a bodiless `modifier m() virtual;` ends at its `;`
 _MODIFIER_DEF_RE = re.compile(r"modifier(?<!\wmodifier)\s+([A-Za-z_]\w*)[^;{]*(?=\{)")
 # a declaration at the start of a line or right after a `;`, matched from
-# that newline or `;`; its own `;` is left to start the next match
+# that newline or `;`; its own `;` is left to start the next match. Group 1,
+# the indentation, is taken whole, as an atomic group would take it: no type
+# starts with a space or tab, and `re` need not retry a shorter run
 _STATE_VAR_RE = re.compile(
-    r"[\n;][ \t]*"
+    r"[\n;](?=([ \t]*))\1"
     r"(mapping\s*\((?:[^()]|\([^()]*\))*\)|[A-Za-z_]\w*(?:\s+payable)?(?:\s*\[\s*\w*\s*\])*)"
     r"((?:\s+(?:public|private|internal|constant|immutable|override|transient))*)"
     r"\s+([A-Za-z_]\w*)\s*(=[^;]*)?(?=;)"
 )
+# a member declaration's header up to its body's `{`: a function, modifier,
+# constructor, receive or fallback keyword after whitespace only, then a `(`
+# and no `=`. So no state-variable match can start on its first line and
+# read on past it
+_MEMBER_HEAD_RE = re.compile(
+    r"\s*(function|modifier|constructor|receive|fallback)(?!\w)(?=[^=]*\([^=]*\Z)")
 _HEADER_KEYWORDS = {
     "public", "external", "internal", "private", "view", "pure", "payable",
     "virtual", "override", "returns", "memory", "calldata", "storage",
@@ -68,7 +81,6 @@ NAME_RE = re.compile(r"[A-Za-z_]\w*")               # an identifier token
 # an identifier or member, not the tail of a number such as `1e18`; group 1 is
 # the name after it, as after a local's type, and group 2 an `=` after that
 _TOKEN_RE = re.compile(r"[A-Za-z_](?<!\w[A-Za-z_])\w*(?:(?=\s+([A-Za-z_]\w*)(\s*=)?))?")
-_SPACE_RE = re.compile(r"\s+")
 _VISIBILITY_RE = re.compile(r"\b(public|external|internal|private)\b")
 _MUTABILITY_RE = re.compile(r"\b(view|pure|payable)\b")
 _RETURNS_RE = re.compile(r"returns(?<!\wreturns)\s*\([^)]*\)")
@@ -103,7 +115,7 @@ _APPROVE_RE = re.compile(r"\.\s*(?:approve|safeApprove)\s*\(")
 def normalize_predicate(text: str) -> str:
     """Whitespace-free, identifier-preserving normal form for guard and
     post-condition strings; set operations compare these forms."""
-    return _SPACE_RE.sub("", text)
+    return "".join(text.split())
 
 
 def bracket_pairs(text: str) -> dict[int, int]:
@@ -223,9 +235,14 @@ def parse_source(text: str, masked: str | None = None) -> ParsedSource:
 def _inheritance_view(decls: tuple[ContractDecl, ...]) -> tuple[dict, tuple[dict, ...]]:
     """`lineage` and `visible` of `decls`, from one walk of each contract's
     inheritance; its own declarations shadow inherited ones. A name declared
-    twice has its last declaration's bases, and each declaration its own state."""
+    twice has the union of its declarations' bases, the first declaration's
+    first, and each declaration its own state; an ancestor declared twice
+    lends its last declaration's state."""
+    bases: dict[str, tuple[str, ...]] = {}
+    for d in decls:
+        bases[d.name] = tuple(dict.fromkeys((*bases.get(d.name, ()), *d.bases)))
     by_name = {d.name: d for d in decls}
-    lineage = {name: _ancestors_of(name, by_name) for name in by_name}
+    lineage = {name: _ancestors_of(name, bases) for name in bases}
     visible = []
     for decl in decls:
         seen: dict[str, tuple[str, StateVarDecl]] = {}
@@ -236,18 +253,18 @@ def _inheritance_view(decls: tuple[ContractDecl, ...]) -> tuple[dict, tuple[dict
     return lineage, tuple(visible)
 
 
-def _ancestors_of(name: str, by_name: dict[str, ContractDecl]) -> tuple[str, ...]:
-    """Transitive bases of `name`, excluding itself, breadth first: each base
-    list in declared order; a base outside the audit is listed and not walked."""
+def _ancestors_of(name: str, bases: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
+    """Transitive bases of `name` by `bases` (contract -> its base list),
+    excluding itself, breadth first: each base list in declared order; a base
+    outside the audit is listed and not walked."""
     seen: list[str] = []
-    frontier = list(by_name[name].bases)
+    frontier = list(bases[name])
     while frontier:
         base = frontier.pop(0)
         if base in seen or base == name:
             continue
         seen.append(base)
-        if base in by_name:
-            frontier.extend(by_name[base].bases)
+        frontier.extend(bases.get(base, ()))
     return tuple(seen)
 
 
@@ -256,59 +273,84 @@ def scan_contracts(masked: str, line_starts: tuple[int, ...],
     """Locate every contract/interface/library declaration with its span."""
     decls: list[ContractDecl] = []
     abstract_at = {m.end() for m in _ABSTRACT_RE.finditer(masked)}
-    for m in _CONTRACT_RE.finditer(masked):
-        open_pos = m.end() - 1
+    for start, kind, _, whole in declarations(masked, _CONTRACT_RE):
+        open_pos = whole.end() - 1
         close_pos = match_brace(brackets, open_pos, len(masked))
         if close_pos < 0:
-            log.warning("unbalanced braces after contract %s; declaration skipped", m.group(2))
+            log.warning("unbalanced braces after contract %s; declaration skipped", whole.group(1))
             continue
         bases = []
-        if m.group(4):
-            for part in split_top_level(m.group(4)):
+        if whole.group(3):
+            for part in split_top_level(whole.group(3)):
                 ident = NAME_RE.match(part)
                 if ident:
                     bases.append(ident.group(0))
-        start = open_pos + 1
         decls.append(ContractDecl(
-            name=m.group(2), kind="abstract" if m.start() in abstract_at else m.group(1),
-            bases=tuple(bases), start=m.start(), open_pos=open_pos, close_pos=close_pos,
-            state_vars=_scan_state_vars(masked, start, close_pos, brackets, line_starts),
-            modifier_guards=_scan_modifier_guards(masked, start, close_pos, brackets),
+            name=whole.group(1), kind="abstract" if start in abstract_at else kind,
+            bases=tuple(bases), start=start, open_pos=open_pos, close_pos=close_pos,
+            state_vars=_scan_state_vars(masked, open_pos + 1, close_pos, brackets, line_starts),
+            modifier_guards=_scan_modifier_guards(masked, open_pos + 1, close_pos, brackets),
         ))
     return decls
 
 
-def _contract_level(masked: str, start: int, end: int, brackets: dict[int, int]) -> str:
-    """A newline and masked[start:end], a contract body, with each block in it
-    cut to its newlines, or to a space when it has none: the declarations line
-    for line, matched as with each block blanked, since the state-variable
-    scan reads whitespace only as a separator. An unclosed block cuts the rest."""
-    out, pos = ["\n"], start
+def _contract_level(masked: str, start: int, end: int,
+                    brackets: dict[int, int]) -> tuple[str, list[int], list[int]]:
+    """(text, starts, origins): a newline and masked[start:end], a contract
+    body, as the state-variable scan reads it. Each block is cut to its
+    newlines, or to a space when it has none. A member declaration, whose
+    header `_MEMBER_HEAD_RE` matches from the last `;` before its body or
+    the previous block's end, is cut further: the first line of its header
+    becomes a `#`, and its body one newline, or a space. The scan finds what
+    it would with each block blanked in place: it reads whitespace only as
+    a separator, so a run of newlines reads as one, and no match but an
+    initializer reads past such a header line or a `#`. Piece i of the text
+    starts at text offset starts[i] and reads the mask from origins[i]. An
+    unclosed block cuts the rest."""
+    out, origins, pos = ["\n"], [], start
     while (open_pos := masked.find("{", pos, end)) >= 0:
         close = match_brace(brackets, open_pos, end)
-        out.append(masked[pos:open_pos])
-        pos = close + 1 if close >= 0 else end
-        out.append("\n" * masked.count("\n", open_pos, pos) or " ")
+        after = close + 1 if close >= 0 else end
+        head = masked.rfind(";", pos, open_pos) + 1 or pos
+        member = _MEMBER_HEAD_RE.match(masked, head, open_pos)
+        cut = member.start(1) if member else open_pos
+        out.append(masked[pos:cut])
+        origins.append(pos)
+        lines = masked.count("\n", open_pos, after)
+        if member:
+            out.append("#")
+            origins.append(cut)
+            if (later := masked.find("\n", cut, open_pos)) >= 0:
+                out.append(masked[later:open_pos])
+                origins.append(later)
+            lines = min(lines, 1)
+        out.append("\n" * lines or " ")
+        origins.append(open_pos)
+        pos = after
     out.append(masked[pos:end])
-    return "".join(out)
+    origins.append(pos)
+    starts = list(accumulate(map(len, out)))
+    starts.pop()
+    return "".join(out), starts, origins
 
 
 def _scan_state_vars(masked: str, start: int, end: int, brackets: dict[int, int],
                      line_starts: tuple[int, ...]) -> list[StateVarDecl]:
-    flat = _contract_level(masked, start, end, brackets)
+    flat, starts, origins = _contract_level(masked, start, end, brackets)
     out = []
-    line, counted = bisect_right(line_starts, start), 1   # the line of flat[1]
     for m in _STATE_VAR_RE.finditer(flat):
-        line += flat.count("\n", counted, m.start() + 1)
-        counted = m.start() + 1
-        type_text = " ".join(m.group(1).split())
-        if type_text.split()[0] in _NON_TYPE_KEYWORDS:
+        type_text, modifiers, name, initializer = m.group(2, 3, 4, 5)
+        words = type_text.split()
+        if words[0] in _NON_TYPE_KEYWORDS:
             continue
+        # the line of the character after the match's newline or `;`
+        at = m.start() + 1
+        i = bisect_right(starts, at) - 1
         out.append(StateVarDecl(
-            name=m.group(3),
-            type_text=type_text,
-            has_initializer=bool(m.group(4)) or "constant" in (m.group(2) or "") or "immutable" in (m.group(2) or ""),
-            line=line,
+            name=name,
+            type_text=" ".join(words),
+            has_initializer=bool(initializer) or "constant" in modifiers or "immutable" in modifiers,
+            line=bisect_right(line_starts, origins[i] + at - starts[i]),
         ))
     return out
 
@@ -346,14 +388,23 @@ def parse_function_records(source: AuditSource,
         return []
     if parsed is None:
         parsed = parse_source(source.text, source.masked)
+    ge_08 = {path: pragma_ge_08(expr) for path, expr in source.pragmas.items()}
     records: list[FunctionRecord] = []
     for decl, visible in zip(parsed.decls, parsed.visible):
-        types = {name: sv.type_text for name, (_, sv) in visible.items()}
-        records.extend(_parse_contract_functions(decl, parsed, types, source))
+        receivers = callee_receivers({name: sv.type_text for name, (_, sv) in visible.items()})
+        records.extend(_parse_contract_functions(decl, parsed, receivers, source, ge_08))
     return records
 
 
-def _parse_contract_functions(decl, parsed, visible_vars, source):
+def callee_receivers(types: dict[str, str]) -> dict[str, bool]:
+    """Per visible state variable (name -> declared type), whether a member
+    call on it is a call site: it can hold a contract, as an address or a
+    type that is not elementary does, and is no builtin name."""
+    return {name: name not in _BUILTIN_TARGETS and (t == "address" or not is_elementary_type(t))
+            for name, t in types.items()}
+
+
+def _parse_contract_functions(decl, parsed, receivers, source, ge_08):
     """The records of `decl`'s function declarations, from one walk over its
     body that steps over each function body: the walk's names are the
     same-contract callees, so a Yul `function` in `assembly` is not one."""
@@ -367,18 +418,20 @@ def _parse_contract_functions(decl, parsed, visible_vars, source):
         span = (header_end + 1, decl_end) if decl_end > header_end else (decl_end + 1, decl_end + 1)
         unchecked = UNCHECKED_RE.search(parsed.masked, *span) is not None
         try:
-            yield _build_record(decl, name, parsed, visible_vars, fn_names, source, default_vis,
+            yield _build_record(decl, name, parsed, receivers, fn_names, source, ge_08, default_vis,
                                 m, params_close, header_end, decl_end, span, unchecked)
         except Exception as exc:  # per-component isolation: degrade, never abort
             log.warning("parse failure in %s.%s (%s); emitting degraded record", decl.name, name, exc)
-            yield with_printed(FunctionRecord(
+            body = parsed.text[m.start():decl_end + 1]
+            indent = parsed.indent_of(parsed.line_of(m.start()))
+            yield FunctionRecord(
                 name=name, owner=decl.name, vis=default_vis, mut="nonpayable",
                 modifiers=(), guards=(), reads=frozenset(), writes=frozenset(),
                 call_sites=(), fund_flag=False,
                 src=(parsed.line_of(m.start()), parsed.line_of(decl_end)),
-                internal_calls=frozenset(), body=parsed.text[m.start():decl_end + 1], offset=m.start(),
-                span=span, unchecked=unchecked, indent=parsed.indent_of(parsed.line_of(m.start())),
-            ))
+                internal_calls=frozenset(), body=body, offset=m.start(),
+                span=span, unchecked=unchecked, indent=indent, printed=printed_text(body, indent),
+            )
 
 
 def _declarations(decl, parsed):
@@ -473,7 +526,7 @@ def _natspec_above(src_lines: tuple[str, ...], header_line: int) -> str:
     return "\n".join(reversed(collected))
 
 
-def _build_record(decl, name, parsed, visible_vars, fn_names, source, default_vis,
+def _build_record(decl, name, parsed, receivers, fn_names, source, ge_08, default_vis,
                   m, params_close, header_end, abs_end, span, unchecked):
     text, masked, abs_start = parsed.text, parsed.masked, m.start()
     vis, mut, modifiers = _parse_header(masked[params_close + 1:header_end], default_vis)
@@ -485,7 +538,7 @@ def _build_record(decl, name, parsed, visible_vars, fn_names, source, default_vi
     start, end = span
     guards = _extract_requires(masked, start, end, parsed.brackets)
     _, reads, writes, calls, internal = scan_body(
-        masked, start, end, parsed.brackets, visible_vars, fn_names, params)
+        masked, start, end, parsed.brackets, receivers, fn_names, params)
     fund = _FUND_RE.search(masked, start, end) is not None
 
     # modifier bodies contribute their require conditions to the guard set
@@ -494,36 +547,37 @@ def _build_record(decl, name, parsed, visible_vars, fn_names, source, default_vi
         guards.extend(decl.modifier_guards.get(mod_name, []))
 
     path, _ = map_line(source.offsets, start_line) if source.offsets.segments else ("", 0)
-    return with_printed(FunctionRecord(
+    body, indent = text[abs_start:abs_end + 1], parsed.indent_of(start_line)
+    return FunctionRecord(
         name=name, owner=decl.name, vis=vis, mut=mut, modifiers=modifiers,
         guards=tuple(dict.fromkeys(guards)),
         reads=frozenset(reads), writes=frozenset(writes),
         call_sites=tuple(CallSite(target=target, method=method, line=parsed.line_of(pos))
                          for target, method, pos in calls), fund_flag=fund,
         src=(start_line, end_line), internal_calls=frozenset(internal),
-        body=text[abs_start:abs_end + 1], offset=abs_start, span=span, unchecked=unchecked,
+        body=body, offset=abs_start, span=span, unchecked=unchecked,
         params=params, signature=signature,
         natspec=_natspec_above(parsed.lines, start_line),
-        pragma_ge_08=pragma_ge_08(source.pragmas.get(path)), indent=parsed.indent_of(start_line),
-    ))
+        pragma_ge_08=ge_08.get(path, False), indent=indent, printed=printed_text(body, indent),
+    )
 
 
-def with_printed(rec: FunctionRecord) -> FunctionRecord:
-    """`rec` with its `printed` text, the declaration as every prompt prints
-    it: `body` with each line after the first losing up to `indent` leading
-    spaces or tabs, never more than it has. Every line stays, and so every
-    line number; a file indented further as a whole prints the same text.
-    The one place that turns a body into prompt text, once per record."""
-    text = re.sub(f"\n[ \t]{{1,{rec.indent}}}", "\n", rec.body) if rec.indent else rec.body
-    return rec._replace(printed=text)
+def printed_text(body: str, indent: int) -> str:
+    """A record's `printed` text, the declaration `body` as every prompt
+    prints it: each line after the first loses up to `indent` leading spaces
+    or tabs, never more than it has. Every line stays, and so every line
+    number; a file indented further as a whole prints the same text. The one
+    place that turns a body into prompt text, once per record."""
+    return re.sub(f"\n[ \t]{{1,{indent}}}", "\n", body) if indent else body
 
 
 def scan_body(masked: str, start: int, end: int, brackets: dict[int, int],
-              visible_vars: dict[str, str], fn_names: set[str], params: tuple[str, ...]):
+              receivers: dict[str, bool], fn_names: set[str], params: tuple[str, ...]):
     """One pass over the identifiers of the body masked[start:end]: (locals,
-    reads, writes, calls, internal), the visible state it reads and writes as
-    a whole identifier no param or local shadows, its member calls on state
-    that can hold a contract as (target, method, target offset), and the
+    reads, writes, calls, internal), the visible state (the keys of
+    `receivers`, of `callee_receivers`) it reads and writes as a whole
+    identifier no param or local shadows, its member calls on state that
+    can hold a contract as (target, method, target offset), and the
     functions of `fn_names` it calls by plain name."""
     declared: set[str] = set()
     uses: list[tuple[str, str]] = []     # (state variable, _classify_suffix kind)
@@ -538,22 +592,20 @@ def scan_body(masked: str, start: int, end: int, brackets: dict[int, int],
             elif word in _LOCATIONS and m.start() >= located_end:
                 declared.add(m.group(1))     # `memory x`
                 located_end = m.end(1)
-        if word not in visible_vars and word not in fn_names:
+        if word not in receivers and word not in fn_names:
             continue
         pos = m.start()
         if pos > start and masked[pos - 1] == ".":
             continue  # a member, not a whole identifier
-        if word in visible_vars:
+        if word in receivers:
             if word not in params:
                 if written := _WRITE_BEFORE_RE.search(masked[max(start, pos - 8):pos]):
                     uses.append((word, "readwrite" if written.group(1) else "write"))
                 else:
                     uses.append((word, _classify_suffix(masked, m.end(), end, brackets)))
-            type_text = visible_vars[word]
             # arrays, mappings and value types are not callees
-            if ((call := _MEMBER_CALL_RE.match(masked, m.end(), end))
-                    and call.group(1) not in _ARRAY_METHODS and word not in _BUILTIN_TARGETS
-                    and (type_text == "address" or not is_elementary_type(type_text))):
+            if (receivers[word] and (call := _MEMBER_CALL_RE.match(masked, m.end(), end))
+                    and call.group(1) not in _ARRAY_METHODS):
                 calls.append((word, call.group(1), pos))
         elif word not in _NON_TYPE_KEYWORDS and _PLAIN_CALL_RE.match(masked, m.end(), end):
             internal.add(word)

@@ -6,7 +6,7 @@ never after. So the assembled model is immutable and safe to share across
 concurrently running consumers. A tuple has no instance `__dict__` to cache
 into, so what a record derives from its fields is a field too, made once
 where the record is built: a function's `printed` text by the parse
-(`parse.with_printed`), the call graph's adjacency by `build_call_graph`, and
+(`parse.printed_text`), the call graph's adjacency by `build_call_graph`, and
 the model's indexes by `CcimModel.build`. A default is one object that every
 record taking it shares.
 """
@@ -58,7 +58,7 @@ class FunctionRecord(NamedTuple):
     signature: str = ""
     natspec: str = ""
     pragma_ge_08: bool = False
-    printed: str = ""                     # `body` as every prompt prints it (`parse.with_printed`)
+    printed: str = ""                     # `body` as every prompt prints it (`parse.printed_text`)
 
     @property
     def key(self) -> FnKey:
@@ -86,7 +86,7 @@ class ResolutionMap(NamedTuple):
     var_origin: dict[FnKey, str] = {}      # (contract, plain name) -> qualified id of the nearest declaration
 
     def var_id(self, owner: str, name: str) -> str:
-        return self.var_origin.get((owner, name), f"{owner}.{name}")
+        return self.var_origin.get((owner, name)) or f"{owner}.{name}"
 
     def resolve(self, var: str) -> str | None:
         return self.mapping.get(var)

@@ -18,6 +18,7 @@ from .coverage import (
     detect_features,
     discussed_names_from,
     gap_reaudit_prompts,
+    key_risks,
 )
 from .dossier import dd_run
 from .engines import DEFAULT_SIGNAL_CAP, ingest_external, run_engines
@@ -121,9 +122,11 @@ def run(config: RunConfig, reasoner: Reasoner | None = None) -> AuditReport:
     external = [s for path in config.external_signals
                 for s in ingest_external(path, source.offsets)]
     merged_signals = run_engines(ccim, None, external, config.signal_cap)
+    risk = key_risks(ccim)
 
     with ThreadPoolExecutor(max_workers=2, thread_name_prefix="pipeline") as pool:
-        dd_future = pool.submit(dd_run, ccim, merged_signals, reasoner, budget=config.char_budget)
+        dd_future = pool.submit(dd_run, ccim, merged_signals, reasoner, risk,
+                                budget=config.char_budget)
         id_future = pool.submit(id_run, ccim, merged_signals, reasoner, budget=config.char_budget)
         f_d = dd_future.result()
         f_i = id_future.result()
@@ -147,7 +150,7 @@ def run(config: RunConfig, reasoner: Reasoner | None = None) -> AuditReport:
             coverage = compute_gap_set(pipeline_findings, features)
 
     residuals = attention_residual(
-        ccim, discussed_names_from(pipeline_findings),
+        ccim, risk, discussed_names_from(pipeline_findings),
         " ".join(f.text() for f in pipeline_findings))
     blind = _extra_round_findings(
         blindspot_prompts(residuals, ccim, budget=config.char_budget),
@@ -157,7 +160,7 @@ def run(config: RunConfig, reasoner: Reasoner | None = None) -> AuditReport:
         final.extend(blind)
         pipeline_findings.extend(blind)
         residuals = attention_residual(
-            ccim, discussed_names_from(pipeline_findings),
+            ccim, risk, discussed_names_from(pipeline_findings),
             " ".join(f.text() for f in pipeline_findings))
 
     return AuditReport(

@@ -190,7 +190,6 @@ RISK_WEIGHTS = {
 }
 
 _FINANCIAL_NAME_RE = re.compile(r"balance|amount|share|debt|reward|fee|price|supply|asset", re.I)
-_ARITH_OP_RE = re.compile(r"[+\-*/%]")
 
 # the structural aspects whose absence near a mention demotes it to
 # partial-attention
@@ -304,29 +303,31 @@ def risk_profile(record: FunctionRecord, masked: str) -> float:
         score += RISK_WEIGHTS["fund_flag"]
     score += RISK_WEIGHTS["per_write"] * len(record.writes)
     score += RISK_WEIGHTS["per_external_call"] * len(record.call_sites)
-    ops = len(_ARITH_OP_RE.findall(masked, *record.span))
+    ops = sum(map(masked[slice(*record.span)].count, "+-*/%"))
     score += min(RISK_WEIGHTS["arithmetic_bucket_max"], ops / 5.0)
     if any(_FINANCIAL_NAME_RE.search(v) for v in record.writes | record.reads):
         score += RISK_WEIGHTS["financial_name"]
     return score
 
 
-def key_risk(ccim: CcimModel, key: FnKey) -> float:
-    """A function's risk: the highest `risk_profile` among its overloads."""
-    return max((risk_profile(r, ccim.parsed.masked) for r in ccim.records_of((key,))), default=0.0)
+def key_risks(ccim: CcimModel) -> dict[FnKey, float]:
+    """Every function's risk, in key order: the highest `risk_profile` among
+    its overloads. Made once per audit; phase C's ranking and each
+    `attention_residual` read it."""
+    masked = ccim.parsed.masked
+    return {key: max(risk_profile(r, masked) for r in ccim.records_of((key,)))
+            for key in ccim.keys}
 
 
-def attention_residual(ccim: CcimModel, discussed_names: set[str],
+def attention_residual(ccim: CcimModel, risk: dict[FnKey, float], discussed_names: set[str],
                        output_text: str) -> ResidualClassification:
     """Partition the inventory by comparing mentioned function names against
     the full parsed set; mentioned functions with an unaddressed critical
     aspect (fund movement, external calls) in any overload are
-    partial-attention."""
+    partial-attention. `risk` is the audit's `key_risks`."""
     lowered = output_text.lower()
     status: dict[FnKey, str] = {}
-    scores: dict[FnKey, float] = {}
     for key in ccim.keys:
-        scores[key] = key_risk(ccim, key)
         if key[1] not in discussed_names:
             status[key] = "unattended"
             continue
@@ -336,7 +337,7 @@ def attention_residual(ccim: CcimModel, discussed_names: set[str],
                        or (any(r.call_sites for r in recs)
                            and not any(k in lowered for k in ASPECT_KEYWORDS["external_call"])))
         status[key] = "partial-attention" if unaddressed else "discussed"
-    return ResidualClassification(status=status, risk_score=scores)
+    return ResidualClassification(status=status, risk_score=risk)
 
 
 def blindspot_prompts(residuals: ResidualClassification, ccim: CcimModel,

@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 from . import prompts
 from .ccim import CcimModel, FnKey, FunctionRecord
-from .coverage import key_risk
 from .engines import MergedSignals, render_markdown
 from .findings import (
     Finding,
@@ -274,6 +273,7 @@ def _inert(ccim: CcimModel, key: FnKey) -> bool:
 
 
 def build_phase_c_interactions(ccim: CcimModel, blocks: dict[FnKey, str],
+                               risk: dict[FnKey, float],
                                budget: int = DEFAULT_CHAR_BUDGET) -> list[InteractionGroup]:
     """One interference review per shared variable and one per callee, but
     none that no call can interfere through.
@@ -291,9 +291,9 @@ def build_phase_c_interactions(ccim: CcimModel, blocks: dict[FnKey, str],
     `initialize()` included; a bodiless callee, as an interface or abstract
     one is; and a callee with a modifier.
 
-    A variable's touchers (writers and readers) are ranked by
-    `coverage.key_risk`, highest first, ties by key, and packed into "var"
-    groups: consecutive chunks whose source blocks (`blocks`, of
+    A variable's touchers (writers and readers) are ranked by `risk`, the
+    audit's `coverage.key_risks`, highest first, ties by key, and packed
+    into "var" groups: consecutive chunks whose source blocks (`blocks`, of
     `_member_blocks`) fit the room that PHASE_C and the widest review heading
     the chunks can carry leave under `budget`, so every review fits in a
     prompt shorter than the budget. No chunk has a single member: a lone
@@ -308,7 +308,6 @@ def build_phase_c_interactions(ccim: CcimModel, blocks: dict[FnKey, str],
     call keeps its (g, g) pair and no review otherwise names a function
     twice."""
     parts = {k: {k: len(b)} for k, b in blocks.items()}
-    risk = {k: key_risk(ccim, k) for k in blocks}
     shell_room = prompts.room(prompts.PHASE_C, budget, {"reviews": ""})
     groups: list[InteractionGroup] = []
 
@@ -332,7 +331,7 @@ def build_phase_c_interactions(ccim: CcimModel, blocks: dict[FnKey, str],
     return groups
 
 
-def run_phase_c(ccim: CcimModel, reasoner: Reasoner,
+def run_phase_c(ccim: CcimModel, reasoner: Reasoner, risk: dict[FnKey, float],
                 budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
     """Interference reviews, several per prompt. The n-th group of
     `build_phase_c_interactions` is review `C<n>`: a section of its heading
@@ -346,7 +345,7 @@ def run_phase_c(ccim: CcimModel, reasoner: Reasoner,
     Each VULNERABLE review becomes a finding on its group's members; the
     findings come in group order, whatever the packing."""
     blocks = _member_blocks(ccim)
-    groups = build_phase_c_interactions(ccim, blocks, budget)
+    groups = build_phase_c_interactions(ccim, blocks, risk, budget)
     headings = [_review_heading(n, g.kind, g.subject, g.part, g.parts)
                 for n, g in enumerate(groups, start=1)]
     room = prompts.room(prompts.PHASE_C, budget, {"reviews": ""})
@@ -489,16 +488,17 @@ phase_e_recalibrate = calibrate_one
 # --- pipeline runner -------------------------------------------------------
 
 
-def dd_run(ccim: CcimModel, merged: MergedSignals, reasoner: Reasoner, *,
-           budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
+def dd_run(ccim: CcimModel, merged: MergedSignals, reasoner: Reasoner,
+           risk: dict[FnKey, float], *, budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
     """Full dossier-driven pipeline: dossiers -> A -> discovery (B) -> C ->
     D routing/claim-first -> E deterministic recalibration -> renumbered
-    finding set."""
+    finding set. `risk` is the audit's `coverage.key_risks`, which ranks
+    phase C's reviews."""
     flagged = [d for d in compile_dossiers(ccim, merged) if d.flagged]
 
     findings = phase_a_verify(flagged, reasoner, budget)
     findings.extend(run_discovery_phase(ccim, merged, reasoner, budget))
-    findings.extend(run_phase_c(ccim, reasoner, budget=budget))
+    findings.extend(run_phase_c(ccim, reasoner, risk, budget=budget))
 
     survivors: list[Finding] = []
     for f in findings:

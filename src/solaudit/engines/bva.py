@@ -13,14 +13,18 @@ from .signal import Signal
 
 log = logging.getLogger(__name__)
 
-_BOUND_RE = re.compile(
-    r"(?:require\s*\(|if\s*\()\s*([A-Za-z_]\w*)\s*(<=|>=|<|>)\s*(\d+(?:e\d+)?)"
-)
+# a numeric bound in a `require(` or an `if (`, from the keyword's end; each
+# keyword is found by `str.find`, as `re` tries a set of first letters at
+# every `r` and `i`
+_BOUND_TAIL_RE = re.compile(r"\s*\(\s*([A-Za-z_]\w*)\s*(<=|>=|<|>)\s*(\d+(?:e\d+)?)")
 STATEMENT_RE = re.compile(r"[^;{}]+")  # the text of one statement
 _POW_RE = re.compile(r"(\d(?<!\w\d)\d*)\s*\*\*\s*(\d+)\b")
 _WORD_RE = re.compile(r"\w+")
 _DIV_ZERO_RE = re.compile(r"/\s*(0)\b(?![.\w])")
 _LITERAL_OP_RE = re.compile(r"(\d(?<!\w\d)(?:\d*(?:\.\d+)?e\d+|\d*))\s*(\*|-)\s*(\d+(?:\.\d+)?e\d+|\d+)")
+# what every `_LITERAL_OP_RE` match holds: its gate, led by the operator, as
+# the literal-led pattern is tried at every digit
+_OP_LITERAL_RE = re.compile(r"[*-]\s*\d")
 
 UINT256_MAX = 2 ** 256 - 1
 
@@ -67,9 +71,22 @@ def run_bva(ccim: CcimModel) -> list[Signal]:
 
 
 # (ii) boundary finding from require/if numeric guards
-def _bounds(parsed: ParsedSource, record: FunctionRecord) -> list[tuple[str, str, float, int]]:
-    return [(m.group(1), m.group(2), float(m.group(3)), m.start())
-            for m in _BOUND_RE.finditer(parsed.masked, *parsed.decl_span(record))]
+def _bounds(text: str, start: int, end: int) -> list[tuple[str, str, float, int]]:
+    """(variable, operator, bound, offset) per numeric guard in the masked
+    text[start:end], in offset order: one pass per keyword, each resuming
+    past its last bound. No `require` bound overlaps an `if` one, so the two
+    passes merge by offset."""
+    hits = []
+    for keyword in ("require", "if"):
+        pos = start
+        while (at := text.find(keyword, pos, end)) >= 0:
+            if bound := _BOUND_TAIL_RE.match(text, at + len(keyword), end):
+                hits.append((at, bound))
+                pos = bound.end()
+            else:
+                pos = at + 1
+    hits.sort(key=lambda hit: hit[0])
+    return [(b.group(1), b.group(2), float(b.group(3)), at) for at, b in hits]
 
 
 # (iii) rationality: bounds on the same variable must admit at least one value
@@ -78,7 +95,7 @@ def _sub_rationality(ccim: CcimModel) -> list[Signal]:
     for contract in scope_contracts(ccim):
         for rec in ccim.owned(contract):
             by_var: dict[str, list[tuple[str, float, int]]] = {}
-            for var, op, value, pos in _bounds(ccim.parsed, rec):
+            for var, op, value, pos in _bounds(ccim.parsed.masked, *ccim.parsed.decl_span(rec)):
                 by_var.setdefault(var, []).append((op, value, pos))
             for var, entries in sorted(by_var.items()):
                 lowers = [(v, op) for op, v, _ in entries if op in (">", ">=")]
@@ -186,6 +203,11 @@ def _sub_formula_mismatch(ccim: CcimModel) -> list[Signal]:
     return signals
 
 
+def _literal_ops(text: str):
+    """The `_LITERAL_OP_RE` matches in `text`, behind the operator gate."""
+    return _LITERAL_OP_RE.finditer(text) if _OP_LITERAL_RE.search(text) else ()
+
+
 def _literal_value(token: str) -> int | None:
     try:
         return int(float(token)) if ("e" in token or "." in token) else int(token)
@@ -217,7 +239,7 @@ def _sub_symbolic_eval(ccim: CcimModel) -> list[Signal]:
                     severity="HIGH", confidence=0.8,
                     function=rec.key, line_hint=line_of(m.start()),
                 ))
-            for m in _LITERAL_OP_RE.finditer(folded):
+            for m in _literal_ops(folded):
                 a, b = _literal_value(m.group(1)), _literal_value(m.group(3))
                 if a is None or b is None:
                     continue

@@ -19,7 +19,10 @@ _ORACLE_READ_RE = re.compile(r"\.\s*(latestAnswer|latestRoundData)\s*\(")
 # from the `/` of a division whose divisor a `*` follows; the dividend's last
 # character (a word character, `)` or `]`) is found by walking back
 _DIV_THEN_MUL_RE = re.compile(r"/\s*[\w\(][\w\.\(\)\[\]]*\s*\*")
-_DOWNCAST_RE = re.compile(r"((?:uint(?<!\wuint)|int(?<!\wint))(?:8|16|32|64|96|128))\s*\(\s*[A-Za-z_]")
+# a narrowing cast from its `int`, which starts the word or follows a `u`
+# that does: led by the literal, as `re` tries a `u`-or-`i` lead at every one
+_DOWNCAST_RE = re.compile(
+    r"int(?:(?<!\wint)|(?<=uint)(?<!\wuint))(8|16|32|64|96|128)\s*\(\s*[A-Za-z_]")
 _ECRECOVER_RE = re.compile(r"ecrecover(?<!\wecrecover)\s*\(")
 _NONCE_RE = re.compile(r"nonce", re.I)
 _DEADLINE_RE = re.compile(r"deadline|expiry|expiration", re.I)
@@ -47,9 +50,18 @@ def _rule_div_before_mul(text: str, start: int, end: int, pairs: dict[int, int])
 
 
 def _rule_unsafe_downcast(text: str, start: int, end: int, pairs: dict[int, int]):
-    for m in _DOWNCAST_RE.finditer(text, start, end):
-        yield ("MATH", "math-unsafe-downcast", "MEDIUM", 0.55, m.start(),
-               f"narrowing cast to {m.group(1)} can silently truncate")
+    # a cast starts at its `u`, if any; one that starts before `pos`, where
+    # the last one ended or the span starts, is none, and the search resumes
+    # past its `int`
+    pos = start
+    while m := _DOWNCAST_RE.search(text, pos, end):
+        cast = m.start() - (m.start() > 0 and text[m.start() - 1] == "u")
+        if cast < pos:
+            pos = m.start() + 1
+            continue
+        yield ("MATH", "math-unsafe-downcast", "MEDIUM", 0.55, cast,
+               f"narrowing cast to {text[cast:m.start()]}int{m.group(1)} can silently truncate")
+        pos = m.end()
 
 
 def _rule_signature_replay(text: str, start: int, end: int, pairs: dict[int, int]):

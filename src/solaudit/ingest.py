@@ -16,11 +16,11 @@ log = logging.getLogger(__name__)
 _PRAGMA_RE = re.compile(r"pragma\s+solidity\s+([^;]+);")
 # a declaration keyword after whitespace, `;`, `}` or the text's start, and
 # its name: the one rule of what declares a contract, for the scope check
-# here and for the parser, which reads on to the declaration's `{`
-DECL_RE = re.compile(
-    r"(contract(?<![^\s;}]contract)|interface(?<![^\s;}]interface)|library(?<![^\s;}]library))"
-    r"\s+([A-Za-z_]\w*)"
-)
+# here and for the parser, which reads on to the declaration's `{`. Each
+# keyword is found by `str.find`, one pass per keyword: `re` skips ahead only
+# to a literal, and tries a set of first letters at every `c`, `i` and `l`
+_DECL_KEYWORDS = ("contract", "interface", "library")
+_DECL_NAME_RE = re.compile(r"\s+([A-Za-z_]\w*)")       # from the keyword's end
 _VERSION_RE = re.compile(r"(\d+)\.(\d+)")
 _REMAPPINGS_ARRAY_RE = re.compile(r"remappings\s*=\s*\[(.*?)\]", re.S)
 _QUOTED_RE = re.compile(r"[\"']([^\"']+)[\"']")
@@ -227,9 +227,46 @@ def _find_remapping_arrays(data) -> list[str]:
     return found
 
 
+def _next_declaration(text: str, keyword: str, pos: int) -> tuple[int, re.Match] | None:
+    """(offset, name match) of the first `keyword` declaration in `text` at or
+    after `pos`; group 1 of the match is the name."""
+    while (at := text.find(keyword, pos)) >= 0:
+        if ((at == 0 or text[at - 1].isspace() or text[at - 1] in ";}")
+                and (name := _DECL_NAME_RE.match(text, at + len(keyword)))):
+            return at, name
+        pos = at + 1
+    return None
+
+
+def declarations(text: str, tail: re.Pattern | None = None):
+    """(offset, kind, name, whole) per declaration in the masked `text`, in
+    offset order: `whole` is `tail` matched from the name on, or the match of
+    the name when `tail` is None, and a declaration whose tail does not match
+    is none. The keyword passes are merged as one alternation of them would
+    read the text: a hit that starts inside the last whole match is dropped,
+    and its keyword searched again from that match's end."""
+    hits = {kw: _next_declaration(text, kw, 0) for kw in _DECL_KEYWORDS}
+    pos = 0
+    while True:
+        for kw, hit in hits.items():
+            if hit is not None and hit[0] < pos:
+                hits[kw] = _next_declaration(text, kw, pos)
+        live = [(hit[0], kw) for kw, hit in hits.items() if hit is not None]
+        if not live:
+            return
+        at, kw = min(live)
+        name = hits[kw][1]
+        whole = name if tail is None else tail.match(text, name.start(1))
+        if whole is None:
+            hits[kw] = _next_declaration(text, kw, at + 1)
+            continue
+        yield at, kw, name.group(1), whole
+        pos = whole.end()
+
+
 def _declarations(text: str) -> list[tuple[str, str]]:
-    """(kind, name) of each declaration in the masked `text`, by `DECL_RE`."""
-    return [m.group(1, 2) for m in DECL_RE.finditer(text)]
+    """(kind, name) of each declaration in the masked `text`."""
+    return [(kind, name) for _, kind, name, _ in declarations(text)]
 
 
 def _declared_contracts(text: str) -> list[str]:

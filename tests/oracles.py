@@ -322,9 +322,10 @@ def brute_force_close(text: str, open_pos: int, end: int) -> int:
 
 
 # The substrate's scans in their unanchored forms: a pattern that starts with
-# `\b`, a lookbehind or a multiline `^`, tried at every character. Each is
-# the reference for the keyword-anchored pattern that replaced it, keyed by
-# module and name.
+# `\b`, a lookbehind, a multiline `^` or a set of first letters, tried at every
+# character or every one of those letters. Each is the reference for the
+# keyword-anchored pattern, the keyword passes or the gated scan that
+# replaced it, keyed by module and name.
 UNANCHORED = {
     ("ccim.parse", "_CONTRACT_RE"):
         r"(?:^|[\s;}])((abstract)\s+)?(contract|interface|library)\s+([A-Za-z_]\w*)\s*(is\s+([^{]+?))?\s*\{",
@@ -342,6 +343,8 @@ UNANCHORED = {
     ("ccim.build", "_EMIT_RE"): r"\bemit\s+([A-Za-z_]\w*\s*\()",
     ("engines.bva", "_POW_RE"): r"\b(\d+)\s*\*\*\s*(\d+)\b",
     ("engines.bva", "_LITERAL_OP_RE"): r"\b(\d+(?:\.\d+)?e\d+|\d+)\s*(\*|-)\s*(\d+(?:\.\d+)?e\d+|\d+)",
+    # one alternation of the `require` and `if` passes of `bva._bounds`
+    ("engines.bva", "_BOUND_RE"): r"(?:require\s*\(|if\s*\()\s*([A-Za-z_]\w*)\s*(<=|>=|<|>)\s*(\d+(?:e\d+)?)",
     ("engines.patterns", "_ASSEMBLY_RE"): r"\bassembly\s*(?:\([^)]*\)\s*)?\{",
     ("ccim.parse", "UNCHECKED_RE"): r"\bunchecked\s*\{",
     ("engines.patterns", "_ECRECOVER_RE"): r"\becrecover\s*\(",

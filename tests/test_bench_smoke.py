@@ -10,6 +10,7 @@ from pathlib import Path
 from corpus import write_repo
 
 from solaudit.ccim import assemble_ccim
+from solaudit.coverage import key_risks
 from solaudit.dossier import (
     _member_blocks,
     build_phase_c_interactions,
@@ -50,18 +51,22 @@ def test_select_pairs_benchmark(benchmark, deep_model):
     assert len(pairs) == 16
 
 
+# With benchmarking disabled, pytest-benchmark runs a body once, not once
+# per round: the phase C and phase A tests check each recorded run, and that
+# there is one.
 def test_phase_c_benchmark(benchmark, deep_model):
     ccim, _ = deep_model
+    risk = key_risks(ccim)
     reasoners: list[MockReasoner] = []
 
     def fresh_reasoner():
         reasoners.append(MockReasoner())
-        return (ccim, reasoners[-1]), {}
+        return (ccim, reasoners[-1], risk), {}
 
     benchmark.pedantic(run_phase_c, setup=fresh_reasoner, rounds=5, iterations=1)
     # 30 reviews packed several to a prompt
-    assert len(build_phase_c_interactions(ccim, _member_blocks(ccim))) == 30
-    assert [r.call_count("phase_c") for r in reasoners] == [16] * 5
+    assert len(build_phase_c_interactions(ccim, _member_blocks(ccim), risk)) == 30
+    assert reasoners and all(r.call_count("phase_c") == 16 for r in reasoners)
 
 
 def test_phase_a_benchmark(benchmark, deep_model):
@@ -77,4 +82,4 @@ def test_phase_a_benchmark(benchmark, deep_model):
                        rounds=5, iterations=1)
     # one prompt per budget-sized chunk of the two contracts' 50 flagged dossiers
     assert len(flagged) == 50
-    assert [r.call_count("phase_a") for r in reasoners] == [2] * 5
+    assert reasoners and all(r.call_count("phase_a") == 2 for r in reasoners)

@@ -442,6 +442,23 @@ def test_a_contract_two_files_declare_is_one_contract(tmp_path):
     assert [s.id for s in run_bva(ccim)].count("bva-division-by-zero") == 1
 
 
+def test_a_contract_two_files_declare_inherits_every_declaration_s_bases(tmp_path):
+    # the bases are the union of the declarations', the first declaration's
+    # first: the second file's bare `Vault` hides no state of `Base`
+    for rel, text in (("a/A.sol", "contract Base {\n    uint256 public cap;\n}\n"
+                                  "contract Vault is Base {\n"
+                                  "    function f() external { cap = 1; }\n}\n"),
+                      ("b/B.sol", "contract Vault {\n    function g() external {}\n}\n")):
+        (tmp_path / rel).parent.mkdir()
+        (tmp_path / rel).write_text("pragma solidity ^0.8.0;\n" + text)
+    ccim = assemble_ccim(build_audit_source(classify_files(tmp_path)))
+    assert ccim.parsed.lineage["Vault"] == ("Base",)
+    [f] = ccim.records_of([("Vault", "f")])
+    assert f.writes == {"cap"}
+    assert ccim.deps.writers["Base.cap"] == {("Vault", "f")}
+    assert ("Base", "Vault") in ccim.resolution.inheritance
+
+
 def test_empty_source_model():
     ccim = assemble_ccim(_source_from_text(""))
     assert ccim.records == ()

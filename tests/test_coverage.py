@@ -9,6 +9,7 @@ from solaudit.coverage import (
     FEATURES,
     SEVENTEEN_CLASSES,
     attention_residual,
+    key_risks,
     blindspot_prompts,
     compute_gap_set,
     detect_features,
@@ -186,7 +187,7 @@ def test_attention_residual_statuses(models):
     ccim = models["vault_oracle"]
     mentioned = {"withdraw", "deposit"}
     text = "withdraw moves funds via an external oracle call; deposit updates balances"
-    residuals = attention_residual(ccim, mentioned, text)
+    residuals = attention_residual(ccim, key_risks(ccim), mentioned, text)
     assert set(residuals.status.values()) <= {"discussed", "partial-attention", "unattended"}
     assert residuals.status[("Vault", "withdraw")] == "discussed"
     assert residuals.status[("Vault", "sweep")] == "unattended"
@@ -196,19 +197,19 @@ def test_attention_residual_statuses(models):
 def test_attention_residual_partial(models):
     ccim = models["vault_oracle"]
     # sweep moves funds; mention it without any fund-aspect keyword nearby
-    residuals = attention_residual(ccim, {"sweep"}, "sweep exists in the contract")
+    residuals = attention_residual(ccim, key_risks(ccim), {"sweep"}, "sweep exists in the contract")
     assert residuals.status[("Vault", "sweep")] == "partial-attention"
 
 
 def test_attention_residual_empty_output(models):
     ccim = models["vault_oracle"]
-    residuals = attention_residual(ccim, set(), "")
+    residuals = attention_residual(ccim, key_risks(ccim), set(), "")
     assert all(s == "unattended" for s in residuals.status.values())
 
 
 def test_blindspot_prompts_ranked(models):
     ccim = models["vault_oracle"]
-    residuals = attention_residual(ccim, set(), "")
+    residuals = attention_residual(ccim, key_risks(ccim), set(), "")
     # one prompt of one section per top residual, in rank order, each with
     # its source block; the ids name the function each section reviews
     [(ids, prompt)] = blindspot_prompts(residuals, ccim, top_n=2)

@@ -14,6 +14,7 @@ from test_interaction import OVERLOADED
 
 from solaudit import prompts
 from solaudit.ccim import assemble_ccim
+from solaudit.coverage import key_risks
 from solaudit.dossier import (
     Dossier,
     RiskItem,
@@ -368,7 +369,7 @@ def test_discovery_sends_whole_bodies_and_names_the_rest(deep_model, caplog):
 
 
 def _groups(ccim, budget=DEFAULT_CHAR_BUDGET):
-    return build_phase_c_interactions(ccim, _member_blocks(ccim), budget)
+    return build_phase_c_interactions(ccim, _member_blocks(ccim), key_risks(ccim), budget)
 
 
 def test_phase_c_groups(models):
@@ -513,7 +514,8 @@ def test_phase_c_vulnerable_verdict(models):
         "response": {"verdict": "VULNERABLE", "title": "unguarded writer breaks accounting",
                      "severity": "HIGH"},
     }])
-    findings = run_phase_c(models["guards_majority"], reasoner)
+    findings = run_phase_c(models["guards_majority"], reasoner,
+                           key_risks(models["guards_majority"]))
     assert findings
     assert all(f.pipeline == "D" for f in findings)
 
@@ -532,7 +534,7 @@ def test_phase_c_entry_judges_the_review_it_names(models, caplog):
         "not an object", {"review_id": rid, "verdict": "VULNERABLE", "title": "named"},
         *({"review_id": u, "verdict": "VULNERABLE"} for u in unknown)]}}])
     with caplog.at_level("WARNING"):
-        found = run_phase_c(ccim, reasoner)
+        found = run_phase_c(ccim, reasoner, key_risks(ccim))
     assert reasoner.call_count("phase_c") == 1
     assert [(f.title, f.affected_functions) for f in found] == [
         ("named", list(reviews[rid].members))]
@@ -545,7 +547,7 @@ def test_phase_c_top_level_reply_judges_every_review(models):
     groups = list(_reviews(ccim).values())
     reasoner = scripted([{"stage": "phase_c", "match": [],
                           "response": {"verdict": "VULNERABLE", "severity": "HIGH"}}])
-    found = run_phase_c(ccim, reasoner)
+    found = run_phase_c(ccim, reasoner, key_risks(ccim))
     assert reasoner.call_count("phase_c") < len(groups)
     assert [(f.title, f.affected_functions) for f in found] == [
         (f"interference on {g.subject}", list(g.members)) for g in groups]
@@ -558,7 +560,7 @@ def test_phase_c_entry_overrides_the_top_level_fields(models):
         "verdict": "VULNERABLE", "severity": "HIGH", "reviews": [
             {"review_id": "C1", "verdict": "SAFE"},
             {"review_id": "C2", "title": "own title"}]}}])
-    found = run_phase_c(ccim, reasoner)
+    found = run_phase_c(ccim, reasoner, key_risks(ccim))
     # C1's SAFE overrides the top-level verdict; C2 keeps the top-level severity
     assert [(f.title, f.severity) for f in found] == [("own title", "HIGH")] + [
         (f"interference on {g.subject}", "HIGH") for g in groups[2:]]
@@ -566,9 +568,9 @@ def test_phase_c_entry_overrides_the_top_level_fields(models):
 
 def _check_phase_c_chunks(ccim, budget):
     reasoner = RecordingReasoner()
-    run_phase_c(ccim, reasoner, budget)
+    run_phase_c(ccim, reasoner, key_risks(ccim), budget)
     blocks = _member_blocks(ccim)
-    groups = build_phase_c_interactions(ccim, blocks, budget)
+    groups = build_phase_c_interactions(ccim, blocks, key_risks(ccim), budget)
     shell = len(prompts.render(prompts.PHASE_C, budget, {"reviews": ""}))
     # the reviewed subjects are the brute-force skip rule's
     reviewed = phase_c_subjects(ccim)
@@ -668,7 +670,7 @@ def test_phase_c_chunks_on_deep(deep_model):
 
 def test_phase_c_one_review_per_callee_on_deep(deep_model):
     reasoner = MockReasoner()
-    run_phase_c(deep_model[0], reasoner)
+    run_phase_c(deep_model[0], reasoner, key_risks(deep_model[0]))
     # 30 variable chunks, packed several to a prompt; the 320 call edges
     # and the constructor-set `peer` get no review, since every edge goes
     # into an empty `ping`
@@ -688,9 +690,9 @@ def test_phase_c_prints_each_body_once_per_prompt_on_wide(gen, tmp_path_factory)
     # empty `ping` are skipped, and 260 remain
     ccim = generated_model(gen, tmp_path_factory, gen.Shape(20, 16, 12), seed=3)
     reasoner = RecordingReasoner()
-    run_phase_c(ccim, reasoner)
+    run_phase_c(ccim, reasoner, key_risks(ccim))
     blocks = _member_blocks(ccim)
-    groups = build_phase_c_interactions(ccim, blocks)
+    groups = build_phase_c_interactions(ccim, blocks, key_risks(ccim))
     assert len(groups) == 260
     assert len(reasoner.prompts) == 5
     for p in reasoner.prompts:
@@ -721,7 +723,7 @@ def test_phase_c_self_call_holds_callee_block_once():
 
     rid = next(r for r, g in _reviews(ccim).items() if g.kind == "call" and g.subject == "Z.ping")
     reasoner = RecordingReasoner()
-    run_phase_c(ccim, reasoner)
+    run_phase_c(ccim, reasoner, key_risks(ccim))
     [prompt] = [p for p in reasoner.prompts if "calls into Z.ping" in p]
     # the Z.ping body is printed once in the prompt, after its first name line;
     # the callee's review names its caller and itself
@@ -735,7 +737,8 @@ def test_phase_c_self_call_holds_callee_block_once():
     found = run_phase_c(ccim, scripted([{"stage": "phase_c", "match": ["calls into Z.ping"],
                                          "response": {"reviews": [{"review_id": rid,
                                                                    "verdict": "VULNERABLE",
-                                                                   "severity": "HIGH"}]}}]))
+                                                                   "severity": "HIGH"}]}}]),
+                        key_risks(ccim))
     assert [f.title for f in found] == ["interference on Z.ping"]
 
 
@@ -744,7 +747,7 @@ def test_phase_c_and_phase_d_blocks_hold_every_overload(tmp_path):
     ccim = assemble_ccim(build_audit_source(classify_files(root), None, resolve_remappings(root)))
     first, last = "balance[msg.sender] += a; total += a;", "balance[to] += 1; total += 1;"
     reasoner = RecordingReasoner()
-    run_phase_c(ccim, reasoner)
+    run_phase_c(ccim, reasoner, key_risks(ccim))
     # the first overload of Twin.deposit reaches the reviews of what it writes
     assert any(first in p for p in reasoner.prompts)
     for block in (_member_blocks(ccim)[("Twin", "deposit")],
@@ -768,7 +771,7 @@ def test_phase_c_prompts_stay_under_tight_budgets(gen, tmp_path_factory):
     ccim = generated_model(gen, tmp_path_factory, gen.Shape(1, 3, 2), seed=0)
     for budget in range(1_200, 1_433, 8):
         reasoner = RecordingReasoner()
-        run_phase_c(ccim, reasoner, budget)
+        run_phase_c(ccim, reasoner, key_risks(ccim), budget)
         assert reasoner.prompts, budget
         assert all(len(p) < budget for p in reasoner.prompts), budget
 
@@ -784,11 +787,11 @@ def test_phase_c_findings_come_in_group_order_whatever_the_packing(gen, tmp_path
                                          "function ping() external { emit Pinged(); }")
                        for rel, text in corpus.files.items()}, tmp_path_factory.mktemp("gen"))
     ccim = assemble_ccim(build_audit_source(classify_files(root), None, resolve_remappings(root)))
-    groups = build_phase_c_interactions(ccim, _member_blocks(ccim), budget)
+    groups = build_phase_c_interactions(ccim, _member_blocks(ccim), key_risks(ccim), budget)
     assert any(g.kind == "call" for g in groups)
     reasoner = RecordingReasoner(scripted([{"stage": "phase_c", "match": [],
                                             "response": {"verdict": "VULNERABLE"}}]).script)
-    found = run_phase_c(ccim, reasoner, budget)
+    found = run_phase_c(ccim, reasoner, key_risks(ccim), budget)
     # the prompts print the reviews by contract, not in group order
     printed = [int(n) for p in reasoner.prompts for n in re.findall(r"^### C(\d+): ", p, re.M)]
     assert printed != sorted(printed)
@@ -800,7 +803,8 @@ def test_phase_c_calls_grow_linearly(gen, tmp_path_factory):
     for functions in (160, 320):
         shape = gen.Shape(contracts=2, functions=functions, pairs=6)
         reasoner = MockReasoner()
-        run_phase_c(generated_model(gen, tmp_path_factory, shape, seed=3), reasoner)
+        ccim = generated_model(gen, tmp_path_factory, shape, seed=3)
+        run_phase_c(ccim, reasoner, key_risks(ccim))
         calls.append(reasoner.call_count("phase_c"))
     assert calls[1] <= 2.2 * calls[0], calls
 
@@ -1004,7 +1008,7 @@ def test_dd_run_keeps_and_flags_by_phase_d_record(tmp_path, reply):
                "ratio rounding": "DISPROVED",
                "open total update": {"DISPROVED": "DISPROVED",
                                      "CONFIRMED": "CONFIRMED"}.get(reply, "UNCERTAIN")}
-    kept = dd_run(ccim, merged, reasoner)
+    kept = dd_run(ccim, merged, reasoner, key_risks(ccim))
     assert {f.title for f in kept} == {t for t, v in records.items() if v != "DISPROVED"}
     assert {f.title for f in kept if "unverified" in f.flags} == \
         {t for t, v in records.items() if v == "UNCERTAIN"}
@@ -1057,7 +1061,7 @@ def test_dd_run_end_to_end(models, merged_signals):
                                 "description": "owner-rotated oracle reprices withdrawals",
                                 "severity": "HIGH"}]},
     }])
-    findings = dd_run(ccim, merged_signals["vault_oracle"], reasoner)
+    findings = dd_run(ccim, merged_signals["vault_oracle"], reasoner, key_risks(ccim))
     assert findings
     assert all(f.id.startswith("D-") for f in findings)
 
@@ -1073,7 +1077,7 @@ def test_dd_run_names_a_finding_downgraded_for_an_unquoted_disproof(models, capl
         {"stage": "phase_d", "match": [], "response": {"verdict": "DISPROVED", "quote": ""}},
     ])
     with caplog.at_level("WARNING", logger="solaudit.dossier"):
-        kept = dd_run(ccim, merge_signals({}), reasoner)
+        kept = dd_run(ccim, merge_signals({}), reasoner, key_risks(ccim))
     assert [f.title for f in kept] == ["unguarded writer breaks accounting"]
     assert [r.getMessage() for r in caplog.records if "verifiable quote" in r.getMessage()] == [
         "phase D DISPROVED without verifiable quote on pending "
@@ -1083,7 +1087,7 @@ def test_dd_run_names_a_finding_downgraded_for_an_unquoted_disproof(models, capl
 def test_dd_run_unflagged_dossiers_skip_reasoner(models):
     ccim = models["guards_majority"]
     reasoner = MockReasoner()
-    dd_run(ccim, merge_signals({}), reasoner)
+    dd_run(ccim, merge_signals({}), reasoner, key_risks(ccim))
     assert reasoner.call_count("phase_a") == 0
 
 
@@ -1096,5 +1100,5 @@ def test_graph_skip_drops_finding(models):
                                    "severity": "LOW",
                                    "functions": [["Risky", "ratio"]]}]},
     }])
-    findings = dd_run(ccim, merge_signals({}), reasoner)
+    findings = dd_run(ccim, merge_signals({}), reasoner, key_risks(ccim))
     assert not [f for f in findings if ("Risky", "ratio") in f.affected_functions]

@@ -5,12 +5,12 @@ multi-member prompts and its reply attribution live in `solaudit.prompts`,
 and the interaction pipeline and coverage reach them without importing the
 dossier pipeline. Also read off the package's syntax tree: every constant
 regex is compiled once, none but a listed few that read short texts starts
-with a `\b` keyword the regex engine cannot jump to, no stage reads a
-code fact off a record's raw declaration text, one helper turns that
-text into what prompts print, and only the parse's view builder reads a
-contract's base list. Every record type but `Finding` is an
-immutable tuple, each finding has containers of its own, and importing the
-entry point loads no `dataclasses`."""
+with a `\b` keyword or a set of first letters, which the regex engine
+cannot jump to, no stage reads a code fact off a record's raw declaration
+text, one helper turns that text into what prompts print, and only the
+parse's view builder reads a contract's base list. Every record type but
+`Finding` is an immutable tuple, each finding has containers of its own, and
+importing the entry point loads no `dataclasses`."""
 
 from __future__ import annotations
 
@@ -23,6 +23,13 @@ import sys
 from pathlib import Path
 
 import pytest
+
+try:  # Python 3.11 and later
+    from re._constants import BRANCH, LITERAL, SUBPATTERN
+    from re._parser import parse as parse_pattern
+except ImportError:
+    from sre_constants import BRANCH, LITERAL, SUBPATTERN
+    from sre_parse import parse as parse_pattern
 
 import solaudit
 from solaudit.findings import Finding
@@ -137,6 +144,85 @@ def test_keyword_patterns_start_on_their_keyword():
         'X = re.compile(r"\\b(view|pure)\\b")\nre.compile(r"\\b(Block)")\n'
         're.compile(r"\\b(\\w+Block)")'
     )) == [(1, None), (4, None), (5, "X"), (6, None)]
+
+
+def _first_letters(items) -> set[str] | None:
+    """The letters a match of the parsed pattern `items` can start with, when
+    its every way to start is a letter; None when one is not."""
+    if not len(items):
+        return None
+    op, av = items[0]
+    if op is SUBPATTERN:
+        return _first_letters(av[3])
+    if op is BRANCH:
+        firsts = [_first_letters(branch) for branch in av[1]]
+        return None if None in firsts else set().union(*firsts)
+    return {chr(av)} if op is LITERAL and chr(av).isalpha() else None
+
+
+def _led_by_alternation(items) -> bool:
+    """Whether the parsed pattern `items` starts with an alternation, in
+    groups or not."""
+    if not len(items):
+        return False
+    op, av = items[0]
+    return _led_by_alternation(av[3]) if op is SUBPATTERN else op is BRANCH
+
+
+def _letter_set_starts(value, name: str) -> set[str]:
+    """The names of the patterns in the module value `value` (`name`), a
+    pattern or a tuple, list or dict of them, that an alternation whose
+    branches start with different letters leads. `re` skips ahead only to a
+    literal, so it tries such a pattern at every one of those letters. An
+    entry of a tuple of (key, pattern) pairs is named by its key."""
+    if isinstance(value, re.Pattern):
+        items = parse_pattern(value.pattern, value.flags)
+        letters = _first_letters(items)
+        return {name} if _led_by_alternation(items) and letters and len(letters) > 1 else set()
+    if isinstance(value, dict):
+        entries = value.items()
+    elif isinstance(value, (tuple, list)):
+        entries = (v if isinstance(v, tuple) and len(v) == 2 and isinstance(v[0], str) else (i, v)
+                   for i, v in enumerate(value))
+    else:
+        return set()
+    return set().union(*(_letter_set_starts(v, f"{name}[{k}]") for k, v in entries))
+
+
+# the patterns allowed a lead of first letters: each reads only the text
+# named, never a whole function body it is not gated to, or the whole source
+LETTER_SET_PATTERNS = {
+    "solaudit.ccim.parse._FUNCTION_RE": "a contract's level: each search starts past the last body",
+    "solaudit.coverage._FINANCIAL_NAME_RE": "one state-variable name",
+    "solaudit.engines.patterns._DEADLINE_RE": "a declaration that calls ecrecover",
+    "solaudit.findings._CLAIM_RES[EVM_RACE]": "one finding's text",
+    "solaudit.findings._CLAIM_RES[INTEGER_OVERFLOW_GE08]": "one finding's text",
+    "solaudit.findings._CLAIM_RES[MISSING_ACCESS_CONTROL]": "one finding's text",
+    "solaudit.funnel._CENTRALIZATION_RE": "one finding's text",
+    "solaudit.funnel._EXTERNAL_CALL_CLAIM_RE": "one finding's text",
+}
+
+
+def test_scans_start_on_one_literal():
+    # a set of first letters is no anchor: scan a body or the whole source
+    # with one pattern per literal, merged by offset, or behind a literal gate
+    modules = [importlib.import_module(m.name)
+               for m in pkgutil.walk_packages(solaudit.__path__, "solaudit.")]
+    found = set().union(*(_letter_set_starts(value, f"{mod.__name__}.{name}")
+                          for mod in modules for name, value in vars(mod).items()))
+    assert found - set(LETTER_SET_PATTERNS) == set(), "one literal per pass, or a literal gate"
+    assert set(LETTER_SET_PATTERNS) <= found    # no stale entry
+    # the guard rejects an alternation of different first letters, in a
+    # group or not, and passes one letter, a literal lead and a non-letter
+    assert _letter_set_starts({
+        "decl": re.compile(r"(contract(?<!\wcontract)|interface|library)\s+(\w+)"),
+        "bound": re.compile(r"(?:require\s*\(|if\s*\()\s*(\w+)"),
+        "cast": re.compile(r"((?:uint(?<!\wuint)|int(?<!\wint))(?:8|16))\s*\("),
+        "one": (re.compile(r"contract\s+(\w+)"), re.compile(r"(?:is|if)\b")),
+        "other": [re.compile(r"[\n;](?=([ \t]*))\1(\w+)"), re.compile(r"//|/\*|\"|'"),
+                  re.compile(r"\b(public|external)\b"), re.compile(r"\w*Block|endBlock")],
+        "pairs": (("A", re.compile("ab|cd")), ("B", re.compile("ab"))),
+    }, "m") == {"m[decl]", "m[bound]", "m[cast]", "m[pairs][A]"}
 
 
 # the whole-source passes and where each may run: one mask per file at ingest,
@@ -288,13 +374,13 @@ def test_code_facts_are_read_off_the_mask():
     )) == [1, 2, 3, 4, 5]
 
 
-# the readers of a record's raw declaration text: the one helper that turns it
-# into prompt text, and two that take only its length
+# the readers of a record's raw declaration text: two that take only its
+# length. The text a prompt prints is made with the record, by one helper
 BODY_READERS = {
-    "solaudit.ccim.parse.with_printed": "the text every prompt prints",
     "solaudit.ccim.types.FunctionRecord.has_body": "its length",
     "solaudit.ccim.parse.ParsedSource.decl_span": "its length",
 }
+PRINT_HELPER = "printed_text"
 
 
 def _attribute_readers(tree: ast.AST, scope: str, attr: str = "body") -> set[str]:
@@ -318,8 +404,22 @@ def _package_readers(attr: str) -> set[str]:
                                             _module_name(p), attr) for p in PACKAGE.rglob("*.py")))
 
 
+def _printed_values(tree: ast.AST) -> list[int]:
+    """Lines of each `printed=` argument that is not a call of `PRINT_HELPER`."""
+    return [kw.value.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            for kw in node.keywords if kw.arg == "printed"
+            and not (isinstance(kw.value, ast.Call)
+                     and getattr(kw.value.func, "id", None) == PRINT_HELPER)]
+
+
 def test_only_the_print_helper_turns_a_body_into_prompt_text():
     assert _package_readers("body") == set(BODY_READERS)
+    # every record's printed text is the helper's, and the parse makes it
+    assert {_module_name(p): lines for p in PACKAGE.rglob("*.py")
+            if (lines := _printed_values(ast.parse(p.read_text(encoding="utf-8"))))} == {}
+    assert _printed_values(ast.parse(
+        "R(printed=printed_text(b, 4))\nR(printed=b)\nR(printed=dedent(b))\nr._replace(printed=b)"
+    )) == [2, 3, 4]
     # a read in a method, a nested function or at module level is found
     assert _attribute_readers(ast.parse(
         "class R:\n    def p(self):\n        return f(self.body)\n"
@@ -331,7 +431,7 @@ def test_only_the_print_helper_turns_a_body_into_prompt_text():
 def test_only_the_view_builder_reads_a_contract_s_bases():
     # each contract's inheritance is walked once, where the parse builds its
     # view of lineage and visible state; every other reader takes that view
-    assert _package_readers("bases") == {"solaudit.ccim.parse._ancestors_of"}
+    assert _package_readers("bases") == {"solaudit.ccim.parse._inheritance_view"}
     assert _attribute_readers(ast.parse("def walk(d):\n    return d.bases\nx = d.base"),
                               "m", "bases") == {"m.walk"}
 

@@ -17,7 +17,7 @@ from test_interaction import OVERLOADED
 from solaudit import cli
 from solaudit.ccim import CcimModel, assemble_ccim
 from solaudit.ccim.parse import parse_source
-from solaudit.coverage import attention_residual, blindspot_prompts
+from solaudit.coverage import attention_residual, blindspot_prompts, key_risks
 from solaudit.dossier import _member_blocks, build_phase_c_interactions, phase_d_prefilter
 from solaudit.funnel import deterministically_refuted, stage1_verify, sve_layer1
 from solaudit.ingest import build_audit_source, classify_files, resolve_remappings
@@ -53,7 +53,7 @@ def test_view_overload_keeps_the_writing_overloads_facts(tmp_path):
     assert ccim.footprints.writes[f] == {"x"}
     assert ccim.footprints.fund[f]
     assert ccim.deps.writers["A.x"] == {f, ("A", "g"), ("A", "h")}
-    [review] = [g for g in build_phase_c_interactions(ccim, _member_blocks(ccim))
+    [review] = [g for g in build_phase_c_interactions(ccim, _member_blocks(ccim), key_risks(ccim))
                 if g.subject == "A.x"]
     assert f in review.members
     # claims citing the writing overload survive the view/pure and
@@ -121,7 +121,7 @@ def test_blindspot_finding_on_an_open_overload_reaches_the_report(tmp_path):
 
 def test_blindspot_prompt_shows_every_overload(tmp_path):
     ccim = _model(_fee_repo(GUARDED, UNGUARDED), tmp_path / "repo")
-    [(ids, prompt)] = blindspot_prompts(attention_residual(ccim, set(), ""), ccim)
+    [(ids, prompt)] = blindspot_prompts(attention_residual(ccim, key_risks(ccim), set(), ""), ccim)
     assert ids == {"B1": ("A", "setFee")}
     assert prompt.count("// A.setFee\n") == 1
     assert GUARDED.strip() in prompt and UNGUARDED.strip() in prompt

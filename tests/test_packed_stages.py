@@ -22,6 +22,7 @@ from solaudit.ccim import assemble_ccim
 from solaudit.coverage import (
     FEATURES,
     attention_residual,
+    key_risks,
     blindspot_prompts,
     compute_gap_set,
     detect_features,
@@ -129,7 +130,7 @@ def _check_blindspot(ccim, budget):
     """Every top residual is one `### B<n>` section of exactly one prompt,
     in rank order, and the prompt's ids name the function of each of its
     sections."""
-    residuals = attention_residual(ccim, set(), "")
+    residuals = attention_residual(ccim, key_risks(ccim), set(), "")
     top = residuals.ranked_residuals()[:3]
     sent = blindspot_prompts(residuals, ccim, budget=budget)
     held = []
@@ -179,7 +180,7 @@ def test_blindspot_sections_split_under_a_tight_budget(models, budget):
     # from 1,500 on every corpus repo's three sections fit one prompt
     for ccim in models.values():
         _check_blindspot(ccim, budget)
-    residuals = attention_residual(models["vault_oracle"], set(), "")
+    residuals = attention_residual(models["vault_oracle"], key_risks(models["vault_oracle"]), set(), "")
     assert len(blindspot_prompts(residuals, models["vault_oracle"], budget=600)) == 3
 
 

@@ -31,7 +31,7 @@ from solaudit import findings, ingest
 from solaudit.ccim import assemble_ccim, parse, parse_function_records
 from solaudit.ccim.build import build_resolution
 from solaudit.ccim.parse import bracket_pairs, mask_noncode, match_brace, parse_source, scan_body
-from solaudit.engines import patterns, run_engines
+from solaudit.engines import bva, patterns, run_engines
 from solaudit.ingest import AuditSource, OffsetMap, Segment
 
 _CODE = st.sampled_from([
@@ -218,6 +218,7 @@ _KEYWORD_TEXT = st.lists(st.sampled_from([
     "receive", "fallback", "modifier", "require", "returns", "override", "delete",
     "return", "emit", "assembly", "unchecked", "ecrecover", "uint", "int", "uint8",
     "int128", "uint256", "mapping", "public", "constant", "memory", "storage", "payable", "step",
+    "if", "verify", "a", "<", "<=", ">",
     "external call", "calls out", "race condition", "evm race", "reentrancy",
     "overflow", "underflow", "wrap-around", "xrequire", "requirex", "a.require", "_emit",
     "uint8x", "9uint8", "x", "Foo", "12", "1e18", "3.5e2", "0x1f", "2",
@@ -227,14 +228,27 @@ _KEYWORD_TEXT = st.lists(st.sampled_from([
 
 
 def _found(pattern: re.Pattern, text: str) -> list:
-    return [(m.regs, m.groups()) for m in pattern.finditer(text)]
+    return _found_in(pattern.finditer(text))
+
+
+def _found_in(matches) -> list:
+    return [(m.regs, m.groups()) for m in matches]
 
 
 @settings(max_examples=300, deadline=None)
 @given(_KEYWORD_TEXT)
 @example(";external call;")     # a declaration also starts right after a `;`
+# a declaration whose name is a keyword, one whose tail fails at its first
+# keyword, and one whose name is cut back to reach its base list
+@example("contract interface X {")
+@example("interface contract contract X {")
+@example("contract Axis Base {")
+@example("verify(a < 5) if(a>5) require (a <= 1e18)")   # `if` inside a word is no guard
+@example("int8(uint8(int16(x uint8(")                  # casts whose argument is a cast
+@example("1 - 2 * 3-4")
 def test_anchored_patterns_match_their_unanchored_forms(text):
-    special = {"_CONTRACT_RE", "_STATE_VAR_RE", "_DIV_THEN_MUL_RE", "DECL_RE"}
+    special = {"_CONTRACT_RE", "_STATE_VAR_RE", "_DIV_THEN_MUL_RE", "DECL_RE", "_BOUND_RE",
+               "_DOWNCAST_RE"}
     for (module, name), old in UNANCHORED.items():
         if name not in special:
             new = getattr(importlib.import_module(f"solaudit.{module}"), name)
@@ -245,17 +259,29 @@ def test_anchored_patterns_match_their_unanchored_forms(text):
         assert _found(claims[claim], text) == _found(re.compile(old, re.I), text), claim
 
     # the state-variable scan reads a text that starts with a newline: the
-    # same starts, and groups one character on
+    # same starts, and groups one character on after its indentation group
     for old, new in zip(re.finditer(UNANCHORED["ccim.parse", "_STATE_VAR_RE"], text),
                         parse._STATE_VAR_RE.finditer("\n" + text), strict=True):
-        assert (new.start(), new.groups()) == (old.start(), old.groups())
-        assert new.regs[1:] == tuple((a + 1, b + 1) if a >= 0 else (a, b) for a, b in old.regs[1:])
-    # a contract match starts at its keyword; `abstract` is read apart
+        assert (new.start(), new.groups()[1:]) == (old.start(), old.groups())
+        assert new.regs[2:] == tuple((a + 1, b + 1) if a >= 0 else (a, b) for a, b in old.regs[1:])
+    # a contract match starts at its keyword, read by the keyword passes and
+    # the tail from its name on; `abstract` is read apart
     abstract_at = {m.end() for m in parse._ABSTRACT_RE.finditer(text)}
-    assert [(m.start(), m.end(), "abstract" if m.start() in abstract_at else m.group(1),
-             *m.groups()[1:]) for m in parse._CONTRACT_RE.finditer(text)] == \
+    assert [(start, whole.end(), "abstract" if start in abstract_at else kind, *whole.groups())
+            for start, kind, _, whole in ingest.declarations(text, parse._CONTRACT_RE)] == \
         [(m.start(3), m.end(), "abstract" if m.group(2) else m.group(3), *m.groups()[3:])
          for m in re.finditer(UNANCHORED["ccim.parse", "_CONTRACT_RE"], text)]
+    # the `require` and `if` passes, merged by offset
+    assert bva._bounds(text, 0, len(text)) == \
+        [(m.group(1), m.group(2), float(m.group(3)), m.start())
+         for m in re.finditer(UNANCHORED["engines.bva", "_BOUND_RE"], text)]
+    # a cast is found from its `int`, and reported from its `u`
+    assert [hit[4:] for hit in _rule(patterns._rule_unsafe_downcast, text)] == \
+        [(m.start(), f"narrowing cast to {m.group(1)} can silently truncate")
+         for m in re.finditer(UNANCHORED["engines.patterns", "_DOWNCAST_RE"], text)]
+    # the gated scan finds what the ungated one does
+    assert _found_in(bva._literal_ops(text)) == \
+        _found(re.compile(UNANCHORED["engines.bva", "_LITERAL_OP_RE"]), text)
     # a division is found from its `/`, and reported where the dividend ends
     assert [hit[4] for hit in _rule(patterns._rule_div_before_mul, text)] == \
         [m.start() for m in re.finditer(UNANCHORED["engines.patterns", "_DIV_THEN_MUL_RE"], text)]
@@ -284,7 +310,8 @@ _STATEMENT = st.sampled_from([
        st.sampled_from([(), ("total",), ("x", "owner")]))
 def test_one_identifier_pass_matches_separate_scans(body, params):
     fn_names = {"f", "g", "total"}
-    got = scan_body(body, 0, len(body), bracket_pairs(body), _STATE, fn_names, params)
+    got = scan_body(body, 0, len(body), bracket_pairs(body), parse.callee_receivers(_STATE),
+                    fn_names, params)
     assert got == separate_scans(body, _STATE, fn_names, params)
 
 
@@ -312,12 +339,22 @@ def test_fund_patterns_match_where_a_separate_search_does(body, data):
 _MEMBERS = st.lists(st.sampled_from([
     "uint256", "mapping(address => uint)", "IPool", "public", "constant", "payable", "x",
     "y", "= 1", "=", ";", "{ z = 1; }", "{\n}", "{}", "function f() {\n  y = 2;\n}",
-    "modifier m() { _; }", "\n", " ", "\t", "[2]",
+    "modifier m() { _; }", "\n", " ", "\t", "[2]", "constructor() {\n  x = 1;\n}",
+    "receive() external payable {}", "fallback() external {\n}", "modifier n {\n  _;\n}",
+    "struct S {\n  uint a;\n}", "functional", "f({a: 1})",
 ]), max_size=30).map(lambda members: "contract C {\n" + "".join(members) + "\n}\n")
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_MEMBERS, _contract_source().map(lambda s: s[0])))
+# a declaration right after a one-line body, a block in an initializer and a
+# header over several lines
+@example("contract C {\n    function f() external {\n    }\n    uint256 public a;\n"
+         "    function g() {} uint256 b;\n    modifier m() { _; }\n    uint c = f({a: 1});\n"
+         "    function h()\n        external\n        onlyOwner\n    {\n    }\n    uint d;\n}\n")
+# headers a state-variable match reads on from: no `(`, or an `=`
+@example("contract C {\nfallback{ }uint= 1;\nmodifier m {}\n= 1\nuint x;\n"
+         "function f() = 2 {}\nuint y;\n}\n")
 def test_state_variables_match_blanking_in_place(text):
     parsed = parse_source(text)
     for decl in parsed.decls:
