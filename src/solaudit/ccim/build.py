@@ -12,7 +12,6 @@ from ..ingest import AuditSource
 from .parse import (
     ParsedSource,
     balanced,
-    extract_approval_recipients,
     normalize_predicate,
     parse_function_records,
     parse_source,
@@ -140,7 +139,7 @@ def propagate_footprints(records: list[FunctionRecord]) -> Footprints:
 
 
 def compute_state_dependencies(records: list[FunctionRecord], footprints: Footprints,
-                               resolution: ResolutionMap, parsed: ParsedSource) -> StateDependencyMap:
+                               resolution: ResolutionMap) -> StateDependencyMap:
     """Per-variable writers, readers and consumers keyed by qualified variable
     id, plus per-function approval recipients. The rot set is filled in by
     flag_rotation_risks."""
@@ -154,7 +153,8 @@ def compute_state_dependencies(records: list[FunctionRecord], footprints: Footpr
 
     approvals: dict[FnKey, frozenset[str]] = {}
     for r in records:
-        if got := extract_approval_recipients(parsed, r, resolution.var_origin):
+        if got := {qid for _, kind, name in r.effects
+                   if kind == "approve" and (qid := resolution.var_origin.get((r.owner, name)))}:
             approvals[r.key] = approvals.get(r.key, frozenset()) | got
 
     consumers: dict[str, set[FnKey]] = {}
@@ -277,7 +277,7 @@ def assemble_ccim(source: AuditSource) -> CcimModel:
     resolution = build_resolution(parsed)
     graph = build_call_graph(records, resolution)
     footprints = propagate_footprints(records)
-    deps = compute_state_dependencies(records, footprints, resolution, parsed)
+    deps = compute_state_dependencies(records, footprints, resolution)
     admin_set = classify_admin(records)
     deps = deps._replace(rot=flag_rotation_risks(deps, admin_set))
     trust = compute_trust_model(graph, records, parsed)

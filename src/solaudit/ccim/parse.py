@@ -95,21 +95,22 @@ _WRITE_BEFORE_RE = re.compile(r"(?:delete(?<!\wdelete)\s+|(\+\+|--)\s*)$")
 # call shapes, from the end of the callee's first identifier
 _MEMBER_CALL_RE = re.compile(r"\s*\.\s*([A-Za-z_]\w*)\s*[({]")
 _PLAIN_CALL_RE = re.compile(r"\s*\(")
+# a block from the end of `unchecked`, or (group 1) a value option from `call`
+_BRACE_RE = re.compile(r"\s*\{(\s*value\s*:)?")
 _ASSIGN_OP_RE = re.compile(r"(=(?!=)|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)")
 _ELEMENTARY_RE = re.compile(r"^(u?int\d*|bool|bytes\d*|byte|string)(\[\s*\w*\s*\])*$")
-# native ether leaving the contract; token transfers also move funds. Each
-# is one search, which `re` tries only at a `.`
-NATIVE_OUT_RE = re.compile(r"\.\s*(?:(?:transfer|send)\s*\(|call\s*\{\s*value\s*:)")
-_FUND_RE = re.compile(r"\.\s*(?:(?:transfer|send|transferFrom|safeTransfer|safeTransferFrom)\s*\("
-                      r"|call\s*\{\s*value\s*:)")
 _BRACKET_RE = re.compile(r"[(){}\[\]]")
 _NESTING_RE = re.compile(r"[([{]|[)\]}]|,")
 _HEADER_END_RE = re.compile(r"[(){;]")
 # one step along an [index] / .member chain after an identifier
 _SUFFIX_STEP_RE = re.compile(r"[ \t]*(?:(\[)|\.\s*([A-Za-z_]\w*))?")
-_REQUIRE_RE = re.compile(r"require(?<!\wrequire)\s*\(")
 UNCHECKED_RE = re.compile(r"unchecked(?<!\wunchecked)\s*\{")
-_APPROVE_RE = re.compile(r"\.\s*(?:approve|safeApprove)\s*\(")
+# the kinds of a body's effects (`scan_body`)
+EFFECT_KINDS = ("read", "write", "call", "internal", "require", "unchecked", "fund", "approve")
+# the words at which the body pass tests for a guard, block, fund move or approval
+_FUND_METHODS = frozenset({"transfer", "send", "transferFrom", "safeTransfer", "safeTransferFrom"})
+_FACT_WORDS = _FUND_METHODS | {"approve", "safeApprove", "require", "unchecked", "call"}
+NATIVE_OUT = frozenset({"transfer", "send", "call{value:"})   # the fund effects of native ether
 
 
 def normalize_predicate(text: str) -> str:
@@ -357,17 +358,10 @@ def _scan_state_vars(masked: str, start: int, end: int, brackets: dict[int, int]
 
 def _scan_modifier_guards(masked: str, start: int, end: int,
                           brackets: dict[int, int]) -> dict[str, list[str]]:
-    return {m.group(1): _extract_requires(masked, open_pos, close, brackets)
+    return {m.group(1): [name for _, kind, name in
+                         scan_body(masked, open_pos + 1, close, brackets, {}, set(), ())
+                         if kind == "require"]
             for m, open_pos, close in balanced(masked, _MODIFIER_DEF_RE, brackets, start, end)}
-
-
-def _extract_requires(masked: str, start: int, end: int, brackets: dict[int, int]) -> list[str]:
-    conds = []
-    for _, open_pos, close in balanced(masked, _REQUIRE_RE, brackets, start, end, "()"):
-        args = split_top_level(masked[open_pos + 1:close])
-        if args:
-            conds.append(normalize_predicate(args[0]))
-    return conds
 
 
 def is_elementary_type(type_text: str) -> bool:
@@ -416,12 +410,13 @@ def _parse_contract_functions(decl, parsed, receivers, source, ge_08):
         # the body between its braces; a bodiless declaration, whose header
         # ends at its `;`, has the empty span past it
         span = (header_end + 1, decl_end) if decl_end > header_end else (decl_end + 1, decl_end + 1)
-        unchecked = UNCHECKED_RE.search(parsed.masked, *span) is not None
         try:
             yield _build_record(decl, name, parsed, receivers, fn_names, source, ge_08, default_vis,
-                                m, params_close, header_end, decl_end, span, unchecked)
+                                m, params_close, header_end, decl_end, span)
         except Exception as exc:  # per-component isolation: degrade, never abort
             log.warning("parse failure in %s.%s (%s); emitting degraded record", decl.name, name, exc)
+            # a failed pass leaves no effects; the mask still shows an `unchecked` block
+            unchecked = UNCHECKED_RE.search(parsed.masked, *span) is not None
             body = parsed.text[m.start():decl_end + 1]
             indent = parsed.indent_of(parsed.line_of(m.start()))
             yield FunctionRecord(
@@ -429,8 +424,8 @@ def _parse_contract_functions(decl, parsed, receivers, source, ge_08):
                 modifiers=(), guards=(), reads=frozenset(), writes=frozenset(),
                 call_sites=(), fund_flag=False,
                 src=(parsed.line_of(m.start()), parsed.line_of(decl_end)),
-                internal_calls=frozenset(), body=body, offset=m.start(),
-                span=span, unchecked=unchecked, indent=indent, printed=printed_text(body, indent),
+                internal_calls=frozenset(), body=body, offset=m.start(), span=span, effects=(),
+                unchecked=unchecked, indent=indent, printed=printed_text(body, indent),
             )
 
 
@@ -527,7 +522,7 @@ def _natspec_above(src_lines: tuple[str, ...], header_line: int) -> str:
 
 
 def _build_record(decl, name, parsed, receivers, fn_names, source, ge_08, default_vis,
-                  m, params_close, header_end, abs_end, span, unchecked):
+                  m, params_close, header_end, abs_end, span):
     text, masked, abs_start = parsed.text, parsed.masked, m.start()
     vis, mut, modifiers = _parse_header(masked[params_close + 1:header_end], default_vis)
     params = _param_names(masked[m.end():params_close])
@@ -535,27 +530,25 @@ def _build_record(decl, name, parsed, receivers, fn_names, source, ge_08, defaul
     end_line = parsed.line_of(abs_end)
     signature = " ".join(text[abs_start:header_end].split())
 
-    start, end = span
-    guards = _extract_requires(masked, start, end, parsed.brackets)
-    _, reads, writes, calls, internal = scan_body(
-        masked, start, end, parsed.brackets, receivers, fn_names, params)
-    fund = _FUND_RE.search(masked, start, end) is not None
-
+    effects = scan_body(masked, *span, parsed.brackets, receivers, fn_names, params)
+    names: dict[str, list[str]] = {kind: [] for kind in EFFECT_KINDS}
+    for _, kind, fact in effects:
+        names[kind].append(fact)
     # modifier bodies contribute their require conditions to the guard set
     for mod in modifiers:
-        mod_name = mod.split("(")[0]
-        guards.extend(decl.modifier_guards.get(mod_name, []))
+        names["require"].extend(decl.modifier_guards.get(mod.split("(")[0], []))
 
     path, _ = map_line(source.offsets, start_line) if source.offsets.segments else ("", 0)
     body, indent = text[abs_start:abs_end + 1], parsed.indent_of(start_line)
     return FunctionRecord(
         name=name, owner=decl.name, vis=vis, mut=mut, modifiers=modifiers,
-        guards=tuple(dict.fromkeys(guards)),
-        reads=frozenset(reads), writes=frozenset(writes),
-        call_sites=tuple(CallSite(target=target, method=method, line=parsed.line_of(pos))
-                         for target, method, pos in calls), fund_flag=fund,
-        src=(start_line, end_line), internal_calls=frozenset(internal),
-        body=body, offset=abs_start, span=span, unchecked=unchecked,
+        guards=tuple(dict.fromkeys(names["require"])),
+        reads=frozenset(names["read"]), writes=frozenset(names["write"]),
+        call_sites=tuple(CallSite(*fact.split("."), line=parsed.line_of(pos))
+                         for pos, kind, fact in effects if kind == "call"),
+        fund_flag=bool(names["fund"]), src=(start_line, end_line),
+        internal_calls=frozenset(names["internal"]), body=body, offset=abs_start, span=span,
+        effects=effects, unchecked=bool(names["unchecked"]),
         params=params, signature=signature,
         natspec=_natspec_above(parsed.lines, start_line),
         pragma_ge_08=ge_08.get(path, False), indent=indent, printed=printed_text(body, indent),
@@ -573,16 +566,18 @@ def printed_text(body: str, indent: int) -> str:
 
 def scan_body(masked: str, start: int, end: int, brackets: dict[int, int],
               receivers: dict[str, bool], fn_names: set[str], params: tuple[str, ...]):
-    """One pass over the identifiers of the body masked[start:end]: (locals,
-    reads, writes, calls, internal), the visible state (the keys of
-    `receivers`, of `callee_receivers`) it reads and writes as a whole
-    identifier no param or local shadows, its member calls on state that
-    can hold a contract as (target, method, target offset), and the
-    functions of `fn_names` it calls by plain name."""
+    """The effects of the body masked[start:end] from one pass over its
+    identifiers, (offset, kind, name) in offset order, of the kinds:
+    - `read` and `write` of visible state (the keys of `receivers`, of
+      `callee_receivers`) as a whole identifier no param or local shadows;
+    - `call` (`target.method`) per member call on state that can hold a
+      contract, and `internal` per function of `fn_names` called by name;
+    - `require` per first argument in normal form;
+    - `unchecked` per block, `fund` per method that moves funds (`transfer`,
+      `send`, `transferFrom`, `safeTransfer`, `safeTransferFrom`,
+      `call{value:`) and `approve` per approval, by its normalized first argument."""
     declared: set[str] = set()
-    uses: list[tuple[str, str]] = []     # (state variable, _classify_suffix kind)
-    calls: list[tuple[str, str, int]] = []
-    internal: set[str] = set()
+    found: list[tuple[int, str, str]] = []
     located_end = start                  # a `memory x` match is not rescanned from `x`
     for m in _TOKEN_RE.finditer(masked, start, end):
         word = m.group()
@@ -592,6 +587,8 @@ def scan_body(masked: str, start: int, end: int, brackets: dict[int, int],
             elif word in _LOCATIONS and m.start() >= located_end:
                 declared.add(m.group(1))     # `memory x`
                 located_end = m.end(1)
+        if word in _FACT_WORDS and (fact := _fact_effect(masked, m, start, end, brackets)):
+            found.append(fact)
         if word not in receivers and word not in fn_names:
             continue
         pos = m.start()
@@ -600,23 +597,42 @@ def scan_body(masked: str, start: int, end: int, brackets: dict[int, int],
         if word in receivers:
             if word not in params:
                 if written := _WRITE_BEFORE_RE.search(masked[max(start, pos - 8):pos]):
-                    uses.append((word, "readwrite" if written.group(1) else "write"))
+                    kinds = ("read", "write") if written.group(1) else ("write",)
                 else:
-                    uses.append((word, _classify_suffix(masked, m.end(), end, brackets)))
+                    kinds = _classify_suffix(masked, m.end(), end, brackets)
+                for kind in kinds:
+                    found.append((pos, kind, word))
             # arrays, mappings and value types are not callees
             if (receivers[word] and (call := _MEMBER_CALL_RE.match(masked, m.end(), end))
                     and call.group(1) not in _ARRAY_METHODS):
-                calls.append((word, call.group(1), pos))
+                found.append((pos, "call", f"{word}.{call.group(1)}"))
         elif word not in _NON_TYPE_KEYWORDS and _PLAIN_CALL_RE.match(masked, m.end(), end):
-            internal.add(word)
-    shadowed = declared.union(params)
-    reads = {var for var, kind in uses if kind != "write" and var not in shadowed}
-    writes = {var for var, kind in uses if kind != "read" and var not in shadowed}
-    return declared, reads, writes, calls, internal
+            found.append((pos, "internal", word))
+    if shadowed := declared.intersection(receivers):
+        return tuple(e for e in found if e[1] not in ("read", "write") or e[2] not in shadowed)
+    return tuple(found)
 
 
-def _classify_suffix(masked: str, pos: int, end: int, brackets: dict[int, int]) -> str:
-    """Look past [index]/.member chains to decide read vs write."""
+def _fact_effect(masked: str, m: re.Match, start: int, end: int,
+                 brackets: dict[int, int]) -> tuple[int, str, str] | None:
+    """The effect of token `m`, a fact word, in the body masked[start:end], or None."""
+    word, pos = m.group(), m.start()
+    opener = _BRACE_RE if word in ("unchecked", "call") else _PLAIN_CALL_RE
+    if not (shape := opener.match(masked, m.end(), end)) or word == "call" and not shape.group(1):
+        return None
+    if word == "unchecked":
+        return (pos, "unchecked", "")
+    close = match_brace(brackets, shape.end() - 1, end)
+    if word != "require" and not masked[start:pos].rstrip().endswith("."):
+        return None     # a fund move or an approval is a method call
+    if word == "call" or word in _FUND_METHODS:
+        return (pos, "fund", "call{value:" if word == "call" else word)
+    if args := split_top_level(masked[shape.end():close]) if close >= 0 else []:
+        return (pos, word if word == "require" else "approve", normalize_predicate(args[0]))
+
+
+def _classify_suffix(masked: str, pos: int, end: int, brackets: dict[int, int]) -> tuple[str, ...]:
+    """Look past [index]/.member chains to decide read, write or both."""
     i, last_member = pos, ""
     while True:
         step = _SUFFIX_STEP_RE.match(masked, i, end)
@@ -630,22 +646,8 @@ def _classify_suffix(masked: str, pos: int, end: int, brackets: dict[int, int]) 
         else:
             break
     if masked.startswith("(", i, end):
-        return "write" if last_member in _ARRAY_METHODS else "read"
+        return ("write",) if last_member in _ARRAY_METHODS else ("read",)
     am = _ASSIGN_OP_RE.match(masked, i, end)
     if am:
-        return "write" if am.group(1) == "=" else "readwrite"
-    return "read"
-
-
-def extract_approval_recipients(parsed: ParsedSource, record: FunctionRecord,
-                                var_origin: dict[tuple[str, str], str]) -> frozenset[str]:
-    """Qualified ids, by `var_origin`, of the storage variables passed as the
-    recipient argument of approve/safeApprove call sites inside `record`."""
-    masked = parsed.masked
-    out: set[str] = set()
-    for _, open_paren, close in balanced(masked, _APPROVE_RE, parsed.brackets,
-                                         *parsed.decl_span(record), "()"):
-        args = split_top_level(masked[open_paren + 1:close])
-        if args and (qid := var_origin.get((record.owner, args[0]))):
-            out.add(qid)
-    return frozenset(out)
+        return ("write",) if am.group(1) == "=" else ("read", "write")
+    return ("read",)

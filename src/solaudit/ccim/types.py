@@ -5,10 +5,10 @@ assigned, and the containers a record holds are filled before it is built,
 never after. So the assembled model is immutable and safe to share across
 concurrently running consumers. A tuple has no instance `__dict__` to cache
 into, so what a record derives from its fields is a field too, made once
-where the record is built: a function's `printed` text by the parse
-(`parse.printed_text`), the call graph's adjacency by `build_call_graph`, and
-the model's indexes by `CcimModel.build`. A default is one object that every
-record taking it shares.
+where the record is built: a function's `printed` text and code facts by the
+parse (`parse.printed_text`, `parse.scan_body`), the call graph's adjacency
+by `build_call_graph`, and the model's indexes by `CcimModel.build`. A
+default is one object that every record taking it shares.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ class FunctionRecord(NamedTuple):
     body: str                             # raw declaration text, header included
     offset: int                           # char offset of `body` in the audit source
     span: tuple[int, int]                 # (start, end) offsets of the body between its braces
+    effects: tuple[tuple[int, str, str], ...]   # `parse.scan_body` of `span`
     unchecked: bool                       # the masked span holds an `unchecked {` block
     indent: int                           # leading spaces and tabs of the declaration's line
     # parser extras consumed by downstream stages (precondition inference,

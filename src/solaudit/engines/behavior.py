@@ -82,7 +82,7 @@ def _comod_deviants(ccim: CcimModel, var: str, writers: list, writes_q) -> list[
     return signals
 
 
-_APPROVE_ZERO_RE = re.compile(r"\.\s*(?:approve|safeApprove)\s*\(\s*[^,()]+,\s*0\s*\)")
+_ZERO_APPROVAL_RE = re.compile(r"\w+\s*\(\s*[^,()]+,\s*0\s*\)")   # at an `approve` effect
 
 
 def run_cir(ccim: CcimModel) -> list[Signal]:
@@ -96,8 +96,8 @@ def run_cir(ccim: CcimModel) -> list[Signal]:
                 continue
             seen.add((writer, var))
             # revoked only when every overload of the writer revokes
-            if all(_APPROVE_ZERO_RE.search(ccim.parsed.masked, *ccim.parsed.decl_span(r))
-                   for r in ccim.records_of((writer,))):
+            if all(any(kind == "approve" and _ZERO_APPROVAL_RE.match(ccim.parsed.masked, pos)
+                       for pos, kind, _ in r.effects) for r in ccim.records_of((writer,))):
                 continue
             signals.append(Signal(
                 source_tag="CIR", id="cir-stale-approval",

@@ -8,7 +8,7 @@ import logging
 import re
 
 from ..ccim import CcimModel, FunctionRecord
-from ..ccim.parse import NAME_RE, NATIVE_OUT_RE, ParsedSource
+from ..ccim.parse import NAME_RE, NATIVE_OUT, ParsedSource
 from .signal import Signal
 
 log = logging.getLogger(__name__)
@@ -124,8 +124,7 @@ def _sub_locked_ether(ccim: CcimModel) -> list[Signal]:
         receivers = [r for r in records if r.mut == "payable"]
         if not receivers:
             continue
-        if any(NATIVE_OUT_RE.search(ccim.parsed.masked, *ccim.parsed.decl_span(r))
-               for r in records):
+        if any(k == "fund" and n in NATIVE_OUT for r in records for _, k, n in r.effects):
             continue
         entry = min(receivers, key=lambda r: r.src[0])
         signals.append(Signal(

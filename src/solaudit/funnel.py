@@ -39,11 +39,9 @@ _EXTERNAL_CALL_CLAIM_RE = re.compile(r"external call(?<!\wexternal call)\b|call(
 
 
 def _guard_line(rec: FunctionRecord, ccim: CcimModel) -> int:
-    start, end = ccim.parsed.decl_span(rec)
-    for i, line in enumerate(ccim.parsed.masked[start:end].split("\n")):
-        if "require(" in line and "msg.sender" in line:
-            return rec.src[0] + i
-    return rec.src[0]  # the modifier sits on the header line
+    """The line of `rec`'s first `require` effect on `msg.sender`, else its header's."""
+    return next((ccim.parsed.line_of(pos) for pos, kind, name in rec.effects
+                 if kind == "require" and "msg.sender" in name), rec.src[0])
 
 
 def stage1_verify(finding: Finding, ccim: CcimModel) -> VerdictRecord:

@@ -1,6 +1,6 @@
 """Independent brute-force oracles for the fixpoint, security-view,
-clustering, mask, bracket, scan, fund-movement, pair-selection, inheritance
-and phase C skip checks.
+clustering, mask, bracket, scan, effect, fund-movement, pair-selection,
+inheritance and phase C skip checks.
 These deliberately use different algorithms than the implementations they
 verify and must stay that way. `chunks_of_sizes` is the exception: it keeps the prompt packer as
 it was before members had shared parts, which the packer must still equal
@@ -336,7 +336,6 @@ UNANCHORED = {
         r"(mapping\s*\((?:[^()]|\([^()]*\))*\)|[A-Za-z_]\w*(?:\s+payable)?(?:\s*\[\s*\w*\s*\])*)"
         r"((?:\s+(?:public|private|internal|constant|immutable|override|transient))*)"
         r"\s+([A-Za-z_]\w*)\s*(=[^;]*)?;",
-    ("ccim.parse", "_REQUIRE_RE"): r"\brequire\s*\(",
     ("ccim.parse", "_RETURNS_RE"): r"\breturns\s*\([^)]*\)",
     ("ccim.parse", "_OVERRIDE_RE"): r"\boverride\s*\([^)]*\)",
     ("ccim.build", "_RETURN_RE"): r"\breturn\b([^;]*);",
@@ -361,7 +360,8 @@ UNANCHORED_CLAIMS = {   # findings._CLAIM_RES, by claim type
 }
 
 # the fund-movement scans as separate searches, one per call shape: the
-# references for `parse.NATIVE_OUT_RE` (native ether out) and `parse._FUND_RE`
+# references for the `fund` effects of native ether (`parse.NATIVE_OUT`) and
+# for all of them
 NATIVE_OUT_RES = (
     re.compile(r"\.\s*transfer\s*\("),
     re.compile(r"\.\s*send\s*\("),
@@ -372,6 +372,36 @@ FUND_RES = NATIVE_OUT_RES + (
     re.compile(r"\.\s*safeTransfer\s*\("),
     re.compile(r"\.\s*safeTransferFrom\s*\("),
 )
+
+# the scans of a body for its guards and approvals that the effect pass
+# replaced, unanchored
+_REQUIRE_RE = re.compile(r"\brequire\s*\(")
+_APPROVE_RE = re.compile(r"\.\s*(?:approve|safeApprove)\s*\(")
+
+
+def _first_arguments(body: str, opener: re.Pattern) -> list[str]:
+    """The first argument of each `opener` match in `body` whose `(` closes."""
+    found = []
+    for m in opener.finditer(body):
+        open_pos = m.end() - 1
+        close = brute_force_close(body, open_pos, len(body))
+        if close >= 0 and (args := parse.split_top_level(body[open_pos + 1:close])):
+            found.append(args[0])
+    return found
+
+
+def separate_fact_scans(body: str) -> tuple[list[str], bool, bool, bool, list[str]]:
+    """(guards, unchecked, fund, native out, approval arguments) of a whole
+    body, from one scan per fact as the parser and its readers made them
+    before the effect pass: the first argument of each `require` and each
+    approval, in normal form, an `unchecked` block, a fund-moving call and a
+    native-ether one."""
+    guards, approvals = ([parse.normalize_predicate(arg) for arg in _first_arguments(body, rx)]
+                         for rx in (_REQUIRE_RE, _APPROVE_RE))
+    return (guards, re.search(UNANCHORED["ccim.parse", "UNCHECKED_RE"], body) is not None,
+            any(rx.search(body) for rx in FUND_RES), any(rx.search(body) for rx in NATIVE_OUT_RES),
+            approvals)
+
 
 # the function-body helpers that one identifier pass replaced
 _IDENT_RE = re.compile(r"(?<![\w.])[A-Za-z_]\w*")

@@ -82,6 +82,21 @@ def test_bodiless_modifier_takes_no_guards():
     assert g[0].guards == ()
 
 
+def test_a_failed_body_pass_keeps_only_the_mask_s_unchecked_block(monkeypatch, caplog):
+    # a degraded record claims no use, guard or fund move, and keeps the
+    # `unchecked` block the mask shows, so that stage 1 refutes no overflow
+    def fail(*args):
+        raise ValueError("no pass")
+    monkeypatch.setattr("solaudit.ccim.parse.scan_body", fail)
+    text = ("contract C {\n    uint256 public x;\n    function f() external {\n"
+            "        require(msg.sender == address(0));\n        unchecked { x += 1; }\n"
+            "        payable(msg.sender).transfer(1);\n    }\n}\n")
+    [rec] = parse_function_records(_source_from_text(text))
+    assert "emitting degraded record" in caplog.text
+    assert (rec.effects, rec.guards, rec.writes, rec.fund_flag, rec.unchecked) == \
+        ((), (), frozenset(), False, True)
+
+
 def test_parse_sweep_fund_flag():
     src = _source_from_text(
         "contract C {\n"

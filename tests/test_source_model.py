@@ -22,6 +22,7 @@ from oracles import (
     brute_force_footprints,
     brute_force_line_of,
     brute_force_mask,
+    separate_fact_scans,
     separate_inheritance_walks,
     separate_scans,
     state_vars_blanked_in_place,
@@ -302,6 +303,12 @@ _STATEMENT = st.sampled_from([
     "0xtotal;", "_total = 1;", "total_ = 2;", "emit E(total);", "return total;",
     "bal[arr[1]] = 2;", "(total) = 3;", "total\n=\n4;", "x = peer;", "arr.length;",
     "type(uint).max;", "9total = 1;", "bal[", "total[", "delete\ttotal;",
+    # guards, fund moves and approvals, whole and cut short
+    "require(msg.sender == owner, 1);", "require (total, f(1));", "require();", "require(total",
+    "xrequire(flag);", "payable(owner).send(1);", "t.safeTransferFrom(a, owner, 1);",
+    "owner.call{value: total}(x);", "x . transfer (1);", "token.approve(peer, 0);",
+    "peer.safeApprove(owner, 1);", "x.approve(bal [a], total);", "approve(owner, 1);",
+    "x.approve(", "unchecked{ }",
 ])
 
 
@@ -310,9 +317,20 @@ _STATEMENT = st.sampled_from([
        st.sampled_from([(), ("total",), ("x", "owner")]))
 def test_one_identifier_pass_matches_separate_scans(body, params):
     fn_names = {"f", "g", "total"}
-    got = scan_body(body, 0, len(body), bracket_pairs(body), parse.callee_receivers(_STATE),
-                    fn_names, params)
-    assert got == separate_scans(body, _STATE, fn_names, params)
+    effects = scan_body(body, 0, len(body), bracket_pairs(body), parse.callee_receivers(_STATE),
+                        fn_names, params)
+    names = {kind: [name for _, k, name in effects if k == kind] for kind in parse.EFFECT_KINDS}
+    # the names of each kind are the record's sets, and the calls its call sites
+    _, reads, writes, calls, internal = separate_scans(body, _STATE, fn_names, params)
+    assert (set(names["read"]), set(names["write"]), set(names["internal"])) == \
+        (reads, writes, internal)
+    assert [(*name.split("."), pos) for pos, kind, name in effects if kind == "call"] == calls
+    # guards in order, `unchecked`, fund moves, native ones and approvals
+    assert (names["require"], bool(names["unchecked"]), bool(names["fund"]),
+            any(name in parse.NATIVE_OUT for name in names["fund"]), names["approve"]) == \
+        separate_fact_scans(body)
+    offsets = [pos for pos, _, _ in effects]
+    assert offsets == sorted(offsets)
 
 
 # call shapes around the fund-movement patterns: each of them, spaced and
@@ -328,11 +346,15 @@ _FUND_PIECE = st.sampled_from([
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_FUND_PIECE, max_size=12).map("".join), st.data())
 def test_fund_patterns_match_where_a_separate_search_does(body, data):
+    # the `fund` effects of a span, all and native, where a search per call
+    # shape finds one in the span
     start = data.draw(st.integers(0, len(body)))
     end = data.draw(st.integers(start, len(body)))
-    for one, separate in ((parse._FUND_RE, FUND_RES), (parse.NATIVE_OUT_RE, NATIVE_OUT_RES)):
-        assert (one.search(body, start, end) is not None) == \
-            any(rx.search(body, start, end) for rx in separate), one.pattern
+    effects = scan_body(body, start, end, bracket_pairs(body), {}, set(), ())
+    funds = [name for _, kind, name in effects if kind == "fund"]
+    assert bool(funds) == any(rx.search(body, start, end) for rx in FUND_RES)
+    assert any(name in parse.NATIVE_OUT for name in funds) == \
+        any(rx.search(body, start, end) for rx in NATIVE_OUT_RES)
 
 
 # contract-level declarations with blocks inside and between their words
