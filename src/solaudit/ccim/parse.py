@@ -15,8 +15,12 @@ text is scanned once:
   and `l`. Scan one literal per pass, by a pattern it leads or by
   `str.find` and an anchored match, and merge the passes by offset
   (`ingest.declarations`), or scan behind a cheap literal gate;
-- one identifier pass per function body (`scan_body`) yields all its uses,
-  testing call and declaration shapes with anchored matches at a token's end;
+- one identifier pass per function or modifier body (`scan_body`) yields
+  its effects in offset order: each use of state, call, guard, `unchecked`
+  block, fund move and approval, tested with anchored matches at a token's
+  ends. A record's code facts are read off its effects, never off a second
+  scan of its span; only the unchecked-arithmetic rule, which needs a block's
+  extent, looks for `unchecked {` again;
 - one bracket index per audit (`bracket_pairs`) makes finding a closing
   bracket a lookup bounded to the span being read (`match_brace`);
 - one walk over a contract's declarations yields its function names and
@@ -97,6 +101,8 @@ _MEMBER_CALL_RE = re.compile(r"\s*\.\s*([A-Za-z_]\w*)\s*[({]")
 _PLAIN_CALL_RE = re.compile(r"\s*\(")
 # a block from the end of `unchecked`, or (group 1) a value option from `call`
 _BRACE_RE = re.compile(r"\s*\{(\s*value\s*:)?")
+# a revert from the end of an `if`'s condition: `revert …;` or `{ revert …; }`
+_REVERT_RE = re.compile(r"\s*(?:\{\s*)?revert(?!\w)")
 _ASSIGN_OP_RE = re.compile(r"(=(?!=)|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)")
 _ELEMENTARY_RE = re.compile(r"^(u?int\d*|bool|bytes\d*|byte|string)(\[\s*\w*\s*\])*$")
 _BRACKET_RE = re.compile(r"[(){}\[\]]")
@@ -105,12 +111,18 @@ _HEADER_END_RE = re.compile(r"[(){;]")
 # one step along an [index] / .member chain after an identifier
 _SUFFIX_STEP_RE = re.compile(r"[ \t]*(?:(\[)|\.\s*([A-Za-z_]\w*))?")
 UNCHECKED_RE = re.compile(r"unchecked(?<!\wunchecked)\s*\{")
-# the kinds of a body's effects (`scan_body`)
+# the kinds of a body's effects (`scan_body`), and those that change state
 EFFECT_KINDS = ("read", "write", "call", "internal", "require", "unchecked", "fund", "approve")
-# the words at which the body pass tests for a guard, block, fund move or approval
+_STATE_EFFECTS = frozenset({"write", "call", "internal", "fund", "approve"})
+# the words at which the body pass tests for a guard, block, fund move or
+# approval; an `if` is one only in a body that holds a `revert`
 _FUND_METHODS = frozenset({"transfer", "send", "transferFrom", "safeTransfer", "safeTransferFrom"})
 _FACT_WORDS = _FUND_METHODS | {"approve", "safeApprove", "require", "unchecked", "call"}
+_REVERTING_FACT_WORDS = _FACT_WORDS | {"if"}
 NATIVE_OUT = frozenset({"transfer", "send", "call{value:"})   # the fund effects of native ether
+# a condition's operators and brackets, and the negation of each comparison
+_CONDITION_OP_RE = re.compile(r"[=!<>]=|&&|\|\||<<|>>|[<>()\[\]]")
+_NEGATED = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
 
 
 def normalize_predicate(text: str) -> str:
@@ -238,16 +250,17 @@ def _inheritance_view(decls: tuple[ContractDecl, ...]) -> tuple[dict, tuple[dict
     inheritance; its own declarations shadow inherited ones. A name declared
     twice has the union of its declarations' bases, the first declaration's
     first, and each declaration its own state; an ancestor declared twice
-    lends its last declaration's state."""
+    lends every declaration's state, the first declaration's first."""
     bases: dict[str, tuple[str, ...]] = {}
+    by_name: dict[str, list[ContractDecl]] = {}
     for d in decls:
         bases[d.name] = tuple(dict.fromkeys((*bases.get(d.name, ()), *d.bases)))
-    by_name = {d.name: d for d in decls}
+        by_name.setdefault(d.name, []).append(d)
     lineage = {name: _ancestors_of(name, bases) for name in bases}
     visible = []
     for decl in decls:
         seen: dict[str, tuple[str, StateVarDecl]] = {}
-        for holder in (decl, *(by_name[a] for a in lineage[decl.name] if a in by_name)):
+        for holder in (decl, *(d for a in lineage[decl.name] for d in by_name.get(a, ()))):
             for sv in holder.state_vars:
                 seen.setdefault(sv.name, (f"{holder.name}.{sv.name}", sv))
         visible.append(seen)
@@ -572,13 +585,19 @@ def scan_body(masked: str, start: int, end: int, brackets: dict[int, int],
       `callee_receivers`) as a whole identifier no param or local shadows;
     - `call` (`target.method`) per member call on state that can hold a
       contract, and `internal` per function of `fn_names` called by name;
-    - `require` per first argument in normal form;
+    - `require` per first argument in normal form, and per `if (c)` on c
+      negated whose branch starts with a revert, at the body's top level, not
+      after an `else`, and before every effect of `_STATE_EFFECTS`;
     - `unchecked` per block, `fund` per method that moves funds (`transfer`,
       `send`, `transferFrom`, `safeTransfer`, `safeTransferFrom`,
-      `call{value:`) and `approve` per approval, by its normalized first argument."""
+      `call{value:`) and `approve` per approval, by its normalized first argument.
+    The effects linearise the body and know no branch: a rule on their order
+    may over-report across the arms of an `if`, and never under-reports
+    along straight-line code."""
     declared: set[str] = set()
     found: list[tuple[int, str, str]] = []
     located_end = start                  # a `memory x` match is not rescanned from `x`
+    facts = _REVERTING_FACT_WORDS if masked.find("revert", start, end) >= 0 else _FACT_WORDS
     for m in _TOKEN_RE.finditer(masked, start, end):
         word = m.group()
         if m.lastindex:
@@ -587,7 +606,8 @@ def scan_body(masked: str, start: int, end: int, brackets: dict[int, int],
             elif word in _LOCATIONS and m.start() >= located_end:
                 declared.add(m.group(1))     # `memory x`
                 located_end = m.end(1)
-        if word in _FACT_WORDS and (fact := _fact_effect(masked, m, start, end, brackets)):
+        if word in facts and (fact := _fact_effect(masked, m, start, end, brackets)) and not (
+                word == "if" and any(kind in _STATE_EFFECTS for _, kind, _ in found)):
             found.append(fact)
         if word not in receivers and word not in fn_names:
             continue
@@ -623,12 +643,32 @@ def _fact_effect(masked: str, m: re.Match, start: int, end: int,
     if word == "unchecked":
         return (pos, "unchecked", "")
     close = match_brace(brackets, shape.end() - 1, end)
+    if word == "if":
+        if (close < 0 or not _REVERT_RE.match(masked, close + 1, end)
+                or masked.count("{", start, pos) != masked.count("}", start, pos)
+                or masked[start:pos].rstrip().endswith("else")):
+            return None
+        return (pos, "require", _negated(normalize_predicate(masked[shape.end():close])))
     if word != "require" and not masked[start:pos].rstrip().endswith("."):
         return None     # a fund move or an approval is a method call
     if word == "call" or word in _FUND_METHODS:
         return (pos, "fund", "call{value:" if word == "call" else word)
     if args := split_top_level(masked[shape.end():close]) if close >= 0 else []:
         return (pos, word if word == "require" else "approve", normalize_predicate(args[0]))
+
+
+def _negated(cond: str) -> str:
+    """The normal-form condition `cond` negated, as a `require` states it:
+    its one top-level comparison flipped (`msg.sender!=owner` gives
+    `msg.sender==owner`), a leading `!` dropped, or else `!(cond)`."""
+    depth, ops = 0, []
+    for m in _CONDITION_OP_RE.finditer(cond):
+        depth += (m.group() in "([") - (m.group() in ")]")
+        if depth == 0 and m.group() not in (")", "]", "<<", ">>"):
+            ops.append(m)
+    if len(ops) == 1 and (op := ops[0]).group() in _NEGATED:
+        return cond[:op.start()] + _NEGATED[op.group()] + cond[op.end():]
+    return cond[1:] if not ops and cond.startswith("!") else f"!({cond})"
 
 
 def _classify_suffix(masked: str, pos: int, end: int, brackets: dict[int, int]) -> tuple[str, ...]:

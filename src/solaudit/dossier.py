@@ -397,7 +397,11 @@ def phase_d_prefilter(finding: Finding, ccim: CcimModel,
     decides applies its side effect and returns its stage-3 record:
     admin trust (severity LOW, flag `admin-trust`, PASSED), vector confirmed
     (flag `vector-confirmed`, CONFIRMED) or graph skip (DISPROVED at the
-    cited line). None when only the reasoner can decide."""
+    cited line). None when only the reasoner can decide. The graph skip, the
+    one drop, rests on every overload's header mutability and on the call
+    graph, whose edges are the resolved `call` effects: a view function that
+    another contract reaches by a call on a parameter, a cast or an
+    unresolved target is on no edge, and is dropped as unreachable."""
     records = ccim.records_of(finding.affected_functions)
 
     external = [r for r in records if r.vis in ("public", "external")]

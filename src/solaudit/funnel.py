@@ -46,7 +46,18 @@ def _guard_line(rec: FunctionRecord, ccim: CcimModel) -> int:
 
 def stage1_verify(finding: Finding, ccim: CcimModel) -> VerdictRecord:
     """Treat the finding as a testable proposition about parsed ground truth;
-    no reasoner is consulted."""
+    no reasoner is consulted. What each drop rests on, and how the CCIM can
+    miss it:
+    - a race: no fact; transactions execute atomically.
+    - missing access control: `admin_set`, a role check among every
+      overload's modifiers and `require` effects, `if (c) revert` ones
+      included. Effects know no branch, so a check inside one arm of an `if`
+      is taken to guard the whole function.
+    - reentrancy: a `nonReentrant` modifier on every overload, read by name;
+      a lock that leaves another entry point open is trusted all the same.
+    - overflow on solc >= 0.8: the pragma and no `unchecked` effect on any
+      overload. The effects are the record's own, so an `unchecked` block in
+      a helper it calls, or arithmetic in assembly, is not seen."""
     claim = classify_claim(finding)
     recs = ccim.records_of(finding.affected_functions)
 
@@ -71,8 +82,11 @@ def stage1_verify(finding: Finding, ccim: CcimModel) -> VerdictRecord:
 
 
 def stage2_filter(finding: Finding, ccim: CcimModel) -> VerdictRecord:
-    """Structural-locus filters: generic centralization complaints,
-    self-disproving narratives, unresolvable function citations."""
+    """Structural-locus filters: generic centralization complaints and
+    self-disproving narratives, read off the finding's text alone, and
+    unresolvable function citations, which rest on the record inventory. A
+    function the parse skipped (an unbalanced body) or in a file outside the
+    audit source has no record, and a finding citing only it is dropped."""
     if _CENTRALIZATION_RE.search(finding.text()) and not finding.evidence_lines:
         return VerdictRecord(finding.id, "stage2", "FILTERED",
                              "centralization complaint without a concrete exploit path")
@@ -103,7 +117,19 @@ def sve_layer1(finding: Finding, ccim: CcimModel) -> VerdictRecord:
     check 6 (function inventory) to stage 2. Every finding that reaches layer 1
     has passed them: in `run_funnel` by the stage order, in
     `deterministically_refuted` because `any` stops at the first drop. So a
-    pass here has passed all eight checks."""
+    pass here has passed all eight checks. What each check rests on, and how
+    the CCIM can miss it:
+    - 2, no fund movement: `footprints.fund`, the `fund` effects of each
+      overload and its same-contract callees. Value sent by a low-level
+      `call` without a value option, a `delegatecall`, a call through a
+      parameter or a cast, assembly or another contract is not seen.
+    - 3, view or pure: the header's mutability; a degraded record reads as
+      nonpayable and is never dropped here.
+    - 7, evidence span: the records' line spans; a line of a modifier or of
+      a helper that the function runs lies outside them.
+    - 8, no external call: the `call` effects, member calls on state that can
+      hold a contract. A call on a parameter, a local or a cast, a low-level
+      call on an address, or one in assembly or in a helper is not seen."""
     impact = classify_impact(finding.text())
     recs = ccim.records_of(finding.affected_functions)
 

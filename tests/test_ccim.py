@@ -82,6 +82,37 @@ def test_bodiless_modifier_takes_no_guards():
     assert g[0].guards == ()
 
 
+def test_revert_guards_guard_the_function():
+    # `if (c) revert …;` and `if (c) { revert …; }` at the body's top level,
+    # before any effect that changes state, are guards on c negated
+    text = ("contract C {\n"
+            "    address public owner;\n    uint256 public x;\n    bool public paused;\n"
+            "    error NotOwner();\n"
+            "    function f() external { if (msg.sender != owner) revert NotOwner(); x = 1; }\n"
+            "    function g() external {\n        if (msg.sender != owner) { revert(\"no\"); }\n"
+            "        x = 2;\n    }\n"
+            "    function h(uint256 a) external {\n"
+            "        if (a > 9 || paused) revert();\n        if (!paused) revert();\n    }\n"
+            "    function late() external { x = 3; if (msg.sender != owner) revert NotOwner(); }\n"
+            "    function nested() external {\n"
+            "        if (x > 0) { if (msg.sender != owner) revert(); }\n        x = 4;\n    }\n"
+            "    function other() external {\n"
+            "        if (x > 0) { } else if (msg.sender != owner) revert();\n"
+            "        x = 5;\n    }\n"
+            "    modifier onlyOwner() { if (owner != msg.sender) revert NotOwner(); _; }\n"
+            "    function viaModifier() external onlyOwner { x = 6; }\n"
+            "}\n")
+    records = {r.name: r for r in parse_function_records(_source_from_text(text))}
+    assert records["f"].guards == records["g"].guards == ("msg.sender==owner",)
+    assert records["h"].guards == ("!(a>9||paused)", "paused")
+    assert records["late"].guards == records["nested"].guards == records["other"].guards == ()
+    assert records["viaModifier"].guards == ("owner==msg.sender",)
+    assert classify_admin(list(records.values())) == {("C", "f"), ("C", "g"), ("C", "viaModifier")}
+    # the guard is a `require` effect at its `if`, which stage 1 cites
+    [(pos, name)] = [(pos, name) for pos, kind, name in records["g"].effects if kind == "require"]
+    assert (text[pos:pos + 2], name) == ("if", "msg.sender==owner")
+
+
 def test_a_failed_body_pass_keeps_only_the_mask_s_unchecked_block(monkeypatch, caplog):
     # a degraded record claims no use, guard or fund move, and keeps the
     # `unchecked` block the mask shows, so that stage 1 refutes no overflow
@@ -472,6 +503,20 @@ def test_a_contract_two_files_declare_inherits_every_declaration_s_bases(tmp_pat
     assert f.writes == {"cap"}
     assert ccim.deps.writers["Base.cap"] == {("Vault", "f")}
     assert ("Base", "Vault") in ccim.resolution.inheritance
+
+
+def test_an_ancestor_two_files_declare_lends_every_declaration_s_state(tmp_path):
+    # `Base` is declared in both files: `Vault` sees the state of each
+    for rel, text in (("a/A.sol", "contract Base {\n    uint256 public cap;\n}\n"
+                                  "contract Vault is Base {\n"
+                                  "    function f() external { cap = 1; limit = 2; }\n}\n"),
+                      ("b/B.sol", "contract Base {\n    uint256 public limit;\n}\n")):
+        (tmp_path / rel).parent.mkdir()
+        (tmp_path / rel).write_text("pragma solidity ^0.8.0;\n" + text)
+    ccim = assemble_ccim(build_audit_source(classify_files(tmp_path)))
+    [f] = ccim.records_of([("Vault", "f")])
+    assert f.writes == {"cap", "limit"}
+    assert ccim.deps.writers["Base.cap"] == ccim.deps.writers["Base.limit"] == {("Vault", "f")}
 
 
 def test_empty_source_model():

@@ -7,8 +7,9 @@ dossier pipeline. Also read off the package's syntax tree: every constant
 regex is compiled once, none but a listed few that read short texts starts
 with a `\b` keyword or a set of first letters, which the regex engine
 cannot jump to, no stage reads a code fact off a record's raw declaration
-text, one helper turns that text into what prompts print, and only the
-parse's view builder reads a contract's base list. Every record type but
+text, no scan but the body pass looks for a guard, a fund move, an approval
+or an `unchecked` block, one helper turns that text into what prompts print,
+and only the parse's view builder reads a contract's base list. Every record type but
 `Finding` is an immutable tuple, each finding has containers of its own, and
 importing the entry point loads no `dataclasses`."""
 
@@ -263,6 +264,102 @@ def test_whole_source_passes_run_only_where_listed():
         "def f(t):\n    return parse.bracket_pairs(t)\nmask_noncode(x)\n"
         "class K:\n    def g(self):\n        bracket_pairs(y)\n"
     ), "m") == {("bracket_pairs", "m.f"), ("mask_noncode", "m"), ("bracket_pairs", "m")}
+
+
+# what only the body pass looks for in a function body: a `require(`, a method
+# call that moves funds or approves, a value call and an `unchecked` block. A
+# searched literal looks for one when it shows one with its whitespace and
+# word-boundary lookbehinds taken out
+_FACT_SHAPE_RE = re.compile(
+    r"(?:require|approve|safeApprove|transfer|send|transferFrom|safeTransfer|safeTransferFrom)"
+    r"\)*\\?\(|call\\?\{|unchecked\\?\{")
+_SHAPE_NOISE_RE = re.compile(r"\(\?<!\\w\w+\)|\\s[*+]?|\s")
+# the `str` methods that search for their first argument
+SEARCH_METHODS = {"find", "rfind", "index", "rindex", "count", "startswith", "endswith"}
+# the scans of a body for such a fact that remain, and what each needs that
+# no effect holds
+FACT_SCANS = {
+    "solaudit.ccim.parse.UNCHECKED_RE": "an `unchecked` block, for the two readers below",
+    "solaudit.engines.patterns._rule_unchecked_arithmetic": "the block's extent, to find "
+                                                            "arithmetic inside it",
+    "solaudit.ccim.parse._parse_contract_functions": "a degraded record's block, read off the "
+                                                     "mask when its body pass failed",
+}
+
+
+def _searched(node: ast.AST) -> ast.AST | None:
+    """What `node` searches for: the pattern of a `re` call, the first
+    argument of a `str` search method, or the left side of an `in` test."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.args and (
+            node.func.attr in SEARCH_METHODS or node.func.attr in PATTERN_FUNCTIONS | {"compile"}
+            and getattr(node.func.value, "id", None) == "re"):
+        return node.args[0]
+    if isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
+        return node.left
+    return None
+
+
+def _fact_literals(tree: ast.AST, scope: str) -> set[str]:
+    """The qualified name of the innermost function or class around each
+    search under `tree` for a body-pass fact, or, outside any, of the name a
+    module-level assignment binds, or `scope`."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Assign) and isinstance(tree, ast.Module) \
+                and isinstance(node.targets[0], ast.Name):
+            inner = f"{scope}.{node.targets[0].id}"
+        elif (target := _searched(node)) is not None and any(
+                isinstance(c, ast.Constant) and isinstance(c.value, str)
+                and _FACT_SHAPE_RE.search(_SHAPE_NOISE_RE.sub("", c.value))
+                for c in ast.walk(target)):
+            found.add(scope)
+        found |= _fact_literals(node, inner)
+    return found
+
+
+def _fact_scans(trees: dict[str, ast.AST]) -> set[str]:
+    """The scopes of `trees` (module name -> syntax tree) that search for a
+    body-pass fact: those that hold such a search, and every function that
+    reads a module-level name bound to one, by plain or attribute name."""
+    found = set().union(*(_fact_literals(tree, module) for module, tree in trees.items()))
+    constants = {node.targets[0].id for module, tree in trees.items() for node in tree.body
+                 if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                 and f"{module}.{node.targets[0].id}" in found}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    (getattr(n, "id", None) or getattr(n, "attr", None)) in constants
+                    for n in ast.walk(node)):
+                found.add(f"{module}.{node.name}")
+    return found
+
+
+def test_only_the_body_pass_looks_for_guards_fund_moves_and_approvals():
+    # a record's guards, `unchecked` blocks, fund moves and approvals are its
+    # effects, found by one pass over its body: no second scan looks for them
+    trees = {_module_name(p): ast.parse(p.read_text(encoding="utf-8"))
+             for p in PACKAGE.rglob("*.py")}
+    found = _fact_scans(trees)
+    assert found - set(FACT_SCANS) == set(), "read the record's effects"
+    assert set(FACT_SCANS) <= found    # no stale entry
+    # the scans the effect pass replaced are found: a pattern and its reader,
+    # a literal tested against a line and one searched for in a span; a name
+    # that is searched for nowhere is none
+    assert _fact_scans({"m": ast.parse(
+        '_REQUIRE_RE = re.compile(r"require(?<!\\wrequire)\\s*\\(")\n'
+        "def _extract_requires(t):\n    return list(_REQUIRE_RE.finditer(t))\n"
+        'NATIVE_OUT_RE = re.compile(\n'
+        '    r"\\.\\s*(?:(?:transfer|send)\\s*\\(|call\\s*\\{\\s*value\\s*:)")\n'
+        "def _sub_locked_ether(t):\n    return parse.NATIVE_OUT_RE.search(t)\n"
+        'def _guard_line(line):\n    return "require(" in line\n'
+        'class K:\n    def f(self, t):\n        return t.find(".approve (")\n'
+        'NATIVE = {"call{value:"}\nX = ("require", "if")\n'
+        "def g(t, name):\n    return t.find(X[0]) + (name in NATIVE)\n"
+    )}) == {"m._REQUIRE_RE", "m._extract_requires", "m.NATIVE_OUT_RE", "m._sub_locked_ether",
+            "m._guard_line", "m.K.f"}
 
 
 def _is_record_key(node: ast.AST) -> bool:
