@@ -197,10 +197,11 @@ def spec_prompts(pairs: list[tuple[FnKey, FnKey]], ccim: CcimModel,
         return []
     lines = [_pair_name(n, p) for n, p in enumerate(pairs, start=1)]
     skeletons = {c: _skeleton(ccim, c) for c in sorted({k[0] for p in pairs for k in p})}
-    # skeletons are separated by a blank line, one newline more than `chunks` counts
+    # skeletons are separated by a blank line, one newline more than `chunks`
+    # counts; the first has none, so a chunk is counted two characters over
     parts = {i: {i: len(line), **{k[0]: len(skeletons[k[0]]) + 1 for k in pairs[i]}}
              for i, line in enumerate(lines)}
-    room = prompts.room(prompts.STAGE2_SPEC, budget, {"pairs": "", "skeletons": ""})
+    room = prompts.room(prompts.STAGE2_SPEC, budget, {"pairs": "", "skeletons": ""}) + 2
     out = []
     for chunk in prompts.chunks(list(parts), parts, room, least=1):
         named = sorted({k[0] for i in chunk for k in pairs[i]})

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import REPOS, write_repo
@@ -165,6 +165,8 @@ def test_packed_stages_on_corpus_repos(models, merged_signals, name, budget):
 @given(shape=st.tuples(st.integers(1, 4), st.integers(2, 40), st.integers(2, 6)),
        seed=st.integers(0, 1_000),
        budget=st.sampled_from((1_500, 3_000, 6_000, DEFAULT_CHAR_BUDGET)))
+# the whole stage 2 prompt one character under the budget: one prompt
+@example(shape=(4, 10, 3), seed=0, budget=6_000)
 def test_packed_stages_on_generated_corpora(gen, tmp_path_factory, shape, seed, budget):
     ccim = generated_model(gen, tmp_path_factory, gen.Shape(*shape), seed)
     _check_packed_stages(ccim, run_engines(ccim), budget)
