@@ -585,9 +585,11 @@ def scan_body(masked: str, start: int, end: int, brackets: dict[int, int],
       `callee_receivers`) as a whole identifier no param or local shadows;
     - `call` (`target.method`) per member call on state that can hold a
       contract, and `internal` per function of `fn_names` called by name;
-    - `require` per first argument in normal form, and per `if (c)` on c
-      negated whose branch starts with a revert, at the body's top level, not
-      after an `else`, and before every effect of `_STATE_EFFECTS`;
+    - `require` per first argument in normal form, at the body's top level
+      and not the brace-less body of an `if (…)`, a loop or an `else`, and per
+      `if (c)` on c negated whose branch starts with a revert, at the body's
+      top level, not after an `else`, and before every effect of
+      `_STATE_EFFECTS`;
     - `unchecked` per block, `fund` per method that moves funds (`transfer`,
       `send`, `transferFrom`, `safeTransfer`, `safeTransferFrom`,
       `call{value:`) and `approve` per approval, by its normalized first argument.
@@ -649,6 +651,9 @@ def _fact_effect(masked: str, m: re.Match, start: int, end: int,
                 or masked[start:pos].rstrip().endswith("else")):
             return None
         return (pos, "require", _negated(normalize_predicate(masked[shape.end():close])))
+    if word == "require" and (masked.count("{", start, pos) != masked.count("}", start, pos)
+                              or masked[start:pos].rstrip().endswith((")", "else"))):
+        return None     # a `require` in a branch or loop body guards only that body
     if word != "require" and not masked[start:pos].rstrip().endswith("."):
         return None     # a fund move or an approval is a method call
     if word == "call" or word in _FUND_METHODS:

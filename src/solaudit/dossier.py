@@ -9,9 +9,11 @@ set, with no reasoner call (phase E).
 Phases A and B pack their members, and phase C each review's functions,
 into the budget with `prompts.chunks`, and phases A and C attribute a
 reply's entries to the prompt's members by id with `prompts.by_id`. Phase C
-packs its reviews first-fit by contract locality (`prompts.pack_sections`),
+packs its reviews best-fit by contract locality (`prompts.pack_sections`),
 so the reviews that share a contract's bodies share prompts, while review
-ids and the order of the findings stay in group order. Phase C does not
+ids and the order of the findings stay in group order; a review split into
+chunks is also cut evenly, and the cut that packs into fewer prompts, then
+fewer characters, is sent (`pack_phase_c`). Phase C does not
 review what no call can interfere through: a set-once variable, which holds
 one value after construction, and an inert callee, which does nothing; it
 abstains from the skip wherever a write the CCIM cannot see could hide
@@ -85,6 +87,7 @@ class InteractionGroup(NamedTuple):
     subject: str                  # shared variable, or "Owner.name" of the callee
     part: int = 1                 # chunk `part` of `parts` of the touchers or callers
     parts: int = 1
+    evened: tuple[FnKey, ...] = ()    # chunk `part` of an even cut, if one differs
 
 
 def compile_dossiers(ccim: CcimModel, merged: MergedSignals) -> list[Dossier]:
@@ -301,6 +304,11 @@ def build_phase_c_interactions(ccim: CcimModel, blocks: dict[FnKey, str],
     chunks when the previous chunk has only two. Every other toucher lands in
     exactly one chunk, so a prompt is cut only when two blocks are too large
     to fit together. A variable split into k > 1 chunks numbers them 1..k.
+    Its touchers are cut again at the room of their mean chunk, the ceiling
+    of the sum of their blocks (each with its newline) over k, plus their
+    largest block, when that is less than the room; a cut that still takes k
+    chunks and differs from the first is each group's `evened` members, for
+    `pack_phase_c` to try.
 
     A callee's callers are ranked and packed the same way into "call" groups
     whose last member is the callee, its block counted in every chunk's
@@ -308,18 +316,28 @@ def build_phase_c_interactions(ccim: CcimModel, blocks: dict[FnKey, str],
     call keeps its (g, g) pair and no review otherwise names a function
     twice."""
     parts = {k: {k: len(b)} for k, b in blocks.items()}
+    sizes = {k: 1 + len(b) for k, b in blocks.items()}     # a block and its newline
     shell_room = prompts.room(prompts.PHASE_C, budget, {"reviews": ""})
     groups: list[InteractionGroup] = []
 
     def add_groups(kind: str, members: frozenset[FnKey] | set[FnKey], subject: str,
                    tail: tuple[FnKey, ...] = ()):
-        ranked = sorted(members, key=lambda k: (-risk[k], k))
+        # highest risk first, ties by key: a reverse sort is stable too
+        ranked = sorted(sorted(members), key=risk.__getitem__, reverse=True)
         # no chunk of `ranked` gets a later review number or a longer part
         widest = _review_heading(len(groups) + len(ranked), kind, subject, len(ranked), len(ranked))
-        room = shell_room - len(widest) - sum(1 + len(blocks[k]) for k in tail)
-        chunks = prompts.chunks(ranked, parts, room)
-        groups.extend(InteractionGroup(kind, (*c, *tail), subject, i, len(chunks))
-                      for i, c in enumerate(chunks, start=1))
+        room = shell_room - len(widest) - sum(map(sizes.__getitem__, tail))
+        total = sum(map(sizes.__getitem__, ranked))
+        # blocks that fit together are one chunk, as `chunks` would cut them
+        chunks = [ranked] if total - 1 <= room else prompts.chunks(ranked, parts, room)
+        evened = [()] * len(chunks)
+        if len(chunks) > 1:
+            largest = max(map(sizes.__getitem__, ranked))
+            cut = prompts.chunks(ranked, parts, min(room, -(-total // len(chunks)) + largest))
+            if len(cut) == len(chunks) and cut != chunks:
+                evened = [(*c, *tail) for c in cut]
+        groups.extend(InteractionGroup(kind, (*c, *tail), subject, i, len(chunks), e)
+                      for i, (c, e) in enumerate(zip(chunks, evened), start=1))
 
     for var in sorted(set(ccim.deps.writers) | set(ccim.deps.readers)):
         touchers = ccim.deps.writers.get(var, frozenset()) | ccim.deps.readers.get(var, frozenset())
@@ -331,27 +349,47 @@ def build_phase_c_interactions(ccim: CcimModel, blocks: dict[FnKey, str],
     return groups
 
 
-def run_phase_c(ccim: CcimModel, reasoner: Reasoner, risk: dict[FnKey, float],
-                budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
-    """Interference reviews, several per prompt. The n-th group of
-    `build_phase_c_interactions` is review `C<n>`: a section of its heading
-    and one `// Owner.name` line per member, packed by contract locality by
-    `prompts.pack_sections`, so one contract's reviews share prompts, a
-    function's first mention in a prompt is its source block and each body
-    is printed once per prompt. A reply's "reviews" entry is attributed to
-    the review its `review_id` names, and each review's payload is the
-    reply's top-level fields overridden by its own entry (`prompts.payloads`),
-    so a reply of one top-level verdict judges every review of its prompt.
-    Each VULNERABLE review becomes a finding on its group's members; the
-    findings come in group order, whatever the packing."""
-    blocks = _member_blocks(ccim)
+def pack_phase_c(ccim: CcimModel, blocks: dict[FnKey, str], risk: dict[FnKey, float],
+                 budget: int = DEFAULT_CHAR_BUDGET
+                 ) -> tuple[list[InteractionGroup], list[tuple[list[int], str]]]:
+    """The groups phase C sends and their packing: the n-th group is review
+    `C<n>`, a section of its heading and one `// Owner.name` line per member,
+    packed by `prompts.pack_sections` into the room PHASE_C leaves under
+    `budget`. The groups of `build_phase_c_interactions` are packed; when a
+    split review has an even cut, the groups with every such cut (`evened`)
+    are packed too, and the packing of fewer prompts wins, then of fewer
+    characters, the first on a tie. The even cut is only a candidate: a
+    greedy split leaves a full chunk and a short tail that the rest of its
+    contract's reviews can fill, while even chunks may each be too full to
+    share a prompt."""
     groups = build_phase_c_interactions(ccim, blocks, risk, budget)
     headings = [_review_heading(n, g.kind, g.subject, g.part, g.parts)
                 for n, g in enumerate(groups, start=1)]
     room = prompts.room(prompts.PHASE_C, budget, {"reviews": ""})
+    cuts = [groups]
+    if any(g.evened for g in groups):
+        cuts.append([g._replace(members=g.evened) if g.evened else g for g in groups])
+    packings = [prompts.pack_sections(headings, [g.members for g in cut], blocks, room)
+                for cut in cuts]
+    best = min(range(len(cuts)),
+               key=lambda c: (len(packings[c]), sum(len(text) for _, text in packings[c])))
+    return cuts[best], packings[best]
+
+
+def run_phase_c(ccim: CcimModel, reasoner: Reasoner, risk: dict[FnKey, float],
+                budget: int = DEFAULT_CHAR_BUDGET) -> list[Finding]:
+    """Interference reviews, several per prompt, as `pack_phase_c` groups and
+    packs them: one contract's reviews share prompts, a function's first
+    mention in a prompt is its source block and each body is printed once per
+    prompt. A reply's "reviews" entry is attributed to the review its
+    `review_id` names, and each review's payload is the reply's top-level
+    fields overridden by its own entry (`prompts.payloads`), so a reply of
+    one top-level verdict judges every review of its prompt. Each VULNERABLE
+    review becomes a finding on its group's members; the findings come in
+    group order, whatever the packing."""
+    groups, packed = pack_phase_c(ccim, _member_blocks(ccim), risk, budget)
     found: dict[int, Finding] = {}
-    for chunk, reviews in prompts.pack_sections(headings, [g.members for g in groups], blocks,
-                                                room):
+    for chunk, reviews in packed:
         reply = ask(reasoner, "phase_c",
                     prompts.render(prompts.PHASE_C, budget, {"reviews": reviews}), budget)
         ids = {f"C{i + 1}": i for i in chunk}

@@ -8,9 +8,10 @@ dossiers, the gap re-audit's features and the blind-spot review's functions
 are sections that `pack` puts in order into as few prompts as fit, one
 chunk of `chunks` each; phase B's bodies and stage 2's pairs are packed in
 order by `chunks` itself; phase C's reviews and stage 3's pairs are sections
-packed first-fit by `pack_sections` in contract locality order, so sections
-of one contract, which share its bodies, sit in the same prompts, and their
-ids and the order of their findings stay in section order. Both packers
+packed best-fit by `pack_sections`, contract by contract in locality order,
+largest first, each into the prompt where it adds the fewest characters, so
+sections that share bodies sit in the same prompts, while their ids and the
+order of their findings stay in section order. Both packers
 count a part that several members share once, so a shared skeleton or body
 is sent once per prompt. A reply's entries are attributed to the prompt's
 members by id with `by_id`, and `payloads` gives each member the reply's
@@ -256,22 +257,27 @@ def chunks(ranked: list, parts: dict, room: int, least: int = 2) -> list[list]:
     copied if moving it would leave the previous chunk short. So no chunk
     exceeds the room unless `least` members alone do, and only that one
     member may sit in two chunks."""
-    out: list[list] = [[]]
+    chunk: list = []
+    out = [chunk]
     held: set = set()
     used = -1
     for k in ranked:
         own = parts[k]
-        grow = sum(1 + size for p, size in own.items() if p not in held)
-        if len(out[-1]) >= least and used + grow > room:
-            out.append([])
+        grow = 0
+        for p, size in own.items():
+            if p not in held:
+                grow += 1 + size
+        if len(chunk) >= least and used + grow > room:
+            chunk = []
+            out.append(chunk)
             held.clear()
             used = -1
-            grow = sum(1 + size for size in own.values())
-        out[-1].append(k)
+            grow = len(own) + sum(own.values())
+        chunk.append(k)
         held.update(own)
         used += grow
-    if len(out) > 1 and len(out[-1]) < least:
-        out[-1].insert(0, out[-2][-1] if len(out[-2]) <= least else out[-2].pop())
+    if len(out) > 1 and len(chunk) < least:
+        chunk.insert(0, out[-2][-1] if len(out[-2]) <= least else out[-2].pop())
     return out
 
 
@@ -296,49 +302,59 @@ def pack(template: str, field: str, sections: dict, budget: int,
 
 def pack_sections(heads: list[str], members: list[tuple[FnKey, ...]], blocks: dict[FnKey, str],
                   room: int) -> list[tuple[list[int], str]]:
-    """Sections packed first-fit into as few texts as fit `room`, each text
+    """Sections packed best-fit into as few texts as fit `room`, each text
     with the indices of its sections in the order it prints them. Section `i`
     is `heads[i]` and one mention per key of `members[i]`, one a line. A
     key's first mention in a text is its block `blocks[k]`, which starts with
     `name_line(k)`; a later one is that bare name line, so each block is
     printed once per text. A section's own part is its head and name lines,
     and each key's block past its name line is a part shared across the text,
-    counted once per text as in `chunks`.
+    counted once per text as in `chunks`. A section's size is its own part
+    and all its bodies.
 
-    Sections are placed in locality order: a stable sort by the contract of
-    their first member, a section with no members first. Each goes to the
-    first text that already holds a section of its contract, or else the
-    last text, where it fits, and opens a new text when none has room; a
-    section too large for any text stands alone. So a section that overflows
-    the last text can still join an earlier one that holds its contract's
-    bodies, the sections of one contract sit in consecutive texts, and the
-    indices, and so the ids a caller gives the sections, keep their order.
-    No sections, no text."""
+    Sections are placed contract by contract in locality order, by the
+    contract of their first member, a section with no members first; within
+    a contract, largest first, ties by index. A section may join the text
+    that was last when its contract began and any text its contract opened
+    since. It goes to the one of those where it adds the fewest characters
+    and fits, the earliest on a tie, and opens a new text when none has
+    room; a section too large for any text stands alone. A text that holds
+    none of its bodies adds its whole size, so once some text can take it, a
+    later text that holds none of them is not scored. So a section
+    joins the bodies it shares wherever they were printed, and the sections
+    of one contract sit in consecutive texts. A text prints its sections in
+    the order they were placed; the indices, and so the ids a caller gives
+    the sections, stay the sections' own. No sections, no text."""
     owners = [keys[0][0] if keys else "" for keys in members]
-    names = {k: name_line(k) for keys in members for k in keys}
+    names = {k: name_line(k) for k in {k for keys in members for k in keys}}
+    bodies = {k: len(blocks[k]) - len(name) for k, name in names.items()}
+    distinct = [set(keys) for keys in members]
+    owns = [len(head) + len(keys) + sum(map(len, map(names.__getitem__, keys)))
+            for head, keys in zip(heads, members)]
+    sizes = [own + sum(map(bodies.__getitem__, keys)) for own, keys in zip(owns, distinct)]
     texts: list[list[int]] = []
     held: list[set] = []               # per text: the keys whose bodies it prints
     used: list[int] = []
-    contract, first = None, None       # the contract placed last, its first text
-    for i in sorted(range(len(heads)), key=owners.__getitem__):
-        keys = members[i]
+    contract, first = None, 0          # the contract placed last, the first text it may use
+    for i in sorted(range(len(heads)), key=lambda i: (owners[i], -sizes[i], i)):
+        keys = distinct[i]
         if owners[i] != contract:
-            contract, first = owners[i], None
-        own = len(heads[i]) + sum(1 + len(names[k]) for k in keys)
-        for t in range(max(len(texts) - 1, 0) if first is None else first, len(texts)):
-            grow = own + sum(len(blocks[k]) - len(names[k]) for k in set(keys) - held[t])
-            if used[t] + grow <= room:
-                break
-        else:
+            contract, first = owners[i], max(len(texts) - 1, 0)
+        best, least = None, sizes[i]
+        for t in range(first, len(texts)):
+            if used[t] + owns[i] > room or (best is not None and keys.isdisjoint(held[t])):
+                continue
+            grow = sizes[i] - sum(map(bodies.__getitem__, keys & held[t]))
+            if used[t] + grow <= room and (best is None or grow < least):
+                best, least = t, grow
+        if best is None:
+            best = len(texts)
             texts.append([])
             held.append(set())
             used.append(-1)
-            t = len(texts) - 1
-            grow = own + sum(len(blocks[k]) - len(names[k]) for k in set(keys))
-        first = t if first is None else first
-        texts[t].append(i)
-        held[t].update(keys)
-        used[t] += grow
+        texts[best].append(i)
+        held[best].update(keys)
+        used[best] += least
     out = []
     for chunk in texts:
         shown: set[FnKey] = set()

@@ -64,9 +64,11 @@ def test_phase_c_benchmark(benchmark, deep_model):
         return (ccim, reasoners[-1], risk), {}
 
     benchmark.pedantic(run_phase_c, setup=fresh_reasoner, rounds=5, iterations=1)
-    # 30 reviews packed several to a prompt
+    # 30 reviews packed several to a prompt: 16 prompts while each review
+    # was placed in the first prompt it fit and a split review was cut
+    # greedily only
     assert len(build_phase_c_interactions(ccim, _member_blocks(ccim), risk)) == 30
-    assert reasoners and all(r.call_count("phase_c") == 16 for r in reasoners)
+    assert reasoners and all(r.call_count("phase_c") == 14 for r in reasoners)
 
 
 def test_phase_a_benchmark(benchmark, deep_model):

@@ -113,6 +113,42 @@ def test_revert_guards_guard_the_function():
     assert (text[pos:pos + 2], name) == ("if", "msg.sender==owner")
 
 
+def test_a_require_in_a_branch_or_loop_guards_no_function():
+    # a `require` guards the function only at the top level of its body or
+    # modifier, and not as the brace-less body of an `if`, `else` or loop
+    text = ("contract C {\n"
+            "    address public owner;\n    uint256 public fee;\n    bool public locked;\n"
+            "    function setFee(uint256 f) external {\n"
+            "        if (locked) { require(msg.sender == owner); }\n        fee = f;\n    }\n"
+            "    function setFee2(uint256 f) external {\n"
+            "        if (locked) require(msg.sender == owner);\n        fee = f;\n    }\n"
+            "    function setFee3(uint256 f) external {\n"
+            "        if (locked) { fee = 1; } else { require(msg.sender == owner); }\n"
+            "        fee = f;\n    }\n"
+            "    function setFee4(uint256 f) external {\n"
+            "        if (locked) fee = 1;\n        else require(msg.sender == owner);\n"
+            "        fee = f;\n    }\n"
+            "    function setFee5(uint256 f) external {\n"
+            "        for (uint256 i = 0; i < f; i++) { require(msg.sender == owner); }\n"
+            "        fee = f;\n    }\n"
+            "    function setFee6(uint256 f) external {\n"
+            "        while (locked) require(msg.sender == owner);\n        fee = f;\n    }\n"
+            "    modifier onlyIfLocked() { if (locked) { require(msg.sender == owner); } _; }\n"
+            "    function setFee7(uint256 f) external onlyIfLocked { fee = f; }\n"
+            "    modifier onlyOwner() { require(msg.sender == owner); _; }\n"
+            "    function guarded(uint256 f) external onlyOwner { fee = f; }\n"
+            "    function checked(uint256 f) external {\n"
+            "        require(msg.sender == owner);\n        if (locked) { fee = 1; }\n"
+            "        fee = f;\n    }\n"
+            "}\n")
+    records = {r.name: r for r in parse_function_records(_source_from_text(text))}
+    for name in ("setFee", "setFee2", "setFee3", "setFee4", "setFee5", "setFee6", "setFee7"):
+        assert records[name].guards == (), name
+        assert not [e for e in records[name].effects if e[1] == "require"], name
+    assert records["guarded"].guards == records["checked"].guards == ("msg.sender==owner",)
+    assert classify_admin(list(records.values())) == {("C", "guarded"), ("C", "checked")}
+
+
 def test_a_failed_body_pass_keeps_only_the_mask_s_unchecked_block(monkeypatch, caplog):
     # a degraded record claims no use, guard or fund move, and keeps the
     # `unchecked` block the mask shows, so that stage 1 refutes no overflow

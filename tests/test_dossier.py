@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from itertools import groupby
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +28,7 @@ from solaudit.dossier import (
     contract_priorities,
     dd_run,
     expand_source_block,
+    pack_phase_c,
     phase_a_verify,
     phase_d_claim_first,
     phase_d_prefilter,
@@ -570,7 +575,13 @@ def _check_phase_c_chunks(ccim, budget):
     reasoner = RecordingReasoner()
     run_phase_c(ccim, reasoner, key_risks(ccim), budget)
     blocks = _member_blocks(ccim)
-    groups = build_phase_c_interactions(ccim, blocks, key_risks(ccim), budget)
+    # the groups checked are the ones sent: the build's, or its even cut
+    built = build_phase_c_interactions(ccim, blocks, key_risks(ccim), budget)
+    groups, packed = pack_phase_c(ccim, blocks, key_risks(ccim), budget)
+    assert [prompts.render(prompts.PHASE_C, budget, {"reviews": text})
+            for _, text in packed] == reasoner.prompts
+    evened = [g._replace(members=g.evened) if g.evened else g for g in built]
+    assert groups in (built, evened)
     shell = len(prompts.render(prompts.PHASE_C, budget, {"reviews": ""}))
     # the reviewed subjects are the brute-force skip rule's
     reviewed = phase_c_subjects(ccim)
@@ -643,6 +654,12 @@ def _check_phase_c_chunks(ccim, budget):
     runs = [owner for owner, _ in groupby(owners)]
     assert len(runs) == len(set(runs)), runs
 
+    # the packing sent is never larger than the build's greedy cut packed
+    room = prompts.room(prompts.PHASE_C, budget, {"reviews": ""})
+    greedy = prompts.pack_sections(headings, [g.members for g in built], blocks, room)
+    assert (len(reasoner.prompts), sum(map(len, reasoner.prompts))) <= (
+        len(greedy), sum(len(text) for _, text in greedy) + len(greedy) * shell)
+
     # the reviews side by side, each body once
     together = (sum(len(h) + sum(1 + len(name[k]) for k in g.members)
                     for h, g in zip(headings, groups)) - 1
@@ -678,7 +695,9 @@ def test_phase_c_one_review_per_callee_on_deep(deep_model):
     assert len(groups) == 30
     assert {g.kind for g in groups} == {"var"}
     assert not any(g.subject.endswith(".peer") for g in groups)
-    assert reasoner.call_count("phase_c") == 16
+    # 16 while each review was placed in the first prompt it fit and a
+    # split review was cut greedily only
+    assert reasoner.call_count("phase_c") == 14
 
 
 def test_phase_c_prints_each_body_once_per_prompt_on_wide(gen, tmp_path_factory):
@@ -787,7 +806,7 @@ def test_phase_c_findings_come_in_group_order_whatever_the_packing(gen, tmp_path
                                          "function ping() external { emit Pinged(); }")
                        for rel, text in corpus.files.items()}, tmp_path_factory.mktemp("gen"))
     ccim = assemble_ccim(build_audit_source(classify_files(root), None, resolve_remappings(root)))
-    groups = build_phase_c_interactions(ccim, _member_blocks(ccim), key_risks(ccim), budget)
+    groups, _ = pack_phase_c(ccim, _member_blocks(ccim), key_risks(ccim), budget)
     assert any(g.kind == "call" for g in groups)
     reasoner = RecordingReasoner(scripted([{"stage": "phase_c", "match": [],
                                             "response": {"verdict": "VULNERABLE"}}]).script)
@@ -807,6 +826,66 @@ def test_phase_c_calls_grow_linearly(gen, tmp_path_factory):
         run_phase_c(ccim, reasoner, key_risks(ccim))
         calls.append(reasoner.call_count("phase_c"))
     assert calls[1] <= 2.2 * calls[0], calls
+
+
+# phase C's prompts and characters on generated shapes at seed 3 while each
+# review was placed in the first prompt it fit and a split review was cut
+# greedily only. Best fit and the even cut send 5, 14, 30, 27, 11 and 5
+# prompts; neither may send more prompts or characters than before
+_PHASE_C_FIRST_FIT = {
+    (2, 80, 6): (5, 113_289),
+    (2, 160, 6): (16, 335_168),
+    (2, 320, 6): (30, 661_124),
+    (4, 160, 6): (32, 669_864),
+    (2, 160, 12): (14, 316_656),
+    (20, 16, 12): (5, 119_063),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_PHASE_C_FIRST_FIT))
+def test_phase_c_sends_no_more_than_first_fit(gen, tmp_path_factory, shape):
+    ccim = generated_model(gen, tmp_path_factory, gen.Shape(*shape), seed=3)
+    reasoner = RecordingReasoner()
+    run_phase_c(ccim, reasoner, key_risks(ccim))
+    sent, chars = _PHASE_C_FIRST_FIT[shape]
+    assert len(reasoner.prompts) <= sent
+    assert sum(map(len, reasoner.prompts)) <= chars
+
+
+_PHASE_C_DIGEST = """
+import hashlib, sys
+from pathlib import Path
+from solaudit.ccim import assemble_ccim
+from solaudit.coverage import key_risks
+from solaudit.dossier import run_phase_c
+from solaudit.ingest import build_audit_source, classify_files, resolve_remappings
+from solaudit.reasoner import MockReasoner
+
+class Recording(MockReasoner):
+    prompts = []
+    def respond(self, request):
+        self.prompts.append(request.prompt)
+        return super().respond(request)
+
+root = Path(sys.argv[1])
+ccim = assemble_ccim(build_audit_source(classify_files(root), None, resolve_remappings(root)))
+run_phase_c(ccim, Recording(), key_risks(ccim))
+print(len(Recording.prompts), hashlib.sha256("\\0".join(Recording.prompts).encode()).hexdigest())
+"""
+
+
+def test_phase_c_prompts_do_not_depend_on_hash_order(gen, tmp_path):
+    # placement scores the bodies a section shares with a prompt by set
+    # operations on function keys, whose order follows string hashing
+    root = write_repo(gen.generate(gen.Shape(2, 160, 6), seed=3).files, tmp_path / "deep")
+    src = Path(__file__).resolve().parent.parent / "src"
+    digests = {subprocess.run([sys.executable, "-c", _PHASE_C_DIGEST, str(root)],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(src),
+                                   "PYTHONHASHSEED": seed}).stdout
+               for seed in ("1", "2")}
+    assert len(digests) == 1
+    assert digests.pop().split()[0] == "14"
 
 
 # --- phase D -------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Prompt budgeting: every template keeps its text, its fixed fields and its
 response-schema instruction whole under the character budget, sections are
-packed first-fit, and the budget cut and the reasoner request each have one
+packed best-fit, and the budget cut and the reasoner request each have one
 home in the package. A function is printed at its declaration's own
 indentation, and phase D's quote check reads past it."""
 
@@ -107,6 +107,22 @@ def test_pack_sections_fills_an_earlier_text_of_the_same_contract():
     parts = {i: {**{k: len(blocks[k]) - 7 for k in keys}, i: len(head) + 7 * len(keys) - 1}
              for i, (head, keys) in enumerate(zip(heads, members))}
     assert len(prompts.chunks(list(range(4)), parts, room, least=1)) == len(packed) + 1
+
+
+def test_pack_sections_places_largest_first_where_it_adds_least():
+    a, b, c = ("A", "a"), ("A", "b"), ("A", "c")
+    blocks = {a: "// A.a\n" + "a" * 100, b: "// A.b\n" + "b" * 60, c: "// A.c\n" + "c" * 5}
+    heads = ["### S0\n", "### S1 " + "-" * 33 + "\n", "### S2\n", "### S3\n"]
+    members = [(a,), (b,), (b,), (c,)]
+    packed = prompts.pack_sections(heads, members, blocks, 200)
+    # S0, the largest, opens a text, and S1 does not fit beside it. S2 fits
+    # in either text, but beside S1's copy of A.b it adds only its heading and
+    # name line; S3 adds as much to either and takes the earlier
+    assert [chunk for chunk, _ in packed] == [[0, 3], [1, 2]]
+    assert [text for _, text in packed] == [heads[0] + blocks[a] + "\n" + heads[3] + blocks[c],
+                                            heads[1] + blocks[b] + "\n" + heads[2] + "// A.b"]
+    # the first text with room would have printed A.b a second time
+    assert sum(len(text) for _, text in packed) == 134 + 122
 
 
 _ZERO_GUARD = 'require(amount > 0, "zero");'
