@@ -14,7 +14,10 @@ text is scanned once:
   alternation of `contract|interface|library` is tried at every `c`, `i`
   and `l`. Scan one literal per pass, by a pattern it leads or by
   `str.find` and an anchored match, and merge the passes by offset
-  (`ingest.declarations`), or scan behind a cheap literal gate;
+  (`ingest.declarations`), or scan behind a cheap literal gate. Nor can
+  `re` skip ahead to a cased letter under IGNORECASE, so no pattern takes
+  `re.I`: prose and names are folded once (`findings.fold`) and matched in
+  lower case;
 - one identifier pass per function or modifier body (`scan_body`) yields
   its effects in offset order: each use of state, call, guard, `unchecked`
   block, fund move and approval, tested with anchored matches at a token's
@@ -544,24 +547,36 @@ def _build_record(decl, name, parsed, receivers, fn_names, source, ge_08, defaul
     signature = " ".join(text[abs_start:header_end].split())
 
     effects = scan_body(masked, *span, parsed.brackets, receivers, fn_names, params)
-    names: dict[str, list[str]] = {kind: [] for kind in EFFECT_KINDS}
-    for _, kind, fact in effects:
-        names[kind].append(fact)
+    # the effects filed by kind in one loop; an approval is no record field
+    reads, writes, calls, internal, guards = [], [], [], [], []
+    fund = unchecked = False
+    for pos, kind, fact in effects:
+        if kind == "read":
+            reads.append(fact)
+        elif kind == "write":
+            writes.append(fact)
+        elif kind == "call":
+            calls.append(CallSite(*fact.split("."), line=parsed.line_of(pos)))
+        elif kind == "internal":
+            internal.append(fact)
+        elif kind == "require":
+            guards.append(fact)
+        elif kind == "fund":
+            fund = True
+        elif kind == "unchecked":
+            unchecked = True
     # modifier bodies contribute their require conditions to the guard set
     for mod in modifiers:
-        names["require"].extend(decl.modifier_guards.get(mod.split("(")[0], []))
+        guards.extend(decl.modifier_guards.get(mod.split("(")[0], []))
 
     path, _ = map_line(source.offsets, start_line) if source.offsets.segments else ("", 0)
     body, indent = text[abs_start:abs_end + 1], parsed.indent_of(start_line)
     return FunctionRecord(
         name=name, owner=decl.name, vis=vis, mut=mut, modifiers=modifiers,
-        guards=tuple(dict.fromkeys(names["require"])),
-        reads=frozenset(names["read"]), writes=frozenset(names["write"]),
-        call_sites=tuple(CallSite(*fact.split("."), line=parsed.line_of(pos))
-                         for pos, kind, fact in effects if kind == "call"),
-        fund_flag=bool(names["fund"]), src=(start_line, end_line),
-        internal_calls=frozenset(names["internal"]), body=body, offset=abs_start, span=span,
-        effects=effects, unchecked=bool(names["unchecked"]),
+        guards=tuple(dict.fromkeys(guards)), reads=frozenset(reads), writes=frozenset(writes),
+        call_sites=tuple(calls), fund_flag=fund, src=(start_line, end_line),
+        internal_calls=frozenset(internal), body=body, offset=abs_start, span=span,
+        effects=effects, unchecked=unchecked,
         params=params, signature=signature,
         natspec=_natspec_above(parsed.lines, start_line),
         pragma_ge_08=ge_08.get(path, False), indent=indent, printed=printed_text(body, indent),
@@ -585,11 +600,11 @@ def scan_body(masked: str, start: int, end: int, brackets: dict[int, int],
       `callee_receivers`) as a whole identifier no param or local shadows;
     - `call` (`target.method`) per member call on state that can hold a
       contract, and `internal` per function of `fn_names` called by name;
-    - `require` per first argument in normal form, at the body's top level
-      and not the brace-less body of an `if (…)`, a loop or an `else`, and per
-      `if (c)` on c negated whose branch starts with a revert, at the body's
-      top level, not after an `else`, and before every effect of
-      `_STATE_EFFECTS`;
+    - `require` per first argument in normal form, and per `if (c)` on c
+      negated whose branch starts with a revert and that comes before every
+      effect of `_STATE_EFFECTS`, each in a statement that runs whenever the
+      body does (`_always_runs`): at the body's top level or in a bare or
+      `unchecked` block, and in no `if`, `else`, loop, `try` or `catch` body;
     - `unchecked` per block, `fund` per method that moves funds (`transfer`,
       `send`, `transferFrom`, `safeTransfer`, `safeTransferFrom`,
       `call{value:`) and `approve` per approval, by its normalized first argument.
@@ -647,12 +662,10 @@ def _fact_effect(masked: str, m: re.Match, start: int, end: int,
     close = match_brace(brackets, shape.end() - 1, end)
     if word == "if":
         if (close < 0 or not _REVERT_RE.match(masked, close + 1, end)
-                or masked.count("{", start, pos) != masked.count("}", start, pos)
-                or masked[start:pos].rstrip().endswith("else")):
+                or not _always_runs(masked, start, pos, brackets)):
             return None
         return (pos, "require", _negated(normalize_predicate(masked[shape.end():close])))
-    if word == "require" and (masked.count("{", start, pos) != masked.count("}", start, pos)
-                              or masked[start:pos].rstrip().endswith((")", "else"))):
+    if word == "require" and not _always_runs(masked, start, pos, brackets):
         return None     # a `require` in a branch or loop body guards only that body
     if word != "require" and not masked[start:pos].rstrip().endswith("."):
         return None     # a fund move or an approval is a method call
@@ -660,6 +673,37 @@ def _fact_effect(masked: str, m: re.Match, start: int, end: int,
         return (pos, "fund", "call{value:" if word == "call" else word)
     if args := split_top_level(masked[shape.end():close]) if close >= 0 else []:
         return (pos, word if word == "require" else "approve", normalize_predicate(args[0]))
+
+
+def _always_runs(masked: str, start: int, pos: int, brackets: dict[int, int]) -> bool:
+    """Whether the statement at `pos` in the body that starts at `start` runs
+    whenever the body does, as a guard of the whole function must. Neither it
+    nor a block around it, read off the bracket index, follows a `)` or an
+    `else`, as the brace-less body of an `if (…)`, a loop or an `else` does,
+    and each such block is an `unchecked` one or a bare `{ … }` one, which
+    follows a `;`, `{` or `}` or opens the body. So the `{` of an `if`,
+    `else`, loop (`do` included), `try` or `catch` body hides it."""
+    around = []                     # the `{` of each block around `pos`
+    i = masked.find("{", start, pos)
+    while i >= 0:
+        close = brackets.get(i, -1)
+        if close < 0:
+            return False
+        if close > pos:
+            around.append(i)
+        i = masked.find("{", i + 1 if close > pos else close + 1, pos)
+    at = pos
+    for open_pos in reversed(around):
+        if masked[start:at].rstrip().endswith((")", "else")):
+            return False
+        lead = masked[start:open_pos].rstrip()
+        if lead.endswith("unchecked") and not (lead[-10:-9].isalnum() or lead[-10:-9] == "_"):
+            at = start + len(lead) - len("unchecked")
+        elif not lead or lead[-1] in ";{}":
+            at = open_pos
+        else:
+            return False            # the `{` of a branch, loop, `try` or `catch` body
+    return not masked[start:at].rstrip().endswith((")", "else"))
 
 
 def _negated(cond: str) -> str:

@@ -12,7 +12,7 @@ from typing import NamedTuple
 from . import prompts
 from .ccim import CcimModel, FnKey, FunctionRecord
 from .ccim.parse import NAME_RE
-from .findings import Finding
+from .findings import Finding, fold
 from .reasoner import DEFAULT_CHAR_BUDGET
 
 # Twenty protocol-feature categories. The first eight are the canonical ones;
@@ -189,7 +189,8 @@ RISK_WEIGHTS = {
     "financial_name": 2.0,
 }
 
-_FINANCIAL_NAME_RE = re.compile(r"balance|amount|share|debt|reward|fee|price|supply|asset", re.I)
+# read off a folded state-variable name (`findings.fold`)
+_FINANCIAL_NAME_RE = re.compile(r"balance|amount|share|debt|reward|fee|price|supply|asset")
 
 # the structural aspects whose absence near a mention demotes it to
 # partial-attention
@@ -305,7 +306,7 @@ def risk_profile(record: FunctionRecord, masked: str) -> float:
     score += RISK_WEIGHTS["per_external_call"] * len(record.call_sites)
     ops = sum(map(masked[slice(*record.span)].count, "+-*/%"))
     score += min(RISK_WEIGHTS["arithmetic_bucket_max"], ops / 5.0)
-    if any(_FINANCIAL_NAME_RE.search(v) for v in record.writes | record.reads):
+    if any(_FINANCIAL_NAME_RE.search(fold(v)) for v in record.writes | record.reads):
         score += RISK_WEIGHTS["financial_name"]
     return score
 

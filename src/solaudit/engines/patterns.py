@@ -9,6 +9,7 @@ import re
 
 from ..ccim import CcimModel
 from ..ccim.parse import UNCHECKED_RE, balanced
+from ..findings import fold
 from .bva import STATEMENT_RE, scope_contracts
 from .signal import Signal
 
@@ -24,8 +25,9 @@ _DIV_THEN_MUL_RE = re.compile(r"/\s*[\w\(][\w\.\(\)\[\]]*\s*\*")
 _DOWNCAST_RE = re.compile(
     r"int(?:(?<!\wint)|(?<=uint)(?<!\wuint))(8|16|32|64|96|128)\s*\(\s*[A-Za-z_]")
 _ECRECOVER_RE = re.compile(r"ecrecover(?<!\wecrecover)\s*\(")
-_NONCE_RE = re.compile(r"nonce", re.I)
-_DEADLINE_RE = re.compile(r"deadline|expiry|expiration", re.I)
+# read off a folded declaration (`findings.fold`)
+_NONCE_RE = re.compile(r"nonce")
+_DEADLINE_RE = re.compile(r"deadline|expiry|expiration")
 _ARITHMETIC_RE = re.compile(r"[\w\]]\s*(\+|-|\*)[^+\-=]")
 _BLOCK_NUMBER_RE = re.compile(r"\b(block\.number|\w*[bB]lockNumber\w*|startBlock|endBlock|\w+Block)\b")
 
@@ -68,10 +70,11 @@ def _rule_signature_replay(text: str, start: int, end: int, pairs: dict[int, int
     m = _ECRECOVER_RE.search(text, start, end)
     if not m:
         return
-    if not _NONCE_RE.search(text, start, end):
+    folded = fold(text[start:end])
+    if not _NONCE_RE.search(folded):
         yield ("SIG", "sig-missing-nonce", "HIGH", 0.65, m.start(),
                "ecrecover-verified payload consumes no nonce; signatures are replayable")
-    if not _DEADLINE_RE.search(text, start, end):
+    if not _DEADLINE_RE.search(folded):
         yield ("SIG", "sig-missing-deadline", "MEDIUM", 0.5, m.start(),
                "signature verification without a deadline bound")
 

@@ -1,5 +1,11 @@
 """Shared finding model: severity scale, candidate-vulnerability records, the
-root-cause clustering card and the verdict record every funnel stage returns."""
+root-cause clustering card and the verdict record every funnel stage returns.
+
+Prose is matched folded: under IGNORECASE `re` builds no literal or charset
+prefix for a cased letter, so it cannot skip ahead to one and tries the
+pattern at every character. So the patterns that read a finding's prose, or
+a name, are written in lower case without `re.I` and searched on `fold` of
+their text, made once per text."""
 
 from __future__ import annotations
 
@@ -183,22 +189,35 @@ def findings_from(payload: dict, pipeline: str,
     return [f for f in found if f is not None]
 
 
-# claim-type classification shared by the reduction funnel and verdict engine
+# the letters other than the ASCII ones that `re.I` matches to an ASCII letter
+# and `str.lower` does not: İ and ı to `i`, ſ to `s`
+_TO_ASCII = str.maketrans({"\u0130": "i", "\u0131": "i", "\u017f": "s"})
+
+
+def fold(text: str) -> str:
+    """`text` as `re.I` compares it, for a pattern of lower-case ASCII
+    letters: a folded pattern finds on `fold(text)` what it finds with `re.I`
+    on `text`, at the same offsets, since each character folds to one."""
+    return text.lower() if text.isascii() else text.translate(_TO_ASCII).lower()
+
+
+# claim-type classification shared by the reduction funnel and verdict engine;
+# each pattern reads a finding's folded text
 
 _CLAIM_RES: tuple[tuple[str, re.Pattern], ...] = (
-    ("EVM_RACE", re.compile(r"race condition(?<!\wrace condition)\b|evm race(?<!\wevm race)\b", re.I)),
-    ("REENTRANCY", re.compile(r"reentran(?<!\wreentran)", re.I)),
+    ("EVM_RACE", re.compile(r"race condition(?<!\wrace condition)\b|evm race(?<!\wevm race)\b")),
+    ("REENTRANCY", re.compile(r"reentran(?<!\wreentran)")),
     ("INTEGER_OVERFLOW_GE08", re.compile(
-        r"overflow(?<!\woverflow)\b|underflow(?<!\wunderflow)\b|wrap(?<!\wwrap)[- ]?around\b", re.I)),
+        r"overflow(?<!\woverflow)\b|underflow(?<!\wunderflow)\b|wrap(?<!\wwrap)[- ]?around\b")),
     ("MISSING_ACCESS_CONTROL", re.compile(
         r"missing access control|lacks? access control|no access control|"
         r"without access control|anyone can call|unauthorized caller|"
-        r"missing only\w+ modifier|unprotected", re.I)),
+        r"missing only\w+ modifier|unprotected")),
 )
 
 
 def classify_claim(finding: Finding) -> str:
-    text = finding.text()
+    text = fold(finding.text())
     for kind, rx in _CLAIM_RES:
         if rx.search(text):
             return kind

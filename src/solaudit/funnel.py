@@ -20,6 +20,7 @@ from .findings import (
     VerdictRecord,
     classify_claim,
     classify_impact,
+    fold,
     self_disproving,
 )
 from .interaction import access_facts
@@ -28,9 +29,10 @@ from .reasoner import DEFAULT_CHAR_BUDGET, Reasoner, ask
 
 log = logging.getLogger(__name__)
 
+# claims read off a finding's folded text (`findings.fold`)
 _CENTRALIZATION_RE = re.compile(
-    r"centraliz|too powerful|full control over|single point of failure|rug[- ]?pull", re.I)
-_EXTERNAL_CALL_CLAIM_RE = re.compile(r"external call(?<!\wexternal call)\b|call(?<!\wcall)s? out\b", re.I)
+    r"centraliz|too powerful|full control over|single point of failure|rug[- ]?pull")
+_EXTERNAL_CALL_CLAIM_RE = re.compile(r"external call(?<!\wexternal call)\b|call(?<!\wcall)s? out\b")
 
 
 # --- deterministic checks ----------------------------------------------------
@@ -51,8 +53,9 @@ def stage1_verify(finding: Finding, ccim: CcimModel) -> VerdictRecord:
     - a race: no fact; transactions execute atomically.
     - missing access control: `admin_set`, a role check among every
       overload's modifiers and `require` effects, `if (c) revert` ones
-      included. Effects know no branch, so a check inside one arm of an `if`
-      is taken to guard the whole function.
+      included. A check counts only where it runs whenever the body does,
+      in no `if`, `else`, loop, `try` or `catch` body; one in a helper the
+      function calls is not seen.
     - reentrancy: a `nonReentrant` modifier on every overload, read by name;
       a lock that leaves another entry point open is trusted all the same.
     - overflow on solc >= 0.8: the pragma and no `unchecked` effect on any
@@ -87,7 +90,7 @@ def stage2_filter(finding: Finding, ccim: CcimModel) -> VerdictRecord:
     unresolvable function citations, which rest on the record inventory. A
     function the parse skipped (an unbalanced body) or in a file outside the
     audit source has no record, and a finding citing only it is dropped."""
-    if _CENTRALIZATION_RE.search(finding.text()) and not finding.evidence_lines:
+    if _CENTRALIZATION_RE.search(fold(finding.text())) and not finding.evidence_lines:
         return VerdictRecord(finding.id, "stage2", "FILTERED",
                              "centralization complaint without a concrete exploit path")
     if self_disproving(finding):
@@ -151,7 +154,7 @@ def sve_layer1(finding: Finding, ccim: CcimModel) -> VerdictRecord:
                 return disproved("7:evidence-span", line, "cited evidence line outside every "
                                                           "affected function span")
     # (8) claimed external call on functions with no call sites
-    if _EXTERNAL_CALL_CLAIM_RE.search(finding.text()) and recs \
+    if _EXTERNAL_CALL_CLAIM_RE.search(fold(finding.text())) and recs \
             and all(not r.call_sites for r in recs):
         return disproved("8:no-external-call", recs[0].src[0],
                          "no affected function issues an external call")

@@ -30,6 +30,7 @@ from .findings import (
     classify_claim,
     finding_from_payload,
     findings_from,
+    fold,
     renumber,
     reply_line,
     reply_list,
@@ -53,13 +54,14 @@ MAX_PAIRS = 16      # pairs the interaction pipeline audits
 
 ATTENTION_THRESHOLD = 1.0
 
-_HEDGE_RE = re.compile(r"\b(may|might|could|potentially|possibly)\b", re.I)
+# severity calibration reads a finding's folded prose (`findings.fold`)
+_HEDGE_RE = re.compile(r"\b(may|might|could|potentially|possibly)\b")
 _ENUM_RE = re.compile(r"(?m)^\s*(?:\d+[.)]|[-*])\s+(.*)$")
-_PRECON_WORD_RE = re.compile(r"\b(requires?|assum\w+|only if|must|precondition|when)\b", re.I)
-_STEP_RE = re.compile(r"step(?<!\wstep)\b", re.I)
+_PRECON_WORD_RE = re.compile(r"\b(requires?|assum\w+|only if|must|precondition|when)\b")
+_STEP_RE = re.compile(r"step(?<!\wstep)\b")
 _CLAIMS_PROTECTED_RE = re.compile(
     r"\b(admin[- ]only|only the (owner|admin)|restricted to (the )?(owner|admin)|"
-    r"protected by only\w+)\b", re.I)
+    r"protected by only\w+)\b")
 
 
 class BehaviorSpec(NamedTuple):
@@ -349,10 +351,12 @@ def self_contradiction_filter(findings: list[Finding]) -> list[Finding]:
 
 
 def _unlikely_precondition_count(scenario: str) -> int:
+    """Enumerated steps of the folded `scenario` that state a precondition."""
     return sum(1 for item in _ENUM_RE.findall(scenario) if _PRECON_WORD_RE.search(item))
 
 
 def _has_concrete_steps(scenario: str) -> bool:
+    """Whether the folded `scenario` enumerates or names steps."""
     return bool(_ENUM_RE.search(scenario)) or bool(_STEP_RE.search(scenario))
 
 
@@ -376,12 +380,13 @@ def _apply_rules_1_to_4(finding: Finding, ccim: CcimModel) -> None:
     if not moves_funds:
         finding.severity = severity_cap(finding.severity, "MEDIUM")
     # (3) three or more independent unlikely preconditions: one level down
-    if _unlikely_precondition_count(finding.attack_scenario) >= 3:
+    scenario = fold(finding.attack_scenario)
+    if _unlikely_precondition_count(scenario) >= 3:
         finding.severity = severity_down(finding.severity)
         finding.flags.add("unlikely-preconditions")
     # (4) hedged language without concrete attack steps: cap MEDIUM
-    if _HEDGE_RE.search(f"{finding.description} {finding.attack_scenario}") \
-            and not _has_concrete_steps(finding.attack_scenario):
+    if _HEDGE_RE.search(f"{fold(finding.description)} {scenario}") \
+            and not _has_concrete_steps(scenario):
         finding.severity = severity_cap(finding.severity, "MEDIUM")
         finding.flags.add("hedged")
 
@@ -397,7 +402,7 @@ def _apply_rule_6(finding: Finding, ccim: CcimModel) -> None:
     if classify_claim(finding) == "MISSING_ACCESS_CONTROL" and admin_only:
         finding.severity = severity_cap(finding.severity, "LOW")
         finding.flags.add("ccim-evidence-override")
-    elif _CLAIMS_PROTECTED_RE.search(finding.text()) and not any_admin and moves_funds:
+    elif _CLAIMS_PROTECTED_RE.search(fold(finding.text())) and not any_admin and moves_funds:
         finding.severity = _raise_one(finding.severity)
         finding.flags.add("ccim-evidence-override")
 

@@ -1,14 +1,17 @@
 """Smoke benchmarks, timed by pytest-benchmark for a fixed few rounds: the
 substrate (`assemble_ccim` plus `run_engines`) on a generated 5-contract
-corpus, and top-16 pair selection, phase A and phase C on the `deep` shape.
-The corpus generator is read from the benchmark's `auditbench/`."""
+corpus, top-16 pair selection, phase A and phase C on the `deep` shape, and
+a whole scripted audit on the `noisy` shape, where verification does the
+work. The corpus generator is read from the benchmark's `auditbench/`."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 from corpus import write_repo
 
+from solaudit import cli
 from solaudit.ccim import assemble_ccim
 from solaudit.coverage import key_risks
 from solaudit.dossier import (
@@ -85,3 +88,25 @@ def test_phase_a_benchmark(benchmark, deep_model):
     # one prompt per budget-sized chunk of the two contracts' 50 flagged dossiers
     assert len(flagged) == 50
     assert reasoners and all(r.call_count("phase_a") == 2 for r in reasoners)
+
+
+def test_verification_benchmark(benchmark, gen, tmp_path):
+    # `cli.run` on the `noisy` shape with its scripted reasoner: every funnel
+    # stage and the prose patterns run on about 70 findings
+    corpus = gen.generate(gen.SHAPES["noisy"], seed=3)
+    script, claims = gen.noisy_script(corpus, 3)
+    root = write_repo(corpus.files, tmp_path / "corpus")
+    (tmp_path / "mock.json").write_text(json.dumps(script), encoding="utf-8")
+    config = cli.RunConfig(path=str(root), mock_script=str(tmp_path / "mock.json"))
+    reports: list[cli.AuditReport] = []
+
+    def audit():
+        reports.append(cli.run(config))
+
+    benchmark.pedantic(audit, rounds=5, iterations=1)
+    # each run keeps the one true claim and drops the four fabricated ones
+    assert len(claims) == 5 and sum(c.true for c in claims) == 1
+    assert reports
+    for report in reports:
+        titles = {f.title for f in report.findings}
+        assert [c.title in titles for c in claims] == [c.true for c in claims]

@@ -96,6 +96,8 @@ def test_revert_guards_guard_the_function():
             "    function late() external { x = 3; if (msg.sender != owner) revert NotOwner(); }\n"
             "    function nested() external {\n"
             "        if (x > 0) { if (msg.sender != owner) revert(); }\n        x = 4;\n    }\n"
+            "    function braceless() external {\n"
+            "        if (x > 0) if (msg.sender != owner) revert();\n        x = 7;\n    }\n"
             "    function other() external {\n"
             "        if (x > 0) { } else if (msg.sender != owner) revert();\n"
             "        x = 5;\n    }\n"
@@ -106,6 +108,7 @@ def test_revert_guards_guard_the_function():
     assert records["f"].guards == records["g"].guards == ("msg.sender==owner",)
     assert records["h"].guards == ("!(a>9||paused)", "paused")
     assert records["late"].guards == records["nested"].guards == records["other"].guards == ()
+    assert records["braceless"].guards == ()
     assert records["viaModifier"].guards == ("owner==msg.sender",)
     assert classify_admin(list(records.values())) == {("C", "f"), ("C", "g"), ("C", "viaModifier")}
     # the guard is a `require` effect at its `if`, which stage 1 cites
@@ -147,6 +150,29 @@ def test_a_require_in_a_branch_or_loop_guards_no_function():
         assert not [e for e in records[name].effects if e[1] == "require"], name
     assert records["guarded"].guards == records["checked"].guards == ("msg.sender==owner",)
     assert classify_admin(list(records.values())) == {("C", "guarded"), ("C", "checked")}
+
+
+@pytest.mark.parametrize("opener", ["unchecked {", "{"], ids=["unchecked", "bare"])
+def test_a_guard_in_a_block_that_always_runs_guards_the_function(opener):
+    # an `unchecked` or a bare block runs whenever the body does, so a
+    # `require` or an `if (c) revert` in it guards the function; only the `{`
+    # of an `if`, `else`, loop, `try` or `catch` body hides a guard
+    text = ("contract C {\n"
+            "    address public owner;\n    uint256 public fee;\n    bool public locked;\n"
+            "    function setFee(uint256 f) external {\n"
+            f"        {opener} require(msg.sender == owner); }}\n        fee = f;\n    }}\n"
+            "    function setCap(uint256 f) external {\n"
+            f"        {opener} {{ if (msg.sender != owner) revert(); }} }}\n        fee = f;\n    }}\n"
+            "    function setLocked(uint256 f) external {\n"
+            f"        if (locked) {{ {opener} require(msg.sender == owner); }} }}\n"
+            "        fee = f;\n    }\n"
+            "    function setFlag(uint256 f) external {\n"
+            "        if (locked) { require(msg.sender == owner); }\n        fee = f;\n    }\n"
+            "}\n")
+    records = {r.name: r for r in parse_function_records(_source_from_text(text))}
+    assert records["setFee"].guards == records["setCap"].guards == ("msg.sender==owner",)
+    assert records["setLocked"].guards == records["setFlag"].guards == ()
+    assert classify_admin(list(records.values())) == {("C", "setFee"), ("C", "setCap")}
 
 
 def test_a_failed_body_pass_keeps_only_the_mask_s_unchecked_block(monkeypatch, caplog):

@@ -36,6 +36,10 @@ def test_classify_claim_types():
     assert classify_claim(make_finding(title="missing access control on sweep")) \
         == "MISSING_ACCESS_CONTROL"
     assert classify_claim(make_finding(title="reentrancy in withdraw")) == "REENTRANCY"
+    # prose is matched folded, as `re.I` compares it
+    assert classify_claim(make_finding(title="Missing Access Control on sweep")) \
+        == classify_claim(make_finding(title="acce\u017f\u017f control: UNPROTECTED")) \
+        == "MISSING_ACCESS_CONTROL"
     assert classify_claim(make_finding(title="integer overflow in accrue")) \
         == "INTEGER_OVERFLOW_GE08"
     assert classify_claim(make_finding(title="race condition between bid and settle")) \

@@ -6,12 +6,13 @@ and the interaction pipeline and coverage reach them without importing the
 dossier pipeline. Also read off the package's syntax tree: every constant
 regex is compiled once, none but a listed few that read short texts starts
 with a `\b` keyword or a set of first letters, which the regex engine
-cannot jump to, no stage reads a code fact off a record's raw declaration
-text, no scan but the body pass looks for a guard, a fund move, an approval
-or an `unchecked` block, one helper turns that text into what prompts print,
-and only the parse's view builder reads a contract's base list. Every record type but
-`Finding` is an immutable tuple, each finding has containers of its own, and
-importing the entry point loads no `dataclasses`."""
+cannot jump to, none ignores case, no stage reads a code fact off a
+record's raw declaration text, no scan but the body pass looks for a guard,
+a fund move, an approval or an `unchecked` block, one helper turns that text
+into what prompts print, and only the parse's view builder reads a
+contract's base list. Every record type but `Finding` is an immutable tuple,
+each finding has containers of its own, and importing the entry point loads
+no `dataclasses`."""
 
 from __future__ import annotations
 
@@ -122,9 +123,9 @@ SHORT_TEXT_PATTERNS = {
     "solaudit.ccim.parse._VISIBILITY_RE": "one function header",
     "solaudit.ccim.parse._MUTABILITY_RE": "one function header",
     "solaudit.engines.patterns._BLOCK_NUMBER_RE": "one statement that reads block.timestamp",
-    "solaudit.interaction._HEDGE_RE": "one finding's description and attack scenario",
-    "solaudit.interaction._PRECON_WORD_RE": "one enumerated step of an attack scenario",
-    "solaudit.interaction._CLAIMS_PROTECTED_RE": "one finding's text",
+    "solaudit.interaction._HEDGE_RE": "one finding's folded description and attack scenario",
+    "solaudit.interaction._PRECON_WORD_RE": "one folded enumerated step of an attack scenario",
+    "solaudit.interaction._CLAIMS_PROTECTED_RE": "one finding's folded text",
 }
 
 
@@ -170,47 +171,70 @@ def _led_by_alternation(items) -> bool:
     return _led_by_alternation(av[3]) if op is SUBPATTERN else op is BRANCH
 
 
-def _letter_set_starts(value, name: str) -> set[str]:
-    """The names of the patterns in the module value `value` (`name`), a
-    pattern or a tuple, list or dict of them, that an alternation whose
-    branches start with different letters leads. `re` skips ahead only to a
-    literal, so it tries such a pattern at every one of those letters. An
-    entry of a tuple of (key, pattern) pairs is named by its key."""
+def _named_patterns(value, name: str):
+    """(name, pattern) per pattern in the module value `value` (`name`), a
+    pattern or a tuple, list or dict of them. An entry of a tuple of (key,
+    pattern) pairs is named by its key."""
     if isinstance(value, re.Pattern):
-        items = parse_pattern(value.pattern, value.flags)
-        letters = _first_letters(items)
-        return {name} if _led_by_alternation(items) and letters and len(letters) > 1 else set()
+        yield name, value
+        return
     if isinstance(value, dict):
         entries = value.items()
     elif isinstance(value, (tuple, list)):
         entries = (v if isinstance(v, tuple) and len(v) == 2 and isinstance(v[0], str) else (i, v)
                    for i, v in enumerate(value))
     else:
-        return set()
-    return set().union(*(_letter_set_starts(v, f"{name}[{k}]") for k, v in entries))
+        return
+    for k, v in entries:
+        yield from _named_patterns(v, f"{name}[{k}]")
+
+
+def _letter_set_starts(value, name: str) -> set[str]:
+    """The names of the patterns in the module value `value` (`name`) that an
+    alternation whose branches start with different letters leads. `re` skips
+    ahead only to a literal, so it tries such a pattern at every one of those
+    letters."""
+    found = set()
+    for named, pattern in _named_patterns(value, name):
+        items = parse_pattern(pattern.pattern, pattern.flags)
+        letters = _first_letters(items)
+        if _led_by_alternation(items) and letters and len(letters) > 1:
+            found.add(named)
+    return found
+
+
+def _ignoring_case(value, name: str) -> set[str]:
+    """The names of the patterns in the module value `value` (`name`)
+    compiled with IGNORECASE, by flag or by an inline `(?i)`."""
+    return {named for named, pattern in _named_patterns(value, name)
+            if pattern.flags & re.IGNORECASE}
+
+
+def _module_values():
+    """(qualified name, value) per module-level name of the package."""
+    for info in pkgutil.walk_packages(solaudit.__path__, "solaudit."):
+        module = importlib.import_module(info.name)
+        yield from ((f"{module.__name__}.{name}", value) for name, value in vars(module).items())
 
 
 # the patterns allowed a lead of first letters: each reads only the text
 # named, never a whole function body it is not gated to, or the whole source
 LETTER_SET_PATTERNS = {
     "solaudit.ccim.parse._FUNCTION_RE": "a contract's level: each search starts past the last body",
-    "solaudit.coverage._FINANCIAL_NAME_RE": "one state-variable name",
-    "solaudit.engines.patterns._DEADLINE_RE": "a declaration that calls ecrecover",
-    "solaudit.findings._CLAIM_RES[EVM_RACE]": "one finding's text",
-    "solaudit.findings._CLAIM_RES[INTEGER_OVERFLOW_GE08]": "one finding's text",
-    "solaudit.findings._CLAIM_RES[MISSING_ACCESS_CONTROL]": "one finding's text",
-    "solaudit.funnel._CENTRALIZATION_RE": "one finding's text",
-    "solaudit.funnel._EXTERNAL_CALL_CLAIM_RE": "one finding's text",
+    "solaudit.coverage._FINANCIAL_NAME_RE": "one folded state-variable name",
+    "solaudit.engines.patterns._DEADLINE_RE": "a folded declaration that calls ecrecover",
+    "solaudit.findings._CLAIM_RES[EVM_RACE]": "one finding's folded text",
+    "solaudit.findings._CLAIM_RES[INTEGER_OVERFLOW_GE08]": "one finding's folded text",
+    "solaudit.findings._CLAIM_RES[MISSING_ACCESS_CONTROL]": "one finding's folded text",
+    "solaudit.funnel._CENTRALIZATION_RE": "one finding's folded text",
+    "solaudit.funnel._EXTERNAL_CALL_CLAIM_RE": "one finding's folded text",
 }
 
 
 def test_scans_start_on_one_literal():
     # a set of first letters is no anchor: scan a body or the whole source
     # with one pattern per literal, merged by offset, or behind a literal gate
-    modules = [importlib.import_module(m.name)
-               for m in pkgutil.walk_packages(solaudit.__path__, "solaudit.")]
-    found = set().union(*(_letter_set_starts(value, f"{mod.__name__}.{name}")
-                          for mod in modules for name, value in vars(mod).items()))
+    found = set().union(*(_letter_set_starts(value, name) for name, value in _module_values()))
     assert found - set(LETTER_SET_PATTERNS) == set(), "one literal per pass, or a literal gate"
     assert set(LETTER_SET_PATTERNS) <= found    # no stale entry
     # the guard rejects an alternation of different first letters, in a
@@ -224,6 +248,21 @@ def test_scans_start_on_one_literal():
                   re.compile(r"\b(public|external)\b"), re.compile(r"\w*Block|endBlock")],
         "pairs": (("A", re.compile("ab|cd")), ("B", re.compile("ab"))),
     }, "m") == {"m[decl]", "m[bound]", "m[cast]", "m[pairs][A]"}
+
+
+def test_no_module_pattern_ignores_case():
+    # under IGNORECASE `re` builds no literal or charset prefix for a cased
+    # letter, so it tries the pattern at every character, and a literal lead
+    # anchors nothing: fold the text once (`findings.fold`) and match in
+    # lower case
+    found = set().union(*(_ignoring_case(value, name) for name, value in _module_values()))
+    assert found == set(), "search fold(text) with a lower-case pattern"
+    # the guard flags the flag and the inline form, in a tuple of pairs too,
+    # and passes a pattern without either
+    assert _ignoring_case({
+        "flag": re.compile("x", re.I), "inline": re.compile("(?i)x"), "plain": re.compile("x"),
+        "pairs": (("A", re.compile("x", re.IGNORECASE)), ("B", re.compile("x"))),
+    }, "m") == {"m[flag]", "m[inline]", "m[pairs][A]"}
 
 
 # the whole-source passes and where each may run: one mask per file at ingest,

@@ -214,7 +214,7 @@ def test_bracket_index_matches_a_walk(text, data):
 
 # keywords, identifiers that contain them, numbers and the punctuation the
 # anchored patterns read
-_KEYWORD_TEXT = st.lists(st.sampled_from([
+_CODE_WORDS = st.sampled_from([
     "contract", "abstract", "interface", "library", "is", "function", "constructor",
     "receive", "fallback", "modifier", "require", "returns", "override", "delete",
     "return", "emit", "assembly", "unchecked", "ecrecover", "uint", "int", "uint8",
@@ -225,7 +225,31 @@ _KEYWORD_TEXT = st.lists(st.sampled_from([
     "uint8x", "9uint8", "x", "Foo", "12", "1e18", "3.5e2", "0x1f", "2",
     " ", "  ", "\n", "\t", ";", "{", "}", "(", ")", "[", "]", "=", ".", "/", "*", "**",
     "-", ",", "=>", "\n  ",
-]), max_size=40).map("".join)
+])
+# the words the folded prose patterns read, each also in upper, title and
+# mixed case and with a letter that `re.I` takes for an ASCII one: İ and ı
+# for `i`, ſ for `s` and the Kelvin sign for `k`; and letters whose case
+# `re.I` and `str.lower` treat apart from ASCII
+_PROSE_KEYWORDS = (
+    "race condition", "evm race", "reentrancy", "overflow", "underflow", "wrap-around",
+    "wraparound", "wrap around", "missing access control", "lacks access control",
+    "lack access control", "no access control", "without access control", "anyone can call",
+    "unauthorized caller", "missing onlyowner modifier", "unprotected", "centralization",
+    "too powerful", "full control over", "single point of failure", "rug pull", "rug-pull",
+    "external call", "calls out", "call out", "may", "might", "could", "potentially",
+    "possibly", "requires", "assumes", "only if", "must", "precondition", "when", "step",
+    "admin-only", "admin only", "only the owner", "only the admin", "restricted to the owner",
+    "restricted to admin", "protected by onlyowner", "balance", "amount", "share", "debt",
+    "reward", "fee", "price", "supply", "asset", "nonce", "deadline", "expiry", "expiration",
+)
+_PROSE_WORDS = st.sampled_from(sorted({
+    form for word in _PROSE_KEYWORDS
+    for form in (word, word.upper(), word.title(), word.swapcase().title().swapcase(),
+                 "".join(c.upper() if i % 2 else c for i, c in enumerate(word)),
+                 word.replace("i", "\u0130"), word.replace("i", "\u0131"),
+                 word.replace("s", "\u017f"), word.replace("k", "\u212a"))
+} | {"\u0130", "\u0131", "\u017f", "\u212a", "\u212b", "\u00c5", "\u00df", "\u00b5"}))
+_KEYWORD_TEXT = st.lists(st.one_of(_CODE_WORDS, _PROSE_WORDS), max_size=40).map("".join)
 
 
 def _found(pattern: re.Pattern, text: str) -> list:
@@ -234,6 +258,23 @@ def _found(pattern: re.Pattern, text: str) -> list:
 
 def _found_in(matches) -> list:
     return [(m.regs, m.groups()) for m in matches]
+
+
+def _found_folded(pattern: re.Pattern, text: str) -> list:
+    """`_found` with each group folded, as a search of the folded text gives it."""
+    return [(m.regs, tuple(g and findings.fold(g) for g in m.groups()))
+            for m in pattern.finditer(text)]
+
+
+# the patterns that read folded text (`findings.fold`) besides
+# `findings._CLAIM_RES`, by module and name
+FOLDED = (
+    ("funnel", "_CENTRALIZATION_RE"), ("funnel", "_EXTERNAL_CALL_CLAIM_RE"),
+    ("interaction", "_HEDGE_RE"), ("interaction", "_PRECON_WORD_RE"),
+    ("interaction", "_STEP_RE"), ("interaction", "_CLAIMS_PROTECTED_RE"),
+    ("coverage", "_FINANCIAL_NAME_RE"),
+    ("engines.patterns", "_NONCE_RE"), ("engines.patterns", "_DEADLINE_RE"),
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -247,17 +288,30 @@ def _found_in(matches) -> list:
 @example("verify(a < 5) if(a>5) require (a <= 1e18)")   # `if` inside a word is no guard
 @example("int8(uint8(int16(x uint8(")                  # casts whose argument is a cast
 @example("1 - 2 * 3-4")
+@example("Missing Access Control")
+@example("acce\u017f\u017f control")
+@example("unauthor\u0130zed caller")
+@example("REENTRANCY Race Condition EXTERNAL CALL Calls Out \u212aick st\u0130p")
+@example("Admin-Only: MUST assume ONLY \u0130F; dead\u0131ine nonce \u00dfhare \u00b5 \u212bmount")
 def test_anchored_patterns_match_their_unanchored_forms(text):
     special = {"_CONTRACT_RE", "_STATE_VAR_RE", "_DIV_THEN_MUL_RE", "DECL_RE", "_BOUND_RE",
                "_DOWNCAST_RE"}
     for (module, name), old in UNANCHORED.items():
-        if name not in special:
+        if name not in special and (module, name) not in FOLDED:
             new = getattr(importlib.import_module(f"solaudit.{module}"), name)
-            flags = new.flags & re.I
-            assert _found(new, text) == _found(re.compile(old, flags), text), name
-    claims = dict(findings._CLAIM_RES)
-    for claim, old in UNANCHORED_CLAIMS.items():
-        assert _found(claims[claim], text) == _found(re.compile(old, re.I), text), claim
+            assert _found(new, text) == _found(re.compile(old), text), name
+    # a folded pattern on the folded text finds what its `re.I` original
+    # finds on the text: its unanchored form where the oracles hold one,
+    # else its own pattern, which folding left as it was
+    folded = findings.fold(text)
+    assert len(folded) == len(text)
+    for module, name in FOLDED:
+        new = getattr(importlib.import_module(f"solaudit.{module}"), name)
+        old = re.compile(UNANCHORED.get((module, name), new.pattern), re.I)
+        assert _found(new, folded) == _found_folded(old, text), name
+    for claim, new in findings._CLAIM_RES:
+        old = re.compile(UNANCHORED_CLAIMS.get(claim, new.pattern), re.I)
+        assert _found(new, folded) == _found_folded(old, text), claim
 
     # the state-variable scan reads a text that starts with a newline: the
     # same starts, and groups one character on after its indentation group
