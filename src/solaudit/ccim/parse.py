@@ -21,9 +21,11 @@ text is scanned once:
 - one identifier pass per function or modifier body (`scan_body`) yields
   its effects in offset order: each use of state, call, guard, `unchecked`
   block, fund move and approval, tested with anchored matches at a token's
-  ends. A record's code facts are read off its effects, never off a second
-  scan of its span; only the unchecked-arithmetic rule, which needs a block's
-  extent, looks for `unchecked {` again;
+  ends. One stack of the blocks open at a token, read off the bracket
+  index, tells where a local shadows state and whether a guard always runs.
+  A record's code facts, BVA's bounds among them, are read off its effects,
+  never off a second scan of its span; only the unchecked-arithmetic rule,
+  which needs a block's extent, looks for `unchecked {` again;
 - one bracket index per audit (`bracket_pairs`) makes finding a closing
   bracket a lookup bounded to the span being read (`match_brace`);
 - one walk over a contract's declarations yields its function names and
@@ -97,8 +99,14 @@ _HEADER_TOKEN_RE = re.compile(r"([A-Za-z_]\w*)(\s*\(((?:[^()]|\([^()]*\))*)\))?"
 # local declarations: `uint256 x =` and `memory x`
 _VALUE_TYPE_RE = re.compile(r"u?int\d*|bool|address|bytes\d*|byte|string")
 _LOCATIONS = frozenset({"memory", "calldata", "storage"})
-# what precedes a variable that a `delete` or (group 1) a prefix ++/-- writes
-_WRITE_BEFORE_RE = re.compile(r"(?:delete(?<!\wdelete)\s+|(\+\+|--)\s*)$")
+# what ends the token before a variable that a `delete` or (group 1) a prefix ++/-- writes
+_WRITE_BEFORE_RE = re.compile(r"(?<=(\+\+|--))|(?<=\bdelete)")
+# what ends the token before a block that runs whenever the code around it
+# does: a statement or a block, or (group 1) an `unchecked` that no branch leads
+_BLOCK_LEAD_RE = re.compile(r"(?<=[;{}])|(?<=\b(unchecked))")
+# what ends the token before a statement that is the brace-less body of an
+# `if (…)`, a loop or an `else`
+_BRANCH_END_RE = re.compile(r"(?<=\))|(?<=else)")
 # call shapes, from the end of the callee's first identifier
 _MEMBER_CALL_RE = re.compile(r"\s*\.\s*([A-Za-z_]\w*)\s*[({]")
 _PLAIN_CALL_RE = re.compile(r"\s*\(")
@@ -597,34 +605,58 @@ def scan_body(masked: str, start: int, end: int, brackets: dict[int, int],
     """The effects of the body masked[start:end] from one pass over its
     identifiers, (offset, kind, name) in offset order, of the kinds:
     - `read` and `write` of visible state (the keys of `receivers`, of
-      `callee_receivers`) as a whole identifier no param or local shadows;
+      `callee_receivers`) as a whole identifier that no param shadows, nor a
+      local from its declaration to the end of its block;
     - `call` (`target.method`) per member call on state that can hold a
       contract, and `internal` per function of `fn_names` called by name;
     - `require` per first argument in normal form, and per `if (c)` on c
       negated whose branch starts with a revert and that comes before every
-      effect of `_STATE_EFFECTS`, each in a statement that runs whenever the
-      body does (`_always_runs`): at the body's top level or in a bare or
-      `unchecked` block, and in no `if`, `else`, loop, `try` or `catch` body;
+      effect of `_STATE_EFFECTS`, each where it runs whenever the body does:
+      in a block that does and after no `)` or `else`;
     - `unchecked` per block, `fund` per method that moves funds (`transfer`,
       `send`, `transferFrom`, `safeTransfer`, `safeTransferFrom`,
       `call{value:`) and `approve` per approval, by its normalized first argument.
-    The effects linearise the body and know no branch: a rule on their order
-    may over-report across the arms of an `if`, and never under-reports
-    along straight-line code."""
-    declared: set[str] = set()
+    One stack of the open blocks, updated only at a guard, a declaration or
+    state while a local is in scope, tells both; a `for` header's local is
+    declared in the block around the loop. The effects linearise the body
+    and know no branch: a rule on their order may over-report across the
+    arms of an `if`, and never under-reports along straight-line code."""
     found: list[tuple[int, str, str]] = []
+    # the blocks open at `at`, innermost last: (its `}`, whether it runs
+    # whenever the body does, its locals)
+    blocks: list[tuple[int, bool, set[str]]] = [(end, True, set())]
+    at = start
+    scoped = False                       # whether a local was in scope at `at`
     located_end = start                  # a `memory x` match is not rescanned from `x`
+
+    def open_at(pos: int) -> list[tuple[int, bool, set[str]]]:
+        """The block stack brought up from `at` to `pos`."""
+        nonlocal at
+        while (i := masked.find("{", at, pos)) >= 0:
+            while blocks[-1][0] < i:
+                blocks.pop()
+            close = brackets.get(i, -1)     # an unclosed block never runs always
+            blocks.append((close if close >= 0 else end,
+                           close >= 0 and blocks[-1][1] and _block_runs(masked, start, i), set()))
+            at = i + 1
+        while blocks[-1][0] < pos:
+            blocks.pop()
+        at = pos
+        return blocks
+
     facts = _REVERTING_FACT_WORDS if masked.find("revert", start, end) >= 0 else _FACT_WORDS
     for m in _TOKEN_RE.finditer(masked, start, end):
         word = m.group()
-        if m.lastindex:
-            if m.lastindex == 2 and _VALUE_TYPE_RE.fullmatch(word):
-                declared.add(m.group(1))     # `uint256 x =`
-            elif word in _LOCATIONS and m.start() >= located_end:
-                declared.add(m.group(1))     # `memory x`
+        if m.lastindex and (m.lastindex == 2 and _VALUE_TYPE_RE.fullmatch(word)   # `uint256 x =`
+                            or word in _LOCATIONS and m.start() >= located_end):  # `memory x`
+            open_at(m.start())[-1][2].add(m.group(1))
+            scoped = True
+            if word in _LOCATIONS:
                 located_end = m.end(1)
-        if word in facts and (fact := _fact_effect(masked, m, start, end, brackets)) and not (
-                word == "if" and any(kind in _STATE_EFFECTS for _, kind, _ in found)):
+        if word in facts and (fact := _fact_effect(masked, m, start, end, brackets)) and (
+                fact[1] != "require" or open_at(fact[0])[-1][1]
+                and not _BRANCH_END_RE.match(masked, _token_end(masked, start, fact[0]))
+                and not (word == "if" and any(kind in _STATE_EFFECTS for _, kind, _ in found))):
             found.append(fact)
         if word not in receivers and word not in fn_names:
             continue
@@ -632,8 +664,10 @@ def scan_body(masked: str, start: int, end: int, brackets: dict[int, int],
         if pos > start and masked[pos - 1] == ".":
             continue  # a member, not a whole identifier
         if word in receivers:
-            if word not in params:
-                if written := _WRITE_BEFORE_RE.search(masked[max(start, pos - 8):pos]):
+            shadowed = scoped and any(word in names for *_, names in open_at(pos))
+            scoped = scoped and any(names for *_, names in blocks)
+            if word not in params and not shadowed:
+                if written := _WRITE_BEFORE_RE.match(masked, _token_end(masked, start, pos)):
                     kinds = ("read", "write") if written.group(1) else ("write",)
                 else:
                     kinds = _classify_suffix(masked, m.end(), end, brackets)
@@ -645,14 +679,13 @@ def scan_body(masked: str, start: int, end: int, brackets: dict[int, int],
                 found.append((pos, "call", f"{word}.{call.group(1)}"))
         elif word not in _NON_TYPE_KEYWORDS and _PLAIN_CALL_RE.match(masked, m.end(), end):
             found.append((pos, "internal", word))
-    if shadowed := declared.intersection(receivers):
-        return tuple(e for e in found if e[1] not in ("read", "write") or e[2] not in shadowed)
     return tuple(found)
 
 
 def _fact_effect(masked: str, m: re.Match, start: int, end: int,
                  brackets: dict[int, int]) -> tuple[int, str, str] | None:
-    """The effect of token `m`, a fact word, in the body masked[start:end], or None."""
+    """The effect of token `m`, a fact word, in the body masked[start:end], or
+    None; a guard's is its `require` wherever it stands."""
     word, pos = m.group(), m.start()
     opener = _BRACE_RE if word in ("unchecked", "call") else _PLAIN_CALL_RE
     if not (shape := opener.match(masked, m.end(), end)) or word == "call" and not shape.group(1):
@@ -661,13 +694,10 @@ def _fact_effect(masked: str, m: re.Match, start: int, end: int,
         return (pos, "unchecked", "")
     close = match_brace(brackets, shape.end() - 1, end)
     if word == "if":
-        if (close < 0 or not _REVERT_RE.match(masked, close + 1, end)
-                or not _always_runs(masked, start, pos, brackets)):
+        if close < 0 or not _REVERT_RE.match(masked, close + 1, end):
             return None
         return (pos, "require", _negated(normalize_predicate(masked[shape.end():close])))
-    if word == "require" and not _always_runs(masked, start, pos, brackets):
-        return None     # a `require` in a branch or loop body guards only that body
-    if word != "require" and not masked[start:pos].rstrip().endswith("."):
+    if word != "require" and not masked.endswith(".", start, _token_end(masked, start, pos)):
         return None     # a fund move or an approval is a method call
     if word == "call" or word in _FUND_METHODS:
         return (pos, "fund", "call{value:" if word == "call" else word)
@@ -675,35 +705,23 @@ def _fact_effect(masked: str, m: re.Match, start: int, end: int,
         return (pos, word if word == "require" else "approve", normalize_predicate(args[0]))
 
 
-def _always_runs(masked: str, start: int, pos: int, brackets: dict[int, int]) -> bool:
-    """Whether the statement at `pos` in the body that starts at `start` runs
-    whenever the body does, as a guard of the whole function must. Neither it
-    nor a block around it, read off the bracket index, follows a `)` or an
-    `else`, as the brace-less body of an `if (…)`, a loop or an `else` does,
-    and each such block is an `unchecked` one or a bare `{ … }` one, which
-    follows a `;`, `{` or `}` or opens the body. So the `{` of an `if`,
-    `else`, loop (`do` included), `try` or `catch` body hides it."""
-    around = []                     # the `{` of each block around `pos`
-    i = masked.find("{", start, pos)
-    while i >= 0:
-        close = brackets.get(i, -1)
-        if close < 0:
-            return False
-        if close > pos:
-            around.append(i)
-        i = masked.find("{", i + 1 if close > pos else close + 1, pos)
-    at = pos
-    for open_pos in reversed(around):
-        if masked[start:at].rstrip().endswith((")", "else")):
-            return False
-        lead = masked[start:open_pos].rstrip()
-        if lead.endswith("unchecked") and not (lead[-10:-9].isalnum() or lead[-10:-9] == "_"):
-            at = start + len(lead) - len("unchecked")
-        elif not lead or lead[-1] in ";{}":
-            at = open_pos
-        else:
-            return False            # the `{` of a branch, loop, `try` or `catch` body
-    return not masked[start:at].rstrip().endswith((")", "else"))
+def _token_end(masked: str, start: int, pos: int) -> int:
+    """The end of the token before offset `pos` in the body from `start`:
+    `pos` less the whitespace, masked comments included, before it."""
+    while pos > start and masked[pos - 1].isspace():
+        pos -= 1
+    return pos
+
+
+def _block_runs(masked: str, start: int, open_pos: int) -> bool:
+    """Whether the block that opens at `open_pos` runs whenever the code
+    around it does: a bare one, which opens the body or follows a `;`, `{`
+    or `}`, or an `unchecked` one that is no brace-less branch body; the
+    body of an `if`, `else`, loop (`do` included), `try` or `catch` is none."""
+    lead = _token_end(masked, start, open_pos)
+    shape = _BLOCK_LEAD_RE.match(masked, lead)
+    return lead == start or shape is not None and not (
+        shape.group(1) and _BRANCH_END_RE.match(masked, _token_end(masked, start, shape.start(1))))
 
 
 def _negated(cond: str) -> str:

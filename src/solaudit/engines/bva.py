@@ -13,10 +13,8 @@ from .signal import Signal
 
 log = logging.getLogger(__name__)
 
-# a numeric bound in a `require(` or an `if (`, from the keyword's end; each
-# keyword is found by `str.find`, as `re` tries a set of first letters at
-# every `r` and `i`
-_BOUND_TAIL_RE = re.compile(r"\s*\(\s*([A-Za-z_]\w*)\s*(<=|>=|<|>)\s*(\d+(?:e\d+)?)")
+# a numeric bound: a guard's normal form that starts with `var op number`
+_BOUND_RE = re.compile(r"([A-Za-z_]\w*)(<=|>=|<|>)(\d+(?:e\d+)?)")
 STATEMENT_RE = re.compile(r"[^;{}]+")  # the text of one statement
 _POW_RE = re.compile(r"(\d(?<!\w\d)\d*)\s*\*\*\s*(\d+)\b")
 _WORD_RE = re.compile(r"\w+")
@@ -70,33 +68,17 @@ def run_bva(ccim: CcimModel) -> list[Signal]:
     return signals
 
 
-# (ii) boundary finding from require/if numeric guards
-def _bounds(text: str, start: int, end: int) -> list[tuple[str, str, float, int]]:
-    """(variable, operator, bound, offset) per numeric guard in the masked
-    text[start:end], in offset order: one pass per keyword, each resuming
-    past its last bound. No `require` bound overlaps an `if` one, so the two
-    passes merge by offset."""
-    hits = []
-    for keyword in ("require", "if"):
-        pos = start
-        while (at := text.find(keyword, pos, end)) >= 0:
-            if bound := _BOUND_TAIL_RE.match(text, at + len(keyword), end):
-                hits.append((at, bound))
-                pos = bound.end()
-            else:
-                pos = at + 1
-    hits.sort(key=lambda hit: hit[0])
-    return [(b.group(1), b.group(2), float(b.group(3)), at) for at, b in hits]
-
-
+# (ii) boundary finding from the guards, `if (c) revert` ones included, and
 # (iii) rationality: bounds on the same variable must admit at least one value
 def _sub_rationality(ccim: CcimModel) -> list[Signal]:
     signals = []
     for contract in scope_contracts(ccim):
         for rec in ccim.owned(contract):
             by_var: dict[str, list[tuple[str, float, int]]] = {}
-            for var, op, value, pos in _bounds(ccim.parsed.masked, *ccim.parsed.decl_span(rec)):
-                by_var.setdefault(var, []).append((op, value, pos))
+            for pos, kind, cond in rec.effects:
+                if kind == "require" and (bound := _BOUND_RE.match(cond)):
+                    var, op, value = bound.groups()
+                    by_var.setdefault(var, []).append((op, float(value), pos))
             for var, entries in sorted(by_var.items()):
                 lowers = [(v, op) for op, v, _ in entries if op in (">", ">=")]
                 uppers = [(v, op) for op, v, _ in entries if op in ("<", "<=")]

@@ -53,9 +53,9 @@ def stage1_verify(finding: Finding, ccim: CcimModel) -> VerdictRecord:
     - a race: no fact; transactions execute atomically.
     - missing access control: `admin_set`, a role check among every
       overload's modifiers and `require` effects, `if (c) revert` ones
-      included. A check counts only where it runs whenever the body does,
-      in no `if`, `else`, loop, `try` or `catch` body; one in a helper the
-      function calls is not seen.
+      included. A check counts only where it runs whenever the body does:
+      in no `if`, `else`, loop, `try` or `catch` body, by the body pass's
+      block stack; one in a helper the function calls is not seen.
     - reentrancy: a `nonReentrant` modifier on every overload, read by name;
       a lock that leaves another entry point open is trusted all the same.
     - overflow on solc >= 0.8: the pragma and no `unchecked` effect on any

@@ -342,8 +342,6 @@ UNANCHORED = {
     ("ccim.build", "_EMIT_RE"): r"\bemit\s+([A-Za-z_]\w*\s*\()",
     ("engines.bva", "_POW_RE"): r"\b(\d+)\s*\*\*\s*(\d+)\b",
     ("engines.bva", "_LITERAL_OP_RE"): r"\b(\d+(?:\.\d+)?e\d+|\d+)\s*(\*|-)\s*(\d+(?:\.\d+)?e\d+|\d+)",
-    # one alternation of the `require` and `if` passes of `bva._bounds`
-    ("engines.bva", "_BOUND_RE"): r"(?:require\s*\(|if\s*\()\s*([A-Za-z_]\w*)\s*(<=|>=|<|>)\s*(\d+(?:e\d+)?)",
     ("engines.patterns", "_ASSEMBLY_RE"): r"\bassembly\s*(?:\([^)]*\)\s*)?\{",
     ("ccim.parse", "UNCHECKED_RE"): r"\bunchecked\s*\{",
     ("engines.patterns", "_ECRECOVER_RE"): r"\becrecover\s*\(",
@@ -407,8 +405,8 @@ def separate_fact_scans(body: str) -> tuple[list[str], bool, bool, bool, list[st
 _IDENT_RE = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
 _VALUE_LOCAL_RE = re.compile(r"\b(?:u?int\d*|bool|address|bytes\d*|byte|string)\s+([A-Za-z_]\w*)\s*=")
 _LOCATED_LOCAL_RE = re.compile(r"\b(?:memory|calldata|storage)\s+([A-Za-z_]\w*)\b")
-_DELETE_BEFORE_RE = re.compile(r"\bdelete\s+$")
-_INCDEC_BEFORE_RE = re.compile(r"(\+\+|--)\s*$")
+_DELETE_BEFORE_RE = re.compile(r"\bdelete$")
+_INCDEC_BEFORE_RE = re.compile(r"(\+\+|--)$")
 _MEMBER_CALL_RE = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\s*\.\s*([A-Za-z_]\w*)\s*[({]")
 _PLAIN_CALL_RE = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\s*\(")
 _SUFFIX_STEP_RE = re.compile(r"[ \t]*(?:(\[)|\.\s*([A-Za-z_]\w*))?")
@@ -416,18 +414,33 @@ _ASSIGN_OP_RE = re.compile(r"(=(?!=)|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--
 _COMPOUND_OP_RE = re.compile(r"(\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)")
 
 
+def _block_end(body: str, pos: int) -> int:
+    """The end of the innermost `{ … }` block around `pos`, or of the body:
+    each `{` before `pos`, nearest first, closed with `brute_force_close`; an
+    unclosed one runs to the end."""
+    for open_pos in range(pos - 1, -1, -1):
+        if body[open_pos] == "{":
+            close = brute_force_close(body, open_pos, len(body))
+            if close < 0 or close > pos:
+                return len(body) if close < 0 else close
+    return len(body)
+
+
 def separate_scans(body: str, visible_vars: dict[str, str], fn_names: set[str],
                    params: tuple[str, ...]):
     """`ccim.parse.scan_body`'s (locals, reads, writes, calls, internal) for a
-    whole body, from one scan per result as the parser made them before."""
-    locals_ = {m.group(1) for rx in (_VALUE_LOCAL_RE, _LOCATED_LOCAL_RE) for m in rx.finditer(body)}
-    shadowed = set(params) | locals_
+    whole body, from one scan per result as the parser made them before. A
+    param shadows state in the whole body, a local from its name to the end
+    of the block it is declared in."""
+    scopes = [(m.group(1), m.start(1), _block_end(body, m.start(1)))
+              for rx in (_VALUE_LOCAL_RE, _LOCATED_LOCAL_RE) for m in rx.finditer(body)]
     reads, writes = set(), set()
     for m in _IDENT_RE.finditer(body):
         var = m.group()
-        if var not in visible_vars or var in shadowed:
+        if var not in visible_vars or var in params or any(
+                name == var and since <= m.start() < until for name, since, until in scopes):
             continue
-        before = body[max(0, m.start() - 8):m.start()]
+        before = body[:m.start()].rstrip()
         if _DELETE_BEFORE_RE.search(before):
             kind = "write"
         elif _INCDEC_BEFORE_RE.search(before):
@@ -449,7 +462,7 @@ def separate_scans(body: str, visible_vars: dict[str, str], fn_names: set[str],
     internal = {m.group(1) for m in _PLAIN_CALL_RE.finditer(body)
                 if m.group(1) in fn_names and m.group(1) not in visible_vars
                 and m.group(1) not in parse._NON_TYPE_KEYWORDS}
-    return locals_, reads, writes, calls, internal
+    return {name for name, _, _ in scopes}, reads, writes, calls, internal
 
 
 def _suffix_kind(body: str, pos: int) -> str:

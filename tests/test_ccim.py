@@ -224,6 +224,33 @@ def test_parse_params_and_locals_shadowing():
     assert rec.reads == {"stock"}
 
 
+def _fee_uses(body: str) -> tuple[set[str], set[str]]:
+    """(reads, writes) of `g(uint256 f, bool x)` with `body`, in a contract
+    whose state is `fee` and the mapping `pos`."""
+    src = _source_from_text("contract C {\n    uint256 public fee;\n"
+                            "    mapping(uint256 => uint256) public pos;\n"
+                            f"    function g(uint256 f, bool x) external {{\n        {body}\n    }}\n}}\n")
+    [rec] = parse_function_records(src)
+    return set(rec.reads), set(rec.writes)
+
+
+@pytest.mark.parametrize("body, reads, writes", [
+    # a local shadows state from its declaration to the end of its block
+    ("if (x) { uint256 fee = 1; f += fee; } fee = f;", set(), {"fee"}),
+    ("fee = f; { uint256 fee = 2; }", set(), {"fee"}),
+    ("for (uint256 i = 0; i < f; i++) { uint256 fee = f; } fee = f;", set(), {"fee"}),
+    ("uint256 g = fee; uint256 fee = f;", {"fee"}, set()),
+    ("{ uint256 fee = f; fee += 1; }", set(), set()),
+    # a `delete` or a prefix `++` writes the state after it, across a
+    # comment or a line break
+    ("delete /* reset */ fee;", set(), {"fee"}),
+    ("delete\n            pos[1];", set(), {"pos"}),
+    ("++ /* bump */ fee;", {"fee"}, {"fee"}),
+])
+def test_shadowing_is_per_block_and_writes_read_past_whitespace(body, reads, writes):
+    assert _fee_uses(body) == (reads, writes)
+
+
 def test_parse_compound_and_index_writes():
     src = _source_from_text(
         "contract C {\n"

@@ -135,6 +135,25 @@ def test_bva_irrational_bound(tmp_path):
     assert "bva-irrational-bound" in _ids(signals)
 
 
+@pytest.mark.parametrize("body, expected", [
+    # branch conditions bound nothing; an `if (c) revert` guard bounds c negated
+    ("if (amount < 1000) { amount = 1; } if (amount > 5000) { amount = 2; }", []),
+    ("if (x > 100) revert(); require(x > 200);", ["bounds on x admit no value (> 200 vs <= 100)"]),
+])
+def test_bva_bounds_are_the_guards(tmp_path, body, expected):
+    from solaudit.ccim import assemble_ccim
+    from solaudit.ingest import build_audit_source, classify_files
+    (tmp_path / "b.sol").write_text(
+        "pragma solidity ^0.8.0;\n"
+        "contract B {\n"
+        "    uint256 public amount;\n"
+        f"    function f(uint256 x) external {{\n        {body}\n    }}\n"
+        "}\n"
+    )
+    signals = run_bva(assemble_ccim(build_audit_source(classify_files(tmp_path))))
+    assert [s.description for s in signals if s.id == "bva-irrational-bound"] == expected
+
+
 def test_bva_literal_arithmetic(tmp_path):
     from solaudit.ccim import assemble_ccim
     from solaudit.ingest import build_audit_source, classify_files

@@ -326,36 +326,56 @@ FACT_SCANS = {
 }
 
 
-def _searched(node: ast.AST) -> ast.AST | None:
-    """What `node` searches for: the pattern of a `re` call, the first
-    argument of a `str` search method, or the left side of an `in` test."""
+def _searched(node: ast.AST) -> tuple[ast.AST, bool] | None:
+    """What `node` searches for, and whether a `str` method does: the pattern
+    of a `re` call, the first argument of a `str` search method, or the left
+    side of an `in` test."""
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.args and (
             node.func.attr in SEARCH_METHODS or node.func.attr in PATTERN_FUNCTIONS | {"compile"}
             and getattr(node.func.value, "id", None) == "re"):
-        return node.args[0]
+        return node.args[0], node.func.attr in SEARCH_METHODS
     if isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
-        return node.left
+        return node.left, False
     return None
 
 
-def _fact_literals(tree: ast.AST, scope: str) -> set[str]:
+def _strings(target: ast.AST, loops: dict[str, list[str]]):
+    """The string constants under `target`, a loop variable over string
+    constants (`loops`: name -> constants) read as each of them."""
+    for c in ast.walk(target):
+        if isinstance(c, ast.Constant) and isinstance(c.value, str):
+            yield c.value
+        elif isinstance(c, ast.Name):
+            yield from loops.get(c.id, ())
+
+
+def _shows_fact(value: str, by_str: bool) -> bool:
+    """Whether a searched literal looks for a body-pass fact: it shows one,
+    or a `str` method searches for the bare word `require`."""
+    return bool(_FACT_SHAPE_RE.search(_SHAPE_NOISE_RE.sub("", value))) or by_str and value == "require"
+
+
+def _fact_literals(tree: ast.AST, scope: str, loops: dict[str, list[str]] | None = None) -> set[str]:
     """The qualified name of the innermost function or class around each
     search under `tree` for a body-pass fact, or, outside any, of the name a
-    module-level assignment binds, or `scope`."""
-    found = set()
+    module-level assignment binds, or `scope`. `loops` holds the loop
+    variables over string constants around `tree`."""
+    found, loops = set(), loops or {}
     for node in ast.iter_child_nodes(tree):
-        inner = scope
+        inner, inner_loops = scope, loops
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = f"{scope}.{node.name}"
         elif isinstance(node, ast.Assign) and isinstance(tree, ast.Module) \
                 and isinstance(node.targets[0], ast.Name):
             inner = f"{scope}.{node.targets[0].id}"
-        elif (target := _searched(node)) is not None and any(
-                isinstance(c, ast.Constant) and isinstance(c.value, str)
-                and _FACT_SHAPE_RE.search(_SHAPE_NOISE_RE.sub("", c.value))
-                for c in ast.walk(target)):
+        elif isinstance(node, ast.For) and isinstance(node.target, ast.Name) \
+                and isinstance(node.iter, (ast.Tuple, ast.List, ast.Set)):
+            inner_loops = {**loops, node.target.id: [
+                e.value for e in node.iter.elts if isinstance(e, ast.Constant) and isinstance(e.value, str)]}
+        elif (searched := _searched(node)) is not None and any(
+                _shows_fact(value, searched[1]) for value in _strings(searched[0], loops)):
             found.add(scope)
-        found |= _fact_literals(node, inner)
+        found |= _fact_literals(node, inner, inner_loops)
     return found
 
 
@@ -397,8 +417,20 @@ def test_only_the_body_pass_looks_for_guards_fund_moves_and_approvals():
         'class K:\n    def f(self, t):\n        return t.find(".approve (")\n'
         'NATIVE = {"call{value:"}\nX = ("require", "if")\n'
         "def g(t, name):\n    return t.find(X[0]) + (name in NATIVE)\n"
+        'def h(t, name):\n    return name in ("require", "if") or t.count("required")\n'
     )}) == {"m._REQUIRE_RE", "m._extract_requires", "m.NATIVE_OUT_RE", "m._sub_locked_ether",
             "m._guard_line", "m.K.f"}
+    # a `str` search for the bare word `require` is a guard scan, and so is
+    # one by a loop variable over string constants that holds it
+    assert _fact_scans({"m": ast.parse(
+        "def _bounds(text, start, end):\n"
+        '    for keyword in ("require", "if"):\n'
+        "        pos = start\n"
+        "        while (at := text.find(keyword, pos, end)) >= 0:\n"
+        "            pos = at + 1\n"
+        "def f(t):\n    for word in (\"if\", \"else\"):\n        t.find(word)\n"
+        'def g(t):\n    return t.rfind("require")\n'
+    )}) == {"m._bounds", "m.g"}
 
 
 def _is_record_key(node: ast.AST) -> bool:

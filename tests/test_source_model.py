@@ -285,7 +285,7 @@ FOLDED = (
 @example("contract interface X {")
 @example("interface contract contract X {")
 @example("contract Axis Base {")
-@example("verify(a < 5) if(a>5) require (a <= 1e18)")   # `if` inside a word is no guard
+@example("verify(a < 5) if(a>5) require (a <= 1e18)")
 @example("int8(uint8(int16(x uint8(")                  # casts whose argument is a cast
 @example("1 - 2 * 3-4")
 @example("Missing Access Control")
@@ -294,8 +294,7 @@ FOLDED = (
 @example("REENTRANCY Race Condition EXTERNAL CALL Calls Out \u212aick st\u0130p")
 @example("Admin-Only: MUST assume ONLY \u0130F; dead\u0131ine nonce \u00dfhare \u00b5 \u212bmount")
 def test_anchored_patterns_match_their_unanchored_forms(text):
-    special = {"_CONTRACT_RE", "_STATE_VAR_RE", "_DIV_THEN_MUL_RE", "DECL_RE", "_BOUND_RE",
-               "_DOWNCAST_RE"}
+    special = {"_CONTRACT_RE", "_STATE_VAR_RE", "_DIV_THEN_MUL_RE", "DECL_RE", "_DOWNCAST_RE"}
     for (module, name), old in UNANCHORED.items():
         if name not in special and (module, name) not in FOLDED:
             new = getattr(importlib.import_module(f"solaudit.{module}"), name)
@@ -326,10 +325,6 @@ def test_anchored_patterns_match_their_unanchored_forms(text):
             for start, kind, _, whole in ingest.declarations(text, parse._CONTRACT_RE)] == \
         [(m.start(3), m.end(), "abstract" if m.group(2) else m.group(3), *m.groups()[3:])
          for m in re.finditer(UNANCHORED["ccim.parse", "_CONTRACT_RE"], text)]
-    # the `require` and `if` passes, merged by offset
-    assert bva._bounds(text, 0, len(text)) == \
-        [(m.group(1), m.group(2), float(m.group(3)), m.start())
-         for m in re.finditer(UNANCHORED["engines.bva", "_BOUND_RE"], text)]
     # a cast is found from its `int`, and reported from its `u`
     assert [hit[4:] for hit in _rule(patterns._rule_unsafe_downcast, text)] == \
         [(m.start(), f"narrowing cast to {m.group(1)} can silently truncate")
@@ -363,12 +358,18 @@ _STATEMENT = st.sampled_from([
     "owner.call{value: total}(x);", "x . transfer (1);", "token.approve(peer, 0);",
     "peer.safeApprove(owner, 1);", "x.approve(bal [a], total);", "approve(owner, 1);",
     "x.approve(", "unchecked{ }",
+    # locals declared in a block shadow state to its end, a loop header's in
+    # the block around the loop; writes past a line break
+    "{ uint256 total = 2; total += 1; }", "if (flag) { Foo memory peer = y; peer = z; }",
+    "for (uint256 flag = 0; flag < 2; flag++) { bool owner = true; }", "{ { uint total = 1; } }",
+    "unchecked { memory arr = total; }", "delete\n arr;", "++\n\ttotal;", "} total = 1;",
 ])
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_STATEMENT, max_size=12).map(" ".join),
        st.sampled_from([(), ("total",), ("x", "owner")]))
+@example("peer.ping(); Foo memory peer = y;", ())     # a use before the local's declaration
 def test_one_identifier_pass_matches_separate_scans(body, params):
     fn_names = {"f", "g", "total"}
     effects = scan_body(body, 0, len(body), bracket_pairs(body), parse.callee_receivers(_STATE),
@@ -385,6 +386,59 @@ def test_one_identifier_pass_matches_separate_scans(body, params):
         separate_fact_scans(body)
     offsets = [pos for pos, _, _ in effects]
     assert offsets == sorted(offsets)
+
+
+# the openers of a nested block and its closer, and whether the block runs
+# whenever the code around it does
+_OPENERS = (
+    ("{", "}", True), ("unchecked {", "}", True), ("if (c) {", "}", False),
+    ("if (c) { } else {", "}", False), ("for (;;) {", "}", False), ("while (c) {", "}", False),
+    ("do {", "} while (c);", False), ("try t.f() returns (uint v) {", "}", False),
+    ("try t.f() { } catch {", "}", False), ("if (c) unchecked {", "}", False),
+)
+# what may lead a guard: nothing, or the brace-less body of an `if` or an `else`
+_GUARD_LEADS = ("", "if (c) ", "if (c) x = 1; else ")
+_FLIPPED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!="}
+
+
+def _guarded_block(data, runs: bool, depth: int, out: list[str], tags: list) -> None:
+    """Append to `out` the statements of a block that, when `runs`, runs
+    whenever the body does; `tags` gets (offset, normal form, whether it
+    guards the body, bound) per guard written, the bound as `bva` reads it."""
+    for _ in range(data.draw(st.integers(0, 3))):
+        choice = data.draw(st.sampled_from(("guard", "plain", "block") if depth < 3 else ("guard", "plain")))
+        if choice == "block":
+            opener, closer, block_runs = data.draw(st.sampled_from(_OPENERS))
+            out.append(f"{opener} ")
+            _guarded_block(data, runs and block_runs, depth + 1, out, tags)
+            out.append(f"{closer} ")
+        elif choice == "plain":
+            out.append("x = 1; ")
+        else:
+            lead = data.draw(st.sampled_from(_GUARD_LEADS))
+            op, n = data.draw(st.sampled_from(tuple(_FLIPPED))), len(tags)
+            reverts = data.draw(st.booleans())
+            guard = f"if (v{n} {op} {n}) revert();" if reverts else f"require(v{n} {op} {n});"
+            held = _FLIPPED[op] if reverts else op
+            tags.append((len("".join(out)) + len(lead), f"v{n}{held}{n}", runs and not lead,
+                         (f"v{n}", held, float(n)) if held in ("<", "<=", ">", ">=") else None))
+            out.append(f"{lead}{guard} ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_guards_are_the_statements_that_always_run(data):
+    # a guard counts where its every block runs whenever the body does and
+    # it is no brace-less `if` or `else` body: known by construction
+    out, tags = [], []
+    _guarded_block(data, True, 0, out, tags)
+    body = "".join(out)
+    effects = scan_body(body, 0, len(body), bracket_pairs(body), {}, set(), ())
+    guards = [(pos, name) for pos, kind, name in effects if kind == "require"]
+    assert guards == [(pos, name) for pos, name, runs, _ in tags if runs]
+    # BVA's bounds are those guards' leading comparisons
+    assert [(b.group(1), b.group(2), float(b.group(3))) for _, name in guards
+            if (b := bva._BOUND_RE.match(name))] == [bound for _, _, runs, bound in tags if runs and bound]
 
 
 # call shapes around the fund-movement patterns: each of them, spaced and
