@@ -4,9 +4,10 @@ trust views, and the canonical JSON form."""
 
 from __future__ import annotations
 
-import json
 import logging
+import math
 import re
+from json.encoder import encode_basestring_ascii
 
 from ..ingest import AuditSource
 from .parse import (
@@ -353,4 +354,77 @@ def ccim_to_dict(model: CcimModel) -> dict:
 
 
 def ccim_to_json(model: CcimModel) -> str:
-    return json.dumps(ccim_to_dict(model), indent=2, sort_keys=True)
+    """`canonical_json` of `ccim_to_dict`: the golden form of the model."""
+    return canonical_json(ccim_to_dict(model))
+
+
+def _float_text(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+# the text of a scalar of exactly each type; a container writes such an item
+# inline, which halves the encode of a report of many small fields
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def canonical_json(value) -> str:
+    """The canonical JSON text of `value`: `json.dumps(value, indent=2,
+    sort_keys=True)` byte for byte, in one recursive pass. The standard
+    library's C encoder serves only an unindented dump, so an indented one
+    runs its pure-Python generator chain. Takes str (ASCII-escaped), int,
+    float (NaN and infinities spelled `NaN`, `Infinity` and `-Infinity`),
+    bool and None, each of exactly that type, lists and tuples, and dicts
+    with str keys, written in key order; an empty container is `{}` or `[]`,
+    and anything else, a subclass of a scalar type too, raises TypeError.
+    The one JSON writer of the reports and the model."""
+    parts: list[str] = []
+    _encode(value, "\n", parts.append)
+    return "".join(parts)
+
+
+def _encode(value, newline: str, push) -> None:
+    """Push the text of `value`, each line of its containers led by
+    `newline` and a further indent."""
+    if text := _SCALAR_TEXT.get(type(value)):
+        push(text(value))
+    elif isinstance(value, dict):
+        if not value:
+            push("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item = value[key]
+            if text := _SCALAR_TEXT.get(type(item)):
+                push(f"{lead}{encode_basestring_ascii(key)}: {text(item)}")
+            else:
+                push(f"{lead}{encode_basestring_ascii(key)}: ")
+                _encode(item, inner, push)
+            lead = "," + inner
+        push(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            push("[]")
+            return
+        inner = newline + "  "
+        lead = "[" + inner
+        for item in value:
+            if text := _SCALAR_TEXT.get(type(item)):
+                push(lead + text(item))
+            else:
+                push(lead)
+                _encode(item, inner, push)
+            lead = "," + inner
+        push(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -107,6 +107,18 @@ _BLOCK_LEAD_RE = re.compile(r"(?<=[;{}])|(?<=\b(unchecked))")
 # what ends the token before a statement that is the brace-less body of an
 # `if (…)`, a loop or an `else`
 _BRANCH_END_RE = re.compile(r"(?<=\))|(?<=else)")
+# a `for` that ends the token before a loop header's `(`
+_FOR_RE = re.compile(r"(?<![\w.])for")
+# a statement's start past whitespace, and past an `unchecked` that leads a
+# block: (group 1) a keyword whose header and body follow, or (group 2) a
+# `do`, `try` or `assembly`, whose bodies decide where it ends
+_STATEMENT_LEAD_RE = re.compile(
+    r"\s*(?:(if|for|while)\s*(?=\()|(do|try|assembly)(?!\w)|unchecked\s*(?=\{))?")
+_ELSE_RE = re.compile(r"\s*else(?!\w)")
+_CATCH_RE = re.compile(r"\s*catch(?!\w)")
+# what stops a simple statement's scan: its end, the end of the block around
+# it, or a bracket to skip over
+_STATEMENT_STOP_RE = re.compile(r"[;}(\[{]")
 # call shapes, from the end of the callee's first identifier
 _MEMBER_CALL_RE = re.compile(r"\s*\.\s*([A-Za-z_]\w*)\s*[({]")
 _PLAIN_CALL_RE = re.compile(r"\s*\(")
@@ -618,7 +630,8 @@ def scan_body(masked: str, start: int, end: int, brackets: dict[int, int],
       `call{value:`) and `approve` per approval, by its normalized first argument.
     One stack of the open blocks, updated only at a guard, a declaration or
     state while a local is in scope, tells both; a `for` header's local is
-    declared in the block around the loop. The effects linearise the body
+    scoped to its loop, the header and the body, braced or not
+    (`_for_loop_end`). The effects linearise the body
     and know no branch: a rule on their order may over-report across the
     arms of an `if`, and never under-reports along straight-line code."""
     found: list[tuple[int, str, str]] = []
@@ -649,7 +662,10 @@ def scan_body(masked: str, start: int, end: int, brackets: dict[int, int],
         word = m.group()
         if m.lastindex and (m.lastindex == 2 and _VALUE_TYPE_RE.fullmatch(word)   # `uint256 x =`
                             or word in _LOCATIONS and m.start() >= located_end):  # `memory x`
-            open_at(m.start())[-1][2].add(m.group(1))
+            open_at(m.start())
+            if (loop_end := _for_loop_end(masked, start, m.start(), end, brackets)) >= 0:
+                blocks.append((min(loop_end, blocks[-1][0]), False, set()))
+            blocks[-1][2].add(m.group(1))
             scoped = True
             if word in _LOCATIONS:
                 located_end = m.end(1)
@@ -680,6 +696,51 @@ def scan_body(masked: str, start: int, end: int, brackets: dict[int, int],
         elif word not in _NON_TYPE_KEYWORDS and _PLAIN_CALL_RE.match(masked, m.end(), end):
             found.append((pos, "internal", word))
     return tuple(found)
+
+
+def _for_loop_end(masked: str, start: int, pos: int, end: int, brackets: dict[int, int]) -> int:
+    """The offset of the last character of the `for` statement whose header
+    the declaration at `pos`, in the body from `start`, opens; -1 when the
+    nearest `(` before it is no open `for (`."""
+    paren = masked.rfind("(", start, pos)
+    if paren < 0 or not pos < brackets.get(paren, -1) < end:
+        return -1
+    lead = _token_end(masked, start, paren)
+    if lead - 3 < start or not _FOR_RE.match(masked, lead - 3, lead):
+        return -1
+    return _statement_end(masked, brackets[paren] + 1, end, brackets)
+
+
+def _statement_end(masked: str, pos: int, end: int, brackets: dict[int, int]) -> int:
+    """The offset of the last character of the statement from `pos`, before
+    `end`: a block's `}`, the end of the body or last branch of an `if`,
+    `for` or `while`, the `;` after a `do` body's `while (…)`, the `}` of an
+    `assembly` block or of a `try`'s last `catch` block, else the first `;`
+    outside brackets, or the character before a `}` that closes the block
+    around it; an unclosed one runs to `end`."""
+    lead = _STATEMENT_LEAD_RE.match(masked, pos, end)
+    if masked.startswith("{", lead.end(), end):
+        return min(brackets.get(lead.end(), end), end)
+    if lead.group(1):
+        if (close := brackets.get(lead.end(), end)) >= end:
+            return end
+        last = _statement_end(masked, close + 1, end, brackets)
+        if lead.group(1) == "if" and (other := _ELSE_RE.match(masked, last + 1, end)):
+            return _statement_end(masked, other.end(), end, brackets)
+        return last
+    keyword, at = lead.group(2), lead.end()
+    if keyword == "do":
+        at = _statement_end(masked, at, end, brackets) + 1
+    while stop := _STATEMENT_STOP_RE.search(masked, at, end):
+        if stop.group() in ";}":
+            return stop.start() - (stop.group() == "}")
+        if (close := brackets.get(stop.start(), end)) >= end:
+            return end
+        if stop.group() == "{" and keyword in ("try", "assembly") \
+                and not (keyword == "try" and _CATCH_RE.match(masked, close + 1, end)):
+            return close
+        at = close + 1
+    return end
 
 
 def _fact_effect(masked: str, m: re.Match, start: int, end: int,

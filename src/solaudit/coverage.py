@@ -294,9 +294,11 @@ def gap_reaudit_prompts(gap_set: tuple[str, ...] | list[str], ccim: CcimModel,
     return [prompt for _, prompt in prompts.pack(prompts.GAP_REAUDIT, "features", sections, budget)]
 
 
-def risk_profile(record: FunctionRecord, masked: str) -> float:
+def risk_profile(record: FunctionRecord, masked: str, financial: set[str] | None = None) -> float:
     """Additive structural risk score over the six named factors; arithmetic
-    operators are counted over the record's span of the audit's `masked` source."""
+    operators are counted over the record's span of the audit's `masked`
+    source. `financial`, when given, holds the state names of the audit that
+    `_FINANCIAL_NAME_RE` matches, each tested once (`key_risks`)."""
     score = 0.0
     if record.vis in ("external", "public"):
         score += RISK_WEIGHTS["external_vis"]
@@ -306,17 +308,23 @@ def risk_profile(record: FunctionRecord, masked: str) -> float:
     score += RISK_WEIGHTS["per_external_call"] * len(record.call_sites)
     ops = sum(map(masked[slice(*record.span)].count, "+-*/%"))
     score += min(RISK_WEIGHTS["arithmetic_bucket_max"], ops / 5.0)
-    if any(_FINANCIAL_NAME_RE.search(fold(v)) for v in record.writes | record.reads):
+    names = record.writes | record.reads
+    if financial is None:
+        financial = {v for v in names if _FINANCIAL_NAME_RE.search(fold(v))}
+    if not financial.isdisjoint(names):
         score += RISK_WEIGHTS["financial_name"]
     return score
 
 
 def key_risks(ccim: CcimModel) -> dict[FnKey, float]:
     """Every function's risk, in key order: the highest `risk_profile` among
-    its overloads. Made once per audit; phase C's ranking and each
-    `attention_residual` read it."""
+    its overloads, each distinct state name tested against
+    `_FINANCIAL_NAME_RE` once. Made once per audit; phase C's ranking and
+    each `attention_residual` read it."""
     masked = ccim.parsed.masked
-    return {key: max(risk_profile(r, masked) for r in ccim.records_of((key,)))
+    names = {v for r in ccim.records for v in r.writes | r.reads}
+    financial = {v for v in names if _FINANCIAL_NAME_RE.search(fold(v))}
+    return {key: max(risk_profile(r, masked, financial) for r in ccim.records_of((key,)))
             for key in ccim.keys}
 
 
@@ -325,18 +333,20 @@ def attention_residual(ccim: CcimModel, risk: dict[FnKey, float], discussed_name
     """Partition the inventory by comparing mentioned function names against
     the full parsed set; mentioned functions with an unaddressed critical
     aspect (fund movement, external calls) in any overload are
-    partial-attention. `risk` is the audit's `key_risks`."""
+    partial-attention. Whether the output addresses each aspect reads only
+    `output_text`, so each is tested once per call. `risk` is the audit's
+    `key_risks`."""
     lowered = output_text.lower()
+    fund_named = any(k in lowered for k in ASPECT_KEYWORDS["fund"])
+    call_named = any(k in lowered for k in ASPECT_KEYWORDS["external_call"])
     status: dict[FnKey, str] = {}
     for key in ccim.keys:
         if key[1] not in discussed_names:
             status[key] = "unattended"
             continue
         recs = ccim.records_of((key,))
-        unaddressed = ((any(r.fund_flag for r in recs)
-                        and not any(k in lowered for k in ASPECT_KEYWORDS["fund"]))
-                       or (any(r.call_sites for r in recs)
-                           and not any(k in lowered for k in ASPECT_KEYWORDS["external_call"])))
+        unaddressed = ((not fund_named and any(r.fund_flag for r in recs))
+                       or (not call_named and any(r.call_sites for r in recs)))
         status[key] = "partial-attention" if unaddressed else "discussed"
     return ResidualClassification(status=status, risk_score=risk)
 

@@ -409,11 +409,13 @@ def run_phase_c(ccim: CcimModel, reasoner: Reasoner, risk: dict[FnKey, float],
 def _vector_match(finding: Finding, signals: MergedSignals | None) -> bool:
     if signals is None:
         return False
-    text = finding.text().lower()
+    text = None     # lower-cased once a retained signal lies on an affected function
     affected = set(finding.affected_functions)
     for s in signals.retained:
         if s.function not in affected:
             continue
+        if text is None:
+            text = finding.text().lower()
         for prefix, keywords in DEFAULT_VECTOR_CATALOGUE.items():
             if s.id.startswith(prefix) and any(k in text for k in keywords):
                 return True

@@ -160,13 +160,16 @@ def _muldiv_shapes(parsed: ParsedSource, record: FunctionRecord) -> list[tuple[s
 # (vi) formula-mismatch across paired functions
 def _sub_formula_mismatch(ccim: CcimModel) -> list[Signal]:
     """Every overload is checked; a pair of keys gets at most one signal, from
-    its first mismatching pair of records in record order."""
+    its first mismatching pair of records in record order. A record with no
+    mul/div shape matches nothing, so only shaped records are paired; where
+    every record has a shape the pairs are still all compared."""
     signals = []
     for contract in scope_contracts(ccim):
-        records = ccim.owned(contract)
-        shapes = {id(r): _muldiv_shapes(ccim.parsed, r) for r in records}
+        shaped = [(r, found) for r in ccim.owned(contract)
+                  if (found := _muldiv_shapes(ccim.parsed, r))]
+        shapes = {id(r): found for r, found in shaped}
         flagged = set()
-        for ra, rb in counter_pairs(records):
+        for ra, rb in counter_pairs([r for r, _ in shaped]):
             if (ra.key, rb.key) in flagged:
                 continue
             hit = next(((ops_a, ops_b, ids_a & ids_b) for ops_a, ids_a in shapes[id(ra)]

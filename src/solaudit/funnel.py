@@ -132,8 +132,11 @@ def sve_layer1(finding: Finding, ccim: CcimModel) -> VerdictRecord:
       a helper that the function runs lies outside them.
     - 8, no external call: the `call` effects, member calls on state that can
       hold a contract. A call on a parameter, a local or a cast, a low-level
-      call on an address, or one in assembly or in a helper is not seen."""
-    impact = classify_impact(finding.text())
+      call on an address, or one in assembly or in a helper is not seen.
+    The claimed impact is the card's, which the merge classified from the
+    same text; only a finding with no card, one raised after the funnel ran,
+    is classified here."""
+    impact = finding.card.impact_class if finding.card else classify_impact(finding.text())
     recs = ccim.records_of(finding.affected_functions)
 
     def disproved(check: str, line: int, note: str) -> VerdictRecord:
@@ -161,9 +164,9 @@ def sve_layer1(finding: Finding, ccim: CcimModel) -> VerdictRecord:
     return VerdictRecord(finding.id, "sve_layer1", "PASSED", "all eight checks passed")
 
 
-def access_control_bundle(finding: Finding, ccim: CcimModel) -> dict:
-    """The parsed access-control facts of every affected function plus the
-    role hierarchy: the evidence a layer-2 severity is judged against."""
+def access_control_bundle(finding: Finding, ccim: CcimModel) -> list[dict]:
+    """The parsed access-control facts of every affected function: with the
+    role hierarchy, the evidence a layer-2 severity is judged against."""
     functions = []
     for rec in ccim.records_of(finding.affected_functions):
         k = rec.key
@@ -176,27 +179,34 @@ def access_control_bundle(finding: Finding, ccim: CcimModel) -> dict:
             "moves_funds": ccim.footprints.fund.get(k, False),
             "admin": ccim.is_admin(k),
         })
-    return {
-        "functions": functions,
-        "role_hierarchy": sorted(f"{o}.{n}" for o, n in ccim.admin_set),
-    }
+    return functions
 
 
-def sve_layer2(finding: Finding, ccim: CcimModel, reasoner: Reasoner,
+# the one JSON writer of the layer-2 evidence lines
+_EVIDENCE_JSON = json.JSONEncoder(sort_keys=True).encode
+
+
+def role_hierarchy_line(ccim: CcimModel) -> str:
+    """Layer 2's `role_hierarchy:` evidence line, the same for every
+    finding: each admin function, `Owner.name`, sorted."""
+    return f"role_hierarchy: {_EVIDENCE_JSON(sorted(f'{o}.{n}' for o, n in ccim.admin_set))}"
+
+
+def sve_layer2(finding: Finding, ccim: CcimModel, reasoner: Reasoner, roles: str,
                budget: int = DEFAULT_CHAR_BUDGET) -> VerdictRecord:
     """Final evidence-packaged verdict; parse failures and backend failures
     degrade to UNCERTAIN, never to DISPROVED. A reply's "severity" naming a
     level of SEVERITY_RANK, in any case, sets the finding's severity and
     flags it `recalibrated`; any other value is ignored. The evidence is
-    one `role_hierarchy:` line, one JSON line per function of
+    `roles`, the `role_hierarchy:` line of `role_hierarchy_line` that the
+    caller makes once for every finding, one JSON line per function of
     `access_control_bundle`, an `evidence_lines:` line and each affected
     function's `prompts.source_block`, its bodies as written."""
-    bundle = access_control_bundle(finding, ccim)
     keys = dict.fromkeys(k for k in finding.affected_functions if ccim.records_of((k,)))
     evidence = "\n".join([
-        f"role_hierarchy: {json.dumps(bundle['role_hierarchy'])}",
-        *(json.dumps(fn, sort_keys=True) for fn in bundle["functions"]),
-        f"evidence_lines: {json.dumps(finding.evidence_lines)}",
+        roles,
+        *map(_EVIDENCE_JSON, access_control_bundle(finding, ccim)),
+        f"evidence_lines: {_EVIDENCE_JSON(finding.evidence_lines)}",
         *(prompts.source_block(ccim, k) for k in keys),
     ])
     prompt = prompts.render(
@@ -280,7 +290,8 @@ def run_funnel(merged: MergedFindingSet, ccim: CcimModel, reasoner: Reasoner,
     stats["stages"].append({"stage": "stage4", "in": len(current), "out": len(current),
                             "verdicts": {"SCORED": len(current)}})
     apply_stage("sve_layer1", lambda f: sve_layer1(f, ccim))
-    apply_stage("sve_layer2", lambda f: sve_layer2(f, ccim, reasoner, budget))
+    roles = role_hierarchy_line(ccim)
+    apply_stage("sve_layer2", lambda f: sve_layer2(f, ccim, reasoner, roles, budget))
 
     stats["final"] = len(current)
     return current, stats

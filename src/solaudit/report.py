@@ -3,12 +3,11 @@ map, funnel statistics, coverage tables, and byte-stable Markdown/JSON output.""
 
 from __future__ import annotations
 
-import json
 import logging
 from pathlib import Path
 from typing import NamedTuple
 
-from .ccim import CcimModel
+from .ccim import CcimModel, canonical_json
 from .coverage import CoverageReport, ResidualClassification
 from .findings import Finding
 from .funnel import stats_to_dict
@@ -91,6 +90,8 @@ def _finding_dict(f: Finding, citations: list[dict]) -> dict:
 
 
 def report_to_json(report: AuditReport) -> str:
+    """The report's `canonical_json` form, findings in sort-key order, with
+    a closing newline."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "scope": list(report.scope),
@@ -106,7 +107,7 @@ def report_to_json(report: AuditReport) -> str:
         },
         "ccim_summary": report.ccim_summary,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return canonical_json(doc) + "\n"
 
 
 def report_to_markdown(report: AuditReport) -> str:

@@ -405,6 +405,7 @@ def separate_fact_scans(body: str) -> tuple[list[str], bool, bool, bool, list[st
 _IDENT_RE = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
 _VALUE_LOCAL_RE = re.compile(r"\b(?:u?int\d*|bool|address|bytes\d*|byte|string)\s+([A-Za-z_]\w*)\s*=")
 _LOCATED_LOCAL_RE = re.compile(r"\b(?:memory|calldata|storage)\s+([A-Za-z_]\w*)\b")
+_FOR_HEADER_RE = re.compile(r"\bfor\s*\(")
 _DELETE_BEFORE_RE = re.compile(r"\bdelete$")
 _INCDEC_BEFORE_RE = re.compile(r"(\+\+|--)$")
 _MEMBER_CALL_RE = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\s*\.\s*([A-Za-z_]\w*)\s*[({]")
@@ -426,13 +427,67 @@ def _block_end(body: str, pos: int) -> int:
     return len(body)
 
 
+def _scope_end(body: str, pos: int) -> int:
+    """The end of the scope of a local named at `pos`: for one in a `for`
+    header, the loop statement (`_statement_stop`); else the innermost block
+    around it (`_block_end`)."""
+    for m in _FOR_HEADER_RE.finditer(body):
+        close = brute_force_close(body, m.end() - 1, len(body))
+        if m.end() <= pos < close:
+            return _statement_stop(body, close + 1)
+    return _block_end(body, pos)
+
+
+def _statement_stop(body: str, i: int) -> int:
+    """The offset of the last character of the statement at body[i:], or the
+    body's length when it does not end: a braced block to its `}`, an `if`,
+    `for` or `while` through its body and an `if`'s `else`, a `do` through
+    its body and `while (…);`, an `assembly` through its block and a `try`
+    through its blocks and every `catch`; any other statement to its first
+    `;` outside brackets, or to just before a `}` that closes the block
+    around it."""
+    i += len(body[i:]) - len(body[i:].lstrip())
+    word = re.match(r"[A-Za-z_]\w*", body[i:])
+    word = word.group() if word else ""
+    after = i + len(word) + len(body[i + len(word):]) - len(body[i + len(word):].lstrip())
+    if body.startswith("{", i) or word == "unchecked" and body.startswith("{", after):
+        close = brute_force_close(body, after if word else i, len(body))
+        return len(body) if close < 0 else close
+    if word in ("if", "for", "while") and body.startswith("(", after):
+        close = brute_force_close(body, after, len(body))
+        if close < 0:
+            return len(body)
+        last = _statement_stop(body, close + 1)
+        rest = body[last + 1:]
+        if word == "if" and re.match(r"\s*else(?!\w)", rest):
+            return _statement_stop(body, last + 1 + rest.index("else") + 4)
+        return last
+    j = _statement_stop(body, after) + 1 if word == "do" else i
+    while j < len(body):
+        if body[j] == ";":
+            return j
+        if body[j] == "}":
+            return j - 1
+        if body[j] in "([{":
+            close = brute_force_close(body, j, len(body))
+            if close < 0:
+                return len(body)
+            if body[j] == "{" and (word == "assembly" or word == "try"
+                                   and not re.match(r"\s*catch(?!\w)", body[close + 1:])):
+                return close
+            j = close
+        j += 1
+    return len(body)
+
+
 def separate_scans(body: str, visible_vars: dict[str, str], fn_names: set[str],
                    params: tuple[str, ...]):
     """`ccim.parse.scan_body`'s (locals, reads, writes, calls, internal) for a
     whole body, from one scan per result as the parser made them before. A
     param shadows state in the whole body, a local from its name to the end
-    of the block it is declared in."""
-    scopes = [(m.group(1), m.start(1), _block_end(body, m.start(1)))
+    of the block it is declared in, and a `for` header's to the end of the
+    loop (`_scope_end`)."""
+    scopes = [(m.group(1), m.start(1), _scope_end(body, m.start(1)))
               for rx in (_VALUE_LOCAL_RE, _LOCATED_LOCAL_RE) for m in rx.finditer(body)]
     reads, writes = set(), set()
     for m in _IDENT_RE.finditer(body):

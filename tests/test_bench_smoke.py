@@ -1,8 +1,9 @@
 """Smoke benchmarks, timed by pytest-benchmark for a fixed few rounds: the
 substrate (`assemble_ccim` plus `run_engines`) on a generated 5-contract
-corpus, top-16 pair selection, phase A and phase C on the `deep` shape, and
-a whole scripted audit on the `noisy` shape, where verification does the
-work. The corpus generator is read from the benchmark's `auditbench/`."""
+corpus, top-16 pair selection, phase A and phase C on the `deep` shape, a
+whole scripted audit on the `noisy` shape, where verification does the
+work, and the JSON form of that audit's report. The corpus generator is
+read from the benchmark's `auditbench/`."""
 
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from solaudit.engines import run_engines
 from solaudit.ingest import build_audit_source, classify_files, resolve_remappings
 from solaudit.interaction import select_pairs
 from solaudit.reasoner import MockReasoner
+from solaudit.report import report_to_json
 
 AUDITBENCH = Path(__file__).resolve().parent.parent / "auditbench"
 
@@ -90,14 +92,20 @@ def test_phase_a_benchmark(benchmark, deep_model):
     assert reasoners and all(r.call_count("phase_a") == 2 for r in reasoners)
 
 
-def test_verification_benchmark(benchmark, gen, tmp_path):
-    # `cli.run` on the `noisy` shape with its scripted reasoner: every funnel
-    # stage and the prose patterns run on about 70 findings
+def _noisy_config(gen, tmp_path) -> tuple[cli.RunConfig, list]:
+    """The `noisy` shape's audit, seed 3, with its scripted reasoner: the run
+    configuration and the scripted claims."""
     corpus = gen.generate(gen.SHAPES["noisy"], seed=3)
     script, claims = gen.noisy_script(corpus, 3)
     root = write_repo(corpus.files, tmp_path / "corpus")
     (tmp_path / "mock.json").write_text(json.dumps(script), encoding="utf-8")
-    config = cli.RunConfig(path=str(root), mock_script=str(tmp_path / "mock.json"))
+    return cli.RunConfig(path=str(root), mock_script=str(tmp_path / "mock.json")), claims
+
+
+def test_verification_benchmark(benchmark, gen, tmp_path):
+    # `cli.run` on the `noisy` shape with its scripted reasoner: every funnel
+    # stage and the prose patterns run on about 70 findings
+    config, claims = _noisy_config(gen, tmp_path)
     reports: list[cli.AuditReport] = []
 
     def audit():
@@ -110,3 +118,11 @@ def test_verification_benchmark(benchmark, gen, tmp_path):
     for report in reports:
         titles = {f.title for f in report.findings}
         assert [c.title in titles for c in claims] == [c.true for c in claims]
+
+
+def test_report_json_benchmark(benchmark, gen, tmp_path):
+    # the report of one `noisy` audit, written as JSON five times
+    report = cli.run(_noisy_config(gen, tmp_path)[0])
+    text = benchmark.pedantic(report_to_json, args=(report,), rounds=5, iterations=1)
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert len(json.loads(text)["findings"]) == len(report.findings) > 0

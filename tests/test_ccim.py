@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 from corpus import REPOS
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import (
     brute_force_callbacks,
     brute_force_footprints,
@@ -13,6 +16,7 @@ from oracles import (
 
 from solaudit.ccim import (
     assemble_ccim,
+    canonical_json,
     ccim_to_json,
     classify_admin,
     normalize_predicate,
@@ -143,13 +147,19 @@ def test_a_require_in_a_branch_or_loop_guards_no_function():
             "    function checked(uint256 f) external {\n"
             "        require(msg.sender == owner);\n        if (locked) { fee = 1; }\n"
             "        fee = f;\n    }\n"
+            # the loop ends at its brace-less `assembly` body's `}`
+            "    function afterLoop(uint256 f) external {\n"
+            "        for (uint256 i = 0; i < f; i++) assembly { }\n"
+            "        require(msg.sender == owner);\n        fee = f;\n    }\n"
             "}\n")
     records = {r.name: r for r in parse_function_records(_source_from_text(text))}
     for name in ("setFee", "setFee2", "setFee3", "setFee4", "setFee5", "setFee6", "setFee7"):
         assert records[name].guards == (), name
         assert not [e for e in records[name].effects if e[1] == "require"], name
-    assert records["guarded"].guards == records["checked"].guards == ("msg.sender==owner",)
-    assert classify_admin(list(records.values())) == {("C", "guarded"), ("C", "checked")}
+    assert records["guarded"].guards == records["checked"].guards == records["afterLoop"].guards \
+        == ("msg.sender==owner",)
+    assert classify_admin(list(records.values())) == \
+        {("C", "guarded"), ("C", "checked"), ("C", "afterLoop")}
 
 
 @pytest.mark.parametrize("opener", ["unchecked {", "{"], ids=["unchecked", "bare"])
@@ -246,6 +256,14 @@ def _fee_uses(body: str) -> tuple[set[str], set[str]]:
     ("delete /* reset */ fee;", set(), {"fee"}),
     ("delete\n            pos[1];", set(), {"pos"}),
     ("++ /* bump */ fee;", {"fee"}, {"fee"}),
+    # a `for` header's local shadows state in the loop alone, braced or not
+    ("for (uint256 fee = 0; fee < f; fee++) { } fee = f;", set(), {"fee"}),
+    ("for (uint256 fee = 0; fee < f; fee++) { fee += 1; }", set(), set()),
+    ("for (uint256 fee = 0; fee < f; fee++) if (x) f += fee; else f -= fee; fee = f;",
+     set(), {"fee"}),
+    ("for (uint256 fee = 0; fee < f; fee++) assembly { } fee = f;", set(), {"fee"}),
+    ("for (uint256 fee = 0; fee < f; ) try p.q() { } catch { fee = 1; } fee = f;", set(), {"fee"}),
+    ("for (uint256 fee = 0; fee < f; ) do fee++; while (fee < f); fee = f;", set(), {"fee"}),
 ])
 def test_shadowing_is_per_block_and_writes_read_past_whitespace(body, reads, writes):
     assert _fee_uses(body) == (reads, writes)
@@ -623,12 +641,37 @@ def test_serialization_deterministic(sources):
 
 def test_serialization_stable_against_golden(models, tmp_path):
     # structure sanity: round-trips as JSON and keeps the top-level sections
-    import json
     doc = json.loads(ccim_to_json(models["vault_oracle"]))
     assert set(doc) == {"records", "resolution", "graph", "footprints", "deps",
                         "trust", "admin", "scope"}
     assert doc["deps"]["rot"] == ["Vault.oracle"]
     assert doc["graph"]["edges"] == ["Vault.withdraw -> ChainOracle.latestPrice"]
+
+
+# strings with non-ASCII, control, astral and lone surrogate characters
+_JSON_TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
+                               st.sampled_from('\x00\x1f\x7f"\\/\u00e9\u2028\ud800\U0001f600')))
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), _JSON_TEXT,
+    st.integers(), st.integers(2 ** 64, 2 ** 200), st.integers(-2 ** 200, -2 ** 64),
+    st.floats(), st.sampled_from([-0.0, 1e16, 5e-324, float("nan"), float("inf"), float("-inf")]))
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_JSON_TEXT, inner, max_size=4)), max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+@example({"b": [], "a": {}, "c": (), "": [{}, [[]]]})
+def test_canonical_json_is_the_indented_sorted_dump(value):
+    assert canonical_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, [set()], {"a": b"x"}, object(),
+                                   [type("Text", (str,), {})("x")]])
+def test_canonical_json_rejects_what_it_does_not_write(value):
+    with pytest.raises(TypeError):
+        canonical_json(value)
 
 
 GOLDEN_CCIM = Path(__file__).parent / "golden" / "ccim"

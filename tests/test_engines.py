@@ -47,6 +47,26 @@ def test_bva_formula_mismatch(models):
     assert mism[0].function[0] == "Pricer"  # ConsistentPricer stays clean
 
 
+def test_bva_pairs_only_records_with_a_formula(models, deep_model, monkeypatch):
+    from solaudit.engines import bva
+    compared = []
+
+    def counting(records):
+        pairs = counter_pairs(records)
+        compared.append(len(pairs))
+        return pairs
+
+    monkeypatch.setattr(bva, "counter_pairs", counting)
+    # no record of the `deep` shape has a mul/div formula: 2,400 record
+    # pairs were compared while every record was paired
+    bva._sub_formula_mismatch(deep_model[0])
+    assert sum(compared) == 0
+    # a true mismatch is still paired and flagged
+    compared.clear()
+    mism = bva._sub_formula_mismatch(models["formula_pair"])
+    assert sum(compared) > 0 and [s.function[0] for s in mism] == ["Pricer"]
+
+
 _MISMATCHING_DEPOSIT = ("    function deposit(uint256 a) external {\n"
                         "        total += a * price / 1e18;\n"
                         "    }\n")

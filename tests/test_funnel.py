@@ -12,6 +12,7 @@ from solaudit.ccim import assemble_ccim
 from solaudit.findings import classify_claim
 from solaudit.funnel import (
     access_control_bundle,
+    role_hierarchy_line,
     run_funnel,
     stage1_verify,
     stage2_filter,
@@ -258,29 +259,31 @@ def test_sve1_clean_finding_passes(models):
 # --- verdict engine layer 2 ------------------------------------------------------------
 
 
+def _sve2(models, finding, reasoner):
+    ccim = models["vault_oracle"]
+    return sve_layer2(finding, ccim, reasoner, role_hierarchy_line(ccim))
+
+
 def test_sve2_verified_maps_confirmed(models):
     f = make_finding(functions=[("Vault", "withdraw")])
     reasoner = scripted([{"stage": "sve_layer2", "match": [],
                           "response": {"verdict": "VERIFIED", "argument": "evidence holds"}}])
-    assert sve_layer2(f, models["vault_oracle"], reasoner).verdict \
-        == "CONFIRMED"
+    assert _sve2(models, f, reasoner).verdict == "CONFIRMED"
 
 
 def test_sve2_disproved_needs_argument(models):
     f = make_finding(functions=[("Vault", "withdraw")])
     with_arg = scripted([{"stage": "sve_layer2", "match": [],
                           "response": {"verdict": "DISPROVED", "quote": "require(amount > 0)"}}])
-    assert sve_layer2(f, models["vault_oracle"], with_arg).verdict \
-        == "DISPROVED"
+    assert _sve2(models, f, with_arg).verdict == "DISPROVED"
     without = scripted([{"stage": "sve_layer2", "match": [],
                          "response": {"verdict": "DISPROVED"}}])
-    assert sve_layer2(f, models["vault_oracle"], without).verdict \
-        == "UNCERTAIN"
+    assert _sve2(models, f, without).verdict == "UNCERTAIN"
 
 
 def test_sve2_failure_uncertain(models):
     f = make_finding(severity="CRITICAL", functions=[("Vault", "withdraw")])
-    assert sve_layer2(f, models["vault_oracle"], ThrowingReasoner()).verdict == "UNCERTAIN"
+    assert _sve2(models, f, ThrowingReasoner()).verdict == "UNCERTAIN"
     assert f.severity == "CRITICAL" and "recalibrated" not in f.flags
 
 
@@ -288,33 +291,33 @@ def test_sve2_reply_severity_recalibrates(models):
     f = make_finding(severity="LOW", functions=[("Vault", "withdraw")])
     reasoner = scripted([{"stage": "sve_layer2", "match": [],
                           "response": {"verdict": "VERIFIED", "severity": "HIGH"}}])
-    assert sve_layer2(f, models["vault_oracle"], reasoner).verdict == "CONFIRMED"
+    assert _sve2(models, f, reasoner).verdict == "CONFIRMED"
     assert f.severity == "HIGH" and "recalibrated" in f.flags
 
 
 def test_sve2_access_control_bundle(models):
     ccim = models["vault_oracle"]
-    bundle = access_control_bundle(make_finding(functions=[("Vault", "setOracle")]), ccim)
-    entry = bundle["functions"][0]
+    [entry] = access_control_bundle(make_finding(functions=[("Vault", "setOracle")]), ccim)
     assert entry["visibility"] == "external"
     assert entry["modifiers"] == ["onlyOwner"]
     assert entry["admin"] is True
-    assert "Vault.sweep" in bundle["role_hierarchy"]
+    assert '"Vault.sweep"' in role_hierarchy_line(ccim)
 
 
 def test_sve2_evidence_sends_each_source_as_written(models):
     ccim = models["vault_oracle"]
     keys = [("Vault", "setOracle"), ("Vault", "withdraw"), ("Nowhere", "nothing")]
     reasoner = RecordingReasoner()
-    sve_layer2(make_finding(functions=keys, lines=(7, 9)), ccim, reasoner)
+    _sve2(models, make_finding(functions=keys, lines=(7, 9)), reasoner)
     [prompt] = reasoner.prompts
     evidence = prompt.split("Packaged evidence:\n")[1].split("\n\nRespond as JSON")[0]
     bundle = access_control_bundle(make_finding(functions=keys), ccim)
+    admins = sorted(f"{o}.{n}" for o, n in ccim.admin_set)
     # one line per fact, then each resolvable function's source block,
     # its body unescaped
     assert evidence.split("\n")[:4] == [
-        f"role_hierarchy: {json.dumps(bundle['role_hierarchy'])}",
-        *(json.dumps(fn, sort_keys=True) for fn in bundle["functions"]),
+        f"role_hierarchy: {json.dumps(admins)}",
+        *(json.dumps(fn, sort_keys=True) for fn in bundle),
         "evidence_lines: [7, 9]"]
     assert evidence.endswith("\n" + "\n".join(prompts.source_block(ccim, k) for k in keys[:2]))
 

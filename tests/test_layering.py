@@ -9,10 +9,10 @@ with a `\b` keyword or a set of first letters, which the regex engine
 cannot jump to, none ignores case, no stage reads a code fact off a
 record's raw declaration text, no scan but the body pass looks for a guard,
 a fund move, an approval or an `unchecked` block, one helper turns that text
-into what prompts print, and only the parse's view builder reads a
-contract's base list. Every record type but `Finding` is an immutable tuple,
-each finding has containers of its own, and importing the entry point loads
-no `dataclasses`."""
+into what prompts print, only the parse's view builder reads a contract's
+base list, and only `canonical_json` writes indented JSON. Every record
+type but `Finding` is an immutable tuple, each finding has containers of
+its own, and importing the entry point loads no `dataclasses`."""
 
 from __future__ import annotations
 
@@ -650,3 +650,24 @@ def test_the_entry_point_imports_no_dataclasses():
     loaded = subprocess.run([sys.executable, "-S", "-c", code],
                             capture_output=True, text=True, check=True, cwd=PACKAGE.parent)
     assert loaded.stdout.strip() == "False"
+
+
+def _indented_dumps(tree: ast.AST) -> list[int]:
+    """Lines of the `json.dumps(...)` and `dumps(...)` calls given an `indent`."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords)
+            and (isinstance(node.func, ast.Name) and node.func.id == "dumps"
+                 or isinstance(node.func, ast.Attribute) and node.func.attr == "dumps"
+                 and isinstance(node.func.value, ast.Name) and node.func.value.id == "json")]
+
+
+def test_only_the_canonical_encoder_writes_indented_json():
+    # the standard library's indented dump runs its pure-Python encoder;
+    # `ccim.build.canonical_json` writes the same text
+    found = {_module_name(p): lines for p in PACKAGE.rglob("*.py")
+             if (lines := _indented_dumps(ast.parse(p.read_text(encoding="utf-8"))))}
+    assert found == {}
+    # the guard sees both call forms, and only calls given an indent
+    assert _indented_dumps(ast.parse(
+        "json.dumps(d, indent=2)\ndumps(d, sort_keys=True, indent=None)\njson.dumps(d)\n"
+        "x.dumps(d, indent=2)")) == [1, 2]

@@ -358,10 +358,16 @@ _STATEMENT = st.sampled_from([
     "owner.call{value: total}(x);", "x . transfer (1);", "token.approve(peer, 0);",
     "peer.safeApprove(owner, 1);", "x.approve(bal [a], total);", "approve(owner, 1);",
     "x.approve(", "unchecked{ }",
-    # locals declared in a block shadow state to its end, a loop header's in
-    # the block around the loop; writes past a line break
+    # locals declared in a block shadow state to its end, a loop header's to
+    # the end of the loop, its body braced or not, nested brace-less `if` and
+    # `else` bodies, `do`, `try` and `assembly` ones included; writes past a
+    # line break
     "{ uint256 total = 2; total += 1; }", "if (flag) { Foo memory peer = y; peer = z; }",
     "for (uint256 flag = 0; flag < 2; flag++) { bool owner = true; }", "{ { uint total = 1; } }",
+    "for (uint256 total = 0; total < 2; total++) { }", "for (Foo memory peer = y; flag; ) peer = z;",
+    "for (uint256 total = 0; flag; ) if (flag) total = 1; else if (x) { total = 2; } else total = 3;",
+    "for (uint256 owner = 0; flag; ) assembly { }", "for (uint256 flag = 0; ; ) do flag++; while (flag);",
+    "for (uint256 total = 0; flag; ) try peer.ping() { total = 1; } catch { total = 2; }",
     "unchecked { memory arr = total; }", "delete\n arr;", "++\n\ttotal;", "} total = 1;",
 ])
 
